@@ -20,9 +20,10 @@
 //! The oracle also fuzzes the **verifier invariant** in both directions.
 //! Every checked program goes through the collect-all verifier first: a
 //! program that fails to verify is an [`OracleError::BaseVerify`]
-//! failure (the generator must only produce clean programs), and the
-//! fused run then executes on the *trusted* lowering
-//! (`Vm::new_verified`, defensive checks compiled out). If any engine
+//! failure (the generator must only produce clean programs), and both
+//! runs then share the one flat lowering that verification produced
+//! (`FlatProgram::lower_verified_all`, so each program is verified
+//! exactly once). If any engine
 //! reports a structural `VmError::Malformed` for a program the verifier
 //! accepted — or a run blows the call stack although the verifier
 //! certified a static depth bound below the configured maximum — that
@@ -32,7 +33,7 @@
 use crate::{UsefulPolicy, VrpConfig, VrpPass, VrsConfig, VrsPass};
 use og_isa::IsaExtension;
 use og_program::Program;
-use og_vm::{RunConfig, RunOutcome, VecSink, Vm, VmError};
+use og_vm::{FlatProgram, RunConfig, RunOutcome, VecSink, Vm, VmError};
 use std::fmt;
 
 /// One semantics-preserving transformation the oracle can apply.
@@ -287,8 +288,7 @@ impl std::error::Error for OracleError {}
 
 /// Run on the reference (graph-walking) engine: the baseline half of
 /// the flat-vs-reference engine differential every check performs.
-fn run_plain(p: &Program, max_steps: u64) -> Result<(Vec<u8>, RunOutcome), VmError> {
-    let mut vm = Vm::new(p, RunConfig { max_steps, ..Default::default() });
+fn run_plain(mut vm: Vm<'_>) -> Result<(Vec<u8>, RunOutcome), VmError> {
     let outcome = vm.run_reference()?;
     Ok((vm.output().to_vec(), outcome))
 }
@@ -305,8 +305,10 @@ pub fn check_program(p: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, O
     // clean (collect-all, so a reproducer shows every defect), and from
     // here on any structural VM error is a broken invariant, not a mere
     // run failure.
-    let ctx = p.verify_all().map_err(|errors| OracleError::BaseVerify {
-        errors: errors.iter().map(ToString::to_string).collect::<Vec<_>>().join("; "),
+    let (flat, ctx) = FlatProgram::lower_verified_all(p, &p.layout()).map_err(|errors| {
+        OracleError::BaseVerify {
+            errors: errors.iter().map(ToString::to_string).collect::<Vec<_>>().join("; "),
+        }
     })?;
     let run_cfg = RunConfig { max_steps: cfg.max_steps, ..Default::default() };
     let depth_certified = ctx.static_call_depth.is_some_and(|d| d <= run_cfg.max_call_depth);
@@ -322,15 +324,15 @@ pub fn check_program(p: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, O
         }
     };
 
-    // ---- baseline: fused trusted (streamed, flat engine) vs plain ----
+    // ---- baseline: fused (streamed, flat engine) vs plain -------------
     let mut sink = VecSink::new();
-    let mut vm = Vm::new_verified(p, run_cfg.clone())
-        .map_err(|e| OracleError::BaseVerify { errors: e.to_string() })?;
+    let mut vm = Vm::with_lowered(p, run_cfg.clone(), flat.clone());
     let fused = vm.run_streamed(&mut sink).map_err(&invariant)?;
     let fused_out = vm.output().to_vec();
     let trace = sink.into_records();
 
-    let (base_out, plain) = run_plain(p, cfg.max_steps).map_err(&invariant)?;
+    let (base_out, plain) =
+        run_plain(Vm::with_lowered(p, run_cfg.clone(), flat)).map_err(&invariant)?;
     if base_out != fused_out {
         return Err(OracleError::PathsDiverged { what: "output" });
     }
@@ -384,20 +386,27 @@ pub fn check_program(p: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, O
             Transform::Vrp { .. } => outcome.narrowed += changed,
             Transform::Vrs { .. } => outcome.specializations += changed,
         }
-        let t_ctx = match transformed.verify_all() {
-            Ok(ctx) => ctx,
-            Err(errors) => {
-                return Err(OracleError::Verify {
-                    transform: label,
-                    error: errors.iter().map(ToString::to_string).collect::<Vec<_>>().join("; "),
-                })
-            }
-        };
+        let (t_flat, t_ctx) =
+            match FlatProgram::lower_verified_all(&transformed, &transformed.layout()) {
+                Ok(lowered) => lowered,
+                Err(errors) => {
+                    return Err(OracleError::Verify {
+                        transform: label,
+                        error: errors
+                            .iter()
+                            .map(ToString::to_string)
+                            .collect::<Vec<_>>()
+                            .join("; "),
+                    })
+                }
+            };
         let t_certified = t_ctx.static_call_depth.is_some_and(|d| d <= run_cfg.max_call_depth);
         // VRS grows the dynamic path by at most the guard overhead; give
         // the budget the same headroom the sanity window allows.
         let fuel = cfg.max_steps * cfg.step_ratio.0 / cfg.step_ratio.1 + cfg.step_slack;
-        let (out, got) = run_plain(&transformed, fuel).map_err(|error| match error {
+        let t_cfg = RunConfig { max_steps: fuel, ..Default::default() };
+        let t_vm = Vm::with_lowered(&transformed, t_cfg, t_flat);
+        let (out, got) = run_plain(t_vm).map_err(|error| match error {
             VmError::Malformed { .. } => OracleError::Invariant {
                 what: format!("[{label}] verified transformed program reported: {error}"),
             },
@@ -496,8 +505,8 @@ mod tests {
         // flip the ldi 0 to ldi 1: output changes
         let r = q.insts().find(|(_, i)| i.op == og_isa::Op::Ldi).map(|(r, _)| r).unwrap();
         q.inst_mut(r).src2 = og_isa::Operand::Imm(1);
-        let (a, _) = run_plain(&p, 1_000_000).unwrap();
-        let (b, _) = run_plain(&q, 1_000_000).unwrap();
+        let (a, _) = run_plain(Vm::new(&p, RunConfig::default())).unwrap();
+        let (b, _) = run_plain(Vm::new(&q, RunConfig::default())).unwrap();
         assert_ne!(a, b, "sabotage must be observable in the output stream");
     }
 

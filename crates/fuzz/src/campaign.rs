@@ -11,7 +11,7 @@
 //!   across an [`og_lab::WorkerPool`], one deterministic rng stream per
 //!   shard. Each shard interleaves fresh generation with structural
 //!   mutation of its corpus ([`crate::mutate`]), screens every input
-//!   with a fuel-bounded trusted run, projects the run's
+//!   with a fuel-bounded flat-engine run, projects the run's
 //!   [`og_vm::Coverage`] into the global feature space
 //!   ([`crate::sched`]), skips duplicate oracle work via a shared
 //!   `(program digest, coverage signature)` set, judges survivors with
@@ -42,7 +42,7 @@ use crate::{
 };
 use og_core::oracle::{check_program, OracleConfig, OracleOutcome};
 use og_json::{Json, ToJson};
-use og_lab::{run_batch, BatchJob, WorkerPool};
+use og_lab::WorkerPool;
 use og_program::generate::generate_with_bound;
 use og_program::rng::SplitMix64;
 use og_program::Program;
@@ -132,15 +132,6 @@ impl Default for CampaignConfig {
 #[derive(Debug, Clone, Default)]
 pub struct Campaign {
     cfg: CampaignConfig,
-}
-
-impl CampaignConfig {
-    /// Read `OG_FUZZ_CASES` / `OG_FUZZ_SEED` over the defaults.
-    #[deprecated(note = "use `Campaign::new(seed).overrides_from_env()` — the builder makes the \
-                         environment layer explicit")]
-    pub fn from_env() -> CampaignConfig {
-        Campaign::default().overrides_from_env().cfg
-    }
 }
 
 impl Campaign {
@@ -290,7 +281,7 @@ pub struct CampaignSummary {
     /// Fault-classifier soundness replays performed
     /// ([`crate::fault_cross_check`]).
     pub fault_checks: u64,
-    /// Passing cases re-executed through the batched engine at the end
+    /// Passing cases re-executed through the no-stats engine at the end
     /// of the campaign (0 when the campaign failed before that phase).
     pub batch_checked: u64,
     /// Was this the coverage-guided loop?
@@ -479,7 +470,7 @@ pub(crate) fn shrink_failure(
 }
 
 /// A case the oracle passed, retained for the end-of-campaign batch
-/// phase: what the batched engine must reproduce.
+/// phase: what the no-stats re-execution must reproduce.
 struct PassingCase {
     index: u64,
     seed: u64,
@@ -546,26 +537,23 @@ fn run_random(cfg: &CampaignConfig) -> CampaignSummary {
 }
 
 /// End-of-campaign batch phase: every passing case re-executes through
-/// the fused+batched no-stats engine, sharded across a worker pool, and
-/// must land on the oracle's step count and output digest. This is the
-/// campaign-wide differential for the og-serve fast path.
+/// the no-stats engine, mapped across a worker pool, and must land on
+/// the oracle's step count and output digest. This is the campaign-wide
+/// differential for the og-serve fast path.
 fn batch_phase(cfg: &CampaignConfig, passing: &[PassingCase], summary: &mut CampaignSummary) {
     if passing.is_empty() {
         return;
     }
     let pool = WorkerPool::with_default_parallelism();
-    let jobs: Vec<BatchJob> = passing
-        .iter()
-        .map(|c| {
-            let config = RunConfig { max_steps: c.max_steps, ..Default::default() };
-            BatchJob::verified(Arc::clone(&c.program), config).expect("oracle-passing cases verify")
-        })
-        .collect();
-    let results = run_batch(&pool, jobs);
+    let jobs: Vec<(Arc<Program>, u64)> =
+        passing.iter().map(|c| (Arc::clone(&c.program), c.max_steps)).collect();
+    let results = pool.map(jobs, |(program, max_steps)| {
+        Vm::new(&program, RunConfig { max_steps, ..Default::default() }).run_nostats()
+    });
     summary.batch_checked = passing.len() as u64;
     for (case, slot) in passing.iter().zip(results) {
         let mismatch = match slot {
-            None => Some("batch shard lost to a worker panic".to_string()),
+            None => Some("batch job lost to a worker panic".to_string()),
             Some(Err(e)) => Some(format!("batched run failed: {e}")),
             Some(Ok(outcome)) => {
                 if outcome.steps != case.base_steps {
@@ -670,7 +658,7 @@ fn run_guided_shard(
         let is_mutant = fresh_bound.is_none();
         summary.total_insts += program.inst_count() as u64;
 
-        // --- screen: fuel-bounded trusted run, coverage read --------
+        // --- screen: fuel-bounded run, coverage read ----------------
         // Certificate fuel for generated programs; the configured budget
         // for mutants, which carry no certificate.
         let screen_fuel = fresh_bound.unwrap_or(cfg.mutant_fuel);

@@ -26,8 +26,8 @@
 //!    plus trace-chain invariants) and after every transform in the battery
 //!    (VRP across useful policies × ISA extensions, VRS with synthetic
 //!    self-profiles), demanding byte-identical output streams and sane
-//!    step counts. The fused baseline takes the **trusted fast path**
-//!    (`Vm::new_verified`), so every case also fuzzes the verifier's
+//!    step counts. Both baseline runs share the one lowering the
+//!    verifier gate produced, so every case also fuzzes the verifier's
 //!    invariant in both directions: generated programs must verify
 //!    clean, and verified programs must never report a structural
 //!    `VmError::Malformed` — or blow a static call-depth certificate —
@@ -41,11 +41,10 @@
 //!    changed output digest, never `Sdc` with an unchanged one
 //!    (signature `fault`);
 //! 3. **batch** — at the end of a green campaign every passing case is
-//!    re-executed through the fused+batched no-stats engine
-//!    ([`og_lab::run_batch`] sharding [`og_vm::BatchRunner`] lanes
-//!    across a worker pool) and must reproduce the oracle's step count
-//!    and output digest (signature `batch`) — the campaign-wide
-//!    differential for the og-serve fast path;
+//!    re-executed through the no-stats engine, mapped across a worker
+//!    pool ([`og_lab::WorkerPool::map`]), and must reproduce the
+//!    oracle's step count and output digest (signature `batch`) — the
+//!    campaign-wide differential for the og-serve fast path;
 //! 4. **shrink** — on failure, [`shrink::shrink`] greedily minimizes the
 //!    program against the same oracle;
 //! 5. **persist** — the shrunk reproducer is written to the campaign's
@@ -105,13 +104,7 @@ use og_program::generate::GenConfig;
 use og_program::rng::SplitMix64;
 use og_program::Program;
 use og_sim::{MachineConfig, SimResult, Simulator};
-use og_vm::{BatchRunner, FlatProgram, RunConfig, VecSink, Vm};
-
-/// Run a campaign with the given config.
-#[deprecated(note = "use the Campaign builder: `Campaign::from_config(cfg).run()`")]
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
-    Campaign::from_config(cfg.clone()).run()
-}
+use og_vm::{Quantum, RunConfig, VecSink, Vm};
 
 pub(crate) fn env_u64(name: &str) -> Option<u64> {
     let v = std::env::var(name).ok()?;
@@ -230,42 +223,43 @@ pub fn fault_cross_check(p: &Program, max_steps: u64, seed: u64) -> Result<(), S
     Ok(())
 }
 
-/// Run `p` as a single lane of a quantum-stepped [`BatchRunner`] (the
-/// fused, trusted, no-stats engine og-serve's batch path uses) and
-/// compare the architectural result — steps, output bytes, digest —
-/// against the reference graph-walking engine.
+/// Run `p` through the quantum seam — [`Vm::run_quantum`], the no-stats
+/// engine og-serve's batch path and the fault campaign use — and compare
+/// the architectural result (steps, output bytes, digest) against the
+/// reference graph-walking engine.
 ///
 /// A deliberately small quantum forces many pause/resume boundaries, so
-/// the check exercises mid-run suspension (including between the
-/// constituents of fused superinstructions), not just the happy path.
+/// the check exercises mid-run suspension, not just the happy path.
 ///
 /// # Errors
 ///
 /// Returns a description of the first mismatch.
 pub fn batch_cross_check(p: &Program, max_steps: u64) -> Result<(), String> {
     let cfg = RunConfig { max_steps, ..Default::default() };
-    let mut vm = Vm::new(p, cfg.clone());
+    let mut vm = Vm::new_verified(p, cfg.clone()).map_err(|e| format!("verify failed: {e}"))?;
+    let mut sliced = Vm::with_lowered(p, cfg, vm.flat_program().clone());
     let reference = vm.run_reference().map_err(|e| format!("reference run failed: {e}"))?;
-    let ref_out = vm.output().to_vec();
 
-    let flat = FlatProgram::lower_verified(p, &p.layout())
-        .map_err(|e| format!("trusted lowering failed: {e}"))?;
-    let mut runner = BatchRunner::with_quantum(7);
-    runner.push(Vm::with_lowered(p, cfg, flat));
-    runner.run();
-    let (batch_vm, result) = runner.into_lanes().pop().expect("one lane");
-    let outcome = result.map_err(|e| format!("batched run failed: {e}"))?;
+    let mut resume = None;
+    let outcome = loop {
+        match sliced.run_quantum(resume, 7) {
+            Quantum::Paused { ip } => resume = Some(ip),
+            Quantum::Finished(result) => {
+                break result.map_err(|e| format!("quantum-sliced run failed: {e}"))?
+            }
+        }
+    };
     if outcome.steps != reference.steps {
-        return Err(format!("batched steps {} != reference {}", outcome.steps, reference.steps));
+        return Err(format!("sliced steps {} != reference {}", outcome.steps, reference.steps));
     }
     if outcome.output_digest != reference.output_digest {
         return Err(format!(
-            "batched digest {:#x} != reference {:#x}",
+            "sliced digest {:#x} != reference {:#x}",
             outcome.output_digest, reference.output_digest
         ));
     }
-    if batch_vm.output() != ref_out {
-        return Err("batched output bytes != reference output bytes".to_string());
+    if sliced.output() != vm.output() {
+        return Err("sliced output bytes != reference output bytes".to_string());
     }
     Ok(())
 }
@@ -308,15 +302,6 @@ mod tests {
         let json = og_json::render(&summary.to_json()).unwrap();
         assert!(json.contains("\"failed\":false"), "{json}");
         assert!(json.contains("\"batch_cross_checked\":8"), "{json}");
-    }
-
-    #[test]
-    fn the_deprecated_free_function_still_runs() {
-        // The one-PR compatibility shim: same behaviour as the builder.
-        #[allow(deprecated)]
-        let summary = run_campaign(&CampaignConfig { cases: 2, ..Default::default() });
-        assert!(summary.failure.is_none());
-        assert_eq!(summary.cases, 2);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! Every candidate passes [`og_program::Program::verify`] before it is
 //! returned — mutation can never leave the space of well-formed
-//! programs, so downstream consumers may use the trusted lowering.
+//! programs, so downstream consumers may lower and run them directly.
 //! What verification can **not** promise is termination: a mutant
 //! carries no step-bound certificate, so the campaign screens each one
 //! with a fuel-bounded run and discards the ones that time out (a

@@ -16,9 +16,8 @@
 //! overwhelmingly mask even *without* gating hardware — and a gated
 //! register file masks them by construction).
 //!
-//! The campaign shards one job per workload across a
-//! [`crate::WorkerPool`]; everything is deterministic in
-//! [`FaultCampaignConfig::seed`].
+//! The campaign maps one job per workload over a [`crate::WorkerPool`];
+//! everything is deterministic in [`FaultCampaignConfig::seed`].
 
 use crate::pool::WorkerPool;
 use og_isa::{Reg, Width};
@@ -30,7 +29,6 @@ use og_vm::fault::{
 };
 use og_vm::{RunConfig, Vm};
 use og_workloads::{by_name, InputSet, NAMES};
-use std::sync::mpsc;
 
 /// Configuration of one fault campaign.
 #[derive(Debug, Clone)]
@@ -254,25 +252,10 @@ fn sweep_workload(cfg: &FaultCampaignConfig, bench: &str) -> WorkloadFaults {
 /// in suite order.
 pub fn run_fault_campaign(cfg: &FaultCampaignConfig) -> FaultCampaignReport {
     let pool = WorkerPool::with_default_parallelism();
-    let (tx, rx) = mpsc::channel::<(usize, WorkloadFaults)>();
-    for (i, &bench) in NAMES.iter().enumerate() {
-        let tx = tx.clone();
-        let cfg = cfg.clone();
-        pool.submit(move || {
-            let w = sweep_workload(&cfg, bench);
-            let _ = tx.send((i, w));
-        });
-    }
-    drop(tx);
-    let mut slots: Vec<Option<WorkloadFaults>> = (0..NAMES.len()).map(|_| None).collect();
-    for (i, w) in rx {
-        slots[i] = Some(w);
-    }
+    let cfg = cfg.clone();
+    let sweeps = pool.map_all("fault campaign", NAMES, move |bench| sweep_workload(&cfg, bench));
     let mut report = FaultCampaignReport::default();
-    for slot in slots {
-        let w = slot.unwrap_or_else(|| {
-            panic!("a fault-campaign shard panicked: {:?}", pool.panic_messages())
-        });
+    for w in sweeps {
         report.strikes += w.counts.total();
         report.total.merge(&w.counts);
         report.gated.merge(&w.gated);

@@ -59,7 +59,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod fault;
 pub mod figures;
 mod pipeline;
@@ -67,14 +66,13 @@ pub mod pool;
 pub mod report;
 mod serialize;
 
-pub use batch::{run_batch, BatchJob};
 pub use pipeline::{run_lowered, run_program, RunError};
 pub use pool::WorkerPool;
 
 use og_isa::OpClass;
 use og_power::{ed2_improvement, EnergyModel, EnergyReport, GatingScheme};
 use og_sim::{ActivityCounts, CycleStats, Structure};
-use og_vm::RunConfig;
+use og_vm::{RunConfig, Vm};
 use og_workloads::{by_name, InputSet, NAMES};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -503,30 +501,11 @@ pub fn shared_study() -> &'static Study {
     SHARED.get_or_init(run_study)
 }
 
-/// Collect exactly `n` indexed results from a pool-fed channel,
-/// panicking with the pool's panic count if jobs went missing (a
-/// panicked job drops its sender without sending).
-fn drain_indexed<T>(
-    rx: std::sync::mpsc::Receiver<(usize, T)>,
-    n: usize,
-    pool: &WorkerPool,
-    what: &str,
-) -> Vec<Option<T>> {
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut received = 0usize;
-    for (idx, value) in rx {
-        assert!(slots[idx].replace(value).is_none(), "{what}: slot {idx} filled twice");
-        received += 1;
-    }
-    assert_eq!(received, n, "{what}: {} job(s) panicked in the worker pool", pool.panicked_jobs());
-    slots
-}
-
 /// Run the full study without touching the cache.
 ///
 /// Parallelized at (benchmark, mechanism) granularity on a
 /// [`WorkerPool`]: the 8 baselines fan out first (their digests gate
-/// everything else), then the remaining 64 runs are submitted as
+/// everything else), then the remaining 64 runs are mapped as
 /// individual jobs, so no worker is ever stuck behind one benchmark's
 /// queue. The assembled run order (benchmark-major, in [`Mech::ALL`]
 /// order) is identical to the old serial implementation, so cached
@@ -535,72 +514,44 @@ pub fn compute_study() -> Study {
     STUDY_RECOMPUTES.fetch_add(1, Ordering::Relaxed);
     let pool = WorkerPool::with_default_parallelism();
 
-    // Phase 0: run every baseline through the batched no-stats engine.
-    // Cheap relative to the full pipeline (no simulation, no stats) and
-    // it cross-checks the fused+batched fast path against the full
-    // engine on every study recompute: phase 1's digests must agree.
-    let batch_jobs: Vec<BatchJob> = NAMES
-        .iter()
-        .map(|&bench| {
-            let program = std::sync::Arc::new(by_name(bench, InputSet::Ref).program);
-            BatchJob::verified(program, RunConfig::default())
-                .unwrap_or_else(|e| panic!("{bench}: workload must verify: {e:?}"))
-        })
-        .collect();
-    let batch_digests: Vec<u64> = run_batch(&pool, batch_jobs)
-        .into_iter()
-        .zip(NAMES)
-        .map(|(slot, bench)| {
-            slot.unwrap_or_else(|| panic!("{bench}: batch shard lost to a worker panic"))
-                .unwrap_or_else(|e| panic!("{bench}: batched run failed: {e:?}"))
-                .output_digest
-        })
-        .collect();
+    // Phase 0: run every baseline through the no-stats engine. Cheap
+    // relative to the full pipeline (no simulation, no stats) and it
+    // cross-checks the fast path against the full engine on every study
+    // recompute: phase 1's digests must agree.
+    let nostats_digests = pool.map_all("no-stats baselines", NAMES, |bench| {
+        let program = by_name(bench, InputSet::Ref).program;
+        Vm::new(&program, RunConfig::default())
+            .run_nostats()
+            .unwrap_or_else(|e| panic!("{bench}: no-stats run failed: {e}"))
+            .output_digest
+    });
 
     // Phase 1: baselines (8 independent jobs).
-    let (tx, rx) = std::sync::mpsc::channel();
-    for (bi, &bench) in NAMES.iter().enumerate() {
-        let tx = tx.clone();
-        pool.submit(move || {
-            let summary = run_pipeline(bench, Mech::Baseline, None);
-            tx.send((bi, summary)).expect("study collector alive");
-        });
-    }
-    drop(tx);
-    let baselines: Vec<RunSummary> = drain_indexed(rx, NAMES.len(), &pool, "baselines")
-        .into_iter()
-        .map(|s| s.expect("one baseline per bench"))
-        .collect();
+    let baselines =
+        pool.map_all("baselines", NAMES, |bench| run_pipeline(bench, Mech::Baseline, None));
     let digests: Vec<u64> = baselines.iter().map(|r| r.digest).collect();
     assert_eq!(
-        digests, batch_digests,
-        "batched no-stats engine diverged from the full pipeline on a baseline digest"
+        digests, nostats_digests,
+        "no-stats engine diverged from the full pipeline on a baseline digest"
     );
 
     // Phase 2: every remaining (benchmark, mechanism) pair as one job.
-    let pairs: Vec<(usize, Mech)> = (0..NAMES.len())
-        .flat_map(|bi| Mech::ALL.into_iter().skip(1).map(move |mech| (bi, mech)))
+    let pairs: Vec<(&'static str, Mech, u64)> = NAMES
+        .into_iter()
+        .zip(digests)
+        .flat_map(|(bench, digest)| Mech::ALL.into_iter().skip(1).map(move |m| (bench, m, digest)))
         .collect();
-    let (tx, rx) = std::sync::mpsc::channel();
-    for (idx, &(bi, mech)) in pairs.iter().enumerate() {
-        let tx = tx.clone();
-        let expected = digests[bi];
-        pool.submit(move || {
-            let summary = run_pipeline(NAMES[bi], mech, Some(expected));
-            tx.send((idx, summary)).expect("study collector alive");
-        });
-    }
-    drop(tx);
-    let extras = drain_indexed(rx, pairs.len(), &pool, "bench x mech runs");
+    let mut extras = pool
+        .map_all("bench x mech runs", pairs, |(bench, mech, expected)| {
+            run_pipeline(bench, mech, Some(expected))
+        })
+        .into_iter();
 
     // Assemble benchmark-major, Mech::ALL order.
-    let mut extras = extras.into_iter().map(|s| s.expect("one summary per pair"));
     let mut runs = Vec::with_capacity(NAMES.len() * Mech::ALL.len());
     for base in baselines {
         runs.push(base);
-        for _ in 1..Mech::ALL.len() {
-            runs.push(extras.next().expect("one summary per pair"));
-        }
+        runs.extend(extras.by_ref().take(Mech::ALL.len() - 1));
     }
     Study::new(STUDY_VERSION, runs)
 }

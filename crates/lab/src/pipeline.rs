@@ -9,8 +9,8 @@
 //! * [`run_program`] — measure any [`Program`] under any [`Mech`],
 //!   returning typed [`RunError`]s instead of panicking;
 //! * [`run_lowered`] — the cached-artifact fast path: measure a program
-//!   whose trusted [`FlatProgram`] was lowered earlier (and LRU-cached by
-//!   `og-serve`), skipping the per-request verify+lower;
+//!   whose [`FlatProgram`] was verified and lowered earlier (and
+//!   LRU-cached by `og-serve`), skipping the per-request verify+lower;
 //! * [`apply_mech`] — just the program transformation, exposed so a
 //!   caller can apply once and measure many times.
 //!
@@ -33,9 +33,7 @@ use std::fmt;
 pub enum RunError {
     /// A VRS run needs a training program and none was supplied.
     MissingTrain,
-    /// The VM failed: out of fuel, call-stack overflow, or (for
-    /// untrusted lowerings) a structurally malformed instruction was
-    /// reached.
+    /// The VM failed: out of fuel or call-stack overflow.
     Vm(VmError),
     /// The output digest diverged from the expected (baseline) digest.
     DigestMismatch {
@@ -127,12 +125,19 @@ pub(crate) fn apply_mech(
 ///
 /// This is the program-first core [`crate::run_pipeline`] wraps for the
 /// fixed suite and `og-serve` calls directly for submitted programs.
+/// `program` must verify: the transformed copy is verified and lowered
+/// by [`Vm::new`], so gate untrusted input on
+/// [`og_program::Program::verify_all`] first.
 ///
 /// # Errors
 ///
 /// [`RunError::MissingTrain`] for a VRS run without `train`;
 /// [`RunError::Vm`] when the (transformed) program fails to run;
 /// [`RunError::DigestMismatch`] when the output diverges.
+///
+/// # Panics
+///
+/// Panics if the (transformed) program fails verification.
 pub fn run_program(
     name: &str,
     program: &Program,
@@ -156,7 +161,7 @@ pub fn run_program(
 /// # Errors
 ///
 /// [`RunError::Vm`] when the program fails to run (out of fuel or call
-/// depth; a trusted artifact cannot hit a structural error).
+/// depth; a verified artifact cannot hit a structural error).
 ///
 /// # Panics
 ///

@@ -5,8 +5,11 @@
 //! the bench×mech matrix: nothing else could submit work to it, and it
 //! died with the one study it computed. This module lifts that queue
 //! into a standalone pool any caller can keep alive and feed closures:
-//! the study computation drains its 72 runs through it, and `og-serve`
-//! executes request jobs on it for the lifetime of the service.
+//! `og-serve` executes request jobs on it for the lifetime of the
+//! service, and every batch of independent runs — the study's 72 runs,
+//! the fault campaign's workloads, the fuzz campaign's end-of-run
+//! re-execution, `Service::call_many` — goes through
+//! [`WorkerPool::map`].
 //!
 //! Shape:
 //!
@@ -31,7 +34,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -143,6 +146,57 @@ impl WorkerPool {
         state.queued += 1;
         drop(state);
         self.inner.available.notify_one();
+    }
+
+    /// Run `f` over every item, one pool job per item, and block until
+    /// all are done. Results come back in item order; a `None` slot is
+    /// an item whose job panicked (the pool contained it —
+    /// [`WorkerPool::panic_messages`] says why).
+    pub fn map<T, R, F>(&self, items: impl IntoIterator<Item = T>, f: F) -> Vec<Option<R>>
+    where
+        T: Send + 'static,
+        R: Send + 'static,
+        F: Fn(T) -> R + Send + Sync + 'static,
+    {
+        let f = Arc::new(f);
+        let (tx, rx) = mpsc::channel();
+        let mut n = 0;
+        for item in items {
+            let (f, tx, i) = (Arc::clone(&f), tx.clone(), n);
+            self.submit(move || {
+                let _ = tx.send((i, f(item)));
+            });
+            n += 1;
+        }
+        drop(tx);
+        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        for (i, result) in rx {
+            slots[i] = Some(result);
+        }
+        slots
+    }
+
+    /// [`WorkerPool::map`] for callers on the fixed suite, where a lost
+    /// job is a bug: panics with the contained panics' messages.
+    pub(crate) fn map_all<T, R, F>(
+        &self,
+        what: &str,
+        items: impl IntoIterator<Item = T>,
+        f: F,
+    ) -> Vec<R>
+    where
+        T: Send + 'static,
+        R: Send + 'static,
+        F: Fn(T) -> R + Send + Sync + 'static,
+    {
+        self.map(items, f)
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|| {
+                    panic!("{what}: a job panicked: {:?}", self.panic_messages())
+                })
+            })
+            .collect()
     }
 }
 
@@ -300,6 +354,24 @@ mod tests {
         let msgs = pool.panic_messages();
         assert_eq!(msgs.len(), 32, "retention is capped");
         assert!(msgs.iter().all(|m| m.starts_with("shard ") && m.ends_with(" died")));
+    }
+
+    #[test]
+    fn map_returns_results_in_item_order() {
+        let pool = WorkerPool::new(3);
+        let got = pool.map(0..17u64, |i| i * i);
+        assert_eq!(got, (0..17u64).map(|i| Some(i * i)).collect::<Vec<_>>());
+        assert!(pool.map(Vec::<u64>::new(), |i| i).is_empty());
+    }
+
+    #[test]
+    fn map_reports_a_panicked_item_as_none() {
+        let pool = WorkerPool::new(2);
+        let got = pool.map([1u64, 2, 3], |i| {
+            assert_ne!(i, 2, "item two dies");
+            i
+        });
+        assert_eq!(got, vec![Some(1), None, Some(3)]);
     }
 
     #[test]

@@ -6,11 +6,65 @@
 //! cached study: if this test holds, a study computed through the old
 //! name-keyed path and one computed through the service path are the
 //! same artifact.
+//!
+//! A cache the same code just wrote proves nothing about a refactor, so
+//! every freshly computed summary is also checked against the
+//! **committed** study fingerprint `perfbench/expected/study.json`
+//! (read-only here; the benchmark owns it): fnv1a of the serialized
+//! summary, plus cycles and instructions in clear so a failure says what
+//! moved.
 
-use og_lab::{run_program, shared_study, Mech, WorkerPool, STUDY_VERSION};
-use og_vm::RunConfig;
+use og_json::Json;
+use og_lab::{run_program, shared_study, Mech, RunSummary, WorkerPool, STUDY_VERSION};
+use og_vm::{fnv1a, RunConfig};
 use og_workloads::{by_name, InputSet, NAMES};
-use std::sync::mpsc;
+use std::collections::HashMap;
+
+/// One committed `(bench, mech)` fingerprint.
+struct Golden {
+    summary_fnv: u64,
+    cycles: u64,
+    insts: u64,
+}
+
+/// The committed fingerprint, keyed by `(bench, mech)` with the mech in
+/// its `Debug` form (`Vrs(110)`), as the benchmark writes it.
+fn committed_fingerprint() -> HashMap<(String, String), Golden> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../perfbench/expected/study.json");
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let json = og_json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let runs = json.get("runs").and_then(Json::as_arr).expect("fingerprint has a `runs` array");
+    let text_of = |run: &Json, key: &str| -> String {
+        run.get(key).and_then(Json::as_str).unwrap_or_else(|| panic!("{path}: no `{key}`")).into()
+    };
+    runs.iter()
+        .map(|run| {
+            let fnv = text_of(run, "summary_fnv");
+            let golden = Golden {
+                summary_fnv: u64::from_str_radix(&fnv, 16).expect("summary_fnv is hex"),
+                cycles: run.field("cycles").expect("cycles"),
+                insts: run.field("insts").expect("insts"),
+            };
+            ((text_of(run, "bench"), text_of(run, "mech")), golden)
+        })
+        .collect()
+}
+
+fn check_against_golden(summary: &RunSummary, golden: &HashMap<(String, String), Golden>) {
+    let key = (summary.bench.clone(), format!("{:?}", summary.mech));
+    let want = golden.get(&key).unwrap_or_else(|| panic!("no committed fingerprint for {key:?}"));
+    assert_eq!(
+        (summary.insts, summary.sim.cycles),
+        (want.insts, want.cycles),
+        "{key:?}: (insts, cycles) moved from the committed fingerprint"
+    );
+    let text = og_json::to_string(summary).expect("summaries render");
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        want.summary_fnv,
+        "{key:?}: serialized summary moved from the committed fingerprint"
+    );
+}
 
 #[test]
 fn run_program_reproduces_every_cached_summary_byte_identically() {
@@ -21,45 +75,39 @@ fn run_program_reproduces_every_cached_summary_byte_identically() {
         NAMES.len() * Mech::ALL.len(),
         "the study must hold the full bench x mech matrix"
     );
+    let golden = committed_fingerprint();
+    assert_eq!(golden.len(), study.runs().len(), "one committed fingerprint per run");
 
     // Re-run the whole matrix through the program-first entry point, on
     // the same worker pool the study computation uses.
     let pool = WorkerPool::with_default_parallelism();
-    let (tx, rx) = mpsc::channel();
-    for (i, run) in study.runs().iter().enumerate() {
-        let tx = tx.clone();
-        let bench = run.bench.clone();
-        let mech = run.mech;
-        pool.submit(move || {
-            let program = by_name(&bench, InputSet::Ref).program;
-            let train =
-                matches!(mech, Mech::Vrs(_)).then(|| by_name(&bench, InputSet::Train).program);
-            let summary =
-                run_program(&bench, &program, mech, train.as_ref(), RunConfig::default(), None)
-                    .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
-            tx.send((i, summary)).expect("collector alive");
-        });
-    }
-    drop(tx);
+    let jobs: Vec<(String, Mech)> =
+        study.runs().iter().map(|r| (r.bench.clone(), r.mech)).collect();
+    let fresh = pool.map(jobs, |(bench, mech)| {
+        let program = by_name(&bench, InputSet::Ref).program;
+        let train = matches!(mech, Mech::Vrs(_)).then(|| by_name(&bench, InputSet::Train).program);
+        run_program(&bench, &program, mech, train.as_ref(), RunConfig::default(), None)
+            .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"))
+    });
 
-    let mut seen = 0usize;
-    for (i, summary) in rx {
-        let cached = &study.runs()[i];
+    for (summary, cached) in fresh.iter().zip(study.runs()) {
+        let summary = summary.as_ref().unwrap_or_else(|| {
+            panic!("{}/{:?} panicked: {:?}", cached.bench, cached.mech, pool.panic_messages())
+        });
         assert_eq!(
-            &summary, cached,
+            summary, cached,
             "run_program diverged from the cached {}/{:?}",
             cached.bench, cached.mech
         );
         // Byte-level, not just PartialEq: the serialized form is what
         // the cache file and the service's keyed store actually hold.
         assert_eq!(
-            serde_json::to_string(&summary).unwrap(),
+            serde_json::to_string(summary).unwrap(),
             serde_json::to_string(cached).unwrap(),
             "serialized bytes diverged for {}/{:?}",
             cached.bench,
             cached.mech
         );
-        seen += 1;
+        check_against_golden(summary, &golden);
     }
-    assert_eq!(seen, study.runs().len(), "{} run(s) went missing", pool.panicked_jobs());
 }

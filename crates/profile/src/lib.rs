@@ -12,11 +12,10 @@
 //! > used values from the table […]. The total number of times the
 //! > profiling point is executed is also kept in a separate counter.
 //!
-//! [`ValueProfiler`] has two equivalent observation channels: it plugs
-//! into the emulator as a [`og_vm::Watcher`], or — via
-//! [`ValueProfiler::sink`] — as a [`og_vm::TraceSink`] riding the same
-//! streamed committed-path interface that drives the timing simulator
-//! (this is how VRS profiles its training runs). After a training run,
+//! [`ValueProfiler`] observes a run through [`ValueProfiler::sink`], a
+//! [`og_vm::TraceSink`] riding the same streamed committed-path
+//! interface that drives the timing simulator (this is how VRS profiles
+//! its training runs). After a training run,
 //! each watched site yields [`RangeEstimate`]s — candidate `[min, max]`
 //! ranges with their observed coverage frequency — which VRS weighs with
 //! its energy cost/benefit model.

@@ -2,7 +2,7 @@
 
 use crate::{ProfileConfig, RangeEstimate, ValueTable};
 use og_program::{InstRef, Layout};
-use og_vm::{TraceRecord, TraceSink, Watcher};
+use og_vm::{TraceRecord, TraceSink};
 use std::collections::{HashMap, HashSet};
 
 /// The profile gathered at one watched instruction.
@@ -50,7 +50,7 @@ impl SiteProfile {
 /// let site = InstRef::new(FuncId(0), BlockId(0), 0);
 /// let mut profiler = ValueProfiler::new(ProfileConfig::default(), [site]);
 /// let mut vm = Vm::new(&p, RunConfig::default());
-/// vm.run_watched(&mut profiler).unwrap();
+/// vm.run_streamed(&mut profiler.sink(&p.layout())).unwrap();
 /// assert_eq!(profiler.site(site).unwrap().total(), 1);
 /// ```
 #[derive(Debug)]
@@ -72,9 +72,8 @@ impl ValueProfiler {
     }
 
     /// Record one observation of `value` at `at` (ignored unless the
-    /// site is watched). Both observation channels — the in-VM
-    /// [`Watcher`] and the streaming [`ProfileSink`] — funnel here, so
-    /// they produce identical profiles for identical runs.
+    /// site is watched). The streaming [`ProfileSink`] funnels every
+    /// defined value here.
     pub fn observe(&mut self, at: InstRef, value: i64) {
         if !self.watched.contains(&at) {
             return;
@@ -108,37 +107,10 @@ impl ValueProfiler {
     }
 }
 
-impl Watcher for ValueProfiler {
-    fn record(&mut self, at: InstRef, value: i64) {
-        self.observe(at, value);
-    }
-}
-
 /// A [`TraceSink`] adapter over a [`ValueProfiler`], produced by
 /// [`ValueProfiler::sink`]. It lets the profiler ride the same streamed
 /// committed-path interface the timing simulator consumes, so a training
-/// run drives profiling without the VM materializing anything:
-///
-/// ```
-/// use og_profile::{ProfileConfig, ValueProfiler};
-/// use og_program::{ProgramBuilder, InstRef, FuncId, BlockId};
-/// use og_isa::Reg;
-/// use og_vm::{Vm, RunConfig};
-///
-/// let mut pb = ProgramBuilder::new();
-/// let mut f = pb.function("main", 0);
-/// f.block("entry");
-/// f.ldi(Reg::T0, 7);
-/// f.halt();
-/// pb.finish(f);
-/// let p = pb.build().unwrap();
-///
-/// let site = InstRef::new(FuncId(0), BlockId(0), 0);
-/// let mut profiler = ValueProfiler::new(ProfileConfig::default(), [site]);
-/// let mut vm = Vm::new(&p, RunConfig::default());
-/// vm.run_streamed(&mut profiler.sink(&p.layout())).unwrap();
-/// assert_eq!(profiler.site(site).unwrap().total(), 1);
-/// ```
+/// run drives profiling without the VM materializing anything.
 pub struct ProfileSink<'a> {
     profiler: &'a mut ValueProfiler,
     site_of_pc: HashMap<u64, InstRef>,
@@ -186,7 +158,7 @@ mod tests {
         let ldi_site = InstRef::new(FuncId(0), BlockId(1), 1);
         let mut prof = ValueProfiler::new(ProfileConfig::default(), [and_site]);
         let mut vm = Vm::new(&p, RunConfig::default());
-        vm.run_watched(&mut prof).unwrap();
+        vm.run_streamed(&mut prof.sink(&p.layout())).unwrap();
         assert!(prof.site(and_site).is_some());
         assert!(prof.site(ldi_site).is_none());
         assert_eq!(prof.site(and_site).unwrap().total(), 100);
@@ -198,38 +170,11 @@ mod tests {
         let ldi_site = InstRef::new(FuncId(0), BlockId(1), 1);
         let mut prof = ValueProfiler::new(ProfileConfig::default(), [ldi_site]);
         let mut vm = Vm::new(&p, RunConfig::default());
-        vm.run_watched(&mut prof).unwrap();
+        vm.run_streamed(&mut prof.sink(&p.layout())).unwrap();
         let ranges = prof.site(ldi_site).unwrap().candidate_ranges(4);
         assert_eq!(ranges.len(), 1);
         assert_eq!((ranges[0].min, ranges[0].max), (7, 7));
         assert!((ranges[0].freq - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sink_profiling_matches_watcher_profiling() {
-        let p = profiled_program();
-        let and_site = InstRef::new(FuncId(0), BlockId(1), 0);
-        let ldi_site = InstRef::new(FuncId(0), BlockId(1), 1);
-        // Watcher channel.
-        let mut watched = ValueProfiler::new(ProfileConfig::default(), [and_site, ldi_site]);
-        let mut vm = Vm::new(&p, RunConfig::default());
-        vm.run_watched(&mut watched).unwrap();
-        // Streaming channel.
-        let mut streamed = ValueProfiler::new(ProfileConfig::default(), [and_site, ldi_site]);
-        let mut vm = Vm::new(&p, RunConfig::default());
-        vm.run_streamed(&mut streamed.sink(&p.layout())).unwrap();
-        for site in [and_site, ldi_site] {
-            let w = watched.site(site).unwrap();
-            let s = streamed.site(site).unwrap();
-            assert_eq!(w.total(), s.total());
-            let wr = w.candidate_ranges(16);
-            let sr = s.candidate_ranges(16);
-            assert_eq!(wr.len(), sr.len());
-            for (a, b) in wr.iter().zip(&sr) {
-                assert_eq!((a.min, a.max), (b.min, b.max));
-                assert!((a.freq - b.freq).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]
@@ -239,7 +184,7 @@ mod tests {
         let mut prof =
             ValueProfiler::new(ProfileConfig { table_size: 16, clean_period: 1 << 20 }, [and_site]);
         let mut vm = Vm::new(&p, RunConfig::default());
-        vm.run_watched(&mut prof).unwrap();
+        vm.run_streamed(&mut prof.sink(&p.layout())).unwrap();
         let site = prof.site(and_site).unwrap();
         let ranges = site.candidate_ranges(16);
         // The widest hull covers all 16 values with frequency 1.

@@ -10,8 +10,9 @@
 //! Concretely: a program accepted by [`Program::verify`] lowers to a flat
 //! form with no `Malformed` slots, and neither the flat engine nor the
 //! reference interpreter can ever report `VmError::Malformed` while running
-//! it. `og-vm` spends this invariant in `FlatProgram::lower_verified`,
-//! which drops the per-step defensive checks from the hot loop.
+//! it. `og-vm` spends this invariant on every construction path
+//! (`Vm::new`, `FlatProgram::lower`, `FlatProgram::lower_verified_all`
+//! verify before lowering), so its flat hot loop has no defensive checks.
 //!
 //! ## Pass pipeline
 //!
@@ -30,8 +31,8 @@
 //!
 //! Two further passes run only on structurally valid programs and record
 //! *facts* rather than errors: **cfg** (per-function reachability — an
-//! unreachable block is legal, but it is still fully verified so trusted
-//! lowering stays `Malformed`-free) and **call graph** (recursion
+//! unreachable block is legal, but it is still fully verified so every
+//! slot the VM lowers is executable) and **call graph** (recursion
 //! detection and, where the call graph reachable from the entry is
 //! acyclic, a provable bound on dynamic call-stack depth — the certificate
 //! the fuzz oracle checks against `RunConfig::max_call_depth`).
@@ -136,8 +137,8 @@ impl std::error::Error for VerifyError {}
 #[derive(Debug, Clone, Default)]
 pub struct ProgramContext {
     /// Blocks not reachable from their function's entry block. Legal (the
-    /// VM never executes them), but still fully verified so that trusted
-    /// lowering stays free of `Malformed` slots.
+    /// VM never executes them), but still fully verified so that every
+    /// slot the VM lowers is executable.
     pub unreachable_blocks: Vec<BlockRef>,
     /// True when the static call graph contains no cycle at all.
     pub recursion_free: bool,

@@ -11,11 +11,11 @@
 //! * **verifier gate** (`og-program`/`og-vm`): a request is decoded
 //!   *without* verification ([`og_program::Program::from_json_unverified`]),
 //!   then [`og_vm::FlatProgram::lower_verified_all`] runs the collect-all
-//!   verifier and lowers to the trusted flat form in one pass. Invalid
-//!   programs are rejected with the **complete** error list; accepted
-//!   ones carry the verifier's invariant (*verify `Ok` ⇒ the VM never
-//!   hits a structural error*) into execution, where the malformed-slot
-//!   check is compiled out of the hot loop.
+//!   verifier and lowers to the flat form in one pass. Invalid programs
+//!   are rejected with the **complete** error list; accepted ones carry
+//!   the verifier's invariant (*verify `Ok` ⇒ the VM never hits a
+//!   structural error*) into execution, whose hot loop has no defensive
+//!   check.
 //! * **artifact cache** (this crate + `og-json`): accepted programs are
 //!   deduplicated by a 128-bit digest of their canonical JSON into a
 //!   bounded in-memory [`lru::Lru`] of lowered artifacts + memoized
@@ -43,14 +43,14 @@
 //!
 //! No network layer: [`Service::call`] is the transport-independent
 //! request path (text in, [`Response`] out). [`Service::call_many`] is
-//! the batched execution entry: the same gates, but surviving lanes run
-//! together on the no-stats batch engine ([`og_vm::BatchRunner`]
-//! sharded across the pool) and come back as architectural
-//! [`ExecResponse`]s — the fast path when the client wants outputs, not
-//! measurements. [`loadgen`] drives both in-process
-//! in-process with thousands of fuzz-generated programs at controlled
-//! concurrency, emitting `target/BENCH_serve.json` with requests/sec,
-//! p50/p99 latency, cache hit rate and reject rate. Run it with:
+//! the batched execution entry: the same gates, but surviving lanes are
+//! mapped over the pool ([`og_lab::WorkerPool::map`]) on the no-stats
+//! engine and come back as architectural [`ExecResponse`]s — the fast
+//! path when the client wants outputs, not measurements. [`loadgen`]
+//! drives both in-process with thousands of fuzz-generated programs at
+//! controlled concurrency, emitting `target/BENCH_serve.json` with
+//! requests/sec, p50/p99 latency, cache hit rate and reject rate. Run it
+//! with:
 //!
 //! ```text
 //! OG_SERVE_REQUESTS=2000 cargo run --release -p og-serve --example serve_load
@@ -64,9 +64,9 @@ pub mod lru;
 
 use og_json::store::{KeyedStore, StoreError, TMP_DEBRIS_AGE};
 use og_json::{FromJson, Json, ToJson};
-use og_lab::{run_batch, run_lowered, BatchJob, RunError, RunSummary, WorkerPool, STUDY_VERSION};
+use og_lab::{run_lowered, RunError, RunSummary, WorkerPool, STUDY_VERSION};
 use og_program::{Program, VerifyError};
-use og_vm::{FlatProgram, RunConfig, RunOutcome, VmError};
+use og_vm::{FlatProgram, RunConfig, RunOutcome, Vm, VmError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -307,7 +307,7 @@ impl Default for ServeConfig {
 }
 
 /// One cached accepted program: its canonical identity, the verified
-/// program, the trusted lowered artifact, and the memoized result once
+/// program, its verified lowered artifact, and the memoized result once
 /// some request computed it.
 struct CacheEntry {
     /// Canonical JSON text — compared on every hit so a digest collision
@@ -319,7 +319,7 @@ struct CacheEntry {
     flat: FlatProgram,
     /// Memoized measurement (or its deterministic failure).
     result: OnceLock<Result<Arc<RunSummary>, RunError>>,
-    /// Memoized architectural outcome from the no-stats batch engine
+    /// Memoized architectural outcome from the no-stats engine
     /// ([`Service::call_many`]) — independent of `result`, because an
     /// execution request must not pay for a full measurement.
     exec: OnceLock<Result<RunOutcome, VmError>>,
@@ -564,7 +564,7 @@ impl Service {
             c.collisions.fetch_add(1, Ordering::Relaxed);
         }
 
-        // Gate 2: the collect-all verifier, fused with trusted lowering.
+        // Gate 2: the collect-all verifier, fused with lowering.
         let layout = program.layout();
         let (flat, _context) = match FlatProgram::lower_verified_all(&program, &layout) {
             Ok(ok) => ok,
@@ -622,14 +622,13 @@ impl Service {
         }
     }
 
-    /// Serve a batch of requests through the **no-stats batch engine**.
+    /// Serve a batch of requests through the **no-stats engine**.
     ///
     /// Each request passes the same gates as [`Service::call`] (parse →
     /// canonicalize → digest → verify+lower), but execution is batched:
-    /// every lane that survives the gates runs in one
-    /// [`og_lab::run_batch`] — fused trusted artifacts round-robin-
-    /// stepped by per-worker [`og_vm::BatchRunner`]s, sharded across the
-    /// pool — with the `STATS = false` engine, which keeps only what an
+    /// every lane that survives the gates is mapped over the pool
+    /// ([`og_lab::WorkerPool::map`]) and runs its lowered artifact with
+    /// the `STATS = false` engine, which keeps only what an
     /// [`ExecResponse`] reports. Duplicates dedup twice: against the
     /// artifact cache (a memoized batch outcome is a result hit, a
     /// cached artifact skips verify+lower) and within the batch itself
@@ -648,12 +647,13 @@ impl Service {
             Ready(ExecResponse),
             Lane { digest: u128, lane: usize, served: Served },
         }
-        /// One pending lane: the job to run, the canonical text (for
-        /// in-batch collision detection), and the cache entry to
-        /// memoize into (`None` for a collision bypass).
+        /// One pending lane: the program and its lowered artifact to
+        /// run, the canonical text (for in-batch collision detection),
+        /// and the cache entry to memoize into (`None` for a collision
+        /// bypass).
         struct Lane {
             text: String,
-            job: BatchJob,
+            job: (Arc<Program>, FlatProgram),
             entry: Option<Arc<CacheEntry>>,
         }
 
@@ -707,11 +707,7 @@ impl Service {
                         lane_of.insert(digest, lane);
                         lanes.push(Lane {
                             text: canonical,
-                            job: BatchJob {
-                                program: Arc::clone(&entry.program),
-                                flat: entry.flat.clone(),
-                                config: self.shared.run_config.clone(),
-                            },
+                            job: (Arc::clone(&entry.program), entry.flat.clone()),
                             entry: Some(entry),
                         });
                         slots.push(Slot::Lane { digest, lane, served: Served::ArtifactHit });
@@ -722,8 +718,7 @@ impl Service {
                 }
             }
 
-            // Gate 2: the collect-all verifier, fused with trusted
-            // lowering.
+            // Gate 2: the collect-all verifier, fused with lowering.
             let layout = program.layout();
             let (flat, _context) = match FlatProgram::lower_verified_all(&program, &layout) {
                 Ok(ok) => ok,
@@ -756,20 +751,21 @@ impl Service {
                 lane_of.insert(digest, lane);
                 Some(entry)
             };
-            lanes.push(Lane {
-                text: canonical,
-                job: BatchJob { program, flat, config: self.shared.run_config.clone() },
-                entry,
-            });
+            lanes.push(Lane { text: canonical, job: (program, flat), entry });
             slots.push(Slot::Lane { digest, lane, served: Served::Computed });
         }
 
-        // Execute every pending lane in one sharded batch, then memoize
-        // per entry. A `None` slot is a shard lost to a contained worker
-        // panic: count it, never memoize it.
-        let (jobs, memos): (Vec<BatchJob>, Vec<Option<Arc<CacheEntry>>>) =
+        // Execute every pending lane on the pool, then memoize per entry.
+        // A `None` slot is a lane lost to a contained worker panic: count
+        // it, never memoize it.
+        let (jobs, memos): (Vec<_>, Vec<Option<Arc<CacheEntry>>>) =
             lanes.into_iter().map(|l| (l.job, l.entry)).unzip();
-        let outcomes: Vec<Option<Result<RunOutcome, VmError>>> = run_batch(&self.pool, jobs)
+        let config = self.shared.run_config.clone();
+        let outcomes: Vec<Option<Result<RunOutcome, VmError>>> = self
+            .pool
+            .map(jobs, move |(program, flat)| {
+                Vm::with_lowered(&program, config.clone(), flat).run_nostats()
+            })
             .into_iter()
             .zip(memos)
             .map(|(slot, entry)| match slot {
@@ -782,7 +778,7 @@ impl Service {
                 None => {
                     c.invariant_violations.fetch_add(1, Ordering::Relaxed);
                     // The pool retained the panic payload: say which
-                    // shard died and why, not just that one did.
+                    // lane died and why, not just that one did.
                     let why = self.pool.panic_messages();
                     eprintln!(
                         "og-serve: batch lane lost to a worker panic: {}",
@@ -811,7 +807,7 @@ impl Service {
 
     /// Fold a batch-lane result into an [`ExecResponse`], counting run
     /// failures — and flagging the structural error that is supposed to
-    /// be impossible on a trusted artifact.
+    /// be impossible on a verified artifact.
     fn finish_exec(
         &self,
         digest: u128,
@@ -960,7 +956,7 @@ impl Shared {
 }
 
 impl Service {
-    /// Run `entry`'s program on the pool (through its trusted lowered
+    /// Run `entry`'s program on the pool (through its verified lowered
     /// artifact) and rendezvous on the result, under the hardening
     /// ladder: admission control sheds when too many executions are in
     /// flight, the configured deadline bounds the rendezvous, and an

@@ -16,7 +16,7 @@
 //!
 //! After the per-request phase, a **batched phase** pushes the whole
 //! valid corpus through [`Service::call_many`] in one round — the
-//! no-stats batch engine sharded across the pool — and reports its
+//! no-stats engine mapped over the pool — and reports its
 //! aggregate architectural throughput (`batch_steps_per_sec`).
 //!
 //! Latency is recorded per request into a log-linear histogram (8

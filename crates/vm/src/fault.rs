@@ -20,10 +20,9 @@
 //!    [`FaultOutcome::Detected`] (a structural error stopped the run),
 //!    or [`FaultOutcome::Hang`] (the fuel bound fired).
 //!
-//! Because injection happens *between* quanta, every engine rung — flat,
-//! trusted, fused — runs unmodified and at full speed; the split points
-//! are architecturally invisible (a pause can land inside a fused
-//! superinstruction, whose tail slots are retained unfused).
+//! Because injection happens *between* quanta, the flat engine runs
+//! unmodified and at full speed; the split points are architecturally
+//! invisible.
 //!
 //! ```
 //! use og_isa::{Reg, Width};
@@ -243,8 +242,7 @@ pub fn run_with_plan(vm: &mut Vm<'_>, plan: &FaultPlan) -> FaultRun {
                 FaultSite::Reg { reg, bit } => vm.flip_reg_bit(reg, bit),
                 FaultSite::Mem { addr, bit } => vm.flip_mem_bit(addr, bit) as i64,
                 FaultSite::Pc { bit } => {
-                    let entry = vm.flat_program().entry.expect("entry block has instructions");
-                    let cur = resume.unwrap_or(entry);
+                    let cur = resume.unwrap_or(vm.flat_program().entry);
                     let flipped = cur ^ (1u32 << (bit & 31));
                     injected.push(Injection {
                         at_step: fault.at_step,
@@ -264,7 +262,7 @@ pub fn run_with_plan(vm: &mut Vm<'_>, plan: &FaultPlan) -> FaultRun {
             Some(f) => f.at_step - now,
             None => u64::MAX,
         };
-        match vm.run_quantum_nostats(resume, quantum) {
+        match vm.run_quantum(resume, quantum) {
             Quantum::Paused { ip } => resume = Some(ip),
             Quantum::Finished(Ok(outcome)) => {
                 return FaultRun { end: FaultedEnd::Finished(outcome), injected };

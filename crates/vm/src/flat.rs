@@ -23,8 +23,8 @@
 //!   against the real layout);
 //! * **pre-decoded dispatch** — [`FlatOp`] decides *at lower time* how an
 //!   instruction executes (ALU via [`crate::eval::alu_eval`], load,
-//!   store, each control-flow shape, or a malformed-operand error), so
-//!   the hot loop never re-derives executability;
+//!   store, or each control-flow shape), so the hot loop never re-derives
+//!   executability;
 //! * **dense block indices** — the first instruction of each block
 //!   carries a dense `block_idx`, turning the per-block-entry `HashMap`
 //!   update into a `Vec<u64>` increment (folded back into the public
@@ -41,31 +41,16 @@
 //! engine-equivalence suite and the fuzz oracle differentially test
 //! against.
 //!
-//! Programs that fail [`og_program::Program::verify`] lower without
-//! error: structurally impossible operations (a `br` without a block
-//! target, an empty branch-target block, a non-terminator falling off
-//! the end of its block, a defining op without a destination) become
-//! [`FlatOp::Malformed`] slots that report
-//! [`crate::VmError::Malformed`] **if and when they are reached** —
-//! unreachable garbage never fails, like in the reference interpreter.
-//! For such invalid programs the two engines are *not* bit-identical in
-//! how they fail: the reference interpreter panics (out-of-range index,
-//! missing-destination `expect`) and may first execute a trailing
-//! non-terminator's side effects before fetching past the block's end,
-//! while the flat engine reports a clean `Malformed` error at that
-//! instruction without executing it. The bit-identity contract between
-//! the engines covers programs that pass `verify` (which is what the
-//! equivalence suite, the oracle and every workload run).
-//!
-//! [`FlatProgram::lower_verified`] spends the verifier's invariant
-//! (*verify `Ok` ⇒ the VM never encounters a structural error*) in the
-//! other direction: it verifies first, rejects invalid programs up
-//! front, and marks the lowered form **trusted** — no `Malformed` slot
-//! can exist, so the hot loop is monomorphized with the malformed-slot
-//! arm compiled down to an `unreachable!`. Prefer it whenever the input
-//! is untrusted and a clean reject is acceptable (the oracle fast path);
-//! keep plain [`FlatProgram::lower`] when the lazy, reference-matching
-//! failure behaviour for invalid programs is itself the point.
+//! **The VM trusts the verifier.** Every lowering verifies first and
+//! lowers only a program that passed: [`FlatProgram::lower`] panics with
+//! the verifier's error, [`FlatProgram::lower_verified_all`] returns the
+//! complete error list, and [`crate::Vm::new_verified`] returns the first
+//! error. The verifier's invariant (*verify `Ok` ⇒ the VM never
+//! encounters a structural error*) means every branch and call target
+//! resolves, every block ends in a terminator and every defining op has
+//! a destination, so the flat form carries no defensive slot and the hot
+//! loop no per-step check. Defensive execution of unverified input is
+//! the reference engine's job alone.
 
 use og_isa::{CmpKind, Cond, Op, OpClass, Operand, Reg, Target, Width};
 use og_program::{BlockId, FuncId, InstRef, Layout, Program, INST_BYTES, TEXT_BASE};
@@ -98,6 +83,8 @@ pub(crate) const DISCARD_SLOT: u8 = 32;
 /// dispatches once: each arm calls [`alu_eval`] with a *constant* op,
 /// which inlines to that op's bare evaluation expression — one shared
 /// definition of the arithmetic, zero second-level dispatch.
+///
+/// [`alu_eval`]: crate::eval::alu_eval
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FlatOp {
     /// `Op::Add` evaluated via [`alu_eval`].
@@ -170,62 +157,6 @@ pub(crate) enum FlatOp {
     Ret,
     /// Stop the program.
     Halt,
-    /// An instruction the emulator cannot execute; reports
-    /// [`crate::VmError::Malformed`] when (and only when) reached.
-    Malformed {
-        /// What is wrong.
-        what: &'static str,
-    },
-    /// Superinstruction: `cmp` at `ip` followed by the conditional branch
-    /// at `ip + 1` — one dispatch for the classic compare-and-branch
-    /// idiom. The tail's statistics/trace fields are read from the
-    /// (retained, unmodified) slot at `ip + 1`; the branch shape is
-    /// pre-decoded here so execution never re-derives it.
-    FusedCmpBc {
-        /// The comparison of the head `cmp`.
-        kind: CmpKind,
-        /// The tail branch's condition, tested against its `src1`.
-        cond: Cond,
-        /// Flat index when taken.
-        t: u32,
-        /// Flat index when not taken.
-        fall: u32,
-    },
-    /// Superinstruction: the loop-latch triple `add; cmp; bc`
-    /// (increment, compare, branch) at `ip`, `ip + 1`, `ip + 2`.
-    FusedAddCmpBc {
-        /// The comparison of the middle `cmp`.
-        kind: CmpKind,
-        /// The tail branch's condition.
-        cond: Cond,
-        /// Flat index when taken.
-        t: u32,
-        /// Flat index when not taken.
-        fall: u32,
-    },
-    /// Superinstruction: load at `ip` feeding the `add` at `ip + 1`
-    /// (load-and-accumulate / pointer-chase idiom).
-    FusedLdAdd {
-        /// Sign-extend the loaded value (the head load's flavour).
-        signed: bool,
-    },
-    /// Superinstruction: `add` at `ip` followed by the store at `ip + 1`
-    /// (compute-and-store idiom).
-    FusedAddSt,
-}
-
-impl FlatOp {
-    /// Is this a fused superinstruction head (executes 2–3 retained
-    /// constituent slots in one dispatch)?
-    pub(crate) fn is_fused(self) -> bool {
-        matches!(
-            self,
-            FlatOp::FusedCmpBc { .. }
-                | FlatOp::FusedAddCmpBc { .. }
-                | FlatOp::FusedLdAdd { .. }
-                | FlatOp::FusedAddSt
-        )
-    }
 }
 
 /// One pre-decoded instruction of a [`FlatProgram`].
@@ -246,8 +177,8 @@ pub(crate) struct FlatInst {
     /// Precomputed destination **write slot**: the destination's
     /// register index, redirected to [`DISCARD_SLOT`] for zero-register
     /// writes so the hot loop writes unconditionally. Only meaningful
-    /// for defining kinds (lowering turns a defining op without a
-    /// destination into [`FlatOp::Malformed`]).
+    /// for defining kinds (the verifier guarantees they have a
+    /// destination).
     pub dst_w: u8,
     /// Precomputed destination **read index** (the raw register index):
     /// what a conditional move's merge reads as the old value. Reads of
@@ -264,8 +195,6 @@ pub(crate) struct FlatInst {
     pub imm: i64,
     /// Memory displacement.
     pub disp: i32,
-    /// The static location, for watcher callbacks and error reports.
-    pub at: InstRef,
     /// Dense block index if this is the first instruction of its block,
     /// [`NOT_BLOCK_ENTRY`] otherwise.
     pub block_idx: u32,
@@ -284,27 +213,21 @@ pub(crate) struct FlatInst {
     pub trace_dst: Option<Reg>,
 }
 
-/// A whole program lowered to one dense instruction vector.
+/// A whole verified program lowered to one dense instruction vector.
 ///
 /// Built once per [`crate::Vm`] (see [`FlatProgram::lower`]); the module
 /// docs describe exactly what is precomputed and why. The type is public
-/// so callers can inspect lowering costs, but its contents are an
-/// implementation detail of the VM hot loop.
+/// so callers can cache lowered artifacts and inspect lowering costs, but
+/// its contents are an implementation detail of the VM hot loop.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlatProgram {
     /// All instructions, functions in id order, blocks in id order.
     pub(crate) insts: Vec<FlatInst>,
-    /// Flat index of the entry function's first instruction; `None` when
-    /// the entry block does not exist or is empty (running such a
-    /// program panics, as the reference interpreter does).
-    pub(crate) entry: Option<u32>,
+    /// Flat index of the entry function's first instruction.
+    pub(crate) entry: u32,
     /// Dense block index → `(FuncId, BlockId)`, for folding the dense
     /// execution counts back into [`crate::DynStats::block_counts`].
     pub(crate) blocks: Vec<(FuncId, BlockId)>,
-    /// Produced by [`FlatProgram::lower_verified`]: the program passed
-    /// `verify`, so no slot is [`FlatOp::Malformed`] and the hot loop
-    /// runs with its per-step defensive checks compiled out.
-    pub(crate) trusted: bool,
 }
 
 /// Width → histogram column, matching `DynStats::record_class_width`.
@@ -318,24 +241,51 @@ fn width_index(w: Width) -> u8 {
 }
 
 impl FlatProgram {
-    /// Lower `program` into its flat pre-decoded form. `layout` must be
-    /// the program's own [`Layout`] (the one [`crate::Vm::new`] computes);
-    /// it pins the flat-index ↔ address correspondence the hot loop's
-    /// arithmetic pc computation relies on.
+    /// Verify `program`, then lower it into its flat pre-decoded form.
+    /// `layout` must be the program's own [`Layout`] (the one
+    /// [`crate::Vm::new`] computes); it pins the flat-index ↔ address
+    /// correspondence the hot loop's arithmetic pc computation relies on.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the verifier's error when `program` does not verify.
+    /// Callers holding untrusted input gate it with
+    /// [`FlatProgram::lower_verified_all`] or [`crate::Vm::new_verified`]
+    /// instead.
     pub fn lower(program: &Program, layout: &Layout) -> FlatProgram {
-        Self::lower_impl(program, layout, true)
+        if let Err(e) = program.verify() {
+            panic!("cannot lower a program that fails verification: {e}");
+        }
+        Self::from_verified(program, layout)
     }
 
-    /// [`FlatProgram::lower`] without the superinstruction-fusion pass:
-    /// every slot keeps its single-op [`FlatOp`]. Execution is
-    /// bit-identical to the fused form on every observable — this exists
-    /// for A/B throughput measurement and for the equivalence suite to
-    /// pin exactly that claim.
-    pub fn lower_unfused(program: &Program, layout: &Layout) -> FlatProgram {
-        Self::lower_impl(program, layout, false)
+    /// Verify `program` collecting **all** diagnostics, then lower it.
+    ///
+    /// The service-facing entry point: runs
+    /// [`og_program::Program::verify_all`] once and on success returns
+    /// both the flat form and the [`og_program::ProgramContext`] of
+    /// derived facts (recursion-freedom, static call depth) the verifier
+    /// proved, which a caller can use to size
+    /// [`crate::RunConfig::max_call_depth`]. On failure the complete
+    /// error list is returned so a service can report every structural
+    /// problem in one reject response.
+    ///
+    /// # Errors
+    ///
+    /// Returns every [`og_program::VerifyError`] in the program (the
+    /// list is never empty).
+    pub fn lower_verified_all(
+        program: &Program,
+        layout: &Layout,
+    ) -> Result<(FlatProgram, og_program::ProgramContext), Vec<og_program::VerifyError>> {
+        let context = program.verify_all()?;
+        Ok((Self::from_verified(program, layout), context))
     }
 
-    fn lower_impl(program: &Program, layout: &Layout, fuse: bool) -> FlatProgram {
+    /// Lower a program the caller has already verified. Every target
+    /// resolves and every block ends in a terminator, so no slot needs a
+    /// defensive fallback.
+    pub(crate) fn from_verified(program: &Program, layout: &Layout) -> FlatProgram {
         // Pass 1: flat start index of every block, plus the dense block
         // table in the same func-major, block-major order the layout
         // uses.
@@ -351,110 +301,51 @@ impl FlatProgram {
             }
             block_start.push(starts);
         }
-
-        // Flat index of a (func, block) jump target, `None` when the ids
-        // are out of range or the target block has no instructions (both
-        // panic in the reference interpreter only when executed, so they
-        // lower to `Malformed`, not to a lowering error).
-        let target_of = |fi: usize, bi: usize| -> Option<u32> {
-            let f = program.funcs.get(fi)?;
-            let b = f.blocks.get(bi)?;
-            if b.insts.is_empty() {
-                None
-            } else {
-                Some(block_start[fi][bi])
-            }
-        };
-
-        // Kind of a defining (register-writing) op: demands a
-        // destination. The reference interpreter panics on a defining op
-        // without one (`expect("alu dst")`); the flat engine reports the
-        // same impossibility as a lazily-executed malformed slot.
-        let defining = |kind: FlatOp, dst: Option<Reg>| -> FlatOp {
-            if dst.is_some() {
-                kind
-            } else {
-                FlatOp::Malformed { what: "defining op without destination" }
-            }
-        };
+        let entry_of = |fi: usize| block_start[fi][program.funcs[fi].entry.index()];
 
         // Pass 2: pre-decode every instruction.
         let mut insts = Vec::with_capacity(next as usize);
         for f in &program.funcs {
+            let starts = &block_start[f.id.index()];
             for (bi, b) in f.blocks.iter().enumerate() {
                 for (ii, inst) in b.insts.iter().enumerate() {
-                    let at = InstRef::new(f.id, BlockId(bi as u32), ii as u32);
-                    let last = ii + 1 == b.insts.len();
-                    let kind = match inst.op {
-                        Op::Add => defining(FlatOp::Add, inst.dst),
-                        Op::Sub => defining(FlatOp::Sub, inst.dst),
-                        Op::Mul => defining(FlatOp::Mul, inst.dst),
-                        Op::And => defining(FlatOp::And, inst.dst),
-                        Op::Or => defining(FlatOp::Or, inst.dst),
-                        Op::Xor => defining(FlatOp::Xor, inst.dst),
-                        Op::Andc => defining(FlatOp::Andc, inst.dst),
-                        Op::Sll => defining(FlatOp::Sll, inst.dst),
-                        Op::Srl => defining(FlatOp::Srl, inst.dst),
-                        Op::Sra => defining(FlatOp::Sra, inst.dst),
-                        Op::Cmp(k) => defining(FlatOp::Cmp(k), inst.dst),
-                        Op::Sext => defining(FlatOp::Sext, inst.dst),
-                        Op::Zext => defining(FlatOp::Zext, inst.dst),
-                        Op::Ldi => defining(FlatOp::Ldi, inst.dst),
-                        Op::Zapnot => defining(FlatOp::Zapnot, inst.dst),
-                        Op::Ext => defining(FlatOp::Ext, inst.dst),
-                        Op::Msk => defining(FlatOp::Msk, inst.dst),
-                        Op::Ld { signed } => defining(FlatOp::Ld { signed }, inst.dst),
-                        Op::Cmov(cond) => defining(FlatOp::Cmov(cond), inst.dst),
-                        Op::St => FlatOp::St,
-                        Op::Out => FlatOp::Out,
-                        Op::Nop => FlatOp::Nop,
-                        Op::Ret => FlatOp::Ret,
-                        Op::Halt => FlatOp::Halt,
-                        Op::Br => match inst.target {
-                            Target::Block(t) => match target_of(f.id.index(), t as usize) {
-                                Some(t) => FlatOp::Br { t },
-                                None => FlatOp::Malformed { what: "br to a missing block" },
-                            },
-                            _ => FlatOp::Malformed { what: "br without target" },
+                    let kind = match (inst.op, inst.target) {
+                        (Op::Br, Target::Block(t)) => FlatOp::Br { t: starts[t as usize] },
+                        (Op::Bc(cond), Target::CondBlocks { taken, fall }) => FlatOp::Bc {
+                            cond,
+                            t: starts[taken as usize],
+                            fall: starts[fall as usize],
                         },
-                        Op::Bc(cond) => match inst.target {
-                            Target::CondBlocks { taken, fall } => {
-                                match (
-                                    target_of(f.id.index(), taken as usize),
-                                    target_of(f.id.index(), fall as usize),
-                                ) {
-                                    (Some(t), Some(fall)) => FlatOp::Bc { cond, t, fall },
-                                    _ => FlatOp::Malformed { what: "bc to a missing block" },
-                                }
-                            }
-                            _ => FlatOp::Malformed { what: "bc without targets" },
-                        },
-                        Op::Jsr => match inst.target {
-                            Target::Func(callee) => {
-                                let centry = program
-                                    .funcs
-                                    .get(callee as usize)
-                                    .map(|cf| cf.entry.index())
-                                    .and_then(|bi| target_of(callee as usize, bi));
-                                match centry {
-                                    Some(callee) => FlatOp::Jsr { callee },
-                                    None => FlatOp::Malformed { what: "jsr to a missing entry" },
-                                }
-                            }
-                            _ => FlatOp::Malformed { what: "jsr without target" },
-                        },
-                    };
-                    // A non-terminator at the end of a block would fall
-                    // off into an unrelated instruction; the reference
-                    // interpreter panics on the out-of-range index, the
-                    // flat engine reports it as malformed.
-                    let kind = if last && !inst.op.is_terminator() {
-                        match kind {
-                            FlatOp::Malformed { .. } => kind,
-                            _ => FlatOp::Malformed { what: "block without terminator" },
+                        (Op::Jsr, Target::Func(callee)) => {
+                            FlatOp::Jsr { callee: entry_of(callee as usize) }
                         }
-                    } else {
-                        kind
+                        (Op::Br | Op::Bc(_) | Op::Jsr, _) => {
+                            unreachable!("the verifier rejects control ops without targets")
+                        }
+                        (Op::Add, _) => FlatOp::Add,
+                        (Op::Sub, _) => FlatOp::Sub,
+                        (Op::Mul, _) => FlatOp::Mul,
+                        (Op::And, _) => FlatOp::And,
+                        (Op::Or, _) => FlatOp::Or,
+                        (Op::Xor, _) => FlatOp::Xor,
+                        (Op::Andc, _) => FlatOp::Andc,
+                        (Op::Sll, _) => FlatOp::Sll,
+                        (Op::Srl, _) => FlatOp::Srl,
+                        (Op::Sra, _) => FlatOp::Sra,
+                        (Op::Cmp(k), _) => FlatOp::Cmp(k),
+                        (Op::Sext, _) => FlatOp::Sext,
+                        (Op::Zext, _) => FlatOp::Zext,
+                        (Op::Ldi, _) => FlatOp::Ldi,
+                        (Op::Zapnot, _) => FlatOp::Zapnot,
+                        (Op::Ext, _) => FlatOp::Ext,
+                        (Op::Msk, _) => FlatOp::Msk,
+                        (Op::Ld { signed }, _) => FlatOp::Ld { signed },
+                        (Op::Cmov(cond), _) => FlatOp::Cmov(cond),
+                        (Op::St, _) => FlatOp::St,
+                        (Op::Out, _) => FlatOp::Out,
+                        (Op::Nop, _) => FlatOp::Nop,
+                        (Op::Ret, _) => FlatOp::Ret,
+                        (Op::Halt, _) => FlatOp::Halt,
                     };
                     let class = inst.op.class();
                     let cw = if class == OpClass::Ctrl {
@@ -463,15 +354,14 @@ impl FlatProgram {
                         ((class.index() as u8) << 2) | width_index(inst.width)
                     };
                     debug_assert_eq!(
-                        layout.addr_of(at),
+                        layout.addr_of(InstRef::new(f.id, BlockId(bi as u32), ii as u32)),
                         TEXT_BASE + insts.len() as u64 * INST_BYTES,
-                        "flat index / layout address correspondence broke at {at}"
+                        "flat index / layout address correspondence broke"
                     );
                     let dst_r = inst.dst.map_or(0, |r| r.index());
                     let dst_w = match inst.dst {
-                        Some(r) if r.is_zero() => DISCARD_SLOT,
-                        Some(r) => r.index(),
-                        None => DISCARD_SLOT,
+                        Some(r) if !r.is_zero() => r.index(),
+                        _ => DISCARD_SLOT,
                     };
                     let src1_r = inst.src1.map_or(Reg::ZERO.index(), |r| r.index());
                     let (src2_r, imm) = match inst.src2 {
@@ -489,7 +379,6 @@ impl FlatProgram {
                         src2_r,
                         imm,
                         disp: inst.disp,
-                        at,
                         block_idx: if ii == 0 {
                             layout.block_index(f.id, BlockId(bi as u32)) as u32
                         } else {
@@ -505,151 +394,7 @@ impl FlatProgram {
             }
         }
 
-        let entry = program
-            .funcs
-            .get(program.entry.index())
-            .map(|f| f.entry.index())
-            .and_then(|bi| target_of(program.entry.index(), bi));
-        if fuse {
-            Self::fuse_blocks(&mut insts, program, &block_start);
-        }
-        FlatProgram { insts, entry, blocks, trusted: false }
-    }
-
-    /// The superinstruction-fusion pass: greedily rewrite the *head* slot
-    /// of hot 2–3 op sequences into a fused [`FlatOp`] variant. Tails are
-    /// retained unmodified, so jumping into the middle of a fused window
-    /// (a quantum resume point, hypothetically a branch) still executes
-    /// correctly — fusion only changes how many dispatches the common
-    /// fall-through path pays.
-    ///
-    /// Safety invariants, enforced structurally:
-    ///
-    /// * **never across block boundaries** — windows are taken inside one
-    ///   block's contiguous flat range only, so a branch target (always a
-    ///   block entry) can never land on a consumed tail;
-    /// * **never across call-return points** — every head/middle
-    ///   constituent is a straight-line op (`add`/`cmp`/`ld`), never a
-    ///   `Jsr`, so a return address (`jsr_ip + 1`) can never point at a
-    ///   consumed tail;
-    /// * **never over `Malformed` slots** — the patterns match exact
-    ///   executable [`FlatOp`]s, which a `Malformed` slot is not (this is
-    ///   what keeps untrusted lowering of invalid programs lazily
-    ///   reference-identical: a malformed slot still reports its error
-    ///   if and only if it is reached).
-    ///
-    /// The fusion set (`cmp+bc`, `add+cmp+bc`, `ld+add`, `add+st`) comes
-    /// from the fusion-opportunity profile over the workload suite and
-    /// the committed fuzz corpus (see [`crate::fusion`] and
-    /// `BENCH_fusion.json`).
-    fn fuse_blocks(insts: &mut [FlatInst], program: &Program, block_start: &[Vec<u32>]) {
-        for f in &program.funcs {
-            for (bi, b) in f.blocks.iter().enumerate() {
-                let s = block_start[f.id.index()][bi] as usize;
-                let end = s + b.insts.len();
-                let mut j = s;
-                while j < end {
-                    if j + 2 < end {
-                        if let (FlatOp::Add, FlatOp::Cmp(kind), FlatOp::Bc { cond, t, fall }) =
-                            (insts[j].kind, insts[j + 1].kind, insts[j + 2].kind)
-                        {
-                            insts[j].kind = FlatOp::FusedAddCmpBc { kind, cond, t, fall };
-                            j += 3;
-                            continue;
-                        }
-                    }
-                    if j + 1 < end {
-                        match (insts[j].kind, insts[j + 1].kind) {
-                            (FlatOp::Cmp(kind), FlatOp::Bc { cond, t, fall }) => {
-                                insts[j].kind = FlatOp::FusedCmpBc { kind, cond, t, fall };
-                                j += 2;
-                                continue;
-                            }
-                            (FlatOp::Ld { signed }, FlatOp::Add) => {
-                                insts[j].kind = FlatOp::FusedLdAdd { signed };
-                                j += 2;
-                                continue;
-                            }
-                            (FlatOp::Add, FlatOp::St) => {
-                                insts[j].kind = FlatOp::FusedAddSt;
-                                j += 2;
-                                continue;
-                            }
-                            _ => {}
-                        }
-                    }
-                    j += 1;
-                }
-            }
-        }
-    }
-
-    /// Lower a **verified** program into its flat trusted form.
-    ///
-    /// Runs [`og_program::Program::verify`] first and only lowers on
-    /// success, which statically excludes every [`FlatOp::Malformed`]
-    /// slot the plain [`FlatProgram::lower`] would produce lazily (and
-    /// guarantees the entry slot exists). The engine spends that proof:
-    /// a trusted flat program runs the hot loop with the malformed-slot
-    /// check compiled out entirely. Use this for untrusted input where
-    /// the verifier is the gate (the differential oracle's fast path);
-    /// use plain `lower` when you need the lazy, reference-matching
-    /// behaviour for invalid programs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`og_program::VerifyError`] when `program` does
-    /// not verify.
-    pub fn lower_verified(
-        program: &Program,
-        layout: &Layout,
-    ) -> Result<FlatProgram, og_program::VerifyError> {
-        program.verify()?;
-        let mut flat = Self::lower(program, layout);
-        debug_assert!(
-            !flat.insts.iter().any(|i| matches!(i.kind, FlatOp::Malformed { .. })),
-            "verify Ok must exclude every Malformed slot"
-        );
-        debug_assert!(flat.entry.is_some(), "verify Ok must resolve the entry slot");
-        flat.trusted = true;
-        Ok(flat)
-    }
-
-    /// Lower a program into its flat trusted form, collecting **all**
-    /// verification diagnostics on failure.
-    ///
-    /// The service-facing variant of [`FlatProgram::lower_verified`]:
-    /// runs [`og_program::Program::verify_all`] once — no double
-    /// verification — and on success returns both the trusted flat form
-    /// and the [`og_program::ProgramContext`] of derived facts
-    /// (recursion-freedom, static call depth) the verifier proved, which
-    /// a caller can use to size [`crate::RunConfig::max_call_depth`]. On
-    /// failure the complete error list is returned so a service can
-    /// report every structural problem in one reject response.
-    ///
-    /// # Errors
-    ///
-    /// Returns every [`og_program::VerifyError`] in the program (the
-    /// list is never empty).
-    pub fn lower_verified_all(
-        program: &Program,
-        layout: &Layout,
-    ) -> Result<(FlatProgram, og_program::ProgramContext), Vec<og_program::VerifyError>> {
-        let context = program.verify_all()?;
-        let mut flat = Self::lower(program, layout);
-        debug_assert!(
-            !flat.insts.iter().any(|i| matches!(i.kind, FlatOp::Malformed { .. })),
-            "verify_all Ok must exclude every Malformed slot"
-        );
-        debug_assert!(flat.entry.is_some(), "verify_all Ok must resolve the entry slot");
-        flat.trusted = true;
-        Ok((flat, context))
-    }
-
-    /// Was this flat program produced by [`FlatProgram::lower_verified`]
-    /// (malformed-slot checks compiled out of the hot loop)?
-    pub fn is_trusted(&self) -> bool {
-        self.trusted
+        FlatProgram { insts, entry: entry_of(program.entry.index()), blocks }
     }
 
     /// Number of lowered instructions (equal to the program's static
@@ -658,17 +403,10 @@ impl FlatProgram {
         self.insts.len()
     }
 
-    /// Number of basic blocks (the length of the dense block-count
-    /// vector the engine maintains).
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Number of basic blocks, as the key space of a [`crate::Coverage`]
-    /// bitmap: dense indices `0..num_blocks()` name the program's blocks
-    /// in the lowering order (functions in id order, blocks in id
-    /// order). Same value as [`FlatProgram::block_count`], under the
-    /// name coverage-keyed callers use.
+    /// Number of basic blocks: the length of the dense block-count vector
+    /// the engine maintains, and the key space of a [`crate::Coverage`]
+    /// bitmap. Dense indices `0..num_blocks()` name the program's blocks
+    /// in the lowering order (functions in id order, blocks in id order).
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
     }
@@ -680,13 +418,6 @@ impl FlatProgram {
     /// Panics when `idx >= num_blocks()`.
     pub fn block_of(&self, idx: usize) -> (FuncId, BlockId) {
         self.blocks[idx]
-    }
-
-    /// Number of fused superinstruction heads the lowering produced
-    /// (zero for [`FlatProgram::lower_unfused`]). Each head executes its
-    /// 2–3 constituent slots in one dispatch.
-    pub fn fused_count(&self) -> usize {
-        self.insts.iter().filter(|i| i.kind.is_fused()).count()
     }
 
     /// The pc address of flat slot `i` — the affine map the hot loop
@@ -724,9 +455,9 @@ mod tests {
         let p = pb.build().unwrap();
         let flat = lowered(&p);
         assert_eq!(flat.inst_count(), p.inst_count());
-        assert_eq!(flat.block_count(), 2);
+        assert_eq!(flat.num_blocks(), 2);
         // main is the second function: its entry sits after sq's 2 insts.
-        assert_eq!(flat.entry, Some(2));
+        assert_eq!(flat.entry, 2);
         // the jsr resolved to sq's entry (flat slot 0)
         assert!(flat.insts.iter().any(|i| i.kind == FlatOp::Jsr { callee: 0 }));
     }
@@ -769,23 +500,44 @@ mod tests {
         };
         let layout = p.layout();
         let flat = FlatProgram::lower(&p, &layout);
-        for (i, fi) in flat.insts.iter().enumerate() {
-            assert_eq!(FlatProgram::pc_of(i), layout.addr_of(fi.at));
+        let mut i = 0;
+        for f in &p.funcs {
+            for (bi, b) in f.blocks.iter().enumerate() {
+                for ii in 0..b.insts.len() {
+                    let at = InstRef::new(f.id, BlockId(bi as u32), ii as u32);
+                    assert_eq!(FlatProgram::pc_of(i), layout.addr_of(at));
+                    i += 1;
+                }
+            }
         }
+        assert_eq!(i, flat.inst_count());
     }
 
     #[test]
-    fn malformed_shapes_lower_lazily() {
-        // A hand-assembled inst with a br but no target must lower (the
-        // reference interpreter only fails if it executes).
+    fn collect_all_lowering_matches_plain_lowering() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.ldi(Reg::T0, 3);
+        f.out(Width::B, Reg::T0);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        let layout = p.layout();
+        let (flat, context) = FlatProgram::lower_verified_all(&p, &layout).unwrap();
+        assert_eq!(flat, FlatProgram::lower(&p, &layout));
+        assert!(context.recursion_free);
+    }
+
+    /// A program with an unreachable `br` that has no target: execution
+    /// would never reach it, but verification covers every slot.
+    fn unverifiable() -> Program {
         let mut pb = ProgramBuilder::new();
         let mut f = pb.function("main", 0);
         f.block("entry");
         f.halt();
         pb.finish(f);
         let mut p = pb.build().unwrap();
-        // Append an unreachable malformed block by hand.
-        let func = p.func_mut(FuncId(0));
         let mut bad = og_program::Block::new("bad");
         bad.insts.push(og_isa::Inst {
             op: Op::Br,
@@ -796,183 +548,20 @@ mod tests {
             disp: 0,
             target: Target::None,
         });
-        func.blocks.push(bad);
-        let flat = lowered(&p);
-        assert_eq!(flat.insts[1].kind, FlatOp::Malformed { what: "br without target" });
-        assert_eq!(flat.entry, Some(0));
-        // The same program is rejected up front by the trusted lowering:
-        // verify is stricter than execution and covers unreachable slots.
-        assert!(FlatProgram::lower_verified(&p, &p.layout()).is_err());
-        assert!(!flat.is_trusted());
+        p.func_mut(FuncId(0)).blocks.push(bad);
+        p
     }
 
     #[test]
-    fn verified_lowering_is_trusted_and_malformed_free() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main", 0);
-        f.block("entry");
-        f.ldi(Reg::T0, 3);
-        f.out(Width::B, Reg::T0);
-        f.halt();
-        pb.finish(f);
-        let p = pb.build().unwrap();
-        let layout = p.layout();
-        let flat = FlatProgram::lower_verified(&p, &layout).unwrap();
-        assert!(flat.is_trusted());
-        assert!(flat.entry.is_some());
-        assert!(!flat.insts.iter().any(|i| matches!(i.kind, FlatOp::Malformed { .. })));
-        // Identical lowering apart from the trust bit.
-        let plain = FlatProgram::lower(&p, &layout);
-        assert_eq!(flat.insts, plain.insts);
-        assert_eq!(flat.entry, plain.entry);
-        assert_eq!(flat.blocks, plain.blocks);
+    fn collect_all_lowering_rejects_unverifiable_programs() {
+        let p = unverifiable();
+        let errors = FlatProgram::lower_verified_all(&p, &p.layout()).unwrap_err();
+        assert!(!errors.is_empty());
     }
 
     #[test]
-    fn fusion_rewrites_in_block_idioms_and_retains_tails() {
-        use og_isa::CmpKind;
-        let mut pb = ProgramBuilder::new();
-        pb.data_quads("tbl", &[5, 6, 7]);
-        let mut f = pb.function("main", 0);
-        f.block("entry");
-        f.la(Reg::T1, "tbl");
-        f.ldi(Reg::T0, 0);
-        f.ldi(Reg::T4, 0);
-        f.block("loop");
-        f.ld(Width::D, Reg::T2, Reg::T1, 0); // ld;add → FusedLdAdd
-        f.add(Width::W, Reg::T0, Reg::T0, Reg::T2);
-        f.add(Width::D, Reg::T5, Reg::T0, og_program::imm(1)); // add;st → FusedAddSt
-        f.st(Width::D, Reg::T5, Reg::T1, 0);
-        f.add(Width::W, Reg::T4, Reg::T4, og_program::imm(1)); // add;cmp;bc → triple
-        f.cmp(CmpKind::Lt, Width::D, Reg::T3, Reg::T4, og_program::imm(3));
-        f.bne(Reg::T3, "loop");
-        f.block("exit");
-        f.cmp(CmpKind::Eq, Width::D, Reg::T6, Reg::T4, og_program::imm(3)); // cmp;bc → pair
-        f.bne(Reg::T6, "done");
-        f.block("dead");
-        f.halt();
-        f.block("done");
-        f.out(Width::B, Reg::T0);
-        f.halt();
-        pb.finish(f);
-        let p = pb.build().unwrap();
-        let flat = lowered(&p);
-        let find = |pred: &dyn Fn(FlatOp) -> bool| {
-            flat.insts.iter().position(|i| pred(i.kind)).expect("fused head present")
-        };
-        assert_eq!(flat.fused_count(), 4);
-        // Tails are retained unmodified after each head so mid-window
-        // resume (quantum pause between constituents) executes them
-        // standalone.
-        let ld_add = find(&|k| matches!(k, FlatOp::FusedLdAdd { signed: true }));
-        assert_eq!(flat.insts[ld_add + 1].kind, FlatOp::Add);
-        let add_st = find(&|k| k == FlatOp::FusedAddSt);
-        assert_eq!(flat.insts[add_st + 1].kind, FlatOp::St);
-        let latch = find(&|k| matches!(k, FlatOp::FusedAddCmpBc { kind: CmpKind::Lt, .. }));
-        assert_eq!(flat.insts[latch + 1].kind, FlatOp::Cmp(CmpKind::Lt));
-        assert!(matches!(flat.insts[latch + 2].kind, FlatOp::Bc { .. }));
-        let cmp_bc = find(&|k| matches!(k, FlatOp::FusedCmpBc { kind: CmpKind::Eq, .. }));
-        assert!(matches!(flat.insts[cmp_bc + 1].kind, FlatOp::Bc { .. }));
-        // And the unfused lowering has none, same shape otherwise.
-        let unfused = FlatProgram::lower_unfused(&p, &p.layout());
-        assert_eq!(unfused.fused_count(), 0);
-        assert_eq!(unfused.insts.len(), flat.insts.len());
-    }
-
-    #[test]
-    fn fusion_never_crosses_block_boundaries() {
-        use og_isa::CmpKind;
-        // `cmp` is the last op of "entry"; the conditional branch opens
-        // the next block (a fallthrough boundary). The pair must stay
-        // unfused: the `bne` slot is a block entry and a branch target
-        // could land on it.
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main", 0);
-        f.block("entry");
-        f.ldi(Reg::T0, 1);
-        f.cmp(CmpKind::Eq, Width::D, Reg::T1, Reg::T0, og_program::imm(1));
-        f.block("test"); // boundary: `bne` is this block's entry
-        f.bne(Reg::T1, "done");
-        f.block("dead");
-        f.halt();
-        f.block("done");
-        f.halt();
-        pb.finish(f);
-        let p = pb.build().unwrap();
-        let flat = lowered(&p);
-        assert_eq!(flat.fused_count(), 0);
-        assert_eq!(flat.insts[1].kind, FlatOp::Cmp(CmpKind::Eq));
-        // The branch opens its own block (and is therefore a potential
-        // branch target), which is exactly why the pair must not fuse.
-        let bc = flat.insts.iter().position(|i| matches!(i.kind, FlatOp::Bc { .. })).unwrap();
-        assert_ne!(flat.insts[bc].block_idx, NOT_BLOCK_ENTRY);
-    }
-
-    #[test]
-    fn branch_target_on_would_be_tail_blocks_fusion() {
-        // A back-edge targets the block whose first op is the `add` that
-        // would otherwise be the tail of an `ld;add` pair. In this IR a
-        // branch target is always a block entry, so the `ld` ends its
-        // block and the pair never forms.
-        let mut pb = ProgramBuilder::new();
-        pb.data_quads("tbl", &[0]);
-        let mut f = pb.function("main", 0);
-        f.block("entry");
-        f.la(Reg::T1, "tbl");
-        f.ld(Width::D, Reg::T2, Reg::T1, 0); // last op of "entry"
-        f.block("acc"); // branch target: the would-be tail
-        f.add(Width::W, Reg::T0, Reg::T0, Reg::T2);
-        f.beq(Reg::T0, "acc");
-        f.block("exit");
-        f.halt();
-        pb.finish(f);
-        let p = pb.build().unwrap();
-        let flat = lowered(&p);
-        assert_eq!(flat.fused_count(), 0);
-        assert_eq!(flat.insts[1].kind, FlatOp::Ld { signed: true });
-        let add = flat.insts.iter().position(|i| i.kind == FlatOp::Add).unwrap() as u32;
-        assert_ne!(flat.insts[add as usize].block_idx, NOT_BLOCK_ENTRY);
-        // The back-edge really does land on the would-be tail slot.
-        assert!(flat.insts.iter().any(|i| matches!(i.kind, FlatOp::Bc { t, .. } if t == add)));
-    }
-
-    #[test]
-    fn malformed_neighbor_blocks_fusion_in_untrusted_lowering() {
-        use og_isa::CmpKind;
-        // Hand-assemble an unreachable block whose `bc` is missing its
-        // targets: the slot lowers to `Malformed`, and the preceding
-        // `cmp` must NOT fuse with it — the pattern match is on exact
-        // kinds, and a fused head would skip the lazy failure.
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main", 0);
-        f.block("entry");
-        f.halt();
-        pb.finish(f);
-        let mut p = pb.build().unwrap();
-        let func = p.func_mut(FuncId(0));
-        let mut bad = og_program::Block::new("bad");
-        bad.insts.push(og_isa::Inst {
-            op: Op::Cmp(CmpKind::Eq),
-            width: Width::D,
-            dst: Some(Reg::T0),
-            src1: Some(Reg::T0),
-            src2: Operand::Imm(1),
-            disp: 0,
-            target: Target::None,
-        });
-        bad.insts.push(og_isa::Inst {
-            op: Op::Bc(og_isa::Cond::Ne),
-            width: Width::D,
-            dst: None,
-            src1: Some(Reg::T0),
-            src2: Operand::None,
-            disp: 0,
-            target: Target::None,
-        });
-        func.blocks.push(bad);
-        let flat = lowered(&p);
-        assert_eq!(flat.fused_count(), 0);
-        assert_eq!(flat.insts[1].kind, FlatOp::Cmp(CmpKind::Eq));
-        assert_eq!(flat.insts[2].kind, FlatOp::Malformed { what: "bc without targets" });
+    #[should_panic(expected = "fails verification")]
+    fn plain_lowering_panics_on_unverifiable_programs() {
+        lowered(&unverifiable());
     }
 }

@@ -12,95 +12,64 @@
 //! * a **streamed committed-path trace**: [`Vm::run_streamed`] pushes one
 //!   [`TraceRecord`] per committed instruction into a caller-supplied
 //!   [`TraceSink`] — this is how the cycle-level timing model in `og-sim`
-//!   and the value profiler in `og-profile` are driven;
-//! * **value watch points** ([`Watcher`]) — the in-VM callback the value
-//!   profiler can also attach to directly.
+//!   and the value profiler in `og-profile` are driven.
 //!
 //! ## Lower-then-run: the pre-decoded flat engine
 //!
-//! [`Vm::new`] lowers the program **once** into a dense pre-decoded form
-//! ([`FlatProgram`], module [`flat`]): one flat `Vec` of instructions
-//! with branch/call targets resolved to absolute indices, per-slot pc
-//! addresses reduced to an affine map (no per-step layout lookup),
-//! operand shapes (register/immediate/absent) decided ahead of time,
-//! dense block indices replacing the hashed block-count map, and the
-//! class×width histogram slot precomputed per instruction. The cost is
-//! O(program) at construction; the win is O(1) *per committed step* with
-//! no hashing and no `func → block → inst` pointer chasing — which is
-//! O(steps) of savings over a run. The run methods are generic over
-//! watcher and sink, so concrete consumers (the timing simulator, the
-//! value profiler's sink adapter, [`VecSink`]) inline straight into the
-//! hot loop instead of paying a virtual call per committed instruction.
+//! [`Vm::new`] verifies the program and lowers it **once** into a dense
+//! pre-decoded form ([`FlatProgram`], module [`flat`]): one flat `Vec` of
+//! instructions with branch/call targets resolved to absolute indices,
+//! per-slot pc addresses reduced to an affine map (no per-step layout
+//! lookup), operand shapes (register/immediate/absent) decided ahead of
+//! time, dense block indices replacing the hashed block-count map, and
+//! the class×width histogram slot precomputed per instruction. The cost
+//! is O(program) at construction; the win is O(1) *per committed step*
+//! with no hashing and no `func → block → inst` pointer chasing. The
+//! streamed run is generic over its sink, so concrete consumers (the
+//! timing simulator, the value profiler's sink adapter, [`VecSink`])
+//! inline straight into the hot loop instead of paying a virtual call
+//! per committed instruction.
 //!
-//! ## Trusted lowering: spending the verifier's invariant
+//! ## The VM trusts the verifier
 //!
 //! The verifier in `og-program` establishes that a program it accepts
-//! can never make the VM hit a structural error (`VmError::Malformed`).
-//! [`FlatProgram::lower_verified`] / [`Vm::new_verified`] spend that
-//! proof: they verify first, reject invalid programs with a
-//! `VerifyError` instead of lowering them, and mark the flat form
-//! *trusted* — the hot loop is then monomorphized with the
-//! malformed-slot arm compiled down to an `unreachable!`, so verified
-//! programs pay for no per-step defensive check. Use the verified path
-//! for untrusted input where the verifier is the gate (decoded
-//! `*.og.json`, fuzz candidates — the differential oracle's fused runs
-//! take it); use plain [`Vm::new`] when the lazy, reference-matching
-//! failure behaviour on *invalid* programs is itself what you are
-//! testing.
+//! can never make the VM hit a structural error. Every construction path
+//! verifies exactly once before lowering: [`Vm::new`] and
+//! [`FlatProgram::lower`] panic with the verifier's error,
+//! [`Vm::new_verified`] returns the first error, and
+//! [`FlatProgram::lower_verified_all`] returns all of them (the service
+//! path, which caches the lowered artifact and stamps out VMs with
+//! [`Vm::with_lowered`]). The flat engine therefore has no defensive
+//! slot and no per-step check. Defensive execution of unverified input
+//! stays in the reference engine.
 //!
-//! ## The execution-engine ladder
+//! ## Two engines
 //!
-//! Five rungs, each trading generality for throughput; every rung is
-//! pinned bit-identical to the one below it by the workspace
-//! engine-equivalence suite:
-//!
-//! 1. **Reference** ([`Vm::run_reference`]) — the graph-walking
-//!    interpreter; the semantic baseline. Pick it when auditability
-//!    beats speed (the differential oracle's plain side).
-//! 2. **Flat** ([`Vm::run`] and friends) — the pre-decoded engine
-//!    above; the default for everything.
-//! 3. **Trusted** ([`Vm::new_verified`]) — flat with the defensive
-//!    `Malformed` arm compiled out. Pick it whenever the program passed
-//!    the verifier.
-//! 4. **Fused** — lowering rewrites hot in-block 2–3 op sequences
-//!    (compare+branch, the `add;cmp;bc` loop latch, load+add,
-//!    add+store; see [`flat`] and the profile in [`fusion`]) into
-//!    superinstruction slots, cutting dispatches per committed step.
-//!    On by default in every lowering; [`FlatProgram::lower_unfused`]
-//!    opts out for A/B measurement. Callers that only need the
-//!    architectural result (outputs, digest, step count) additionally
-//!    drop all statistics bookkeeping via the monomorphized no-stats
-//!    mode ([`Vm::run_nostats`]) — the service fast path and the
-//!    oracle's cross-check side.
-//! 5. **Batched** ([`BatchRunner`]) — many independent trusted VMs
-//!    stepped round-robin in fuel quanta ([`Vm::run_quantum`]), so hot
-//!    programs share the instruction cache and independent short runs
-//!    amortize scheduling. `og-lab` shards batches across its
-//!    `WorkerPool`; og-serve's `call_many` and the fuzz campaign's
-//!    cross-check ride that path.
-//!
-//! The original graph-walking interpreter is retained, unchanged, as
-//! [`Vm::run_reference`] (and `run_reference_watched` /
-//! `run_reference_streamed` / `run_reference_full`): the semantic
-//! baseline. The workspace-level engine-equivalence suite runs every
-//! workload and every committed fuzz-corpus case on both engines and
-//! asserts identical outcomes, statistics and trace streams, and the
-//! differential oracle in `og-core` runs its plain baseline on the
-//! reference engine so the whole fuzz campaign cross-checks the engines
-//! continuously.
+//! 1. **Reference** ([`Vm::run_reference`], [`Vm::run_reference_streamed`])
+//!    — the original graph-walking interpreter, unchanged: the semantic
+//!    oracle, with its defensive [`VmError::Malformed`] checks. The
+//!    differential oracle in `og-core` runs its plain baseline on it, so
+//!    the whole fuzz campaign cross-checks the engines continuously, and
+//!    the workspace engine-equivalence suite runs every workload and
+//!    every committed fuzz-corpus case on both engines and asserts
+//!    identical outcomes, statistics and trace streams.
+//! 2. **Flat** — one hot loop, monomorphized on the sink type and on
+//!    `STATS`. [`Vm::run`] and [`Vm::run_streamed`] gather full
+//!    [`DynStats`] (and feed a sink); [`Vm::run_nostats`] and
+//!    [`Vm::run_quantum`] keep only the architectural result (outputs,
+//!    digest, step count) — the service fast path, the oracle's
+//!    cross-check side and the fault campaign.
 //!
 //! ## Soft-error injection: the quantum seam
 //!
-//! The batched engine's pause points double as a fault-injection seam.
 //! [`Vm::run_quantum`] can stop a run after any exact number of
 //! committed steps and hand back a resume `ip`; between two quanta the
 //! VM's architectural state is at rest, so a seeded bit flip applied
 //! there ([`Vm::flip_reg_bit`], [`Vm::flip_mem_bit`], or a flip of the
 //! resume `ip` itself) lands exactly as a particle strike between two
 //! committed instructions would — without any instrumentation in the
-//! hot loop, on every engine rung including fused superinstructions.
-//! Module [`fault`] builds the full subsystem on this seam: seeded
-//! [`fault::FaultPlan`]s, the quantum-slicing driver
+//! hot loop. Module [`fault`] builds the full subsystem on this seam:
+//! seeded [`fault::FaultPlan`]s, the quantum-slicing driver
 //! [`fault::run_with_plan`], and the outcome taxonomy
 //! ([`fault::FaultOutcome`]: Masked / SDC / Detected / Hang) that
 //! `og-lab`'s fault campaign sweeps across workloads to measure the
@@ -140,21 +109,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod coverage;
 pub mod eval;
 pub mod fault;
 pub mod flat;
-pub mod fusion;
 mod machine;
 mod memory;
 mod stats;
 mod trace;
 
-pub use batch::BatchRunner;
 pub use coverage::Coverage;
 pub use flat::FlatProgram;
-pub use machine::{HaltReason, Quantum, RunConfig, RunOutcome, Vm, VmError, Watcher};
+pub use machine::{HaltReason, Quantum, RunConfig, RunOutcome, Vm, VmError};
 pub use memory::Memory;
 pub use stats::DynStats;
 pub use trace::{FnSink, NullSink, TraceRecord, TraceSink, VecSink};

@@ -3,22 +3,22 @@
 //! Two engines execute the same architectural semantics:
 //!
 //! * the **flat engine** — the default behind [`Vm::run`],
-//!   [`Vm::run_watched`], [`Vm::run_streamed`] and [`Vm::run_full`] —
-//!   interprets the pre-decoded [`FlatProgram`] lowered once in
-//!   [`Vm::new`] (see [`crate::flat`] for what is precomputed), with the
-//!   run methods generic over watcher and sink so both inline into the
-//!   hot loop;
-//! * the **reference engine** — [`Vm::run_reference`] and friends —
-//!   walks the `func → block → inst` graph exactly as the original
-//!   interpreter did, kept as the semantic baseline that the
+//!   [`Vm::run_streamed`], [`Vm::run_nostats`] and [`Vm::run_quantum`] —
+//!   interprets the pre-decoded [`FlatProgram`] lowered once from a
+//!   verified program in [`Vm::new`] (see [`crate::flat`] for what is
+//!   precomputed). One hot loop serves every entry point, monomorphized
+//!   on the trace sink (so a concrete sink inlines) and on whether
+//!   statistics are gathered;
+//! * the **reference engine** — [`Vm::run_reference`] and
+//!   [`Vm::run_reference_streamed`] — walks the `func → block → inst`
+//!   graph exactly as the original interpreter did, with its defensive
+//!   `Malformed` checks, kept as the semantic baseline that the
 //!   engine-equivalence suite and the fuzz oracle differentially check
 //!   the flat engine against.
 //!
 //! Both engines share all architectural state (registers, memory,
 //! output, statistics), produce bit-identical [`RunOutcome`]s,
-//! [`DynStats`] and [`TraceRecord`] streams on every program that
-//! passes [`Program::verify`] (invalid programs fail on both engines,
-//! but not identically — see [`crate::flat`]), and may be freely
+//! [`DynStats`] and [`TraceRecord`] streams, and may be freely
 //! interleaved on one [`Vm`]: every run restarts at the entry with a
 //! fresh (empty) call stack — frames a previous run left behind (a halt
 //! inside a callee, a call-depth error) never leak into the next run,
@@ -106,8 +106,9 @@ pub enum VmError {
         /// The configured maximum.
         max: usize,
     },
-    /// An instruction had an operand shape the emulator cannot execute
-    /// (programs that pass [`Program::verify`] never trigger this).
+    /// An instruction had an operand shape the emulator cannot execute.
+    /// Only the reference engine checks for this; programs that pass
+    /// [`Program::verify`] never trigger it.
     Malformed {
         /// Where.
         at: InstRef,
@@ -127,21 +128,6 @@ impl fmt::Display for VmError {
 }
 
 impl std::error::Error for VmError {}
-
-/// Observes defined values during execution; implemented by the value
-/// profiler in `og-profile`.
-pub trait Watcher {
-    /// Called after every instruction that writes a destination register,
-    /// with the written value.
-    fn record(&mut self, at: InstRef, value: i64);
-}
-
-/// A no-op watcher.
-struct NoWatcher;
-
-impl Watcher for NoWatcher {
-    fn record(&mut self, _at: InstRef, _value: i64) {}
-}
 
 /// The functional emulator. See the crate docs for an example.
 pub struct Vm<'p> {
@@ -170,23 +156,23 @@ pub struct Vm<'p> {
 }
 
 impl<'p> Vm<'p> {
-    /// Create an emulator: loads the data segment, points `sp` at the
-    /// stack base and `gp` at the global base, and lowers the program to
-    /// its pre-decoded flat form (O(program), paid once — see
-    /// [`crate::flat`]).
+    /// Create an emulator: verifies the program, lowers it to its
+    /// pre-decoded flat form (O(program), paid once — see
+    /// [`crate::flat`]), loads the data segment, and points `sp` at the
+    /// stack base and `gp` at the global base.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the verifier's error when `program` does not verify;
+    /// use [`Vm::new_verified`] to get the error back instead.
     pub fn new(program: &'p Program, config: RunConfig) -> Vm<'p> {
-        let layout = program.layout();
-        let flat = FlatProgram::lower(program, &layout);
-        Self::with_flat(program, config, layout, flat)
+        Self::new_verified(program, config)
+            .unwrap_or_else(|e| panic!("Vm::new: program fails verification: {e}"))
     }
 
-    /// Create an emulator for a **verified** program: like [`Vm::new`]
-    /// but lowering via [`FlatProgram::lower_verified`], so invalid
-    /// programs are rejected up front and the flat engine runs with the
-    /// malformed-slot check compiled out of the hot loop (the verifier's
-    /// `Ok ⇒ no structural error` invariant, spent). This is the path
-    /// for untrusted input behind the verifier gate — the differential
-    /// oracle's fused runs use it.
+    /// Create an emulator, rejecting a program that fails verification
+    /// with the verifier's error instead of panicking. This is the path
+    /// for untrusted input behind the verifier gate.
     ///
     /// # Errors
     ///
@@ -196,22 +182,21 @@ impl<'p> Vm<'p> {
         program: &'p Program,
         config: RunConfig,
     ) -> Result<Vm<'p>, og_program::VerifyError> {
+        program.verify()?;
         let layout = program.layout();
-        let flat = FlatProgram::lower_verified(program, &layout)?;
+        let flat = FlatProgram::from_verified(program, &layout);
         Ok(Self::with_flat(program, config, layout, flat))
     }
 
     /// Create an emulator from an **already-lowered** flat form of
-    /// `program`, skipping the per-construction lowering pass.
+    /// `program`, skipping the per-construction verify+lower pass.
     ///
     /// This is the cached-artifact path: a service that lowers a program
-    /// once (via [`FlatProgram::lower_verified`] or
-    /// [`FlatProgram::lower_verified_all`]) and keeps the `FlatProgram`
-    /// in an LRU can stamp out fresh VMs from the cached artifact per
-    /// request. `flat` **must** have been lowered from this exact
-    /// `program` — the flat indices and the `trusted` flag are
-    /// meaningless against any other — which the constructor spot-checks
-    /// by instruction count.
+    /// once (via [`FlatProgram::lower_verified_all`]) and keeps the
+    /// `FlatProgram` in an LRU can stamp out fresh VMs from the cached
+    /// artifact per request. `flat` **must** have been lowered from this
+    /// exact `program` — its flat indices are meaningless against any
+    /// other — which the constructor spot-checks by instruction count.
     ///
     /// # Panics
     ///
@@ -240,7 +225,7 @@ impl<'p> Vm<'p> {
         let mut regs = [0i64; 32];
         regs[Reg::SP.index() as usize] = STACK_BASE as i64;
         regs[Reg::GP.index() as usize] = og_program::GLOBAL_BASE as i64;
-        let flat_block_counts = vec![0u64; flat.block_count()];
+        let flat_block_counts = vec![0u64; flat.num_blocks()];
         Vm {
             program,
             layout,
@@ -319,19 +304,13 @@ impl<'p> Vm<'p> {
     /// least once, as a dense [`crate::Coverage`] bitmap keyed by
     /// [`FlatProgram::num_blocks`]. Read from the same per-block
     /// counters that feed [`DynStats::block_counts`], so it reflects
-    /// statistics-collecting runs ([`Vm::run`], [`Vm::run_full`],
-    /// reference runs, …) — [`Vm::run_nostats`] contributes nothing.
+    /// statistics-collecting runs ([`Vm::run`], [`Vm::run_streamed`],
+    /// reference runs) — [`Vm::run_nostats`] and [`Vm::run_quantum`]
+    /// contribute nothing.
     pub fn coverage(&self) -> crate::Coverage {
         let mut cov = crate::Coverage::new(self.flat.num_blocks());
         for (i, key) in self.flat.blocks.iter().enumerate() {
             if self.stats.block_counts.get(key).is_some_and(|&c| c > 0) {
-                cov.hit(i);
-            }
-        }
-        // Dense counts not yet folded back (a paused quantum) still
-        // count as covered.
-        for (i, &c) in self.flat_block_counts.iter().enumerate() {
-            if c > 0 {
                 cov.hit(i);
             }
         }
@@ -343,28 +322,13 @@ impl<'p> Vm<'p> {
         (self.stats, self.output)
     }
 
-    /// Run to completion without a watcher.
+    /// Run to completion, gathering full [`DynStats`].
     ///
     /// # Errors
     ///
     /// See [`VmError`].
     pub fn run(&mut self) -> Result<RunOutcome, VmError> {
-        self.run_watched(&mut NoWatcher)
-    }
-
-    /// Run to completion, reporting every defined value to `watcher`.
-    ///
-    /// Generic so a concrete watcher inlines into the flat engine's hot
-    /// loop; `&mut dyn Watcher` still works (`W = dyn Watcher`).
-    ///
-    /// # Errors
-    ///
-    /// See [`VmError`].
-    pub fn run_watched<W: Watcher + ?Sized>(
-        &mut self,
-        watcher: &mut W,
-    ) -> Result<RunOutcome, VmError> {
-        self.run_flat::<W, NullSink>(watcher, None)
+        self.run_flat::<NullSink>(None)
     }
 
     /// Run to completion, streaming each committed instruction's
@@ -372,7 +336,7 @@ impl<'p> Vm<'p> {
     /// path: nothing is materialized inside the VM.
     ///
     /// Generic so a concrete sink (the simulator, a profiler adapter, a
-    /// [`VecSink`]) inlines into the flat engine's hot loop;
+    /// [`crate::VecSink`]) inlines into the flat engine's hot loop;
     /// `&mut dyn TraceSink` still works (`S = dyn TraceSink`).
     ///
     /// # Errors
@@ -382,20 +346,7 @@ impl<'p> Vm<'p> {
         &mut self,
         sink: &mut S,
     ) -> Result<RunOutcome, VmError> {
-        self.run_flat(&mut NoWatcher, Some(sink))
-    }
-
-    /// Run to completion with both a value watcher and a trace sink.
-    ///
-    /// # Errors
-    ///
-    /// See [`VmError`].
-    pub fn run_full<W: Watcher + ?Sized, S: TraceSink + ?Sized>(
-        &mut self,
-        watcher: &mut W,
-        sink: &mut S,
-    ) -> Result<RunOutcome, VmError> {
-        self.run_flat(watcher, Some(sink))
+        self.run_flat(Some(sink))
     }
 
     /// Run to completion on the flat engine with statistics gathering
@@ -403,93 +354,44 @@ impl<'p> Vm<'p> {
     /// that only need the outputs — the outcome, the output stream and
     /// the fuel-relevant step count. [`Vm::stats`] reflects only `steps`
     /// after this; histograms, block counts and event counters are not
-    /// gathered, and no watcher or sink can observe the run. This is the
-    /// service fast path and the throughput side of the oracle's
-    /// cross-checks.
+    /// gathered, and no sink can observe the run. This is the service
+    /// fast path and the throughput side of the oracle's cross-checks.
     ///
     /// # Errors
     ///
     /// See [`VmError`].
     pub fn run_nostats(&mut self) -> Result<RunOutcome, VmError> {
-        self.pending = None;
-        let flat = std::mem::take(&mut self.flat);
-        let entry = flat.entry.expect("entry block has instructions") as usize;
-        let stop = self.config.max_steps;
-        let mut nw = NoWatcher;
-        let mut sink: Option<&mut NullSink> = None;
-        let exit = if flat.trusted {
-            self.flat_loop::<NoWatcher, NullSink, true, false>(
-                &flat, &mut nw, &mut sink, entry, true, stop,
-            )
-        } else {
-            self.flat_loop::<NoWatcher, NullSink, false, false>(
-                &flat, &mut nw, &mut sink, entry, true, stop,
-            )
-        };
-        self.flat = flat;
-        match exit {
-            FlatExit::Done(reason) => Ok(RunOutcome {
-                steps: self.stats.steps,
-                reason,
-                output_digest: fnv1a(&self.output),
-            }),
-            // `stop_at` was `max_steps`, so a stop is fuel exhaustion.
-            FlatExit::Stopped(_) => Err(VmError::OutOfFuel { steps: self.stats.steps }),
-            FlatExit::Err(e) => Err(e),
+        // An unbounded quantum stops only at `max_steps`, which is fuel
+        // exhaustion, so the run always finishes.
+        match self.run_quantum(None, u64::MAX) {
+            Quantum::Finished(result) => result,
+            Quantum::Paused { .. } => unreachable!("an unbounded quantum never pauses"),
         }
     }
 
     /// Step the flat engine for at most `quantum` committed instructions,
-    /// then pause — the resumable entry point [`crate::BatchRunner`]
-    /// round-robins over many VMs.
+    /// then pause — the fault-injection seam [`crate::fault`] slices runs
+    /// at. Statistics are not gathered, as in [`Vm::run_nostats`].
     ///
     /// Pass `resume_at: None` to start a fresh run from the entry (fresh
     /// call stack, exactly like [`Vm::run`]); pass the `ip` of a previous
     /// [`Quantum::Paused`] to continue that run where it stopped. The
     /// split points are invisible to the program: a run finished across
-    /// many quanta produces the identical outcome, output and statistics
-    /// as one uninterrupted [`Vm::run`] — a pause can even land between
-    /// the constituents of a fused superinstruction, because tail slots
-    /// are retained unfused and resuming at one simply executes it
-    /// singly. Statistics are gathered; use [`Vm::run_quantum_nostats`]
-    /// for the throughput-oriented variant. After `Quantum::Finished`,
-    /// resume only with `None` (a fresh run).
+    /// many quanta produces the identical outcome, output and step count
+    /// as one uninterrupted [`Vm::run_nostats`]. After
+    /// `Quantum::Finished`, resume only with `None` (a fresh run).
     pub fn run_quantum(&mut self, resume_at: Option<u32>, quantum: u64) -> Quantum {
-        self.quantum_impl::<true>(resume_at, quantum)
-    }
-
-    /// [`Vm::run_quantum`] with statistics gathering compiled out, as in
-    /// [`Vm::run_nostats`].
-    pub fn run_quantum_nostats(&mut self, resume_at: Option<u32>, quantum: u64) -> Quantum {
-        self.quantum_impl::<false>(resume_at, quantum)
-    }
-
-    fn quantum_impl<const STATS: bool>(&mut self, resume_at: Option<u32>, quantum: u64) -> Quantum {
         let flat = std::mem::take(&mut self.flat);
-        let entry = flat.entry.expect("entry block has instructions") as usize;
         let (start, fresh) = match resume_at {
             Some(ip) => (ip as usize, false),
-            None => (entry, true),
+            None => (flat.entry as usize, true),
         };
         if fresh {
             self.pending = None;
         }
         let max_steps = self.config.max_steps;
         let stop = max_steps.min(self.stats.steps.saturating_add(quantum));
-        let mut nw = NoWatcher;
-        let mut sink: Option<&mut NullSink> = None;
-        let exit = if flat.trusted {
-            self.flat_loop::<NoWatcher, NullSink, true, STATS>(
-                &flat, &mut nw, &mut sink, start, fresh, stop,
-            )
-        } else {
-            self.flat_loop::<NoWatcher, NullSink, false, STATS>(
-                &flat, &mut nw, &mut sink, start, fresh, stop,
-            )
-        };
-        if STATS {
-            self.fold_block_counts(&flat);
-        }
+        let exit = self.flat_loop::<NullSink, false>(&flat, &mut None, start, fresh, stop);
         self.flat = flat;
         match exit {
             FlatExit::Done(reason) => Quantum::Finished(Ok(RunOutcome {
@@ -508,40 +410,17 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Fold the dense flat block counts back into the public
-    /// [`DynStats::block_counts`] map and clear them.
-    fn fold_block_counts(&mut self, flat: &FlatProgram) {
-        for (i, count) in self.flat_block_counts.iter_mut().enumerate() {
-            if *count > 0 {
-                *self.stats.block_counts.entry(flat.blocks[i]).or_insert(0) += *count;
-                *count = 0;
-            }
-        }
-    }
-
     /// Run to completion on the **reference engine** — the original
     /// graph-walking interpreter. Bit-identical to [`Vm::run`] on every
-    /// observable (outcome, output, statistics, trace); kept as the
-    /// baseline the engine-equivalence suite and the fuzz oracle
-    /// differentially test the flat engine against.
+    /// observable (outcome, output, statistics); kept as the baseline the
+    /// engine-equivalence suite and the fuzz oracle differentially test
+    /// the flat engine against.
     ///
     /// # Errors
     ///
     /// See [`VmError`].
     pub fn run_reference(&mut self) -> Result<RunOutcome, VmError> {
-        self.run_core(&mut NoWatcher, None)
-    }
-
-    /// [`Vm::run_watched`] on the reference engine.
-    ///
-    /// # Errors
-    ///
-    /// See [`VmError`].
-    pub fn run_reference_watched(
-        &mut self,
-        watcher: &mut dyn Watcher,
-    ) -> Result<RunOutcome, VmError> {
-        self.run_core(watcher, None)
+        self.run_core(None)
     }
 
     /// [`Vm::run_streamed`] on the reference engine.
@@ -553,25 +432,11 @@ impl<'p> Vm<'p> {
         &mut self,
         sink: &mut dyn TraceSink,
     ) -> Result<RunOutcome, VmError> {
-        self.run_core(&mut NoWatcher, Some(sink))
-    }
-
-    /// [`Vm::run_full`] on the reference engine.
-    ///
-    /// # Errors
-    ///
-    /// See [`VmError`].
-    pub fn run_reference_full(
-        &mut self,
-        watcher: &mut dyn Watcher,
-        sink: &mut dyn TraceSink,
-    ) -> Result<RunOutcome, VmError> {
-        self.run_core(watcher, Some(sink))
+        self.run_core(Some(sink))
     }
 
     fn run_core<'s>(
         &mut self,
-        watcher: &mut dyn Watcher,
         mut sink: Option<&mut (dyn TraceSink + 's)>,
     ) -> Result<RunOutcome, VmError> {
         self.pending = None;
@@ -587,7 +452,7 @@ impl<'p> Vm<'p> {
             if self.stats.steps >= self.config.max_steps {
                 break Err(VmError::OutOfFuel { steps: self.stats.steps });
             }
-            match self.step(pc, watcher, sink.as_deref_mut()) {
+            match self.step(pc, sink.as_deref_mut()) {
                 Ok(Next::At(next)) => pc = next,
                 Ok(Next::Done(r)) => break Ok(r),
                 Err(e) => break Err(e),
@@ -603,28 +468,21 @@ impl<'p> Vm<'p> {
         Ok(RunOutcome { steps: self.stats.steps, reason, output_digest: fnv1a(&self.output) })
     }
 
-    /// The flat engine driver: run the pre-decoded program, flush the
-    /// trace delay buffer, and fold the dense block counts back into
-    /// [`DynStats::block_counts`] (on error paths too, exactly as the
-    /// reference engine's statistics are visible after a failed run).
-    fn run_flat<W: Watcher + ?Sized, S: TraceSink + ?Sized>(
+    /// The statistics-gathering flat driver: run the pre-decoded program
+    /// from the entry, flush the trace delay buffer, and fold the dense
+    /// block counts back into [`DynStats::block_counts`] (on error paths
+    /// too, exactly as the reference engine's statistics are visible
+    /// after a failed run).
+    fn run_flat<S: TraceSink + ?Sized>(
         &mut self,
-        watcher: &mut W,
         mut sink: Option<&mut S>,
     ) -> Result<RunOutcome, VmError> {
         self.pending = None;
         // Detach the flat form so the loop can borrow it while mutating
         // the rest of the machine state.
         let flat = std::mem::take(&mut self.flat);
-        let entry = flat.entry.expect("entry block has instructions") as usize;
         let stop = self.config.max_steps;
-        // Monomorphize on trust: a verified lowering cannot contain
-        // `Malformed` slots, so its loop instance compiles the check out.
-        let exit = if flat.trusted {
-            self.flat_loop::<W, S, true, true>(&flat, watcher, &mut sink, entry, true, stop)
-        } else {
-            self.flat_loop::<W, S, false, true>(&flat, watcher, &mut sink, entry, true, stop)
-        };
+        let exit = self.flat_loop::<S, true>(&flat, &mut sink, flat.entry as usize, true, stop);
         // Flush the delay buffer; the final record keeps `next_pc` at
         // `u64::MAX` (also on error paths, where the last committed
         // instruction is final by definition).
@@ -633,7 +491,12 @@ impl<'p> Vm<'p> {
                 s.record(&last);
             }
         }
-        self.fold_block_counts(&flat);
+        for (i, count) in self.flat_block_counts.iter_mut().enumerate() {
+            if *count > 0 {
+                *self.stats.block_counts.entry(flat.blocks[i]).or_insert(0) += *count;
+                *count = 0;
+            }
+        }
         self.flat = flat;
         let reason = match exit {
             FlatExit::Done(reason) => reason,
@@ -650,25 +513,24 @@ impl<'p> Vm<'p> {
     /// instruction: no hashing, no nested indirection, one dispatch
     /// (every ALU op is its own [`FlatOp`] variant calling [`alu_eval`]
     /// with a constant op, which inlines to the bare expression), and
-    /// watcher/sink calls inlined at their concrete types. All hot state
-    /// — registers (padded with the write-only [`DISCARD_SLOT`] so
-    /// zero-register writes need no branch), step counter, event
-    /// counters, histograms, dense block counts, the call stack — lives
-    /// in locals for the duration of the loop and is written back on
-    /// every exit path. Mirrors [`Vm::step`]'s observable behaviour
-    /// exactly: the execution order of statistics updates, error
-    /// early-outs and the trace delay buffer is the same.
+    /// sink calls inlined at their concrete type. All hot state —
+    /// registers (padded with the write-only
+    /// [`crate::flat::DISCARD_SLOT`] so zero-register writes need no
+    /// branch), step counter, event counters, histograms, dense block
+    /// counts, the call stack — lives in locals for the duration of the
+    /// loop and is written back on every exit path. Mirrors
+    /// [`Vm::step`]'s observable behaviour exactly: the execution order
+    /// of statistics updates, error early-outs and the trace delay
+    /// buffer is the same.
     ///
-    /// `TRUSTED` instantiates the loop for flat programs produced by
-    /// [`FlatProgram::lower_verified`]: the verifier proved no
-    /// `Malformed` slot exists, so that arm reduces to `unreachable!`
-    /// and the defensive check vanishes from the compiled loop.
+    /// The flat program came from a verified lowering, so every slot is
+    /// executable and the loop carries no defensive check.
     ///
-    /// `STATS` gates every piece of statistics, watcher and trace
-    /// bookkeeping: the `false` instance keeps only the step counter
-    /// (fuel) and the architectural effects — registers, memory, output,
-    /// control flow — for callers that need nothing else
-    /// ([`Vm::run_nostats`], the batch runner's fast path).
+    /// `STATS` gates every piece of statistics and trace bookkeeping:
+    /// the `false` instance keeps only the step counter (fuel) and the
+    /// architectural effects — registers, memory, output, control flow —
+    /// for callers that need nothing else ([`Vm::run_nostats`],
+    /// [`Vm::run_quantum`]).
     ///
     /// The loop is resumable: it starts at `start_ip` (the entry for a
     /// fresh run, a [`Quantum::Paused`] ip otherwise; `fresh` decides
@@ -677,15 +539,9 @@ impl<'p> Vm<'p> {
     /// pass `max_steps` to make that fuel exhaustion, or an earlier
     /// quantum boundary to pause.
     #[allow(clippy::too_many_lines)]
-    fn flat_loop<
-        W: Watcher + ?Sized,
-        S: TraceSink + ?Sized,
-        const TRUSTED: bool,
-        const STATS: bool,
-    >(
+    fn flat_loop<S: TraceSink + ?Sized, const STATS: bool>(
         &mut self,
         flat: &FlatProgram,
-        watcher: &mut W,
         sink: &mut Option<&mut S>,
         start_ip: usize,
         fresh: bool,
@@ -744,56 +600,6 @@ impl<'p> Vm<'p> {
             let mut dst_value: Option<i64> = None;
             let mut mem_addr = 0u64;
             let mut taken = false;
-
-            /// Per-constituent statistics / watcher / trace bookkeeping
-            /// (bit-identical to the reference engine's, see `step`).
-            /// Invoked once per iteration by the shared epilogue below,
-            /// and again by fused superinstruction arms for their second
-            /// and third constituents. Compiles to nothing when `STATS`
-            /// is off.
-            macro_rules! bookkeep {
-                ($i:expr, $idx:expr, $a:expr, $b:expr, $dv:expr, $ma:expr, $tk:expr) => {{
-                    if STATS {
-                        let i_: &FlatInst = $i;
-                        let dv_: Option<i64> = $dv;
-                        class_width[(i_.cw >> 2) as usize][(i_.cw & 3) as usize] += 1;
-                        let m1 = i_.sig1 as u64;
-                        let m2 = i_.sig2 as u64;
-                        let sig_a = Width::sig_bytes($a) * i_.sig1 as u8;
-                        let sig_b = Width::sig_bytes($b) * i_.sig2 as u8;
-                        sig_hist[sig_a as usize] += m1;
-                        sig_hist[sig_b as usize] += m2;
-                        let md = dv_.is_some() as u64;
-                        let dst_sig = Width::sig_bytes(dv_.unwrap_or(0)) * md as u8;
-                        sig_hist[dst_sig as usize] += md;
-                        if let Some(v) = dv_ {
-                            watcher.record(i_.at, v);
-                        }
-                        if let Some(ref mut s) = *sink {
-                            let pc_addr = FlatProgram::pc_of($idx);
-                            // Patch and release the delayed predecessor:
-                            // its `next_pc` is this instruction's address.
-                            if let Some(mut prev) = self.pending.take() {
-                                prev.next_pc = pc_addr;
-                                s.record(&prev);
-                            }
-                            self.pending = Some(TraceRecord {
-                                pc: pc_addr,
-                                next_pc: u64::MAX,
-                                op: i_.op,
-                                width: i_.width,
-                                dst: i_.trace_dst,
-                                srcs: i_.trace_srcs,
-                                mem_addr: $ma,
-                                taken: $tk,
-                                dst_sig,
-                                src_sigs: [sig_a, sig_b],
-                                dst_value: dv_,
-                            });
-                        }
-                    }
-                }};
-            }
 
             /// One ALU arm: evaluate with a *constant* op (so the
             /// `alu_eval` match folds away), write the precomputed
@@ -895,126 +701,45 @@ impl<'p> Vm<'p> {
                     }
                 }
                 FlatOp::Halt => FlatNext::Done(HaltReason::Halt),
-                FlatOp::Malformed { what } => {
-                    if TRUSTED {
-                        // `lower_verified` proved no such slot exists;
-                        // this instance of the loop compiles the whole
-                        // arm down to this assertion.
-                        unreachable!("trusted flat program has a malformed slot at {}", inst.at);
-                    }
-                    break FlatExit::Err(VmError::Malformed { at: inst.at, what });
-                }
-
-                // ---- fused superinstructions ------------------------
-                // Each arm executes its 2–3 retained constituent slots
-                // sequentially with the *same* observable effects as the
-                // unfused dispatches would produce — per-constituent
-                // register reads (so aliasing through the head's write is
-                // seen), per-constituent bookkeeping, and a fuel/quantum
-                // check between constituents (breaking at the tail's ip,
-                // which resumes correctly because tails stay unfused).
-                FlatOp::FusedCmpBc { kind, cond, t, fall } => {
-                    let v = alu_eval(Op::Cmp(kind), w, a, b).expect("lowered as executable");
-                    regs[inst.dst_w as usize] = v;
-                    bookkeep!(inst, ip, a, b, Some(v), 0u64, false);
-                    if steps >= stop_at {
-                        break FlatExit::Stopped(ip + 1);
-                    }
-                    let tail = &insts[ip + 1];
-                    steps += 1;
-                    let ta = regs[tail.src1_r as usize];
-                    let tb = regs[tail.src2_r as usize].wrapping_add(tail.imm);
-                    if STATS {
-                        scratch.cond_branches += 1;
-                    }
-                    let tk = cond.eval(ta);
-                    if STATS && tk {
-                        scratch.taken_branches += 1;
-                    }
-                    bookkeep!(tail, ip + 1, ta, tb, None, 0u64, tk);
-                    ip = if tk { t as usize } else { fall as usize };
-                    continue;
-                }
-                FlatOp::FusedAddCmpBc { kind, cond, t, fall } => {
-                    let v = alu_eval(Op::Add, w, a, b).expect("lowered as executable");
-                    regs[inst.dst_w as usize] = v;
-                    bookkeep!(inst, ip, a, b, Some(v), 0u64, false);
-                    if steps >= stop_at {
-                        break FlatExit::Stopped(ip + 1);
-                    }
-                    let mid = &insts[ip + 1];
-                    steps += 1;
-                    let ma = regs[mid.src1_r as usize];
-                    let mb = regs[mid.src2_r as usize].wrapping_add(mid.imm);
-                    let mv =
-                        alu_eval(Op::Cmp(kind), mid.width, ma, mb).expect("lowered as executable");
-                    regs[mid.dst_w as usize] = mv;
-                    bookkeep!(mid, ip + 1, ma, mb, Some(mv), 0u64, false);
-                    if steps >= stop_at {
-                        break FlatExit::Stopped(ip + 2);
-                    }
-                    let tail = &insts[ip + 2];
-                    steps += 1;
-                    let ta = regs[tail.src1_r as usize];
-                    let tb = regs[tail.src2_r as usize].wrapping_add(tail.imm);
-                    if STATS {
-                        scratch.cond_branches += 1;
-                    }
-                    let tk = cond.eval(ta);
-                    if STATS && tk {
-                        scratch.taken_branches += 1;
-                    }
-                    bookkeep!(tail, ip + 2, ta, tb, None, 0u64, tk);
-                    ip = if tk { t as usize } else { fall as usize };
-                    continue;
-                }
-                FlatOp::FusedLdAdd { signed } => {
-                    let ma = (a + inst.disp as i64) as u64;
-                    let v = self.mem.read(ma, w, signed);
-                    regs[inst.dst_w as usize] = v;
-                    if STATS {
-                        scratch.loads += 1;
-                    }
-                    bookkeep!(inst, ip, a, b, Some(v), ma, false);
-                    if steps >= stop_at {
-                        break FlatExit::Stopped(ip + 1);
-                    }
-                    let tail = &insts[ip + 1];
-                    steps += 1;
-                    let ta = regs[tail.src1_r as usize];
-                    let tb = regs[tail.src2_r as usize].wrapping_add(tail.imm);
-                    let tv = alu_eval(Op::Add, tail.width, ta, tb).expect("lowered as executable");
-                    regs[tail.dst_w as usize] = tv;
-                    bookkeep!(tail, ip + 1, ta, tb, Some(tv), 0u64, false);
-                    ip += 2;
-                    continue;
-                }
-                FlatOp::FusedAddSt => {
-                    let v = alu_eval(Op::Add, w, a, b).expect("lowered as executable");
-                    regs[inst.dst_w as usize] = v;
-                    bookkeep!(inst, ip, a, b, Some(v), 0u64, false);
-                    if steps >= stop_at {
-                        break FlatExit::Stopped(ip + 1);
-                    }
-                    let tail = &insts[ip + 1];
-                    steps += 1;
-                    let ta = regs[tail.src1_r as usize];
-                    let tb = regs[tail.src2_r as usize].wrapping_add(tail.imm);
-                    let ma = (tb + tail.disp as i64) as u64;
-                    self.mem.write(ma, tail.width, ta);
-                    if STATS {
-                        scratch.stores += 1;
-                    }
-                    bookkeep!(tail, ip + 1, ta, tb, None, ma, false);
-                    ip += 2;
-                    continue;
-                }
             };
 
             // ---- statistics / trace (same values as the reference
             // engine; absent operands land in the discarded dump slots;
             // compiled out entirely when `STATS` is off) ---------------
-            bookkeep!(inst, ip, a, b, dst_value, mem_addr, taken);
+            if STATS {
+                class_width[(inst.cw >> 2) as usize][(inst.cw & 3) as usize] += 1;
+                let m1 = inst.sig1 as u64;
+                let m2 = inst.sig2 as u64;
+                let sig_a = Width::sig_bytes(a) * inst.sig1 as u8;
+                let sig_b = Width::sig_bytes(b) * inst.sig2 as u8;
+                sig_hist[sig_a as usize] += m1;
+                sig_hist[sig_b as usize] += m2;
+                let md = dst_value.is_some() as u64;
+                let dst_sig = Width::sig_bytes(dst_value.unwrap_or(0)) * md as u8;
+                sig_hist[dst_sig as usize] += md;
+                if let Some(ref mut s) = *sink {
+                    let pc_addr = FlatProgram::pc_of(ip);
+                    // Patch and release the delayed predecessor: its
+                    // `next_pc` is this instruction's address.
+                    if let Some(mut prev) = self.pending.take() {
+                        prev.next_pc = pc_addr;
+                        s.record(&prev);
+                    }
+                    self.pending = Some(TraceRecord {
+                        pc: pc_addr,
+                        next_pc: u64::MAX,
+                        op: inst.op,
+                        width: inst.width,
+                        dst: inst.trace_dst,
+                        srcs: inst.trace_srcs,
+                        mem_addr,
+                        taken,
+                        dst_sig,
+                        src_sigs: [sig_a, sig_b],
+                        dst_value,
+                    });
+                }
+            }
 
             match next {
                 FlatNext::At(n) => ip = n,
@@ -1055,7 +780,6 @@ impl<'p> Vm<'p> {
     fn step<'s>(
         &mut self,
         at: InstRef,
-        watcher: &mut dyn Watcher,
         sink: Option<&mut (dyn TraceSink + 's)>,
     ) -> Result<Next, VmError> {
         let func = self.program.func(at.func);
@@ -1177,7 +901,6 @@ impl<'p> Vm<'p> {
         }
         if let Some(v) = dst_value {
             self.stats.record_sig(v);
-            watcher.record(at, v);
         }
 
         // ---- trace -----------------------------------------------------
@@ -1224,8 +947,8 @@ mod tests {
         (vm.output().to_vec(), out, vm.stats().clone())
     }
 
-    #[test]
-    fn loop_sums_table() {
+    /// Sums a three-entry table in a counted loop and outputs the sum.
+    fn table_loop_program() -> Program {
         let mut pb = ProgramBuilder::new();
         pb.data_quads("tbl", &[5, 6, 7]);
         let mut f = pb.function("main", 0);
@@ -1244,7 +967,12 @@ mod tests {
         f.out(Width::B, Reg::T0);
         f.halt();
         pb.finish(f);
-        let p = pb.build().unwrap();
+        pb.build().unwrap()
+    }
+
+    #[test]
+    fn loop_sums_table() {
+        let p = table_loop_program();
         let (out, outcome, stats) = run_program(&p);
         assert_eq!(out, vec![18]);
         assert_eq!(outcome.reason, HaltReason::Halt);
@@ -1324,51 +1052,27 @@ mod tests {
         assert_eq!(vm.run(), Err(VmError::CallDepthExceeded { max: 64 }));
     }
 
-    #[test]
-    fn trusted_engine_matches_defensive_engine() {
-        let mut pb = ProgramBuilder::new();
-        pb.data_quads("tbl", &[5, 6, 7]);
-        let mut f = pb.function("main", 0);
-        f.block("entry");
-        f.la(Reg::T1, "tbl");
-        f.ldi(Reg::T0, 0);
-        f.ldi(Reg::T4, 0);
-        f.block("loop");
-        f.ld(Width::D, Reg::T2, Reg::T1, 0);
-        f.add(Width::W, Reg::T0, Reg::T0, Reg::T2);
-        f.add(Width::D, Reg::T1, Reg::T1, imm(8));
-        f.add(Width::W, Reg::T4, Reg::T4, imm(1));
-        f.cmp(og_isa::CmpKind::Lt, Width::D, Reg::T3, Reg::T4, imm(3));
-        f.bne(Reg::T3, "loop");
-        f.block("exit");
-        f.out(Width::B, Reg::T0);
-        f.halt();
-        pb.finish(f);
-        let p = pb.build().unwrap();
-        let mut defensive = Vm::new(&p, RunConfig::default());
-        let mut trusted = Vm::new_verified(&p, RunConfig::default()).unwrap();
-        assert!(trusted.flat_program().is_trusted());
-        let mut sink_d = VecSink::new();
-        let mut sink_t = VecSink::new();
-        let out_d = defensive.run_streamed(&mut sink_d).unwrap();
-        let out_t = trusted.run_streamed(&mut sink_t).unwrap();
-        assert_eq!(out_d, out_t);
-        assert_eq!(defensive.output(), trusted.output());
-        assert_eq!(defensive.stats(), trusted.stats());
-        assert_eq!(sink_d.records(), sink_t.records());
-    }
-
-    #[test]
-    fn new_verified_rejects_invalid_programs() {
+    /// A halt-only program damaged after the builder's own verification.
+    fn damaged_program() -> Program {
         let mut pb = ProgramBuilder::new();
         let mut f = pb.function("main", 0);
         f.block("entry");
         f.halt();
         pb.finish(f);
         let mut p = pb.build().unwrap();
-        // Damage the program after the builder's own verification.
         p.func_mut(FuncId(0)).blocks[0].insts[0].target = og_isa::Target::Block(9);
-        assert!(Vm::new_verified(&p, RunConfig::default()).is_err());
+        p
+    }
+
+    #[test]
+    fn new_verified_rejects_invalid_programs() {
+        assert!(Vm::new_verified(&damaged_program(), RunConfig::default()).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "fails verification")]
+    fn new_panics_on_invalid_programs() {
+        Vm::new(&damaged_program(), RunConfig::default());
     }
 
     #[test]
@@ -1393,7 +1097,8 @@ mod tests {
         assert_eq!(out, vec![0x11, 0x22]);
     }
 
-    fn branchy_program() -> Program {
+    #[test]
+    fn trace_records_chain_pcs() {
         let mut pb = ProgramBuilder::new();
         let mut f = pb.function("main", 0);
         f.block("entry");
@@ -1405,14 +1110,9 @@ mod tests {
         f.out(Width::B, Reg::T0);
         f.halt();
         pb.finish(f);
-        pb.build().unwrap()
-    }
-
-    #[test]
-    fn trace_records_chain_pcs() {
-        let p = branchy_program();
+        let p = pb.build().unwrap();
         let mut vm = Vm::new(&p, RunConfig::default());
-        let mut sink = crate::VecSink::new();
+        let mut sink = VecSink::new();
         vm.run_streamed(&mut sink).unwrap();
         let t = sink.into_records();
         assert_eq!(t.len(), 4); // ldi, beq, out, halt
@@ -1438,7 +1138,7 @@ mod tests {
         pb.finish(f);
         let p = pb.build().unwrap();
         let mut vm = Vm::new(&p, RunConfig { max_steps: 10, ..Default::default() });
-        let mut sink = crate::VecSink::new();
+        let mut sink = VecSink::new();
         assert_eq!(vm.run_streamed(&mut sink), Err(VmError::OutOfFuel { steps: 10 }));
         let t = sink.records();
         assert_eq!(t.len(), 10, "every committed instruction reaches the sink");
@@ -1446,184 +1146,23 @@ mod tests {
     }
 
     #[test]
-    fn run_full_feeds_watcher_and_sink_together() {
-        struct Collect(Vec<i64>);
-        impl Watcher for Collect {
-            fn record(&mut self, _at: InstRef, value: i64) {
-                self.0.push(value);
-            }
-        }
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main", 0);
-        f.block("entry");
-        f.ldi(Reg::T0, 7);
-        f.add(Width::D, Reg::T1, Reg::T0, imm(1));
-        f.halt();
-        pb.finish(f);
-        let p = pb.build().unwrap();
-        let mut vm = Vm::new(&p, RunConfig::default());
-        let mut watcher = Collect(Vec::new());
-        let mut sink = crate::VecSink::new();
-        vm.run_full(&mut watcher, &mut sink).unwrap();
-        assert_eq!(watcher.0, vec![7, 8]);
-        // the sink sees the same values via `dst_value`
-        let streamed: Vec<i64> = sink.records().iter().filter_map(|r| r.dst_value).collect();
-        assert_eq!(streamed, watcher.0);
-    }
-
-    #[test]
-    fn watcher_sees_defined_values() {
-        struct Collect(Vec<(InstRef, i64)>);
-        impl Watcher for Collect {
-            fn record(&mut self, at: InstRef, value: i64) {
-                self.0.push((at, value));
-            }
-        }
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main", 0);
-        f.block("entry");
-        f.ldi(Reg::T0, 7);
-        f.add(Width::D, Reg::T1, Reg::T0, imm(1));
-        f.halt();
-        pb.finish(f);
-        let p = pb.build().unwrap();
-        let mut vm = Vm::new(&p, RunConfig::default());
-        let mut c = Collect(Vec::new());
-        vm.run_watched(&mut c).unwrap();
-        assert_eq!(c.0.len(), 2);
-        assert_eq!(c.0[0].1, 7);
-        assert_eq!(c.0[1].1, 8);
-    }
-
-    /// A program whose lowering produces all four fused superinstruction
-    /// variants (ld;add, add;st, the add;cmp;bc latch, and cmp;bc).
-    fn fused_workout_program() -> Program {
-        let mut pb = ProgramBuilder::new();
-        pb.data_quads("tbl", &[5, 6, 7]);
-        let mut f = pb.function("main", 0);
-        f.block("entry");
-        f.la(Reg::T1, "tbl");
-        f.ldi(Reg::T0, 0);
-        f.ldi(Reg::T4, 0);
-        f.block("loop");
-        f.ld(Width::D, Reg::T2, Reg::T1, 0);
-        f.add(Width::W, Reg::T0, Reg::T0, Reg::T2);
-        f.add(Width::D, Reg::T5, Reg::T0, imm(1));
-        f.st(Width::D, Reg::T5, Reg::T1, 0);
-        f.add(Width::W, Reg::T4, Reg::T4, imm(1));
-        f.cmp(og_isa::CmpKind::Lt, Width::D, Reg::T3, Reg::T4, imm(3));
-        f.bne(Reg::T3, "loop");
-        f.block("exit");
-        f.cmp(og_isa::CmpKind::Eq, Width::D, Reg::T6, Reg::T4, imm(3));
-        f.bne(Reg::T6, "done");
-        f.block("dead");
-        f.halt();
-        f.block("done");
-        f.out(Width::B, Reg::T0);
-        f.halt();
-        pb.finish(f);
-        pb.build().unwrap()
-    }
-
-    #[test]
-    fn fused_engine_matches_unfused_bit_for_bit() {
-        let p = fused_workout_program();
-        let layout = p.layout();
-        assert!(FlatProgram::lower(&p, &layout).fused_count() > 0);
-        let mut fused = Vm::new(&p, RunConfig::default());
-        let mut unfused =
-            Vm::with_lowered(&p, RunConfig::default(), FlatProgram::lower_unfused(&p, &layout));
-        let mut sink_f = VecSink::new();
-        let mut sink_u = VecSink::new();
-        let out_f = fused.run_streamed(&mut sink_f).unwrap();
-        let out_u = unfused.run_streamed(&mut sink_u).unwrap();
-        assert_eq!(out_f, out_u);
-        assert_eq!(fused.output(), unfused.output());
-        assert_eq!(fused.stats(), unfused.stats());
-        assert_eq!(sink_f.records(), sink_u.records());
-        // And both match the reference interpreter.
-        let mut reference = Vm::new(&p, RunConfig::default());
-        let mut sink_r = VecSink::new();
-        let out_r = reference.run_reference_streamed(&mut sink_r).unwrap();
-        assert_eq!(out_f, out_r);
-        assert_eq!(fused.output(), reference.output());
-        assert_eq!(fused.stats(), reference.stats());
-        assert_eq!(sink_f.records(), sink_r.records());
-    }
-
-    #[test]
-    fn fused_watcher_stream_matches_unfused() {
-        struct Collect(Vec<(InstRef, i64)>);
-        impl Watcher for Collect {
-            fn record(&mut self, at: InstRef, value: i64) {
-                self.0.push((at, value));
-            }
-        }
-        let p = fused_workout_program();
-        let mut fused = Vm::new(&p, RunConfig::default());
-        let mut unfused =
-            Vm::with_lowered(&p, RunConfig::default(), FlatProgram::lower_unfused(&p, &p.layout()));
-        let mut w_f = Collect(Vec::new());
-        let mut w_u = Collect(Vec::new());
-        fused.run_watched(&mut w_f).unwrap();
-        unfused.run_watched(&mut w_u).unwrap();
-        assert_eq!(w_f.0, w_u.0);
-        assert!(!w_f.0.is_empty());
-    }
-
-    #[test]
-    fn fuel_exhaustion_mid_fused_window_matches_unfused() {
-        // Sweep the fuel limit across the whole run so exhaustion lands
-        // between every pair of constituents of every fused window; the
-        // fused engine must stop at exactly the same committed step with
-        // identical stats and trace as the unfused engine.
-        let p = fused_workout_program();
-        let layout = p.layout();
-        let full_steps = {
-            let mut vm = Vm::new(&p, RunConfig::default());
-            vm.run().unwrap().steps
-        };
-        for max_steps in 1..full_steps {
-            let config = RunConfig { max_steps, ..Default::default() };
-            let mut fused = Vm::new(&p, config.clone());
-            let mut unfused = Vm::with_lowered(&p, config, FlatProgram::lower_unfused(&p, &layout));
-            let mut sink_f = VecSink::new();
-            let mut sink_u = VecSink::new();
-            let res_f = fused.run_streamed(&mut sink_f);
-            let res_u = unfused.run_streamed(&mut sink_u);
-            assert_eq!(res_f, res_u, "max_steps={max_steps}");
-            assert_eq!(res_f, Err(VmError::OutOfFuel { steps: max_steps }));
-            assert_eq!(fused.stats(), unfused.stats(), "max_steps={max_steps}");
-            assert_eq!(fused.output(), unfused.output(), "max_steps={max_steps}");
-            assert_eq!(sink_f.records(), sink_u.records(), "max_steps={max_steps}");
-        }
-    }
-
-    #[test]
     fn run_nostats_matches_full_run_architecturally() {
-        let p = fused_workout_program();
-        let mut full = Vm::new_verified(&p, RunConfig::default()).unwrap();
+        let p = table_loop_program();
+        let mut full = Vm::new(&p, RunConfig::default());
         let expected = full.run().unwrap();
-        for trusted in [true, false] {
-            let mut vm = if trusted {
-                Vm::new_verified(&p, RunConfig::default()).unwrap()
-            } else {
-                Vm::new(&p, RunConfig::default())
-            };
-            let got = vm.run_nostats().unwrap();
-            assert_eq!(got, expected, "trusted={trusted}");
-            assert_eq!(vm.output(), full.output(), "trusted={trusted}");
-            // Only the step count is maintained; the rest is skipped.
-            assert_eq!(vm.stats().steps, expected.steps);
-            assert!(vm.stats().block_counts.is_empty(), "no-stats mode keeps no block counts");
-        }
+        let mut vm = Vm::new(&p, RunConfig::default());
+        let got = vm.run_nostats().unwrap();
+        assert_eq!(got, expected);
+        assert_eq!(vm.output(), full.output());
+        // Only the step count is maintained; the rest is skipped.
+        assert_eq!(vm.stats().steps, expected.steps);
+        assert!(vm.stats().block_counts.is_empty(), "no-stats mode keeps no block counts");
     }
 
     #[test]
-    fn quantum_stepping_preserves_call_stack_and_stats() {
+    fn quantum_stepping_preserves_call_stack() {
         // A program with calls, paused after every single step: resume
-        // must preserve frames, and per-quantum stat folding must add up
-        // to exactly the solo run's stats.
+        // must preserve frames and land on the solo run's outcome.
         let mut pb = ProgramBuilder::new();
         let mut callee = pb.function("sq", 1);
         callee.block("entry");
@@ -1639,10 +1178,10 @@ mod tests {
         pb.finish(main);
         let p = pb.build().unwrap();
 
-        let mut solo = Vm::new_verified(&p, RunConfig::default()).unwrap();
-        let expected = solo.run().unwrap();
+        let mut solo = Vm::new(&p, RunConfig::default());
+        let expected = solo.run_nostats().unwrap();
 
-        let mut vm = Vm::new_verified(&p, RunConfig::default()).unwrap();
+        let mut vm = Vm::new(&p, RunConfig::default());
         let mut resume = None;
         let mut pauses = 0u32;
         let got = loop {
@@ -1657,7 +1196,6 @@ mod tests {
         assert_eq!(got, expected);
         assert!(pauses >= expected.steps as u32 - 1);
         assert_eq!(vm.output(), solo.output());
-        assert_eq!(vm.stats(), solo.stats());
     }
 
     #[test]

@@ -41,10 +41,8 @@ pub struct TraceRecord {
     pub dst_sig: u8,
     /// Significant bytes of each source value; 0 when absent.
     pub src_sigs: [u8; 2],
-    /// The value this instruction defined, if any (what a [`Watcher`]
-    /// would observe). Present even for writes to the zero register.
-    ///
-    /// [`Watcher`]: crate::Watcher
+    /// The value this instruction defined, if any (what a value
+    /// profiler observes). Present even for writes to the zero register.
     pub dst_value: Option<i64>,
 }
 
@@ -127,11 +125,9 @@ impl TraceSink for VecSink {
     }
 }
 
-/// A [`TraceSink`] that forwards each record to a [`Watcher`]-style
-/// callback together with its commit index. Handy for ad-hoc streaming
-/// consumers in tests and tools.
-///
-/// [`Watcher`]: crate::Watcher
+/// A [`TraceSink`] that forwards each record to a callback together
+/// with its commit index. Handy for ad-hoc streaming consumers in tests
+/// and tools.
 pub struct FnSink<F: FnMut(u64, &TraceRecord)> {
     seen: u64,
     f: F,

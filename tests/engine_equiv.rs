@@ -3,8 +3,9 @@
 //! graph-walking interpreter (`Vm::run_reference*`) on every observable:
 //! `RunOutcome` (steps, halt reason, output digest), the raw output
 //! stream, the full `DynStats` (block counts, class×width histogram,
-//! significance histogram, event counters), the streamed `TraceRecord`
-//! sequence, and the watcher-visible defined-value sequence.
+//! significance histogram, event counters), and the streamed
+//! `TraceRecord` sequence (whose `dst_value` carries every defined
+//! value).
 //!
 //! Coverage: all 8 workloads × {Train, Ref} plus every committed fuzz
 //! corpus case, and the error paths (fuel exhaustion, call-depth
@@ -14,31 +15,15 @@
 //! streaming digest — O(1) memory, still sensitive to any field of any
 //! record.
 //!
-//! The default lowering **fuses superinstructions**, so every flat-vs-
-//! reference comparison above already pins the fused dispatch. On top of
-//! that, the suite pins the fusion A/B directly (fused vs
-//! `lower_unfused`, all observables), the **batched** engine (one
-//! `BatchRunner` interleaving every workload and corpus case at a small
-//! quantum must reproduce each solo run's outcome, output, and
-//! `DynStats` bit-for-bit), and the **no-stats** mode's architectural
-//! results.
+//! On top of that, the suite pins the **no-stats** mode's architectural
+//! results against the statistics-gathering run, and the **quantum
+//! seam** (`Vm::run_quantum`, which the fault campaign slices runs at)
+//! against one uninterrupted no-stats run.
 
 use og_fuzz::corpus;
-use og_program::{InstRef, Program};
-use og_vm::{
-    BatchRunner, DynStats, FlatProgram, FnSink, RunConfig, RunOutcome, TraceRecord, VecSink, Vm,
-    VmError, Watcher,
-};
+use og_program::Program;
+use og_vm::{DynStats, FnSink, Quantum, RunConfig, RunOutcome, TraceRecord, VecSink, Vm, VmError};
 use og_workloads::{by_name, InputSet, NAMES};
-
-/// Watcher that materializes the defined-value stream.
-struct Collect(Vec<(InstRef, i64)>);
-
-impl Watcher for Collect {
-    fn record(&mut self, at: InstRef, value: i64) {
-        self.0.push((at, value));
-    }
-}
 
 /// Everything one run observes.
 struct Observed {
@@ -46,24 +31,18 @@ struct Observed {
     output: Vec<u8>,
     stats: DynStats,
     trace: Vec<TraceRecord>,
-    defined: Vec<(InstRef, i64)>,
 }
 
 fn observe(p: &Program, config: &RunConfig, reference: bool) -> Observed {
     let mut vm = Vm::new(p, config.clone());
     let mut sink = VecSink::new();
-    let mut watcher = Collect(Vec::new());
-    let result = if reference {
-        vm.run_reference_full(&mut watcher, &mut sink)
-    } else {
-        vm.run_full(&mut watcher, &mut sink)
-    };
+    let result =
+        if reference { vm.run_reference_streamed(&mut sink) } else { vm.run_streamed(&mut sink) };
     Observed {
         result,
         output: vm.output().to_vec(),
         stats: vm.stats().clone(),
         trace: sink.into_records(),
-        defined: watcher.0,
     }
 }
 
@@ -73,7 +52,6 @@ fn assert_equivalent(p: &Program, config: &RunConfig, label: &str) {
     assert_eq!(flat.result, reference.result, "{label}: RunOutcome/VmError diverged");
     assert_eq!(flat.output, reference.output, "{label}: output stream diverged");
     assert_eq!(flat.stats, reference.stats, "{label}: DynStats diverged");
-    assert_eq!(flat.defined, reference.defined, "{label}: watcher value stream diverged");
     assert_eq!(flat.trace.len(), reference.trace.len(), "{label}: trace length diverged");
     for (i, (f, r)) in flat.trace.iter().zip(&reference.trace).enumerate() {
         assert_eq!(f, r, "{label}: trace record {i} diverged");
@@ -164,9 +142,9 @@ fn engines_agree_on_every_committed_corpus_case() {
     }
 }
 
-/// Every `(label, program, config)` the batched/fused sweeps cover: all
-/// 8 workloads (Train — the batched interleaving is the point, not run
-/// length) plus every committed corpus case under its recorded budget.
+/// Every `(label, program, config)` the no-stats and quantum sweeps
+/// cover: all 8 workloads (Train) plus every committed corpus case under
+/// its recorded budget.
 fn sweep_programs() -> Vec<(String, Program, RunConfig)> {
     let mut programs: Vec<(String, Program, RunConfig)> = NAMES
         .iter()
@@ -187,65 +165,29 @@ fn sweep_programs() -> Vec<(String, Program, RunConfig)> {
 }
 
 #[test]
-fn fused_dispatch_is_bit_identical_to_unfused_on_workloads_and_corpus() {
+fn quantum_slicing_matches_nostats_on_workloads_and_corpus() {
     for (label, p, config) in &sweep_programs() {
-        let fused = observe(p, config, false);
-        let unfused = {
-            let lowered = FlatProgram::lower_unfused(p, &p.layout());
-            let mut vm = Vm::with_lowered(p, config.clone(), lowered);
-            let mut sink = VecSink::new();
-            let mut watcher = Collect(Vec::new());
-            let result = vm.run_full(&mut watcher, &mut sink);
-            Observed {
-                result,
-                output: vm.output().to_vec(),
-                stats: vm.stats().clone(),
-                trace: sink.into_records(),
-                defined: watcher.0,
-            }
-        };
-        assert_eq!(fused.result, unfused.result, "{label}: RunOutcome/VmError diverged");
-        assert_eq!(fused.output, unfused.output, "{label}: output stream diverged");
-        assert_eq!(fused.stats, unfused.stats, "{label}: DynStats diverged");
-        assert_eq!(fused.defined, unfused.defined, "{label}: watcher value stream diverged");
-        assert_eq!(fused.trace, unfused.trace, "{label}: trace diverged");
-    }
-}
-
-#[test]
-fn batched_execution_matches_solo_on_workloads_and_corpus() {
-    let programs = sweep_programs();
-
-    // Solo runs on the trusted engine, full stats.
-    let solo: Vec<(Result<RunOutcome, VmError>, Vec<u8>, DynStats)> = programs
-        .iter()
-        .map(|(label, p, config)| {
-            let mut vm = Vm::new_verified(p, config.clone())
-                .unwrap_or_else(|e| panic!("{label}: must verify: {e:?}"));
-            let result = vm.run();
-            let output = vm.output().to_vec();
-            let (stats, _) = vm.into_parts();
-            (result, output, stats)
-        })
-        .collect();
-
-    // One BatchRunner interleaving every lane at a deliberately small
-    // quantum, so lanes pause and resume mid-run (including inside
-    // fused windows) many times.
-    let mut runner = BatchRunner::with_quantum(257);
-    for (label, p, config) in &programs {
-        runner.push(
-            Vm::new_verified(p, config.clone())
-                .unwrap_or_else(|e| panic!("{label}: must verify: {e:?}")),
-        );
-    }
-    runner.run_stats();
-    for (lane, (vm, result)) in runner.into_lanes().into_iter().enumerate() {
-        let label = &programs[lane].0;
-        assert_eq!(result, solo[lane].0, "{label}: batched RunOutcome diverged");
-        assert_eq!(vm.output(), &solo[lane].1[..], "{label}: batched output diverged");
-        let (stats, _) = vm.into_parts();
-        assert_eq!(stats, solo[lane].2, "{label}: batched DynStats diverged");
+        let mut whole = Vm::new(p, config.clone());
+        let expected = whole.run_nostats();
+        // A small and a mid-sized quantum, so runs pause and resume
+        // mid-block, mid-call and across calls many times.
+        for quantum in [7, 257] {
+            let mut vm = Vm::new(p, config.clone());
+            let mut resume = None;
+            let result = loop {
+                match vm.run_quantum(resume, quantum) {
+                    Quantum::Paused { ip } => resume = Some(ip),
+                    Quantum::Finished(result) => break result,
+                }
+            };
+            assert_eq!(result, expected, "{label}: quantum {quantum}: outcome diverged");
+            assert_eq!(vm.output(), whole.output(), "{label}: quantum {quantum}: output diverged");
+            assert_eq!(
+                vm.stats().steps,
+                whole.stats().steps,
+                "{label}: quantum {quantum}: steps diverged"
+            );
+        }
     }
 }
 
@@ -253,12 +195,10 @@ fn batched_execution_matches_solo_on_workloads_and_corpus() {
 fn nostats_mode_preserves_architectural_results_on_workloads_and_corpus() {
     for (label, p, config) in &sweep_programs() {
         let (full_result, full_output) = {
-            let mut vm = Vm::new_verified(p, config.clone())
-                .unwrap_or_else(|e| panic!("{label}: must verify: {e:?}"));
+            let mut vm = Vm::new(p, config.clone());
             (vm.run(), vm.output().to_vec())
         };
-        let mut vm = Vm::new_verified(p, config.clone())
-            .unwrap_or_else(|e| panic!("{label}: must verify: {e:?}"));
+        let mut vm = Vm::new(p, config.clone());
         let nostats_result = vm.run_nostats();
         assert_eq!(nostats_result, full_result, "{label}: nostats RunOutcome diverged");
         assert_eq!(vm.output(), &full_output[..], "{label}: nostats output diverged");
