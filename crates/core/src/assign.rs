@@ -30,11 +30,10 @@ use crate::useful::{UsefulPolicy, UsefulWidths};
 use crate::vrp::RangeSolution;
 use og_isa::{IsaExtension, Op, OpClass, Width};
 use og_program::{InstRef, Program};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The result of width assignment.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WidthAssignment {
     /// Final assigned width per instruction (also applied to the program).
     pub assigned: HashMap<InstRef, Width>,

@@ -15,10 +15,9 @@
 //! operations and control flow.
 
 use og_isa::{OpClass, Width};
-use serde::{Deserialize, Serialize};
 
 /// Energy per executed instruction, by operation class and operand width.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AluEnergyTable {
     /// `nj[class.index()][width index]` — energy in nanojoules.
     nj: [[f64; 4]; 13],
@@ -87,7 +86,7 @@ impl AluEnergyTable {
 }
 
 /// Energy costs of the §3.2 guard instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardCosts {
     /// `CostBranch` (nJ per executed branch).
     pub branch: f64,

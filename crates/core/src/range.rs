@@ -9,11 +9,10 @@
 //! conservatively widen to the full signed range of the computation width.
 
 use og_isa::{CmpKind, Width};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A conservative closed interval `[min, max]` of possible signed values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ValueRange {
     /// Smallest possible value.
     pub min: i64,

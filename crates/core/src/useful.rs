@@ -17,10 +17,9 @@
 
 use og_isa::{Op, Operand, Reg, Width};
 use og_program::{DefId, DefUse, Function, InstRef};
-use serde::{Deserialize, Serialize};
 
 /// How far backward "useful" demands propagate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum UsefulPolicy {
     /// No useful-width propagation at all: a conventional VRP that only
     /// tracks significant bits (the "Conventional VRP" of Figure 2).

@@ -30,7 +30,6 @@ use og_isa::{CmpKind, Cond, Inst, Op, Operand, Reg, Width};
 use og_profile::{ProfileConfig, RangeEstimate, ValueProfiler};
 use og_program::{BlockId, FuncId, InstRef, Liveness, Program};
 use og_vm::{DynStats, RunConfig, Vm};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Configuration of a [`VrsPass`].
@@ -80,7 +79,7 @@ impl Default for VrsConfig {
 }
 
 /// What happened to one profiled point (the Figure 4 triage).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidateFate {
     /// Profiling showed no profitable range ("points generates no
     /// benefit").

@@ -130,17 +130,14 @@ pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, CorpusCase)>, String> {
     Ok(out)
 }
 
-/// Serialize `case` to `path` (creating parent directories).
+/// Serialize `case` to `path` atomically, creating parent directories.
 ///
 /// # Errors
 ///
 /// Reports I/O and rendering failures with the target path.
 pub fn save_case(path: &Path, case: &CorpusCase) -> Result<(), String> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent).map_err(|e| format!("{}: {e}", parent.display()))?;
-    }
     let text = og_json::render(&case.to_json()).map_err(|e| format!("{}: {e}", path.display()))?;
-    fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))
+    og_json::store::atomic_write(path, &text)
 }
 
 /// Save a campaign failure into [`failure_dir`] as `<name>.og.json`,

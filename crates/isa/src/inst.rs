@@ -1,12 +1,11 @@
 //! Instructions: operands, targets and the [`Inst`] type.
 
 use crate::{CmpKind, Cond, Op, Reg, Width};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The second source operand of an instruction: absent, a register, or an
 /// immediate (Alpha's literal form).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// No second operand.
     None,
@@ -52,7 +51,7 @@ impl From<i64> for Operand {
 ///
 /// Block and function identifiers are plain indices whose meaning is given
 /// by the containing program representation (`og-program`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Target {
     /// Not a control transfer.
     None,
@@ -104,7 +103,7 @@ impl TargetShape {
 }
 
 /// A memory reference `disp(base)` as used by loads and stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRef {
     /// Base address register.
     pub base: Reg,
@@ -131,7 +130,7 @@ pub struct MemRef {
 ///
 /// Construct instructions with the typed constructors ([`Inst::alu`],
 /// [`Inst::load`], …) which check these invariants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Inst {
     /// The operation.
     pub op: Op,

@@ -2,12 +2,11 @@
 //! operation classes.
 
 use crate::inst::TargetShape;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Comparison kinds for [`Op::Cmp`], mirroring Alpha's `CMPEQ`, `CMPLT`,
 /// `CMPLE`, `CMPULT` and `CMPULE` (a result of 1 means the predicate holds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CmpKind {
     /// Equal.
     Eq,
@@ -78,7 +77,7 @@ impl CmpKind {
 /// Conditions tested against zero, used by conditional branches
 /// ([`Op::Bc`]) and conditional moves ([`Op::Cmov`]); Alpha's `BEQ`/`BNE`/…
 /// and `CMOVEQ`/`CMOVNE`/… family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Cond {
     /// Value is zero.
     Eq,
@@ -168,7 +167,7 @@ impl Cond {
 /// * **observable output** — `Out`, which appends the low `width` bytes of
 ///   a register to the program's output stream and anchors the "useful"
 ///   range analysis (output bytes are semantically relevant by definition).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Two's-complement addition (`ADDQ`/`ADDL`/… family).
     Add,
@@ -496,7 +495,7 @@ impl fmt::Display for Op {
 
 /// Operation classes used for Table 3, the energy model (per-class energy
 /// costs) and statistics reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpClass {
     /// Additions (incl. address arithmetic, immediates, extensions).
     Add,
@@ -605,7 +604,7 @@ impl fmt::Display for OpClass {
 
 /// Functional-unit kinds (Table 2: 3 int ALUs, 1 int mul/div, 3 FP ALUs,
 /// 1 FP mul/div; our integer workloads exercise the integer units).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FuKind {
     /// Integer ALU.
     IntAlu,

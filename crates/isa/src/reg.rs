@@ -1,6 +1,5 @@
 //! Architectural integer registers, following Alpha naming conventions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the 32 architectural integer registers.
@@ -27,7 +26,7 @@ use std::fmt;
 /// assert_eq!(Reg::parse("r9"), Some(Reg::S0));
 /// assert_eq!(Reg::T0.to_string(), "t0");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(u8);
 
 impl Reg {

@@ -1,6 +1,5 @@
 //! Operand widths and two's-complement width arithmetic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An operand width: the number of bytes of a value that an instruction
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(Width::B.sext(0x1_7F), 0x7F);
 /// assert_eq!(Width::B.sext(0xFF), -1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 #[derive(Default)]
 pub enum Width {

@@ -17,11 +17,10 @@
 //! energy on the wider data path.
 
 use crate::{Op, Width};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A set of available operand widths, stored as a 4-bit mask.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WidthSet(u8);
 
 impl WidthSet {
@@ -97,7 +96,7 @@ impl fmt::Debug for WidthSet {
 }
 
 /// How far the ISA's width-annotated opcodes extend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IsaExtension {
     /// Stock Alpha: 32/64-bit add/sub/mul, 64-bit logic, shifts, compares
     /// and conditional moves; all memory widths; byte-manipulation ops.

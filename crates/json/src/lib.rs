@@ -1,8 +1,11 @@
 //! # og-json: the hand-rolled JSON layer behind the study cache
 //!
-//! The build environment has no crates.io access, so the workspace cannot
-//! use the real `serde`/`serde_json`. This crate supplies the small,
-//! fully-offline JSON stack that `og-lab`'s on-disk study cache needs:
+//! The workspace's one serialization path: `og-lab`'s on-disk study
+//! cache, `og-serve`'s keyed store and the fuzz corpus all read and write
+//! through this small, fully-offline JSON stack. It owns the encoding
+//! because the encoding is part of the cache format (see *Number
+//! encoding*: a generic serializer would write large `u64`s as numbers
+//! and change the cached bytes):
 //!
 //! * a [`Json`] value model (`Null`, `Bool`, `Num`, `Str`, `Arr`, `Obj`)
 //!   whose objects preserve key order;
@@ -28,10 +31,6 @@
 //! positioned error rather than loaded corrupted. Floats round-trip
 //! exactly: Rust's shortest `Display` output re-parses to the identical
 //! bits.
-//!
-//! The compat `serde_json` shim re-exports [`to_string`]/[`from_str`] so
-//! swapping the workspace back to the real serde stack needs no source
-//! changes at the call sites.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,15 +1,16 @@
 //! A digest-keyed, capacity-bounded on-disk JSON store.
 //!
-//! Generalizes the single-file study cache `og-lab` grew in PR 2 into a
-//! reusable primitive: any number of JSON documents, each addressed by a
-//! 128-bit digest, living as individual files in one directory. The
-//! durability discipline is the one the study cache proved out:
+//! Any number of JSON documents, each addressed by a 128-bit digest,
+//! living as individual files in one directory: `og-serve` persists run
+//! results in one, and `og-lab`'s study cache is a one-entry store keyed
+//! by the study version. The durability discipline:
 //!
 //! * **Atomic writes** — every document is written to a
 //!   `<name>.tmp.<pid>.<seq>` sibling and `rename`d into place
-//!   ([`atomic_write`], shared with `og-lab`'s cache), so concurrent
-//!   writers — across processes (pid) or threads within one (seq) —
-//!   never leave a torn file for a reader to observe.
+//!   ([`atomic_write`], which bench reports and fuzz corpus files also
+//!   write through), so concurrent writers — across processes (pid) or
+//!   threads within one (seq) — never leave a torn file for a reader to
+//!   observe.
 //! * **Exact-name reads** — [`KeyedStore::get`] opens exactly
 //!   `prefix-<digest>.json` and nothing else; a crash-orphaned tmp file
 //!   can therefore never be read as an entry, only swept.

@@ -36,20 +36,24 @@
 //! JSON (via the in-tree `og-json` layer) and in the process behind
 //! [`shared_study`]'s `OnceLock`:
 //!
-//! * **Path** — `og-study-v{`[`STUDY_VERSION`]`}.json` under
+//! * **Path** — the cache is a one-entry [`KeyedStore`] keyed by
+//!   [`STUDY_VERSION`]: `og-study-<version as 32 hex digits>.json`
+//!   (today `og-study-00000000000000000000000000000009.json`) under
 //!   `$CARGO_TARGET_DIR` (default: the workspace `target/`), or under
-//!   `$OG_STUDY_DIR` when set.
-//! * **Versioning** — [`STUDY_VERSION`] is stamped both into the file
-//!   name and the JSON body; bump it when pipeline semantics change. A
-//!   cache whose body version disagrees, or that fails to parse, is
-//!   removed together with any other stale `og-study-v*.json` files, one
-//!   explanatory line goes to stderr, and the study is recomputed.
-//! * **Atomicity** — writes go to `og-study-v*.json.tmp.<pid>.<seq>` in
-//!   the same directory and are `rename`d into place, so concurrent
-//!   writers (bench processes or threads) never leave a torn file for a
-//!   reader to observe; write failures are reported on stderr (the
-//!   study is still returned). Crash-orphaned tmp files are swept by
-//!   the next recompute once they are old enough to be provably dead.
+//!   `$OG_STUDY_DIR` when set. [`study_cache_path`] names it.
+//! * **Versioning** — [`STUDY_VERSION`] is stamped both into the key and
+//!   the JSON body; bump it when pipeline semantics change. A cache whose
+//!   body version disagrees, that is not a study, or that is unreadable
+//!   is stale: one explanatory line goes to stderr and the study is
+//!   recomputed. An entry that fails to parse is removed by the store
+//!   itself. With capacity 1, storing the recomputed study evicts every
+//!   other version's entry.
+//! * **Atomicity** — the store writes each entry to a `.tmp.<pid>.<seq>`
+//!   sibling and `rename`s it into place, so concurrent writers (bench
+//!   processes or threads) never leave a torn file for a reader to
+//!   observe; write failures are reported on stderr (the study is still
+//!   returned). Every cache miss sweeps crash-orphaned tmp files once
+//!   they are old enough to be provably dead ([`TMP_DEBRIS_AGE`]).
 //! * **`OG_STUDY_NOCACHE=1`** — bypass the cache entirely: neither read
 //!   nor written. Delete the file instead to force one recompute that
 //!   refreshes the cache.
@@ -70,14 +74,15 @@ pub use pipeline::{run_lowered, run_program, RunError};
 pub use pool::WorkerPool;
 
 use og_isa::OpClass;
+use og_json::store::{KeyedStore, TMP_DEBRIS_AGE};
+use og_json::{FromJson, ToJson};
 use og_power::{ed2_improvement, EnergyModel, EnergyReport, GatingScheme};
 use og_sim::{ActivityCounts, CycleStats, Structure};
 use og_vm::{RunConfig, Vm};
 use og_workloads::{by_name, InputSet, NAMES};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -94,7 +99,7 @@ use std::sync::OnceLock;
 pub const STUDY_VERSION: u32 = 9;
 
 /// A software mechanism applied to the program before measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mech {
     /// Unmodified program.
     Baseline,
@@ -140,7 +145,7 @@ impl Mech {
 }
 
 /// VRS bookkeeping carried into the summaries (Figures 4–6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VrsSummary {
     /// Points profiled.
     pub profiled: usize,
@@ -157,7 +162,7 @@ pub struct VrsSummary {
 }
 
 /// One (benchmark, mechanism) measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Benchmark name.
     pub bench: String,
@@ -189,7 +194,7 @@ impl RunSummary {
 }
 
 /// The full study: all benchmarks × mechanisms.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Study {
     /// Version stamp of the pipeline that produced this study.
     pub version: u32,
@@ -356,90 +361,49 @@ pub fn run_pipeline(bench: &str, mech: Mech, expected_digest: Option<u64>) -> Ru
         .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"))
 }
 
-/// The directory study caches live in: `$OG_STUDY_DIR` if set, else
-/// `$CARGO_TARGET_DIR`, else the workspace `target/`.
-fn cache_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os("OG_STUDY_DIR") {
-        return PathBuf::from(dir);
-    }
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| {
+/// `$CARGO_TARGET_DIR`, else the workspace `target/`: where the study
+/// cache and the `BENCH_*.json` reports go unless their own variable
+/// overrides it.
+pub(crate) fn target_dir() -> PathBuf {
+    std::env::var_os("CARGO_TARGET_DIR").map_or_else(
         // Walk up from the crate dir to the workspace target dir.
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target").to_string()
-    });
-    PathBuf::from(target)
+        || PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")),
+        PathBuf::from,
+    )
+}
+
+/// The directory the study cache lives in: `$OG_STUDY_DIR` if set, else
+/// [`target_dir`].
+fn cache_dir() -> PathBuf {
+    std::env::var_os("OG_STUDY_DIR").map_or_else(target_dir, PathBuf::from)
+}
+
+/// The key the current-version study is stored under.
+const STUDY_KEY: u128 = STUDY_VERSION as u128;
+
+/// The study cache: a one-entry [`KeyedStore`] keyed by version, so
+/// storing the current study evicts every other version's entry.
+fn study_store() -> KeyedStore {
+    KeyedStore::new(cache_dir(), "og-study", 1)
 }
 
 /// Where [`run_study`] caches the current-version study.
 pub fn study_cache_path() -> PathBuf {
-    cache_dir().join(format!("og-study-v{STUDY_VERSION}.json"))
+    study_store().path_of(STUDY_KEY)
 }
 
-/// Why the cache could not serve a study.
-enum CacheMiss {
-    /// No cache file for the current version exists.
-    Absent,
-    /// A file exists but is unreadable, unparsable, or version-mismatched.
-    Invalid(String),
-}
-
-fn load_cache(path: &Path) -> Result<Study, CacheMiss> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(CacheMiss::Absent),
-        Err(e) => return Err(CacheMiss::Invalid(format!("unreadable: {e}"))),
+/// The cached current-version study, `Ok(None)` if there is none, or why
+/// the entry is stale: unreadable, corrupt (the store has already
+/// removed it), not a study, or stamped with another body version.
+fn load_cache(store: &KeyedStore) -> Result<Option<Study>, String> {
+    let Some(json) = store.get(STUDY_KEY).map_err(|e| e.to_string())? else {
+        return Ok(None);
     };
-    let study: Study =
-        serde_json::from_str(&text).map_err(|e| CacheMiss::Invalid(format!("unparsable: {e}")))?;
+    let study = Study::from_json(&json).map_err(|e| format!("unparsable: {e}"))?;
     if study.version != STUDY_VERSION {
-        return Err(CacheMiss::Invalid(format!(
-            "body version {} != current {STUDY_VERSION}",
-            study.version
-        )));
+        return Err(format!("body version {} != current {STUDY_VERSION}", study.version));
     }
-    Ok(study)
-}
-
-/// How old a `*.json.tmp.*` file must be before the stale sweep may
-/// delete it. A live writer finishes in well under a minute (the full
-/// study serializes to ~160 KB); anything older is crash debris.
-const TMP_DEBRIS_AGE: std::time::Duration = std::time::Duration::from_secs(15 * 60);
-
-/// Remove every `og-study-v*.json` in `dir` — old pipeline versions and
-/// corrupt current-version files alike — plus any `*.json.tmp.*` debris
-/// a crashed writer left behind. Tmp files younger than
-/// [`TMP_DEBRIS_AGE`] are spared: they may belong to a live
-/// [`save_cache`] in another process, whose rename would fail if the
-/// sweep deleted them mid-write. Returns the removed file names.
-fn remove_stale_caches(dir: &Path) -> Vec<String> {
-    let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
-    let mut removed = Vec::new();
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let stale = name.starts_with("og-study-v")
-            && (name.ends_with(".json")
-                || (name.contains(".json.tmp.")
-                    && entry
-                        .metadata()
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|t| t.elapsed().ok())
-                        .is_some_and(|age| age > TMP_DEBRIS_AGE)));
-        if stale {
-            match std::fs::remove_file(entry.path()) {
-                Ok(()) => removed.push(name),
-                Err(e) => eprintln!("og-lab: failed to remove stale cache {name}: {e}"),
-            }
-        }
-    }
-    removed
-}
-
-/// Serialize `study` and move it into place atomically via
-/// [`og_json::store::atomic_write`] — the `tmp.<pid>.<seq>` + rename
-/// discipline this cache pioneered, now shared with the keyed store.
-fn save_cache(path: &Path, study: &Study) -> Result<(), String> {
-    let text = serde_json::to_string(study).map_err(|e| format!("serialize failed: {e}"))?;
-    og_json::store::atomic_write(path, &text)
+    Ok(Some(study))
 }
 
 /// Times this process fell through to a full study computation. The
@@ -466,19 +430,18 @@ pub fn run_study_with(compute: impl FnOnce() -> Study) -> Study {
     if std::env::var_os("OG_STUDY_NOCACHE").is_some() {
         return compute();
     }
-    let path = study_cache_path();
-    match load_cache(&path) {
-        Ok(study) => return study,
-        Err(CacheMiss::Absent) => {
-            eprintln!("og-lab: no study cache at {}; computing", path.display());
-        }
-        Err(CacheMiss::Invalid(why)) => {
+    let store = study_store();
+    let path = store.path_of(STUDY_KEY);
+    match load_cache(&store) {
+        Ok(Some(study)) => return study,
+        Ok(None) => eprintln!("og-lab: no study cache at {}; computing", path.display()),
+        Err(why) => {
             eprintln!("og-lab: study cache {} is stale ({why}); recomputing", path.display());
         }
     }
-    let removed = remove_stale_caches(&cache_dir());
-    if !removed.is_empty() {
-        eprintln!("og-lab: removed stale study cache file(s): {}", removed.join(", "));
+    let swept = store.sweep_debris(TMP_DEBRIS_AGE);
+    if !swept.is_empty() {
+        eprintln!("og-lab: removed study cache debris: {}", swept.join(", "));
     }
     assert!(
         std::env::var_os("OG_STUDY_REQUIRE_CACHE").is_none(),
@@ -486,8 +449,13 @@ pub fn run_study_with(compute: impl FnOnce() -> Study) -> Study {
         path.display()
     );
     let study = compute();
-    match save_cache(&path, &study) {
-        Ok(()) => eprintln!("og-lab: study cached at {}", path.display()),
+    match store.put(STUDY_KEY, &study.to_json()) {
+        Ok(evicted) => {
+            eprintln!("og-lab: study cached at {}", path.display());
+            if !evicted.is_empty() {
+                eprintln!("og-lab: evicted study cache version(s) {evicted:?}");
+            }
+        }
         Err(e) => eprintln!("og-lab: failed to write study cache: {e}"),
     }
     study

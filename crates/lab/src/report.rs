@@ -11,16 +11,11 @@ use std::path::PathBuf;
 /// Where `BENCH_*.json` reports go: `$OG_BENCH_OUT` if set, else
 /// `$CARGO_TARGET_DIR`, else the workspace `target/`.
 pub fn bench_out_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os("OG_BENCH_OUT") {
-        return PathBuf::from(dir);
-    }
-    let target = std::env::var("CARGO_TARGET_DIR")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../target").to_string());
-    PathBuf::from(target)
+    std::env::var_os("OG_BENCH_OUT").map_or_else(crate::target_dir, PathBuf::from)
 }
 
-/// Write `report` as `target/BENCH_<name>.json` and return the path
-/// actually written.
+/// Write `report` as `target/BENCH_<name>.json` (atomically, creating
+/// the directory if needed) and return the path actually written.
 ///
 /// # Errors
 ///
@@ -31,7 +26,7 @@ pub fn write_bench_report(name: &str, report: &Json) -> Result<PathBuf, String> 
     let path = bench_out_dir().join(format!("BENCH_{name}.json"));
     let text = og_json::render(report)
         .map_err(|e| format!("BENCH_{name} report is not renderable: {e}"))?;
-    std::fs::write(&path, text).map_err(|e| format!("failed to write {}: {e}", path.display()))?;
+    og_json::store::atomic_write(&path, &text)?;
     Ok(path)
 }
 
@@ -42,7 +37,8 @@ mod tests {
     #[test]
     fn writes_where_it_says() {
         let dir = std::env::temp_dir().join(format!("og-report-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        // Not there yet: the write creates it.
+        let _ = std::fs::remove_dir_all(&dir);
         std::env::set_var("OG_BENCH_OUT", &dir);
         let path =
             write_bench_report("selftest", &Json::Obj(vec![("ok".into(), Json::Bool(true))]))

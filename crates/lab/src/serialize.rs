@@ -1,12 +1,10 @@
 //! JSON encodings of the study types, over the `og-json` layer.
 //!
-//! Hand-written (the offline serde stand-ins are marker traits with no
-//! reflection), mirroring what `#[derive]` + real `serde_json` would
-//! produce: structs as objects with field-named keys, unit enum variants
-//! as strings, payload variants as single-field objects
-//! (`{"Vrs": 110}`), tuples and fixed-size arrays as arrays. `u64`
-//! values above 2⁵³ (output digests) become decimal strings — see
-//! [`og_json::MAX_SAFE_INT`].
+//! Hand-written, in the conventional shape: structs as objects with
+//! field-named keys, unit enum variants as strings, payload variants as
+//! single-field objects (`{"Vrs": 110}`), tuples and fixed-size arrays as
+//! arrays. `u64` values above 2⁵³ (output digests) become decimal
+//! strings — see [`og_json::MAX_SAFE_INT`].
 //!
 //! Every impl here is exercised by the round-trip suite in
 //! `tests/study_cache.rs`.

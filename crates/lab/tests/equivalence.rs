@@ -13,8 +13,12 @@
 //! (read-only here; the benchmark owns it): fnv1a of the serialized
 //! summary, plus cycles and instructions in clear so a failure says what
 //! moved.
+//!
+//! The fault campaign's masked/SDC/detected/hang taxonomy is pinned the
+//! same way, against the committed `perfbench/expected/fault_sweep.json`.
 
 use og_json::Json;
+use og_lab::fault::{run_fault_campaign, FaultCampaignConfig};
 use og_lab::{run_program, shared_study, Mech, RunSummary, WorkerPool, STUDY_VERSION};
 use og_vm::{fnv1a, RunConfig};
 use og_workloads::{by_name, InputSet, NAMES};
@@ -102,12 +106,46 @@ fn run_program_reproduces_every_cached_summary_byte_identically() {
         // Byte-level, not just PartialEq: the serialized form is what
         // the cache file and the service's keyed store actually hold.
         assert_eq!(
-            serde_json::to_string(summary).unwrap(),
-            serde_json::to_string(cached).unwrap(),
+            og_json::to_string(summary).unwrap(),
+            og_json::to_string(cached).unwrap(),
             "serialized bytes diverged for {}/{:?}",
             cached.bench,
             cached.mech
         );
         check_against_golden(summary, &golden);
     }
+}
+
+/// The fault campaign at the benchmark's settings (seed `0xFA017`, 48
+/// strikes per workload, Ref inputs) must reproduce the committed
+/// per-workload taxonomy exactly.
+#[test]
+fn fault_taxonomy_matches_the_committed_sweep() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../perfbench/expected/fault_sweep.json");
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let json = og_json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let rows = json.get("per_workload").and_then(Json::as_arr).expect("a `per_workload` array");
+    let committed: Vec<(String, [u64; 5])> = rows
+        .iter()
+        .map(|row| {
+            let bench = row.get("bench").and_then(Json::as_str).expect("`bench`").to_string();
+            let n = |key: &str| row.field::<u64>(key).unwrap_or_else(|e| panic!("{path}: {e}"));
+            (bench, [n("golden_steps"), n("masked"), n("sdc"), n("detected"), n("hang")])
+        })
+        .collect();
+
+    let report = run_fault_campaign(&FaultCampaignConfig {
+        seed: 0x0FA_017,
+        strikes_per_workload: 48,
+        input: InputSet::Ref,
+    });
+    let fresh: Vec<(String, [u64; 5])> = report
+        .per_workload
+        .iter()
+        .map(|(bench, steps, c)| (bench.clone(), [*steps, c.masked, c.sdc, c.detected, c.hang]))
+        .collect();
+    assert_eq!(
+        fresh, committed,
+        "per-workload [golden_steps, masked, sdc, detected, hang] moved from the committed sweep"
+    );
 }

@@ -76,10 +76,10 @@ fn synthetic_study(digest: u64, cost: u32, frac: f64) -> Study {
 }
 
 #[test]
-fn study_roundtrips_through_serde_json() {
+fn study_roundtrips_through_og_json() {
     let study = synthetic_study(u64::MAX, 110, 0.1);
-    let text = serde_json::to_string(&study).expect("study serializes");
-    let back: Study = serde_json::from_str(&text).expect("study deserializes");
+    let text = og_json::to_string(&study).expect("study serializes");
+    let back: Study = og_json::from_str(&text).expect("study deserializes");
     assert_eq!(back, study);
     // The digest exceeds 2^53, so it must have taken the string encoding.
     assert!(text.contains(&format!("\"{}\"", u64::MAX)), "extreme u64 must be string-encoded");
@@ -88,11 +88,11 @@ fn study_roundtrips_through_serde_json() {
 #[test]
 fn study_rejects_tampered_text() {
     let study = synthetic_study(1, 30, 0.5);
-    let text = serde_json::to_string(&study).unwrap();
-    assert!(serde_json::from_str::<Study>(&text[..text.len() - 2]).is_err(), "truncated");
-    assert!(serde_json::from_str::<Study>(&format!("{text}{{}}")).is_err(), "trailing garbage");
+    let text = og_json::to_string(&study).unwrap();
+    assert!(og_json::from_str::<Study>(&text[..text.len() - 2]).is_err(), "truncated");
+    assert!(og_json::from_str::<Study>(&format!("{text}{{}}")).is_err(), "trailing garbage");
     assert!(
-        serde_json::from_str::<Study>(&text.replace("\"Baseline\"", "\"Mystery\"")).is_err(),
+        og_json::from_str::<Study>(&text.replace("\"Baseline\"", "\"Mystery\"")).is_err(),
         "unknown mechanism"
     );
 }
@@ -104,8 +104,8 @@ proptest! {
     fn arbitrary_studies_roundtrip(digest in any::<u64>(), cost in 0u32..=200, num in any::<i64>()) {
         let frac = num as f64 / (1u64 << 40) as f64;
         let study = synthetic_study(digest, cost, frac);
-        let text = serde_json::to_string(&study).expect("study serializes");
-        let back: Study = serde_json::from_str(&text).expect("study deserializes");
+        let text = og_json::to_string(&study).expect("study serializes");
+        let back: Study = og_json::from_str(&text).expect("study deserializes");
         prop_assert_eq!(back, study);
     }
 }
@@ -145,7 +145,7 @@ fn cache_lifecycle() {
     let dir = std::env::temp_dir().join(format!("og-study-cache-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::env::set_var("OG_STUDY_DIR", &dir);
-    let current = format!("og-study-v{STUDY_VERSION}.json");
+    let current = format!("og-study-{STUDY_VERSION:032x}.json");
     let reference = synthetic_study(u64::MAX - 17, 90, 0.375);
 
     // Cold: computes once and writes the cache atomically (no tmp debris).
@@ -167,11 +167,13 @@ fn cache_lifecycle() {
     assert!(std::ptr::eq(shared_a, shared_b));
     assert_eq!(*shared_a, reference);
 
-    // Stale: an old-version leftover, an old crash-orphaned tmp file, and
-    // a corrupt current file are all removed (a *fresh* tmp file — maybe a
-    // live writer in another process — is spared), and the recompute
+    // Stale: an old-version entry (evicted by the store's capacity of
+    // one), an old crash-orphaned tmp file (swept as debris) and a corrupt
+    // current entry (removed on read) all go (a *fresh* tmp file — maybe
+    // a live writer in another process — is spared), and the recompute
     // repopulates a valid cache.
-    std::fs::write(dir.join("og-study-v3.json"), "{\"version\": 3}").unwrap();
+    std::fs::write(dir.join("og-study-00000000000000000000000000000003.json"), "{\"version\": 3}")
+        .unwrap();
     let orphan = dir.join(format!("{current}.tmp.999999.0"));
     std::fs::write(&orphan, "{\"version\"").unwrap();
     std::fs::File::options()
@@ -197,9 +199,11 @@ fn cache_lifecycle() {
     // A body-version mismatch (file name right, payload stale) recomputes.
     let mut old = reference.clone();
     old.version = STUDY_VERSION - 1;
-    std::fs::write(&path, serde_json::to_string(&old).unwrap()).unwrap();
+    std::fs::write(&path, og_json::to_string(&old).unwrap()).unwrap();
     let study = run_study_with(|| reference.clone());
     assert_eq!(study, reference);
+    let warm = run_study_with(|| panic!("the recompute must overwrite the stale entry"));
+    assert_eq!(warm, reference);
 
     // OG_STUDY_NOCACHE: neither read nor written.
     std::env::set_var("OG_STUDY_NOCACHE", "1");

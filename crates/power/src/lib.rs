@@ -30,10 +30,9 @@
 
 use og_json::{FromJson, Json, ToJson};
 use og_sim::{ActivityCounts, SchemeBytes, StructActivity, Structure};
-use serde::{Deserialize, Serialize};
 
 /// An operand-gating scheme to price activity under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GatingScheme {
     /// No gating: the baseline machine.
     None,
@@ -91,7 +90,7 @@ impl GatingScheme {
 
 /// Energy parameters of one structure: nJ per access plus nJ per active
 /// byte lane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StructEnergy {
     /// Width-independent energy per access.
     pub fixed_nj: f64,
@@ -106,7 +105,7 @@ pub struct StructEnergy {
 /// fraction calibrated so the software scheme's savings match the paper's
 /// Figure 3 profile (FUs ≈ 18%, queue/regfile/buses ≈ 15%, LSQ and L1D
 /// small).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyModel {
     params: [StructEnergy; 12],
 }
@@ -137,7 +136,7 @@ impl Default for EnergyModel {
 }
 
 /// Energy of a run, broken down by structure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyReport {
     per_struct: [f64; 12],
     /// Total energy in nJ.

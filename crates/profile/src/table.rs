@@ -1,10 +1,8 @@
 //! The fixed-size value table with LFU cleaning.
 
-use serde::{Deserialize, Serialize};
-
 /// Profiler tuning parameters (defaults follow the Calder et al. scheme
 /// with a small table, as in the paper).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileConfig {
     /// Maximum distinct values tracked per site.
     pub table_size: usize,
@@ -20,7 +18,7 @@ impl Default for ProfileConfig {
 }
 
 /// A candidate specialization range extracted from a profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RangeEstimate {
     /// Lower bound (inclusive).
     pub min: i64,
@@ -32,7 +30,7 @@ pub struct RangeEstimate {
 }
 
 /// One profiling site's fixed-size value table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValueTable {
     entries: Vec<(i64, u64)>,
     table_size: usize,

@@ -1,7 +1,5 @@
 //! A compact growable bit set used by the dataflow analyses.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-capacity bit set over `usize` indices.
 ///
 /// ```
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(s.contains(63) && s.contains(64) && !s.contains(8));
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![7, 63, 64]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,

@@ -1,6 +1,5 @@
 //! The static data segment: named, initialized global memory.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Base address of the global data segment.
@@ -18,7 +17,7 @@ pub const STACK_BASE: u64 = 0x14_0000_0000;
 pub const STACK_SIZE: u64 = 1 << 20;
 
 /// One named data item.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataItem {
     /// Symbol name.
     pub name: String,
@@ -29,7 +28,7 @@ pub struct DataItem {
 }
 
 /// The program's static data segment.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataSegment {
     items: Vec<DataItem>,
     by_name: HashMap<String, usize>,

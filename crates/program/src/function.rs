@@ -2,11 +2,10 @@
 
 use crate::{BlockId, FuncId, InstRef};
 use og_isa::{Inst, Op, Target};
-use serde::{Deserialize, Serialize};
 
 /// A basic block: straight-line instructions ended by exactly one
 /// terminator (`br`, conditional branch, `ret` or `halt`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Human-readable label (unique within the function).
     pub label: String,
@@ -37,7 +36,7 @@ impl Block {
 ///
 /// Arguments arrive in `a0`–`a5` and the result is returned in `v0`,
 /// following the Alpha C calling convention described at [`og_isa::Reg`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// This function's id within its program.
     pub id: FuncId,

@@ -1,14 +1,13 @@
 //! Typed identifiers for functions, blocks and instructions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a function within a [`crate::Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FuncId(pub u32);
 
 /// Identifies a basic block within a [`crate::Function`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u32);
 
 impl FuncId {
@@ -42,7 +41,7 @@ impl fmt::Display for BlockId {
 /// A static instruction location: function, block, and index within the
 /// block. This is the identity the profiler, the specializer and the
 /// dynamic statistics all key on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstRef {
     /// Containing function.
     pub func: FuncId,
@@ -69,7 +68,7 @@ impl fmt::Display for InstRef {
 /// index. Block-level diagnostics (an empty block, a block missing its
 /// terminator's successor, …) carry this instead of an [`InstRef`] whose
 /// `idx` would be meaningless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockRef {
     /// Containing function.
     pub func: FuncId,

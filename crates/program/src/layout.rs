@@ -3,7 +3,6 @@
 //! predictors.
 
 use crate::{BlockId, FuncId, InstRef, Program};
-use serde::{Deserialize, Serialize};
 
 /// Nominal instruction size in bytes (fixed-size fetch slots, like Alpha's
 /// 4-byte words scaled to OGA-64's 8-byte encoding words).
@@ -13,7 +12,7 @@ pub const INST_BYTES: u64 = 8;
 pub const TEXT_BASE: u64 = 0x0040_0000;
 
 /// The computed address layout of a program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
     /// `block_addr[f][b]` = address of the first instruction of block `b`
     /// of function `f`.

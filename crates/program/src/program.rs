@@ -2,11 +2,10 @@
 
 use crate::{DataSegment, FuncId, InstRef, Layout};
 use og_isa::{IsaExtension, OpClass, Width};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A whole program: functions, an entry point, and a static data segment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Functions; `FuncId` indexes into this vector.
     pub funcs: Vec<crate::Function>,
@@ -154,7 +153,7 @@ fn width_index(w: Width) -> usize {
 }
 
 /// Static instruction statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StaticStats {
     /// Total instruction count.
     pub total: usize,

@@ -6,11 +6,10 @@
 //! power model can price any scheme from one simulation run.
 
 use og_json::{FromJson, Json, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// The data-path structures the paper reports energy for (Figures 3, 9
 /// and 14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Structure {
     /// Rename map table.
     Rename,
@@ -110,7 +109,7 @@ impl Structure {
 }
 
 /// Accumulated active-byte counts under each gating scheme.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchemeBytes {
     /// No gating: full 8-byte lanes.
     pub none: u64,
@@ -136,7 +135,7 @@ pub fn round_size_class(bytes: u8) -> u8 {
 }
 
 /// One structure's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StructActivity {
     /// Total accesses.
     pub accesses: u64,
@@ -148,7 +147,7 @@ pub struct StructActivity {
 }
 
 /// Activity counts for the whole run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ActivityCounts {
     structs: [StructActivity; 12],
 }

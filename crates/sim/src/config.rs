@@ -1,10 +1,8 @@
 //! Machine configuration (the paper's Table 2).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the simulated machine. [`MachineConfig::default`] is the
 /// paper's Table 2 configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Instructions fetched per cycle.
     pub fetch_width: u32,

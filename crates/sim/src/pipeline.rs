@@ -27,7 +27,6 @@ use crate::config::MachineConfig;
 use og_isa::{FuKind, Op};
 use og_json::{FromJson, Json, ToJson};
 use og_vm::{TraceRecord, TraceSink};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A per-cycle bandwidth-limited resource.
@@ -59,7 +58,7 @@ impl Ring {
 }
 
 /// Timing statistics of a simulation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CycleStats {
     /// Total cycles to commit the whole trace.
     pub cycles: u64,
@@ -125,7 +124,7 @@ impl FromJson for CycleStats {
 }
 
 /// Simulation output: timing plus per-structure activity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Timing statistics.
     pub stats: CycleStats,

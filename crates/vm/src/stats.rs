@@ -2,11 +2,10 @@
 
 use og_isa::{OpClass, Width};
 use og_program::{BlockId, FuncId, InstRef};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Statistics gathered during a [`crate::Vm`] run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DynStats {
     /// Committed (architectural) instruction count.
     pub steps: u64,

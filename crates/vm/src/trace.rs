@@ -3,7 +3,6 @@
 //! tests) without materializing the trace.
 
 use og_isa::{Op, Reg, Width};
-use serde::{Deserialize, Serialize};
 
 /// One committed instruction, with everything the out-of-order timing
 /// model and the width-aware power model need:
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 ///   significance/size-compression schemes of §4.6),
 /// * the defined value itself, so value profilers can ride the same
 ///   stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Address of this instruction.
     pub pc: u64,

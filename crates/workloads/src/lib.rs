@@ -42,13 +42,12 @@ mod kernels;
 
 use og_program::rng::SplitMix64;
 use og_program::Program;
-use serde::{Deserialize, Serialize};
 
 pub use kernels::{compress, gcc, go, ijpeg, li, m88ksim, perl, vortex};
 
 /// Which input set to build a workload with (paper §4.1: train inputs for
 /// profiling, reference inputs for evaluation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InputSet {
     /// The (smaller) training input used for VRS profiling.
     Train,
