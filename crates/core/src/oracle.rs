@@ -6,22 +6,24 @@
 //! module packages that claim as a callable check so the hand-written
 //! test suites and the `og-fuzz` random campaign share one oracle.
 //!
-//! The oracle also cross-checks the two execution paths PR 3 introduced:
-//! the *fused* run (`Vm::run_streamed` into a sink) and the *plain* run
-//! must agree on output, step count, and trace-chain invariants
-//! (`next_pc` of record *i* equals `pc` of record *i+1*, one record per
-//! committed instruction). Since the pre-decoded flat engine became the
-//! default, the two paths also sit on **different engines**: the fused
-//! run executes the flat pre-decoded form while the plain run uses the
-//! reference graph-walking interpreter (`Vm::run_reference`), so every
-//! fuzz case and every battery run differentially tests the engines
-//! against each other for free.
+//! The oracle runs the untransformed program on three **baseline legs**,
+//! all on the one verified lowering: the *fused* run (`Vm::run_streamed`
+//! into a sink: the flat engine with statistics), the *plain* run
+//! (`Vm::run_reference`: the reference graph-walking interpreter) and
+//! the *no-stats* run (`Vm::run_quantum`: the flat engine's
+//! statistics-free loop, paused and resumed every 7 steps). Fused and
+//! no-stats must each match the plain run's output bytes, step count and
+//! output digest, and the fused trace must keep the trace-chain
+//! invariants (`next_pc` of record *i* equals `pc` of record *i+1*, one
+//! record per committed instruction). Every fuzz case, shrink candidate
+//! and corpus replay therefore tests both flat loops, and the
+//! pause/resume seam between quanta, against the reference engine.
 //!
 //! The oracle also fuzzes the **verifier invariant** in both directions.
 //! Every checked program goes through the collect-all verifier first: a
 //! program that fails to verify is an [`OracleError::BaseVerify`]
-//! failure (the generator must only produce clean programs), and both
-//! runs then share the one flat lowering that verification produced
+//! failure (the generator must only produce clean programs), and all
+//! three legs then share the one flat lowering that verification produced
 //! (`FlatProgram::lower_verified_all`, so each program is verified
 //! exactly once). If any engine
 //! reports a structural `VmError::Malformed` for a program the verifier
@@ -33,7 +35,7 @@
 use crate::{UsefulPolicy, VrpConfig, VrpPass, VrsConfig, VrsPass};
 use og_isa::IsaExtension;
 use og_program::Program;
-use og_vm::{FlatProgram, RunConfig, RunOutcome, VecSink, Vm, VmError};
+use og_vm::{FlatProgram, Quantum, RunConfig, RunOutcome, VecSink, Vm, VmError};
 use std::fmt;
 
 /// One semantics-preserving transformation the oracle can apply.
@@ -147,9 +149,6 @@ impl Default for OracleConfig {
 pub struct OracleOutcome {
     /// Committed instructions of the baseline run.
     pub base_steps: u64,
-    /// Output digest of the baseline run (both engines agreed on it) —
-    /// the anchor for the fuzz campaign's end-of-run batched cross-check.
-    pub base_digest: u64,
     /// Output bytes of the baseline run.
     pub output_len: usize,
     /// Sum of narrowed-instruction counts across VRP transforms.
@@ -182,10 +181,13 @@ pub enum OracleError {
     },
     /// The baseline program did not run to completion.
     BaseRun(VmError),
-    /// Fused (sink-streaming, flat engine) and plain (reference engine)
-    /// baseline runs disagreed.
+    /// Two baseline legs disagreed: fused (sink-streaming, flat engine)
+    /// or no-stats (quantum-sliced flat engine) against plain (reference
+    /// engine).
     PathsDiverged {
-        /// What differed (`output`, `steps`, `digest`).
+        /// What differed: `output`, `steps` or `digest` for fused vs
+        /// plain; `nostats-output`, `nostats-steps`, `nostats-digest`, or
+        /// `nostats-run` when only the no-stats run failed.
         what: &'static str,
     },
     /// A trace-chain invariant broke (record count, `next_pc` chaining,
@@ -263,7 +265,7 @@ impl fmt::Display for OracleError {
             }
             OracleError::BaseRun(e) => write!(f, "baseline failed to run: {e}"),
             OracleError::PathsDiverged { what } => {
-                write!(f, "fused and plain baseline runs disagree on {what}")
+                write!(f, "baseline engine paths disagree on {what}")
             }
             OracleError::TraceChain { what } => write!(f, "trace chain invariant broke: {what}"),
             OracleError::Verify { transform, error } => {
@@ -291,6 +293,22 @@ impl std::error::Error for OracleError {}
 fn run_plain(mut vm: Vm<'_>) -> Result<(Vec<u8>, RunOutcome), VmError> {
     let outcome = vm.run_reference()?;
     Ok((vm.output().to_vec(), outcome))
+}
+
+/// Steps per slice of the no-stats leg: small, so an ordinary case
+/// crosses many pause/resume boundaries.
+const NOSTATS_QUANTUM: u64 = 7;
+
+/// Run on the flat engine's no-stats loop through the quantum seam,
+/// resuming after every [`NOSTATS_QUANTUM`] steps.
+fn run_sliced(mut vm: Vm<'_>) -> Result<(Vec<u8>, RunOutcome), VmError> {
+    let mut resume = None;
+    loop {
+        match vm.run_quantum(resume, NOSTATS_QUANTUM) {
+            Quantum::Paused { ip } => resume = Some(ip),
+            Quantum::Finished(result) => return Ok((vm.output().to_vec(), result?)),
+        }
+    }
 }
 
 /// Check one program against the whole transform battery.
@@ -332,7 +350,7 @@ pub fn check_program(p: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, O
     let trace = sink.into_records();
 
     let (base_out, plain) =
-        run_plain(Vm::with_lowered(p, run_cfg.clone(), flat)).map_err(&invariant)?;
+        run_plain(Vm::with_lowered(p, run_cfg.clone(), flat.clone())).map_err(&invariant)?;
     if base_out != fused_out {
         return Err(OracleError::PathsDiverged { what: "output" });
     }
@@ -341,6 +359,24 @@ pub fn check_program(p: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, O
     }
     if plain.output_digest != fused.output_digest {
         return Err(OracleError::PathsDiverged { what: "digest" });
+    }
+
+    // ---- baseline: no-stats (quantum-sliced, flat engine) vs plain ----
+    // The plain run finished, so a no-stats failure is a divergence,
+    // unless it is one the verifier invariant rules out.
+    let (sliced_out, sliced) =
+        run_sliced(Vm::with_lowered(p, run_cfg.clone(), flat)).map_err(|e| match invariant(e) {
+            OracleError::BaseRun(_) => OracleError::PathsDiverged { what: "nostats-run" },
+            broken => broken,
+        })?;
+    if sliced_out != base_out {
+        return Err(OracleError::PathsDiverged { what: "nostats-output" });
+    }
+    if sliced.steps != plain.steps {
+        return Err(OracleError::PathsDiverged { what: "nostats-steps" });
+    }
+    if sliced.output_digest != plain.output_digest {
+        return Err(OracleError::PathsDiverged { what: "nostats-digest" });
     }
 
     // ---- trace-chain invariants --------------------------------------
@@ -372,7 +408,6 @@ pub fn check_program(p: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, O
     // ---- the transform battery ---------------------------------------
     let mut outcome = OracleOutcome {
         base_steps: plain.steps,
-        base_digest: plain.output_digest,
         output_len: base_out.len(),
         transforms: cfg.transforms.len(),
         static_call_depth: ctx.static_call_depth,

@@ -5,8 +5,7 @@
 //! [`CampaignConfig::coverage`]:
 //!
 //! * **random** — the original fixed-budget loop: `cases` independently
-//!   generated programs, each judged by the differential oracle, with a
-//!   batched re-execution phase at the end;
+//!   generated programs, each judged by the differential oracle;
 //! * **guided** — the corpus-evolving loop. Case execution is sharded
 //!   across an [`og_lab::WorkerPool`], one deterministic rng stream per
 //!   shard. Each shard interleaves fresh generation with structural
@@ -49,7 +48,6 @@ use og_program::Program;
 use og_vm::{fnv1a, RunConfig, Vm};
 use std::collections::HashSet;
 use std::path::PathBuf;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 /// Configuration of one fuzzing campaign. Build one through [`Campaign`];
@@ -138,12 +136,6 @@ impl Campaign {
     /// A campaign with the given seed and default knobs.
     pub fn new(seed: u64) -> Campaign {
         Campaign { cfg: CampaignConfig { base_seed: seed, ..Default::default() } }
-    }
-
-    /// A campaign from an explicit config (escape hatch for replaying a
-    /// config captured elsewhere).
-    pub fn from_config(cfg: CampaignConfig) -> Campaign {
-        Campaign { cfg }
     }
 
     /// Number of cases to run.
@@ -281,9 +273,6 @@ pub struct CampaignSummary {
     /// Fault-classifier soundness replays performed
     /// ([`crate::fault_cross_check`]).
     pub fault_checks: u64,
-    /// Passing cases re-executed through the no-stats engine at the end
-    /// of the campaign (0 when the campaign failed before that phase).
-    pub batch_checked: u64,
     /// Was this the coverage-guided loop?
     pub guided: bool,
     /// Distinct instruction-shape features covered across every screened
@@ -332,7 +321,6 @@ impl CampaignSummary {
             ("vrs_specializations".to_string(), self.specializations.to_json()),
             ("sim_cross_checks".to_string(), self.sim_checks.to_json()),
             ("fault_cross_checks".to_string(), self.fault_checks.to_json()),
-            ("batch_cross_checked".to_string(), self.batch_checked.to_json()),
             ("guided".to_string(), Json::Bool(self.guided)),
             ("failed".to_string(), Json::Bool(self.failure.is_some())),
         ];
@@ -366,12 +354,11 @@ impl CampaignSummary {
 }
 
 /// How a case failed: the differential oracle, the simulator
-/// fused-vs-materialized cross-check, the batched re-execution, or the
-/// fault-classifier soundness replay.
+/// fused-vs-materialized cross-check, or the fault-classifier soundness
+/// replay.
 pub(crate) enum CaseError {
     Oracle(og_core::oracle::OracleError),
     Sim(String),
-    Batch(String),
     Fault(String),
 }
 
@@ -385,7 +372,6 @@ impl CaseError {
         match self {
             CaseError::Oracle(e) => format!("oracle:{}", e.signature()),
             CaseError::Sim(_) => "sim".to_string(),
-            CaseError::Batch(_) => "batch".to_string(),
             CaseError::Fault(_) => "fault".to_string(),
         }
     }
@@ -393,7 +379,7 @@ impl CaseError {
     fn message(&self) -> String {
         match self {
             CaseError::Oracle(e) => e.to_string(),
-            CaseError::Sim(m) | CaseError::Batch(m) | CaseError::Fault(m) => m.clone(),
+            CaseError::Sim(m) | CaseError::Fault(m) => m.clone(),
         }
     }
 }
@@ -408,11 +394,6 @@ pub(crate) fn candidate_signature(p: &Program, oracle_cfg: &OracleConfig) -> Opt
         Ok(_) => sim_cross_check(p, oracle_cfg.max_steps)
             .err()
             .map(|m| CaseError::Sim(m).signature())
-            .or_else(|| {
-                crate::batch_cross_check(p, oracle_cfg.max_steps)
-                    .err()
-                    .map(|m| CaseError::Batch(m).signature())
-            })
             .or_else(|| {
                 // A classifier-soundness bug is a property of the
                 // machinery, not of one specific strike, so a fixed
@@ -469,23 +450,10 @@ pub(crate) fn shrink_failure(
     CaseFailure { seed, index, error, reproducer, insts: (before, after), saved_to }
 }
 
-/// A case the oracle passed, retained for the end-of-campaign batch
-/// phase: what the no-stats re-execution must reproduce.
-struct PassingCase {
-    index: u64,
-    seed: u64,
-    program: Arc<Program>,
-    max_steps: u64,
-    base_steps: u64,
-    base_digest: u64,
-}
-
 /// The original fixed-budget random loop (see the crate docs): one
-/// generated case per index, stop at the first failure, batched
-/// re-execution at the end.
+/// generated case per index, stop at the first failure.
 fn run_random(cfg: &CampaignConfig) -> CampaignSummary {
     let mut summary = CampaignSummary::default();
-    let mut passing: Vec<PassingCase> = Vec::new();
     for index in 0..cfg.cases {
         let gen_cfg = case_gen_config(cfg.base_seed, index);
         let (program, bound) = generate_with_bound(&gen_cfg);
@@ -514,14 +482,6 @@ fn run_random(cfg: &CampaignConfig) -> CampaignSummary {
                 summary.total_base_steps += outcome.base_steps;
                 summary.narrowed += outcome.narrowed as u64;
                 summary.specializations += outcome.specializations as u64;
-                passing.push(PassingCase {
-                    index,
-                    seed: gen_cfg.seed,
-                    program: Arc::new(program),
-                    max_steps: oracle_cfg.max_steps,
-                    base_steps: outcome.base_steps,
-                    base_digest: outcome.base_digest,
-                });
             }
             Err(error) => {
                 summary.failure =
@@ -530,60 +490,7 @@ fn run_random(cfg: &CampaignConfig) -> CampaignSummary {
             }
         }
     }
-    if summary.failure.is_none() {
-        batch_phase(cfg, &passing, &mut summary);
-    }
     summary
-}
-
-/// End-of-campaign batch phase: every passing case re-executes through
-/// the no-stats engine, mapped across a worker pool, and must land on
-/// the oracle's step count and output digest. This is the campaign-wide
-/// differential for the og-serve fast path.
-fn batch_phase(cfg: &CampaignConfig, passing: &[PassingCase], summary: &mut CampaignSummary) {
-    if passing.is_empty() {
-        return;
-    }
-    let pool = WorkerPool::with_default_parallelism();
-    let jobs: Vec<(Arc<Program>, u64)> =
-        passing.iter().map(|c| (Arc::clone(&c.program), c.max_steps)).collect();
-    let results = pool.map(jobs, |(program, max_steps)| {
-        Vm::new(&program, RunConfig { max_steps, ..Default::default() }).run_nostats()
-    });
-    summary.batch_checked = passing.len() as u64;
-    for (case, slot) in passing.iter().zip(results) {
-        let mismatch = match slot {
-            None => Some("batch job lost to a worker panic".to_string()),
-            Some(Err(e)) => Some(format!("batched run failed: {e}")),
-            Some(Ok(outcome)) => {
-                if outcome.steps != case.base_steps {
-                    Some(format!(
-                        "batched steps {} != oracle baseline {}",
-                        outcome.steps, case.base_steps
-                    ))
-                } else if outcome.output_digest != case.base_digest {
-                    Some(format!(
-                        "batched digest {:#x} != oracle baseline {:#x}",
-                        outcome.output_digest, case.base_digest
-                    ))
-                } else {
-                    None
-                }
-            }
-        };
-        if let Some(what) = mismatch {
-            let oracle_cfg = case_oracle_config(case.max_steps);
-            summary.failure = Some(shrink_failure(
-                cfg,
-                &oracle_cfg,
-                case.index,
-                case.seed,
-                (*case.program).clone(),
-                CaseError::Batch(what),
-            ));
-            break;
-        }
-    }
 }
 
 /// The rng-stream seed of shard `s`: the golden-ratio multiple keeps
@@ -598,9 +505,30 @@ fn shard_split(total: u64, shards: usize) -> Vec<u64> {
     (0..shards).map(|s| total / shards + u64::from(s < total % shards)).collect()
 }
 
+/// Split `cfg.cases` across a pool of `cfg.shards` workers and run `job`
+/// once per shard as `job(cfg, shard, n_cases)`. Results come back in
+/// shard order. A shard that panics panics the campaign with the
+/// contained message: dropping it would silently shrink the coverage
+/// comparison or the minimized corpus.
+fn run_shards<R: Send + 'static>(
+    cfg: &CampaignConfig,
+    what: &str,
+    job: impl Fn(&CampaignConfig, usize, u64) -> R + Send + Sync + 'static,
+) -> Vec<R> {
+    let pool = if cfg.shards == 0 {
+        WorkerPool::with_default_parallelism()
+    } else {
+        WorkerPool::new(cfg.shards)
+    };
+    let split = shard_split(cfg.cases, pool.workers());
+    let cfg = cfg.clone();
+    pool.map_all(what, split.into_iter().enumerate(), move |(shard, n_cases)| {
+        job(&cfg, shard, n_cases)
+    })
+}
+
 /// Everything one guided shard sends back to the campaign.
 struct ShardReport {
-    shard: usize,
     summary: CampaignSummary,
     corpus: Corpus,
     /// Every feature any screened execution of this shard lit — the
@@ -610,7 +538,6 @@ struct ShardReport {
     /// everything the loop executed, exactly like the random baseline
     /// counts everything it executed.
     seen: FeatureMap,
-    passing: Vec<PassingCase>,
 }
 
 /// The canonical content digest of a program (FNV-1a over its canonical
@@ -635,7 +562,6 @@ fn run_guided_shard(
     let mut corpus = Corpus::new();
     let mut seen = FeatureMap::new();
     let mut summary = CampaignSummary { guided: true, ..Default::default() };
-    let mut passing: Vec<PassingCase> = Vec::new();
 
     for index in 0..n_cases {
         summary.cases += 1;
@@ -737,20 +663,11 @@ fn run_guided_shard(
                 summary.total_base_steps += outcome.base_steps;
                 summary.narrowed += outcome.narrowed as u64;
                 summary.specializations += outcome.specializations as u64;
-                let program = Arc::new(program);
-                passing.push(PassingCase {
-                    index,
-                    seed: sseed,
-                    program: Arc::clone(&program),
-                    max_steps: oracle_cfg.max_steps,
-                    base_steps: outcome.base_steps,
-                    base_digest: outcome.base_digest,
-                });
                 // --- evolve: oracle-green inputs that lit new features
                 // join the corpus and become mutation bases ------------
                 if interesting {
                     let kept = corpus.admit(CorpusEntry {
-                        program,
+                        program: Arc::new(program),
                         seed: sseed,
                         max_steps: oracle_cfg.max_steps,
                         feats,
@@ -769,7 +686,7 @@ fn run_guided_shard(
             }
         }
     }
-    ShardReport { shard, summary, corpus, seen, passing }
+    ShardReport { summary, corpus, seen }
 }
 
 /// Equal-budget random coverage baseline for one shard: the same seed
@@ -791,51 +708,27 @@ fn random_baseline_shard(cfg: &CampaignConfig, shard: usize, n_cases: u64) -> Fe
     map
 }
 
+/// Every guided shard of `cfg`, in shard order, sharing one dedup set.
+fn guided_shard_reports(cfg: &CampaignConfig) -> Vec<ShardReport> {
+    let dedup = Mutex::new(HashSet::new());
+    run_shards(cfg, "guided shard", move |cfg, shard, n_cases| {
+        run_guided_shard(cfg, shard, n_cases, &dedup)
+    })
+}
+
 /// The coverage-guided campaign: shard the case budget across the
 /// worker pool, run the evolution loop per shard, merge shard corpora,
-/// minimize, run the equal-budget random baseline, and finish with the
-/// batch phase over every passing case.
+/// minimize, and run the equal-budget random baseline.
 fn run_guided(cfg: &CampaignConfig) -> CampaignSummary {
-    let pool = if cfg.shards == 0 {
-        WorkerPool::with_default_parallelism()
-    } else {
-        WorkerPool::new(cfg.shards)
-    };
-    let shards = pool.workers();
-    let split = shard_split(cfg.cases, shards);
-    let dedup: Arc<Mutex<HashSet<(u64, u64)>>> = Arc::new(Mutex::new(HashSet::new()));
-
     let started = std::time::Instant::now();
-    let (tx, rx) = mpsc::channel::<ShardReport>();
-    for (shard, &n_cases) in split.iter().enumerate() {
-        let cfg = cfg.clone();
-        let dedup = Arc::clone(&dedup);
-        let tx = tx.clone();
-        pool.submit(move || {
-            let report = run_guided_shard(&cfg, shard, n_cases, &dedup);
-            // The receiver only hangs up if a sibling shard panicked and
-            // the campaign is already failing loudly.
-            let _ = tx.send(report);
-        });
-    }
-    drop(tx);
-    let mut reports: Vec<ShardReport> = rx.iter().collect();
-    assert_eq!(
-        reports.len(),
-        shards,
-        "a guided shard panicked ({} jobs panicked in the pool)",
-        pool.panicked_jobs()
-    );
-    reports.sort_by_key(|r| r.shard);
+    let reports = guided_shard_reports(cfg);
     let elapsed = started.elapsed();
 
     // Merge: counters add, corpora re-offer into one, the failure from
-    // the lowest shard wins (deterministically), passing cases keep
-    // shard-major order.
+    // the lowest shard wins (deterministically).
     let mut summary = CampaignSummary { guided: true, ..Default::default() };
     let mut corpus = Corpus::new();
     let mut seen = FeatureMap::new();
-    let mut passing: Vec<PassingCase> = Vec::new();
     for r in reports {
         summary.cases += r.summary.cases;
         summary.total_base_steps += r.summary.total_base_steps;
@@ -854,7 +747,6 @@ fn run_guided(cfg: &CampaignConfig) -> CampaignSummary {
         }
         corpus.absorb(r.corpus);
         seen.merge(&r.seen);
-        passing.extend(r.passing);
     }
     summary.execs_per_sec = summary.execs as f64 / elapsed.as_secs_f64().max(1e-9);
     // Coverage counts come from the `seen` maps — everything the guided
@@ -867,25 +759,12 @@ fn run_guided(cfg: &CampaignConfig) -> CampaignSummary {
     summary.corpus_minimized = corpus.minimized().len() as u64;
 
     // Equal-budget random baseline, sharded the same way.
-    let (tx, rx) = mpsc::channel::<FeatureMap>();
-    for (shard, &n_cases) in split.iter().enumerate() {
-        let cfg = cfg.clone();
-        let tx = tx.clone();
-        pool.submit(move || {
-            let _ = tx.send(random_baseline_shard(&cfg, shard, n_cases));
-        });
-    }
-    drop(tx);
     let mut random_map = FeatureMap::new();
-    for map in rx.iter() {
+    for map in run_shards(cfg, "random baseline shard", random_baseline_shard) {
         random_map.merge(&map);
     }
     summary.blocks_covered_random = random_map.blocks_covered() as u64;
     summary.edges_covered_random = random_map.edges_covered() as u64;
-
-    if summary.failure.is_none() {
-        batch_phase(cfg, &passing, &mut summary);
-    }
     summary
 }
 
@@ -893,28 +772,8 @@ fn run_guided(cfg: &CampaignConfig) -> CampaignSummary {
 /// corpus cases (used by the `corpus_tool evolve` subcommand to land
 /// interesting finds in `crates/fuzz/corpus/`).
 pub fn minimized_corpus_cases(cfg: &CampaignConfig) -> Vec<corpus::CorpusCase> {
-    let pool = if cfg.shards == 0 {
-        WorkerPool::with_default_parallelism()
-    } else {
-        WorkerPool::new(cfg.shards)
-    };
-    let shards = pool.workers();
-    let split = shard_split(cfg.cases, shards);
-    let dedup: Arc<Mutex<HashSet<(u64, u64)>>> = Arc::new(Mutex::new(HashSet::new()));
-    let (tx, rx) = mpsc::channel::<ShardReport>();
-    for (shard, &n_cases) in split.iter().enumerate() {
-        let cfg = cfg.clone();
-        let dedup = Arc::clone(&dedup);
-        let tx = tx.clone();
-        pool.submit(move || {
-            let _ = tx.send(run_guided_shard(&cfg, shard, n_cases, &dedup));
-        });
-    }
-    drop(tx);
-    let mut reports: Vec<ShardReport> = rx.iter().collect();
-    reports.sort_by_key(|r| r.shard);
     let mut corpus_all = Corpus::new();
-    for r in reports {
+    for r in guided_shard_reports(cfg) {
         corpus_all.absorb(r.corpus);
     }
     corpus_all
@@ -972,10 +831,6 @@ mod tests {
         assert!(summary.corpus_size > 0);
         assert!(summary.corpus_minimized <= summary.corpus_size);
         assert!(summary.execs > 0);
-        assert_eq!(
-            summary.batch_checked as usize,
-            48 - summary.discarded as usize - summary.dup_skipped as usize
-        );
         let json = og_json::render(&summary.to_json()).unwrap();
         assert!(json.contains("\"blocks_covered_guided\""), "{json}");
         assert!(json.contains("\"blocks_covered_random\""), "{json}");

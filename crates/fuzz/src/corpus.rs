@@ -140,16 +140,6 @@ pub fn save_case(path: &Path, case: &CorpusCase) -> Result<(), String> {
     og_json::store::atomic_write(path, &text)
 }
 
-/// Save a campaign failure into [`failure_dir`] as `<name>.og.json`,
-/// returning the path.
-///
-/// # Errors
-///
-/// See [`save_case`].
-pub fn save_failure(case: &CorpusCase) -> Result<PathBuf, String> {
-    save_failure_to(&failure_dir(), case)
-}
-
 /// Save a campaign failure into an explicit directory as
 /// `<name>.og.json`, returning the path. This is what the campaign
 /// engine calls with its configured

@@ -20,18 +20,19 @@
 //! 2. **check** — [`og_core::oracle::check_program`] first demands the
 //!    program pass the collect-all verifier (a generated program that
 //!    fails to verify is itself a bug — signature `base-verify`), then
-//!    runs it untransformed (fused *and* materialized VM paths — which
-//!    since the pre-decoded engine landed also means the **flat** and
-//!    **reference graph-walking** engines, cross-checked on every case —
-//!    plus trace-chain invariants) and after every transform in the battery
-//!    (VRP across useful policies × ISA extensions, VRS with synthetic
-//!    self-profiles), demanding byte-identical output streams and sane
-//!    step counts. Both baseline runs share the one lowering the
-//!    verifier gate produced, so every case also fuzzes the verifier's
-//!    invariant in both directions: generated programs must verify
-//!    clean, and verified programs must never report a structural
+//!    runs it untransformed on three baseline legs — the **flat** engine
+//!    streaming a trace, the **reference graph-walking** engine, and the
+//!    flat engine's **no-stats** loop sliced through the `run_quantum`
+//!    pause/resume seam — which must agree on every case (signature
+//!    `paths:*`), plus trace-chain invariants; and after every transform
+//!    in the battery (VRP across useful policies × ISA extensions, VRS
+//!    with synthetic self-profiles), demanding byte-identical output
+//!    streams and sane step counts. All baseline legs share the one
+//!    lowering the verifier gate produced, so every case also fuzzes the
+//!    verifier's invariant in both directions: generated programs must
+//!    verify clean, and verified programs must never report a structural
 //!    `VmError::Malformed` — or blow a static call-depth certificate —
-//!    in either engine (signature `invariant`). Periodically the
+//!    in any engine (signature `invariant`). Periodically the
 //!    committed-path trace also drives the
 //!    cycle simulator both fused (flat engine) and materialized
 //!    (reference engine), and the two [`SimResult`]s must match
@@ -40,14 +41,9 @@
 //!    classifier must be sound both ways — never `Masked` with a
 //!    changed output digest, never `Sdc` with an unchanged one
 //!    (signature `fault`);
-//! 3. **batch** — at the end of a green campaign every passing case is
-//!    re-executed through the no-stats engine, mapped across a worker
-//!    pool ([`og_lab::WorkerPool::map`]), and must reproduce the
-//!    oracle's step count and output digest (signature `batch`) — the
-//!    campaign-wide differential for the og-serve fast path;
-//! 4. **shrink** — on failure, [`shrink::shrink`] greedily minimizes the
+//! 3. **shrink** — on failure, [`shrink::shrink`] greedily minimizes the
 //!    program against the same oracle;
-//! 5. **persist** — the shrunk reproducer is written to the campaign's
+//! 4. **persist** — the shrunk reproducer is written to the campaign's
 //!    failure directory ([`CampaignConfig::fail_dir`], default
 //!    `target/og-fuzz-failures/`; CI uploads it as an artifact) as an
 //!    `*.og.json` corpus case, ready to be replayed locally and, once
@@ -104,7 +100,7 @@ use og_program::generate::GenConfig;
 use og_program::rng::SplitMix64;
 use og_program::Program;
 use og_sim::{MachineConfig, SimResult, Simulator};
-use og_vm::{Quantum, RunConfig, VecSink, Vm};
+use og_vm::{RunConfig, VecSink, Vm};
 
 pub(crate) fn env_u64(name: &str) -> Option<u64> {
     let v = std::env::var(name).ok()?;
@@ -223,47 +219,6 @@ pub fn fault_cross_check(p: &Program, max_steps: u64, seed: u64) -> Result<(), S
     Ok(())
 }
 
-/// Run `p` through the quantum seam — [`Vm::run_quantum`], the no-stats
-/// engine og-serve's batch path and the fault campaign use — and compare
-/// the architectural result (steps, output bytes, digest) against the
-/// reference graph-walking engine.
-///
-/// A deliberately small quantum forces many pause/resume boundaries, so
-/// the check exercises mid-run suspension, not just the happy path.
-///
-/// # Errors
-///
-/// Returns a description of the first mismatch.
-pub fn batch_cross_check(p: &Program, max_steps: u64) -> Result<(), String> {
-    let cfg = RunConfig { max_steps, ..Default::default() };
-    let mut vm = Vm::new_verified(p, cfg.clone()).map_err(|e| format!("verify failed: {e}"))?;
-    let mut sliced = Vm::with_lowered(p, cfg, vm.flat_program().clone());
-    let reference = vm.run_reference().map_err(|e| format!("reference run failed: {e}"))?;
-
-    let mut resume = None;
-    let outcome = loop {
-        match sliced.run_quantum(resume, 7) {
-            Quantum::Paused { ip } => resume = Some(ip),
-            Quantum::Finished(result) => {
-                break result.map_err(|e| format!("quantum-sliced run failed: {e}"))?
-            }
-        }
-    };
-    if outcome.steps != reference.steps {
-        return Err(format!("sliced steps {} != reference {}", outcome.steps, reference.steps));
-    }
-    if outcome.output_digest != reference.output_digest {
-        return Err(format!(
-            "sliced digest {:#x} != reference {:#x}",
-            outcome.output_digest, reference.output_digest
-        ));
-    }
-    if sliced.output() != vm.output() {
-        return Err("sliced output bytes != reference output bytes".to_string());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,26 +251,16 @@ mod tests {
         assert!(summary.failure.is_none(), "{:?}", summary.failure);
         assert_eq!(summary.cases, 8);
         assert_eq!(summary.sim_checks, 2);
-        assert_eq!(summary.batch_checked, 8, "every passing case re-runs batched");
         assert!(summary.total_base_steps > 0);
         assert!(summary.narrowed > 0, "VRP narrowed nothing across 8 programs?");
         let json = og_json::render(&summary.to_json()).unwrap();
         assert!(json.contains("\"failed\":false"), "{json}");
-        assert!(json.contains("\"batch_cross_checked\":8"), "{json}");
     }
 
     #[test]
     fn sim_cross_check_passes_on_a_generated_program() {
         let (p, bound) = generate_with_bound(&case_gen_config(42, 0));
         sim_cross_check(&p, bound).unwrap();
-    }
-
-    #[test]
-    fn batch_cross_check_passes_on_generated_programs() {
-        for index in 0..4 {
-            let (p, bound) = generate_with_bound(&case_gen_config(42, index));
-            batch_cross_check(&p, bound).unwrap_or_else(|e| panic!("case {index}: {e}"));
-        }
     }
 
     #[test]

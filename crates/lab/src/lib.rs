@@ -31,8 +31,8 @@
 //! ## The study cache
 //!
 //! The full study is expensive (8 benchmarks × 9 mechanisms, each a
-//! complete transform → emulate → simulate pipeline) and all 19 bench
-//! targets consume the same one, so [`run_study`] caches it on disk as
+//! complete transform → emulate → simulate pipeline) and 16 of the 20
+//! bench targets consume the same one, so [`run_study`] caches it on disk as
 //! JSON (via the in-tree `og-json` layer) and in the process behind
 //! [`shared_study`]'s `OnceLock`:
 //!
@@ -240,11 +240,13 @@ impl Study {
         &mut self.runs
     }
 
-    /// The run of (benchmark, mechanism), or `None` if the combination
-    /// is missing. The non-panicking lookup for callers handling
-    /// untrusted combinations — anything a service request can name goes
-    /// through here.
-    pub fn try_get(&self, bench: &str, mech: Mech) -> Option<&RunSummary> {
+    /// The run of (benchmark, mechanism).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the combination is missing. The figure renderers use
+    /// this on the fixed suite, where a missing run is a pipeline bug.
+    pub fn get(&self, bench: &str, mech: Mech) -> &RunSummary {
         let index = self.index.get_or_init(|| {
             let mut map: HashMap<Mech, HashMap<String, usize>> = HashMap::new();
             for (i, run) in self.runs.iter().enumerate() {
@@ -253,18 +255,10 @@ impl Study {
             }
             map
         });
-        index.get(&mech).and_then(|per_bench| per_bench.get(bench)).map(|&i| &self.runs[i])
-    }
-
-    /// The run of (benchmark, mechanism).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the combination is missing. The figure renderers use
-    /// this on the fixed suite, where a missing run is a pipeline bug;
-    /// request-facing code uses [`Study::try_get`].
-    pub fn get(&self, bench: &str, mech: Mech) -> &RunSummary {
-        self.try_get(bench, mech).unwrap_or_else(|| panic!("missing run {bench}/{mech:?}"))
+        match index.get(&mech).and_then(|per_bench| per_bench.get(bench)) {
+            Some(&i) => &self.runs[i],
+            None => panic!("missing run {bench}/{mech:?}"),
+        }
     }
 
     /// Benchmark names actually present in the runs, in suite
@@ -596,15 +590,6 @@ pub fn combined_scheme(hw: GatingScheme) -> GatingScheme {
         GatingScheme::HwSize => GatingScheme::Cooperative,
         other => other,
     }
-}
-
-/// Convenience: map of benchmark → baseline cycles (used by tests).
-pub fn baseline_cycles(study: &Study) -> HashMap<String, u64> {
-    study
-        .benches()
-        .iter()
-        .map(|&b| (b.to_string(), study.get(b, Mech::Baseline).sim.cycles))
-        .collect()
 }
 
 #[cfg(test)]

@@ -6,10 +6,9 @@
 //! died with the one study it computed. This module lifts that queue
 //! into a standalone pool any caller can keep alive and feed closures:
 //! `og-serve` executes request jobs on it for the lifetime of the
-//! service, and every batch of independent runs — the study's 72 runs,
-//! the fault campaign's workloads, the fuzz campaign's end-of-run
-//! re-execution, `Service::call_many` — goes through
-//! [`WorkerPool::map`].
+//! service, and every fan-out of independent jobs — the study's 72 runs,
+//! the fault campaign's workloads, the guided fuzz campaign's shards and
+//! its random baseline — goes through [`WorkerPool::map_all`].
 //!
 //! Shape:
 //!
@@ -26,13 +25,14 @@
 //! * **Panic isolation.** Each job runs under `catch_unwind`: a
 //!   panicking job increments [`WorkerPool::panicked_jobs`] and the
 //!   worker keeps serving. A service thread must never die because one
-//!   request's job panicked — callers that need the panic (the study)
-//!   observe it through their result channel coming up short.
+//!   request's job panicked — callers that need the panic (every
+//!   fan-out) get it back from [`WorkerPool::map_all`], with its
+//!   message.
 //! * **Drain on drop.** Dropping the pool lets already-submitted jobs
 //!   finish, then joins the workers. Nothing is cancelled silently.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -80,8 +80,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// A fixed-size pool of worker threads draining submitted closures, with
 /// per-worker deques and work stealing. See the module docs for the
-/// design; see [`crate::compute_study`] and `og-serve` for the two
-/// in-tree callers.
+/// design and its callers.
 pub struct WorkerPool {
     inner: Arc<PoolInner>,
     handles: Vec<JoinHandle<()>>,
@@ -149,10 +148,10 @@ impl WorkerPool {
     }
 
     /// Run `f` over every item, one pool job per item, and block until
-    /// all are done. Results come back in item order; a `None` slot is
-    /// an item whose job panicked (the pool contained it —
-    /// [`WorkerPool::panic_messages`] says why).
-    pub fn map<T, R, F>(&self, items: impl IntoIterator<Item = T>, f: F) -> Vec<Option<R>>
+    /// all are done. Results come back in item order. A lost job is a bug
+    /// for every caller, so if a job panics this panics too, naming
+    /// `what` and carrying the first lost item's panic message.
+    pub fn map_all<T, R, F>(&self, what: &str, items: impl IntoIterator<Item = T>, f: F) -> Vec<R>
     where
         T: Send + 'static,
         R: Send + 'static,
@@ -163,39 +162,29 @@ impl WorkerPool {
         let mut n = 0;
         for item in items {
             let (f, tx, i) = (Arc::clone(&f), tx.clone(), n);
-            self.submit(move || {
-                let _ = tx.send((i, f(item)));
+            // The job sends its panic message before re-raising the panic
+            // for the pool to count, so the message cannot arrive after
+            // the result channel has closed.
+            self.submit(move || match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                Ok(result) => {
+                    let _ = tx.send((i, Ok(result)));
+                }
+                Err(payload) => {
+                    let _ = tx.send((i, Err(panic_message(payload.as_ref()))));
+                    resume_unwind(payload);
+                }
             });
             n += 1;
         }
         drop(tx);
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Result<R, String>> =
+            (0..n).map(|_| Err("job never reported".to_string())).collect();
         for (i, result) in rx {
-            slots[i] = Some(result);
+            slots[i] = result;
         }
         slots
-    }
-
-    /// [`WorkerPool::map`] for callers on the fixed suite, where a lost
-    /// job is a bug: panics with the contained panics' messages.
-    pub(crate) fn map_all<T, R, F>(
-        &self,
-        what: &str,
-        items: impl IntoIterator<Item = T>,
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(T) -> R + Send + Sync + 'static,
-    {
-        self.map(items, f)
             .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    panic!("{what}: a job panicked: {:?}", self.panic_messages())
-                })
-            })
+            .map(|slot| slot.unwrap_or_else(|why| panic!("{what}: a job panicked: {why}")))
             .collect()
     }
 }
@@ -357,21 +346,25 @@ mod tests {
     }
 
     #[test]
-    fn map_returns_results_in_item_order() {
+    fn map_all_returns_results_in_item_order() {
         let pool = WorkerPool::new(3);
-        let got = pool.map(0..17u64, |i| i * i);
-        assert_eq!(got, (0..17u64).map(|i| Some(i * i)).collect::<Vec<_>>());
-        assert!(pool.map(Vec::<u64>::new(), |i| i).is_empty());
+        let got = pool.map_all("squares", 0..17u64, |i| i * i);
+        assert_eq!(got, (0..17u64).map(|i| i * i).collect::<Vec<_>>());
+        assert!(pool.map_all("nothing", Vec::<u64>::new(), |i| i).is_empty());
     }
 
     #[test]
-    fn map_reports_a_panicked_item_as_none() {
+    fn map_all_panics_with_the_contained_message() {
         let pool = WorkerPool::new(2);
-        let got = pool.map([1u64, 2, 3], |i| {
-            assert_ne!(i, 2, "item two dies");
-            i
-        });
-        assert_eq!(got, vec![Some(1), None, Some(3)]);
+        let lost = catch_unwind(AssertUnwindSafe(|| {
+            pool.map_all("shards", [1u64, 2, 3], |i| {
+                assert_ne!(i, 2, "shard two dies");
+                i
+            })
+        }));
+        let message = panic_message(lost.expect_err("a lost job must panic").as_ref());
+        assert!(message.starts_with("shards: a job panicked"), "{message}");
+        assert!(message.contains("shard two dies"), "{message}");
     }
 
     #[test]

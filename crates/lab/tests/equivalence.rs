@@ -87,7 +87,7 @@ fn run_program_reproduces_every_cached_summary_byte_identically() {
     let pool = WorkerPool::with_default_parallelism();
     let jobs: Vec<(String, Mech)> =
         study.runs().iter().map(|r| (r.bench.clone(), r.mech)).collect();
-    let fresh = pool.map(jobs, |(bench, mech)| {
+    let fresh = pool.map_all("run_program replays", jobs, |(bench, mech)| {
         let program = by_name(&bench, InputSet::Ref).program;
         let train = matches!(mech, Mech::Vrs(_)).then(|| by_name(&bench, InputSet::Train).program);
         run_program(&bench, &program, mech, train.as_ref(), RunConfig::default(), None)
@@ -95,9 +95,6 @@ fn run_program_reproduces_every_cached_summary_byte_identically() {
     });
 
     for (summary, cached) in fresh.iter().zip(study.runs()) {
-        let summary = summary.as_ref().unwrap_or_else(|| {
-            panic!("{}/{:?} panicked: {:?}", cached.bench, cached.mech, pool.panic_messages())
-        });
         assert_eq!(
             summary, cached,
             "run_program diverged from the cached {}/{:?}",

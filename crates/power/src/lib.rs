@@ -23,7 +23,8 @@
 //!
 //! Absolute joule values are calibrated to plausible 180 nm-class
 //! figures, not to the authors' unpublished Wattch constants — the
-//! evaluation reproduces *relative* savings (see DESIGN.md).
+//! evaluation reproduces *relative* savings, which is what the paper's
+//! figures compare.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -179,11 +180,6 @@ impl EnergyModel {
     /// The parameters of one structure.
     pub fn params(&self, s: Structure) -> StructEnergy {
         self.params[s.index()]
-    }
-
-    /// Override one structure's parameters.
-    pub fn set_params(&mut self, s: Structure, p: StructEnergy) {
-        self.params[s.index()] = p;
     }
 
     /// Energy (nJ) of one structure's activity under a scheme.

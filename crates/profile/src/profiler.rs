@@ -66,11 +66,6 @@ impl ValueProfiler {
         ValueProfiler { config, watched: watched.into_iter().collect(), sites: HashMap::new() }
     }
 
-    /// Number of watched sites.
-    pub fn watched_count(&self) -> usize {
-        self.watched.len()
-    }
-
     /// Record one observation of `value` at `at` (ignored unless the
     /// site is watched). The streaming [`ProfileSink`] funnels every
     /// defined value here.

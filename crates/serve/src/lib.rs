@@ -41,16 +41,11 @@
 //!   this is exercised under load in CI (the chaos-smoke job) with the
 //!   zero-`invariant_violations` gate still holding.
 //!
-//! No network layer: [`Service::call`] is the transport-independent
-//! request path (text in, [`Response`] out). [`Service::call_many`] is
-//! the batched execution entry: the same gates, but surviving lanes are
-//! mapped over the pool ([`og_lab::WorkerPool::map`]) on the no-stats
-//! engine and come back as architectural [`ExecResponse`]s — the fast
-//! path when the client wants outputs, not measurements. [`loadgen`]
-//! drives both in-process with thousands of fuzz-generated programs at
-//! controlled concurrency, emitting `target/BENCH_serve.json` with
-//! requests/sec, p50/p99 latency, cache hit rate and reject rate. Run it
-//! with:
+//! No network layer: [`Service::call`] is the one, transport-independent
+//! request path (text in, [`Response`] out). [`loadgen`] drives it
+//! in-process with thousands of fuzz-generated programs at controlled
+//! concurrency, emitting `target/BENCH_serve.json` with requests/sec,
+//! p50/p99 latency, cache hit rate and reject rate. Run it with:
 //!
 //! ```text
 //! OG_SERVE_REQUESTS=2000 cargo run --release -p og-serve --example serve_load
@@ -66,8 +61,7 @@ use og_json::store::{KeyedStore, StoreError, TMP_DEBRIS_AGE};
 use og_json::{FromJson, Json, ToJson};
 use og_lab::{run_lowered, RunError, RunSummary, WorkerPool, STUDY_VERSION};
 use og_program::{Program, VerifyError};
-use og_vm::{FlatProgram, RunConfig, RunOutcome, Vm, VmError};
-use std::collections::HashMap;
+use og_vm::{FlatProgram, RunConfig, VmError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -178,21 +172,6 @@ pub struct Response {
     pub served: Served,
     /// The measurement, or why there is none.
     pub outcome: Result<Arc<RunSummary>, Reject>,
-}
-
-/// The outcome of one lane of [`Service::call_many`]: the architectural
-/// result only (steps, halt reason, output digest) — no per-width
-/// statistics, no simulator run.
-#[derive(Debug)]
-pub struct ExecResponse {
-    /// Content digest of the canonical program text (0 for requests that
-    /// never decoded far enough to have one).
-    pub digest: u128,
-    /// How the outcome was produced ([`Served::ArtifactHit`] also covers
-    /// an in-batch duplicate sharing another request's lane).
-    pub served: Served,
-    /// The run outcome, or why there is none.
-    pub outcome: Result<RunOutcome, Reject>,
 }
 
 /// Deterministic fault-injection profile for chaos testing the service.
@@ -313,16 +292,10 @@ struct CacheEntry {
     /// Canonical JSON text — compared on every hit so a digest collision
     /// is detected instead of served.
     text: String,
-    /// Shared so a batch lane can borrow the program on a worker thread
-    /// while the entry stays live in the cache.
-    program: Arc<Program>,
+    program: Program,
     flat: FlatProgram,
     /// Memoized measurement (or its deterministic failure).
     result: OnceLock<Result<Arc<RunSummary>, RunError>>,
-    /// Memoized architectural outcome from the no-stats engine
-    /// ([`Service::call_many`]) — independent of `result`, because an
-    /// execution request must not pay for a full measurement.
-    exec: OnceLock<Result<RunOutcome, VmError>>,
 }
 
 /// Monotonic counters, readable at any time via [`Service::metrics`].
@@ -577,13 +550,8 @@ impl Service {
                 };
             }
         };
-        let entry = Arc::new(CacheEntry {
-            text: canonical,
-            program: Arc::new(program),
-            flat,
-            result: OnceLock::new(),
-            exec: OnceLock::new(),
-        });
+        let entry =
+            Arc::new(CacheEntry { text: canonical, program, flat, result: OnceLock::new() });
 
         // Persistent-store probe: a result computed by an earlier
         // process run.
@@ -600,12 +568,11 @@ impl Service {
         self.execute(digest, Served::Computed, entry, started)
     }
 
-    /// Gate 1 plus canonical identity, shared by [`Service::call`] and
-    /// [`Service::call_many`]: parse, decode unverified, canonically
-    /// render, digest. The digest covers the *decoded* program's
-    /// canonical rendering, so formatting differences (whitespace, field
-    /// order the decoder tolerates) dedup onto one entry. Counts the
-    /// parse reject on failure.
+    /// Gate 1 plus canonical identity: parse, decode unverified,
+    /// canonically render, digest. The digest covers the *decoded*
+    /// program's canonical rendering, so formatting differences
+    /// (whitespace, field order the decoder tolerates) dedup onto one
+    /// entry. Counts the parse reject on failure.
     fn admit(&self, text: &str) -> Result<(u128, String, Program), Reject> {
         let admitted = og_json::parse(text)
             .and_then(|j| Program::from_json_unverified(&j))
@@ -618,215 +585,6 @@ impl Service {
             Err(e) => {
                 self.shared.counters.parse_rejects.fetch_add(1, Ordering::Relaxed);
                 Err(Reject::Parse(e))
-            }
-        }
-    }
-
-    /// Serve a batch of requests through the **no-stats engine**.
-    ///
-    /// Each request passes the same gates as [`Service::call`] (parse →
-    /// canonicalize → digest → verify+lower), but execution is batched:
-    /// every lane that survives the gates is mapped over the pool
-    /// ([`og_lab::WorkerPool::map`]) and runs its lowered artifact with
-    /// the `STATS = false` engine, which keeps only what an
-    /// [`ExecResponse`] reports. Duplicates dedup twice: against the
-    /// artifact cache (a memoized batch outcome is a result hit, a
-    /// cached artifact skips verify+lower) and within the batch itself
-    /// (two requests with one digest share one lane).
-    ///
-    /// Responses come back in request order. A lane lost to a worker
-    /// panic yields [`Reject::Internal`] (counted as an invariant
-    /// violation, never memoized); per-lane run failures reject only
-    /// their own lane.
-    pub fn call_many(&self, texts: &[&str]) -> Vec<ExecResponse> {
-        let c = &self.shared.counters;
-
-        /// Where one request's outcome comes from: already decided, or
-        /// pending on a batch lane.
-        enum Slot {
-            Ready(ExecResponse),
-            Lane { digest: u128, lane: usize, served: Served },
-        }
-        /// One pending lane: the program and its lowered artifact to
-        /// run, the canonical text (for in-batch collision detection),
-        /// and the cache entry to memoize into (`None` for a collision
-        /// bypass).
-        struct Lane {
-            text: String,
-            job: (Arc<Program>, FlatProgram),
-            entry: Option<Arc<CacheEntry>>,
-        }
-
-        let mut lanes: Vec<Lane> = Vec::new();
-        let mut lane_of: HashMap<u128, usize> = HashMap::new();
-        let mut slots: Vec<Slot> = Vec::with_capacity(texts.len());
-
-        for text in texts {
-            c.requests.fetch_add(1, Ordering::Relaxed);
-            let (digest, canonical, program) = match self.admit(text) {
-                Ok(admitted) => admitted,
-                Err(reject) => {
-                    slots.push(Slot::Ready(ExecResponse {
-                        digest: 0,
-                        served: Served::Rejected,
-                        outcome: Err(reject),
-                    }));
-                    continue;
-                }
-            };
-
-            // In-batch dedup: an earlier request in this batch already
-            // owns a lane for this digest.
-            let mut collided = false;
-            if let Some(&lane) = lane_of.get(&digest) {
-                if lanes[lane].text == canonical {
-                    c.artifact_hits.fetch_add(1, Ordering::Relaxed);
-                    slots.push(Slot::Lane { digest, lane, served: Served::ArtifactHit });
-                    continue;
-                }
-                c.collisions.fetch_add(1, Ordering::Relaxed);
-                collided = true;
-            }
-
-            // Cache probe (skipped on a collision — whatever sits under
-            // this digest is not this program).
-            if !collided {
-                if let Some(entry) = self.shared.cache.lock().unwrap().get(&digest) {
-                    if entry.text == canonical {
-                        if let Some(result) = entry.exec.get() {
-                            c.result_hits.fetch_add(1, Ordering::Relaxed);
-                            slots.push(Slot::Ready(self.finish_exec(
-                                digest,
-                                Served::ResultHit,
-                                result.clone(),
-                            )));
-                            continue;
-                        }
-                        c.artifact_hits.fetch_add(1, Ordering::Relaxed);
-                        let lane = lanes.len();
-                        lane_of.insert(digest, lane);
-                        lanes.push(Lane {
-                            text: canonical,
-                            job: (Arc::clone(&entry.program), entry.flat.clone()),
-                            entry: Some(entry),
-                        });
-                        slots.push(Slot::Lane { digest, lane, served: Served::ArtifactHit });
-                        continue;
-                    }
-                    c.collisions.fetch_add(1, Ordering::Relaxed);
-                    collided = true;
-                }
-            }
-
-            // Gate 2: the collect-all verifier, fused with lowering.
-            let layout = program.layout();
-            let (flat, _context) = match FlatProgram::lower_verified_all(&program, &layout) {
-                Ok(ok) => ok,
-                Err(errors) => {
-                    c.verify_rejects.fetch_add(1, Ordering::Relaxed);
-                    slots.push(Slot::Ready(ExecResponse {
-                        digest,
-                        served: Served::Rejected,
-                        outcome: Err(Reject::Verify(errors)),
-                    }));
-                    continue;
-                }
-            };
-            c.computed.fetch_add(1, Ordering::Relaxed);
-            let program = Arc::new(program);
-            let lane = lanes.len();
-            let entry = if collided {
-                // Never serve (or cache) across a collision: run the
-                // lane, memoize nothing.
-                None
-            } else {
-                let entry = Arc::new(CacheEntry {
-                    text: canonical.clone(),
-                    program: Arc::clone(&program),
-                    flat: flat.clone(),
-                    result: OnceLock::new(),
-                    exec: OnceLock::new(),
-                });
-                self.cache_insert(digest, Arc::clone(&entry));
-                lane_of.insert(digest, lane);
-                Some(entry)
-            };
-            lanes.push(Lane { text: canonical, job: (program, flat), entry });
-            slots.push(Slot::Lane { digest, lane, served: Served::Computed });
-        }
-
-        // Execute every pending lane on the pool, then memoize per entry.
-        // A `None` slot is a lane lost to a contained worker panic: count
-        // it, never memoize it.
-        let (jobs, memos): (Vec<_>, Vec<Option<Arc<CacheEntry>>>) =
-            lanes.into_iter().map(|l| (l.job, l.entry)).unzip();
-        let config = self.shared.run_config.clone();
-        let outcomes: Vec<Option<Result<RunOutcome, VmError>>> = self
-            .pool
-            .map(jobs, move |(program, flat)| {
-                Vm::with_lowered(&program, config.clone(), flat).run_nostats()
-            })
-            .into_iter()
-            .zip(memos)
-            .map(|(slot, entry)| match slot {
-                Some(result) => {
-                    if let Some(entry) = &entry {
-                        entry.exec.set(result.clone()).ok();
-                    }
-                    Some(result)
-                }
-                None => {
-                    c.invariant_violations.fetch_add(1, Ordering::Relaxed);
-                    // The pool retained the panic payload: say which
-                    // lane died and why, not just that one did.
-                    let why = self.pool.panic_messages();
-                    eprintln!(
-                        "og-serve: batch lane lost to a worker panic: {}",
-                        why.last().map_or("<no payload retained>", String::as_str)
-                    );
-                    None
-                }
-            })
-            .collect();
-
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Ready(response) => response,
-                Slot::Lane { digest, lane, served } => match &outcomes[lane] {
-                    Some(result) => self.finish_exec(digest, served, result.clone()),
-                    None => ExecResponse {
-                        digest,
-                        served: Served::Rejected,
-                        outcome: Err(Reject::Internal("worker panicked during batch run")),
-                    },
-                },
-            })
-            .collect()
-    }
-
-    /// Fold a batch-lane result into an [`ExecResponse`], counting run
-    /// failures — and flagging the structural error that is supposed to
-    /// be impossible on a verified artifact.
-    fn finish_exec(
-        &self,
-        digest: u128,
-        served: Served,
-        result: Result<RunOutcome, VmError>,
-    ) -> ExecResponse {
-        match result {
-            Ok(outcome) => ExecResponse { digest, served, outcome: Ok(outcome) },
-            Err(e) => {
-                let c = &self.shared.counters;
-                c.run_errors.fetch_add(1, Ordering::Relaxed);
-                if matches!(e, VmError::Malformed { .. }) {
-                    c.invariant_violations.fetch_add(1, Ordering::Relaxed);
-                }
-                ExecResponse {
-                    digest,
-                    served: Served::Rejected,
-                    outcome: Err(Reject::Run(RunError::Vm(e))),
-                }
             }
         }
     }

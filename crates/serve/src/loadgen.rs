@@ -12,12 +12,7 @@
 //!   so the digest dedup layers do real work;
 //! * ~10% invalid requests, alternating between *unparsable* (truncated
 //!   JSON) and *unverifiable* (a structurally broken program), which
-//!   must be rejected cleanly, never crash anything;
-//!
-//! After the per-request phase, a **batched phase** pushes the whole
-//! valid corpus through [`Service::call_many`] in one round — the
-//! no-stats engine mapped over the pool — and reports its
-//! aggregate architectural throughput (`batch_steps_per_sec`).
+//!   must be rejected cleanly, never crash anything.
 //!
 //! Latency is recorded per request into a log-linear histogram (8
 //! sub-buckets per octave → ≤ 12.5% relative error, ~500 buckets for
@@ -258,21 +253,11 @@ pub struct LoadReport {
     pub p99_us: u64,
     /// Worst request latency, microseconds.
     pub max_us: u64,
-    /// Lanes issued to the batched phase (one [`Service::call_many`]
-    /// round over the valid corpus).
-    pub batch_requests: u64,
-    /// Architectural instructions the batched phase committed, summed
-    /// over its successful lanes.
-    pub batch_steps: u64,
-    /// Wall-clock of the batched phase, seconds.
-    pub batch_wall_secs: f64,
-    /// Aggregate batched throughput, steps per second.
-    pub batch_steps_per_sec: f64,
     /// Final service counters.
     pub metrics: crate::Metrics,
     /// Requests whose outcome contradicted their kind: a valid program
     /// rejected at a gate, an invalid one accepted, an internal error
-    /// anywhere (either phase). Zero or the load test fails.
+    /// anywhere. Zero or the load test fails.
     pub mix_violations: u64,
     /// Valid requests answered with a degraded outcome (shed, deadline,
     /// internal) under [`LoadConfig::degraded_ok`]. Always 0 when that
@@ -293,10 +278,6 @@ impl LoadReport {
             ("p50_us".into(), self.p50_us.to_json()),
             ("p99_us".into(), self.p99_us.to_json()),
             ("max_us".into(), self.max_us.to_json()),
-            ("batch_requests".into(), self.batch_requests.to_json()),
-            ("batch_steps".into(), self.batch_steps.to_json()),
-            ("batch_wall_secs".into(), Json::Num(self.batch_wall_secs)),
-            ("batch_steps_per_sec".into(), Json::Num(self.batch_steps_per_sec)),
             ("cache_hit_rate".into(), Json::Num(m.cache_hit_rate())),
             ("reject_rate".into(), Json::Num(m.reject_rate())),
             ("computed".into(), m.computed.to_json()),
@@ -413,27 +394,6 @@ pub fn run_load(service: &Service, config: &LoadConfig) -> LoadReport {
     });
     let wall_secs = start.elapsed().as_secs_f64();
 
-    // Batched phase: the whole valid corpus through the no-stats batch
-    // engine in one round. A valid program may legally fail at run time
-    // (fuel); any gate reject or internal error here is a violation.
-    let batch_texts: Vec<&str> = corpus.valid.iter().map(String::as_str).collect();
-    let batch_start = Instant::now();
-    let batch_responses = service.call_many(&batch_texts);
-    let batch_wall_secs = batch_start.elapsed().as_secs_f64();
-    let mut batch_steps = 0u64;
-    for response in &batch_responses {
-        match &response.outcome {
-            Ok(outcome) => batch_steps += outcome.steps,
-            Err(Reject::Run(_)) => {}
-            Err(Reject::Internal(_)) if config.degraded_ok => {
-                degraded.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                violations.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
     let hist = merged.into_inner().unwrap();
     LoadReport {
         config: config.clone(),
@@ -442,10 +402,6 @@ pub fn run_load(service: &Service, config: &LoadConfig) -> LoadReport {
         p50_us: hist.quantile(0.50),
         p99_us: hist.quantile(0.99),
         max_us: hist.max(),
-        batch_requests: batch_responses.len() as u64,
-        batch_steps,
-        batch_wall_secs,
-        batch_steps_per_sec: batch_steps as f64 / batch_wall_secs.max(1e-9),
         metrics: service.metrics(),
         mix_violations: violations.load(Ordering::Relaxed),
         degraded: degraded.load(Ordering::Relaxed),

@@ -173,81 +173,6 @@ fn a_valid_program_that_runs_out_of_fuel_is_a_run_error_not_a_crash() {
 }
 
 #[test]
-fn call_many_gates_dedups_and_memoizes_per_lane() {
-    let service = Service::new(ServeConfig::default());
-    let (_, a) = valid_program(20);
-    let (_, b) = valid_program(21);
-    let spaced_a = a.replace(":", ": "); // same canonical program as `a`
-
-    let responses = service.call_many(&[&a, "not json", &b, &spaced_a, &a]);
-    assert_eq!(responses.len(), 5);
-
-    // Lanes come back in request order, gates apply per request.
-    assert_eq!(responses[0].served, Served::Computed);
-    let a_outcome = *responses[0].outcome.as_ref().expect("valid program runs");
-    assert!(a_outcome.steps > 0);
-    assert_eq!(responses[1].served, Served::Rejected);
-    assert!(matches!(responses[1].outcome, Err(Reject::Parse(_))));
-    assert_eq!(responses[2].served, Served::Computed);
-    assert!(responses[2].outcome.is_ok());
-    assert_ne!(responses[2].digest, responses[0].digest);
-
-    // In-batch duplicates (exact and reformatted) share lane 0's run.
-    for dup in [&responses[3], &responses[4]] {
-        assert_eq!(dup.served, Served::ArtifactHit);
-        assert_eq!(dup.digest, responses[0].digest);
-        assert_eq!(*dup.outcome.as_ref().unwrap(), a_outcome);
-    }
-
-    // A later batch is served from the memoized outcomes, no re-run.
-    let replay = service.call_many(&[&a, &b]);
-    assert_eq!(replay[0].served, Served::ResultHit);
-    assert_eq!(*replay[0].outcome.as_ref().unwrap(), a_outcome);
-    assert_eq!(replay[1].served, Served::ResultHit);
-
-    let m = service.metrics();
-    assert_eq!(m.requests, 7);
-    assert_eq!(m.computed, 2);
-    assert_eq!(m.artifact_hits, 2);
-    assert_eq!(m.result_hits, 2);
-    assert_eq!(m.parse_rejects, 1);
-    assert_eq!(m.invariant_violations, 0);
-
-    // The batch outcome must agree with the full measurement path on
-    // the architectural facts.
-    let full = service.call(&a);
-    let summary = full.outcome.expect("valid program measured");
-    assert_eq!(summary.insts, a_outcome.steps);
-    assert_eq!(summary.digest, a_outcome.output_digest);
-}
-
-#[test]
-fn call_many_reports_run_failures_per_lane() {
-    let run_config = RunConfig { max_steps: 3, ..RunConfig::default() };
-    let service = Service::new(ServeConfig { run_config, ..Default::default() });
-    let (_, a) = valid_program(22);
-    let (_, bad) = valid_program(23);
-    let bad = bad.replacen("{\"entry\":", "{\"entry\":9999", 1); // unverifiable
-
-    let responses = service.call_many(&[&a, &bad]);
-    assert!(
-        matches!(responses[0].outcome, Err(Reject::Run(_))),
-        "3 fuel steps must exhaust, got {:?}",
-        responses[0].outcome
-    );
-    assert!(matches!(responses[1].outcome, Err(Reject::Verify(_))));
-    let m = service.metrics();
-    assert_eq!((m.run_errors, m.verify_rejects), (1, 1));
-    assert_eq!(m.invariant_violations, 0);
-
-    // The failure is memoized like a success: the replay is a result
-    // hit that reports the same error without re-running.
-    let replay = service.call_many(&[&a]);
-    assert!(matches!(replay[0].outcome, Err(Reject::Run(_))));
-    assert_eq!(service.metrics().result_hits, 1);
-}
-
-#[test]
 fn concurrent_duplicate_requests_agree_and_never_violate_invariants() {
     let service = Service::new(ServeConfig::default());
     let texts: Vec<String> = (7..11).map(|i| valid_program(i).1).collect();

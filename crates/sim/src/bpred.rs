@@ -27,10 +27,6 @@ pub struct BranchPredictor {
     btb_assoc: usize,
     ras: Vec<u64>,
     ras_depth: usize,
-    /// Conditional-branch predictions made.
-    pub lookups: u64,
-    /// Conditional-branch direction mispredictions.
-    pub mispredicts: u64,
 }
 
 impl BranchPredictor {
@@ -45,8 +41,6 @@ impl BranchPredictor {
             btb_assoc: 4,
             ras: Vec::new(),
             ras_depth,
-            lookups: 0,
-            mispredicts: 0,
         }
     }
 
@@ -65,7 +59,6 @@ impl BranchPredictor {
     /// Predict a conditional branch at `pc`; then update with the actual
     /// outcome. Returns whether the *direction* was mispredicted.
     pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
-        self.lookups += 1;
         let gi = self.gshare_index(pc);
         let bi = Self::bimodal_index(pc);
         let ci = Self::chooser_index(pc);
@@ -80,11 +73,7 @@ impl BranchPredictor {
         bump(&mut self.gshare[gi], taken);
         bump(&mut self.bimodal[bi], taken);
         self.ghr = (self.ghr << 1) | taken as u16;
-        let miss = pred != taken;
-        if miss {
-            self.mispredicts += 1;
-        }
-        miss
+        pred != taken
     }
 
     /// Look up the BTB; on miss or stale target the front end cannot
@@ -118,15 +107,6 @@ impl BranchPredictor {
     /// Pop a predicted return address; compares with the actual one.
     pub fn ras_pop_matches(&mut self, actual: u64) -> bool {
         self.ras.pop() == Some(actual)
-    }
-
-    /// Direction misprediction rate.
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.lookups as f64
-        }
     }
 }
 

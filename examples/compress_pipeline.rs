@@ -25,7 +25,7 @@ fn main() {
 
     // Baseline.
     let baseline = compress(InputSet::Ref).program;
-    let (base_sim, base_digest) = measure(&baseline);
+    let (base_sim, expected_digest) = measure(&baseline);
     let base_energy = model.report(&base_sim.activity, GatingScheme::None);
     println!(
         "baseline:  {:>9} cycles  ipc {:.2}  energy {:>10.0} nJ",
@@ -38,7 +38,7 @@ fn main() {
     let mut vrp_prog = compress(InputSet::Ref).program;
     let report = VrpPass::new(VrpConfig::default()).run(&mut vrp_prog);
     let (vrp_sim, vrp_digest) = measure(&vrp_prog);
-    assert_eq!(vrp_digest, base_digest, "VRP must preserve output");
+    assert_eq!(vrp_digest, expected_digest, "VRP must preserve output");
     let vrp_energy = model.report(&vrp_sim.activity, GatingScheme::Software);
     println!(
         "VRP:       {:>9} cycles  ipc {:.2}  energy {:>10.0} nJ  ({} narrowed, {:.1}% energy, {:.1}% ED²)",
@@ -61,7 +61,7 @@ fn main() {
     let mut vrs_prog = compress(InputSet::Ref).program;
     let vrs_report = VrsPass::new(VrsConfig::default()).run(&mut vrs_prog, &train);
     let (vrs_sim, vrs_digest) = measure(&vrs_prog);
-    assert_eq!(vrs_digest, base_digest, "VRS must preserve output");
+    assert_eq!(vrs_digest, expected_digest, "VRS must preserve output");
     let vrs_energy = model.report(&vrs_sim.activity, GatingScheme::Software);
     println!(
         "VRS 50nJ:  {:>9} cycles  ipc {:.2}  energy {:>10.0} nJ  ({} profiled, {} specialized, {:.1}% ED²)",
