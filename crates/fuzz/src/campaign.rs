@@ -543,7 +543,7 @@ struct ShardReport {
 /// The canonical content digest of a program (FNV-1a over its canonical
 /// JSON rendering) — the program half of the dedup key.
 fn program_digest(p: &Program) -> u64 {
-    fnv1a(og_json::render(&p.to_json()).expect("programs render").as_bytes())
+    fnv1a(p.canonical_text().as_bytes())
 }
 
 /// One shard of the guided loop. Fully deterministic given

@@ -17,7 +17,8 @@
 //! * **Capacity bound** — [`KeyedStore::put`] evicts the
 //!   oldest-modified entries (name as the deterministic tie-break) until
 //!   at most `capacity` remain, so a long-running service cannot grow
-//!   the directory without bound.
+//!   the directory without bound. Concurrent puts can pick the same
+//!   victim; a victim already gone counts as evicted by the other put.
 //! * **Debris sweep** — [`KeyedStore::sweep_debris`] removes tmp files
 //!   older than a caller-chosen age; young tmp files are spared because
 //!   they may belong to a live writer whose rename would fail if the
@@ -215,7 +216,8 @@ impl KeyedStore {
     /// [`StoreError::Unrenderable`] if the value cannot be rendered
     /// (non-finite float), [`StoreError::Io`] if the atomic write fails;
     /// eviction failures are reported on stderr but do not fail the put
-    /// (the entry itself is durable).
+    /// (the entry itself is durable). A victim a concurrent put already
+    /// evicted is no failure: it is skipped silently and not returned.
     pub fn put(&self, key: u128, value: &Json) -> Result<Vec<u128>, StoreError> {
         let text =
             render(value).map_err(|e| StoreError::Unrenderable { key, err: e.to_string() })?;
@@ -260,8 +262,9 @@ impl KeyedStore {
                     .and_then(|t| t.elapsed().ok())
                     .is_some_and(|age| age >= max_age);
             if is_debris {
-                match std::fs::remove_file(entry.path()) {
-                    Ok(()) => removed.push(name),
+                match remove_if_present(&entry.path()) {
+                    Ok(true) => removed.push(name),
+                    Ok(false) => {}
                     Err(e) => eprintln!("og-json store: failed to remove debris {name}: {e}"),
                 }
             }
@@ -269,11 +272,17 @@ impl KeyedStore {
         removed
     }
 
-    /// Evict oldest-modified entries (file name breaks mtime ties
-    /// deterministically) until at most `capacity` remain. `just_put` is
-    /// never evicted: the entry the caller is inserting must survive its
-    /// own put even against coarse file-clock ties.
+    /// Evict oldest-modified entries until at most `capacity` remain;
+    /// the keys this call removed.
     fn evict_over_capacity(&self, just_put: u128) -> Vec<u128> {
+        self.evict(self.eviction_victims(just_put))
+    }
+
+    /// The oldest-modified entries (file name breaks mtime ties
+    /// deterministically) whose removal leaves at most `capacity`.
+    /// `just_put` is never a victim: the entry the caller is inserting
+    /// must survive its own put even against coarse file-clock ties.
+    fn eviction_victims(&self, just_put: u128) -> Vec<u128> {
         let Ok(entries) = std::fs::read_dir(&self.dir) else { return Vec::new() };
         let mut present: Vec<(SystemTime, String, u128)> = entries
             .flatten()
@@ -294,14 +303,35 @@ impl KeyedStore {
             return Vec::new();
         }
         present.sort();
-        let mut evicted = Vec::new();
-        for (_, _, key) in present.drain(..present.len() - budget) {
-            match std::fs::remove_file(self.path_of(key)) {
-                Ok(()) => evicted.push(key),
-                Err(e) => eprintln!("og-json store: failed to evict {key:032x}: {e}"),
-            }
-        }
-        evicted
+        present.drain(..present.len() - budget).map(|(_, _, key)| key).collect()
+    }
+
+    /// Remove the `victims`' entries; the keys this call removed. Two
+    /// concurrent puts can pick the same victim, so an entry that is
+    /// already gone was evicted by the other one: it is left out of the
+    /// result, and is not an error.
+    fn evict(&self, victims: Vec<u128>) -> Vec<u128> {
+        victims
+            .into_iter()
+            .filter(|&key| match remove_if_present(&self.path_of(key)) {
+                Ok(removed) => removed,
+                Err(e) => {
+                    eprintln!("og-json store: failed to evict {key:032x}: {e}");
+                    false
+                }
+            })
+            .collect()
+    }
+}
+
+/// Remove the file at `path`: `Ok(true)` if this call removed it,
+/// `Ok(false)` if it was already gone (another writer's eviction or
+/// sweep got there first).
+fn remove_if_present(path: &Path) -> std::io::Result<bool> {
+    match std::fs::remove_file(path) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e),
     }
 }
 
@@ -367,6 +397,27 @@ mod tests {
         let evicted = store.put(6, &doc(6)).unwrap();
         assert_eq!(evicted, vec![1]);
         assert_eq!(store.len(), 3);
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn a_victim_another_writer_already_evicted_is_skipped_silently() {
+        let store = temp_store("evict-race", 4);
+        for k in 1..=3u128 {
+            store.put(k, &doc(k as u64)).unwrap();
+            age_entry(&store, k, 100 - k as u64); // 1 oldest, 3 youngest
+        }
+        // A one-entry view of the same directory, putting 3, picks 1
+        // and 2 as victims...
+        let view = KeyedStore::new(store.dir(), "case", 1);
+        let victims = view.eviction_victims(3);
+        assert_eq!(victims, vec![1, 2]);
+        // ...but a concurrent put evicts 1 before this one gets to it.
+        std::fs::remove_file(store.path_of(1)).unwrap();
+        assert_eq!(view.evict(victims), vec![2], "only the entry this call removed");
+        assert_eq!(store.keys(), vec![3]);
+        // A debris sweep racing another sweep takes the same path.
+        assert!(!remove_if_present(&store.path_of(1)).unwrap());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

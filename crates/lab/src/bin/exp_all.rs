@@ -10,22 +10,5 @@ fn main() {
     let t0 = std::time::Instant::now();
     let study = shared_study();
     eprintln!("study ready in {:.1?}", t0.elapsed());
-
-    println!("{}", figures::table1());
-    println!("{}", figures::table3(study));
-    println!("{}", figures::fig2(study));
-    println!("{}", figures::fig3(study));
-    println!("{}", figures::fig4(study));
-    println!("{}", figures::fig5(study));
-    println!("{}", figures::fig6(study));
-    println!("{}", figures::fig7(study));
-    println!("{}", figures::fig8(study));
-    println!("{}", figures::fig9(study));
-    println!("{}", figures::fig10(study));
-    println!("{}", figures::fig11(study));
-    println!("{}", figures::fig12(study));
-    println!("{}", figures::fig13(study));
-    println!("{}", figures::fig14(study));
-    println!("{}", figures::fig15(study));
-    println!("{}", figures::ablation_useful(study));
+    print!("{}", figures::all(study));
 }

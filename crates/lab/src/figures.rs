@@ -24,6 +24,31 @@ fn pct(v: f64) -> String {
     format!("{:6.2}%", v * 100.0)
 }
 
+/// Every table and figure of the evaluation in the paper's order, each
+/// followed by a blank line — the text `exp_all` prints.
+pub fn all(study: &Study) -> String {
+    let sections = [
+        table1(),
+        table3(study),
+        fig2(study),
+        fig3(study),
+        fig4(study),
+        fig5(study),
+        fig6(study),
+        fig7(study),
+        fig8(study),
+        fig9(study),
+        fig10(study),
+        fig11(study),
+        fig12(study),
+        fig13(study),
+        fig14(study),
+        fig15(study),
+        ablation_useful(study),
+    ];
+    sections.iter().map(|section| format!("{section}\n")).collect()
+}
+
 /// The VRS cost sweep of Figures 8–11.
 pub const VRS_SWEEP: [Mech; 5] =
     [Mech::Vrs(110), Mech::Vrs(90), Mech::Vrs(70), Mech::Vrs(50), Mech::Vrs(30)];

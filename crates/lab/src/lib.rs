@@ -1,37 +1,41 @@
 //! # og-lab: the experiment pipeline
 //!
 //! Reproduces the paper's evaluation end to end. One [`run_study`] call
-//! executes, for every benchmark of the SpecInt95-analogue suite and every
-//! software mechanism (baseline, conventional VRP, the proposed useful-VRP,
-//! the aggressive-useful ablation, and VRS at the five specialization-cost
-//! points of Figure 8):
+//! covers every benchmark of the SpecInt95-analogue suite under every
+//! software mechanism (baseline, conventional VRP, the proposed
+//! useful-VRP, the aggressive-useful ablation, and VRS at the five
+//! specialization-cost points of Figure 8). Each (benchmark, mechanism)
+//! pair goes through four steps (module `pipeline`):
 //!
-//! 1. build the workload (reference input; training input for VRS),
-//! 2. apply the program transformation,
-//! 3. emulate **and** simulate in one fused pass: the VM streams each
-//!    committed instruction straight into the cycle-level simulator
-//!    (`og_vm::TraceSink`), so no trace is ever materialized — O(1)
-//!    trace memory instead of ~56 B × steps,
-//! 4. check observational equivalence against the baseline output,
-//! 5. summarize timing + width-annotated activity into a serializable
-//!    [`RunSummary`].
+//! 1. **transform**: build the workload (reference input; training
+//!    input for VRS) and apply the program transformation;
+//! 2. **identity**: digest the transformed program's canonical text
+//!    ([`og_program::digest128`], the service's key too);
+//! 3. **measure**: emulate **and** simulate in one fused pass — the VM
+//!    streams each committed instruction straight into the cycle-level
+//!    simulator (`og_vm::TraceSink`), so no trace is ever materialized —
+//!    and check observational equivalence against the baseline output;
+//! 4. **assemble**: label the measurement and add the mechanism's VRS
+//!    bookkeeping, giving a serializable [`RunSummary`].
+//!
+//! The 72 pairs hold only 25 distinct programs (most mechanisms leave
+//! compress and m88ksim unchanged, and the five VRS cost points give one
+//! program on every benchmark), so [`compute_study`] measures each
+//! distinct program once and assembles all 72 summaries from those 25
+//! measurements. [`identity_classes`] reports the partition.
 //!
 //! Hardware and cooperative gating schemes need no extra runs: every
 //! access was recorded with both its opcode width and its dynamic
 //! significance, so `og-power` prices all five schemes from the same
 //! activity record.
 //!
-//! The full study fans out across a worker pool: the 8 baselines run
-//! first (their digests are the equivalence oracle for everything else),
-//! then the remaining 64 (benchmark, mechanism) runs are drained from a
-//! shared queue — work-stealing granularity of one run, instead of the
-//! old one-thread-per-benchmark shape whose wall-clock was bounded by
-//! the slowest benchmark's nine serial mechanisms.
+//! Every step fans out on a [`WorkerPool`], one job per pair or per
+//! distinct program, so no worker is stuck behind one benchmark's queue.
 //!
 //! ## The study cache
 //!
-//! The full study is expensive (8 benchmarks × 9 mechanisms, each a
-//! complete transform → emulate → simulate pipeline) and 16 of the 20
+//! The full study is expensive (8 benchmarks × 9 mechanisms: 72
+//! transforms and 25 fused emulate+simulate runs) and 16 of the 20
 //! bench targets consume the same one, so [`run_study`] caches it on disk as
 //! JSON (via the in-tree `og-json` layer) and in the process behind
 //! [`shared_study`]'s `OnceLock`:
@@ -70,6 +74,7 @@ pub mod pool;
 pub mod report;
 mod serialize;
 
+use pipeline::{apply_mech, measure, Measured, VrsRaw};
 pub use pipeline::{run_lowered, run_program, RunError};
 pub use pool::WorkerPool;
 
@@ -77,11 +82,12 @@ use og_isa::OpClass;
 use og_json::store::{KeyedStore, TMP_DEBRIS_AGE};
 use og_json::{FromJson, ToJson};
 use og_power::{ed2_improvement, EnergyModel, EnergyReport, GatingScheme};
+use og_program::{digest128, Program};
 use og_sim::{ActivityCounts, CycleStats, Structure};
 use og_vm::{RunConfig, Vm};
 use og_workloads::{by_name, InputSet, NAMES};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -336,25 +342,6 @@ impl Study {
     }
 }
 
-/// Run one (benchmark, mechanism) pipeline. `expected_digest` enforces
-/// observational equivalence when known.
-///
-/// A thin wrapper over the program-first [`run_program`]: it builds the
-/// named workload (plus the training input for VRS) and converts the
-/// typed errors back into panics, which is the right contract for the
-/// fixed suite — any failure here is a pipeline bug, not bad input.
-///
-/// # Panics
-///
-/// Panics if the workload fails to run or the transformed program's
-/// output diverges from the baseline.
-pub fn run_pipeline(bench: &str, mech: Mech, expected_digest: Option<u64>) -> RunSummary {
-    let program = by_name(bench, InputSet::Ref).program;
-    let train = matches!(mech, Mech::Vrs(_)).then(|| by_name(bench, InputSet::Train).program);
-    run_program(bench, &program, mech, train.as_ref(), RunConfig::default(), expected_digest)
-        .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"))
-}
-
 /// `$CARGO_TARGET_DIR`, else the workspace `target/`: where the study
 /// cache and the `BENCH_*.json` reports go unless their own variable
 /// overrides it.
@@ -463,58 +450,120 @@ pub fn shared_study() -> &'static Study {
     SHARED.get_or_init(run_study)
 }
 
+/// Transform: `bench`'s Ref program under `mech` (VRS profiles the
+/// Train input), with its VRS bookkeeping.
+fn transform(bench: &str, mech: Mech) -> (Program, Option<VrsRaw>) {
+    let mut program = by_name(bench, InputSet::Ref).program;
+    let train = matches!(mech, Mech::Vrs(_)).then(|| by_name(bench, InputSet::Train).program);
+    let vrs = apply_mech(&mut program, mech, train.as_ref())
+        .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+    (program, vrs)
+}
+
+/// One suite pair after the transform and identity steps. The program
+/// itself is dropped: only its digest and VRS bookkeeping are kept.
+struct Identified {
+    bench: &'static str,
+    mech: Mech,
+    digest: u128,
+    vrs: Option<VrsRaw>,
+}
+
+/// Transform and identify every (benchmark, mechanism) pair on `pool`,
+/// in benchmark-major, [`Mech::ALL`] order.
+fn identify_suite(pool: &WorkerPool) -> Vec<Identified> {
+    let pairs: Vec<(&'static str, Mech)> =
+        NAMES.into_iter().flat_map(|bench| Mech::ALL.map(|mech| (bench, mech))).collect();
+    pool.map_all("transform + identity", pairs, |(bench, mech)| {
+        let (program, vrs) = transform(bench, mech);
+        Identified { bench, mech, digest: digest128(&program.canonical_text()), vrs }
+    })
+}
+
+/// The study's identity classes: for each benchmark in suite order,
+/// [`Mech::ALL`] partitioned by the digest of the transformed program.
+/// Classes and their members are in [`Mech::ALL`] order.
+/// [`compute_study`] measures one program per class.
+pub fn identity_classes() -> Vec<(&'static str, Vec<Vec<Mech>>)> {
+    let pairs = identify_suite(&WorkerPool::with_default_parallelism());
+    NAMES
+        .into_iter()
+        .map(|bench| {
+            let mut classes: Vec<(u128, Vec<Mech>)> = Vec::new();
+            for pair in pairs.iter().filter(|pair| pair.bench == bench) {
+                match classes.iter_mut().find(|(digest, _)| *digest == pair.digest) {
+                    Some((_, members)) => members.push(pair.mech),
+                    None => classes.push((pair.digest, vec![pair.mech])),
+                }
+            }
+            (bench, classes.into_iter().map(|(_, members)| members).collect())
+        })
+        .collect()
+}
+
 /// Run the full study without touching the cache.
 ///
-/// Parallelized at (benchmark, mechanism) granularity on a
-/// [`WorkerPool`]: the 8 baselines fan out first (their digests gate
-/// everything else), then the remaining 64 runs are mapped as
-/// individual jobs, so no worker is ever stuck behind one benchmark's
-/// queue. The assembled run order (benchmark-major, in [`Mech::ALL`]
-/// order) is identical to the old serial implementation, so cached
-/// studies and serialized layouts are unaffected.
+/// The 72 (benchmark, mechanism) pairs hold only 25 distinct programs,
+/// so the study measures each distinct program once, in four steps on a
+/// [`WorkerPool`]:
+///
+/// 1. **transform + identity**: every pair is transformed and keyed by
+///    the [`digest128`] of its canonical text; only the digest and the
+///    VRS bookkeeping are kept.
+/// 2. **measure**: one job per distinct digest re-derives the class's
+///    first pair, re-checks its digest, and runs the fused
+///    emulate+simulate pass. Its output digest must equal the
+///    benchmark's baseline digest from the no-stats engine, which also
+///    cross-checks that engine against the full one on every recompute.
+/// 3. **assemble**: the 72 summaries, each from its class's measurement
+///    plus its own label and VRS bookkeeping, in benchmark-major,
+///    [`Mech::ALL`] order — the same runs, bytes and order as measuring
+///    every pair separately with [`run_program`].
+///
+/// The suite is fixed, trusted input, so the 128-bit digest alone is the
+/// key.
 pub fn compute_study() -> Study {
     STUDY_RECOMPUTES.fetch_add(1, Ordering::Relaxed);
     let pool = WorkerPool::with_default_parallelism();
 
-    // Phase 0: run every baseline through the no-stats engine. Cheap
-    // relative to the full pipeline (no simulation, no stats) and it
-    // cross-checks the fast path against the full engine on every study
-    // recompute: phase 1's digests must agree.
-    let nostats_digests = pool.map_all("no-stats baselines", NAMES, |bench| {
+    let digests = pool.map_all("no-stats baselines", NAMES, |bench| {
         let program = by_name(bench, InputSet::Ref).program;
         Vm::new(&program, RunConfig::default())
             .run_nostats()
             .unwrap_or_else(|e| panic!("{bench}: no-stats run failed: {e}"))
             .output_digest
     });
+    let baseline_digests: HashMap<&str, u64> = NAMES.into_iter().zip(digests).collect();
 
-    // Phase 1: baselines (8 independent jobs).
-    let baselines =
-        pool.map_all("baselines", NAMES, |bench| run_pipeline(bench, Mech::Baseline, None));
-    let digests: Vec<u64> = baselines.iter().map(|r| r.digest).collect();
-    assert_eq!(
-        digests, nostats_digests,
-        "no-stats engine diverged from the full pipeline on a baseline digest"
-    );
+    let pairs = identify_suite(&pool);
 
-    // Phase 2: every remaining (benchmark, mechanism) pair as one job.
-    let pairs: Vec<(&'static str, Mech, u64)> = NAMES
-        .into_iter()
-        .zip(digests)
-        .flat_map(|(bench, digest)| Mech::ALL.into_iter().skip(1).map(move |m| (bench, m, digest)))
+    // One measurement per distinct digest, of its first pair.
+    let mut seen = HashSet::new();
+    let jobs: Vec<(&'static str, Mech, u128, u64)> = pairs
+        .iter()
+        .filter(|pair| seen.insert(pair.digest))
+        .map(|pair| (pair.bench, pair.mech, pair.digest, baseline_digests[pair.bench]))
         .collect();
-    let mut extras = pool
-        .map_all("bench x mech runs", pairs, |(bench, mech, expected)| {
-            run_pipeline(bench, mech, Some(expected))
+    let measured: HashMap<u128, Measured> = pool
+        .map_all("distinct programs", jobs, |(bench, mech, digest, expected)| {
+            let (program, _) = transform(bench, mech);
+            assert_eq!(
+                digest128(&program.canonical_text()),
+                digest,
+                "{bench}/{mech:?}: the transform is not deterministic"
+            );
+            let measured = measure(Vm::new(&program, RunConfig::default()))
+                .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+            measured.check_digest(expected).unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+            (digest, measured)
         })
-        .into_iter();
+        .into_iter()
+        .collect();
 
-    // Assemble benchmark-major, Mech::ALL order.
-    let mut runs = Vec::with_capacity(NAMES.len() * Mech::ALL.len());
-    for base in baselines {
-        runs.push(base);
-        runs.extend(extras.by_ref().take(Mech::ALL.len() - 1));
-    }
+    let runs = pairs
+        .iter()
+        .map(|pair| measured[&pair.digest].assemble(pair.bench, pair.mech, pair.vrs.as_ref()))
+        .collect();
     Study::new(STUDY_VERSION, runs)
 }
 
@@ -598,11 +647,20 @@ mod tests {
 
     #[test]
     fn single_pipeline_runs_and_checks_digest() {
-        let base = run_pipeline("compress", Mech::Baseline, None);
+        let program = by_name("compress", InputSet::Ref).program;
+        let run = |mech, expected| {
+            run_program("compress", &program, mech, None, RunConfig::default(), expected)
+        };
+        let base = run(Mech::Baseline, None).unwrap();
         assert!(base.sim.cycles > 0);
         assert!(base.insts > 1000);
-        let vrp = run_pipeline("compress", Mech::Vrp, Some(base.digest));
+        let vrp = run(Mech::Vrp, Some(base.digest)).unwrap();
         assert_eq!(vrp.insts, base.insts, "VRP must not change the path");
+        assert_eq!(
+            run(Mech::Vrp, Some(!base.digest)),
+            Err(RunError::DigestMismatch { expected: !base.digest, actual: base.digest })
+        );
+        assert_eq!(run(Mech::Vrs(50), None), Err(RunError::MissingTrain));
         // VRP narrows: software-priced energy strictly below baseline's.
         let model = EnergyModel::new();
         let e_base = base.energy(&model, GatingScheme::None).total_nj;
@@ -628,7 +686,7 @@ mod tests {
     #[test]
     fn study_get_indexes_by_bench_and_mech() {
         let mk = |bench: &str, mech: Mech, insts: u64| {
-            let base = run_pipeline_stub();
+            let base = summary_stub();
             RunSummary { bench: bench.into(), mech, insts, ..base }
         };
         let study = Study::new(
@@ -664,7 +722,7 @@ mod tests {
     }
 
     /// A minimal summary to clone from in index tests.
-    fn run_pipeline_stub() -> RunSummary {
+    fn summary_stub() -> RunSummary {
         RunSummary {
             bench: String::new(),
             mech: Mech::Baseline,

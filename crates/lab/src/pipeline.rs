@@ -1,34 +1,44 @@
-//! Program-first measurement pipeline.
+//! The measurement pipeline: one (program, mechanism) run in four steps.
 //!
-//! [`crate::run_pipeline`] is keyed by bench *name*: it builds the
-//! workload itself and panics on any failure, which is right for the
-//! fixed suite (a missing bench or a diverged digest there is a bug) and
-//! wrong for a service (a request must never abort the process). This
-//! module holds the library-ified core both ride on:
+//! 1. **transform** — [`apply_mech`] rewrites the program under the
+//!    mechanism (VRP narrows widths; VRS profiles a training input and
+//!    specializes). Its [`VrsRaw`] bookkeeping is self-contained: the
+//!    specialized blocks' instruction counts are resolved here, so the
+//!    program can be dropped before it is measured.
+//! 2. **identity** — [`og_program::digest128`] of the transformed
+//!    program's [`Program::canonical_text`]. [`crate::compute_study`]
+//!    keys each transformed program by it to measure every distinct
+//!    program once; `og-serve` keys its artifact cache by the same
+//!    function.
+//! 3. **measure** — [`measure`]: the fused emulate+simulate pass (the VM
+//!    streams each committed instruction straight into the cycle-level
+//!    simulator; no trace is materialized). It yields everything of a
+//!    [`RunSummary`] that depends only on the program: the output
+//!    digest, instructions, width and significance fractions, the
+//!    class × width counts, the [`SimResult`] and the block counts VRS's
+//!    runtime fractions need.
+//! 4. **assemble** — [`Measured::assemble`]: the per-mechanism label and
+//!    [`VrsSummary`] on top of one measurement.
 //!
-//! * [`run_program`] — measure any [`Program`] under any [`Mech`],
-//!   returning typed [`RunError`]s instead of panicking;
-//! * [`run_lowered`] — the cached-artifact fast path: measure a program
-//!   whose [`FlatProgram`] was verified and lowered earlier (and
-//!   LRU-cached by `og-serve`), skipping the per-request verify+lower;
-//! * [`apply_mech`] — just the program transformation, exposed so a
-//!   caller can apply once and measure many times.
-//!
-//! The name-keyed [`crate::run_pipeline`] is now a thin wrapper:
-//! build workload → [`run_program`] → unwrap. The equivalence suite
-//! pins that wrapper bit-identical to the warm study cache.
+//! [`run_program`] chains transform → measure → assemble for one
+//! program (identity is only needed to share a measurement);
+//! [`run_lowered`] measures a program whose [`FlatProgram`] was verified
+//! and lowered earlier — the service's cache-hit path. Both return typed
+//! [`RunError`]s instead of panicking: a request must never abort the
+//! process.
 
 use crate::{Mech, RunSummary, VrsSummary};
 use og_core::{UsefulPolicy, VrpConfig, VrpPass, VrsConfig, VrsPass};
-use og_program::Program;
-use og_sim::{MachineConfig, Simulator};
+use og_program::{BlockId, FuncId, Program};
+use og_sim::{MachineConfig, SimResult, Simulator};
 use og_vm::{FlatProgram, RunConfig, Vm, VmError};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Why a measurement could not produce a [`RunSummary`]. Everything a
 /// request can trigger is here — the service maps these to reject
-/// responses; only genuine pipeline bugs still panic (in the
-/// [`crate::run_pipeline`] wrapper, not in this module).
+/// responses; only genuine pipeline bugs still panic (in
+/// [`crate::compute_study`], not in this module).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// A VRS run needs a training program and none was supplied.
@@ -64,21 +74,29 @@ impl From<VmError> for RunError {
     }
 }
 
+/// A block of the transformed program and an instruction count inside
+/// it; each execution of the block runs that many of them.
+type WeightedBlock = ((FuncId, BlockId), u64);
+
 /// VRS bookkeeping captured at transform time, priced into a
 /// [`VrsSummary`] once the dynamic block counts exist.
+#[derive(Debug)]
 pub(crate) struct VrsRaw {
     profiled: usize,
     fates: (usize, usize, usize),
     static_specialized: usize,
     static_eliminated: usize,
-    blocks: Vec<(og_program::FuncId, og_program::BlockId)>,
-    guards: Vec<(og_program::FuncId, og_program::BlockId, u32, u32)>,
+    /// Each specialized clone block with its instruction count.
+    specialized: Vec<WeightedBlock>,
+    /// Each guard site's block with its guard-test length.
+    guards: Vec<WeightedBlock>,
 }
 
-/// Apply `mech`'s program transformation to `program` in place.
-/// [`Mech::Vrs`] profiles `train` to choose specializations and fails
-/// with [`RunError::MissingTrain`] without one; every other mechanism
-/// ignores `train`. Returns the VRS bookkeeping for the summary.
+/// Transform: apply `mech`'s program transformation to `program` in
+/// place. [`Mech::Vrs`] profiles `train` to choose specializations and
+/// fails with [`RunError::MissingTrain`] without one; every other
+/// mechanism ignores `train`. Returns the VRS bookkeeping for the
+/// summary.
 pub(crate) fn apply_mech(
     program: &mut Program,
     mech: Mech,
@@ -100,6 +118,7 @@ pub(crate) fn apply_mech(
             let train = train.ok_or(RunError::MissingTrain)?;
             let cfg = VrsConfig { specialization_cost_nj: cost as f64, ..Default::default() };
             let report = VrsPass::new(cfg).run(program, train);
+            let block_len = |f: FuncId, b: BlockId| program.func(f).block(b).insts.len() as u64;
             Ok(Some(VrsRaw {
                 profiled: report.profiled_points,
                 fates: (
@@ -109,24 +128,110 @@ pub(crate) fn apply_mech(
                 ),
                 static_specialized: report.static_specialized,
                 static_eliminated: report.static_eliminated,
-                blocks: report.specialized_blocks.clone(),
-                guards: report.guard_sites.clone(),
+                specialized: report
+                    .specialized_blocks
+                    .iter()
+                    .map(|&(f, b)| ((f, b), block_len(f, b)))
+                    .collect(),
+                guards: report
+                    .guard_sites
+                    .iter()
+                    .map(|&(f, b, _, len)| ((f, b), len as u64))
+                    .collect(),
             }))
         }
     }
 }
 
-/// Measure `program` under `mech`: transform a copy, then emulate and
-/// simulate it in one fused pass (the VM streams each committed
-/// instruction straight into the cycle-level simulator — no trace is
-/// materialized). `name` labels the summary; `train` feeds
+/// The mechanism-independent part of a [`RunSummary`]: what one fused
+/// emulate+simulate pass of a program yields.
+#[derive(Debug)]
+pub(crate) struct Measured {
+    digest: u64,
+    insts: u64,
+    width_fracs: [f64; 4],
+    sig_fracs: [f64; 8],
+    class_width: [[u64; 4]; 13],
+    sim: SimResult,
+    block_counts: HashMap<(FuncId, BlockId), u64>,
+}
+
+/// Measure: run `vm` to completion, streaming every committed
+/// instruction into a fresh cycle-level simulator.
+///
+/// # Errors
+///
+/// The VM's error when the program runs out of fuel or call depth.
+pub(crate) fn measure(mut vm: Vm<'_>) -> Result<Measured, VmError> {
+    let mut sim = Simulator::new(MachineConfig::default());
+    let outcome = vm.run_streamed(&mut sim)?;
+    let (stats, _) = vm.into_parts();
+    Ok(Measured {
+        digest: outcome.output_digest,
+        insts: outcome.steps,
+        width_fracs: stats.width_fractions(),
+        sig_fracs: stats.sig_fractions(),
+        class_width: stats.class_width,
+        sim: sim.finish(),
+        block_counts: stats.block_counts,
+    })
+}
+
+impl Measured {
+    /// Observational equivalence: the output must match the baseline's.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::DigestMismatch`] when it does not.
+    pub(crate) fn check_digest(&self, expected: u64) -> Result<(), RunError> {
+        if self.digest == expected {
+            Ok(())
+        } else {
+            Err(RunError::DigestMismatch { expected, actual: self.digest })
+        }
+    }
+
+    /// Assemble: this measurement labelled `name` under `mech`, with
+    /// `vrs`'s bookkeeping priced against the measured block counts.
+    pub(crate) fn assemble(&self, name: &str, mech: Mech, vrs: Option<&VrsRaw>) -> RunSummary {
+        let total = self.insts.max(1) as f64;
+        let dyn_insts = |blocks: &[WeightedBlock]| -> u64 {
+            blocks
+                .iter()
+                .map(|(block, len)| self.block_counts.get(block).copied().unwrap_or(0) * len)
+                .sum()
+        };
+        RunSummary {
+            bench: name.to_string(),
+            mech,
+            digest: self.digest,
+            insts: self.insts,
+            width_fracs: self.width_fracs,
+            sig_fracs: self.sig_fracs,
+            class_width: self.class_width,
+            sim: self.sim.stats.clone(),
+            activity: self.sim.activity.clone(),
+            vrs: vrs.map(|raw| VrsSummary {
+                profiled: raw.profiled,
+                fates: raw.fates,
+                static_specialized: raw.static_specialized,
+                static_eliminated: raw.static_eliminated,
+                runtime_specialized_frac: dyn_insts(&raw.specialized) as f64 / total,
+                runtime_guard_frac: dyn_insts(&raw.guards) as f64 / total,
+            }),
+        }
+    }
+}
+
+/// Measure `program` under `mech`: transform a copy, measure it, and
+/// assemble the summary. `name` labels the summary; `train` feeds
 /// [`Mech::Vrs`]; `expected_digest` enforces observational equivalence
 /// when the caller knows the baseline's digest.
 ///
-/// This is the program-first core [`crate::run_pipeline`] wraps for the
-/// fixed suite and `og-serve` calls directly for submitted programs.
-/// `program` must verify: the transformed copy is verified and lowered
-/// by [`Vm::new`], so gate untrusted input on
+/// This is the one-program path: `og-serve` calls it for submitted
+/// programs, and the equivalence suite replays every study pair through
+/// it. `program` must verify: the transformed copy is verified and
+/// lowered by [`Vm::new`], so gate untrusted input on
 /// [`og_program::Program::verify_all`] first.
 ///
 /// # Errors
@@ -148,8 +253,11 @@ pub fn run_program(
 ) -> Result<RunSummary, RunError> {
     let mut program = program.clone();
     let vrs = apply_mech(&mut program, mech, train)?;
-    let vm = Vm::new(&program, config);
-    finish(name, mech, &program, vm, expected_digest, vrs)
+    let measured = measure(Vm::new(&program, config))?;
+    if let Some(expected) = expected_digest {
+        measured.check_digest(expected)?;
+    }
+    Ok(measured.assemble(name, mech, vrs.as_ref()))
 }
 
 /// Measure a program through an **already-lowered** flat artifact — the
@@ -173,62 +281,6 @@ pub fn run_lowered(
     flat: FlatProgram,
     config: RunConfig,
 ) -> Result<RunSummary, RunError> {
-    let vm = Vm::with_lowered(program, config, flat);
-    finish(name, Mech::Baseline, program, vm, None, None)
-}
-
-/// The shared back half: run the fused emulate+simulate pass and fold
-/// the outcome into a [`RunSummary`].
-fn finish(
-    name: &str,
-    mech: Mech,
-    program: &Program,
-    mut vm: Vm<'_>,
-    expected_digest: Option<u64>,
-    vrs: Option<VrsRaw>,
-) -> Result<RunSummary, RunError> {
-    let mut sim = Simulator::new(MachineConfig::default());
-    let outcome = vm.run_streamed(&mut sim)?;
-    if let Some(expected) = expected_digest {
-        if outcome.output_digest != expected {
-            return Err(RunError::DigestMismatch { expected, actual: outcome.output_digest });
-        }
-    }
-    let (stats, _) = vm.into_parts();
-    let sim = sim.finish();
-
-    let vrs_summary = vrs.map(|raw| {
-        let total = stats.steps.max(1) as f64;
-        let mut spec_dyn = 0u64;
-        for (f, b) in &raw.blocks {
-            let count = stats.block_counts.get(&(*f, *b)).copied().unwrap_or(0);
-            spec_dyn += count * program.func(*f).block(*b).insts.len() as u64;
-        }
-        let mut guard_dyn = 0u64;
-        for (f, b, _, len) in &raw.guards {
-            let count = stats.block_counts.get(&(*f, *b)).copied().unwrap_or(0);
-            guard_dyn += count * *len as u64;
-        }
-        VrsSummary {
-            profiled: raw.profiled,
-            fates: raw.fates,
-            static_specialized: raw.static_specialized,
-            static_eliminated: raw.static_eliminated,
-            runtime_specialized_frac: spec_dyn as f64 / total,
-            runtime_guard_frac: guard_dyn as f64 / total,
-        }
-    });
-
-    Ok(RunSummary {
-        bench: name.to_string(),
-        mech,
-        digest: outcome.output_digest,
-        insts: outcome.steps,
-        width_fracs: stats.width_fractions(),
-        sig_fracs: stats.sig_fractions(),
-        class_width: stats.class_width,
-        sim: sim.stats,
-        activity: sim.activity,
-        vrs: vrs_summary,
-    })
+    let measured = measure(Vm::with_lowered(program, config, flat))?;
+    Ok(measured.assemble(name, Mech::Baseline, None))
 }

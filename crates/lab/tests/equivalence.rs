@@ -1,32 +1,45 @@
-//! Library-ification equivalence: the program-first [`og_lab::run_program`]
-//! path must reproduce every `RunSummary` of the (warm) study cache
-//! **byte-identically** — same digests, same `STUDY_VERSION`, same JSON
-//! bytes. This is the contract that let `run_pipeline`/`compute_study`
-//! become thin wrappers over the library core without invalidating any
-//! cached study: if this test holds, a study computed through the old
-//! name-keyed path and one computed through the service path are the
-//! same artifact.
+//! The study against **committed** goldens. A cache the same code just
+//! wrote proves nothing about a refactor, so this suite computes one
+//! cold [`compute_study`] per test binary and pins it three ways:
 //!
-//! A cache the same code just wrote proves nothing about a refactor, so
-//! every freshly computed summary is also checked against the
-//! **committed** study fingerprint `perfbench/expected/study.json`
-//! (read-only here; the benchmark owns it): fnv1a of the serialized
-//! summary, plus cycles and instructions in clear so a failure says what
-//! moved.
+//! * every `RunSummary` equals, byte for byte, the one-program
+//!   [`run_program`] replay of its (bench, mech) pair — so measuring each
+//!   distinct program once and sharing the measurement changes nothing;
+//! * every `RunSummary` matches the committed study fingerprint
+//!   `perfbench/expected/study.json` (read-only here; the benchmark owns
+//!   it): fnv1a of the serialized summary, fnv1a of its energies under
+//!   the five gating schemes, and cycles and instructions in clear so a
+//!   failure says what moved;
+//! * the rendered tables and figures equal the committed
+//!   `tests/figures.txt`, the exact text `exp_all` prints.
 //!
-//! The fault campaign's masked/SDC/detected/hang taxonomy is pinned the
-//! same way, against the committed `perfbench/expected/fault_sweep.json`.
+//! The identity classes the study measures once each, and the fault
+//! campaign's masked/SDC/detected/hang taxonomy
+//! (`perfbench/expected/fault_sweep.json`), are pinned too.
 
 use og_json::Json;
 use og_lab::fault::{run_fault_campaign, FaultCampaignConfig};
-use og_lab::{run_program, shared_study, Mech, RunSummary, WorkerPool, STUDY_VERSION};
+use og_lab::{
+    compute_study, figures, identity_classes, run_program, Mech, RunSummary, Study, WorkerPool,
+    STUDY_VERSION,
+};
+use og_power::{EnergyModel, GatingScheme};
 use og_vm::{fnv1a, RunConfig};
 use og_workloads::{by_name, InputSet, NAMES};
 use std::collections::HashMap;
+use std::sync::OnceLock;
+
+/// The cold study every test in this binary checks: computed once,
+/// never read from or written to the study cache.
+fn cold_study() -> &'static Study {
+    static STUDY: OnceLock<Study> = OnceLock::new();
+    STUDY.get_or_init(compute_study)
+}
 
 /// One committed `(bench, mech)` fingerprint.
 struct Golden {
     summary_fnv: u64,
+    energy_fnv: u64,
     cycles: u64,
     insts: u64,
 }
@@ -41,17 +54,30 @@ fn committed_fingerprint() -> HashMap<(String, String), Golden> {
     let text_of = |run: &Json, key: &str| -> String {
         run.get(key).and_then(Json::as_str).unwrap_or_else(|| panic!("{path}: no `{key}`")).into()
     };
+    let hex_of = |run: &Json, key: &str| {
+        u64::from_str_radix(&text_of(run, key), 16).unwrap_or_else(|e| panic!("`{key}`: {e}"))
+    };
     runs.iter()
         .map(|run| {
-            let fnv = text_of(run, "summary_fnv");
             let golden = Golden {
-                summary_fnv: u64::from_str_radix(&fnv, 16).expect("summary_fnv is hex"),
+                summary_fnv: hex_of(run, "summary_fnv"),
+                energy_fnv: hex_of(run, "energy_fnv"),
                 cycles: run.field("cycles").expect("cycles"),
                 insts: run.field("insts").expect("insts"),
             };
             ((text_of(run, "bench"), text_of(run, "mech")), golden)
         })
         .collect()
+}
+
+/// fnv1a of the little-endian bit patterns of `summary`'s total energy
+/// under each gating scheme, in [`GatingScheme::ALL`] order.
+fn energy_fnv(summary: &RunSummary, model: &EnergyModel) -> u64 {
+    let bits: Vec<u8> = GatingScheme::ALL
+        .iter()
+        .flat_map(|&scheme| summary.energy(model, scheme).total_nj.to_bits().to_le_bytes())
+        .collect();
+    fnv1a(&bits)
 }
 
 fn check_against_golden(summary: &RunSummary, golden: &HashMap<(String, String), Golden>) {
@@ -68,11 +94,16 @@ fn check_against_golden(summary: &RunSummary, golden: &HashMap<(String, String),
         want.summary_fnv,
         "{key:?}: serialized summary moved from the committed fingerprint"
     );
+    assert_eq!(
+        energy_fnv(summary, &EnergyModel::new()),
+        want.energy_fnv,
+        "{key:?}: priced energies moved from the committed fingerprint"
+    );
 }
 
 #[test]
-fn run_program_reproduces_every_cached_summary_byte_identically() {
-    let study = shared_study();
+fn every_study_summary_matches_its_run_program_replay_and_the_committed_fingerprint() {
+    let study = cold_study();
     assert_eq!(study.version, STUDY_VERSION);
     assert_eq!(
         study.runs().len(),
@@ -82,8 +113,8 @@ fn run_program_reproduces_every_cached_summary_byte_identically() {
     let golden = committed_fingerprint();
     assert_eq!(golden.len(), study.runs().len(), "one committed fingerprint per run");
 
-    // Re-run the whole matrix through the program-first entry point, on
-    // the same worker pool the study computation uses.
+    // Re-run the whole matrix one pair at a time through the
+    // program-first entry point, sharing nothing between pairs.
     let pool = WorkerPool::with_default_parallelism();
     let jobs: Vec<(String, Mech)> =
         study.runs().iter().map(|r| (r.bench.clone(), r.mech)).collect();
@@ -94,23 +125,71 @@ fn run_program_reproduces_every_cached_summary_byte_identically() {
             .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"))
     });
 
-    for (summary, cached) in fresh.iter().zip(study.runs()) {
-        assert_eq!(
-            summary, cached,
-            "run_program diverged from the cached {}/{:?}",
-            cached.bench, cached.mech
-        );
+    for (replay, summary) in fresh.iter().zip(study.runs()) {
         // Byte-level, not just PartialEq: the serialized form is what
         // the cache file and the service's keyed store actually hold.
         assert_eq!(
+            og_json::to_string(replay).unwrap(),
             og_json::to_string(summary).unwrap(),
-            og_json::to_string(cached).unwrap(),
-            "serialized bytes diverged for {}/{:?}",
-            cached.bench,
-            cached.mech
+            "the study's {}/{:?} differs from its run_program replay",
+            summary.bench,
+            summary.mech
         );
         check_against_golden(summary, &golden);
     }
+}
+
+#[test]
+fn rendered_figures_match_the_committed_text() {
+    let committed = include_str!("figures.txt");
+    let fresh = figures::all(cold_study());
+    assert!(
+        fresh == committed,
+        "the rendered figures moved from crates/lab/tests/figures.txt; after a deliberate \
+         change, commit this text (it is exactly `exp_all`'s output):\n{fresh}"
+    );
+}
+
+/// Each bench's partition of [`Mech::ALL`] into identity classes
+/// (mechanisms whose transformed programs have one digest), classes
+/// separated by `|`. The five VRS cost points never split a class: the
+/// cost knob changes no program.
+const IDENTITY_CLASSES: &[(&str, &str)] = &[
+    ("compress", "Baseline | ConvVrp Vrp VrpAggressive Vrs(110) Vrs(90) Vrs(70) Vrs(50) Vrs(30)"),
+    ("gcc", "Baseline | ConvVrp | Vrp VrpAggressive | Vrs(110) Vrs(90) Vrs(70) Vrs(50) Vrs(30)"),
+    ("go", "Baseline | ConvVrp | Vrp VrpAggressive Vrs(110) Vrs(90) Vrs(70) Vrs(50) Vrs(30)"),
+    ("ijpeg", "Baseline | ConvVrp | Vrp VrpAggressive Vrs(110) Vrs(90) Vrs(70) Vrs(50) Vrs(30)"),
+    ("li", "Baseline | ConvVrp | Vrp VrpAggressive Vrs(110) Vrs(90) Vrs(70) Vrs(50) Vrs(30)"),
+    ("m88ksim", "Baseline | ConvVrp Vrp VrpAggressive Vrs(110) Vrs(90) Vrs(70) Vrs(50) Vrs(30)"),
+    ("perl", "Baseline | ConvVrp | Vrp Vrs(110) Vrs(90) Vrs(70) Vrs(50) Vrs(30) | VrpAggressive"),
+    ("vortex", "Baseline | ConvVrp | Vrp VrpAggressive | Vrs(110) Vrs(90) Vrs(70) Vrs(50) Vrs(30)"),
+];
+
+#[test]
+fn identity_classes_match_the_committed_partition() {
+    let classes = identity_classes();
+    let fresh: Vec<(&str, String)> = classes
+        .iter()
+        .map(|(bench, classes)| {
+            let groups: Vec<String> = classes
+                .iter()
+                .map(|class| class.iter().map(|m| format!("{m:?}")).collect::<Vec<_>>().join(" "))
+                .collect();
+            (*bench, groups.join(" | "))
+        })
+        .collect();
+    let unchanged = fresh
+        .iter()
+        .map(|(bench, row)| (*bench, row.as_str()))
+        .eq(IDENTITY_CLASSES.iter().copied());
+    let table: String =
+        fresh.iter().map(|(bench, row)| format!("    ({bench:?}, {row:?}),\n")).collect();
+    assert!(
+        unchanged,
+        "identity classes moved; after a deliberate change, replace IDENTITY_CLASSES with:\n{table}"
+    );
+    let total: usize = classes.iter().map(|(_, classes)| classes.len()).sum();
+    assert_eq!(total, 25, "the study measures one program per identity class");
 }
 
 /// The fault campaign at the benchmark's settings (seed `0xFA017`, 48

@@ -26,6 +26,10 @@
 //! facts (reachability, recursion freedom, bounded call depth) on the
 //! collect-all path.
 //!
+//! A program's identity is the [`digest128`] of its
+//! [`Program::canonical_text`]: the study measures each distinct
+//! transformed program once by it, and the study service caches by it.
+//!
 //! ```
 //! use og_program::{ProgramBuilder, imm};
 //! use og_isa::{Reg, Width};
@@ -54,6 +58,7 @@ mod data;
 mod dataflow;
 mod function;
 pub mod generate;
+mod identity;
 mod ids;
 mod json;
 mod layout;
@@ -70,6 +75,7 @@ pub use cfg::{Cfg, Dominators, Loop, LoopForest};
 pub use data::{DataItem, DataSegment, GLOBAL_BASE, STACK_BASE, STACK_SIZE};
 pub use dataflow::{DefId, DefSite, DefUse, Liveness};
 pub use function::{Block, Function};
+pub use identity::digest128;
 pub use ids::{BlockId, BlockRef, FuncId, InstRef};
 pub use layout::{Layout, INST_BYTES, TEXT_BASE};
 pub use program::{Program, StaticStats};

@@ -60,43 +60,16 @@ pub mod lru;
 use og_json::store::{KeyedStore, StoreError, TMP_DEBRIS_AGE};
 use og_json::{FromJson, Json, ToJson};
 use og_lab::{run_lowered, RunError, RunSummary, WorkerPool, STUDY_VERSION};
+use og_program::rng::SplitMix64;
 use og_program::{Program, VerifyError};
 use og_vm::{FlatProgram, RunConfig, VmError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// 64-bit FNV-1a with a caller-chosen basis (the standard offset basis
-/// gives `og_vm::fnv1a`; a derived basis gives an independent second
-/// hash).
-fn fnv1a_seeded(bytes: &[u8], basis: u64) -> u64 {
-    let mut hash = basis;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-/// SplitMix64 finalizer: decorrelates the second hash's basis from the
-/// first hash's value.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// 128-bit content digest of a program's canonical JSON text: FNV-1a in
-/// the low half, a SplitMix64-rebased second FNV-1a pass in the high
-/// half. Two independent 64-bit hashes push accidental collisions out of
-/// reach for any realistic corpus; deliberate collisions are handled
-/// (not just hoped against) by the cache's canonical-text comparison.
-pub fn digest128(text: &str) -> u128 {
-    let lo = og_vm::fnv1a(text.as_bytes());
-    let hi = fnv1a_seeded(text.as_bytes(), splitmix64(lo ^ text.len() as u64));
-    ((hi as u128) << 64) | lo as u128
-}
+/// The service's program identity: the 128-bit digest of a program's
+/// canonical text, shared with the study (see [`og_program::digest128`]).
+pub use og_program::digest128;
 
 /// Why a request was not served a summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,7 +184,7 @@ pub struct FaultProfile {
 impl FaultProfile {
     /// The injected store error for operation `n`, if any.
     fn store_fault(&self, n: u64, key: u128) -> Option<StoreError> {
-        let roll = splitmix64(self.seed ^ 0x5704E ^ n) % 1000;
+        let roll = SplitMix64::new(self.seed ^ 0x5704E ^ n).next_u64() % 1000;
         if roll < self.store_fault_per_mille {
             Some(StoreError::Io {
                 op: "read",
@@ -227,7 +200,7 @@ impl FaultProfile {
 
     /// The injected pool fault for execution job `n`, if any.
     fn pool_fault(&self, n: u64) -> PoolFault {
-        let roll = splitmix64(self.seed ^ 0xB00_7ED ^ n) % 1000;
+        let roll = SplitMix64::new(self.seed ^ 0xB00_7ED ^ n).next_u64() % 1000;
         if roll < self.panic_per_mille {
             PoolFault::Panic
         } else if roll < self.panic_per_mille + self.slow_per_mille {
@@ -574,13 +547,10 @@ impl Service {
     /// (whitespace, field order the decoder tolerates) dedup onto one
     /// entry. Counts the parse reject on failure.
     fn admit(&self, text: &str) -> Result<(u128, String, Program), Reject> {
-        let admitted = og_json::parse(text)
-            .and_then(|j| Program::from_json_unverified(&j))
-            .and_then(|p| og_json::render(&p.to_json()).map(|canonical| (p, canonical)));
-        match admitted {
-            Ok((program, canonical)) => {
-                let digest = digest128(&canonical);
-                Ok((digest, canonical, program))
+        match og_json::parse(text).and_then(|j| Program::from_json_unverified(&j)) {
+            Ok(program) => {
+                let canonical = program.canonical_text();
+                Ok((digest128(&canonical), canonical, program))
             }
             Err(e) => {
                 self.shared.counters.parse_rejects.fetch_add(1, Ordering::Relaxed);

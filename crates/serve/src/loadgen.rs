@@ -25,6 +25,7 @@
 use crate::{Reject, Served, Service};
 use og_json::{Json, ToJson};
 use og_program::generate::generate_with_bound;
+use og_program::rng::SplitMix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -224,7 +225,7 @@ impl Corpus {
 
     /// The deterministic mix: request `i` of the run.
     fn pick(&self, config: &LoadConfig, i: u64) -> Kind {
-        let roll = crate::splitmix64(config.seed ^ i);
+        let roll = SplitMix64::new(config.seed ^ i).next_u64();
         let slot = (roll >> 32) % self.valid.len() as u64;
         if roll % 1000 < config.invalid_per_mille {
             if roll & 1 == 0 {
