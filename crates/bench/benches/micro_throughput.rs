@@ -16,6 +16,13 @@
 //! code, so the flat/reference ratios measured in one run do not depend
 //! on the machine's absolute speed; `bench_gate` gates on them.
 //!
+//! The same run times the **simulator**: `Simulator::feed` (plus
+//! `finish`) over the compress Ref trace captured once with a `VecSink`,
+//! in records per second, sampled round-robin with the engine series.
+//! Its ratio to the reference engine streaming the same program
+//! (`sim_speedup`) calibrates the simulator against the same frozen code
+//! and is gated too.
+//!
 //! Run with `cargo bench -p og-bench --bench micro_throughput`.
 //!
 //! With `OG_BENCH_SMOKE=1` the Criterion groups are skipped and only the
@@ -23,7 +30,7 @@
 //! written as machine-readable JSON to `BENCH_throughput.json` and
 //! `BENCH_vm.json` in the target directory (override with
 //! `OG_BENCH_OUT`) so CI can track the perf trajectory, with
-//! `bench_gate` failing any >20% drop of an engine ratio against the
+//! `bench_gate` failing any >20% drop of a gated ratio against the
 //! committed `bench/baseline/BENCH_vm.json`.
 
 use criterion::{criterion_group, Criterion, Throughput};
@@ -164,12 +171,16 @@ fn throughput_report(smoke: bool) {
     }
 }
 
-/// Measure the flat engine's committed-steps/sec against the reference
-/// engine's, in the same run, and write the `BENCH_vm.json` report.
+/// Measure the flat engine's committed-steps/sec and the simulator's
+/// records/sec against the reference engine's, in the same run, and
+/// write the `BENCH_vm.json` report.
 fn vm_report(smoke: bool) {
     // Always the Ref input: a Ref run is ~5 ms, long enough that timer
     // resolution and cache warm-up are noise, short enough for smoke.
-    let samples = if smoke { 15 } else { 41 };
+    // Smoke takes as many samples as a full run: with 15, the simulator
+    // ratio of unchanged code fell 27% below its baseline in one of five
+    // runs on a 2-vCPU VM; with 41 it stayed within 0.72–0.84 over 15.
+    let samples = 41;
     let program = compress(InputSet::Ref).program;
 
     // The engines must agree bit-for-bit before their speeds mean
@@ -190,6 +201,23 @@ fn vm_report(smoke: bool) {
     let nostats_outcome = Vm::new(&program, RunConfig::default()).run_nostats().expect("runs");
     assert_eq!(nostats_outcome, flat_outcome, "nostats != flat outcome");
     let steps = flat_outcome.steps as f64;
+    // The simulator replays the same program's committed path, captured
+    // once so its series times the simulator alone.
+    let trace = {
+        let mut sink = VecSink::new();
+        Vm::new(&program, RunConfig::default()).run_streamed(&mut sink).expect("runs");
+        sink.into_records()
+    };
+    assert_eq!(trace.len() as u64, flat_outcome.steps, "one record per committed step");
+    let simulate = || {
+        let mut sim = Simulator::new(MachineConfig::default());
+        let start = Instant::now();
+        for rec in &trace {
+            sim.feed(rec);
+        }
+        criterion::black_box(sim.finish());
+        start.elapsed().as_secs_f64()
+    };
 
     // Plain emulation (no sink) is the golden-digest / oracle path; the
     // streamed runs feed a sink that forces every record to be produced
@@ -204,12 +232,13 @@ fn vm_report(smoke: bool) {
         |vm| vm.run_nostats(),
     ];
     // Fastest of `samples` timed runs per series, each on a fresh `Vm`
-    // (construction untimed; one untimed warm-up round). The series are
-    // sampled round-robin so a slow phase of the machine hits all of
-    // them alike, and the minimum is the sample least disturbed by
-    // other load: together they keep the in-run ratios steady enough to
-    // gate on.
+    // or `Simulator` (construction untimed; one untimed warm-up round).
+    // The series are sampled round-robin so a slow phase of the machine
+    // hits all of them alike, and the minimum is the sample least
+    // disturbed by other load: together they keep the in-run ratios
+    // steady enough to gate on.
     let mut best = [f64::INFINITY; 5];
+    let mut sim_best = f64::INFINITY;
     for sample in 0..=samples {
         for (best, run) in best.iter_mut().zip(series) {
             let mut vm = Vm::new(&program, RunConfig::default());
@@ -219,8 +248,13 @@ fn vm_report(smoke: bool) {
                 *best = best.min(start.elapsed().as_secs_f64());
             }
         }
+        let secs = simulate();
+        if sample > 0 {
+            sim_best = sim_best.min(secs);
+        }
     }
     let [flat, reference, flat_streamed, reference_streamed, nostats] = best.map(|t| steps / t);
+    let sim = steps / sim_best;
 
     println!(
         "vm/flat_vs_reference             {flat:>12.0} steps/s flat, {reference:>12.0} steps/s \
@@ -235,6 +269,11 @@ fn vm_report(smoke: bool) {
     println!(
         "vm/nostats_vs_reference          {nostats:>12.0} steps/s no-stats (x{:.2} over reference)",
         nostats / reference,
+    );
+    println!(
+        "sim/feed_vs_reference_streamed   {sim:>12.0} records/s simulated (x{:.2} over reference \
+         streamed)",
+        sim / reference_streamed,
     );
 
     let report = Json::Obj(vec![
@@ -251,6 +290,8 @@ fn vm_report(smoke: bool) {
         ("streamed_speedup".into(), (flat_streamed / reference_streamed).to_json()),
         ("nostats_steps_per_sec".into(), nostats.to_json()),
         ("nostats_speedup".into(), (nostats / reference).to_json()),
+        ("sim_records_per_sec".into(), sim.to_json()),
+        ("sim_speedup".into(), (sim / reference_streamed).to_json()),
     ]);
     match og_lab::report::write_bench_report("vm", &report) {
         Ok(path) => println!("vm engine report written to {}", path.display()),

@@ -9,8 +9,10 @@
 //! The gate compares **in-run ratios**, not absolute speeds: each flat
 //! engine series divided by the reference engine measured in the same
 //! run (`flat/reference`, `flat_streamed/reference_streamed`,
-//! `nostats/reference`, every series the fastest of N samples). The
-//! reference engine is frozen code, so it calibrates the machine: a
+//! `nostats/reference`), and the simulator's records/s over the
+//! reference engine's streamed steps/s on the same program
+//! (`sim/reference_streamed`), every series the fastest of N samples.
+//! The reference engine is frozen code, so it calibrates the machine: a
 //! ratio moves far less across boxes and background load than absolute
 //! steps/s, which swing by tens of percent. A ratio more than 20% below
 //! the committed `bench/baseline/BENCH_vm.json` exits nonzero.
@@ -23,10 +25,11 @@ use og_json::Json;
 use std::path::{Path, PathBuf};
 
 /// The gated ratios, as `(key, label)`.
-const GATED: [(&str, &str); 3] = [
+const GATED: [(&str, &str); 4] = [
     ("speedup", "flat/reference"),
     ("streamed_speedup", "flat_streamed/reference_streamed"),
     ("nostats_speedup", "nostats/reference"),
+    ("sim_speedup", "sim/reference_streamed"),
 ];
 
 /// Largest tolerated drop relative to baseline: fresh ≥ 0.8 × baseline.
@@ -70,14 +73,16 @@ fn main() {
         }
     }
     println!(
-        "bench_gate: absolute (not gated): flat {:.1}M, no-stats {:.1}M, reference {:.1}M steps/s",
+        "bench_gate: absolute (not gated): flat {:.1}M, no-stats {:.1}M, reference {:.1}M steps/s; \
+         simulator {:.1}M records/s",
         num(&fresh, "flat_steps_per_sec", &fresh_path) / 1e6,
         num(&fresh, "nostats_steps_per_sec", &fresh_path) / 1e6,
         num(&fresh, "reference_steps_per_sec", &fresh_path) / 1e6,
+        num(&fresh, "sim_records_per_sec", &fresh_path) / 1e6,
     );
 
     if failures.is_empty() {
-        println!("bench_gate: all engine ratios within {:.0}%", 100.0 * MAX_REGRESSION);
+        println!("bench_gate: all gated ratios within {:.0}%", 100.0 * MAX_REGRESSION);
     } else {
         for f in &failures {
             eprintln!("bench_gate: FAIL: {f}");

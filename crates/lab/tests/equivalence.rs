@@ -8,8 +8,9 @@
 //! * every `RunSummary` matches the committed study fingerprint
 //!   `perfbench/expected/study.json` (read-only here; the benchmark owns
 //!   it): fnv1a of the serialized summary, fnv1a of its energies under
-//!   the five gating schemes, and cycles and instructions in clear so a
-//!   failure says what moved;
+//!   the five gating schemes, and cycles and instructions in clear. A
+//!   failure lists every run that moved and prints the replacement
+//!   `study.json` text; the test never writes the file;
 //! * the rendered tables and figures equal the committed
 //!   `tests/figures.txt`, the exact text `exp_all` prints.
 //!
@@ -17,7 +18,7 @@
 //! campaign's masked/SDC/detected/hang taxonomy
 //! (`perfbench/expected/fault_sweep.json`), are pinned too.
 
-use og_json::Json;
+use og_json::{Json, ToJson};
 use og_lab::fault::{run_fault_campaign, FaultCampaignConfig};
 use og_lab::{
     compute_study, figures, identity_classes, run_program, Mech, RunSummary, Study, WorkerPool,
@@ -37,11 +38,38 @@ fn cold_study() -> &'static Study {
 }
 
 /// One committed `(bench, mech)` fingerprint.
+#[derive(Debug, PartialEq)]
 struct Golden {
     summary_fnv: u64,
     energy_fnv: u64,
     cycles: u64,
     insts: u64,
+}
+
+impl Golden {
+    /// The fingerprint of `summary`, priced under `model`.
+    fn of(summary: &RunSummary, model: &EnergyModel) -> Golden {
+        let text = og_json::to_string(summary).expect("summaries render");
+        Golden {
+            summary_fnv: fnv1a(text.as_bytes()),
+            energy_fnv: energy_fnv(summary, model),
+            cycles: summary.sim.cycles,
+            insts: summary.insts,
+        }
+    }
+
+    /// This fingerprint as a `perfbench/expected/study.json` row.
+    fn row(&self, (bench, mech): &(String, String)) -> String {
+        let row = Json::Obj(vec![
+            ("bench".into(), Json::Str(bench.clone())),
+            ("mech".into(), Json::Str(mech.clone())),
+            ("summary_fnv".into(), Json::Str(format!("{:016x}", self.summary_fnv))),
+            ("energy_fnv".into(), Json::Str(format!("{:016x}", self.energy_fnv))),
+            ("cycles".into(), self.cycles.to_json()),
+            ("insts".into(), self.insts.to_json()),
+        ]);
+        og_json::render(&row).expect("fingerprint rows render")
+    }
 }
 
 /// The committed fingerprint, keyed by `(bench, mech)` with the mech in
@@ -80,27 +108,6 @@ fn energy_fnv(summary: &RunSummary, model: &EnergyModel) -> u64 {
     fnv1a(&bits)
 }
 
-fn check_against_golden(summary: &RunSummary, golden: &HashMap<(String, String), Golden>) {
-    let key = (summary.bench.clone(), format!("{:?}", summary.mech));
-    let want = golden.get(&key).unwrap_or_else(|| panic!("no committed fingerprint for {key:?}"));
-    assert_eq!(
-        (summary.insts, summary.sim.cycles),
-        (want.insts, want.cycles),
-        "{key:?}: (insts, cycles) moved from the committed fingerprint"
-    );
-    let text = og_json::to_string(summary).expect("summaries render");
-    assert_eq!(
-        fnv1a(text.as_bytes()),
-        want.summary_fnv,
-        "{key:?}: serialized summary moved from the committed fingerprint"
-    );
-    assert_eq!(
-        energy_fnv(summary, &EnergyModel::new()),
-        want.energy_fnv,
-        "{key:?}: priced energies moved from the committed fingerprint"
-    );
-}
-
 #[test]
 fn every_study_summary_matches_its_run_program_replay_and_the_committed_fingerprint() {
     let study = cold_study();
@@ -125,6 +132,9 @@ fn every_study_summary_matches_its_run_program_replay_and_the_committed_fingerpr
             .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"))
     });
 
+    let model = EnergyModel::new();
+    let mut moved = Vec::new();
+    let mut rows = Vec::new();
     for (replay, summary) in fresh.iter().zip(study.runs()) {
         // Byte-level, not just PartialEq: the serialized form is what
         // the cache file and the service's keyed store actually hold.
@@ -135,8 +145,22 @@ fn every_study_summary_matches_its_run_program_replay_and_the_committed_fingerpr
             summary.bench,
             summary.mech
         );
-        check_against_golden(summary, &golden);
+        let key = (summary.bench.clone(), format!("{:?}", summary.mech));
+        let now = Golden::of(summary, &model);
+        if golden.get(&key) != Some(&now) {
+            moved.push(format!("{}/{}", key.0, key.1));
+        }
+        rows.push(now.row(&key));
     }
+    assert!(
+        moved.is_empty(),
+        "{} of {} runs moved from the committed fingerprint perfbench/expected/study.json \
+         (serialized summary, priced energies, cycles or insts): {moved:?}. After a deliberate \
+         change, the benchmark's expectations become:\n{{\"runs\": [\n{}\n]}}\n",
+        moved.len(),
+        rows.len(),
+        rows.join(",\n")
+    );
 }
 
 #[test]

@@ -4,6 +4,14 @@
 //! software (opcode) width and the dynamic significance of the value; the
 //! active byte lanes under each gating scheme are accumulated so the
 //! power model can price any scheme from one simulation run.
+//!
+//! The simulator does not price each access as it happens. It counts
+//! value accesses in a [`ValueHistogram`], 12 structures × 8 software
+//! widths × 8 significances (after the clamps [`ActivityCounts::record_value`]
+//! applies), and folds it into its [`ActivityCounts`] once, at
+//! `finish`. Every scheme's byte count is linear in those counts, so the
+//! fold, which prices each cell once weighted by its count, gives exactly
+//! the sums that recording every access one by one gives.
 
 use og_json::{FromJson, Json, ToJson};
 
@@ -168,16 +176,22 @@ impl ActivityCounts {
     /// width after the software passes, `sig_bytes` the dynamic
     /// significance of the value (1..=8).
     pub fn record_value(&mut self, s: Structure, sw_bytes: u8, sig_bytes: u8) {
+        self.record_values(s, sw_bytes, sig_bytes, 1);
+    }
+
+    /// Record `n` value accesses alike: [`record_value`](Self::record_value)
+    /// `n` times over. The one place a scheme's active bytes are defined.
+    pub(crate) fn record_values(&mut self, s: Structure, sw_bytes: u8, sig_bytes: u8, n: u64) {
         let a = &mut self.structs[s.index()];
-        a.accesses += 1;
-        a.value_accesses += 1;
+        a.accesses += n;
+        a.value_accesses += n;
         let sw = sw_bytes.clamp(1, 8);
         let sig = sig_bytes.clamp(1, 8);
-        a.bytes.none += 8;
-        a.bytes.software += sw as u64;
-        a.bytes.hw_significance += sig as u64;
-        a.bytes.hw_size += round_size_class(sig) as u64;
-        a.bytes.cooperative += round_size_class(sig).min(sw) as u64;
+        a.bytes.none += 8 * n;
+        a.bytes.software += sw as u64 * n;
+        a.bytes.hw_significance += sig as u64 * n;
+        a.bytes.hw_size += round_size_class(sig) as u64 * n;
+        a.bytes.cooperative += round_size_class(sig).min(sw) as u64 * n;
     }
 
     /// The activity of one structure.
@@ -196,6 +210,40 @@ impl ActivityCounts {
             a.bytes.hw_significance += b.bytes.hw_significance;
             a.bytes.hw_size += b.bytes.hw_size;
             a.bytes.cooperative += b.bytes.cooperative;
+        }
+    }
+}
+
+/// Value accesses counted by structure, software bytes and significance
+/// bytes, each clamped to 1..=8 as [`ActivityCounts::record_value`]
+/// clamps them. [`fold_into`](Self::fold_into) prices the counts.
+#[derive(Debug, Clone)]
+pub(crate) struct ValueHistogram {
+    counts: [[[u64; 8]; 8]; 12],
+}
+
+impl ValueHistogram {
+    pub(crate) fn new() -> ValueHistogram {
+        ValueHistogram { counts: [[[0; 8]; 8]; 12] }
+    }
+
+    /// Count one value access, as `record_value(s, sw_bytes, sig_bytes)`
+    /// would record it.
+    #[inline]
+    pub(crate) fn record(&mut self, s: Structure, sw_bytes: u8, sig_bytes: u8) {
+        let sw = sw_bytes.clamp(1, 8) as usize - 1;
+        let sig = sig_bytes.clamp(1, 8) as usize - 1;
+        self.counts[s.index()][sw][sig] += 1;
+    }
+
+    /// Add every counted access to `act`.
+    pub(crate) fn fold_into(&self, act: &mut ActivityCounts) {
+        for s in Structure::ALL {
+            for (sw, row) in (1..=8).zip(&self.counts[s.index()]) {
+                for (sig, &n) in (1..=8).zip(row) {
+                    act.record_values(s, sw, sig, n);
+                }
+            }
         }
     }
 }
@@ -285,6 +333,38 @@ mod tests {
         assert_eq!(s.bytes.hw_significance, 3);
         assert_eq!(s.bytes.hw_size, 5);
         assert_eq!(s.bytes.cooperative, 4, "min(sw=4, size=5)");
+    }
+
+    /// Every (sw, sig) pair, out-of-range ones included, each recorded a
+    /// different number of times on a different structure, then once
+    /// more on every structure: folding the histogram equals recording
+    /// each access.
+    #[test]
+    fn folded_histogram_equals_per_access_records() {
+        let bytes = [0u8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255];
+        let mut direct = ActivityCounts::new();
+        let mut histogram = ValueHistogram::new();
+        let mut folded = ActivityCounts::new();
+        let mut k = 0usize;
+        for &sw in &bytes {
+            for &sig in &bytes {
+                k += 1;
+                let s = Structure::ALL[k % 12];
+                for _ in 0..k % 5 + 1 {
+                    direct.record_value(s, sw, sig);
+                    histogram.record(s, sw, sig);
+                }
+                for s in Structure::ALL {
+                    direct.record_value(s, sw, sig);
+                    histogram.record(s, sw, sig);
+                }
+            }
+        }
+        // Plain accesses already in the record survive the fold.
+        direct.record_plain(Structure::Rob);
+        folded.record_plain(Structure::Rob);
+        histogram.fold_into(&mut folded);
+        assert_eq!(folded, direct);
     }
 
     #[test]

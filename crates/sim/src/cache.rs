@@ -1,12 +1,23 @@
 //! Set-associative LRU caches.
+//!
+//! Layout: one flat tag array strided by the associativity, set `s`
+//! owning `tags[s * assoc..(s + 1) * assoc]` in MRU-first order, and a
+//! per-set fill count. Only the first `fill[s]` ways of a set hold lines,
+//! so no tag value has to be reserved as an empty-way marker (with 1-byte
+//! lines and one set the tag is the whole address, and every `u64` is a
+//! possible tag). A hit rotates the hit way to the front of its set; a
+//! miss rotates the LRU way (or the next empty one) to the front and
+//! overwrites it.
 
 /// A set-associative cache with true-LRU replacement, modelling hits and
 /// misses (contents are irrelevant: the emulator supplies values).
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<u64>>, // tags per set, MRU first
+    tags: Vec<u64>,
+    fill: Vec<u32>,
     assoc: usize,
     line_shift: u32,
+    set_bits: u32,
     set_mask: u64,
     /// Total accesses.
     pub accesses: u64,
@@ -27,9 +38,11 @@ impl Cache {
         let n_sets = (bytes / (line * assoc)) as usize;
         assert!(n_sets.is_power_of_two() && n_sets > 0);
         Cache {
-            sets: vec![Vec::with_capacity(assoc as usize); n_sets],
+            tags: vec![0; n_sets * assoc as usize],
+            fill: vec![0; n_sets],
             assoc: assoc as usize,
             line_shift: line.trailing_zeros(),
+            set_bits: n_sets.trailing_zeros(),
             set_mask: n_sets as u64 - 1,
             accesses: 0,
             misses: 0,
@@ -41,18 +54,20 @@ impl Cache {
         self.accesses += 1;
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == tag) {
-            let t = ways.remove(pos);
-            ways.insert(0, t);
+        let tag = line >> self.set_bits;
+        let ways = &mut self.tags[set * self.assoc..][..self.assoc];
+        let fill = &mut self.fill[set];
+        if let Some(pos) = ways[..*fill as usize].iter().position(|&t| t == tag) {
+            ways[..=pos].rotate_right(1);
             true
         } else {
             self.misses += 1;
-            if ways.len() == self.assoc {
-                ways.pop();
+            if (*fill as usize) < self.assoc {
+                *fill += 1;
             }
-            ways.insert(0, tag);
+            let ways = &mut ways[..*fill as usize];
+            ways.rotate_right(1);
+            ways[0] = tag;
             false
         }
     }
@@ -75,6 +90,94 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use og_program::rng::SplitMix64;
+    use proptest::prelude::*;
+
+    /// The cache as it was before the flat layout: one `Vec` of tags per
+    /// set, MRU first, updated with `remove` and `insert(0)`. Kept as the
+    /// oracle for [`Cache`].
+    struct ReferenceCache {
+        sets: Vec<Vec<u64>>,
+        assoc: usize,
+        line_shift: u32,
+        set_mask: u64,
+        accesses: u64,
+        misses: u64,
+    }
+
+    impl ReferenceCache {
+        fn new(bytes: u32, assoc: u32, line: u32) -> ReferenceCache {
+            let n_sets = (bytes / (line * assoc)) as usize;
+            ReferenceCache {
+                sets: vec![Vec::with_capacity(assoc as usize); n_sets],
+                assoc: assoc as usize,
+                line_shift: line.trailing_zeros(),
+                set_mask: n_sets as u64 - 1,
+                accesses: 0,
+                misses: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.accesses += 1;
+            let line = addr >> self.line_shift;
+            let set = (line & self.set_mask) as usize;
+            let tag = line >> self.set_mask.count_ones();
+            let ways = &mut self.sets[set];
+            if let Some(pos) = ways.iter().position(|&t| t == tag) {
+                let t = ways.remove(pos);
+                ways.insert(0, t);
+                true
+            } else {
+                self.misses += 1;
+                if ways.len() == self.assoc {
+                    ways.pop();
+                }
+                ways.insert(0, tag);
+                false
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random streams over 1- to 8-way geometries, including 1-byte
+        /// lines with a single set (the tag is the whole address) and
+        /// addresses up to `u64::MAX`: every access's hit/miss and the
+        /// final tallies agree with the reference.
+        #[test]
+        fn flat_cache_matches_the_reference(
+            seed in any::<u64>(),
+            assoc in 1u32..=8,
+            line_log in 0u32..7,
+            sets_log in 0u32..5,
+            span_log in 2u32..14,
+        ) {
+            let line = 1u32 << line_log;
+            let bytes = (line * assoc) << sets_log;
+            let mut flat = Cache::new(bytes, assoc, line);
+            let mut reference = ReferenceCache::new(bytes, assoc, line);
+            let mut rng = SplitMix64::new(seed);
+            // A small span makes sets conflict and lines recur; the high
+            // base reaches the top of the address space.
+            let base = if seed & 1 == 0 { 0 } else { u64::MAX - ((1 << span_log) - 1) };
+            for i in 0..2_000 {
+                let addr = base + rng.below(1 << span_log);
+                prop_assert_eq!(flat.access(addr), reference.access(addr), "access {} at {:#x}", i, addr);
+            }
+            prop_assert_eq!((flat.accesses, flat.misses), (reference.accesses, reference.misses));
+        }
+    }
+
+    #[test]
+    fn one_byte_lines_in_one_set_keep_every_tag() {
+        let mut c = Cache::new(2, 2, 1);
+        assert!(!c.access(u64::MAX), "a cold cache misses even on the all-ones tag");
+        assert!(c.access(u64::MAX));
+        assert!(!c.access(0));
+        assert!(c.access(u64::MAX));
+    }
 
     #[test]
     fn hits_after_fill() {

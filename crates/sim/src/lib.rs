@@ -23,10 +23,13 @@
 //!
 //! All per-instruction history is bounded by the machine's own window
 //! sizes (ROB, issue queue, LSQ, physical registers), so the state
-//! machine's footprint is independent of trace *length*: it is a few
-//! megabytes of fixed structures plus a store-forwarding map that grows
-//! with the program's *data footprint* (one entry per distinct 8-byte
-//! word stored — the same cost the slice-consuming model always paid).
+//! machine's footprint is independent of trace *length*: about a
+//! megabyte of fixed structures (six 16,384-slot bandwidth rings of one
+//! `u64` per slot, the predictor tables and cache tags, and a 12 × 8 × 8
+//! tally of value accesses that [`Simulator::finish`] prices) plus a
+//! store-forwarding map that grows with the program's *data footprint*
+//! (one entry per distinct 8-byte word stored — the same cost the
+//! slice-consuming model always paid).
 //! [`Simulator::run`] remains as a slice-consuming convenience over
 //! `feed`/`finish` for traces captured with `og_vm::VecSink`.
 //!

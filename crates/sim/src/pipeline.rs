@@ -20,7 +20,7 @@
 //! [`Simulator::run`] convenience preserves the old slice-consuming
 //! interface on top of the same state machine.
 
-use crate::activity::{ActivityCounts, Structure};
+use crate::activity::{ActivityCounts, Structure, ValueHistogram};
 use crate::bpred::BranchPredictor;
 use crate::cache::Cache;
 use crate::config::MachineConfig;
@@ -29,31 +29,70 @@ use og_json::{FromJson, Json, ToJson};
 use og_vm::{TraceRecord, TraceSink};
 use std::collections::HashMap;
 
-/// A per-cycle bandwidth-limited resource.
+/// Slots per [`Ring`]. Cycle `c` uses slot `c % RING_SLOTS`, so cycles
+/// `RING_SLOTS` apart share a slot and the younger reservation evicts
+/// the older; the count is part of the model, not a tuning knob.
+const RING_SLOTS: usize = 16_384;
+
+/// A per-cycle bandwidth-limited resource. Slot `c % RING_SLOTS` packs
+/// the cycle it counts for, as `c / RING_SLOTS` above the low 8 bits,
+/// with the reservations made at that cycle in the low 8 bits (a
+/// capacity is at most 255). A slot holding another cycle counts zero
+/// reservations at `c`. A zeroed slot holds cycle `c < RING_SLOTS` with
+/// no reservations, which is how an untouched slot behaves.
 #[derive(Debug, Clone)]
 struct Ring {
-    slots: Vec<(u64, u8)>,
+    slots: Box<[u64; RING_SLOTS]>,
 }
 
 impl Ring {
     fn new() -> Ring {
-        Ring { slots: vec![(u64::MAX, 0); 16384] }
+        let slots = vec![0; RING_SLOTS].into_boxed_slice().try_into().expect("RING_SLOTS slots");
+        Ring { slots }
     }
 
-    /// Reserve a slot at the earliest cycle ≥ `cycle` with spare capacity.
+    /// Reserve a slot at the earliest cycle ≥ `cycle` with spare capacity
+    /// (`cap` ≥ 1 reservations per cycle).
     fn reserve(&mut self, mut cycle: u64, cap: u8) -> u64 {
         loop {
-            let n = self.slots.len() as u64;
-            let s = &mut self.slots[(cycle % n) as usize];
-            if s.0 != cycle {
-                *s = (cycle, 0);
-            }
-            if s.1 < cap {
-                s.1 += 1;
+            let slot = &mut self.slots[cycle as usize % RING_SLOTS];
+            let tag = (cycle / RING_SLOTS as u64) << 8;
+            let used = if *slot & !0xff == tag { *slot & 0xff } else { 0 };
+            if used < u64::from(cap) {
+                *slot = tag | (used + 1);
                 return cycle;
             }
             cycle += 1;
         }
+    }
+}
+
+/// A per-cycle bandwidth-limited resource whose requests never precede
+/// its latest reservation, as fetch's and retire's do: each asks for a
+/// cycle no earlier than the one it last got. On such a stream a [`Ring`]
+/// only ever finds the latest reservation's slot (possibly full) and,
+/// past it, slots no reservation has reached, so it is exactly this
+/// (cycle, count) pair.
+#[derive(Debug, Clone, Default)]
+struct InOrderSlots {
+    cycle: u64,
+    used: u8,
+}
+
+impl InOrderSlots {
+    /// Reserve a slot at the earliest cycle ≥ `cycle` with spare capacity
+    /// (`cap` ≥ 1 reservations per cycle); `cycle` must not precede the
+    /// latest reservation.
+    fn reserve(&mut self, cycle: u64, cap: u8) -> u64 {
+        debug_assert!(cycle >= self.cycle, "in-order request precedes the latest reservation");
+        if cycle > self.cycle {
+            *self = InOrderSlots { cycle, used: 1 };
+        } else if self.used < cap {
+            self.used += 1;
+        } else {
+            *self = InOrderSlots { cycle: cycle + 1, used: 1 };
+        }
+        self.cycle
     }
 }
 
@@ -132,24 +171,28 @@ pub struct SimResult {
     pub activity: ActivityCounts,
 }
 
-/// A bounded history of per-instruction timestamps: retains the youngest
-/// `cap` values pushed, addressable by the global push index. This is
-/// what makes the simulator's memory footprint independent of trace
-/// length — the pipeline only ever looks back one machine window.
+/// A bounded history of per-instruction timestamps: retains (at least)
+/// the youngest `window` values pushed, addressable by the global push
+/// index. This is what makes the simulator's memory footprint
+/// independent of trace length — the pipeline only ever looks back one
+/// machine window. The buffer is `window` rounded up to a power of two,
+/// so a push index maps to its slot by a mask.
 #[derive(Debug, Clone)]
 struct History {
     buf: Vec<u64>,
+    mask: u64,
+    window: u64,
     len: u64,
 }
 
 impl History {
-    fn new(cap: usize) -> History {
-        History { buf: vec![0; cap.max(1)], len: 0 }
+    fn new(window: usize) -> History {
+        let cap = window.next_power_of_two();
+        History { buf: vec![0; cap], mask: cap as u64 - 1, window: window as u64, len: 0 }
     }
 
     fn push(&mut self, v: u64) {
-        let cap = self.buf.len() as u64;
-        self.buf[(self.len % cap) as usize] = v;
+        self.buf[(self.len & self.mask) as usize] = v;
         self.len += 1;
     }
 
@@ -157,12 +200,23 @@ impl History {
         self.len
     }
 
-    /// The `idx`-th value ever pushed; `idx` must be within the retained
-    /// window (the youngest `cap` pushes).
+    /// The `idx`-th value ever pushed; `idx` must be within the configured
+    /// window (the youngest `window` pushes).
     fn get(&self, idx: u64) -> u64 {
-        let cap = self.buf.len() as u64;
-        debug_assert!(idx < self.len && self.len - idx <= cap, "history window exceeded");
-        self.buf[(idx % cap) as usize]
+        debug_assert!(idx < self.len && self.len - idx <= self.window, "history window exceeded");
+        self.buf[(idx & self.mask) as usize]
+    }
+}
+
+/// `value` of `MachineConfig::<field>` as a per-cycle ring capacity.
+///
+/// # Panics
+///
+/// Panics, naming the field, unless `value` is in 1..=255.
+fn per_cycle(field: &str, value: u32) -> u8 {
+    match u8::try_from(value) {
+        Ok(cap) if cap >= 1 => cap,
+        _ => panic!("MachineConfig::{field} must be in 1..=255, got {value}"),
     }
 }
 
@@ -179,18 +233,27 @@ pub struct Simulator {
     l2_total_lat: u64,
     mem_fill: u64,
     line_mask: u64,
+    fetch_cap: u8,
+    decode_cap: u8,
+    issue_cap: u8,
+    retire_cap: u8,
+    alu_cap: u8,
+    mul_cap: u8,
+    port_cap: u8,
     // Accumulated results.
     stats: CycleStats,
+    /// Bookkeeping accesses; value accesses join them at `finish`.
     act: ActivityCounts,
+    values: ValueHistogram,
     // Machine structures.
     icache: Cache,
     dcache: Cache,
     l2: Cache,
     bpred: BranchPredictor,
-    fetch_ring: Ring,
+    fetch_slots: InOrderSlots,
     decode_ring: Ring,
     issue_ring: Ring,
-    retire_ring: Ring,
+    retire_slots: InOrderSlots,
     alu_ring: Ring,
     mul_ring: Ring,
     mem_ring: Ring,
@@ -218,22 +281,49 @@ pub struct Simulator {
 
 impl Simulator {
     /// Create a simulator ready to be fed a committed-path stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if a width, port or integer unit count
+    /// of `config` is outside 1..=255, if `phys_regs` does not exceed the
+    /// 32 architectural registers, if the ROB, issue queue or LSQ has no
+    /// entry, or if a cache geometry is rejected by [`Cache::new`].
     pub fn new(config: MachineConfig) -> Simulator {
+        assert!(
+            config.phys_regs > 32,
+            "MachineConfig::phys_regs must exceed the 32 architectural registers, got {}",
+            config.phys_regs
+        );
+        for (field, entries) in [
+            ("rob_size", config.rob_size),
+            ("iq_size", config.iq_size),
+            ("lsq_size", config.lsq_size),
+        ] {
+            assert!(entries >= 1, "MachineConfig::{field} must be at least 1, got 0");
+        }
         let commit_window = config.rob_size.max(config.phys_regs - 32) as usize;
         Simulator {
             l2_total_lat: (config.l2.3 + config.dcache.3) as u64,
             mem_fill: config.memory_latency(config.l2.2) as u64,
             line_mask: !(config.icache.2 as u64 - 1),
+            fetch_cap: per_cycle("fetch_width", config.fetch_width),
+            decode_cap: per_cycle("decode_width", config.decode_width),
+            issue_cap: per_cycle("issue_width", config.issue_width),
+            retire_cap: per_cycle("retire_width", config.retire_width),
+            alu_cap: per_cycle("int_alus", config.int_alus),
+            mul_cap: per_cycle("int_muls", config.int_muls),
+            port_cap: per_cycle("dcache_ports", config.dcache_ports),
             stats: CycleStats::default(),
             act: ActivityCounts::new(),
+            values: ValueHistogram::new(),
             icache: Cache::new(config.icache.0, config.icache.1, config.icache.2),
             dcache: Cache::new(config.dcache.0, config.dcache.1, config.dcache.2),
             l2: Cache::new(config.l2.0, config.l2.1, config.l2.2),
             bpred: BranchPredictor::new(config.ras_depth as usize),
-            fetch_ring: Ring::new(),
+            fetch_slots: InOrderSlots::default(),
             decode_ring: Ring::new(),
             issue_ring: Ring::new(),
-            retire_ring: Ring::new(),
+            retire_slots: InOrderSlots::default(),
             alu_ring: Ring::new(),
             mul_ring: Ring::new(),
             mem_ring: Ring::new(),
@@ -258,6 +348,11 @@ impl Simulator {
         let cfg = &self.config;
         let i = self.stats.insts;
         self.stats.insts += 1;
+        let op = rec.op;
+        let fu = op.fu();
+        let is_load = matches!(op, Op::Ld { .. });
+        let is_store = op == Op::St;
+        let is_mem = op.is_mem();
 
         // ---- fetch --------------------------------------------------
         let mut f_cyc = self.fetch_base.max(self.last_fetch);
@@ -276,12 +371,11 @@ impl Simulator {
                 self.fetch_base = self.fetch_base.max(f_cyc);
             }
         }
-        let f_cyc = self.fetch_ring.reserve(f_cyc, cfg.fetch_width as u8);
+        let f_cyc = self.fetch_slots.reserve(f_cyc, self.fetch_cap);
         self.last_fetch = f_cyc;
 
         // ---- decode / rename / dispatch -----------------------------
-        let mut disp =
-            self.decode_ring.reserve(f_cyc + cfg.frontend_depth as u64, cfg.decode_width as u8);
+        let mut disp = self.decode_ring.reserve(f_cyc + cfg.frontend_depth as u64, self.decode_cap);
         let rob = cfg.rob_size as u64;
         if i >= rob {
             disp = disp.max(self.commit_hist.get(i - rob) + 1);
@@ -295,7 +389,6 @@ impl Simulator {
         if i >= iqs {
             disp = disp.max(self.issue_hist.get(i - iqs));
         }
-        let is_mem = rec.op.is_mem();
         if is_mem {
             let lsq = cfg.lsq_size as u64;
             if self.mem_hist.len() >= lsq {
@@ -305,8 +398,10 @@ impl Simulator {
         self.act.record_plain(Structure::Rename);
         self.act.record_plain(Structure::Rob);
         let sw = rec.width.bytes() as u8;
-        let sig = rec.max_sig();
-        self.act.record_value(Structure::InstQueue, sw, sig);
+        // `rec.max_sig()`, spelled out so it inlines across the crate
+        // boundary on this hot path.
+        let sig = rec.dst_sig.max(rec.src_sigs[0]).max(rec.src_sigs[1]).max(1);
+        self.values.record(Structure::InstQueue, sw, sig);
 
         // ---- operand readiness --------------------------------------
         let mut ready = disp + 1;
@@ -315,7 +410,7 @@ impl Simulator {
                 if !r.is_zero() {
                     ready = ready.max(self.reg_ready[r.index() as usize]);
                 }
-                self.act.record_value(
+                self.values.record(
                     Structure::RegFile,
                     sw,
                     if rec.src_sigs[s] == 0 { 1 } else { rec.src_sigs[s] },
@@ -325,25 +420,25 @@ impl Simulator {
         }
 
         // ---- issue + execute ----------------------------------------
-        let (mut iss, mut lat) = match rec.op.fu() {
+        let (mut iss, mut lat) = match fu {
             FuKind::IntAlu | FuKind::Branch => {
-                let c = self.issue_ring.reserve(ready, cfg.issue_width as u8);
-                (self.alu_ring.reserve(c, cfg.int_alus as u8), 1u64)
+                let c = self.issue_ring.reserve(ready, self.issue_cap);
+                (self.alu_ring.reserve(c, self.alu_cap), 1u64)
             }
             FuKind::IntMul => {
-                let c = self.issue_ring.reserve(ready, cfg.issue_width as u8);
-                (self.mul_ring.reserve(c, cfg.int_muls as u8), cfg.mul_latency as u64)
+                let c = self.issue_ring.reserve(ready, self.issue_cap);
+                (self.mul_ring.reserve(c, self.mul_cap), cfg.mul_latency as u64)
             }
             FuKind::Mem => {
-                let c = self.issue_ring.reserve(ready, cfg.issue_width as u8);
-                (self.mem_ring.reserve(c, cfg.dcache_ports as u8), 1u64)
+                let c = self.issue_ring.reserve(ready, self.issue_cap);
+                (self.mem_ring.reserve(c, self.port_cap), 1u64)
             }
             FuKind::None => (ready, 0),
         };
-        if matches!(rec.op, Op::Ld { .. }) {
+        if is_load {
             self.stats.loads += 1;
-            self.act.record_value(Structure::Lsq, sw, rec.dst_sig.max(1));
-            self.act.record_value(Structure::DCacheL1, sw, rec.dst_sig.max(1));
+            self.values.record(Structure::Lsq, sw, rec.dst_sig.max(1));
+            self.values.record(Structure::DCacheL1, sw, rec.dst_sig.max(1));
             let access_start = iss + 1;
             let data_ready = if self.dcache.access(rec.mem_addr) {
                 access_start + cfg.dcache.3 as u64
@@ -365,15 +460,15 @@ impl Simulator {
                 lat = lat.min(forwarded.saturating_sub(iss)).max(1);
                 iss = iss.max(avail.saturating_sub(lat).max(iss));
             }
-        } else if rec.op == Op::St {
+        } else if is_store {
             self.stats.stores += 1;
-            self.act.record_value(Structure::Lsq, sw, rec.src_sigs[0].max(1));
+            self.values.record(Structure::Lsq, sw, rec.src_sigs[0].max(1));
         }
-        if rec.op.fu() != FuKind::None && !rec.op.is_mem() {
-            self.act.record_value(Structure::Fu, sw, sig);
-        } else if rec.op.is_mem() {
+        if is_mem {
             // address generation occupies an ALU lane's adder
-            self.act.record_value(Structure::Fu, 8, 8);
+            self.values.record(Structure::Fu, 8, 8);
+        } else if fu != FuKind::None {
+            self.values.record(Structure::Fu, sw, sig);
         }
         self.issue_hist.push(iss);
         let mut complete = iss + lat.max(1);
@@ -381,8 +476,8 @@ impl Simulator {
         // ---- writeback ----------------------------------------------
         if let Some(d) = rec.dst {
             complete = self.bus_ring.reserve(complete, 4);
-            self.act.record_value(Structure::ResultBus, sw, rec.dst_sig.max(1));
-            self.act.record_value(Structure::RenameBufs, sw, rec.dst_sig.max(1));
+            self.values.record(Structure::ResultBus, sw, rec.dst_sig.max(1));
+            self.values.record(Structure::RenameBufs, sw, rec.dst_sig.max(1));
             if !d.is_zero() {
                 self.reg_ready[d.index() as usize] = complete;
             }
@@ -393,7 +488,7 @@ impl Simulator {
             self.act.record_plain(Structure::BranchPred);
             let mut redirect_at_resolve = false;
             let mut redirect_at_decode = false;
-            match rec.op {
+            match op {
                 Op::Bc(_) => {
                     self.stats.cond_branches += 1;
                     let miss = self.bpred.predict_and_update(rec.pc, rec.taken);
@@ -408,7 +503,7 @@ impl Simulator {
                     if rec.next_pc != u64::MAX {
                         redirect_at_decode = !self.bpred.btb_lookup_update(rec.pc, rec.next_pc);
                     }
-                    if rec.op == Op::Jsr {
+                    if op == Op::Jsr {
                         self.bpred.ras_push(rec.pc + 8);
                     }
                 }
@@ -438,31 +533,33 @@ impl Simulator {
         }
 
         // ---- commit -------------------------------------------------
-        let c = self.retire_ring.reserve(complete.max(self.last_commit), cfg.retire_width as u8);
+        let c = self.retire_slots.reserve(complete.max(self.last_commit), self.retire_cap);
         self.last_commit = c;
         self.commit_hist.push(c);
         self.act.record_plain(Structure::Rob);
         if rec.dst.is_some() {
             // architectural writeback
-            self.act.record_value(Structure::RegFile, sw, rec.dst_sig.max(1));
+            self.values.record(Structure::RegFile, sw, rec.dst_sig.max(1));
         }
-        if rec.op == Op::St {
+        if is_store {
             // the store writes the cache at commit
-            self.act.record_value(Structure::DCacheL1, sw, rec.src_sigs[0].max(1));
+            self.values.record(Structure::DCacheL1, sw, rec.src_sigs[0].max(1));
             let hit = self.dcache.access(rec.mem_addr);
             if !hit {
                 self.act.record_plain(Structure::DCacheL2);
                 self.l2.access(rec.mem_addr);
             }
             self.store_ready.insert(rec.mem_addr >> 3, complete);
-            self.mem_hist.push(c);
-        } else if is_mem {
+        }
+        if is_mem {
             self.mem_hist.push(c);
         }
     }
 
-    /// Close the books: total cycle count and cache tallies. Consumes
-    /// the simulator (a finished machine cannot be fed more work).
+    /// Close the books: total cycle count, cache tallies, and the value
+    /// accesses counted during the run priced into the activity record.
+    /// Consumes the simulator (a finished machine cannot be fed more
+    /// work).
     pub fn finish(self) -> SimResult {
         let mut stats = self.stats;
         stats.cycles = self.last_commit + 1;
@@ -470,7 +567,9 @@ impl Simulator {
         stats.dcache = (self.dcache.accesses, self.dcache.misses);
         stats.l2 = (self.l2.accesses, self.l2.misses);
         // cond_branches/mispredicts recorded inline.
-        SimResult { stats, activity: self.act }
+        let mut activity = self.act;
+        self.values.fold_into(&mut activity);
+        SimResult { stats, activity }
     }
 
     /// Simulate a materialized committed-path trace on a **fresh**
@@ -508,8 +607,115 @@ impl TraceSink for Simulator {
 mod tests {
     use super::*;
     use og_isa::{Reg, Width};
+    use og_program::rng::SplitMix64;
     use og_program::{imm, ProgramBuilder};
     use og_vm::{RunConfig, VecSink, Vm};
+    use proptest::prelude::*;
+
+    /// The ring as it was before slots were packed: a `(cycle, count)`
+    /// pair per slot, indexed by `%`. Kept as the oracle for [`Ring`] and
+    /// [`InOrderSlots`].
+    struct ReferenceRing {
+        slots: Vec<(u64, u8)>,
+    }
+
+    impl ReferenceRing {
+        fn new() -> ReferenceRing {
+            ReferenceRing { slots: vec![(u64::MAX, 0); 16384] }
+        }
+
+        fn reserve(&mut self, mut cycle: u64, cap: u8) -> u64 {
+            loop {
+                let n = self.slots.len() as u64;
+                let s = &mut self.slots[(cycle % n) as usize];
+                if s.0 != cycle {
+                    *s = (cycle, 0);
+                }
+                if s.1 < cap {
+                    s.1 += 1;
+                    return cycle;
+                }
+                cycle += 1;
+            }
+        }
+    }
+
+    /// A request near `base`: mostly a few cycles either side, sometimes
+    /// a whole number of ring lengths away (the cycles that share a slot).
+    fn request_near(rng: &mut SplitMix64, base: u64) -> u64 {
+        let wrap = RING_SLOTS as u64 * (1 + rng.below(3));
+        match rng.below(8) {
+            0 => base + wrap,
+            1 => base.saturating_sub(wrap),
+            2 => base + rng.below(64),
+            _ => (base + rng.below(6)).saturating_sub(rng.below(4)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Out-of-order requests, including cycles a ring length apart:
+        /// the packed ring reserves exactly what the reference reserves.
+        #[test]
+        fn packed_ring_matches_the_reference(seed in any::<u64>(), cap in 1u8..=255) {
+            let cap = if seed & 1 == 0 { cap % 8 + 1 } else { cap };
+            let (mut ring, mut reference) = (Ring::new(), ReferenceRing::new());
+            let mut rng = SplitMix64::new(seed);
+            let mut base = 0;
+            for i in 0..3_000 {
+                let cycle = request_near(&mut rng, base);
+                let got = ring.reserve(cycle, cap);
+                prop_assert_eq!(got, reference.reserve(cycle, cap), "request {} at {}", i, cycle);
+                base = got;
+            }
+        }
+
+        /// Requests that never precede the latest reservation, as fetch's
+        /// and retire's: the (cycle, count) pair reserves exactly what the
+        /// reference ring reserves.
+        #[test]
+        fn in_order_slots_match_the_reference_ring(seed in any::<u64>(), cap in 1u8..=8) {
+            let (mut slots, mut reference) = (InOrderSlots::default(), ReferenceRing::new());
+            let mut rng = SplitMix64::new(seed);
+            let mut latest = 0;
+            for i in 0..3_000 {
+                let cycle = request_near(&mut rng, latest).max(latest);
+                let got = slots.reserve(cycle, cap);
+                prop_assert_eq!(got, reference.reserve(cycle, cap), "request {} at {}", i, cycle);
+                latest = got;
+            }
+        }
+    }
+
+    /// `counted_loop(50)` on `config`.
+    fn simulate_on(config: MachineConfig) -> SimResult {
+        Simulator::new(config).run(&counted_loop(50))
+    }
+
+    #[test]
+    #[should_panic(expected = "MachineConfig::fetch_width must be in 1..=255, got 256")]
+    fn a_fetch_width_beyond_255_is_rejected() {
+        simulate_on(MachineConfig { fetch_width: 256, ..MachineConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "MachineConfig::issue_width must be in 1..=255, got 0")]
+    fn a_zero_issue_width_is_rejected() {
+        simulate_on(MachineConfig { issue_width: 0, ..MachineConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "MachineConfig::phys_regs must exceed the 32 architectural")]
+    fn fewer_physical_than_architectural_registers_are_rejected() {
+        simulate_on(MachineConfig { phys_regs: 16, ..MachineConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "MachineConfig::rob_size must be at least 1")]
+    fn an_empty_rob_is_rejected() {
+        simulate_on(MachineConfig { rob_size: 0, ..MachineConfig::default() });
+    }
 
     fn trace_of(build: impl FnOnce(&mut og_program::FunctionBuilder)) -> Vec<TraceRecord> {
         let mut pb = ProgramBuilder::new();

@@ -98,3 +98,44 @@ fn cooperative_never_loses_to_software_by_more_than_tag_bits() {
     }
     assert!(coop.total_nj <= bound + 1e-6, "{} > {}", coop.total_nj, bound);
 }
+
+/// A machine unlike Table 2 in the sizes the simulator builds its
+/// structures from: windows that are not powers of two, odd widths and
+/// port counts, 1-, 3- and 8-way caches, a shallow return-address stack.
+fn odd_machine() -> MachineConfig {
+    MachineConfig {
+        fetch_width: 3,
+        decode_width: 3,
+        issue_width: 5,
+        retire_width: 3,
+        rob_size: 48,
+        iq_size: 20,
+        lsq_size: 24,
+        phys_regs: 80,
+        int_alus: 2,
+        dcache_ports: 2,
+        icache: (48 * 1024, 3, 32, 1),
+        dcache: (32 * 1024, 1, 32, 2),
+        l2: (512 * 1024, 8, 64, 8),
+        ras_depth: 5,
+        ..MachineConfig::default()
+    }
+}
+
+/// The study and the corpus only ever simulate the Table 2 machine, so
+/// this pins one `SimResult` under [`odd_machine`]: compress Train's
+/// cycles and the fnv1a of its rendered `ActivityCounts`.
+#[test]
+fn non_default_machine_result_is_pinned() {
+    let p = by_name("compress", InputSet::Train).program;
+    let mut sim = Simulator::new(odd_machine());
+    Vm::new(&p, RunConfig::default()).run_streamed(&mut sim).expect("workload runs");
+    let r = sim.finish();
+    let activity = og_vm::fnv1a(og_json::to_string(&r.activity).expect("renders").as_bytes());
+    assert_eq!(
+        (r.stats.cycles, activity),
+        (10851, 0xedfe_d77e_5956_bcfa),
+        "compress Train on the odd machine moved: (cycles, activity fnv) = ({}, {activity:#018x})",
+        r.stats.cycles
+    );
+}
