@@ -6,7 +6,7 @@
 //! the paper's narrow-operand claim restated as soft-error robustness.
 //!
 //! Run with `cargo bench -p og-bench --bench fault_campaign`
-//! (`OG_FAULT_STRIKES` overrides the per-workload strike count).
+//! (48 strikes per workload, `FaultCampaignConfig::default()`).
 //!
 //! Exits nonzero if the sweep fails to demonstrate the taxonomy (no
 //! masked or no SDC strikes at all) or if gated positions do not mask
@@ -16,10 +16,7 @@
 use og_lab::fault::{run_fault_campaign, FaultCampaignConfig};
 
 fn main() {
-    let mut cfg = FaultCampaignConfig::default();
-    if let Ok(n) = std::env::var("OG_FAULT_STRIKES") {
-        cfg.strikes_per_workload = n.parse().expect("OG_FAULT_STRIKES must be an integer");
-    }
+    let cfg = FaultCampaignConfig::default();
     let report = run_fault_campaign(&cfg);
 
     println!(

@@ -3,6 +3,6 @@
 //! Run with `cargo bench -p og-bench --bench fig12_data_size_dist`.
 
 fn main() {
-    let study = og_lab::shared_study();
-    println!("{}", og_lab::figures::fig12(study));
+    let study = og_lab::compute_study();
+    println!("{}", og_lab::figures::fig12(&study));
 }

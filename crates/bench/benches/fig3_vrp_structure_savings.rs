@@ -3,6 +3,6 @@
 //! Run with `cargo bench -p og-bench --bench fig3_vrp_structure_savings`.
 
 fn main() {
-    let study = og_lab::shared_study();
-    println!("{}", og_lab::figures::fig3(study));
+    let study = og_lab::compute_study();
+    println!("{}", og_lab::figures::fig3(&study));
 }

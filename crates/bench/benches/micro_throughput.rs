@@ -1,14 +1,8 @@
-//! Criterion micro-benchmarks: analysis and simulation throughput.
+//! Engine and simulator throughput, gated by `bench_gate`.
 //!
-//! These measure the *tooling* (how fast VRP analyzes, the emulator
-//! executes and the timing model simulates), complementing the figure
-//! benches that measure the *reproduced system*. The headline series is
-//! the **fused vs materialized** pipeline comparison: one streamed
-//! emulate+simulate pass (`Vm::run_streamed` into the `Simulator` sink,
-//! O(1) trace memory) against capture-then-replay through a `VecSink`
-//! (O(steps) memory).
-//!
-//! The second headline series is the **engine** comparison, in committed
+//! These measure the *tooling* (how fast the emulator executes and the
+//! timing model simulates), complementing the figure benches that
+//! measure the *reproduced system*. The **engine** series are committed
 //! steps per second: the pre-decoded flat engine (the default behind
 //! `Vm::run*`) plain, streamed into a `NullSink`, and in no-stats mode
 //! (`Vm::run_nostats`), each against the reference graph-walking
@@ -23,163 +17,29 @@
 //! (`sim_speedup`) calibrates the simulator against the same frozen code
 //! and is gated too.
 //!
-//! Run with `cargo bench -p og-bench --bench micro_throughput`.
-//!
-//! With `OG_BENCH_SMOKE=1` the Criterion groups are skipped and only the
-//! quick headline measurements run; either way the comparisons are
-//! written as machine-readable JSON to `BENCH_throughput.json` and
-//! `BENCH_vm.json` in the target directory (override with
-//! `OG_BENCH_OUT`) so CI can track the perf trajectory, with
-//! `bench_gate` failing any >20% drop of a gated ratio against the
-//! committed `bench/baseline/BENCH_vm.json`.
+//! Run with `cargo bench -p og-bench --bench micro_throughput`, then
+//! `cargo run --release -p og-bench --example bench_gate`. The numbers go
+//! to `BENCH_vm.json` in the target directory (override with
+//! `OG_BENCH_OUT`); the bench exits nonzero if it cannot write them, so
+//! the gate never reads a stale report. `bench_gate` fails any >20% drop
+//! of a gated ratio against the committed `bench/baseline/BENCH_vm.json`.
 
-use criterion::{criterion_group, Criterion, Throughput};
-use og_core::{VrpConfig, VrpPass};
 use og_json::{Json, ToJson};
-use og_sim::{MachineConfig, SimResult, Simulator};
+use og_sim::{MachineConfig, Simulator};
 use og_vm::{RunConfig, RunOutcome, VecSink, Vm, VmError};
-use og_workloads::{compress, m88ksim, InputSet};
-use std::time::{Duration, Instant};
-
-fn bench_vrp(c: &mut Criterion) {
-    let program = m88ksim(InputSet::Train).program;
-    let insts = program.inst_count() as u64;
-    let mut g = c.benchmark_group("vrp");
-    g.throughput(Throughput::Elements(insts));
-    g.bench_function("analyze_m88ksim", |b| {
-        b.iter(|| {
-            let mut p = program.clone();
-            VrpPass::new(VrpConfig::default()).run(&mut p)
-        })
-    });
-    g.finish();
-}
-
-fn bench_vm(c: &mut Criterion) {
-    let program = compress(InputSet::Train).program;
-    let mut vm = Vm::new(&program, RunConfig::default());
-    let steps = vm.run().expect("runs").steps;
-    let mut g = c.benchmark_group("vm");
-    g.throughput(Throughput::Elements(steps));
-    g.bench_function("emulate_compress", |b| {
-        b.iter(|| {
-            let mut vm = Vm::new(&program, RunConfig::default());
-            vm.run().expect("runs")
-        })
-    });
-    g.bench_function("emulate_compress_reference", |b| {
-        b.iter(|| {
-            let mut vm = Vm::new(&program, RunConfig::default());
-            vm.run_reference().expect("runs")
-        })
-    });
-    g.finish();
-}
-
-fn bench_sim(c: &mut Criterion) {
-    let program = compress(InputSet::Train).program;
-    let mut vm = Vm::new(&program, RunConfig::default());
-    let mut sink = VecSink::new();
-    vm.run_streamed(&mut sink).expect("runs");
-    let trace = sink.into_records();
-    let mut g = c.benchmark_group("sim");
-    g.throughput(Throughput::Elements(trace.len() as u64));
-    g.bench_function("timing_compress", |b| {
-        let sim = Simulator::new(MachineConfig::default());
-        b.iter(|| sim.run(&trace))
-    });
-    g.finish();
-}
-
-fn run_fused(program: &og_program::Program) -> SimResult {
-    let mut vm = Vm::new(program, RunConfig::default());
-    let mut sim = Simulator::new(MachineConfig::default());
-    vm.run_streamed(&mut sim).expect("runs");
-    sim.finish()
-}
-
-fn run_materialized(program: &og_program::Program) -> SimResult {
-    let mut vm = Vm::new(program, RunConfig::default());
-    let mut sink = VecSink::new();
-    vm.run_streamed(&mut sink).expect("runs");
-    Simulator::new(MachineConfig::default()).run(&sink.into_records())
-}
-
-fn bench_pipeline(c: &mut Criterion) {
-    let program = compress(InputSet::Train).program;
-    let mut vm = Vm::new(&program, RunConfig::default());
-    let steps = vm.run().expect("runs").steps;
-    let mut g = c.benchmark_group("pipeline");
-    g.throughput(Throughput::Elements(steps));
-    g.bench_function("fused_compress", |b| b.iter(|| run_fused(&program)));
-    g.bench_function("materialized_compress", |b| b.iter(|| run_materialized(&program)));
-    g.finish();
-}
-
-/// Median wall-clock of `samples` runs of `f` (one untimed warm-up).
-fn median_secs<R>(samples: usize, mut f: impl FnMut() -> R) -> f64 {
-    f();
-    let mut times: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            criterion::black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    times.sort();
-    times[times.len() / 2].as_secs_f64()
-}
-
-/// Measure fused vs materialized records/sec and write the JSON report.
-fn throughput_report(smoke: bool) {
-    let (input, samples) = if smoke { (InputSet::Train, 3) } else { (InputSet::Ref, 10) };
-    let program = compress(input).program;
-    let records = {
-        let mut vm = Vm::new(&program, RunConfig::default());
-        vm.run().expect("runs").steps
-    };
-
-    // The two paths must agree bit-for-bit before their speeds mean
-    // anything.
-    assert_eq!(run_fused(&program), run_materialized(&program), "fused != materialized");
-
-    let fused = median_secs(samples, || run_fused(&program));
-    let materialized = median_secs(samples, || run_materialized(&program));
-    let fused_rps = records as f64 / fused;
-    let materialized_rps = records as f64 / materialized;
-    println!(
-        "pipeline/fused_vs_materialized   {:>12.0} rec/s fused, {:>12.0} rec/s materialized \
-         (x{:.2}, {records} records, {} input)",
-        fused_rps,
-        materialized_rps,
-        fused_rps / materialized_rps,
-        if smoke { "train" } else { "ref" },
-    );
-
-    let report = Json::Obj(vec![
-        ("bench".into(), Json::Str("compress".into())),
-        ("input".into(), Json::Str(if smoke { "train" } else { "ref" }.into())),
-        ("mode".into(), Json::Str(if smoke { "smoke" } else { "full" }.into())),
-        ("records".into(), records.to_json()),
-        ("samples".into(), (samples as u64).to_json()),
-        ("fused_records_per_sec".into(), fused_rps.to_json()),
-        ("materialized_records_per_sec".into(), materialized_rps.to_json()),
-    ]);
-    match og_lab::report::write_bench_report("throughput", &report) {
-        Ok(path) => println!("throughput report written to {}", path.display()),
-        Err(e) => eprintln!("{e}"),
-    }
-}
+use og_workloads::{compress, InputSet};
+use std::hint::black_box;
+use std::time::Instant;
 
 /// Measure the flat engine's committed-steps/sec and the simulator's
 /// records/sec against the reference engine's, in the same run, and
 /// write the `BENCH_vm.json` report.
-fn vm_report(smoke: bool) {
-    // Always the Ref input: a Ref run is ~5 ms, long enough that timer
-    // resolution and cache warm-up are noise, short enough for smoke.
-    // Smoke takes as many samples as a full run: with 15, the simulator
-    // ratio of unchanged code fell 27% below its baseline in one of five
-    // runs on a 2-vCPU VM; with 41 it stayed within 0.72–0.84 over 15.
+fn main() {
+    // The Ref input: a Ref run is ~5 ms, long enough that timer
+    // resolution and cache warm-up are noise, short enough to sample 41
+    // times in a few seconds. With 15 samples, the simulator ratio of
+    // unchanged code fell 27% below its baseline in one of five runs on a
+    // 2-vCPU VM; with 41 it stayed within 0.72–0.84 over 15.
     let samples = 41;
     let program = compress(InputSet::Ref).program;
 
@@ -215,7 +75,7 @@ fn vm_report(smoke: bool) {
         for rec in &trace {
             sim.feed(rec);
         }
-        criterion::black_box(sim.finish());
+        black_box(sim.finish());
         start.elapsed().as_secs_f64()
     };
 
@@ -243,7 +103,7 @@ fn vm_report(smoke: bool) {
         for (best, run) in best.iter_mut().zip(series) {
             let mut vm = Vm::new(&program, RunConfig::default());
             let start = Instant::now();
-            criterion::black_box(run(&mut vm).expect("runs"));
+            black_box(run(&mut vm).expect("runs"));
             if sample > 0 {
                 *best = best.min(start.elapsed().as_secs_f64());
             }
@@ -279,7 +139,6 @@ fn vm_report(smoke: bool) {
     let report = Json::Obj(vec![
         ("bench".into(), Json::Str("compress".into())),
         ("input".into(), Json::Str("ref".into())),
-        ("mode".into(), Json::Str(if smoke { "smoke" } else { "full" }.into())),
         ("steps".into(), flat_outcome.steps.to_json()),
         ("samples".into(), (samples as u64).to_json()),
         ("flat_steps_per_sec".into(), flat.to_json()),
@@ -295,21 +154,9 @@ fn vm_report(smoke: bool) {
     ]);
     match og_lab::report::write_bench_report("vm", &report) {
         Ok(path) => println!("vm engine report written to {}", path.display()),
-        Err(e) => eprintln!("{e}"),
+        Err(e) => {
+            eprintln!("micro_throughput: FAIL: {e}");
+            std::process::exit(1);
+        }
     }
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_vrp, bench_vm, bench_sim, bench_pipeline
-}
-
-fn main() {
-    let smoke = std::env::var_os("OG_BENCH_SMOKE").is_some();
-    if !smoke {
-        benches();
-    }
-    throughput_report(smoke);
-    vm_report(smoke);
 }

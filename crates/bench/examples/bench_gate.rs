@@ -2,16 +2,19 @@
 //! committed baseline snapshot.
 //!
 //! ```text
-//! OG_BENCH_SMOKE=1 cargo bench -p og-bench --bench micro_throughput
+//! cargo bench -p og-bench --bench micro_throughput
 //! cargo run --release -p og-bench --example bench_gate
 //! ```
+//!
+//! `micro_throughput` exits nonzero when it cannot write `BENCH_vm.json`,
+//! so when the two run in that order the gate never reads a stale report.
 //!
 //! The gate compares **in-run ratios**, not absolute speeds: each flat
 //! engine series divided by the reference engine measured in the same
 //! run (`flat/reference`, `flat_streamed/reference_streamed`,
 //! `nostats/reference`), and the simulator's records/s over the
 //! reference engine's streamed steps/s on the same program
-//! (`sim/reference_streamed`), every series the fastest of N samples.
+//! (`sim/reference_streamed`), every series the fastest of 41 samples.
 //! The reference engine is frozen code, so it calibrates the machine: a
 //! ratio moves far less across boxes and background load than absolute
 //! steps/s, which swing by tens of percent. A ratio more than 20% below

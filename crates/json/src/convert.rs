@@ -1,8 +1,9 @@
 //! [`ToJson`]/[`FromJson`]: explicit, non-reflective conversions.
 //!
-//! The study types hand-implement these (no derive machinery offline), so
-//! the impls here cover only the building blocks: primitives, strings,
-//! `Option`, `Vec`, fixed-size arrays, and small tuples.
+//! The workspace's types (a run's summary, a program, a fault report)
+//! hand-implement these (no derive machinery offline), so the impls here
+//! cover only the building blocks: primitives, strings, `Option`, `Vec`,
+//! fixed-size arrays, and small tuples.
 //!
 //! Integers follow the [`MAX_SAFE_INT`] rule: magnitudes up to 2⁵³ − 1
 //! are numbers, anything larger is a decimal string, and decoding accepts

@@ -1,20 +1,20 @@
-//! # og-json: the hand-rolled JSON layer behind the study cache
+//! # og-json: the hand-rolled JSON layer
 //!
-//! The workspace's one serialization path: `og-lab`'s on-disk study
-//! cache, `og-serve`'s keyed store and the fuzz corpus all read and write
-//! through this small, fully-offline JSON stack. It owns the encoding
-//! because the encoding is part of the cache format (see *Number
-//! encoding*: a generic serializer would write large `u64`s as numbers
-//! and change the cached bytes):
+//! The workspace's one serialization path: `og-serve`'s keyed store, the
+//! fuzz corpus, the study fingerprint and the `BENCH_*.json` reports all
+//! read and write through this small, fully-offline JSON stack. It owns
+//! the encoding because the encoding is part of the stored format (see
+//! *Number encoding*: a generic serializer would write large `u64`s as
+//! numbers and change the stored bytes):
 //!
 //! * a [`Json`] value model (`Null`, `Bool`, `Num`, `Str`, `Arr`, `Obj`)
 //!   whose objects preserve key order;
 //! * a strict recursive-descent [`parse`]r that rejects trailing garbage,
 //!   truncated input, duplicate object keys, malformed numbers and
-//!   over-deep nesting — a corrupt cache file must fail loudly, not load
-//!   as half a study;
+//!   over-deep nesting — a corrupt stored entry must fail loudly, not
+//!   load as half a summary;
 //! * a compact [`render`]er that refuses non-finite floats (JSON has no
-//!   NaN/∞; a cache file that round-trips must never contain one);
+//!   NaN/∞; a stored file that round-trips must never contain one);
 //! * [`ToJson`]/[`FromJson`] traits with impls for the primitives and
 //!   containers the study types are built from.
 //!
@@ -56,7 +56,7 @@ use std::fmt;
 pub const MAX_SAFE_INT: u64 = (1 << 53) - 1;
 
 /// A JSON value. Objects keep their key order (the writer emits fields in
-/// insertion order, so cache files diff cleanly); the parser rejects
+/// insertion order, so stored files diff cleanly); the parser rejects
 /// duplicate keys outright.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {

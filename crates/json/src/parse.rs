@@ -7,8 +7,10 @@
 
 use crate::{Error, Json};
 
-/// Maximum container nesting the parser accepts. The study cache nests
-/// ~5 deep; 128 leaves headroom while keeping recursion bounded.
+/// Maximum container nesting the parser accepts. The deepest documents
+/// the workspace writes, fuzz-corpus programs, nest 9 deep; 128 leaves
+/// headroom while bounding the recursion on untrusted text (`og-serve`
+/// parses every request).
 pub const MAX_DEPTH: u32 = 128;
 
 /// Parse a complete JSON document. Trailing non-whitespace is an error.
@@ -318,7 +320,7 @@ impl Parser<'_> {
 
 /// Whether an integer literal survives the trip through `f64` unchanged:
 /// either its mathematical value converts exactly (decided in `i128`
-/// arithmetic, which covers every integer a cache file legitimately
+/// arithmetic, which covers every integer a stored file legitimately
 /// holds), or the literal is `f64::Display`'s own shortest form — which
 /// by construction re-parses to the identical bits, so the writer's
 /// output for huge integral floats (e.g. `1e23` rendered as

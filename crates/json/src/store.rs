@@ -2,8 +2,7 @@
 //!
 //! Any number of JSON documents, each addressed by a 128-bit digest,
 //! living as individual files in one directory: `og-serve` persists run
-//! results in one, and `og-lab`'s study cache is a one-entry store keyed
-//! by the study version. The durability discipline:
+//! results in one. The durability discipline:
 //!
 //! * **Atomic writes** — every document is written to a
 //!   `<name>.tmp.<pid>.<seq>` sibling and `rename`d into place

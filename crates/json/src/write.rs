@@ -2,7 +2,7 @@
 //!
 //! Emits the shortest float representation that round-trips (Rust's
 //! `Display` for `f64`), escapes strings per RFC 8259, and refuses
-//! non-finite numbers: a NaN or infinity in a cache file would either be
+//! non-finite numbers: a NaN or infinity in a stored file would either be
 //! invalid JSON or silently decay to `null`, so the writer fails instead.
 
 use crate::{Error, Json};

@@ -1,7 +1,7 @@
 //! Parser/writer/convert tests for the og-json layer: grammar
-//! acceptance, strict rejection (the study cache must fail loudly on a
-//! corrupt file), and property-based round-trips over the exact value
-//! domains the study types use.
+//! acceptance, strict rejection (a store must fail loudly on a corrupt
+//! file), and property-based round-trips over the exact value domains
+//! the run summaries use.
 
 use og_json::{from_str, parse, render, to_string, Json, ToJson, MAX_SAFE_INT};
 use proptest::prelude::*;

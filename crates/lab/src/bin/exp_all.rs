@@ -3,12 +3,14 @@
 //! ```text
 //! cargo run -p og-lab --release --bin exp_all
 //! ```
+//!
+//! Stdout is exactly the committed `crates/lab/tests/figures.txt`.
 
-use og_lab::{figures, shared_study};
+use og_lab::{compute_study, figures};
 
 fn main() {
     let t0 = std::time::Instant::now();
-    let study = shared_study();
+    let study = compute_study();
     eprintln!("study ready in {:.1?}", t0.elapsed());
-    print!("{}", figures::all(study));
+    print!("{}", figures::all(&study));
 }

@@ -1,7 +1,7 @@
 //! # og-lab: the experiment pipeline
 //!
-//! Reproduces the paper's evaluation end to end. One [`run_study`] call
-//! covers every benchmark of the SpecInt95-analogue suite under every
+//! Reproduces the paper's evaluation end to end. One [`compute_study`]
+//! call covers every benchmark of the SpecInt95-analogue suite under every
 //! software mechanism (baseline, conventional VRP, the proposed
 //! useful-VRP, the aggressive-useful ablation, and VRS at the five
 //! specialization-cost points of Figure 8). Each (benchmark, mechanism)
@@ -32,37 +32,9 @@
 //! Every step fans out on a [`WorkerPool`], one job per pair or per
 //! distinct program, so no worker is stuck behind one benchmark's queue.
 //!
-//! ## The study cache
-//!
-//! The full study is expensive (8 benchmarks × 9 mechanisms: 72
-//! transforms and 25 fused emulate+simulate runs) and 16 of the 20
-//! bench targets consume the same one, so [`run_study`] caches it on disk as
-//! JSON (via the in-tree `og-json` layer) and in the process behind
-//! [`shared_study`]'s `OnceLock`:
-//!
-//! * **Path** — the cache is a one-entry [`KeyedStore`] keyed by
-//!   [`STUDY_VERSION`]: `og-study-<version as 32 hex digits>.json`
-//!   (today `og-study-00000000000000000000000000000009.json`) under
-//!   `$CARGO_TARGET_DIR` (default: the workspace `target/`), or under
-//!   `$OG_STUDY_DIR` when set. [`study_cache_path`] names it.
-//! * **Versioning** — [`STUDY_VERSION`] is stamped both into the key and
-//!   the JSON body; bump it when pipeline semantics change. A cache whose
-//!   body version disagrees, that is not a study, or that is unreadable
-//!   is stale: one explanatory line goes to stderr and the study is
-//!   recomputed. An entry that fails to parse is removed by the store
-//!   itself. With capacity 1, storing the recomputed study evicts every
-//!   other version's entry.
-//! * **Atomicity** — the store writes each entry to a `.tmp.<pid>.<seq>`
-//!   sibling and `rename`s it into place, so concurrent writers (bench
-//!   processes or threads) never leave a torn file for a reader to
-//!   observe; write failures are reported on stderr (the study is still
-//!   returned). Every cache miss sweeps crash-orphaned tmp files once
-//!   they are old enough to be provably dead ([`TMP_DEBRIS_AGE`]).
-//! * **`OG_STUDY_NOCACHE=1`** — bypass the cache entirely: neither read
-//!   nor written. Delete the file instead to force one recompute that
-//!   refreshes the cache.
-//! * **`OG_STUDY_REQUIRE_CACHE=1`** — panic instead of recomputing on a
-//!   cache miss. CI uses this to fail loudly if the warm path regresses.
+//! `exp_all`, every figure bench and the equivalence suite each call
+//! [`compute_study`] once, so what they print is what `tests/figures.txt`
+//! pins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -79,8 +51,6 @@ pub use pipeline::{run_lowered, run_program, RunError};
 pub use pool::WorkerPool;
 
 use og_isa::OpClass;
-use og_json::store::{KeyedStore, TMP_DEBRIS_AGE};
-use og_json::{FromJson, ToJson};
 use og_power::{ed2_improvement, EnergyModel, EnergyReport, GatingScheme};
 use og_program::{digest128, Program};
 use og_sim::{ActivityCounts, CycleStats, Structure};
@@ -88,20 +58,18 @@ use og_vm::{RunConfig, Vm};
 use og_workloads::{by_name, InputSet, NAMES};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Bump when pipeline semantics change to invalidate cached studies.
+/// Version of the pipeline's result semantics. `og-serve` stamps every
+/// persisted [`RunSummary`] with it and ignores entries that carry
+/// another; bump it when pipeline semantics change.
 ///
 /// v9: the emulator records source-operand significances from the values
 /// *as read* instead of re-reading registers after execution, which
 /// observed the freshly written result whenever an instruction's
-/// destination aliased one of its sources (e.g. `add t0, t0, 1`). A
-/// byte-compare of the warm cache across the PR 5 engine refactor showed
-/// exactly the expected drift — `sig_fracs` and the significance-priced
-/// activity bytes — while digests, step counts and timing were
-/// bit-identical, so the cache version advances with it.
+/// destination aliased one of its sources (e.g. `add t0, t0, 1`), so
+/// `sig_fracs` and the significance-priced activity bytes moved while
+/// digests, step counts and timing stayed bit-identical.
 pub const STUDY_VERSION: u32 = 9;
 
 /// A software mechanism applied to the program before measurement.
@@ -202,8 +170,6 @@ impl RunSummary {
 /// The full study: all benchmarks × mechanisms.
 #[derive(Debug)]
 pub struct Study {
-    /// Version stamp of the pipeline that produced this study.
-    pub version: u32,
     /// All runs; read via [`Study::runs`], mutate via
     /// [`Study::runs_mut`] (which invalidates the lookup index).
     runs: Vec<RunSummary>,
@@ -216,20 +182,20 @@ pub struct Study {
 impl Clone for Study {
     fn clone(&self) -> Study {
         // The clone rebuilds its index on first use.
-        Study::new(self.version, self.runs.clone())
+        Study::new(self.runs.clone())
     }
 }
 
 impl PartialEq for Study {
     fn eq(&self, other: &Study) -> bool {
-        self.version == other.version && self.runs == other.runs
+        self.runs == other.runs
     }
 }
 
 impl Study {
     /// Assemble a study from its runs.
-    pub fn new(version: u32, runs: Vec<RunSummary>) -> Study {
-        Study { version, runs, index: OnceLock::new() }
+    pub fn new(runs: Vec<RunSummary>) -> Study {
+        Study { runs, index: OnceLock::new() }
     }
 
     /// All runs, in benchmark-major, [`Mech::ALL`] order for a full
@@ -342,114 +308,6 @@ impl Study {
     }
 }
 
-/// `$CARGO_TARGET_DIR`, else the workspace `target/`: where the study
-/// cache and the `BENCH_*.json` reports go unless their own variable
-/// overrides it.
-pub(crate) fn target_dir() -> PathBuf {
-    std::env::var_os("CARGO_TARGET_DIR").map_or_else(
-        // Walk up from the crate dir to the workspace target dir.
-        || PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")),
-        PathBuf::from,
-    )
-}
-
-/// The directory the study cache lives in: `$OG_STUDY_DIR` if set, else
-/// [`target_dir`].
-fn cache_dir() -> PathBuf {
-    std::env::var_os("OG_STUDY_DIR").map_or_else(target_dir, PathBuf::from)
-}
-
-/// The key the current-version study is stored under.
-const STUDY_KEY: u128 = STUDY_VERSION as u128;
-
-/// The study cache: a one-entry [`KeyedStore`] keyed by version, so
-/// storing the current study evicts every other version's entry.
-fn study_store() -> KeyedStore {
-    KeyedStore::new(cache_dir(), "og-study", 1)
-}
-
-/// Where [`run_study`] caches the current-version study.
-pub fn study_cache_path() -> PathBuf {
-    study_store().path_of(STUDY_KEY)
-}
-
-/// The cached current-version study, `Ok(None)` if there is none, or why
-/// the entry is stale: unreadable, corrupt (the store has already
-/// removed it), not a study, or stamped with another body version.
-fn load_cache(store: &KeyedStore) -> Result<Option<Study>, String> {
-    let Some(json) = store.get(STUDY_KEY).map_err(|e| e.to_string())? else {
-        return Ok(None);
-    };
-    let study = Study::from_json(&json).map_err(|e| format!("unparsable: {e}"))?;
-    if study.version != STUDY_VERSION {
-        return Err(format!("body version {} != current {STUDY_VERSION}", study.version));
-    }
-    Ok(Some(study))
-}
-
-/// Times this process fell through to a full study computation. The
-/// cold→warm tests (and CI's cache-regression check) assert on this.
-static STUDY_RECOMPUTES: AtomicU64 = AtomicU64::new(0);
-
-/// How many times this process recomputed the study instead of loading
-/// it from cache.
-pub fn study_recomputes() -> u64 {
-    STUDY_RECOMPUTES.load(Ordering::Relaxed)
-}
-
-/// Run (or load from cache) the full study. See the module docs for the
-/// cache semantics (`OG_STUDY_DIR`, `OG_STUDY_NOCACHE`,
-/// `OG_STUDY_REQUIRE_CACHE`, versioning, atomicity).
-pub fn run_study() -> Study {
-    run_study_with(compute_study)
-}
-
-/// [`run_study`] with the computation injectable, so tests can drive the
-/// cache machinery with a cheap study. Not part of the stable API.
-#[doc(hidden)]
-pub fn run_study_with(compute: impl FnOnce() -> Study) -> Study {
-    if std::env::var_os("OG_STUDY_NOCACHE").is_some() {
-        return compute();
-    }
-    let store = study_store();
-    let path = store.path_of(STUDY_KEY);
-    match load_cache(&store) {
-        Ok(Some(study)) => return study,
-        Ok(None) => eprintln!("og-lab: no study cache at {}; computing", path.display()),
-        Err(why) => {
-            eprintln!("og-lab: study cache {} is stale ({why}); recomputing", path.display());
-        }
-    }
-    let swept = store.sweep_debris(TMP_DEBRIS_AGE);
-    if !swept.is_empty() {
-        eprintln!("og-lab: removed study cache debris: {}", swept.join(", "));
-    }
-    assert!(
-        std::env::var_os("OG_STUDY_REQUIRE_CACHE").is_none(),
-        "OG_STUDY_REQUIRE_CACHE is set but the study cache at {} missed",
-        path.display()
-    );
-    let study = compute();
-    match store.put(STUDY_KEY, &study.to_json()) {
-        Ok(evicted) => {
-            eprintln!("og-lab: study cached at {}", path.display());
-            if !evicted.is_empty() {
-                eprintln!("og-lab: evicted study cache version(s) {evicted:?}");
-            }
-        }
-        Err(e) => eprintln!("og-lab: failed to write study cache: {e}"),
-    }
-    study
-}
-
-/// The study shared by every consumer in this process: computed (or
-/// loaded) once behind a `OnceLock`, so `exp_all` and multi-figure runs
-/// pay for at most one [`run_study`] however many figures they render.
-pub fn shared_study() -> &'static Study {
-    static SHARED: OnceLock<Study> = OnceLock::new();
-    SHARED.get_or_init(run_study)
-}
-
 /// Transform: `bench`'s Ref program under `mech` (VRS profiles the
 /// Train input), with its VRS bookkeeping.
 fn transform(bench: &str, mech: Mech) -> (Program, Option<VrsRaw>) {
@@ -501,7 +359,7 @@ pub fn identity_classes() -> Vec<(&'static str, Vec<Vec<Mech>>)> {
         .collect()
 }
 
-/// Run the full study without touching the cache.
+/// Run the full study.
 ///
 /// The 72 (benchmark, mechanism) pairs hold only 25 distinct programs,
 /// so the study measures each distinct program once, in four steps on a
@@ -523,7 +381,6 @@ pub fn identity_classes() -> Vec<(&'static str, Vec<Vec<Mech>>)> {
 /// The suite is fixed, trusted input, so the 128-bit digest alone is the
 /// key.
 pub fn compute_study() -> Study {
-    STUDY_RECOMPUTES.fetch_add(1, Ordering::Relaxed);
     let pool = WorkerPool::with_default_parallelism();
 
     let digests = pool.map_all("no-stats baselines", NAMES, |bench| {
@@ -564,7 +421,7 @@ pub fn compute_study() -> Study {
         .iter()
         .map(|pair| measured[&pair.digest].assemble(pair.bench, pair.mech, pair.vrs.as_ref()))
         .collect();
-    Study::new(STUDY_VERSION, runs)
+    Study::new(runs)
 }
 
 /// Dynamic Table 3 rows: per-class percentage of instructions and width
@@ -689,15 +546,12 @@ mod tests {
             let base = summary_stub();
             RunSummary { bench: bench.into(), mech, insts, ..base }
         };
-        let study = Study::new(
-            STUDY_VERSION,
-            vec![
-                mk("compress", Mech::Baseline, 1),
-                mk("compress", Mech::Vrp, 2),
-                mk("gcc", Mech::Baseline, 3),
-                mk("gcc", Mech::Vrs(50), 4),
-            ],
-        );
+        let study = Study::new(vec![
+            mk("compress", Mech::Baseline, 1),
+            mk("compress", Mech::Vrp, 2),
+            mk("gcc", Mech::Baseline, 3),
+            mk("gcc", Mech::Vrs(50), 4),
+        ]);
         assert_eq!(study.get("compress", Mech::Vrp).insts, 2);
         assert_eq!(study.get("gcc", Mech::Vrs(50)).insts, 4);
         assert_eq!(study.get("gcc", Mech::Baseline).insts, 3);
@@ -717,7 +571,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "missing run")]
     fn study_get_panics_on_missing_combination() {
-        let study = Study::new(STUDY_VERSION, vec![]);
+        let study = Study::new(vec![]);
         study.get("compress", Mech::Baseline);
     }
 

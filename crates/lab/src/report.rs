@@ -2,8 +2,9 @@
 //!
 //! CI collects every `BENCH_*.json` in the target directory into one
 //! `bench-reports` artifact, so anything that wants its numbers tracked
-//! per-PR — the throughput micro-bench, the fuzz campaign summary —
-//! writes through this module instead of hand-rolling a path.
+//! per-PR — the engine and simulator throughput report, the fault and
+//! fuzz campaign summaries — writes through this module instead of
+//! hand-rolling a path.
 
 use og_json::Json;
 use std::path::PathBuf;
@@ -11,7 +12,11 @@ use std::path::PathBuf;
 /// Where `BENCH_*.json` reports go: `$OG_BENCH_OUT` if set, else
 /// `$CARGO_TARGET_DIR`, else the workspace `target/`.
 pub fn bench_out_dir() -> PathBuf {
-    std::env::var_os("OG_BENCH_OUT").map_or_else(crate::target_dir, PathBuf::from)
+    std::env::var_os("OG_BENCH_OUT").or_else(|| std::env::var_os("CARGO_TARGET_DIR")).map_or_else(
+        // Walk up from the crate dir to the workspace target dir.
+        || PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")),
+        PathBuf::from,
+    )
 }
 
 /// Write `report` as `target/BENCH_<name>.json` (atomically, creating
@@ -19,9 +24,10 @@ pub fn bench_out_dir() -> PathBuf {
 ///
 /// # Errors
 ///
-/// Reports rendering and I/O failures with the target path; callers
-/// decide whether a missing report is fatal (the bench targets treat it
-/// as a warning — the numbers were still produced).
+/// Reports rendering and I/O failures with the target path. Callers
+/// decide whether a missing report is fatal: og-bench's
+/// `micro_throughput` and `fault_campaign` exit nonzero, so a gate that
+/// reads their report afterwards never reads a stale one.
 pub fn write_bench_report(name: &str, report: &Json) -> Result<PathBuf, String> {
     let path = bench_out_dir().join(format!("BENCH_{name}.json"));
     let text = og_json::render(report)

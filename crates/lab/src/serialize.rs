@@ -1,4 +1,5 @@
-//! JSON encodings of the study types, over the `og-json` layer.
+//! JSON encodings of a run's summary, over the `og-json` layer: the
+//! document `og-serve` persists and the study fingerprint hashes.
 //!
 //! Hand-written, in the conventional shape: structs as objects with
 //! field-named keys, unit enum variants as strings, payload variants as
@@ -7,9 +8,9 @@
 //! strings — see [`og_json::MAX_SAFE_INT`].
 //!
 //! Every impl here is exercised by the round-trip suite in
-//! `tests/study_cache.rs`.
+//! `tests/summaries.rs`.
 
-use crate::{Mech, RunSummary, Study, VrsSummary};
+use crate::{Mech, RunSummary, VrsSummary};
 use og_json::{FromJson, Json, ToJson};
 
 impl ToJson for Mech {
@@ -101,20 +102,5 @@ impl FromJson for RunSummary {
             class_width: json.field("class_width")?,
             vrs: json.field("vrs")?,
         })
-    }
-}
-
-impl ToJson for Study {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("version".into(), self.version.to_json()),
-            ("runs".into(), self.runs.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Study {
-    fn from_json(json: &Json) -> Result<Study, og_json::Error> {
-        Ok(Study::new(json.field("version")?, json.field("runs")?))
     }
 }

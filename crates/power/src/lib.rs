@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use og_json::{FromJson, Json, ToJson};
 use og_sim::{ActivityCounts, SchemeBytes, StructActivity, Structure};
 
 /// An operand-gating scheme to price activity under.
@@ -219,73 +218,6 @@ pub fn ed2_improvement(energy_nj: f64, cycles: u64, base_energy_nj: f64, base_cy
         / energy_delay_squared(base_energy_nj, base_cycles)
 }
 
-/// Encoded as the scheme's [`GatingScheme::name`] string.
-impl ToJson for GatingScheme {
-    fn to_json(&self) -> Json {
-        Json::Str(self.name().to_string())
-    }
-}
-
-impl FromJson for GatingScheme {
-    fn from_json(json: &Json) -> Result<GatingScheme, og_json::Error> {
-        let name = String::from_json(json)?;
-        GatingScheme::ALL
-            .into_iter()
-            .find(|s| s.name() == name)
-            .ok_or_else(|| og_json::Error::new(format!("unknown gating scheme `{name}`")))
-    }
-}
-
-impl ToJson for StructEnergy {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("fixed_nj".into(), self.fixed_nj.to_json()),
-            ("per_byte_nj".into(), self.per_byte_nj.to_json()),
-        ])
-    }
-}
-
-impl FromJson for StructEnergy {
-    fn from_json(json: &Json) -> Result<StructEnergy, og_json::Error> {
-        Ok(StructEnergy {
-            fixed_nj: json.field("fixed_nj")?,
-            per_byte_nj: json.field("per_byte_nj")?,
-        })
-    }
-}
-
-/// Encoded as the bare 12-element parameter array in [`Structure::ALL`]
-/// order.
-impl ToJson for EnergyModel {
-    fn to_json(&self) -> Json {
-        self.params.to_json()
-    }
-}
-
-impl FromJson for EnergyModel {
-    fn from_json(json: &Json) -> Result<EnergyModel, og_json::Error> {
-        Ok(EnergyModel { params: FromJson::from_json(json)? })
-    }
-}
-
-impl ToJson for EnergyReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("per_struct".into(), self.per_struct.to_json()),
-            ("total_nj".into(), self.total_nj.to_json()),
-        ])
-    }
-}
-
-impl FromJson for EnergyReport {
-    fn from_json(json: &Json) -> Result<EnergyReport, og_json::Error> {
-        Ok(EnergyReport {
-            per_struct: json.field("per_struct")?,
-            total_nj: json.field("total_nj")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,26 +228,6 @@ mod tests {
             a.record_value(s, sw, sig);
         }
         a
-    }
-
-    #[test]
-    fn model_and_report_roundtrip_through_json() {
-        let model = EnergyModel::new();
-        let text = og_json::to_string(&model).expect("model serializes");
-        let back: EnergyModel = og_json::from_str(&text).expect("model deserializes");
-        assert_eq!(back, model);
-
-        let report =
-            model.report(&activity_with(Structure::Fu, 4, 3, 1000), GatingScheme::Cooperative);
-        let text = og_json::to_string(&report).expect("report serializes");
-        let back: EnergyReport = og_json::from_str(&text).expect("report deserializes");
-        assert_eq!(back, report);
-
-        for scheme in GatingScheme::ALL {
-            let text = og_json::to_string(&scheme).unwrap();
-            assert_eq!(og_json::from_str::<GatingScheme>(&text).unwrap(), scheme);
-        }
-        assert!(og_json::from_str::<GatingScheme>("\"thermoelectric\"").is_err());
     }
 
     #[test]
