@@ -7,6 +7,12 @@
 //!
 //! Run with `cargo bench -p og-bench --bench fault_campaign`
 //! (48 strikes per workload, `FaultCampaignConfig::default()`).
+//! Each workload's strikes run on clones of one walker VM paused along
+//! the golden path, so the fault-free prefix runs once per workload.
+//!
+//! The report is pinned byte for byte: `BENCH_fault.json` must equal the
+//! committed `crates/lab/tests/fault_report.json`. og-lab's equivalence
+//! suite computes and compares it, and CI `cmp`s the file this writes.
 //!
 //! Exits nonzero if the sweep fails to demonstrate the taxonomy (no
 //! masked or no SDC strikes at all) or if gated positions do not mask

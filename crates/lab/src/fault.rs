@@ -17,17 +17,22 @@
 //! register file masks them by construction).
 //!
 //! The campaign maps one job per workload over a [`crate::WorkerPool`];
-//! everything is deterministic in [`FaultCampaignConfig::seed`].
+//! everything is deterministic in [`FaultCampaignConfig::seed`]. Within
+//! a job the strike runs share their fault-free prefix: one walker VM
+//! follows the golden path and pauses at each strike's step, and each
+//! strike runs on a clone of the paused walker. So a workload's program
+//! is verified and lowered twice, for the golden run and the walker,
+//! and its prefix runs once, not once per strike.
 
 use crate::pool::WorkerPool;
 use og_isa::{Reg, Width};
 use og_json::{Json, ToJson};
 use og_program::rng::SplitMix64;
-use og_program::GLOBAL_BASE;
+use og_program::{Program, GLOBAL_BASE};
 use og_vm::fault::{
-    classify, hang_budget, run_with_plan, Fault, FaultOutcome, FaultPlan, FaultSite,
+    classify, hang_budget, run_with_plan, Fault, FaultOutcome, FaultPlan, FaultRun, FaultSite,
 };
-use og_vm::{RunConfig, Vm};
+use og_vm::{Quantum, RunConfig, RunOutcome, Vm};
 use og_workloads::{by_name, InputSet, NAMES};
 
 /// Configuration of one fault campaign.
@@ -103,7 +108,7 @@ impl OutcomeCounts {
 }
 
 /// Per-workload slice of the campaign.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct WorkloadFaults {
     name: String,
     golden_steps: u64,
@@ -113,6 +118,33 @@ struct WorkloadFaults {
     by_byte: [OutcomeCounts; 8],
     control: OutcomeCounts,
     memory: OutcomeCounts,
+}
+
+impl WorkloadFaults {
+    /// Classify one strike's run against `golden` and count it under its
+    /// site's bins; register strikes also by the significance slice of
+    /// the value resident at injection time.
+    fn record(&mut self, site: FaultSite, run: &FaultRun, golden: &RunOutcome) {
+        let outcome = classify(golden, &run.end);
+        self.counts.add(outcome);
+        match (site, run.injected.first()) {
+            (FaultSite::Reg { bit, .. }, Some(inj)) => {
+                let byte = (bit / 8).min(7) as usize;
+                self.by_byte[byte].add(outcome);
+                let sig = Width::sig_bytes(inj.pre);
+                if bit / 8 >= sig {
+                    self.gated.add(outcome);
+                } else {
+                    self.ungated.add(outcome);
+                }
+            }
+            (FaultSite::Mem { .. }, _) => self.memory.add(outcome),
+            (FaultSite::Pc { .. }, _) => self.control.add(outcome),
+            // A strike scheduled past the end of the run never fired;
+            // its Masked outcome has no slice to bin under.
+            (FaultSite::Reg { .. }, None) => {}
+        }
+    }
 }
 
 /// The campaign's aggregate result.
@@ -204,46 +236,55 @@ fn strike(seed: u64, bench: &str, k: usize, golden_steps: u64) -> FaultPlan {
     FaultPlan::new(vec![Fault { at_step, site }])
 }
 
+/// The verified VM for `bench`'s `program` under `cfg`.
+fn workload_vm<'p>(bench: &str, program: &'p Program, cfg: RunConfig) -> Vm<'p> {
+    Vm::new_verified(program, cfg)
+        .unwrap_or_else(|e| panic!("{bench}: workload must verify: {e:?}"))
+}
+
+/// The fault-free run every strike of `bench` is classified against.
+fn golden_run(bench: &str, program: &Program) -> RunOutcome {
+    workload_vm(bench, program, RunConfig::default())
+        .run_nostats()
+        .unwrap_or_else(|e| panic!("{bench}: golden run failed: {e}"))
+}
+
 /// Sweep one workload: golden run, then `strikes` single-strike runs.
+///
+/// Strike `k` is [`strike`]`(seed, bench, k)`; the sweep takes them in
+/// step order. One walker VM, under the hang budget, follows the golden
+/// path and pauses at each strike's step. Each strike runs on a clone of
+/// the paused walker, so the fault-free prefix executes once per
+/// workload, not once per strike. Striking the clone gives the same run
+/// as striking a fresh VM, and the bins are sums, so the order does not
+/// change the result.
 fn sweep_workload(cfg: &FaultCampaignConfig, bench: &str) -> WorkloadFaults {
     let program = by_name(bench, cfg.input).program;
-    let golden = Vm::new_verified(&program, RunConfig::default())
-        .unwrap_or_else(|e| panic!("{bench}: workload must verify: {e:?}"))
-        .run_nostats()
-        .unwrap_or_else(|e| panic!("{bench}: golden run failed: {e}"));
-    let budget = hang_budget(golden.steps);
+    let golden = golden_run(bench, &program);
     let mut w = WorkloadFaults {
         name: bench.to_string(),
         golden_steps: golden.steps,
         ..Default::default()
     };
-    for k in 0..cfg.strikes_per_workload {
-        let plan = strike(cfg.seed, bench, k, golden.steps);
-        let run_cfg = RunConfig { max_steps: budget, ..Default::default() };
-        let mut vm = Vm::new_verified(&program, run_cfg)
-            .unwrap_or_else(|e| panic!("{bench}: workload must verify: {e:?}"));
-        let run = run_with_plan(&mut vm, &plan);
-        let outcome = classify(&golden, &run.end);
-        w.counts.add(outcome);
-        // Bin by site; register strikes additionally by significance
-        // slice of the value resident at injection time.
-        match (plan.faults()[0].site, run.injected.first()) {
-            (FaultSite::Reg { bit, .. }, Some(inj)) => {
-                let byte = (bit / 8).min(7) as usize;
-                w.by_byte[byte].add(outcome);
-                let sig = Width::sig_bytes(inj.pre);
-                if bit / 8 >= sig {
-                    w.gated.add(outcome);
-                } else {
-                    w.ungated.add(outcome);
-                }
-            }
-            (FaultSite::Mem { .. }, _) => w.memory.add(outcome),
-            (FaultSite::Pc { .. }, _) => w.control.add(outcome),
-            // A strike scheduled past the end of the run never fired;
-            // its Masked outcome has no slice to bin under.
-            (FaultSite::Reg { .. }, None) => {}
+    let mut plans: Vec<FaultPlan> =
+        (0..cfg.strikes_per_workload).map(|k| strike(cfg.seed, bench, k, golden.steps)).collect();
+    plans.sort_by_key(|plan| plan.faults()[0].at_step);
+    let budget = RunConfig { max_steps: hang_budget(golden.steps), ..Default::default() };
+    let mut walker = workload_vm(bench, &program, budget);
+    let mut resume = None;
+    for plan in &plans {
+        let fault = plan.faults()[0];
+        let now = walker.stats().steps;
+        if fault.at_step > now {
+            // Strikes are drawn below the golden length, so the walker
+            // pauses before its run ends.
+            let Quantum::Paused { ip } = walker.run_quantum(resume, fault.at_step - now) else {
+                panic!("{bench}: the golden path ended before step {}", fault.at_step)
+            };
+            resume = Some(ip);
         }
+        let run = run_with_plan(&mut walker.clone(), plan);
+        w.record(fault.site, &run, &golden);
     }
     w
 }
@@ -373,18 +414,48 @@ mod tests {
         assert!(plan_from_json(&bad).unwrap_err().contains("out of range"));
     }
 
+    /// The reference sweep: a fresh VM per strike, each re-executing the
+    /// fault-free prefix from step 0.
+    fn sweep_workload_from_scratch(cfg: &FaultCampaignConfig, bench: &str) -> WorkloadFaults {
+        let program = by_name(bench, cfg.input).program;
+        let golden = golden_run(bench, &program);
+        let budget = hang_budget(golden.steps);
+        let mut w = WorkloadFaults {
+            name: bench.to_string(),
+            golden_steps: golden.steps,
+            ..Default::default()
+        };
+        for k in 0..cfg.strikes_per_workload {
+            let plan = strike(cfg.seed, bench, k, golden.steps);
+            let run_cfg = RunConfig { max_steps: budget, ..Default::default() };
+            let run = run_with_plan(&mut workload_vm(bench, &program, run_cfg), &plan);
+            w.record(plan.faults()[0].site, &run, &golden);
+        }
+        w
+    }
+
     #[test]
     fn one_workload_sweep_is_deterministic_and_fills_the_taxonomy() {
-        let cfg = FaultCampaignConfig { strikes_per_workload: 24, ..Default::default() };
-        let a = sweep_workload(&cfg, "compress");
-        let b = sweep_workload(&cfg, "compress");
-        assert_eq!(a.counts, b.counts, "sweeps replay bit-identically");
-        assert_eq!(a.counts.total(), 24);
-        assert!(a.golden_steps > 0);
-        // Every strike is scheduled before the golden end on the golden
-        // path, so it fires — the site bins partition the total.
-        let reg_total = a.gated.total() + a.ungated.total();
-        assert_eq!(a.counts.total(), reg_total + a.memory.total() + a.control.total());
+        for seed in [FaultCampaignConfig::default().seed, 1, 0xDEAD_BEEF] {
+            let cfg = FaultCampaignConfig { seed, ..Default::default() };
+            for bench in ["compress", "gcc"] {
+                let a = sweep_workload(&cfg, bench);
+                let b = sweep_workload(&cfg, bench);
+                assert_eq!(a, b, "sweeps replay bit-identically");
+                assert_eq!(
+                    a,
+                    sweep_workload_from_scratch(&cfg, bench),
+                    "{bench} seed {seed:#x}: striking the paused walker moved a bin"
+                );
+                assert_eq!(a.counts.total(), cfg.strikes_per_workload as u64);
+                assert!(a.golden_steps > 0);
+                // Every strike is scheduled before the golden end on the
+                // golden path, so it fires — the site bins partition the
+                // total.
+                let reg_total = a.gated.total() + a.ungated.total();
+                assert_eq!(a.counts.total(), reg_total + a.memory.total() + a.control.total());
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! * the rendered tables and figures equal the committed
 //!   `tests/figures.txt`, the exact text `exp_all` prints.
 //!
-//! The identity classes the study measures once each, and the fault
+//! The identity classes the study measures once each, the fault
 //! campaign's masked/SDC/detected/hang taxonomy
-//! (`perfbench/expected/fault_sweep.json`), are pinned too.
+//! (`perfbench/expected/fault_sweep.json`), and the whole default-config
+//! fault report `fault_campaign` writes (`tests/fault_report.json`) are
+//! pinned too.
 
 use og_json::{Json, ToJson};
 use og_lab::fault::{run_fault_campaign, FaultCampaignConfig};
@@ -244,5 +246,20 @@ fn fault_taxonomy_matches_the_committed_sweep() {
     assert_eq!(
         fresh, committed,
         "per-workload [golden_steps, masked, sdc, detected, hang] moved from the committed sweep"
+    );
+}
+
+/// The whole report `fault_campaign` writes to `BENCH_fault.json` at
+/// [`FaultCampaignConfig::default`]: every bin behind its headline
+/// (gated/ungated, flip byte, pc, memory, per workload), byte for byte.
+#[test]
+fn fault_report_matches_the_committed_bytes() {
+    let committed = include_str!("fault_report.json");
+    let report = run_fault_campaign(&FaultCampaignConfig::default());
+    let fresh = og_json::render(&report.to_json()).expect("the fault report renders");
+    assert!(
+        fresh == committed,
+        "the fault report moved from crates/lab/tests/fault_report.json; after a deliberate \
+         change, commit this text (it is exactly `fault_campaign`'s BENCH_fault.json):\n{fresh}"
     );
 }

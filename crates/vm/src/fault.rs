@@ -24,6 +24,14 @@
 //! unmodified and at full speed; the split points are architecturally
 //! invisible.
 //!
+//! A plan need not start from step 0. [`run_with_plan`] continues a VM
+//! that [`Vm::run_quantum`] left paused, and a paused VM can be cloned.
+//! So a sweep of single strikes can walk one VM along the fault-free
+//! path, pause it at each strike's step, and strike a clone there. The
+//! fault-free prefix then runs once per sweep, not once per strike.
+//! That is how `og-lab`'s fault campaign works; the result equals a
+//! strike on a freshly constructed VM.
+//!
 //! ```
 //! use og_isa::{Reg, Width};
 //! use og_program::{imm, ProgramBuilder};
@@ -225,12 +233,18 @@ pub fn hang_budget(golden_steps: u64) -> u64 {
 /// at or past the run's end never fire (the program was already done);
 /// [`FaultRun::injected`] records the ones that did.
 ///
-/// The VM should be freshly constructed with its `max_steps` set to a
-/// hang budget (see [`hang_budget`]); the fault-free golden run comes
+/// The run starts where `vm` stands. A freshly constructed VM, or one
+/// whose last run finished, starts from the entry. A VM that
+/// [`Vm::run_quantum`] left paused (or a clone of one) continues from
+/// its pause point, and the strikes due at or before its step count
+/// fire first. Striking a VM paused at step `n` gives the same
+/// [`FaultRun`] as the same plan on a fresh VM, as long as the plan has
+/// no strike before step `n`. Give the VM a hang budget as its
+/// `max_steps` (see [`hang_budget`]). The fault-free golden run comes
 /// from an ordinary [`Vm::run`] on a separate VM.
 pub fn run_with_plan(vm: &mut Vm<'_>, plan: &FaultPlan) -> FaultRun {
     let mut injected: Vec<Injection> = Vec::new();
-    let mut resume: Option<u32> = None;
+    let mut resume: Option<u32> = vm.paused_at();
     let mut next = 0usize;
     let faults = plan.faults();
     loop {
@@ -287,7 +301,7 @@ pub fn classify(golden: &RunOutcome, end: &FaultedEnd) -> FaultOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RunConfig;
+    use crate::{Quantum, RunConfig};
     use og_isa::Width;
     use og_program::{imm, Program, ProgramBuilder};
 
@@ -313,6 +327,150 @@ mod tests {
 
     fn golden(p: &Program) -> RunOutcome {
         Vm::new(p, RunConfig::default()).run().unwrap()
+    }
+
+    /// A counted loop that calls a function and round-trips its result
+    /// through a global, so strikes can land inside a callee frame, in
+    /// memory between a store and its load, and on the loop counter.
+    fn calling_program() -> Program {
+        let mut pb = ProgramBuilder::new();
+        let mut sq = pb.function("sq", 1);
+        sq.block("entry");
+        sq.mul(Width::W, Reg::V0, Reg::A0, Reg::A0);
+        sq.add(Width::W, Reg::V0, Reg::V0, imm(1));
+        sq.ret();
+        pb.finish(sq);
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.ldi(Reg::T0, 3);
+        f.ldi(Reg::T1, 4);
+        f.block("loop");
+        f.mov(Width::D, Reg::A0, Reg::T0);
+        f.jsr("sq");
+        f.st(Width::D, Reg::V0, Reg::GP, 0);
+        f.ld(Width::D, Reg::T0, Reg::GP, 0);
+        f.out(Width::H, Reg::T0);
+        f.add(Width::D, Reg::T1, Reg::T1, imm(-1));
+        f.bne(Reg::T1, "loop");
+        f.block("done");
+        f.halt();
+        pb.finish(f);
+        pb.build().unwrap()
+    }
+
+    /// Advance `walker` along its fault-free path to committed step
+    /// `at`, pausing there, the way the campaign's walker does.
+    fn walk_to(walker: &mut Vm<'_>, at: u64) {
+        let now = walker.stats().steps;
+        if at > now {
+            let resume = walker.paused_at();
+            assert!(matches!(walker.run_quantum(resume, at - now), Quantum::Paused { .. }));
+        }
+    }
+
+    #[test]
+    fn a_paused_clone_finishes_like_the_uninterrupted_run() {
+        let p = calling_program();
+        let mut solo = Vm::new(&p, RunConfig::default());
+        let expected = solo.run_nostats().unwrap();
+        let mut walker = Vm::new(&p, RunConfig::default());
+        for at in 0..expected.steps {
+            walk_to(&mut walker, at);
+            let mut by_plan = walker.clone();
+            let run = run_with_plan(&mut by_plan, &FaultPlan::default());
+            assert_eq!(run.end, FaultedEnd::Finished(expected), "paused at step {at}");
+            assert_eq!(by_plan.output(), solo.output());
+            // The explicit resume seam agrees, and neither clone moved
+            // the walker.
+            let mut by_quantum = walker.clone();
+            let resume = walker.paused_at();
+            assert_eq!(by_quantum.run_quantum(resume, u64::MAX), Quantum::Finished(Ok(expected)));
+            assert_eq!(walker.stats().steps, at);
+        }
+    }
+
+    #[test]
+    fn striking_a_paused_clone_equals_striking_a_fresh_vm() {
+        let p = calling_program();
+        let g = golden(&p);
+        let cfg = RunConfig { max_steps: hang_budget(g.steps), ..Default::default() };
+        let sites = [
+            FaultSite::Reg { reg: Reg::T0, bit: 1 },
+            FaultSite::Reg { reg: Reg::T1, bit: 40 },
+            FaultSite::Reg { reg: Reg::V0, bit: 9 },
+            FaultSite::Mem { addr: GLOBAL_BASE + 1, bit: 2 },
+            FaultSite::Pc { bit: 0 },
+            FaultSite::Pc { bit: 2 },
+            FaultSite::Pc { bit: 30 },
+        ];
+        let mut seen = Vec::new();
+        let mut in_text_pc = 0;
+        let mut walker = Vm::new(&p, cfg.clone());
+        for at in 0..g.steps {
+            walk_to(&mut walker, at);
+            // Several single strikes at this step, each on its own clone
+            // of the one paused walker, then two strikes at once.
+            let both = FaultPlan::new(vec![
+                Fault { at_step: at, site: sites[0] },
+                Fault { at_step: at, site: sites[3] },
+            ]);
+            let singles = sites.iter().map(|&site| FaultPlan::single(at, site));
+            for plan in singles.chain([both]) {
+                let fresh = run_with_plan(&mut Vm::new(&p, cfg.clone()), &plan);
+                let paused = run_with_plan(&mut walker.clone(), &plan);
+                assert_eq!(paused, fresh, "{plan:?}");
+                assert_eq!(paused.injected.len(), plan.faults().len(), "{plan:?}");
+                if matches!(plan.faults()[0].site, FaultSite::Pc { .. })
+                    && !matches!(paused.end, FaultedEnd::WildJump { .. })
+                {
+                    in_text_pc += 1;
+                }
+                seen.push(classify(&g, &paused.end));
+            }
+        }
+        assert!(in_text_pc > 0, "some pc strike must stay inside the text");
+        for class in
+            [FaultOutcome::Masked, FaultOutcome::Sdc, FaultOutcome::Detected, FaultOutcome::Hang]
+        {
+            assert!(seen.contains(&class), "no strike was {}", class.name());
+        }
+    }
+
+    #[test]
+    fn a_finished_or_restarted_run_strikes_from_the_entry() {
+        let p = calling_program();
+        let g = golden(&p);
+        let cfg = RunConfig { max_steps: hang_budget(g.steps), ..Default::default() };
+        let paused = || {
+            let mut vm = Vm::new(&p, cfg.clone());
+            let Quantum::Paused { ip } = vm.run_quantum(None, 5) else { panic!("must pause") };
+            assert_ne!(ip, vm.flat_program().entry);
+            (vm, ip)
+        };
+        // A pause finished by its own quantum, or forgotten by a run
+        // that restarts from the entry; and a VM that never paused.
+        let (mut resumed, ip) = paused();
+        assert!(matches!(resumed.run_quantum(Some(ip), u64::MAX), Quantum::Finished(Ok(_))));
+        let (mut nostats, _) = paused();
+        nostats.run_nostats().unwrap();
+        let (mut full, _) = paused();
+        full.run().unwrap();
+        let (mut reference, _) = paused();
+        reference.run_reference().unwrap();
+        let mut unpaused = Vm::new(&p, cfg.clone());
+        unpaused.run_nostats().unwrap();
+        for vm in [resumed, nostats, full, reference, unpaused] {
+            let before = vm.stats().steps;
+            let whole = run_with_plan(&mut vm.clone(), &FaultPlan::default());
+            assert!(
+                matches!(whole.end, FaultedEnd::Finished(o) if o.steps == before + g.steps),
+                "{:?} after {before} steps",
+                whole.end
+            );
+            let run =
+                run_with_plan(&mut vm.clone(), &FaultPlan::single(0, FaultSite::Pc { bit: 0 }));
+            assert_eq!(run.injected[0].pre, i64::from(vm.flat_program().entry));
+        }
     }
 
     #[test]

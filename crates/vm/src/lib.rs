@@ -73,7 +73,10 @@
 //! [`fault::run_with_plan`], and the outcome taxonomy
 //! ([`fault::FaultOutcome`]: Masked / SDC / Detected / Hang) that
 //! `og-lab`'s fault campaign sweeps across workloads to measure the
-//! paper's masking claim for gated upper operand slices.
+//! paper's masking claim for gated upper operand slices. A [`Vm`] is
+//! `Clone`, and [`fault::run_with_plan`] continues a paused VM from its
+//! pause point, so the campaign strikes clones of one VM paused along
+//! the fault-free path instead of re-running that path for each strike.
 //!
 //! ## Streaming dataflow (VM → TraceSink → Simulator/Profiler)
 //!

@@ -130,6 +130,12 @@ impl fmt::Display for VmError {
 impl std::error::Error for VmError {}
 
 /// The functional emulator. See the crate docs for an example.
+///
+/// A clone is an independent machine in the same architectural state.
+/// Cloning a VM paused by [`Vm::run_quantum`] forks the run at that
+/// point; og-lab's fault campaign strikes clones of one VM paused along
+/// the fault-free run.
+#[derive(Clone)]
 pub struct Vm<'p> {
     program: &'p Program,
     layout: Layout,
@@ -153,6 +159,9 @@ pub struct Vm<'p> {
     /// back until the next commit patches its `next_pc`, so sinks only
     /// ever observe finalized records.
     pending: Option<TraceRecord>,
+    /// Where the last [`Vm::run_quantum`] paused; `None` once a run
+    /// finishes or restarts from the entry.
+    paused_at: Option<u32>,
 }
 
 impl<'p> Vm<'p> {
@@ -239,12 +248,19 @@ impl<'p> Vm<'p> {
             output: Vec::new(),
             stats: DynStats::default(),
             pending: None,
+            paused_at: None,
         }
     }
 
     /// The pre-decoded flat form the default engine executes.
     pub fn flat_program(&self) -> &FlatProgram {
         &self.flat
+    }
+
+    /// The `ip` the last [`Vm::run_quantum`] paused at, if that run has
+    /// neither finished nor been restarted since.
+    pub(crate) fn paused_at(&self) -> Option<u32> {
+        self.paused_at
     }
 
     /// Current value of a register (zero register reads as 0).
@@ -380,6 +396,10 @@ impl<'p> Vm<'p> {
     /// many quanta produces the identical outcome, output and step count
     /// as one uninterrupted [`Vm::run_nostats`]. After
     /// `Quantum::Finished`, resume only with `None` (a fresh run).
+    ///
+    /// The VM remembers the `ip` it paused at, so
+    /// [`crate::fault::run_with_plan`] continues a paused VM (or a clone
+    /// of one) from there; a finished run clears it.
     pub fn run_quantum(&mut self, resume_at: Option<u32>, quantum: u64) -> Quantum {
         let flat = std::mem::take(&mut self.flat);
         let (start, fresh) = match resume_at {
@@ -393,6 +413,7 @@ impl<'p> Vm<'p> {
         let stop = max_steps.min(self.stats.steps.saturating_add(quantum));
         let exit = self.flat_loop::<NullSink, false>(&flat, &mut None, start, fresh, stop);
         self.flat = flat;
+        self.paused_at = None;
         match exit {
             FlatExit::Done(reason) => Quantum::Finished(Ok(RunOutcome {
                 steps: self.stats.steps,
@@ -403,6 +424,7 @@ impl<'p> Vm<'p> {
                 if self.stats.steps >= max_steps {
                     Quantum::Finished(Err(VmError::OutOfFuel { steps: self.stats.steps }))
                 } else {
+                    self.paused_at = Some(ip as u32);
                     Quantum::Paused { ip: ip as u32 }
                 }
             }
@@ -440,6 +462,7 @@ impl<'p> Vm<'p> {
         mut sink: Option<&mut (dyn TraceSink + 's)>,
     ) -> Result<RunOutcome, VmError> {
         self.pending = None;
+        self.paused_at = None;
         // Every run starts from the entry with a fresh control context:
         // a previous run that ended inside a call (halt in a callee, a
         // call-depth error) must not leak its frames into this one —
@@ -478,6 +501,7 @@ impl<'p> Vm<'p> {
         mut sink: Option<&mut S>,
     ) -> Result<RunOutcome, VmError> {
         self.pending = None;
+        self.paused_at = None;
         // Detach the flat form so the loop can borrow it while mutating
         // the rest of the machine state.
         let flat = std::mem::take(&mut self.flat);
