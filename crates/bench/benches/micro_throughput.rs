@@ -1,7 +1,7 @@
 //! Engine and simulator throughput, gated by `bench_gate`.
 //!
 //! These measure the *tooling* (how fast the emulator executes and the
-//! timing model simulates), complementing the figure benches that
+//! timing model simulates), complementing `exp_all`'s figures, which
 //! measure the *reproduced system*. The **engine** series are committed
 //! steps per second: the pre-decoded flat engine (the default behind
 //! `Vm::run*`) plain, streamed into a `NullSink`, and in no-stats mode

@@ -1,16 +1,21 @@
 //! # og-bench
 //!
-//! This crate only exists to host the benchmark harnesses in `benches/`:
-//! one target per table and figure of the paper's evaluation (each prints
-//! the corresponding rows/series; target names follow the paper's table
-//! and figure numbers; the 16 that read the full study compute it), plus
-//! two that write a report and exit nonzero if they cannot:
-//! `micro_throughput` measures the VM engines and the simulator against
-//! the frozen reference engine (`BENCH_vm.json`, which the `bench_gate`
-//! example gates), and `fault_campaign` classifies seeded soft errors
-//! (`BENCH_fault.json`) and gates the taxonomy itself.
+//! This crate only exists to host three benchmark harnesses in
+//! `benches/`:
 //!
-//! Run everything with `cargo bench -p og-bench`, or a single artifact
-//! with e.g. `cargo bench -p og-bench --bench fig8_energy_savings`.
+//! * `micro_throughput` measures the VM engines and the simulator against
+//!   the frozen reference engine and writes `BENCH_vm.json`, which the
+//!   `bench_gate` example gates;
+//! * `fault_campaign` classifies seeded soft errors, writes
+//!   `BENCH_fault.json` and gates the taxonomy itself;
+//! * `ablation_profiler` prints VRS's sensitivity to the value
+//!   profiler's table size and cleaning period.
+//!
+//! The two report writers exit nonzero if they cannot write their
+//! report. The paper's tables and figures come from og-lab's `exp_all`
+//! binary, which computes the study once and prints them all.
+//!
+//! Run everything with `cargo bench -p og-bench`, or one target with
+//! e.g. `cargo bench -p og-bench --bench fault_campaign`.
 
 #![forbid(unsafe_code)]

@@ -10,11 +10,11 @@
 //!   across an [`og_lab::WorkerPool`], one deterministic rng stream per
 //!   shard. Each shard interleaves fresh generation with structural
 //!   mutation of its corpus ([`crate::mutate`]), screens every input
-//!   with a fuel-bounded flat-engine run, projects the run's
-//!   [`og_vm::Coverage`] into the global feature space
-//!   ([`crate::sched`]), skips duplicate oracle work via a shared
-//!   `(program digest, coverage signature)` set, judges survivors with
-//!   the same differential oracle, and admits oracle-green inputs that
+//!   with a fuel-bounded flat-engine run, projects the blocks the run
+//!   covered ([`og_vm::DynStats::block_counts`]) into the global feature
+//!   space ([`crate::sched`]), skips duplicate oracle work via a shared
+//!   set of program digests, judges survivors with the same
+//!   differential oracle, and admits oracle-green inputs that
 //!   lit new features into its corpus — which subsequent mutation draws
 //!   from, closing the evolution loop. At end of run the shard corpora
 //!   merge and the combined corpus is minimized by greedy set cover.
@@ -39,7 +39,7 @@ use crate::sched::{self, Corpus, CorpusEntry, FeatureMap};
 use crate::{
     case_gen_config, case_oracle_config, corpus, fault_cross_check, mutate, shrink, sim_cross_check,
 };
-use og_core::oracle::{check_program, OracleConfig, OracleOutcome};
+use og_core::oracle::{check_program, OracleConfig};
 use og_json::{Json, ToJson};
 use og_lab::WorkerPool;
 use og_program::generate::generate_with_bound;
@@ -162,12 +162,6 @@ impl Campaign {
         self
     }
 
-    /// Fault-classifier soundness check period (0 disables).
-    pub fn fault_check_every(mut self, n: u64) -> Campaign {
-        self.cfg.fault_check_every = n;
-        self
-    }
-
     /// Shrink budget on failure.
     pub fn shrink_budget(mut self, n: usize) -> Campaign {
         self.cfg.shrink_budget = n;
@@ -186,33 +180,19 @@ impl Campaign {
         self
     }
 
-    /// Fresh-generation share of the guided loop: roughly one case in
-    /// `n` is a fresh generate instead of a corpus mutation.
-    pub fn fresh_every(mut self, n: u64) -> Campaign {
-        self.cfg.fresh_every = n.max(1);
-        self
-    }
-
     /// The explicit environment layer: reads `OG_FUZZ_CASES`,
-    /// `OG_FUZZ_SEED`, `OG_FUZZ_COVERAGE` (0/1), `OG_FUZZ_SHARDS`,
-    /// `OG_FUZZ_FAULT_EVERY` and `OG_FUZZ_FAIL_DIR` over the builder's
-    /// current values. Call it last (or not at all — nothing else in
-    /// the crate touches the environment).
+    /// `OG_FUZZ_SEED`, `OG_FUZZ_COVERAGE` (0/1) and `OG_FUZZ_FAIL_DIR`
+    /// over the builder's current values. Call it last (or not at all —
+    /// nothing else in the crate touches the environment).
     pub fn overrides_from_env(mut self) -> Campaign {
         if let Some(cases) = crate::env_u64("OG_FUZZ_CASES") {
             self.cfg.cases = cases;
-        }
-        if let Some(every) = crate::env_u64("OG_FUZZ_FAULT_EVERY") {
-            self.cfg.fault_check_every = every;
         }
         if let Some(seed) = crate::env_u64("OG_FUZZ_SEED") {
             self.cfg.base_seed = seed;
         }
         if let Some(cov) = crate::env_u64("OG_FUZZ_COVERAGE") {
             self.cfg.coverage = cov != 0;
-        }
-        if let Some(shards) = crate::env_u64("OG_FUZZ_SHARDS") {
-            self.cfg.shards = shards as usize;
         }
         if let Some(dir) = std::env::var_os("OG_FUZZ_FAIL_DIR") {
             self.cfg.fail_dir = Some(PathBuf::from(dir));
@@ -298,8 +278,8 @@ pub struct CampaignSummary {
     /// Mutants discarded by the fuel screen (no termination
     /// certificate — expected weather, not failures).
     pub discarded: u64,
-    /// Cases skipped as exact duplicates (same program digest and
-    /// coverage signature already judged).
+    /// Cases skipped as exact duplicates (a program with the same digest
+    /// already judged).
     pub dup_skipped: u64,
     /// Screening/coverage VM executions performed by the guided loop.
     pub execs: u64,
@@ -460,37 +440,43 @@ fn run_random(cfg: &CampaignConfig) -> CampaignSummary {
         let oracle_cfg = case_oracle_config(bound);
         summary.cases += 1;
         summary.total_insts += program.inst_count() as u64;
-
-        let sim_checked = cfg.sim_check_every != 0 && index % cfg.sim_check_every == 0;
-        let fault_checked = cfg.fault_check_every != 0 && index % cfg.fault_check_every == 0;
-        let verdict: Result<OracleOutcome, CaseError> =
-            check_program(&program, &oracle_cfg).map_err(CaseError::Oracle).and_then(|outcome| {
-                if sim_checked {
-                    summary.sim_checks += 1;
-                    sim_cross_check(&program, bound).map_err(CaseError::Sim)?;
-                }
-                if fault_checked {
-                    summary.fault_checks += 1;
-                    fault_cross_check(&program, bound, gen_cfg.seed ^ index)
-                        .map_err(CaseError::Fault)?;
-                }
-                Ok(outcome)
-            });
-
-        match verdict {
-            Ok(outcome) => {
-                summary.total_base_steps += outcome.base_steps;
-                summary.narrowed += outcome.narrowed as u64;
-                summary.specializations += outcome.specializations as u64;
-            }
-            Err(error) => {
-                summary.failure =
-                    Some(shrink_failure(cfg, &oracle_cfg, index, gen_cfg.seed, program, error));
-                break;
-            }
+        if let Err(error) =
+            judge(cfg, &mut summary, &program, &oracle_cfg, index, gen_cfg.seed ^ index)
+        {
+            summary.failure =
+                Some(shrink_failure(cfg, &oracle_cfg, index, gen_cfg.seed, program, error));
+            break;
         }
     }
     summary
+}
+
+/// Judge case `index` of a loop: the differential oracle, then the
+/// simulator cross-check on every `sim_check_every`th index and the
+/// fault-classifier replay (under `fault_seed`) on every
+/// `fault_check_every`th. Counts the cross-checks it starts and, when
+/// every check passes, the oracle's work into `summary`.
+fn judge(
+    cfg: &CampaignConfig,
+    summary: &mut CampaignSummary,
+    program: &Program,
+    oracle_cfg: &OracleConfig,
+    index: u64,
+    fault_seed: u64,
+) -> Result<(), CaseError> {
+    let outcome = check_program(program, oracle_cfg).map_err(CaseError::Oracle)?;
+    if cfg.sim_check_every != 0 && index.is_multiple_of(cfg.sim_check_every) {
+        summary.sim_checks += 1;
+        sim_cross_check(program, oracle_cfg.max_steps).map_err(CaseError::Sim)?;
+    }
+    if cfg.fault_check_every != 0 && index.is_multiple_of(cfg.fault_check_every) {
+        summary.fault_checks += 1;
+        fault_cross_check(program, oracle_cfg.max_steps, fault_seed).map_err(CaseError::Fault)?;
+    }
+    summary.total_base_steps += outcome.base_steps;
+    summary.narrowed += outcome.narrowed as u64;
+    summary.specializations += outcome.specializations as u64;
+    Ok(())
 }
 
 /// The rng-stream seed of shard `s`: the golden-ratio multiple keeps
@@ -541,7 +527,7 @@ struct ShardReport {
 }
 
 /// The canonical content digest of a program (FNV-1a over its canonical
-/// JSON rendering) — the program half of the dedup key.
+/// JSON rendering) — the dedup key.
 fn program_digest(p: &Program) -> u64 {
     fnv1a(p.canonical_text().as_bytes())
 }
@@ -549,13 +535,12 @@ fn program_digest(p: &Program) -> u64 {
 /// One shard of the guided loop. Fully deterministic given
 /// `(cfg, shard, n_cases)` except for the shared dedup set, which only
 /// skips duplicate *oracle work* — and a cross-shard duplicate requires
-/// two different rng streams to produce byte-identical programs with
-/// identical coverage.
+/// two different rng streams to produce byte-identical programs.
 fn run_guided_shard(
     cfg: &CampaignConfig,
     shard: usize,
     n_cases: u64,
-    dedup: &Mutex<HashSet<(u64, u64)>>,
+    dedup: &Mutex<HashSet<u64>>,
 ) -> ShardReport {
     let sseed = shard_seed(cfg.base_seed, shard);
     let mut rng = SplitMix64::new(sseed ^ 0x5EED);
@@ -594,12 +579,7 @@ fn run_guided_shard(
                 summary.execs += 1;
                 match vm.run() {
                     Ok(outcome) => {
-                        let cov = vm.coverage();
-                        Some((
-                            outcome.steps,
-                            cov.signature(),
-                            sched::case_features(&program, vm.flat_program(), &cov),
-                        ))
+                        Some((outcome.steps, sched::case_features(&program, vm.stats())))
                     }
                     Err(_) if is_mutant => {
                         // No certificate, no verdict: a mutant that blows
@@ -620,12 +600,13 @@ fn run_guided_shard(
         };
 
         // --- dedup: skip oracle work already done on this exact
-        // (program, coverage) pair anywhere in the campaign ------------
+        // program anywhere in the campaign. The screen finished inside
+        // its fuel and the VM is deterministic, so one program always
+        // covers the same blocks: the digest alone is the key ---------
         let (feats, interesting) = match &screen {
-            Some((_, cov_sig, feats)) => {
+            Some((_, feats)) => {
                 seen.observe(feats);
-                let key = (program_digest(&program), *cov_sig);
-                if !dedup.lock().expect("dedup lock").insert(key) {
+                if !dedup.lock().expect("dedup lock").insert(program_digest(&program)) {
                     summary.dup_skipped += 1;
                     continue;
                 }
@@ -642,47 +623,24 @@ fn run_guided_shard(
         let oracle_fuel = fresh_bound
             .unwrap_or_else(|| screen.as_ref().map_or(cfg.mutant_fuel, |s| s.0) * 4 + 1024);
         let oracle_cfg = case_oracle_config(oracle_fuel);
-        let sim_checked = cfg.sim_check_every != 0 && index % cfg.sim_check_every == 0;
-        let fault_checked = cfg.fault_check_every != 0 && index % cfg.fault_check_every == 0;
-        let verdict: Result<OracleOutcome, CaseError> =
-            check_program(&program, &oracle_cfg).map_err(CaseError::Oracle).and_then(|outcome| {
-                if sim_checked {
-                    summary.sim_checks += 1;
-                    sim_cross_check(&program, oracle_fuel).map_err(CaseError::Sim)?;
-                }
-                if fault_checked {
-                    summary.fault_checks += 1;
-                    fault_cross_check(&program, oracle_fuel, sseed ^ index)
-                        .map_err(CaseError::Fault)?;
-                }
-                Ok(outcome)
-            });
+        if let Err(error) = judge(cfg, &mut summary, &program, &oracle_cfg, index, sseed ^ index) {
+            summary.failure = Some(shrink_failure(cfg, &oracle_cfg, index, sseed, program, error));
+            break;
+        }
 
-        match verdict {
-            Ok(outcome) => {
-                summary.total_base_steps += outcome.base_steps;
-                summary.narrowed += outcome.narrowed as u64;
-                summary.specializations += outcome.specializations as u64;
-                // --- evolve: oracle-green inputs that lit new features
-                // join the corpus and become mutation bases ------------
-                if interesting {
-                    let kept = corpus.admit(CorpusEntry {
-                        program: Arc::new(program),
-                        seed: sseed,
-                        max_steps: oracle_cfg.max_steps,
-                        feats,
-                        new_feats: Vec::new(),
-                        from_mutation: is_mutant,
-                    });
-                    if kept && is_mutant {
-                        summary.mutants_kept += 1;
-                    }
-                }
-            }
-            Err(error) => {
-                summary.failure =
-                    Some(shrink_failure(cfg, &oracle_cfg, index, sseed, program, error));
-                break;
+        // --- evolve: oracle-green inputs that lit new features join
+        // the corpus and become mutation bases ------------------------
+        if interesting {
+            let kept = corpus.admit(CorpusEntry {
+                program: Arc::new(program),
+                seed: sseed,
+                max_steps: oracle_cfg.max_steps,
+                feats,
+                new_feats: Vec::new(),
+                from_mutation: is_mutant,
+            });
+            if kept && is_mutant {
+                summary.mutants_kept += 1;
             }
         }
     }
@@ -700,8 +658,7 @@ fn random_baseline_shard(cfg: &CampaignConfig, shard: usize, n_cases: u64) -> Fe
         let run_cfg = RunConfig { max_steps: bound, ..Default::default() };
         if let Ok(mut vm) = Vm::new_verified(&program, run_cfg) {
             if vm.run().is_ok() {
-                let cov = vm.coverage();
-                map.observe(&sched::case_features(&program, vm.flat_program(), &cov));
+                map.observe(&sched::case_features(&program, vm.stats()));
             }
         }
     }

@@ -55,8 +55,8 @@
 //! `Campaign::new(seed).coverage(true)` swaps the fixed random budget
 //! for a **corpus-evolving loop** sharded across an
 //! [`og_lab::WorkerPool`] (module [`campaign`] documents the mechanics):
-//! each run's per-block coverage ([`og_vm::Coverage`], read straight
-//! from the flat engine's dense block counters) is projected into a
+//! the blocks each run covered (read straight from its
+//! [`og_vm::DynStats::block_counts`]) are projected into a
 //! global feature space ([`sched`]) of instruction shapes — including
 //! the operand-significance class of every immediate, the quantity the
 //! paper's gating decisions turn on — and covered-block adjacencies;
@@ -74,8 +74,7 @@
 //!
 //! Campaigns are configured by [`CampaignConfig`]; environment
 //! overrides (`OG_FUZZ_CASES`, `OG_FUZZ_SEED`, `OG_FUZZ_COVERAGE`,
-//! `OG_FUZZ_SHARDS`, `OG_FUZZ_FAULT_EVERY`, `OG_FUZZ_FAIL_DIR`) are one
-//! explicit builder layer
+//! `OG_FUZZ_FAIL_DIR`) are one explicit builder layer
 //! ([`Campaign::overrides_from_env`]) — nothing else in the crate reads
 //! the process environment. Every random-mode case is fully determined
 //! by `(base_seed, index)`, and every guided shard by

@@ -1,10 +1,11 @@
 //! Coverage accounting and the corpus scheduler of the guided campaign.
 //!
-//! [`og_vm::Coverage`] answers "which blocks of *this* program ran" —
-//! a per-program view that cannot be compared across the thousands of
-//! distinct programs a campaign executes. This module projects those
-//! per-program bitmaps into one **global abstract feature space** so
-//! coverage accumulates campaign-wide, AFL-style:
+//! A run's [`og_vm::DynStats::block_counts`] answers "which blocks of
+//! *this* program ran" — a per-program view that cannot be compared
+//! across the thousands of distinct programs a campaign executes. This
+//! module projects those per-program block sets into one **global
+//! abstract feature space** so coverage accumulates campaign-wide,
+//! AFL-style:
 //!
 //! * an **instruction feature** abstracts one executed instruction to
 //!   its shape — operation (with comparison/condition kind), width,
@@ -21,8 +22,9 @@
 //!   (spliced blocks, jittered widths) even when every individual shape
 //!   is already known.
 //!
-//! Features come only from **covered** blocks (the [`og_vm::Coverage`]
-//! bitmap gates the projection), so dead code contributes nothing.
+//! Features come only from **covered** blocks (a nonzero count in
+//! `block_counts` gates the projection), so dead code contributes
+//! nothing.
 //!
 //! [`Corpus`] keeps every input whose feature set grew the map, records
 //! *which* features were new (its claim to a corpus slot), offers
@@ -32,7 +34,7 @@
 //! subsumed.
 
 use og_program::Program;
-use og_vm::{fnv1a, Coverage, FlatProgram};
+use og_vm::{fnv1a, DynStats};
 use std::sync::Arc;
 
 /// Feature indices `0..BLOCK_FEATURES` hold instruction-shape features;
@@ -132,14 +134,12 @@ fn inst_shape(inst: &og_isa::Inst) -> u64 {
 }
 
 /// Project one executed case into the global feature space: instruction
-/// and adjacency features of every **covered** block, sorted and
-/// deduplicated. `flat` must be the lowering of `program` (its dense
-/// block table maps coverage indices back to blocks) and `cov` a
-/// coverage bitmap read from a run of it.
-pub fn case_features(program: &Program, flat: &FlatProgram, cov: &Coverage) -> Vec<u32> {
+/// and adjacency features of every **covered** block (a nonzero count in
+/// `stats.block_counts`), sorted and deduplicated. `stats` must come
+/// from a statistics-gathering run of `program`.
+pub fn case_features(program: &Program, stats: &DynStats) -> Vec<u32> {
     let mut feats = Vec::new();
-    for idx in cov.iter_hit() {
-        let (f, b) = flat.block_of(idx);
+    for (&(f, b), _) in stats.block_counts.iter().filter(|(_, &count)| count > 0) {
         let block = program.func(f).block(b);
         let mut prev: Option<u64> = None;
         for inst in &block.insts {
@@ -286,7 +286,9 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use og_isa::{Reg, Width};
     use og_program::generate::{generate_with_bound, GenConfig};
+    use og_program::{imm, BlockId, ProgramBuilder};
     use og_vm::{RunConfig, Vm};
 
     fn run_features(seed: u64) -> (Arc<Program>, Vec<u32>, u64) {
@@ -294,8 +296,44 @@ mod tests {
         let mut vm =
             Vm::new_verified(&p, RunConfig { max_steps: bound, ..Default::default() }).unwrap();
         vm.run().unwrap();
-        let feats = case_features(&p, vm.flat_program(), &vm.coverage());
+        let feats = case_features(&p, vm.stats());
         (Arc::new(p), feats, bound)
+    }
+
+    #[test]
+    fn a_block_the_run_never_executes_contributes_no_features() {
+        // `t0` is 1, so the branch to `dead` is never taken; `dead` holds
+        // the program's only multiply, a shape no executed block has.
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.ldi(Reg::T0, 1);
+        f.beq(Reg::T0, "dead");
+        f.block("live");
+        f.out(Width::B, Reg::T0);
+        f.halt();
+        f.block("dead");
+        f.mul(Width::H, Reg::T1, Reg::T0, imm(0x1234));
+        f.out(Width::H, Reg::T1);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        let dead = (p.entry, BlockId(2));
+        let mul = inst_shape(&p.func(dead.0).block(dead.1).insts[0]);
+        let mul_feat = (mul % BLOCK_FEATURES as u64) as u32;
+        assert_eq!(p.insts().filter(|(_, inst)| inst_shape(inst) == mul).count(), 1);
+
+        let mut vm = Vm::new(&p, RunConfig::default());
+        vm.run().unwrap();
+        assert!(!vm.stats().block_counts.contains_key(&dead), "the branch was taken");
+        let feats = case_features(&p, vm.stats());
+        assert!(!feats.is_empty());
+        assert!(!feats.contains(&mul_feat), "an unexecuted block lit a feature");
+
+        // The same stats with `dead` counted do light it.
+        let mut stats = vm.stats().clone();
+        stats.block_counts.insert(dead, 1);
+        assert!(case_features(&p, &stats).contains(&mul_feat));
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! Knobs (one explicit env layer over the [`Campaign`] builder):
 //! `OG_FUZZ_CASES` (default 500), `OG_FUZZ_SEED`, `OG_FUZZ_COVERAGE=1`
 //! to run the coverage-guided corpus-evolving loop (CI's `fuzz-coverage`
-//! job sets it with `OG_FUZZ_CASES=2000`), `OG_FUZZ_SHARDS`, and
-//! `OG_FUZZ_FAIL_DIR`. A failure shrinks to a minimal reproducer, is
-//! saved under the failure dir (CI uploads it), and the panic message
-//! carries everything needed to replay locally.
+//! job sets it with `OG_FUZZ_CASES=2000`), and `OG_FUZZ_FAIL_DIR`. The
+//! guided loop runs one shard per available core. A failure shrinks to
+//! a minimal reproducer, is saved under the failure dir (CI uploads it),
+//! and the panic message carries everything needed to replay locally.
 //!
 //! In guided mode the summary carries the equal-budget random-vs-guided
 //! coverage comparison, and at a ≥2000-case budget the guided loop must
@@ -17,6 +17,7 @@
 //! generation — the coverage gate CI enforces.
 
 use og_fuzz::Campaign;
+use og_json::Json;
 
 #[test]
 fn seeded_differential_campaign_is_green() {
@@ -113,6 +114,36 @@ fn seeded_differential_campaign_is_green() {
             );
         }
     }
+}
+
+/// Two small campaigns' summaries, pinned: every counter of the random
+/// loop and of the guided loop (cases, steps, narrowing, cross-checks,
+/// coverage, corpus, mutants, dups, execs). Only `execs_per_sec`, a wall
+/// clock rate, is left out. A change to what either loop runs, covers or
+/// keeps moves a counter here.
+#[test]
+fn small_campaign_summaries_match_the_committed_golden() {
+    let committed = include_str!("campaign_golden.json");
+    let summary_of = |campaign: Campaign| {
+        let summary = campaign.run();
+        assert!(summary.failure.is_none(), "{:?}", summary.failure);
+        match summary.to_json() {
+            Json::Obj(fields) => {
+                Json::Obj(fields.into_iter().filter(|(key, _)| key != "execs_per_sec").collect())
+            }
+            other => panic!("a campaign summary renders as an object, not {other:?}"),
+        }
+    };
+    let random = summary_of(Campaign::new(0x06_F0_22).cases(64));
+    let guided = summary_of(Campaign::new(0xC0DA).cases(64).coverage(true).shards(2));
+    let fresh =
+        og_json::render(&Json::Obj(vec![("random".into(), random), ("guided".into(), guided)]))
+            .expect("the summaries render");
+    assert!(
+        fresh == committed,
+        "the campaign summaries moved from crates/fuzz/tests/campaign_golden.json; after a \
+         deliberate change, commit this text:\n{fresh}"
+    );
 }
 
 /// A small always-on guided run: the evolution loop must be green and

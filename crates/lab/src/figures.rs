@@ -1,8 +1,10 @@
 //! Text renderings of every table and figure of the paper's evaluation.
 //!
-//! Each function returns the rows/series the corresponding paper artifact
-//! reports, as a fixed-width text table (with ASCII bars where the paper
-//! uses bar charts). The bench targets in `og-bench` print these.
+//! Each private renderer returns the rows/series the corresponding paper
+//! artifact reports, as a fixed-width text table (with ASCII bars where
+//! the paper uses bar charts). [`all`] joins them in the paper's order:
+//! it is what the `exp_all` binary prints and what the committed
+//! `tests/figures.txt` pins.
 
 use crate::{avg_sig_fracs, avg_width_fracs, combined_scheme, table3_rows, Mech, Study};
 use og_core::AluEnergyTable;
@@ -50,12 +52,12 @@ pub fn all(study: &Study) -> String {
 }
 
 /// The VRS cost sweep of Figures 8–11.
-pub const VRS_SWEEP: [Mech; 5] =
+const VRS_SWEEP: [Mech; 5] =
     [Mech::Vrs(110), Mech::Vrs(90), Mech::Vrs(70), Mech::Vrs(50), Mech::Vrs(30)];
 
 /// Table 1: energy savings for ALU operations (nJ) by source/destination
 /// width.
-pub fn table1() -> String {
+fn table1() -> String {
     let t = AluEnergyTable::default();
     let m = t.table1_matrix();
     let mut s = String::new();
@@ -78,7 +80,7 @@ pub fn table1() -> String {
 
 /// Table 3: dynamic distribution of operation types and their widths
 /// after VRP.
-pub fn table3(study: &Study) -> String {
+fn table3(study: &Study) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "Table 3: Distribution of operation types (dynamic, after VRP)");
     let _ = writeln!(
@@ -104,7 +106,7 @@ pub fn table3(study: &Study) -> String {
 
 /// Figure 2: dynamic instruction width distribution — conventional VRP vs
 /// the proposed (useful) VRP.
-pub fn fig2(study: &Study) -> String {
+fn fig2(study: &Study) -> String {
     let conv = avg_width_fracs(study, Mech::ConvVrp);
     let prop = avg_width_fracs(study, Mech::Vrp);
     let mut s = String::new();
@@ -165,14 +167,14 @@ fn structure_table(study: &Study, mechs: &[(Cow<'static, str>, Mech, GatingSchem
 }
 
 /// Figure 3: per-structure energy savings with VRP.
-pub fn fig3(study: &Study) -> String {
+fn fig3(study: &Study) -> String {
     let mut s = String::from("Figure 3: energy savings with VRP (SpecInt avg)\n");
     s.push_str(&structure_table(study, &[("VRP".into(), Mech::Vrp, GatingScheme::Software)]));
     s
 }
 
 /// Figure 4: triage of the profiled points (VRS 50nJ).
-pub fn fig4(study: &Study) -> String {
+fn fig4(study: &Study) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -198,7 +200,7 @@ pub fn fig4(study: &Study) -> String {
 }
 
 /// Figure 5: static instructions specialized vs eliminated (VRS 50nJ).
-pub fn fig5(study: &Study) -> String {
+fn fig5(study: &Study) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -216,7 +218,7 @@ pub fn fig5(study: &Study) -> String {
 
 /// Figure 6: run-time fraction of specialized instructions and guard
 /// comparisons (VRS 50nJ).
-pub fn fig6(study: &Study) -> String {
+fn fig6(study: &Study) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "Figure 6: distribution of run-time instructions (VRS 50nJ)");
     let _ = writeln!(s, "{:>10} | {:>13} {:>13}", "bench", "specialized", "guard tests");
@@ -241,7 +243,7 @@ pub fn fig6(study: &Study) -> String {
 }
 
 /// Figure 7: width distribution by mechanism (none / VRP / VRS 50nJ).
-pub fn fig7(study: &Study) -> String {
+fn fig7(study: &Study) -> String {
     let none = avg_width_fracs(study, Mech::Baseline);
     let vrp = avg_width_fracs(study, Mech::Vrp);
     let vrs = avg_width_fracs(study, Mech::Vrs(50));
@@ -302,7 +304,7 @@ fn sw_mechs() -> Vec<LabeledMech> {
 }
 
 /// Figure 8: energy savings per benchmark (VRP + the VRS cost sweep).
-pub fn fig8(study: &Study) -> String {
+fn fig8(study: &Study) -> String {
     let model = EnergyModel::new();
     per_bench_metric(study, "Figure 8: energy savings for Spec95", &sw_mechs(), move |st, b, m| {
         st.energy_savings(&model, b, m, GatingScheme::Software)
@@ -310,7 +312,7 @@ pub fn fig8(study: &Study) -> String {
 }
 
 /// Figure 9: per-structure energy benefits for VRP and the VRS sweep.
-pub fn fig9(study: &Study) -> String {
+fn fig9(study: &Study) -> String {
     let mut mechs = vec![(Mech::Vrp.label(), Mech::Vrp, GatingScheme::Software)];
     mechs.extend(VRS_SWEEP.iter().map(|m| (m.label(), *m, GatingScheme::Software)));
     let mut s = String::from(
@@ -321,7 +323,7 @@ pub fn fig9(study: &Study) -> String {
 }
 
 /// Figure 10: execution time savings for the VRS sweep.
-pub fn fig10(study: &Study) -> String {
+fn fig10(study: &Study) -> String {
     let mechs: Vec<LabeledMech> = VRS_SWEEP.iter().map(|m| (m.label(), *m)).collect();
     per_bench_metric(study, "Figure 10: execution time savings", &mechs, |st, b, m| {
         st.time_savings(b, m)
@@ -329,7 +331,7 @@ pub fn fig10(study: &Study) -> String {
 }
 
 /// Figure 11: energy-delay² benefits for VRP and the VRS sweep.
-pub fn fig11(study: &Study) -> String {
+fn fig11(study: &Study) -> String {
     let model = EnergyModel::new();
     per_bench_metric(
         study,
@@ -341,7 +343,7 @@ pub fn fig11(study: &Study) -> String {
 
 /// Figure 12: data size distribution (significant bytes of dynamic
 /// values).
-pub fn fig12(study: &Study) -> String {
+fn fig12(study: &Study) -> String {
     let f = avg_sig_fracs(study);
     let mut s = String::new();
     let _ = writeln!(s, "Figure 12: data size distribution for the SpecInt (dynamic values)");
@@ -354,7 +356,7 @@ pub fn fig12(study: &Study) -> String {
 }
 
 /// Figure 13: energy savings of the two hardware approaches.
-pub fn fig13(study: &Study) -> String {
+fn fig13(study: &Study) -> String {
     let model = EnergyModel::new();
     let mechs: Vec<LabeledMech> =
         vec![("size compr.".into(), Mech::Baseline), ("signif. compr.".into(), Mech::Baseline)];
@@ -381,7 +383,7 @@ pub fn fig13(study: &Study) -> String {
 }
 
 /// Figure 14: per-structure savings of the hardware approaches.
-pub fn fig14(study: &Study) -> String {
+fn fig14(study: &Study) -> String {
     let mut s =
         String::from("Figure 14: energy savings for each processor part (hardware schemes)\n");
     s.push_str(&structure_table(
@@ -396,7 +398,7 @@ pub fn fig14(study: &Study) -> String {
 
 /// Figure 15: ED² savings of software, hardware and combined
 /// configurations.
-pub fn fig15(study: &Study) -> String {
+fn fig15(study: &Study) -> String {
     let model = EnergyModel::new();
     let configs: Vec<(Cow<'static, str>, Mech, GatingScheme)> = vec![
         ("VRP".into(), Mech::Vrp, GatingScheme::Software),
@@ -437,7 +439,7 @@ pub fn fig15(study: &Study) -> String {
 }
 
 /// Ablation: the three useful-propagation policies.
-pub fn ablation_useful(study: &Study) -> String {
+fn ablation_useful(study: &Study) -> String {
     let model = EnergyModel::new();
     let mechs: Vec<LabeledMech> = vec![
         ("conventional".into(), Mech::ConvVrp),

@@ -30,11 +30,12 @@
 //! activity record.
 //!
 //! Every step fans out on a [`WorkerPool`], one job per pair or per
-//! distinct program, so no worker is stuck behind one benchmark's queue.
+//! distinct program, all drawn from the pool's one queue, so no worker is
+//! stuck behind one benchmark's jobs.
 //!
-//! `exp_all`, every figure bench and the equivalence suite each call
-//! [`compute_study`] once, so what they print is what `tests/figures.txt`
-//! pins.
+//! The `exp_all` binary and the equivalence suite each call
+//! [`compute_study`] once; [`figures::all`] renders what `exp_all` prints
+//! and `tests/figures.txt` pins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +59,6 @@ use og_vm::{RunConfig, Vm};
 use og_workloads::{by_name, InputSet, NAMES};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::sync::OnceLock;
 
 /// Version of the pipeline's result semantics. `og-serve` stamps every
 /// persisted [`RunSummary`] with it and ignores entries that carry
@@ -168,34 +168,15 @@ impl RunSummary {
 }
 
 /// The full study: all benchmarks × mechanisms.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Study {
-    /// All runs; read via [`Study::runs`], mutate via
-    /// [`Study::runs_mut`] (which invalidates the lookup index).
     runs: Vec<RunSummary>,
-    /// Lazily built `(mechanism → benchmark → index into runs)` lookup,
-    /// so the figure renderers' nested loops over 72 runs do O(1) hash
-    /// probes instead of an O(runs) linear scan per cell.
-    index: OnceLock<HashMap<Mech, HashMap<String, usize>>>,
-}
-
-impl Clone for Study {
-    fn clone(&self) -> Study {
-        // The clone rebuilds its index on first use.
-        Study::new(self.runs.clone())
-    }
-}
-
-impl PartialEq for Study {
-    fn eq(&self, other: &Study) -> bool {
-        self.runs == other.runs
-    }
 }
 
 impl Study {
     /// Assemble a study from its runs.
     pub fn new(runs: Vec<RunSummary>) -> Study {
-        Study { runs, index: OnceLock::new() }
+        Study { runs }
     }
 
     /// All runs, in benchmark-major, [`Mech::ALL`] order for a full
@@ -204,33 +185,22 @@ impl Study {
         &self.runs
     }
 
-    /// Mutable access to the runs. Drops the lazily built lookup index,
-    /// so a later [`Study::get`] rebuilds it against the edited runs —
-    /// mutation can never leave stale lookups behind.
+    /// Mutable access to the runs.
     pub fn runs_mut(&mut self) -> &mut Vec<RunSummary> {
-        self.index = OnceLock::new();
         &mut self.runs
     }
 
-    /// The run of (benchmark, mechanism).
+    /// The first run of (benchmark, mechanism).
     ///
     /// # Panics
     ///
     /// Panics if the combination is missing. The figure renderers use
     /// this on the fixed suite, where a missing run is a pipeline bug.
     pub fn get(&self, bench: &str, mech: Mech) -> &RunSummary {
-        let index = self.index.get_or_init(|| {
-            let mut map: HashMap<Mech, HashMap<String, usize>> = HashMap::new();
-            for (i, run) in self.runs.iter().enumerate() {
-                // First entry wins, matching the old linear scan.
-                map.entry(run.mech).or_default().entry(run.bench.clone()).or_insert(i);
-            }
-            map
-        });
-        match index.get(&mech).and_then(|per_bench| per_bench.get(bench)) {
-            Some(&i) => &self.runs[i],
-            None => panic!("missing run {bench}/{mech:?}"),
-        }
+        self.runs
+            .iter()
+            .find(|run| run.mech == mech && run.bench == bench)
+            .unwrap_or_else(|| panic!("missing run {bench}/{mech:?}"))
     }
 
     /// Benchmark names actually present in the runs, in suite
@@ -555,12 +525,10 @@ mod tests {
         assert_eq!(study.get("compress", Mech::Vrp).insts, 2);
         assert_eq!(study.get("gcc", Mech::Vrs(50)).insts, 4);
         assert_eq!(study.get("gcc", Mech::Baseline).insts, 3);
-        // clones rebuild the index and agree
         let clone = study.clone();
         assert_eq!(clone.get("compress", Mech::Baseline).insts, 1);
         assert_eq!(clone, study);
-        // mutation goes through runs_mut, which drops the index, so a
-        // later get() sees the edit instead of a stale lookup
+        // a later get() sees edits made through runs_mut
         let mut study = study;
         study.runs_mut().push(mk("go", Mech::Baseline, 9));
         study.runs_mut().retain(|r| r.bench != "compress");
@@ -575,7 +543,7 @@ mod tests {
         study.get("compress", Mech::Baseline);
     }
 
-    /// A minimal summary to clone from in index tests.
+    /// A minimal summary to clone from in `Study::get` tests.
     fn summary_stub() -> RunSummary {
         RunSummary {
             bench: String::new(),

@@ -1,4 +1,4 @@
-//! A reusable work-stealing worker pool.
+//! A reusable worker pool.
 //!
 //! [`crate::compute_study`] originally carried its own per-core queue —
 //! an `AtomicUsize` cursor over a fixed pair list — which was welded to
@@ -12,16 +12,14 @@
 //!
 //! Shape:
 //!
-//! * **One deque per worker.** A submitted job lands on one worker's
-//!   deque (round-robin). The owner pops from the back (LIFO — the job
-//!   it just pushed is the one whose data is hottest); idle workers
-//!   steal from the *front* of a victim's deque (FIFO — the oldest job,
-//!   the one the owner is least likely to touch soon). This is the
-//!   classic Arora-Blumofe-Plumbeck split, implemented with plain
-//!   `Mutex<VecDeque>` per worker: the study's jobs are milliseconds to
-//!   seconds long, so lock-free deques would buy nothing measurable.
-//! * **Condvar parking.** Workers with nothing to run and nothing to
-//!   steal park on a condvar; every submit notifies one parked worker.
+//! * **One FIFO queue.** Submitted jobs wait in one `Mutex<VecDeque>`
+//!   and workers take the oldest first, so a `Service::call` backlog is
+//!   served in arrival order. Every submitter is outside the pool (no
+//!   job submits work back to it), and the jobs are milliseconds to
+//!   seconds long, so per-worker deques and work stealing would buy
+//!   nothing measurable.
+//! * **Condvar parking.** Workers with nothing to run park on a
+//!   condvar; every submit notifies one parked worker.
 //! * **Panic isolation.** Each job runs under `catch_unwind`: a
 //!   panicking job increments [`WorkerPool::panicked_jobs`] and the
 //!   worker keeps serving. A service thread must never die because one
@@ -33,27 +31,23 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct PoolState {
-    /// Jobs submitted but not yet picked up by any worker.
-    queued: usize,
-    /// Set by drop: workers drain the queues and exit.
+    /// Jobs submitted but not yet picked up by any worker, oldest first.
+    queue: VecDeque<Job>,
+    /// Set by drop: workers drain the queue and exit.
     shutdown: bool,
 }
 
 struct PoolInner {
-    /// One deque per worker; the index is the owner.
-    deques: Vec<Mutex<VecDeque<Job>>>,
     state: Mutex<PoolState>,
     /// Signalled on submit and shutdown.
     available: Condvar,
-    /// Round-robin cursor for submissions.
-    next_submit: AtomicUsize,
     /// Jobs that panicked (and were contained).
     panicked: AtomicU64,
     /// Payload messages of the first [`MAX_PANIC_MESSAGES`] contained
@@ -61,6 +55,9 @@ struct PoolInner {
     /// only observing a bare count.
     panic_msgs: Mutex<Vec<String>>,
 }
+
+/// Why the state lock cannot be poisoned: jobs run after it is released.
+const NO_JOB_UNDER_LOCK: &str = "no job runs while the pool's state lock is held";
 
 /// Cap on retained panic payload messages — diagnostics, not a log.
 const MAX_PANIC_MESSAGES: usize = 32;
@@ -78,9 +75,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A fixed-size pool of worker threads draining submitted closures, with
-/// per-worker deques and work stealing. See the module docs for the
-/// design and its callers.
+/// A fixed-size pool of worker threads draining submitted closures from
+/// one FIFO queue. See the module docs for the design and its callers.
 pub struct WorkerPool {
     inner: Arc<PoolInner>,
     handles: Vec<JoinHandle<()>>,
@@ -89,21 +85,18 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Spawn a pool of `workers` threads (clamped to at least 1).
     pub fn new(workers: usize) -> WorkerPool {
-        let workers = workers.max(1);
         let inner = Arc::new(PoolInner {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            state: Mutex::new(PoolState { queued: 0, shutdown: false }),
+            state: Mutex::new(PoolState { queue: VecDeque::new(), shutdown: false }),
             available: Condvar::new(),
-            next_submit: AtomicUsize::new(0),
             panicked: AtomicU64::new(0),
             panic_msgs: Mutex::new(Vec::new()),
         });
-        let handles = (0..workers)
+        let handles = (0..workers.max(1))
             .map(|me| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("og-pool-{me}"))
-                    .spawn(move || worker_loop(&inner, me))
+                    .spawn(move || worker_loop(&inner))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -117,7 +110,7 @@ impl WorkerPool {
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.inner.deques.len()
+        self.handles.len()
     }
 
     /// Jobs that panicked so far. The panics were contained — the
@@ -134,16 +127,12 @@ impl WorkerPool {
         self.inner.panic_msgs.lock().unwrap().clone()
     }
 
-    /// Submit a job. It lands on one worker's deque round-robin and runs
-    /// as soon as a worker (owner or thief) picks it up. Returns
-    /// immediately; results travel however the closure arranges (a
-    /// channel, an `Arc<Mutex<_>>`, ...).
+    /// Submit a job. It joins the back of the queue and runs once every
+    /// job submitted before it has been picked up. Returns immediately;
+    /// results travel however the closure arranges (a channel, an
+    /// `Arc<Mutex<_>>`, ...).
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        let slot = self.inner.next_submit.fetch_add(1, Ordering::Relaxed) % self.workers();
-        self.inner.deques[slot].lock().unwrap().push_back(Box::new(job));
-        let mut state = self.inner.state.lock().unwrap();
-        state.queued += 1;
-        drop(state);
+        self.inner.state.lock().expect(NO_JOB_UNDER_LOCK).queue.push_back(Box::new(job));
         self.inner.available.notify_one();
     }
 
@@ -202,59 +191,30 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Take a job: own deque's back first (LIFO), then steal from the front
-/// of the others (FIFO), starting after `me` so thieves spread out.
-fn take_job(inner: &PoolInner, me: usize) -> Option<Job> {
-    if let Some(job) = inner.deques[me].lock().unwrap().pop_back() {
-        return Some(job);
+fn worker_loop(inner: &PoolInner) {
+    while let Some(job) = next_job(inner) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+            inner.panicked.fetch_add(1, Ordering::Relaxed);
+            let mut msgs = inner.panic_msgs.lock().unwrap();
+            if msgs.len() < MAX_PANIC_MESSAGES {
+                msgs.push(panic_message(payload.as_ref()));
+            }
+        }
     }
-    let n = inner.deques.len();
-    for step in 1..n {
-        let victim = (me + step) % n;
-        if let Some(job) = inner.deques[victim].lock().unwrap().pop_front() {
+}
+
+/// The oldest queued job, parking on the condvar until one arrives.
+/// `None` tells the worker to exit: shutdown with nothing left queued.
+fn next_job(inner: &PoolInner) -> Option<Job> {
+    let mut state = inner.state.lock().expect(NO_JOB_UNDER_LOCK);
+    loop {
+        if let Some(job) = state.queue.pop_front() {
             return Some(job);
         }
-    }
-    None
-}
-
-fn worker_loop(inner: &PoolInner, me: usize) {
-    loop {
-        // Fast path: grab work without touching the shared state lock
-        // beyond the decrement.
-        if let Some(job) = take_job(inner, me) {
-            inner.state.lock().unwrap().queued -= 1;
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                inner.panicked.fetch_add(1, Ordering::Relaxed);
-                let mut msgs = inner.panic_msgs.lock().unwrap();
-                if msgs.len() < MAX_PANIC_MESSAGES {
-                    msgs.push(panic_message(payload.as_ref()));
-                }
-            }
-            continue;
-        }
-        // Nothing anywhere: park until a submit or shutdown. Re-check
-        // under the lock — a job may have been submitted between the
-        // failed scan and acquiring the lock.
-        let state = self_park(inner);
-        if state {
-            return;
-        }
-    }
-}
-
-/// Park on the condvar until there is queued work or shutdown. Returns
-/// `true` when the worker should exit (shutdown and nothing queued).
-fn self_park(inner: &PoolInner) -> bool {
-    let mut state = inner.state.lock().unwrap();
-    loop {
-        if state.queued > 0 {
-            return false;
-        }
         if state.shutdown {
-            return true;
+            return None;
         }
-        state = inner.available.wait(state).unwrap();
+        state = inner.available.wait(state).expect(NO_JOB_UNDER_LOCK);
     }
 }
 
@@ -280,11 +240,10 @@ mod tests {
     }
 
     #[test]
-    fn work_is_stolen_off_a_blocked_worker() {
+    fn a_blocked_worker_strands_no_queued_job() {
         // 2 workers; park one with a job that waits until every other
-        // job has run. Round-robin puts half the jobs on the blocked
-        // worker's deque — they can only finish if the free worker
-        // steals them, so completion proves stealing.
+        // job has run. The other worker must pick up every queued job —
+        // none may wait on the blocked one — or the pool never drains.
         let pool = WorkerPool::new(2);
         let done = Arc::new(AtomicUsize::new(0));
         let n = 20;
@@ -302,8 +261,25 @@ mod tests {
                 done.fetch_add(1, Ordering::AcqRel);
             });
         }
-        drop(pool); // drains — would deadlock here without stealing
+        drop(pool); // drains — would deadlock if a job waited on the blocked worker
         assert_eq!(done.load(Ordering::Acquire), n);
+    }
+
+    #[test]
+    fn one_worker_runs_queued_jobs_in_submission_order() {
+        // The lone worker blocks on its first job while ten more queue
+        // up behind it; released, it must run them oldest first.
+        let pool = WorkerPool::new(1);
+        let (release, blocked) = mpsc::channel::<()>();
+        pool.submit(move || blocked.recv().unwrap());
+        let order = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..10 {
+            let order = Arc::clone(&order);
+            pool.submit(move || order.lock().unwrap().push(i));
+        }
+        release.send(()).unwrap();
+        drop(pool);
+        assert_eq!(*order.lock().unwrap(), (0..10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -9,46 +9,33 @@
 //! cargo run --release -p og-serve --example chaos_load
 //! ```
 //!
-//! All `OG_SERVE_*` loadgen knobs apply (degraded-outcome tolerance is
-//! forced on); the chaos knobs are `OG_CHAOS_SEED`,
-//! `OG_CHAOS_STORE_PM`, `OG_CHAOS_CORRUPT_PM`, `OG_CHAOS_PANIC_PM`,
-//! `OG_CHAOS_SLOW_PM`, `OG_CHAOS_SLOW_MS`, `OG_CHAOS_DEADLINE_MS`, and
-//! `OG_CHAOS_MAX_INFLIGHT`. The defaults are a storm rough enough to
-//! reliably trip every rung of the ladder: heavy store faults (the
-//! breaker must open), stalls longer than the deadline (deadlines must
-//! fire), a worker-panic trickle (containment + retry must absorb it),
-//! and an in-flight bound far below the client count (admission must
-//! shed).
+//! The load is the default [`LoadConfig`] mix (1200 requests, 8
+//! clients) with degraded outcomes tolerated. The fault profile is a
+//! fixed-seed storm rough enough to reliably trip every rung of the
+//! ladder: heavy store faults (700‰; the breaker must open), stalls
+//! longer than the deadline (100‰ of 200 ms against 150 ms; deadlines
+//! must fire), a worker-panic trickle (60‰; containment + retry must
+//! absorb it), corrupt store entries (50‰), and an in-flight bound of 4,
+//! far below the client count (admission must shed).
 
 use og_json::store::KeyedStore;
 use og_serve::loadgen::{run_load, LoadConfig};
 use og_serve::{FaultProfile, ServeConfig, Service};
 use std::time::Duration;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .unwrap_or_else(|e| panic!("{name} must be an unsigned integer, got `{v}`: {e}")),
-        Err(_) => default,
-    }
-}
-
 fn main() {
-    let mut config = LoadConfig::from_env();
-    config.degraded_ok = true;
+    let config = LoadConfig { degraded_ok: true, ..LoadConfig::default() };
 
     let faults = FaultProfile {
-        seed: env_u64("OG_CHAOS_SEED", 0xC405),
-        store_fault_per_mille: env_u64("OG_CHAOS_STORE_PM", 700),
-        store_corrupt_per_mille: env_u64("OG_CHAOS_CORRUPT_PM", 50),
-        panic_per_mille: env_u64("OG_CHAOS_PANIC_PM", 60),
-        slow_per_mille: env_u64("OG_CHAOS_SLOW_PM", 100),
-        slow_ms: env_u64("OG_CHAOS_SLOW_MS", 200),
+        seed: 0xC405,
+        store_fault_per_mille: 700,
+        store_corrupt_per_mille: 50,
+        panic_per_mille: 60,
+        slow_per_mille: 100,
+        slow_ms: 200,
     };
-    let deadline_ms = env_u64("OG_CHAOS_DEADLINE_MS", 150);
-    let max_inflight = env_u64("OG_CHAOS_MAX_INFLIGHT", 4) as usize;
+    let deadline_ms = 150;
+    let max_inflight = 4;
 
     // The store lives in a throwaway directory unless CI pins one; the
     // point is the fault path, not persistence.

@@ -25,8 +25,9 @@
 //!   the cache — a colliding program can never be served another
 //!   program's result.
 //! * **worker pool** (`og-lab`): the VM+simulator run of every request
-//!   executes as a job on a shared [`og_lab::WorkerPool`]; the calling
-//!   thread blocks on a rendezvous channel. A panicking job is contained
+//!   executes as a job on a shared [`og_lab::WorkerPool`], whose one
+//!   FIFO queue serves a backlog in arrival order; the calling thread
+//!   blocks on a rendezvous channel. A panicking job is contained
 //!   by the pool, counted as an invariant violation, and surfaces as a
 //!   clean [`Reject::Internal`] — one hostile request can never take the
 //!   process down.
@@ -43,12 +44,13 @@
 //!
 //! No network layer: [`Service::call`] is the one, transport-independent
 //! request path (text in, [`Response`] out). [`loadgen`] drives it
-//! in-process with thousands of fuzz-generated programs at controlled
-//! concurrency, emitting `target/BENCH_serve.json` with requests/sec,
-//! p50/p99 latency, cache hit rate and reject rate. Run it with:
+//! in-process with fuzz-generated programs at controlled concurrency,
+//! emitting `target/BENCH_serve.json` with requests/sec, p50/p99
+//! latency, cache hit rate and reject rate. The `serve_load` example
+//! replays 2000 requests:
 //!
 //! ```text
-//! OG_SERVE_REQUESTS=2000 cargo run --release -p og-serve --example serve_load
+//! cargo run --release -p og-serve --example serve_load
 //! ```
 
 #![forbid(unsafe_code)]

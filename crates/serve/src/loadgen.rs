@@ -123,27 +123,25 @@ impl Histogram {
     }
 }
 
-/// Load-run configuration; [`LoadConfig::from_env`] is how CI and the
-/// example tune it.
+/// Load-run configuration.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
-    /// Total requests to issue (`OG_SERVE_REQUESTS`, default 1200).
+    /// Total requests to issue (default 1200).
     pub requests: u64,
-    /// Concurrent client threads (`OG_SERVE_CLIENTS`, default 8).
+    /// Concurrent client threads (default 8).
     pub clients: usize,
-    /// Distinct valid programs in the corpus (`OG_SERVE_UNIQUE`,
-    /// default 48) — the duplication knob.
+    /// Distinct valid programs in the corpus (default 48) — the
+    /// duplication knob.
     pub unique_programs: u64,
-    /// Invalid requests per thousand (`OG_SERVE_INVALID_PM`,
-    /// default 100 = 10%).
+    /// Invalid requests per thousand (default 100 = 10%).
     pub invalid_per_mille: u64,
-    /// Corpus and mix seed (`OG_SERVE_SEED`, default 0xC604).
+    /// Corpus and mix seed (default 0xC604).
     pub seed: u64,
-    /// Chaos mode (`OG_SERVE_DEGRADED_OK=1`): a valid program answered
-    /// with a *degraded* outcome — [`Reject::Overloaded`],
-    /// [`Reject::DeadlineExceeded`] or [`Reject::Internal`] — is not a
-    /// mix violation, just counted in [`LoadReport::degraded`]. Off by
-    /// default: a healthy service degrading is a bug.
+    /// Chaos mode: a valid program answered with a *degraded* outcome —
+    /// [`Reject::Overloaded`], [`Reject::DeadlineExceeded`] or
+    /// [`Reject::Internal`] — is not a mix violation, just counted in
+    /// [`LoadReport::degraded`]. Off by default: a healthy service
+    /// degrading is a bug.
     pub degraded_ok: bool,
 }
 
@@ -156,32 +154,6 @@ impl Default for LoadConfig {
             invalid_per_mille: 100,
             seed: 0xC604,
             degraded_ok: false,
-        }
-    }
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .unwrap_or_else(|e| panic!("{name} must be an unsigned integer, got `{v}`: {e}")),
-        Err(_) => default,
-    }
-}
-
-impl LoadConfig {
-    /// Read the `OG_SERVE_*` knobs from the environment, falling back to
-    /// the defaults.
-    pub fn from_env() -> LoadConfig {
-        let d = LoadConfig::default();
-        LoadConfig {
-            requests: env_u64("OG_SERVE_REQUESTS", d.requests),
-            clients: env_u64("OG_SERVE_CLIENTS", d.clients as u64) as usize,
-            unique_programs: env_u64("OG_SERVE_UNIQUE", d.unique_programs),
-            invalid_per_mille: env_u64("OG_SERVE_INVALID_PM", d.invalid_per_mille),
-            seed: env_u64("OG_SERVE_SEED", d.seed),
-            degraded_ok: env_u64("OG_SERVE_DEGRADED_OK", u64::from(d.degraded_ok)) != 0,
         }
     }
 }

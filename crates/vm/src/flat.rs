@@ -404,20 +404,11 @@ impl FlatProgram {
     }
 
     /// Number of basic blocks: the length of the dense block-count vector
-    /// the engine maintains, and the key space of a [`crate::Coverage`]
-    /// bitmap. Dense indices `0..num_blocks()` name the program's blocks
-    /// in the lowering order (functions in id order, blocks in id order).
+    /// the engine maintains. Dense indices `0..num_blocks()` name the
+    /// program's blocks in the lowering order (functions in id order,
+    /// blocks in id order).
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// The `(FuncId, BlockId)` a dense coverage/block index names.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `idx >= num_blocks()`.
-    pub fn block_of(&self, idx: usize) -> (FuncId, BlockId) {
-        self.blocks[idx]
     }
 
     /// The pc address of flat slot `i` — the affine map the hot loop

@@ -112,7 +112,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coverage;
 pub mod eval;
 pub mod fault;
 pub mod flat;
@@ -121,7 +120,6 @@ mod memory;
 mod stats;
 mod trace;
 
-pub use coverage::Coverage;
 pub use flat::FlatProgram;
 pub use machine::{HaltReason, Quantum, RunConfig, RunOutcome, Vm, VmError};
 pub use memory::Memory;

@@ -316,23 +316,6 @@ impl<'p> Vm<'p> {
         &self.stats
     }
 
-    /// Block coverage of the runs so far: which basic blocks executed at
-    /// least once, as a dense [`crate::Coverage`] bitmap keyed by
-    /// [`FlatProgram::num_blocks`]. Read from the same per-block
-    /// counters that feed [`DynStats::block_counts`], so it reflects
-    /// statistics-collecting runs ([`Vm::run`], [`Vm::run_streamed`],
-    /// reference runs) — [`Vm::run_nostats`] and [`Vm::run_quantum`]
-    /// contribute nothing.
-    pub fn coverage(&self) -> crate::Coverage {
-        let mut cov = crate::Coverage::new(self.flat.num_blocks());
-        for (i, key) in self.flat.blocks.iter().enumerate() {
-            if self.stats.block_counts.get(key).is_some_and(|&c| c > 0) {
-                cov.hit(i);
-            }
-        }
-        cov
-    }
-
     /// Consume the emulator, returning its statistics and output stream.
     pub fn into_parts(self) -> (DynStats, Vec<u8>) {
         (self.stats, self.output)
