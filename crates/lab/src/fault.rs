@@ -107,11 +107,34 @@ impl OutcomeCounts {
     }
 }
 
+/// The work a campaign did, counted from the step counts its VMs already
+/// keep. It depends only on the configuration, so it repeats exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultWork {
+    /// VM steps executed: the golden runs, the walkers and each strike's
+    /// run from its pause point.
+    pub steps_executed: u64,
+    /// VM steps accounted for: the golden runs plus every strike's run
+    /// from step 0, as a fresh VM per strike would execute them.
+    pub steps_accounted: u64,
+    /// Programs verified and lowered into a VM.
+    pub verify_lowers: u64,
+}
+
+impl FaultWork {
+    fn merge(&mut self, other: &FaultWork) {
+        self.steps_executed += other.steps_executed;
+        self.steps_accounted += other.steps_accounted;
+        self.verify_lowers += other.verify_lowers;
+    }
+}
+
 /// Per-workload slice of the campaign.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct WorkloadFaults {
     name: String,
     golden_steps: u64,
+    work: FaultWork,
     counts: OutcomeCounts,
     gated: OutcomeCounts,
     ungated: OutcomeCounts,
@@ -167,6 +190,8 @@ pub struct FaultCampaignReport {
     pub memory: OutcomeCounts,
     /// Per-workload `(name, golden_steps, counts)`.
     pub per_workload: Vec<(String, u64, OutcomeCounts)>,
+    /// The work the campaign did; not part of [`to_json`](Self::to_json).
+    pub work: FaultWork,
 }
 
 impl FaultCampaignReport {
@@ -264,6 +289,11 @@ fn sweep_workload(cfg: &FaultCampaignConfig, bench: &str) -> WorkloadFaults {
     let mut w = WorkloadFaults {
         name: bench.to_string(),
         golden_steps: golden.steps,
+        work: FaultWork {
+            steps_executed: golden.steps,
+            steps_accounted: golden.steps,
+            verify_lowers: 1,
+        },
         ..Default::default()
     };
     let mut plans: Vec<FaultPlan> =
@@ -271,6 +301,7 @@ fn sweep_workload(cfg: &FaultCampaignConfig, bench: &str) -> WorkloadFaults {
     plans.sort_by_key(|plan| plan.faults()[0].at_step);
     let budget = RunConfig { max_steps: hang_budget(golden.steps), ..Default::default() };
     let mut walker = workload_vm(bench, &program, budget);
+    w.work.verify_lowers += 1;
     let mut resume = None;
     for plan in &plans {
         let fault = plan.faults()[0];
@@ -283,9 +314,14 @@ fn sweep_workload(cfg: &FaultCampaignConfig, bench: &str) -> WorkloadFaults {
             };
             resume = Some(ip);
         }
-        let run = run_with_plan(&mut walker.clone(), plan);
+        let mut strike_vm = walker.clone();
+        let run = run_with_plan(&mut strike_vm, plan);
+        let (paused, ended) = (walker.stats().steps, strike_vm.stats().steps);
+        w.work.steps_executed += ended - paused;
+        w.work.steps_accounted += ended;
         w.record(fault.site, &run, &golden);
     }
+    w.work.steps_executed += walker.stats().steps;
     w
 }
 
@@ -306,6 +342,7 @@ pub fn run_fault_campaign(cfg: &FaultCampaignConfig) -> FaultCampaignReport {
         }
         report.control.merge(&w.control);
         report.memory.merge(&w.memory);
+        report.work.merge(&w.work);
         report.per_workload.push((w.name, w.golden_steps, w.counts));
     }
     report
@@ -423,12 +460,22 @@ mod tests {
         let mut w = WorkloadFaults {
             name: bench.to_string(),
             golden_steps: golden.steps,
+            work: FaultWork {
+                steps_executed: golden.steps,
+                steps_accounted: golden.steps,
+                verify_lowers: 1,
+            },
             ..Default::default()
         };
         for k in 0..cfg.strikes_per_workload {
             let plan = strike(cfg.seed, bench, k, golden.steps);
             let run_cfg = RunConfig { max_steps: budget, ..Default::default() };
-            let run = run_with_plan(&mut workload_vm(bench, &program, run_cfg), &plan);
+            let mut vm = workload_vm(bench, &program, run_cfg);
+            let run = run_with_plan(&mut vm, &plan);
+            let steps = vm.stats().steps;
+            w.work.steps_executed += steps;
+            w.work.steps_accounted += steps;
+            w.work.verify_lowers += 1;
             w.record(plan.faults()[0].site, &run, &golden);
         }
         w
@@ -442,11 +489,18 @@ mod tests {
                 let a = sweep_workload(&cfg, bench);
                 let b = sweep_workload(&cfg, bench);
                 assert_eq!(a, b, "sweeps replay bit-identically");
+                let scratch = sweep_workload_from_scratch(&cfg, bench);
                 assert_eq!(
-                    a,
-                    sweep_workload_from_scratch(&cfg, bench),
+                    WorkloadFaults { work: scratch.work, ..a.clone() },
+                    scratch,
                     "{bench} seed {seed:#x}: striking the paused walker moved a bin"
                 );
+                assert_eq!(
+                    a.work.steps_accounted, scratch.work.steps_executed,
+                    "{bench} seed {seed:#x}: the sweep accounts for what a fresh VM per strike runs"
+                );
+                assert!(a.work.steps_executed < scratch.work.steps_executed);
+                assert_eq!(a.work.verify_lowers, 2);
                 assert_eq!(a.counts.total(), cfg.strikes_per_workload as u64);
                 assert!(a.golden_steps > 0);
                 // Every strike is scheduled before the golden end on the

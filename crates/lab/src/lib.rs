@@ -278,6 +278,49 @@ impl Study {
     }
 }
 
+/// The work one [`compute_study_with_work`] call did: what ran, not how
+/// long it took. Every count comes from a job list or from the step
+/// counts the runs already report, so it repeats exactly on any machine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StudyWork {
+    /// Distinct programs run on the VM, one per identity class.
+    pub programs: u64,
+    /// Programs run through the full cycle simulator.
+    pub full_simulations: u64,
+    /// Records the full cycle simulator consumed.
+    pub simulator_records: u64,
+    /// Programs run through the value accountant only.
+    pub value_only_runs: u64,
+    /// Records the value-only runs consumed.
+    pub value_only_records: u64,
+    /// VM steps streamed into a simulator or an accountant.
+    pub fused_steps: u64,
+    /// VM steps of the no-stats baseline runs.
+    pub nostats_steps: u64,
+    /// VRS profiling runs: an analysis and two training runs each.
+    pub vrs_profiles: u64,
+    /// Programs verified and lowered into a VM for a no-stats or
+    /// streamed run (VRS's training runs count under `vrs_profiles`).
+    pub verify_lowers: u64,
+}
+
+impl StudyWork {
+    /// Every count with its field name, in declaration order.
+    pub fn rows(&self) -> [(&'static str, u64); 9] {
+        [
+            ("programs", self.programs),
+            ("full_simulations", self.full_simulations),
+            ("simulator_records", self.simulator_records),
+            ("value_only_runs", self.value_only_runs),
+            ("value_only_records", self.value_only_records),
+            ("fused_steps", self.fused_steps),
+            ("nostats_steps", self.nostats_steps),
+            ("vrs_profiles", self.vrs_profiles),
+            ("verify_lowers", self.verify_lowers),
+        ]
+    }
+}
+
 /// Transform: `bench`'s Ref program under `mech` (VRS profiles the
 /// Train input), with its VRS bookkeeping.
 fn transform(bench: &str, mech: Mech) -> (Program, Option<VrsRaw>) {
@@ -351,16 +394,21 @@ pub fn identity_classes() -> Vec<(&'static str, Vec<Vec<Mech>>)> {
 /// The suite is fixed, trusted input, so the 128-bit digest alone is the
 /// key.
 pub fn compute_study() -> Study {
+    compute_study_with_work().0
+}
+
+/// [`compute_study`], with the work it did.
+pub fn compute_study_with_work() -> (Study, StudyWork) {
     let pool = WorkerPool::with_default_parallelism();
 
-    let digests = pool.map_all("no-stats baselines", NAMES, |bench| {
+    let baselines = pool.map_all("no-stats baselines", NAMES, |bench| {
         let program = by_name(bench, InputSet::Ref).program;
         Vm::new(&program, RunConfig::default())
             .run_nostats()
             .unwrap_or_else(|e| panic!("{bench}: no-stats run failed: {e}"))
-            .output_digest
     });
-    let baseline_digests: HashMap<&str, u64> = NAMES.into_iter().zip(digests).collect();
+    let baseline_digests: HashMap<&str, u64> =
+        NAMES.into_iter().zip(baselines.iter().map(|b| b.output_digest)).collect();
 
     let pairs = identify_suite(&pool);
 
@@ -371,6 +419,7 @@ pub fn compute_study() -> Study {
         .filter(|pair| seen.insert(pair.digest))
         .map(|pair| (pair.bench, pair.mech, pair.digest, baseline_digests[pair.bench]))
         .collect();
+    let measured_mechs: Vec<Mech> = jobs.iter().map(|&(_, mech, _, _)| mech).collect();
     let measured: HashMap<u128, Measured> = pool
         .map_all("distinct programs", jobs, |(bench, mech, digest, expected)| {
             let (program, _) = transform(bench, mech);
@@ -391,7 +440,23 @@ pub fn compute_study() -> Study {
         .iter()
         .map(|pair| measured[&pair.digest].assemble(pair.bench, pair.mech, pair.vrs.as_ref()))
         .collect();
-    Study::new(runs)
+
+    let is_vrs = |mech: &Mech| matches!(mech, Mech::Vrs(_));
+    let records: u64 = measured.values().map(Measured::insts).sum();
+    let work = StudyWork {
+        programs: measured.len() as u64,
+        full_simulations: measured.len() as u64,
+        simulator_records: records,
+        value_only_runs: 0,
+        value_only_records: 0,
+        fused_steps: records,
+        nostats_steps: baselines.iter().map(|b| b.steps).sum(),
+        vrs_profiles: (pairs.iter().filter(|pair| is_vrs(&pair.mech)).count()
+            + measured_mechs.iter().filter(|mech| is_vrs(mech)).count())
+            as u64,
+        verify_lowers: (baselines.len() + measured.len()) as u64,
+    };
+    (Study::new(runs), work)
 }
 
 /// Dynamic Table 3 rows: per-class percentage of instructions and width

@@ -178,6 +178,11 @@ pub(crate) fn measure(mut vm: Vm<'_>) -> Result<Measured, VmError> {
 }
 
 impl Measured {
+    /// Committed instructions: the records the run streamed.
+    pub(crate) fn insts(&self) -> u64 {
+        self.insts
+    }
+
     /// Observational equivalence: the output must match the baseline's.
     ///
     /// # Errors

@@ -18,12 +18,16 @@
 //! campaign's masked/SDC/detected/hang taxonomy
 //! (`perfbench/expected/fault_sweep.json`), and the whole default-config
 //! fault report `fault_campaign` writes (`tests/fault_report.json`) are
-//! pinned too.
+//! pinned too. So is the work behind them (`tests/work_counts.txt`):
+//! the study's and the benchmark-setting fault campaign's run, record,
+//! step and verify+lower counts, which a change that does more work for
+//! the same output moves.
 
 use og_json::{Json, ToJson};
-use og_lab::fault::{run_fault_campaign, FaultCampaignConfig};
+use og_lab::fault::{run_fault_campaign, FaultCampaignConfig, FaultCampaignReport};
 use og_lab::{
-    compute_study, figures, identity_classes, run_program, Mech, RunSummary, Study, WorkerPool,
+    compute_study_with_work, figures, identity_classes, run_program, Mech, RunSummary, Study,
+    StudyWork, WorkerPool,
 };
 use og_power::{EnergyModel, GatingScheme};
 use og_vm::{fnv1a, RunConfig};
@@ -31,10 +35,28 @@ use og_workloads::{by_name, InputSet, NAMES};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-/// The study every test in this binary checks, computed once.
+/// The study every test in this binary checks, and the work it did,
+/// computed once.
+fn cold_study_with_work() -> &'static (Study, StudyWork) {
+    static STUDY: OnceLock<(Study, StudyWork)> = OnceLock::new();
+    STUDY.get_or_init(compute_study_with_work)
+}
+
 fn cold_study() -> &'static Study {
-    static STUDY: OnceLock<Study> = OnceLock::new();
-    STUDY.get_or_init(compute_study)
+    &cold_study_with_work().0
+}
+
+/// The fault campaign at the benchmark's settings (seed `0xFA017`, 48
+/// strikes per workload, Ref inputs), run once.
+fn ref_campaign() -> &'static FaultCampaignReport {
+    static REPORT: OnceLock<FaultCampaignReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        run_fault_campaign(&FaultCampaignConfig {
+            seed: 0x0FA_017,
+            strikes_per_workload: 48,
+            input: InputSet::Ref,
+        })
+    })
 }
 
 /// One committed `(bench, mech)` fingerprint.
@@ -215,9 +237,8 @@ fn identity_classes_match_the_committed_partition() {
     assert_eq!(total, 25, "the study measures one program per identity class");
 }
 
-/// The fault campaign at the benchmark's settings (seed `0xFA017`, 48
-/// strikes per workload, Ref inputs) must reproduce the committed
-/// per-workload taxonomy exactly.
+/// [`ref_campaign`] must reproduce the committed per-workload taxonomy
+/// exactly.
 #[test]
 fn fault_taxonomy_matches_the_committed_sweep() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../perfbench/expected/fault_sweep.json");
@@ -233,12 +254,7 @@ fn fault_taxonomy_matches_the_committed_sweep() {
         })
         .collect();
 
-    let report = run_fault_campaign(&FaultCampaignConfig {
-        seed: 0x0FA_017,
-        strikes_per_workload: 48,
-        input: InputSet::Ref,
-    });
-    let fresh: Vec<(String, [u64; 5])> = report
+    let fresh: Vec<(String, [u64; 5])> = ref_campaign()
         .per_workload
         .iter()
         .map(|(bench, steps, c)| (bench.clone(), [*steps, c.masked, c.sdc, c.detected, c.hang]))
@@ -261,5 +277,32 @@ fn fault_report_matches_the_committed_bytes() {
         fresh == committed,
         "the fault report moved from crates/lab/tests/fault_report.json; after a deliberate \
          change, commit this text (it is exactly `fault_campaign`'s BENCH_fault.json):\n{fresh}"
+    );
+}
+
+/// The work behind the study and [`ref_campaign`], one `name count` line
+/// each. Output pins cannot see a change that does the same work twice
+/// (measuring every pair again, or striking every fault from step 0);
+/// these counts move with it. They come from job lists and step counts,
+/// so they repeat exactly on any machine.
+#[test]
+fn work_counts_match_the_committed_golden() {
+    let committed = include_str!("work_counts.txt");
+    let work = ref_campaign().work;
+    let fault_rows = [
+        ("steps_executed", work.steps_executed),
+        ("steps_accounted", work.steps_accounted),
+        ("verify_lowers", work.verify_lowers),
+    ];
+    let study_rows = cold_study_with_work().1.rows();
+    let fresh: String = study_rows
+        .iter()
+        .map(|(name, n)| format!("study.{name} {n}\n"))
+        .chain(fault_rows.iter().map(|(name, n)| format!("fault.{name} {n}\n")))
+        .collect();
+    assert!(
+        fresh == committed,
+        "the work counts moved from crates/lab/tests/work_counts.txt; after a deliberate \
+         change, say in the change log why each count moved and commit this text:\n{fresh}"
     );
 }
