@@ -15,7 +15,10 @@
 //! in records per second, sampled round-robin with the engine series.
 //! Its ratio to the reference engine streaming the same program
 //! (`sim_speedup`) calibrates the simulator against the same frozen code
-//! and is gated too.
+//! and is gated too. The simulator's value half, `ValueAccountant::feed`
+//! alone over the same trace, is timed alongside: the stage a study's
+//! width-only programs run instead of the whole simulator. Its
+//! records/s and ratio (`accountant_speedup`) are reported, not gated.
 //!
 //! Run with `cargo bench -p og-bench --bench micro_throughput`, then
 //! `cargo run --release -p og-bench --example bench_gate`. The numbers go
@@ -25,7 +28,7 @@
 //! of a gated ratio against the committed `bench/baseline/BENCH_vm.json`.
 
 use og_json::{Json, ToJson};
-use og_sim::{MachineConfig, Simulator};
+use og_sim::{MachineConfig, Simulator, ValueAccountant};
 use og_vm::{RunConfig, RunOutcome, VecSink, Vm, VmError};
 use og_workloads::{compress, InputSet};
 use std::hint::black_box;
@@ -78,6 +81,15 @@ fn main() {
         black_box(sim.finish());
         start.elapsed().as_secs_f64()
     };
+    let account = || {
+        let mut values = ValueAccountant::new();
+        let start = Instant::now();
+        for rec in &trace {
+            values.feed(rec);
+        }
+        black_box(&values);
+        start.elapsed().as_secs_f64()
+    };
 
     // Plain emulation (no sink) is the golden-digest / oracle path; the
     // streamed runs feed a sink that forces every record to be produced
@@ -98,7 +110,7 @@ fn main() {
     // disturbed by other load: together they keep the in-run ratios
     // steady enough to gate on.
     let mut best = [f64::INFINITY; 5];
-    let mut sim_best = f64::INFINITY;
+    let (mut sim_best, mut account_best) = (f64::INFINITY, f64::INFINITY);
     for sample in 0..=samples {
         for (best, run) in best.iter_mut().zip(series) {
             let mut vm = Vm::new(&program, RunConfig::default());
@@ -108,13 +120,15 @@ fn main() {
                 *best = best.min(start.elapsed().as_secs_f64());
             }
         }
-        let secs = simulate();
+        let (sim_secs, account_secs) = (simulate(), account());
         if sample > 0 {
-            sim_best = sim_best.min(secs);
+            sim_best = sim_best.min(sim_secs);
+            account_best = account_best.min(account_secs);
         }
     }
     let [flat, reference, flat_streamed, reference_streamed, nostats] = best.map(|t| steps / t);
     let sim = steps / sim_best;
+    let accountant = steps / account_best;
 
     println!(
         "vm/flat_vs_reference             {flat:>12.0} steps/s flat, {reference:>12.0} steps/s \
@@ -135,6 +149,11 @@ fn main() {
          streamed)",
         sim / reference_streamed,
     );
+    println!(
+        "sim/accountant_vs_reference      {accountant:>12.0} records/s accounted (x{:.2} over \
+         reference streamed; not gated)",
+        accountant / reference_streamed,
+    );
 
     let report = Json::Obj(vec![
         ("bench".into(), Json::Str("compress".into())),
@@ -151,6 +170,8 @@ fn main() {
         ("nostats_speedup".into(), (nostats / reference).to_json()),
         ("sim_records_per_sec".into(), sim.to_json()),
         ("sim_speedup".into(), (sim / reference_streamed).to_json()),
+        ("accountant_records_per_sec".into(), accountant.to_json()),
+        ("accountant_speedup".into(), (accountant / reference_streamed).to_json()),
     ]);
     match og_lab::report::write_bench_report("vm", &report) {
         Ok(path) => println!("vm engine report written to {}", path.display()),

@@ -3,9 +3,10 @@
 //! This crate only exists to host three benchmark harnesses in
 //! `benches/`:
 //!
-//! * `micro_throughput` measures the VM engines and the simulator against
-//!   the frozen reference engine and writes `BENCH_vm.json`, which the
-//!   `bench_gate` example gates;
+//! * `micro_throughput` measures the VM engines, the simulator and its
+//!   value accountant against the frozen reference engine and writes
+//!   `BENCH_vm.json`, whose engine and simulator ratios the `bench_gate`
+//!   example gates;
 //! * `fault_campaign` classifies seeded soft errors, writes
 //!   `BENCH_fault.json` and gates the taxonomy itself;
 //! * `ablation_profiler` prints VRS's sensitivity to the value

@@ -44,4 +44,4 @@ pub use vrp::{
     initial_range_file, pure_out_range, refine_edge, solve, transfer_inst, Assumptions,
     DataflowLimits, FuncRanges, InstRanges, RangeSolution,
 };
-pub use vrs::{CandidateFate, VrsConfig, VrsPass, VrsReport};
+pub use vrs::{CandidateFate, VrsConfig, VrsPass, VrsProfile, VrsReport};

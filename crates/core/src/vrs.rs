@@ -20,6 +20,17 @@
 //!    clone via VRP's guard-idiom refinement, and single-value
 //!    specializations get constant propagation and dead-code elimination
 //!    (the "eliminated" instructions of Figure 5).
+//!
+//! Only the last step reads the specialization cost, so the pass splits
+//! there. [`VrsPass::profile`] runs the analysis, both training runs and
+//! candidate identification, and prices every candidate range's gross
+//! benefit `Savings · Freq − Cost` into a [`VrsProfile`].
+//! [`VrsProfile::specialize`] then selects and transforms for one cost,
+//! as often as there are costs to try: a sweep of the knob profiles the
+//! program once. [`VrsPass::run`] is the two in a row. Selection reruns
+//! per cost over the stored gross benefits, rather than subtracting the
+//! cost from a best range picked once, so ties break exactly as a fresh
+//! run breaks them.
 
 use crate::analysis::{FuncArtifacts, ProgramArtifacts};
 use crate::energy::{AluEnergyTable, GuardCosts};
@@ -142,6 +153,19 @@ pub struct VrsPass {
     config: VrsConfig,
 }
 
+/// The part of a VRS run that does not read the specialization cost:
+/// the profiled points and, for each one the profiler kept, every
+/// candidate range narrower than VRP's own bound with its gross benefit
+/// `Savings · Freq − Cost`. Made by [`VrsPass::profile`];
+/// [`specialize`](Self::specialize) finishes the run for one cost.
+#[derive(Debug, Clone)]
+pub struct VrsProfile {
+    config: VrsConfig,
+    profiled_points: usize,
+    /// In candidate order, each range in the profiler's order.
+    points: Vec<(InstRef, Vec<(RangeEstimate, f64)>)>,
+}
+
 impl VrsPass {
     /// Create a pass with the given configuration.
     pub fn new(config: VrsConfig) -> VrsPass {
@@ -149,13 +173,28 @@ impl VrsPass {
     }
 
     /// Run VRS on `program`, profiling on `train` (the same code built
-    /// with the training input's data segment).
+    /// with the training input's data segment): [`profile`](Self::profile),
+    /// then [`VrsProfile::specialize`] at the configured cost.
     ///
     /// # Panics
     ///
     /// Panics if `train` has a different code shape than `program` or if
     /// the training run fails.
     pub fn run(&self, program: &mut Program, train: &Program) -> VrsReport {
+        self.profile(program, train).specialize(program, self.config.specialization_cost_nj)
+    }
+
+    /// The cost-independent steps of a run on `program`: the analysis,
+    /// both training runs on `train`, candidate identification and each
+    /// candidate range's gross benefit. Ignores
+    /// [`VrsConfig::specialization_cost_nj`], so one profile serves every
+    /// cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `train` has a different code shape than `program` or if
+    /// the training run fails.
+    pub fn profile(&self, program: &Program, train: &Program) -> VrsProfile {
         assert_eq!(program.funcs.len(), train.funcs.len(), "train/ref program shapes must match");
         for (a, b) in program.funcs.iter().zip(&train.funcs) {
             assert_eq!(a.blocks.len(), b.blocks.len(), "train/ref blocks differ in {}", a.name);
@@ -188,31 +227,60 @@ impl VrsPass {
             Vm::new(train, RunConfig { max_steps: cfg.train_fuel, ..Default::default() });
         train_vm.run_streamed(&mut profiler.sink(&train.layout())).expect("profiling run failed");
 
+        // ---- gross benefit of each candidate range ---------------------
+        let points = candidates
+            .iter()
+            .filter_map(|c| {
+                let site = profiler.site(c.at)?;
+                let ranges = site
+                    .candidate_ranges(cfg.candidate_ranges)
+                    .into_iter()
+                    .filter_map(|est| {
+                        let range = ValueRange::new(est.min, est.max);
+                        // Skip ranges no narrower than what VRP already knows.
+                        if range.width_needed() >= sol.out_range(c.at).width_needed() {
+                            return None;
+                        }
+                        let savings = self.savings(program, &art, &sol, &stats, c.at, range);
+                        let cost =
+                            stats.inst_count(c.at) as f64 * cfg.guard.test_cost(est.min, est.max);
+                        Some((est, savings * est.freq - cost))
+                    })
+                    .collect();
+                Some((c.at, ranges))
+            })
+            .collect();
+        VrsProfile { config: cfg.clone(), profiled_points, points }
+    }
+}
+
+impl VrsProfile {
+    /// Finish the run at a specialization cost of `cost_nj`: select each
+    /// point's best range net of the cost, then clone, guard, fold and
+    /// narrow. `program` must be the program profiled, unmodified. The
+    /// result equals [`VrsPass::run`] with
+    /// [`VrsConfig::specialization_cost_nj`] set to `cost_nj`.
+    pub fn specialize(&self, program: &mut Program, cost_nj: f64) -> VrsReport {
+        let cfg = &self.config;
+
         // ---- step 3: selection ----------------------------------------
-        let mut scored: Vec<(Candidate, RangeEstimate, f64)> = Vec::new();
-        for c in candidates {
-            let Some(site) = profiler.site(c.at) else { continue };
-            let mut best: Option<(RangeEstimate, f64)> = None;
-            for est in site.candidate_ranges(cfg.candidate_ranges) {
-                let range = ValueRange::new(est.min, est.max);
-                // Skip ranges no narrower than what VRP already knows.
-                if range.width_needed() >= sol.out_range(c.at).width_needed() {
-                    continue;
+        let mut scored: Vec<(InstRef, RangeEstimate, f64)> = self
+            .points
+            .iter()
+            .map(|(at, ranges)| {
+                let mut best: Option<(RangeEstimate, f64)> = None;
+                for &(est, gross) in ranges {
+                    let benefit = gross - cost_nj;
+                    if benefit > 0.0 && best.as_ref().is_none_or(|(_, b)| benefit > *b) {
+                        best = Some((est, benefit));
+                    }
                 }
-                let savings = self.savings(program, &art, &sol, &stats, c.at, range);
-                let cost = stats.inst_count(c.at) as f64 * cfg.guard.test_cost(est.min, est.max);
-                let benefit = savings * est.freq - cost - cfg.specialization_cost_nj;
-                if benefit > 0.0 && best.as_ref().is_none_or(|(_, b)| benefit > *b) {
-                    best = Some((est, benefit));
+                match best {
+                    Some((est, benefit)) => (*at, est, benefit),
+                    None => (*at, RangeEstimate { min: 0, max: 0, freq: 0.0 }, f64::NEG_INFINITY),
                 }
-            }
-            match best {
-                Some((est, benefit)) => scored.push((c, est, benefit)),
-                None => {
-                    scored.push((c, RangeEstimate { min: 0, max: 0, freq: 0.0 }, f64::NEG_INFINITY))
-                }
-            }
-        }
+            })
+            .collect();
         scored.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
 
         // ---- transformation -------------------------------------------
@@ -223,23 +291,23 @@ impl VrsPass {
         let mut specialized_blocks = Vec::new();
         let mut clone_map: Vec<(InstRef, InstRef)> = Vec::new(); // (clone, original)
         let mut assumptions = cfg.vrp.assumptions.clone();
-        for (c, est, benefit) in scored {
+        for (at, est, benefit) in scored {
             if benefit <= 0.0 || !benefit.is_finite() {
-                fates.push((c.at, CandidateFate::NoBenefit));
+                fates.push((at, CandidateFate::NoBenefit));
                 continue;
             }
-            if involved.contains(&(c.at.func, c.at.block)) {
-                fates.push((c.at, CandidateFate::Dependent));
+            if involved.contains(&(at.func, at.block)) {
+                fates.push((at, CandidateFate::Dependent));
                 continue;
             }
             if applied.len() >= cfg.max_specializations {
-                fates.push((c.at, CandidateFate::NoBenefit));
+                fates.push((at, CandidateFate::NoBenefit));
                 continue;
             }
             let range = ValueRange::new(est.min, est.max);
             match apply_specialization(
                 program,
-                c.at,
+                at,
                 range,
                 cfg.max_region_blocks,
                 &mut involved,
@@ -250,15 +318,15 @@ impl VrsPass {
             ) {
                 Ok(()) => {
                     applied.push(Specialization {
-                        at: c.at,
+                        at,
                         min: est.min,
                         max: est.max,
                         freq: est.freq,
                         benefit,
                     });
-                    fates.push((c.at, CandidateFate::Specialized));
+                    fates.push((at, CandidateFate::Specialized));
                 }
-                Err(()) => fates.push((c.at, CandidateFate::NoBenefit)),
+                Err(()) => fates.push((at, CandidateFate::NoBenefit)),
             }
         }
         program.verify().expect("specialized program must verify");
@@ -287,7 +355,7 @@ impl VrsPass {
         }
 
         VrsReport {
-            profiled_points,
+            profiled_points: self.profiled_points,
             fates,
             applied,
             static_specialized,
@@ -297,7 +365,9 @@ impl VrsPass {
             vrp,
         }
     }
+}
 
+impl VrsPass {
     /// §3.3 preliminary filter: instructions with any best-case benefit,
     /// assuming the minimum cost of a single comparison.
     fn identify_candidates(
@@ -850,6 +920,44 @@ mod tests {
             })
             .collect();
         assert!(counts[0] >= counts[1], "cheaper specialization ⇒ more points");
+    }
+
+    /// One profile specialized at five costs gives, at each, the program
+    /// and report of a fresh run at that cost, and the cost moves the
+    /// decision, so the knob cannot have leaked into the profile.
+    #[test]
+    fn one_profile_specializes_every_cost_like_a_fresh_run() {
+        // Every field; the final VRP report's width maps are hash maps,
+        // and the program text pins the widths they assigned.
+        let fields = |r: &VrsReport| {
+            format!(
+                "{} {:?} {:?} {} {} {:?} {:?} {}",
+                r.profiled_points,
+                r.fates,
+                r.applied,
+                r.static_specialized,
+                r.static_eliminated,
+                r.guard_sites,
+                r.specialized_blocks,
+                r.vrp.narrowed_instructions
+            )
+        };
+        let train = vrs_target(&[3; 64]);
+        let pristine = vrs_target(&[3; 64]);
+        let profile = VrsPass::new(VrsConfig::default()).profile(&pristine, &train);
+        let mut programs = Vec::new();
+        for cost in [0.0, 10.0, 100.0, 500.0, 2000.0] {
+            let mut reused = pristine.clone();
+            let report = profile.specialize(&mut reused, cost);
+            let mut fresh = pristine.clone();
+            let cfg = VrsConfig { specialization_cost_nj: cost, ..Default::default() };
+            let fresh_report = VrsPass::new(cfg).run(&mut fresh, &train);
+            assert_eq!(reused.canonical_text(), fresh.canonical_text(), "{cost} nJ: program");
+            assert_eq!(fields(&report), fields(&fresh_report), "{cost} nJ: report");
+            programs.push(reused.canonical_text());
+        }
+        programs.dedup();
+        assert!(programs.len() >= 2, "the cost must change the program");
     }
 
     #[test]

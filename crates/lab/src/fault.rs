@@ -261,17 +261,39 @@ fn strike(seed: u64, bench: &str, k: usize, golden_steps: u64) -> FaultPlan {
     FaultPlan::new(vec![Fault { at_step, site }])
 }
 
-/// The verified VM for `bench`'s `program` under `cfg`.
-fn workload_vm<'p>(bench: &str, program: &'p Program, cfg: RunConfig) -> Vm<'p> {
+/// The verified VM for `bench`'s `program` under `cfg`, counted in
+/// `work`.
+fn workload_vm<'p>(
+    bench: &str,
+    program: &'p Program,
+    cfg: RunConfig,
+    work: &mut FaultWork,
+) -> Vm<'p> {
+    work.verify_lowers += 1;
     Vm::new_verified(program, cfg)
         .unwrap_or_else(|e| panic!("{bench}: workload must verify: {e:?}"))
 }
 
-/// The fault-free run every strike of `bench` is classified against.
-fn golden_run(bench: &str, program: &Program) -> RunOutcome {
-    workload_vm(bench, program, RunConfig::default())
+/// The fault-free run every strike of `bench` is classified against,
+/// counted in `work`.
+fn golden_run(bench: &str, program: &Program, work: &mut FaultWork) -> RunOutcome {
+    let golden = workload_vm(bench, program, RunConfig::default(), work)
         .run_nostats()
-        .unwrap_or_else(|e| panic!("{bench}: golden run failed: {e}"))
+        .unwrap_or_else(|e| panic!("{bench}: golden run failed: {e}"));
+    work.steps_executed += golden.steps;
+    work.steps_accounted += golden.steps;
+    golden
+}
+
+/// [`run_with_plan`] on `vm`, counted in `work`: the steps it executes
+/// from where `vm` stands, and all its steps from step 0.
+fn strike_vm(vm: &mut Vm<'_>, plan: &FaultPlan, work: &mut FaultWork) -> FaultRun {
+    let started = vm.stats().steps;
+    let run = run_with_plan(vm, plan);
+    let ended = vm.stats().steps;
+    work.steps_executed += ended - started;
+    work.steps_accounted += ended;
+    run
 }
 
 /// Sweep one workload: golden run, then `strikes` single-strike runs.
@@ -285,23 +307,19 @@ fn golden_run(bench: &str, program: &Program) -> RunOutcome {
 /// change the result.
 fn sweep_workload(cfg: &FaultCampaignConfig, bench: &str) -> WorkloadFaults {
     let program = by_name(bench, cfg.input).program;
-    let golden = golden_run(bench, &program);
+    let mut work = FaultWork::default();
+    let golden = golden_run(bench, &program, &mut work);
     let mut w = WorkloadFaults {
         name: bench.to_string(),
         golden_steps: golden.steps,
-        work: FaultWork {
-            steps_executed: golden.steps,
-            steps_accounted: golden.steps,
-            verify_lowers: 1,
-        },
+        work,
         ..Default::default()
     };
     let mut plans: Vec<FaultPlan> =
         (0..cfg.strikes_per_workload).map(|k| strike(cfg.seed, bench, k, golden.steps)).collect();
     plans.sort_by_key(|plan| plan.faults()[0].at_step);
     let budget = RunConfig { max_steps: hang_budget(golden.steps), ..Default::default() };
-    let mut walker = workload_vm(bench, &program, budget);
-    w.work.verify_lowers += 1;
+    let mut walker = workload_vm(bench, &program, budget, &mut w.work);
     let mut resume = None;
     for plan in &plans {
         let fault = plan.faults()[0];
@@ -314,11 +332,7 @@ fn sweep_workload(cfg: &FaultCampaignConfig, bench: &str) -> WorkloadFaults {
             };
             resume = Some(ip);
         }
-        let mut strike_vm = walker.clone();
-        let run = run_with_plan(&mut strike_vm, plan);
-        let (paused, ended) = (walker.stats().steps, strike_vm.stats().steps);
-        w.work.steps_executed += ended - paused;
-        w.work.steps_accounted += ended;
+        let run = strike_vm(&mut walker.clone(), plan, &mut w.work);
         w.record(fault.site, &run, &golden);
     }
     w.work.steps_executed += walker.stats().steps;
@@ -455,27 +469,20 @@ mod tests {
     /// fault-free prefix from step 0.
     fn sweep_workload_from_scratch(cfg: &FaultCampaignConfig, bench: &str) -> WorkloadFaults {
         let program = by_name(bench, cfg.input).program;
-        let golden = golden_run(bench, &program);
+        let mut work = FaultWork::default();
+        let golden = golden_run(bench, &program, &mut work);
         let budget = hang_budget(golden.steps);
         let mut w = WorkloadFaults {
             name: bench.to_string(),
             golden_steps: golden.steps,
-            work: FaultWork {
-                steps_executed: golden.steps,
-                steps_accounted: golden.steps,
-                verify_lowers: 1,
-            },
+            work,
             ..Default::default()
         };
         for k in 0..cfg.strikes_per_workload {
             let plan = strike(cfg.seed, bench, k, golden.steps);
             let run_cfg = RunConfig { max_steps: budget, ..Default::default() };
-            let mut vm = workload_vm(bench, &program, run_cfg);
-            let run = run_with_plan(&mut vm, &plan);
-            let steps = vm.stats().steps;
-            w.work.steps_executed += steps;
-            w.work.steps_accounted += steps;
-            w.work.verify_lowers += 1;
+            let mut vm = workload_vm(bench, &program, run_cfg, &mut w.work);
+            let run = strike_vm(&mut vm, &plan, &mut w.work);
             w.record(plan.faults()[0].site, &run, &golden);
         }
         w

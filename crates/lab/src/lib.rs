@@ -20,18 +20,28 @@
 //!
 //! The 72 pairs hold only 25 distinct programs (most mechanisms leave
 //! compress and m88ksim unchanged, and the five VRS cost points give one
-//! program on every benchmark), so [`compute_study`] measures each
-//! distinct program once and assembles all 72 summaries from those 25
-//! measurements. [`identity_classes`] reports the partition.
+//! program on every benchmark), so [`compute_study`] runs each distinct
+//! program once on the VM and assembles all 72 summaries from those 25
+//! measurements. [`identity_classes`] reports the partition. The 25
+//! commit only 10 distinct paths: VRP re-encodes widths but moves no
+//! instruction, and only gcc's and vortex's VRS programs add code. The
+//! simulator's timing half reads nothing a width changes, so the study
+//! simulates each path once, runs the 15 width-only programs through
+//! the value accountant alone, and joins their value counts with their
+//! path's timing. The join is checked per run and falls back to a full
+//! simulation when a program leaves its path. Each benchmark's VRS
+//! pairs share one profile, since profiling does not read the cost.
+//! [`compute_study_with_work`] reports this work ([`StudyWork`]).
 //!
 //! Hardware and cooperative gating schemes need no extra runs: every
 //! access was recorded with both its opcode width and its dynamic
 //! significance, so `og-power` prices all five schemes from the same
 //! activity record.
 //!
-//! Every step fans out on a [`WorkerPool`], one job per pair or per
-//! distinct program, all drawn from the pool's one queue, so no worker is
-//! stuck behind one benchmark's jobs.
+//! Every step fans out on a [`WorkerPool`], one job per pair (one per
+//! benchmark for the VRS pairs) or per distinct program, all drawn from
+//! the pool's one queue, so no worker is stuck behind one benchmark's
+//! jobs.
 //!
 //! The `exp_all` binary and the equivalence suite each call
 //! [`compute_study`] once; [`figures::all`] renders what `exp_all` prints
@@ -47,7 +57,9 @@ pub mod pool;
 pub mod report;
 mod serialize;
 
-use pipeline::{apply_mech, measure, Measured, VrsRaw};
+use pipeline::{
+    apply_mech, apply_mechs, measure_on_path, measure_path, Likeness, Measured, PathTiming, VrsRaw,
+};
 pub use pipeline::{run_lowered, run_program, RunError};
 pub use pool::WorkerPool;
 
@@ -332,22 +344,50 @@ fn transform(bench: &str, mech: Mech) -> (Program, Option<VrsRaw>) {
 }
 
 /// One suite pair after the transform and identity steps. The program
-/// itself is dropped: only its digest and VRS bookkeeping are kept.
+/// itself is dropped: only its digest, how it compares with the
+/// untransformed program, and its VRS bookkeeping are kept.
 struct Identified {
     bench: &'static str,
     mech: Mech,
     digest: u128,
+    likeness: Likeness,
     vrs: Option<VrsRaw>,
 }
 
-/// Transform and identify every (benchmark, mechanism) pair on `pool`,
-/// in benchmark-major, [`Mech::ALL`] order.
-fn identify_suite(pool: &WorkerPool) -> Vec<Identified> {
-    let pairs: Vec<(&'static str, Mech)> =
-        NAMES.into_iter().flat_map(|bench| Mech::ALL.map(|mech| (bench, mech))).collect();
-    pool.map_all("transform + identity", pairs, |(bench, mech)| {
-        let (program, vrs) = transform(bench, mech);
-        Identified { bench, mech, digest: digest128(&program.canonical_text()), vrs }
+/// Transform and identify every (benchmark, mechanism) pair on `pool`:
+/// one job per pair, except that a benchmark's VRS pairs share one job,
+/// which profiles the benchmark once for all its costs. Jobs, and the
+/// pairs in each, come back in benchmark-major, [`Mech::ALL`] order.
+fn identify_suite(pool: &WorkerPool) -> Vec<Vec<Identified>> {
+    let is_vrs = |mech: &Mech| matches!(mech, Mech::Vrs(_));
+    let jobs: Vec<(&'static str, Vec<Mech>)> = NAMES
+        .into_iter()
+        .flat_map(|bench| {
+            Mech::ALL
+                .chunk_by(move |a, b| is_vrs(a) && is_vrs(b))
+                .map(move |mechs| (bench, mechs.to_vec()))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    pool.map_all("transform + identity", jobs, move |(bench, mechs)| {
+        let untransformed = by_name(bench, InputSet::Ref).program;
+        let train = mechs.iter().any(is_vrs).then(|| by_name(bench, InputSet::Train).program);
+        // One transformed program at a time: each is dropped once
+        // identified.
+        apply_mechs(&untransformed, &mechs, train.as_ref())
+            .zip(&mechs)
+            .map(|(transformed, &mech)| {
+                let (program, vrs) =
+                    transformed.unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+                Identified {
+                    bench,
+                    mech,
+                    digest: digest128(&program.canonical_text()),
+                    likeness: Likeness::of(&program, &untransformed),
+                    vrs,
+                }
+            })
+            .collect()
     })
 }
 
@@ -356,7 +396,8 @@ fn identify_suite(pool: &WorkerPool) -> Vec<Identified> {
 /// Classes and their members are in [`Mech::ALL`] order.
 /// [`compute_study`] measures one program per class.
 pub fn identity_classes() -> Vec<(&'static str, Vec<Vec<Mech>>)> {
-    let pairs = identify_suite(&WorkerPool::with_default_parallelism());
+    let pairs: Vec<Identified> =
+        identify_suite(&WorkerPool::with_default_parallelism()).into_iter().flatten().collect();
     NAMES
         .into_iter()
         .map(|bench| {
@@ -372,21 +413,46 @@ pub fn identity_classes() -> Vec<(&'static str, Vec<Vec<Mech>>)> {
         .collect()
 }
 
+/// `bench`'s Ref program under `mech` again, for the measure step; the
+/// transform step identified it as `digest`.
+fn rederive(bench: &str, mech: Mech, digest: u128) -> Program {
+    let (program, _) = transform(bench, mech);
+    assert_eq!(
+        digest128(&program.canonical_text()),
+        digest,
+        "{bench}/{mech:?}: the transform is not deterministic"
+    );
+    program
+}
+
 /// Run the full study.
 ///
 /// The 72 (benchmark, mechanism) pairs hold only 25 distinct programs,
-/// so the study measures each distinct program once, in four steps on a
-/// [`WorkerPool`]:
+/// and those commit only 10 distinct paths: a program that differs from
+/// its benchmark's untransformed one only in operand widths commits the
+/// same instructions at the same addresses unless a narrowed value
+/// steers a branch or an address. So the study runs each distinct
+/// program once on the VM, and the full simulator once per path, in
+/// five steps on a [`WorkerPool`]:
 ///
-/// 1. **transform + identity**: every pair is transformed and keyed by
-///    the [`digest128`] of its canonical text; only the digest and the
-///    VRS bookkeeping are kept.
-/// 2. **measure**: one job per distinct digest re-derives the class's
-///    first pair, re-checks its digest, and runs the fused
-///    emulate+simulate pass. Its output digest must equal the
-///    benchmark's baseline digest from the no-stats engine, which also
-///    cross-checks that engine against the full one on every recompute.
-/// 3. **assemble**: the 72 summaries, each from its class's measurement
+/// 1. **no-stats baselines**: each benchmark's untransformed program on
+///    the no-stats engine, for the output digest every run must match.
+/// 2. **transform + identity**: every pair is transformed and keyed by
+///    the [`digest128`] of its canonical text, and compared with the
+///    untransformed program: the same, the same but for operand widths,
+///    or different. A benchmark's VRS pairs share one profile. Only the
+///    digest, that comparison and the VRS bookkeeping are kept.
+/// 3. **paths**: one job per distinct program that is not a width-only
+///    variant re-derives its class's first pair, re-checks its digest,
+///    and runs the fused emulate+simulate pass. The untransformed
+///    programs' runs keep their path's timing.
+/// 4. **width-only programs**: one job per remaining distinct program
+///    runs the VM into the value accountant alone and joins its value
+///    counts with its benchmark's path timing, or simulates it in full
+///    if it left that path. Every output digest from steps 3 and 4 must
+///    equal the benchmark's digest from step 1, which also cross-checks
+///    the no-stats engine against the full one.
+/// 5. **assemble**: the 72 summaries, each from its class's measurement
 ///    plus its own label and VRS bookkeeping, in benchmark-major,
 ///    [`Mech::ALL`] order — the same runs, bytes and order as measuring
 ///    every pair separately with [`run_program`].
@@ -410,52 +476,78 @@ pub fn compute_study_with_work() -> (Study, StudyWork) {
     let baseline_digests: HashMap<&str, u64> =
         NAMES.into_iter().zip(baselines.iter().map(|b| b.output_digest)).collect();
 
-    let pairs = identify_suite(&pool);
+    let transform_jobs = identify_suite(&pool);
+    let is_vrs = |pair: &Identified| matches!(pair.mech, Mech::Vrs(_));
+    let profiled_jobs = transform_jobs.iter().filter(|job| job.iter().any(is_vrs)).count();
+    let pairs: Vec<Identified> = transform_jobs.into_iter().flatten().collect();
 
-    // One measurement per distinct digest, of its first pair.
+    // One run per distinct digest, of its first pair.
     let mut seen = HashSet::new();
-    let jobs: Vec<(&'static str, Mech, u128, u64)> = pairs
+    let (variants, paths): (Vec<&Identified>, Vec<&Identified>) = pairs
         .iter()
         .filter(|pair| seen.insert(pair.digest))
-        .map(|pair| (pair.bench, pair.mech, pair.digest, baseline_digests[pair.bench]))
-        .collect();
-    let measured_mechs: Vec<Mech> = jobs.iter().map(|&(_, mech, _, _)| mech).collect();
-    let measured: HashMap<u128, Measured> = pool
-        .map_all("distinct programs", jobs, |(bench, mech, digest, expected)| {
-            let (program, _) = transform(bench, mech);
-            assert_eq!(
-                digest128(&program.canonical_text()),
-                digest,
-                "{bench}/{mech:?}: the transform is not deterministic"
-            );
-            let measured = measure(Vm::new(&program, RunConfig::default()))
+        .partition(|pair| pair.likeness == Likeness::WidthsOnly);
+    let job =
+        |pair: &Identified| (pair.bench, pair.mech, pair.digest, baseline_digests[pair.bench]);
+
+    // Every distinct program but the width-only ones commits a path of
+    // its own: simulate it in full, and keep each untransformed program's
+    // timing for its benchmark's width-only programs.
+    let path_jobs: Vec<_> = paths.iter().map(|&pair| (job(pair), pair.likeness)).collect();
+    let simulated =
+        pool.map_all("paths", path_jobs, |((bench, mech, digest, expected), likeness)| {
+            let program = rederive(bench, mech, digest);
+            let (measured, path) = measure_path(Vm::new(&program, RunConfig::default()))
                 .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
             measured.check_digest(expected).unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
-            (digest, measured)
-        })
-        .into_iter()
+            (digest, measured, (likeness == Likeness::Same).then_some((bench, path)))
+        });
+    let path_records: u64 = simulated.iter().map(|(_, run, _)| run.insts()).sum();
+    let mut measured: HashMap<u128, Measured> = HashMap::new();
+    let mut timing_of: HashMap<&str, PathTiming> = HashMap::new();
+    for (digest, run, path) in simulated {
+        measured.insert(digest, run);
+        timing_of.extend(path);
+    }
+
+    let variant_jobs: Vec<_> =
+        variants.iter().map(|&pair| (job(pair), timing_of[pair.bench].clone())).collect();
+    let joined = pool.map_all("width-only programs", variant_jobs, |(job, path)| {
+        let (bench, mech, digest, expected) = job;
+        let program = rederive(bench, mech, digest);
+        let run =
+            measure_on_path(&program, &path).unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+        run.measured.check_digest(expected).unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+        (digest, run)
+    });
+
+    let fallback_records: Vec<u64> = joined
+        .iter()
+        .filter(|(_, run)| run.fell_back)
+        .map(|(_, run)| run.measured.insts())
         .collect();
+    let simulator_records = path_records + fallback_records.iter().sum::<u64>();
+    let value_only_records = joined.iter().map(|(_, run)| run.value_records).sum::<u64>();
+    let work = StudyWork {
+        programs: (paths.len() + variants.len()) as u64,
+        full_simulations: (paths.len() + fallback_records.len()) as u64,
+        simulator_records,
+        value_only_runs: variants.len() as u64,
+        value_only_records,
+        fused_steps: simulator_records + value_only_records,
+        nostats_steps: baselines.iter().map(|b| b.steps).sum(),
+        vrs_profiles: (profiled_jobs
+            + paths.iter().chain(&variants).filter(|pair| is_vrs(pair)).count())
+            as u64,
+        verify_lowers: (baselines.len() + paths.len() + variants.len() + fallback_records.len())
+            as u64,
+    };
+    measured.extend(joined.into_iter().map(|(digest, run)| (digest, run.measured)));
 
     let runs = pairs
         .iter()
         .map(|pair| measured[&pair.digest].assemble(pair.bench, pair.mech, pair.vrs.as_ref()))
         .collect();
-
-    let is_vrs = |mech: &Mech| matches!(mech, Mech::Vrs(_));
-    let records: u64 = measured.values().map(Measured::insts).sum();
-    let work = StudyWork {
-        programs: measured.len() as u64,
-        full_simulations: measured.len() as u64,
-        simulator_records: records,
-        value_only_runs: 0,
-        value_only_records: 0,
-        fused_steps: records,
-        nostats_steps: baselines.iter().map(|b| b.steps).sum(),
-        vrs_profiles: (pairs.iter().filter(|pair| is_vrs(&pair.mech)).count()
-            + measured_mechs.iter().filter(|mech| is_vrs(mech)).count())
-            as u64,
-        verify_lowers: (baselines.len() + measured.len()) as u64,
-    };
     (Study::new(runs), work)
 }
 

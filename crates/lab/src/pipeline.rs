@@ -2,21 +2,32 @@
 //!
 //! 1. **transform** — [`apply_mech`] rewrites the program under the
 //!    mechanism (VRP narrows widths; VRS profiles a training input and
-//!    specializes). Its [`VrsRaw`] bookkeeping is self-contained: the
-//!    specialized blocks' instruction counts are resolved here, so the
-//!    program can be dropped before it is measured.
+//!    specializes); [`apply_mechs`] transforms copies under several,
+//!    and its VRS mechanisms share one profile, whatever their costs.
+//!    The [`VrsRaw`] bookkeeping is self-contained: the specialized
+//!    blocks' instruction counts are resolved here, so the program can
+//!    be dropped before it is measured. [`Likeness`] compares a
+//!    transformed program with the untransformed one.
 //! 2. **identity** — [`og_program::digest128`] of the transformed
 //!    program's [`Program::canonical_text`]. [`crate::compute_study`]
 //!    keys each transformed program by it to measure every distinct
 //!    program once; `og-serve` keys its artifact cache by the same
 //!    function.
-//! 3. **measure** — [`measure`]: the fused emulate+simulate pass (the VM
-//!    streams each committed instruction straight into the cycle-level
-//!    simulator; no trace is materialized). It yields everything of a
-//!    [`RunSummary`] that depends only on the program: the output
-//!    digest, instructions, width and significance fractions, the
-//!    class × width counts, the [`SimResult`] and the block counts VRS's
-//!    runtime fractions need.
+//! 3. **measure** — [`measure_path`]: the fused emulate+simulate pass
+//!    (the VM streams each committed instruction straight into the
+//!    cycle-level simulator; no trace is materialized). It yields
+//!    everything of a [`RunSummary`] that depends only on the program:
+//!    the output digest, instructions, width and significance fractions,
+//!    the class × width counts, the [`SimResult`] and the block counts
+//!    VRS's runtime fractions need. It also keeps the run's
+//!    [`PathTiming`]: the simulator's timing half, which only the
+//!    committed path determines. [`measure_on_path`] measures a program
+//!    that differs from the path's own only in operand widths: the VM
+//!    streams it into the value accountant alone, and its value counts
+//!    join the path's timing. The join is checked: the run must commit
+//!    as many records as the path, with the same mix of pcs, memory
+//!    addresses and branch outcomes, or the program is simulated in
+//!    full instead.
 //! 4. **assemble** — [`Measured::assemble`]: the per-mechanism label and
 //!    [`VrsSummary`] on top of one measurement.
 //!
@@ -28,10 +39,10 @@
 //! process.
 
 use crate::{Mech, RunSummary, VrsSummary};
-use og_core::{UsefulPolicy, VrpConfig, VrpPass, VrsConfig, VrsPass};
+use og_core::{UsefulPolicy, VrpConfig, VrpPass, VrsConfig, VrsPass, VrsProfile, VrsReport};
 use og_program::{BlockId, FuncId, Program};
-use og_sim::{MachineConfig, SimResult, Simulator};
-use og_vm::{FlatProgram, RunConfig, Vm, VmError};
+use og_sim::{MachineConfig, SimResult, Simulator, ValueAccountant};
+use og_vm::{DynStats, FlatProgram, RunConfig, RunOutcome, TraceRecord, TraceSink, Vm, VmError};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -92,6 +103,29 @@ pub(crate) struct VrsRaw {
     guards: Vec<WeightedBlock>,
 }
 
+impl VrsRaw {
+    /// The bookkeeping of `report`, the VRS run that produced `program`.
+    fn new(program: &Program, report: &VrsReport) -> VrsRaw {
+        let block_len = |f: FuncId, b: BlockId| program.func(f).block(b).insts.len() as u64;
+        VrsRaw {
+            profiled: report.profiled_points,
+            fates: (
+                report.count_fate(og_core::CandidateFate::NoBenefit),
+                report.count_fate(og_core::CandidateFate::Dependent),
+                report.count_fate(og_core::CandidateFate::Specialized),
+            ),
+            static_specialized: report.static_specialized,
+            static_eliminated: report.static_eliminated,
+            specialized: report
+                .specialized_blocks
+                .iter()
+                .map(|&(f, b)| ((f, b), block_len(f, b)))
+                .collect(),
+            guards: report.guard_sites.iter().map(|&(f, b, _, len)| ((f, b), len as u64)).collect(),
+        }
+    }
+}
+
 /// Transform: apply `mech`'s program transformation to `program` in
 /// place. [`Mech::Vrs`] profiles `train` to choose specializations and
 /// fails with [`RunError::MissingTrain`] without one; every other
@@ -101,6 +135,34 @@ pub(crate) fn apply_mech(
     program: &mut Program,
     mech: Mech,
     train: Option<&Program>,
+) -> Result<Option<VrsRaw>, RunError> {
+    apply_with(program, mech, train, &mut None)
+}
+
+/// Transform: a copy of `program` under each of `mechs`, in order, as
+/// [`apply_mech`] transforms it, each made when the iterator reaches it.
+/// The VRS mechanisms share one profile of `program` on `train`, since
+/// profiling does not read the cost.
+pub(crate) fn apply_mechs<'a>(
+    program: &'a Program,
+    mechs: &'a [Mech],
+    train: Option<&'a Program>,
+) -> impl Iterator<Item = Result<(Program, Option<VrsRaw>), RunError>> + 'a {
+    let mut profile = None;
+    mechs.iter().map(move |&mech| {
+        let mut copy = program.clone();
+        let vrs = apply_with(&mut copy, mech, train, &mut profile)?;
+        Ok((copy, vrs))
+    })
+}
+
+/// [`apply_mech`], with VRS specializing from `profile`, which it takes
+/// of the still untransformed `program` when empty.
+fn apply_with(
+    program: &mut Program,
+    mech: Mech,
+    train: Option<&Program>,
+    profile: &mut Option<VrsProfile>,
 ) -> Result<Option<VrsRaw>, RunError> {
     match mech {
         Mech::Baseline => Ok(None),
@@ -116,29 +178,48 @@ pub(crate) fn apply_mech(
         }
         Mech::Vrs(cost) => {
             let train = train.ok_or(RunError::MissingTrain)?;
-            let cfg = VrsConfig { specialization_cost_nj: cost as f64, ..Default::default() };
-            let report = VrsPass::new(cfg).run(program, train);
-            let block_len = |f: FuncId, b: BlockId| program.func(f).block(b).insts.len() as u64;
-            Ok(Some(VrsRaw {
-                profiled: report.profiled_points,
-                fates: (
-                    report.count_fate(og_core::CandidateFate::NoBenefit),
-                    report.count_fate(og_core::CandidateFate::Dependent),
-                    report.count_fate(og_core::CandidateFate::Specialized),
-                ),
-                static_specialized: report.static_specialized,
-                static_eliminated: report.static_eliminated,
-                specialized: report
-                    .specialized_blocks
-                    .iter()
-                    .map(|&(f, b)| ((f, b), block_len(f, b)))
-                    .collect(),
-                guards: report
-                    .guard_sites
-                    .iter()
-                    .map(|&(f, b, _, len)| ((f, b), len as u64))
-                    .collect(),
-            }))
+            let profile = match profile {
+                Some(profile) => profile,
+                None => profile.insert(VrsPass::new(VrsConfig::default()).profile(program, train)),
+            };
+            let report = profile.specialize(program, cost as f64);
+            Ok(Some(VrsRaw::new(program, &report)))
+        }
+    }
+}
+
+/// How a transformed program compares with the untransformed one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Likeness {
+    /// The same program.
+    Same,
+    /// The same but for operand widths. It commits the untransformed
+    /// program's path unless a narrowed value steers a branch or an
+    /// address differently, so [`measure_on_path`] can reuse that path's
+    /// timing.
+    WidthsOnly,
+    /// Any other program.
+    Different,
+}
+
+impl Likeness {
+    /// How `program` compares with `untransformed`.
+    pub(crate) fn of(program: &Program, untransformed: &Program) -> Likeness {
+        let mut widened = program.clone();
+        let mut widths = untransformed.funcs.iter().flat_map(|f| &f.blocks).flat_map(|b| &b.insts);
+        for inst in widened.funcs.iter_mut().flat_map(|f| &mut f.blocks).flat_map(|b| &mut b.insts)
+        {
+            match widths.next() {
+                Some(original) => inst.width = original.width,
+                None => return Likeness::Different,
+            }
+        }
+        if widened != *untransformed {
+            Likeness::Different
+        } else if program == untransformed {
+            Likeness::Same
+        } else {
+            Likeness::WidthsOnly
         }
     }
 }
@@ -156,28 +237,126 @@ pub(crate) struct Measured {
     block_counts: HashMap<(FuncId, BlockId), u64>,
 }
 
+/// The timing of one committed path, which every program differing from
+/// the path's own only in operand widths shares while it stays on the
+/// path.
+#[derive(Debug, Clone)]
+pub(crate) struct PathTiming {
+    /// The path's [`PathMix`].
+    mix: u64,
+    /// The timing model's result: cycle stats (their `insts` counts the
+    /// path's records) and the bookkeeping accesses, without value
+    /// accesses.
+    timing: SimResult,
+}
+
+/// A sink that passes each record on to `sink` and mixes the fields of
+/// the committed path the timing model reads and no width can change
+/// the meaning of: pc, memory address and branch outcome. Between two
+/// programs equal but for operand widths, op and registers follow from
+/// the pc, and `next_pc` is the next record's pc, so equal mixes and
+/// record counts mean equal timing.
+struct PathMix<S> {
+    sink: S,
+    mix: u64,
+}
+
+impl<S: TraceSink> TraceSink for PathMix<S> {
+    #[inline]
+    fn record(&mut self, rec: &TraceRecord) {
+        // xor, then an odd multiplier: each step is invertible, so two
+        // paths that differ in one record always mix apart.
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        self.mix = (self.mix ^ rec.pc).wrapping_mul(K);
+        self.mix = (self.mix ^ rec.mem_addr).wrapping_mul(K) ^ u64::from(rec.taken);
+        self.sink.record(rec);
+    }
+}
+
+/// Run `vm` to completion, streaming every committed instruction into
+/// `sink` through a [`PathMix`]. Returns the outcome, the VM's
+/// statistics, the sink and the mix.
+fn stream<S: TraceSink>(
+    mut vm: Vm<'_>,
+    sink: S,
+) -> Result<(RunOutcome, DynStats, S, u64), VmError> {
+    let mut mixed = PathMix { sink, mix: 0 };
+    let outcome = vm.run_streamed(&mut mixed)?;
+    let (stats, _) = vm.into_parts();
+    Ok((outcome, stats, mixed.sink, mixed.mix))
+}
+
 /// Measure: run `vm` to completion, streaming every committed
 /// instruction into a fresh cycle-level simulator.
 ///
 /// # Errors
 ///
 /// The VM's error when the program runs out of fuel or call depth.
-pub(crate) fn measure(mut vm: Vm<'_>) -> Result<Measured, VmError> {
-    let mut sim = Simulator::new(MachineConfig::default());
-    let outcome = vm.run_streamed(&mut sim)?;
-    let (stats, _) = vm.into_parts();
-    Ok(Measured {
-        digest: outcome.output_digest,
-        insts: outcome.steps,
-        width_fracs: stats.width_fractions(),
-        sig_fracs: stats.sig_fractions(),
-        class_width: stats.class_width,
-        sim: sim.finish(),
-        block_counts: stats.block_counts,
-    })
+pub(crate) fn measure(vm: Vm<'_>) -> Result<Measured, VmError> {
+    Ok(measure_path(vm)?.0)
+}
+
+/// [`measure`], also returning the timing of the path the run committed.
+///
+/// # Errors
+///
+/// The VM's error when the program runs out of fuel or call depth.
+pub(crate) fn measure_path(vm: Vm<'_>) -> Result<(Measured, PathTiming), VmError> {
+    let (outcome, stats, sim, mix) = stream(vm, Simulator::new(MachineConfig::default()))?;
+    let (timing, values) = sim.into_parts();
+    let path = PathTiming { mix, timing: timing.finish() };
+    Ok((Measured::new(&outcome, stats, values.finish(path.timing.clone())), path))
+}
+
+/// A program measured on another program's path by [`measure_on_path`].
+#[derive(Debug)]
+pub(crate) struct OnPath {
+    /// The measurement, equal to [`measure`]'s.
+    pub(crate) measured: Measured,
+    /// Records the value-only run consumed.
+    pub(crate) value_records: u64,
+    /// The run left the path, so `measured` comes from a full
+    /// simulation.
+    pub(crate) fell_back: bool,
+}
+
+/// Measure `program`, which [`Likeness`] found the same as `path`'s
+/// program but for operand widths: the VM streams it into the value
+/// accountant alone, and its value counts join `path`'s timing. If the
+/// run left the path (its record count or path mix differs), a full
+/// [`measure`] replaces the join. Either way the result equals
+/// `measure(Vm::new(program, RunConfig::default()))`.
+///
+/// # Errors
+///
+/// The VM's error when the program runs out of fuel or call depth.
+pub(crate) fn measure_on_path(program: &Program, path: &PathTiming) -> Result<OnPath, VmError> {
+    let vm = Vm::new(program, RunConfig::default());
+    let (outcome, stats, values, mix) = stream(vm, ValueAccountant::new())?;
+    let value_records = outcome.steps;
+    if value_records == path.timing.stats.insts && mix == path.mix {
+        let measured = Measured::new(&outcome, stats, values.finish(path.timing.clone()));
+        return Ok(OnPath { measured, value_records, fell_back: false });
+    }
+    let measured = measure(Vm::new(program, RunConfig::default()))?;
+    Ok(OnPath { measured, value_records, fell_back: true })
 }
 
 impl Measured {
+    /// The measurement of a run that ended in `outcome` with `stats`,
+    /// simulated as `sim`.
+    fn new(outcome: &RunOutcome, stats: DynStats, sim: SimResult) -> Measured {
+        Measured {
+            digest: outcome.output_digest,
+            insts: outcome.steps,
+            width_fracs: stats.width_fractions(),
+            sig_fracs: stats.sig_fractions(),
+            class_width: stats.class_width,
+            sim,
+            block_counts: stats.block_counts,
+        }
+    }
+
     /// Committed instructions: the records the run streamed.
     pub(crate) fn insts(&self) -> u64 {
         self.insts
@@ -288,4 +467,80 @@ pub fn run_lowered(
 ) -> Result<RunSummary, RunError> {
     let measured = measure(Vm::with_lowered(program, config, flat))?;
     Ok(measured.assemble(name, Mech::Baseline, None))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use og_isa::{CmpKind, Reg, Width};
+    use og_program::{imm, ProgramBuilder};
+
+    /// `t0 = 200 + 100` at `width`, then a branch on `t0 < 256` to one of
+    /// two blocks of equal length, one of which loads. A byte-wide add
+    /// truncates 300 to 44 and takes the other block.
+    fn branch_on_sum(width: Width) -> Program {
+        let mut pb = ProgramBuilder::new();
+        pb.data_quads("v", &[7]);
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.la(Reg::S0, "v");
+        f.ldi(Reg::T0, 200);
+        f.add(width, Reg::T0, Reg::T0, imm(100));
+        f.cmp(CmpKind::Lt, Width::D, Reg::T1, Reg::T0, imm(256));
+        f.bne(Reg::T1, "small");
+        f.block("large");
+        f.add(Width::D, Reg::T2, Reg::T0, imm(1));
+        f.br("end");
+        f.block("small");
+        f.ld(Width::D, Reg::T2, Reg::S0, 0);
+        f.br("end");
+        f.block("end");
+        f.out(Width::D, Reg::T2);
+        f.halt();
+        pb.finish(f);
+        pb.build().expect("the test program builds")
+    }
+
+    /// The summary bytes of `measured`.
+    fn bytes(measured: &Measured) -> String {
+        og_json::to_string(&measured.assemble("branch_on_sum", Mech::Vrp, None))
+            .expect("summaries render")
+    }
+
+    /// A width-only program joins its baseline's path timing while it
+    /// stays on the path, and is simulated in full once a narrowed value
+    /// sends it elsewhere, even with the same record count. Either way it
+    /// measures byte for byte as a full simulation of it does.
+    #[test]
+    fn the_join_holds_on_the_path_and_falls_back_off_it() {
+        let baseline = branch_on_sum(Width::D);
+        let (_, path) = measure_path(Vm::new(&baseline, RunConfig::default())).unwrap();
+        for (width, leaves_path) in [(Width::W, false), (Width::B, true)] {
+            let program = branch_on_sum(width);
+            assert_eq!(Likeness::of(&program, &baseline), Likeness::WidthsOnly);
+            let run = measure_on_path(&program, &path).unwrap();
+            let full = measure(Vm::new(&program, RunConfig::default())).unwrap();
+            assert_eq!(run.fell_back, leaves_path, "{width:?}");
+            assert_eq!(run.value_records, full.insts, "{width:?}: only the mix tells paths apart");
+            assert_eq!(bytes(&run.measured), bytes(&full), "{width:?}");
+        }
+    }
+
+    /// Anything beyond widths makes a program different: an extra
+    /// instruction, or another operand in the same shape.
+    #[test]
+    fn likeness_tells_same_widths_only_and_different_apart() {
+        let baseline = branch_on_sum(Width::D);
+        assert_eq!(Likeness::of(&branch_on_sum(Width::D), &baseline), Likeness::Same);
+        assert_eq!(Likeness::of(&branch_on_sum(Width::H), &baseline), Likeness::WidthsOnly);
+        let mut longer = branch_on_sum(Width::H);
+        longer.funcs[0].blocks[0].insts.insert(0, og_isa::Inst::nop());
+        assert_eq!(Likeness::of(&longer, &baseline), Likeness::Different);
+        assert_eq!(Likeness::of(&baseline, &longer), Likeness::Different);
+        let mut other_operand = branch_on_sum(Width::H);
+        let insts = &mut other_operand.funcs[0].blocks[0].insts;
+        let add = insts.iter_mut().find(|inst| inst.op == og_isa::Op::Add).expect("an add");
+        add.src2 = imm(101);
+        assert_eq!(Likeness::of(&other_operand, &baseline), Likeness::Different);
+    }
 }

@@ -5,15 +5,20 @@
 //! active byte lanes under each gating scheme are accumulated so the
 //! power model can price any scheme from one simulation run.
 //!
-//! The simulator does not price each access as it happens. It counts
-//! value accesses in a [`ValueHistogram`], 12 structures × 8 software
+//! The simulator does not price each access as it happens. Its
+//! [`ValueAccountant`] counts value events (issue, operand read, memory
+//! data, functional-unit operation, result), 5 events × 8 software
 //! widths × 8 significances (after the clamps [`ActivityCounts::record_value`]
-//! applies), and folds it into its [`ActivityCounts`] once, at
-//! `finish`. Every scheme's byte count is linear in those counts, so the
-//! fold, which prices each cell once weighted by its count, gives exactly
-//! the sums that recording every access one by one gives.
+//! applies), and folds them into the [`ActivityCounts`] once, at
+//! `finish`, one access per structure the event moves its value through.
+//! Every scheme's byte count is linear in those counts, so the fold,
+//! which prices each cell once weighted by its count, gives exactly the
+//! sums that recording every access one by one gives.
 
+use crate::pipeline::SimResult;
+use og_isa::{FuKind, Op};
 use og_json::{FromJson, Json, ToJson};
+use og_vm::{TraceRecord, TraceSink};
 
 /// The data-path structures the paper reports energy for (Figures 3, 9
 /// and 14).
@@ -214,37 +219,112 @@ impl ActivityCounts {
     }
 }
 
-/// Value accesses counted by structure, software bytes and significance
-/// bytes, each clamped to 1..=8 as [`ActivityCounts::record_value`]
-/// clamps them. [`fold_into`](Self::fold_into) prices the counts.
-#[derive(Debug, Clone)]
-pub(crate) struct ValueHistogram {
-    counts: [[[u64; 8]; 8]; 12],
+/// The value events of one committed instruction, each moving one value
+/// through the structures listed for it in [`EVENT_STRUCTURES`].
+const ISSUE: usize = 0;
+/// One source operand read.
+const READ: usize = 1;
+/// A load's result or a store's data, through the memory pipeline.
+const MEMORY: usize = 2;
+/// The functional-unit operation.
+const EXECUTE: usize = 3;
+/// The result, written back and later committed.
+const RESULT: usize = 4;
+
+/// The structures each value event accesses once.
+const EVENT_STRUCTURES: [&[Structure]; 5] = [
+    &[Structure::InstQueue],
+    &[Structure::RegFile],
+    &[Structure::Lsq, Structure::DCacheL1],
+    &[Structure::Fu],
+    &[Structure::ResultBus, Structure::RenameBufs, Structure::RegFile],
+];
+
+/// The value half of the simulator: which structures each committed
+/// instruction moves a data value through, at what software width and
+/// dynamic significance. It reads a record's op, width, significances
+/// and which registers are present, and nothing the timing model reads
+/// besides, so programs that differ only in operand widths can share
+/// one [`crate::TimingModel`] run and each count its own values.
+///
+/// Each instruction's value events (issue, every source read, the
+/// memory data of a load or store, the functional-unit operation and
+/// the result) are counted by software bytes and significance bytes,
+/// each clamped to 1..=8 as [`ActivityCounts::record_value`] clamps
+/// them; [`finish`](Self::finish) prices every count once per structure
+/// the event accesses.
+#[derive(Debug, Clone, Default)]
+pub struct ValueAccountant {
+    counts: [[[u64; 8]; 8]; 5],
 }
 
-impl ValueHistogram {
-    pub(crate) fn new() -> ValueHistogram {
-        ValueHistogram { counts: [[[0; 8]; 8]; 12] }
+impl ValueAccountant {
+    /// An accountant that has counted nothing.
+    pub fn new() -> ValueAccountant {
+        ValueAccountant::default()
     }
 
-    /// Count one value access, as `record_value(s, sw_bytes, sig_bytes)`
-    /// would record it.
+    /// Count one committed instruction's value events.
     #[inline]
-    pub(crate) fn record(&mut self, s: Structure, sw_bytes: u8, sig_bytes: u8) {
-        let sw = sw_bytes.clamp(1, 8) as usize - 1;
-        let sig = sig_bytes.clamp(1, 8) as usize - 1;
-        self.counts[s.index()][sw][sig] += 1;
+    pub fn feed(&mut self, rec: &TraceRecord) {
+        let op = rec.op;
+        let sw = rec.width.bytes() as u8;
+        // `rec.max_sig()`, spelled out so it inlines across the crate
+        // boundary on this hot path.
+        let sig = rec.dst_sig.max(rec.src_sigs[0]).max(rec.src_sigs[1]);
+        self.count(ISSUE, sw, sig);
+        for (src, &src_sig) in rec.srcs.iter().zip(&rec.src_sigs) {
+            if src.is_some() {
+                self.count(READ, sw, src_sig);
+            }
+        }
+        match op {
+            Op::Ld { .. } | Op::St => {
+                // A load moves its result; a store moves its data
+                // operand, and writes the cache at commit.
+                let data_sig = if op == Op::St { rec.src_sigs[0] } else { rec.dst_sig };
+                self.count(MEMORY, sw, data_sig);
+                // Address generation occupies an ALU lane's adder.
+                self.count(EXECUTE, 8, 8);
+            }
+            _ if op.fu() != FuKind::None => self.count(EXECUTE, sw, sig),
+            _ => {}
+        }
+        if rec.dst.is_some() {
+            self.count(RESULT, sw, rec.dst_sig);
+        }
     }
 
-    /// Add every counted access to `act`.
-    pub(crate) fn fold_into(&self, act: &mut ActivityCounts) {
-        for s in Structure::ALL {
-            for (sw, row) in (1..=8).zip(&self.counts[s.index()]) {
-                for (sig, &n) in (1..=8).zip(row) {
-                    act.record_values(s, sw, sig, n);
+    /// `timing`, a [`crate::TimingModel`] result for the path this
+    /// accountant was fed, with the counted value accesses priced into
+    /// its activity.
+    pub fn finish(&self, mut timing: SimResult) -> SimResult {
+        for (counts, structures) in self.counts.iter().zip(EVENT_STRUCTURES) {
+            for &s in structures {
+                for (sw, row) in (1..=8).zip(counts) {
+                    for (sig, &n) in (1..=8).zip(row) {
+                        timing.activity.record_values(s, sw, sig, n);
+                    }
                 }
             }
         }
+        timing
+    }
+
+    /// Count one value event of kind `event`, as
+    /// `record_value(s, sw_bytes, sig_bytes)` would record it on each of
+    /// its structures `s`.
+    #[inline]
+    fn count(&mut self, event: usize, sw_bytes: u8, sig_bytes: u8) {
+        let sw = sw_bytes.clamp(1, 8) as usize - 1;
+        let sig = sig_bytes.clamp(1, 8) as usize - 1;
+        self.counts[event][sw][sig] += 1;
+    }
+}
+
+impl TraceSink for ValueAccountant {
+    fn record(&mut self, rec: &TraceRecord) {
+        self.feed(rec);
     }
 }
 
@@ -335,36 +415,85 @@ mod tests {
         assert_eq!(s.bytes.cooperative, 4, "min(sw=4, size=5)");
     }
 
-    /// Every (sw, sig) pair, out-of-range ones included, each recorded a
-    /// different number of times on a different structure, then once
-    /// more on every structure: folding the histogram equals recording
-    /// each access.
-    #[test]
-    fn folded_histogram_equals_per_access_records() {
-        let bytes = [0u8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255];
-        let mut direct = ActivityCounts::new();
-        let mut histogram = ValueHistogram::new();
-        let mut folded = ActivityCounts::new();
-        let mut k = 0usize;
-        for &sw in &bytes {
-            for &sig in &bytes {
-                k += 1;
-                let s = Structure::ALL[k % 12];
-                for _ in 0..k % 5 + 1 {
-                    direct.record_value(s, sw, sig);
-                    histogram.record(s, sw, sig);
-                }
-                for s in Structure::ALL {
-                    direct.record_value(s, sw, sig);
-                    histogram.record(s, sw, sig);
-                }
+    /// The value accesses of `rec`, one `record_value` per access: the
+    /// rules as the simulator applied them before value events were
+    /// counted and folded.
+    fn record_each_access(act: &mut ActivityCounts, rec: &TraceRecord) {
+        let op = rec.op;
+        let sw = rec.width.bytes() as u8;
+        act.record_value(Structure::InstQueue, sw, rec.max_sig());
+        for (src, &sig) in rec.srcs.iter().zip(&rec.src_sigs) {
+            if src.is_some() {
+                act.record_value(Structure::RegFile, sw, if sig == 0 { 1 } else { sig });
             }
+        }
+        if matches!(op, Op::Ld { .. }) {
+            act.record_value(Structure::Lsq, sw, rec.dst_sig.max(1));
+            act.record_value(Structure::DCacheL1, sw, rec.dst_sig.max(1));
+        } else if op == Op::St {
+            act.record_value(Structure::Lsq, sw, rec.src_sigs[0].max(1));
+        }
+        if op.is_mem() {
+            act.record_value(Structure::Fu, 8, 8);
+        } else if op.fu() != FuKind::None {
+            act.record_value(Structure::Fu, sw, rec.max_sig());
+        }
+        if rec.dst.is_some() {
+            act.record_value(Structure::ResultBus, sw, rec.dst_sig.max(1));
+            act.record_value(Structure::RenameBufs, sw, rec.dst_sig.max(1));
+            act.record_value(Structure::RegFile, sw, rec.dst_sig.max(1));
+        }
+        if op == Op::St {
+            act.record_value(Structure::DCacheL1, sw, rec.src_sigs[0].max(1));
+        }
+    }
+
+    /// Random records of every op shape, significances out of range
+    /// included: the accountant's folded counts equal recording every
+    /// access one by one, on top of the bookkeeping already recorded.
+    #[test]
+    fn folded_value_events_equal_per_access_records() {
+        let ops = [
+            Op::Ld { signed: false },
+            Op::Ld { signed: true },
+            Op::St,
+            Op::Mul,
+            Op::Add,
+            Op::Bc(og_isa::Cond::Ne),
+            Op::Br,
+            Op::Jsr,
+            Op::Ret,
+            Op::Halt,
+            Op::Nop,
+            Op::Out,
+        ];
+        let mut rng = og_program::rng::SplitMix64::new(11);
+        let mut pick = |n: u64| rng.below(n);
+        let mut direct = ActivityCounts::new();
+        let mut values = ValueAccountant::new();
+        for _ in 0..20_000 {
+            let reg = |present: u64| (present != 0).then(|| og_isa::Reg::new(3));
+            let rec = TraceRecord {
+                pc: 0,
+                next_pc: 8,
+                op: ops[pick(ops.len() as u64) as usize],
+                width: og_isa::Width::ALL[pick(4) as usize],
+                dst: reg(pick(2)),
+                srcs: [reg(pick(2)), reg(pick(2))],
+                mem_addr: 0,
+                taken: false,
+                dst_sig: pick(11) as u8,
+                src_sigs: [pick(11) as u8, pick(11) as u8],
+                dst_value: None,
+            };
+            record_each_access(&mut direct, &rec);
+            values.feed(&rec);
         }
         // Plain accesses already in the record survive the fold.
         direct.record_plain(Structure::Rob);
-        folded.record_plain(Structure::Rob);
-        histogram.fold_into(&mut folded);
-        assert_eq!(folded, direct);
+        let mut timing = SimResult { stats: Default::default(), activity: ActivityCounts::new() };
+        timing.activity.record_plain(Structure::Rob);
+        assert_eq!(values.finish(timing).activity, direct);
     }
 
     #[test]

@@ -21,15 +21,31 @@
 //!   cooperative). The `og-power` energy model turns these into the
 //!   paper's per-structure energy numbers.
 //!
+//! The simulator is two halves fed the same records:
+//!
+//! * the [`TimingModel`] reads each record's pc, next pc, op, registers,
+//!   memory address and branch outcome. It yields the [`CycleStats`] and
+//!   the bookkeeping accesses (rename, ROB, predictor, tag matches, cache
+//!   lookups), which carry no gateable value.
+//! * the [`ValueAccountant`] reads op, width, significances and which
+//!   registers are present. It counts every value access by software
+//!   width and significance and prices the counts into the activity at
+//!   `finish`.
+//!
+//! Operand widths reach only the accountant, so programs that differ
+//! only in widths and commit the same path share one timing-model run
+//! ([`Simulator::into_parts`] hands out the halves unfinished); each
+//! needs only its own accountant run.
+//!
 //! All per-instruction history is bounded by the machine's own window
 //! sizes (ROB, issue queue, LSQ, physical registers), so the state
 //! machine's footprint is independent of trace *length*: about a
 //! megabyte of fixed structures (six 16,384-slot bandwidth rings of one
-//! `u64` per slot, the predictor tables and cache tags, and a 12 × 8 × 8
-//! tally of value accesses that [`Simulator::finish`] prices) plus a
-//! store-forwarding map that grows with the program's *data footprint*
-//! (one entry per distinct 8-byte word stored — the same cost the
-//! slice-consuming model always paid).
+//! `u64` per slot, the predictor tables and cache tags, and the
+//! accountant's 5 × 8 × 8 tally of value events) plus a store-forwarding
+//! map that grows with the program's *data footprint* (one entry per
+//! distinct 8-byte word stored — the same cost the slice-consuming
+//! model always paid).
 //! [`Simulator::run`] remains as a slice-consuming convenience over
 //! `feed`/`finish` for traces captured with `og_vm::VecSink`.
 //!
@@ -47,8 +63,10 @@ mod cache;
 mod config;
 mod pipeline;
 
-pub use activity::{round_size_class, ActivityCounts, SchemeBytes, StructActivity, Structure};
+pub use activity::{
+    round_size_class, ActivityCounts, SchemeBytes, StructActivity, Structure, ValueAccountant,
+};
 pub use bpred::BranchPredictor;
 pub use cache::Cache;
 pub use config::MachineConfig;
-pub use pipeline::{CycleStats, SimResult, Simulator};
+pub use pipeline::{CycleStats, SimResult, Simulator, TimingModel};

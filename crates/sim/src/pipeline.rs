@@ -11,16 +11,17 @@
 //! redirects, memory latency) at a fraction of the implementation
 //! complexity, and is deterministic.
 //!
-//! The model is an **incremental state machine**: [`Simulator::feed`]
+//! The model is an **incremental state machine**: [`TimingModel::feed`]
 //! consumes one committed instruction at a time and
-//! [`Simulator::finish`] closes the books. All per-instruction history
+//! [`TimingModel::finish`] closes the books. All per-instruction history
 //! it keeps (commit/issue/memory-commit timestamps) is bounded by the
 //! machine's own window sizes (ROB, issue queue, LSQ, physical register
 //! file), so simulating a trace of any length takes O(1) memory. The
-//! [`Simulator::run`] convenience preserves the old slice-consuming
-//! interface on top of the same state machine.
+//! [`Simulator`] feeds each record to the timing model and to the
+//! [`ValueAccountant`]; its [`Simulator::run`] convenience preserves the
+//! old slice-consuming interface on top of the same state machines.
 
-use crate::activity::{ActivityCounts, Structure, ValueHistogram};
+use crate::activity::{ActivityCounts, Structure, ValueAccountant};
 use crate::bpred::BranchPredictor;
 use crate::cache::Cache;
 use crate::config::MachineConfig;
@@ -220,14 +221,15 @@ fn per_cycle(field: &str, value: u32) -> u8 {
     }
 }
 
-/// The simulator: an incremental state machine over the committed-path
-/// stream. Construct with a [`MachineConfig`], [`feed`](Simulator::feed)
-/// records as the emulator commits them (it implements
-/// [`og_vm::TraceSink`], so it can be handed to `Vm::run_streamed`
-/// directly), then [`finish`](Simulator::finish). For a materialized
-/// trace, [`run`](Simulator::run) does all three steps.
+/// The timing half of the simulator: an incremental state machine over
+/// the committed path. It reads each record's pc, next_pc, op, registers,
+/// memory address and branch outcome, never its widths or
+/// significances, so every program that commits the same path gets the
+/// same result. That result holds the [`CycleStats`] and the path's
+/// bookkeeping accesses; a [`ValueAccountant`] adds the value accesses.
+/// [`Simulator::into_parts`] hands one out.
 #[derive(Debug)]
-pub struct Simulator {
+pub struct TimingModel {
     config: MachineConfig,
     // Derived constants.
     l2_total_lat: u64,
@@ -242,9 +244,8 @@ pub struct Simulator {
     port_cap: u8,
     // Accumulated results.
     stats: CycleStats,
-    /// Bookkeeping accesses; value accesses join them at `finish`.
+    /// Bookkeeping accesses (no value accesses).
     act: ActivityCounts,
-    values: ValueHistogram,
     // Machine structures.
     icache: Cache,
     dcache: Cache,
@@ -279,16 +280,13 @@ pub struct Simulator {
     cur_line: u64,
 }
 
-impl Simulator {
-    /// Create a simulator ready to be fed a committed-path stream.
+impl TimingModel {
+    /// Create a timing model ready to be fed a committed-path stream.
     ///
     /// # Panics
     ///
-    /// Panics, naming the field, if a width, port or integer unit count
-    /// of `config` is outside 1..=255, if `phys_regs` does not exceed the
-    /// 32 architectural registers, if the ROB, issue queue or LSQ has no
-    /// entry, or if a cache geometry is rejected by [`Cache::new`].
-    pub fn new(config: MachineConfig) -> Simulator {
+    /// On the configs [`Simulator::new`] rejects.
+    pub(crate) fn new(config: MachineConfig) -> TimingModel {
         assert!(
             config.phys_regs > 32,
             "MachineConfig::phys_regs must exceed the 32 architectural registers, got {}",
@@ -302,7 +300,7 @@ impl Simulator {
             assert!(entries >= 1, "MachineConfig::{field} must be at least 1, got 0");
         }
         let commit_window = config.rob_size.max(config.phys_regs - 32) as usize;
-        Simulator {
+        TimingModel {
             l2_total_lat: (config.l2.3 + config.dcache.3) as u64,
             mem_fill: config.memory_latency(config.l2.2) as u64,
             line_mask: !(config.icache.2 as u64 - 1),
@@ -315,7 +313,6 @@ impl Simulator {
             port_cap: per_cycle("dcache_ports", config.dcache_ports),
             stats: CycleStats::default(),
             act: ActivityCounts::new(),
-            values: ValueHistogram::new(),
             icache: Cache::new(config.icache.0, config.icache.1, config.icache.2),
             dcache: Cache::new(config.dcache.0, config.dcache.1, config.dcache.2),
             l2: Cache::new(config.l2.0, config.l2.1, config.l2.2),
@@ -344,7 +341,7 @@ impl Simulator {
 
     /// Feed one committed instruction through the pipeline model.
     #[allow(clippy::too_many_lines)]
-    pub fn feed(&mut self, rec: &TraceRecord) {
+    pub(crate) fn feed(&mut self, rec: &TraceRecord) {
         let cfg = &self.config;
         let i = self.stats.insts;
         self.stats.insts += 1;
@@ -397,26 +394,14 @@ impl Simulator {
         }
         self.act.record_plain(Structure::Rename);
         self.act.record_plain(Structure::Rob);
-        let sw = rec.width.bytes() as u8;
-        // `rec.max_sig()`, spelled out so it inlines across the crate
-        // boundary on this hot path.
-        let sig = rec.dst_sig.max(rec.src_sigs[0]).max(rec.src_sigs[1]).max(1);
-        self.values.record(Structure::InstQueue, sw, sig);
 
         // ---- operand readiness --------------------------------------
         let mut ready = disp + 1;
-        for (s, src) in rec.srcs.iter().enumerate() {
-            if let Some(r) = src {
-                if !r.is_zero() {
-                    ready = ready.max(self.reg_ready[r.index() as usize]);
-                }
-                self.values.record(
-                    Structure::RegFile,
-                    sw,
-                    if rec.src_sigs[s] == 0 { 1 } else { rec.src_sigs[s] },
-                );
-                self.act.record_plain(Structure::InstQueue); // wakeup tag match
+        for r in rec.srcs.iter().flatten() {
+            if !r.is_zero() {
+                ready = ready.max(self.reg_ready[r.index() as usize]);
             }
+            self.act.record_plain(Structure::InstQueue); // wakeup tag match
         }
 
         // ---- issue + execute ----------------------------------------
@@ -437,8 +422,6 @@ impl Simulator {
         };
         if is_load {
             self.stats.loads += 1;
-            self.values.record(Structure::Lsq, sw, rec.dst_sig.max(1));
-            self.values.record(Structure::DCacheL1, sw, rec.dst_sig.max(1));
             let access_start = iss + 1;
             let data_ready = if self.dcache.access(rec.mem_addr) {
                 access_start + cfg.dcache.3 as u64
@@ -462,13 +445,6 @@ impl Simulator {
             }
         } else if is_store {
             self.stats.stores += 1;
-            self.values.record(Structure::Lsq, sw, rec.src_sigs[0].max(1));
-        }
-        if is_mem {
-            // address generation occupies an ALU lane's adder
-            self.values.record(Structure::Fu, 8, 8);
-        } else if fu != FuKind::None {
-            self.values.record(Structure::Fu, sw, sig);
         }
         self.issue_hist.push(iss);
         let mut complete = iss + lat.max(1);
@@ -476,8 +452,6 @@ impl Simulator {
         // ---- writeback ----------------------------------------------
         if let Some(d) = rec.dst {
             complete = self.bus_ring.reserve(complete, 4);
-            self.values.record(Structure::ResultBus, sw, rec.dst_sig.max(1));
-            self.values.record(Structure::RenameBufs, sw, rec.dst_sig.max(1));
             if !d.is_zero() {
                 self.reg_ready[d.index() as usize] = complete;
             }
@@ -537,13 +511,8 @@ impl Simulator {
         self.last_commit = c;
         self.commit_hist.push(c);
         self.act.record_plain(Structure::Rob);
-        if rec.dst.is_some() {
-            // architectural writeback
-            self.values.record(Structure::RegFile, sw, rec.dst_sig.max(1));
-        }
         if is_store {
             // the store writes the cache at commit
-            self.values.record(Structure::DCacheL1, sw, rec.src_sigs[0].max(1));
             let hit = self.dcache.access(rec.mem_addr);
             if !hit {
                 self.act.record_plain(Structure::DCacheL2);
@@ -556,10 +525,9 @@ impl Simulator {
         }
     }
 
-    /// Close the books: total cycle count, cache tallies, and the value
-    /// accesses counted during the run priced into the activity record.
-    /// Consumes the simulator (a finished machine cannot be fed more
-    /// work).
+    /// Close the books: total cycle count, cache tallies and the
+    /// bookkeeping accesses. Consumes the model (a finished machine
+    /// cannot be fed more work).
     pub fn finish(self) -> SimResult {
         let mut stats = self.stats;
         stats.cycles = self.last_commit + 1;
@@ -567,9 +535,54 @@ impl Simulator {
         stats.dcache = (self.dcache.accesses, self.dcache.misses);
         stats.l2 = (self.l2.accesses, self.l2.misses);
         // cond_branches/mispredicts recorded inline.
-        let mut activity = self.act;
-        self.values.fold_into(&mut activity);
-        SimResult { stats, activity }
+        SimResult { stats, activity: self.act }
+    }
+}
+
+/// The simulator: a [`TimingModel`] and a [`ValueAccountant`] fed the
+/// same committed-path stream. Construct with a [`MachineConfig`],
+/// [`feed`](Simulator::feed) records as the emulator commits them (it
+/// implements [`og_vm::TraceSink`], so it can be handed to
+/// `Vm::run_streamed` directly), then [`finish`](Simulator::finish). For
+/// a materialized trace, [`run`](Simulator::run) does all three steps.
+#[derive(Debug)]
+pub struct Simulator {
+    timing: TimingModel,
+    values: ValueAccountant,
+}
+
+impl Simulator {
+    /// Create a simulator ready to be fed a committed-path stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if a width, port or integer unit count
+    /// of `config` is outside 1..=255, if `phys_regs` does not exceed the
+    /// 32 architectural registers, if the ROB, issue queue or LSQ has no
+    /// entry, or if a cache geometry is rejected by [`Cache::new`].
+    pub fn new(config: MachineConfig) -> Simulator {
+        Simulator { timing: TimingModel::new(config), values: ValueAccountant::new() }
+    }
+
+    /// Feed one committed instruction through the pipeline model and the
+    /// value accountant.
+    #[inline]
+    pub fn feed(&mut self, rec: &TraceRecord) {
+        self.timing.feed(rec);
+        self.values.feed(rec);
+    }
+
+    /// Close the books: the timing model's result with the value accesses
+    /// priced into its activity record. Consumes the simulator (a
+    /// finished machine cannot be fed more work).
+    pub fn finish(self) -> SimResult {
+        self.values.finish(self.timing.finish())
+    }
+
+    /// The two halves, unfinished, for a caller that reuses the timing of
+    /// one path for several programs that commit it.
+    pub fn into_parts(self) -> (TimingModel, ValueAccountant) {
+        (self.timing, self.values)
     }
 
     /// Simulate a materialized committed-path trace on a **fresh**
@@ -585,11 +598,11 @@ impl Simulator {
     /// continue the stream, not a cold restart.
     pub fn run(&self, trace: &[TraceRecord]) -> SimResult {
         assert_eq!(
-            self.stats.insts, 0,
+            self.timing.stats.insts, 0,
             "Simulator::run simulates from a cold machine, but this simulator has already \
              been fed; use feed()/finish() to continue the stream"
         );
-        let mut sim = Simulator::new(self.config.clone());
+        let mut sim = Simulator::new(self.timing.config.clone());
         for rec in trace {
             sim.feed(rec);
         }
@@ -901,6 +914,60 @@ mod tests {
             rn.activity.of(Structure::Fu).bytes.hw_significance,
             rw.activity.of(Structure::Fu).bytes.hw_significance
         );
+    }
+
+    /// The timing model reads no width and no significance: the same
+    /// path with every width and significance scrambled times exactly
+    /// alike. The simulator is the timing model plus the accountant.
+    #[test]
+    fn timing_ignores_widths_and_significances() {
+        let mut pb = ProgramBuilder::new();
+        pb.data_zeroed("buf", 8192);
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.la(Reg::S0, "buf");
+        f.ldi(Reg::T0, 0);
+        f.block("loop");
+        f.ld(Width::D, Reg::T1, Reg::S0, 0);
+        f.mul(Width::D, Reg::T1, Reg::T1, imm(3));
+        f.st(Width::W, Reg::T0, Reg::S0, 8);
+        f.add(Width::D, Reg::S0, Reg::S0, imm(24));
+        f.add(Width::D, Reg::T0, Reg::T0, imm(1));
+        f.cmp(og_isa::CmpKind::Lt, Width::D, Reg::T2, Reg::T0, imm(300));
+        f.bne(Reg::T2, "loop");
+        f.block("exit");
+        f.halt();
+        pb.finish(f);
+        let mut sink = VecSink::new();
+        Vm::new(&pb.build().unwrap(), RunConfig::default()).run_streamed(&mut sink).unwrap();
+        let trace = sink.into_records();
+        let mut rng = SplitMix64::new(7);
+        let mut sig = || rng.below(9) as u8;
+        let scrambled: Vec<TraceRecord> = trace
+            .iter()
+            .map(|rec| TraceRecord {
+                width: Width::ALL[(rec.pc / 8 % 4) as usize],
+                dst_sig: sig(),
+                src_sigs: [sig(), sig()],
+                ..*rec
+            })
+            .collect();
+        let timing = |trace: &[TraceRecord]| {
+            let mut model = TimingModel::new(MachineConfig::default());
+            trace.iter().for_each(|rec| model.feed(rec));
+            model.finish()
+        };
+        let values = |trace: &[TraceRecord]| {
+            let mut values = ValueAccountant::new();
+            trace.iter().for_each(|rec| values.feed(rec));
+            values
+        };
+        assert_eq!(timing(&scrambled), timing(&trace));
+        let sim = Simulator::new(MachineConfig::default());
+        assert_eq!(values(&trace).finish(timing(&trace)), sim.run(&trace));
+        let joined = values(&scrambled).finish(timing(&trace));
+        assert_eq!(joined, sim.run(&scrambled));
+        assert_ne!(joined, sim.run(&trace), "scrambled values must price differently");
     }
 
     #[test]
