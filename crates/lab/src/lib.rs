@@ -5,43 +5,39 @@
 //! software mechanism (baseline, conventional VRP, the proposed
 //! useful-VRP, the aggressive-useful ablation, and VRS at the five
 //! specialization-cost points of Figure 8). Each (benchmark, mechanism)
-//! pair goes through four steps (module `pipeline`):
+//! pair goes through three steps (module `pipeline`):
 //!
 //! 1. **transform**: build the workload (reference input; training
 //!    input for VRS) and apply the program transformation;
-//! 2. **identity**: digest the transformed program's canonical text
-//!    ([`og_program::digest128`], the service's key too);
-//! 3. **measure**: emulate **and** simulate in one fused pass — the VM
+//! 2. **measure**: emulate **and** simulate in one fused pass — the VM
 //!    streams each committed instruction straight into the cycle-level
 //!    simulator (`og_vm::TraceSink`), so no trace is ever materialized —
 //!    and check observational equivalence against the baseline output;
-//! 4. **assemble**: label the measurement and add the mechanism's VRS
+//! 3. **assemble**: label the measurement and add the mechanism's VRS
 //!    bookkeeping, giving a serializable [`RunSummary`].
 //!
-//! The 72 pairs hold only 25 distinct programs (most mechanisms leave
-//! compress and m88ksim unchanged, and the five VRS cost points give one
-//! program on every benchmark), so [`compute_study`] runs each distinct
-//! program once on the VM and assembles all 72 summaries from those 25
-//! measurements. [`identity_classes`] reports the partition. The 25
-//! commit only 10 distinct paths: VRP re-encodes widths but moves no
-//! instruction, and only gcc's and vortex's VRS programs add code. The
-//! simulator's timing half reads nothing a width changes, so the study
-//! simulates each path once, runs the 15 width-only programs through
-//! the value accountant alone, and joins their value counts with their
-//! path's timing. The join is checked per run and falls back to a full
-//! simulation when a program leaves its path. Each benchmark's VRS
-//! pairs share one profile, since profiling does not read the cost.
+//! [`compute_study`] runs one [`WorkerPool`] job per benchmark, which
+//! transforms the benchmark under all nine mechanisms and holds the
+//! results, so it tells programs apart by `==`. The 72 pairs hold only
+//! 25 distinct programs (most mechanisms leave compress and m88ksim
+//! unchanged, and the five VRS cost points give one program on every
+//! benchmark), so the study runs each distinct program once on the VM
+//! and assembles all 72 summaries from those 25 measurements.
+//! [`identity_classes`] reports the partition. The 25 commit only 10
+//! distinct paths: VRP re-encodes widths but moves no instruction, and
+//! only gcc's and vortex's VRS programs add code. The simulator's timing
+//! half reads nothing a width changes, so the study simulates each path
+//! once, runs the 15 width-only programs through the value accountant
+//! alone, and joins their value counts with their path's timing. The
+//! join is checked per run and falls back to a full simulation when a
+//! program leaves its path. Each benchmark's VRS pairs share one
+//! profile, since profiling does not read the cost.
 //! [`compute_study_with_work`] reports this work ([`StudyWork`]).
 //!
 //! Hardware and cooperative gating schemes need no extra runs: every
 //! access was recorded with both its opcode width and its dynamic
 //! significance, so `og-power` prices all five schemes from the same
 //! activity record.
-//!
-//! Every step fans out on a [`WorkerPool`], one job per pair (one per
-//! benchmark for the VRS pairs) or per distinct program, all drawn from
-//! the pool's one queue, so no worker is stuck behind one benchmark's
-//! jobs.
 //!
 //! The `exp_all` binary and the equivalence suite each call
 //! [`compute_study`] once; [`figures::all`] renders what `exp_all` prints
@@ -57,20 +53,17 @@ pub mod pool;
 pub mod report;
 mod serialize;
 
-use pipeline::{
-    apply_mech, apply_mechs, measure_on_path, measure_path, Likeness, Measured, PathTiming, VrsRaw,
-};
+use pipeline::{apply_mechs, measure, measure_on_path, measure_path, widths_only, VrsRaw};
 pub use pipeline::{run_lowered, run_program, RunError};
 pub use pool::WorkerPool;
 
 use og_isa::OpClass;
 use og_power::{ed2_improvement, EnergyModel, EnergyReport, GatingScheme};
-use og_program::{digest128, Program};
+use og_program::Program;
 use og_sim::{ActivityCounts, CycleStats, Structure};
 use og_vm::{RunConfig, Vm};
 use og_workloads::{by_name, InputSet, NAMES};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 
 /// Version of the pipeline's result semantics. `og-serve` stamps every
 /// persisted [`RunSummary`] with it and ignores entries that carry
@@ -333,96 +326,71 @@ impl StudyWork {
     }
 }
 
-/// Transform: `bench`'s Ref program under `mech` (VRS profiles the
-/// Train input), with its VRS bookkeeping.
-fn transform(bench: &str, mech: Mech) -> (Program, Option<VrsRaw>) {
-    let mut program = by_name(bench, InputSet::Ref).program;
-    let train = matches!(mech, Mech::Vrs(_)).then(|| by_name(bench, InputSet::Train).program);
-    let vrs = apply_mech(&mut program, mech, train.as_ref())
-        .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
-    (program, vrs)
+impl std::iter::Sum for StudyWork {
+    fn sum<I: Iterator<Item = StudyWork>>(works: I) -> StudyWork {
+        works.fold(StudyWork::default(), |a, b| StudyWork {
+            programs: a.programs + b.programs,
+            full_simulations: a.full_simulations + b.full_simulations,
+            simulator_records: a.simulator_records + b.simulator_records,
+            value_only_runs: a.value_only_runs + b.value_only_runs,
+            value_only_records: a.value_only_records + b.value_only_records,
+            fused_steps: a.fused_steps + b.fused_steps,
+            nostats_steps: a.nostats_steps + b.nostats_steps,
+            vrs_profiles: a.vrs_profiles + b.vrs_profiles,
+            verify_lowers: a.verify_lowers + b.verify_lowers,
+        })
+    }
 }
 
-/// One suite pair after the transform and identity steps. The program
-/// itself is dropped: only its digest, how it compares with the
-/// untransformed program, and its VRS bookkeeping are kept.
-struct Identified {
-    bench: &'static str,
-    mech: Mech,
-    digest: u128,
-    likeness: Likeness,
-    vrs: Option<VrsRaw>,
+/// One benchmark's programs under [`Mech::ALL`], grouped by `==`.
+struct Classes {
+    /// Each distinct program with the first mechanism that gives it, in
+    /// order of appearance, so the untransformed program
+    /// ([`Mech::Baseline`]'s) comes first.
+    programs: Vec<(Mech, Program)>,
+    /// For each mechanism, in [`Mech::ALL`] order, the index of its
+    /// program and its VRS bookkeeping.
+    pairs: Vec<(usize, Option<VrsRaw>)>,
 }
 
-/// Transform and identify every (benchmark, mechanism) pair on `pool`:
-/// one job per pair, except that a benchmark's VRS pairs share one job,
-/// which profiles the benchmark once for all its costs. Jobs, and the
-/// pairs in each, come back in benchmark-major, [`Mech::ALL`] order.
-fn identify_suite(pool: &WorkerPool) -> Vec<Vec<Identified>> {
-    let is_vrs = |mech: &Mech| matches!(mech, Mech::Vrs(_));
-    let jobs: Vec<(&'static str, Vec<Mech>)> = NAMES
-        .into_iter()
-        .flat_map(|bench| {
-            Mech::ALL
-                .chunk_by(move |a, b| is_vrs(a) && is_vrs(b))
-                .map(move |mechs| (bench, mechs.to_vec()))
-                .collect::<Vec<_>>()
+/// The transform step of one benchmark: its Ref program under each of
+/// [`Mech::ALL`], VRS profiling the Train input once for every cost.
+fn classify(bench: &str) -> Classes {
+    const { assert!(matches!(Mech::ALL[0], Mech::Baseline)) };
+    let untransformed = by_name(bench, InputSet::Ref).program;
+    let train = by_name(bench, InputSet::Train).program;
+    let mut programs: Vec<(Mech, Program)> = Vec::new();
+    // One transformed program at a time: a repeat is dropped at once.
+    let pairs = apply_mechs(&untransformed, &Mech::ALL, Some(&train))
+        .zip(Mech::ALL)
+        .map(|(transformed, mech)| {
+            let (program, vrs) = transformed.unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+            let class =
+                programs.iter().position(|(_, seen)| *seen == program).unwrap_or_else(|| {
+                    programs.push((mech, program));
+                    programs.len() - 1
+                });
+            (class, vrs)
         })
         .collect();
-    pool.map_all("transform + identity", jobs, move |(bench, mechs)| {
-        let untransformed = by_name(bench, InputSet::Ref).program;
-        let train = mechs.iter().any(is_vrs).then(|| by_name(bench, InputSet::Train).program);
-        // One transformed program at a time: each is dropped once
-        // identified.
-        apply_mechs(&untransformed, &mechs, train.as_ref())
-            .zip(&mechs)
-            .map(|(transformed, &mech)| {
-                let (program, vrs) =
-                    transformed.unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
-                Identified {
-                    bench,
-                    mech,
-                    digest: digest128(&program.canonical_text()),
-                    likeness: Likeness::of(&program, &untransformed),
-                    vrs,
-                }
-            })
-            .collect()
-    })
+    Classes { programs, pairs }
 }
 
 /// The study's identity classes: for each benchmark in suite order,
-/// [`Mech::ALL`] partitioned by the digest of the transformed program.
+/// [`Mech::ALL`] partitioned by equality of the transformed programs.
 /// Classes and their members are in [`Mech::ALL`] order.
 /// [`compute_study`] measures one program per class.
 pub fn identity_classes() -> Vec<(&'static str, Vec<Vec<Mech>>)> {
-    let pairs: Vec<Identified> =
-        identify_suite(&WorkerPool::with_default_parallelism()).into_iter().flatten().collect();
-    NAMES
-        .into_iter()
-        .map(|bench| {
-            let mut classes: Vec<(u128, Vec<Mech>)> = Vec::new();
-            for pair in pairs.iter().filter(|pair| pair.bench == bench) {
-                match classes.iter_mut().find(|(digest, _)| *digest == pair.digest) {
-                    Some((_, members)) => members.push(pair.mech),
-                    None => classes.push((pair.digest, vec![pair.mech])),
-                }
-            }
-            (bench, classes.into_iter().map(|(_, members)| members).collect())
-        })
-        .collect()
-}
-
-/// `bench`'s Ref program under `mech` again, for the measure step; the
-/// transform step identified it as `digest`.
-fn rederive(bench: &str, mech: Mech, digest: u128) -> Program {
-    let (program, _) = transform(bench, mech);
-    assert_eq!(
-        digest128(&program.canonical_text()),
-        digest,
-        "{bench}/{mech:?}: the transform is not deterministic"
-    );
-    program
+    let pool = WorkerPool::with_default_parallelism();
+    let classes = pool.map_all("identity classes", NAMES, |bench| {
+        let Classes { programs, pairs } = classify(bench);
+        let mut members = vec![Vec::new(); programs.len()];
+        for ((class, _), mech) in pairs.into_iter().zip(Mech::ALL) {
+            members[class].push(mech);
+        }
+        members
+    });
+    NAMES.into_iter().zip(classes).collect()
 }
 
 /// Run the full study.
@@ -432,33 +400,27 @@ fn rederive(bench: &str, mech: Mech, digest: u128) -> Program {
 /// its benchmark's untransformed one only in operand widths commits the
 /// same instructions at the same addresses unless a narrowed value
 /// steers a branch or an address. So the study runs each distinct
-/// program once on the VM, and the full simulator once per path, in
-/// five steps on a [`WorkerPool`]:
+/// program once on the VM, and the full simulator once per path.
 ///
-/// 1. **no-stats baselines**: each benchmark's untransformed program on
-///    the no-stats engine, for the output digest every run must match.
-/// 2. **transform + identity**: every pair is transformed and keyed by
-///    the [`digest128`] of its canonical text, and compared with the
-///    untransformed program: the same, the same but for operand widths,
-///    or different. A benchmark's VRS pairs share one profile. Only the
-///    digest, that comparison and the VRS bookkeeping are kept.
-/// 3. **paths**: one job per distinct program that is not a width-only
-///    variant re-derives its class's first pair, re-checks its digest,
-///    and runs the fused emulate+simulate pass. The untransformed
-///    programs' runs keep their path's timing.
-/// 4. **width-only programs**: one job per remaining distinct program
-///    runs the VM into the value accountant alone and joins its value
-///    counts with its benchmark's path timing, or simulates it in full
-///    if it left that path. Every output digest from steps 3 and 4 must
-///    equal the benchmark's digest from step 1, which also cross-checks
-///    the no-stats engine against the full one.
-/// 5. **assemble**: the 72 summaries, each from its class's measurement
-///    plus its own label and VRS bookkeeping, in benchmark-major,
-///    [`Mech::ALL`] order — the same runs, bytes and order as measuring
-///    every pair separately with [`run_program`].
+/// One [`WorkerPool`] job per benchmark holds all nine of its
+/// transformed programs, so it tells them apart by `==`. Each job:
 ///
-/// The suite is fixed, trusted input, so the 128-bit digest alone is the
-/// key.
+/// 1. transforms the benchmark under every mechanism, with one VRS
+///    profile for the five costs, and groups the programs by `==`;
+/// 2. runs the untransformed program on the no-stats engine for the
+///    output digest every measurement must match, which also
+///    cross-checks the no-stats engine against the full one;
+/// 3. simulates the untransformed program in full and keeps its path's
+///    timing;
+/// 4. runs each other program that differs from it only in widths into
+///    the value accountant alone, joined with that timing (or simulated
+///    in full if it left the path), and simulates the rest in full;
+/// 5. assembles the nine summaries, each from its class's measurement
+///    plus its own label and VRS bookkeeping.
+///
+/// The runs come back in benchmark-major, [`Mech::ALL`] order: the same
+/// runs, bytes and order as measuring every pair separately with
+/// [`run_program`].
 pub fn compute_study() -> Study {
     compute_study_with_work().0
 }
@@ -466,89 +428,63 @@ pub fn compute_study() -> Study {
 /// [`compute_study`], with the work it did.
 pub fn compute_study_with_work() -> (Study, StudyWork) {
     let pool = WorkerPool::with_default_parallelism();
+    let (runs, work): (Vec<_>, Vec<_>) =
+        pool.map_all("study", NAMES, study_bench).into_iter().unzip();
+    (Study::new(runs.into_iter().flatten().collect()), work.into_iter().sum())
+}
 
-    let baselines = pool.map_all("no-stats baselines", NAMES, |bench| {
-        let program = by_name(bench, InputSet::Ref).program;
-        Vm::new(&program, RunConfig::default())
-            .run_nostats()
-            .unwrap_or_else(|e| panic!("{bench}: no-stats run failed: {e}"))
-    });
-    let baseline_digests: HashMap<&str, u64> =
-        NAMES.into_iter().zip(baselines.iter().map(|b| b.output_digest)).collect();
-
-    let transform_jobs = identify_suite(&pool);
-    let is_vrs = |pair: &Identified| matches!(pair.mech, Mech::Vrs(_));
-    let profiled_jobs = transform_jobs.iter().filter(|job| job.iter().any(is_vrs)).count();
-    let pairs: Vec<Identified> = transform_jobs.into_iter().flatten().collect();
-
-    // One run per distinct digest, of its first pair.
-    let mut seen = HashSet::new();
-    let (variants, paths): (Vec<&Identified>, Vec<&Identified>) = pairs
-        .iter()
-        .filter(|pair| seen.insert(pair.digest))
-        .partition(|pair| pair.likeness == Likeness::WidthsOnly);
-    let job =
-        |pair: &Identified| (pair.bench, pair.mech, pair.digest, baseline_digests[pair.bench]);
-
-    // Every distinct program but the width-only ones commits a path of
-    // its own: simulate it in full, and keep each untransformed program's
-    // timing for its benchmark's width-only programs.
-    let path_jobs: Vec<_> = paths.iter().map(|&pair| (job(pair), pair.likeness)).collect();
-    let simulated =
-        pool.map_all("paths", path_jobs, |((bench, mech, digest, expected), likeness)| {
-            let program = rederive(bench, mech, digest);
-            let (measured, path) = measure_path(Vm::new(&program, RunConfig::default()))
-                .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
-            measured.check_digest(expected).unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
-            (digest, measured, (likeness == Likeness::Same).then_some((bench, path)))
-        });
-    let path_records: u64 = simulated.iter().map(|(_, run, _)| run.insts()).sum();
-    let mut measured: HashMap<u128, Measured> = HashMap::new();
-    let mut timing_of: HashMap<&str, PathTiming> = HashMap::new();
-    for (digest, run, path) in simulated {
-        measured.insert(digest, run);
-        timing_of.extend(path);
-    }
-
-    let variant_jobs: Vec<_> =
-        variants.iter().map(|&pair| (job(pair), timing_of[pair.bench].clone())).collect();
-    let joined = pool.map_all("width-only programs", variant_jobs, |(job, path)| {
-        let (bench, mech, digest, expected) = job;
-        let program = rederive(bench, mech, digest);
-        let run =
-            measure_on_path(&program, &path).unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
-        run.measured.check_digest(expected).unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
-        (digest, run)
-    });
-
-    let fallback_records: Vec<u64> = joined
-        .iter()
-        .filter(|(_, run)| run.fell_back)
-        .map(|(_, run)| run.measured.insts())
-        .collect();
-    let simulator_records = path_records + fallback_records.iter().sum::<u64>();
-    let value_only_records = joined.iter().map(|(_, run)| run.value_records).sum::<u64>();
-    let work = StudyWork {
-        programs: (paths.len() + variants.len()) as u64,
-        full_simulations: (paths.len() + fallback_records.len()) as u64,
-        simulator_records,
-        value_only_runs: variants.len() as u64,
-        value_only_records,
-        fused_steps: simulator_records + value_only_records,
-        nostats_steps: baselines.iter().map(|b| b.steps).sum(),
-        vrs_profiles: (profiled_jobs
-            + paths.iter().chain(&variants).filter(|pair| is_vrs(pair)).count())
-            as u64,
-        verify_lowers: (baselines.len() + paths.len() + variants.len() + fallback_records.len())
-            as u64,
+/// One benchmark's share of [`compute_study_with_work`]: its nine
+/// summaries in [`Mech::ALL`] order and the work behind them.
+fn study_bench(bench: &'static str) -> (Vec<RunSummary>, StudyWork) {
+    let Classes { programs, pairs } = classify(bench);
+    let (_, untransformed) = &programs[0];
+    let expected = Vm::new(untransformed, RunConfig::default())
+        .run_nostats()
+        .unwrap_or_else(|e| panic!("{bench}: no-stats run failed: {e}"));
+    let mut work = StudyWork {
+        programs: programs.len() as u64,
+        nostats_steps: expected.steps,
+        // `classify` profiles the benchmark once for every VRS cost.
+        vrs_profiles: 1,
+        verify_lowers: 1 + programs.len() as u64,
+        ..StudyWork::default()
     };
-    measured.extend(joined.into_iter().map(|(digest, run)| (digest, run.measured)));
+
+    let (first, path) = measure_path(Vm::new(untransformed, RunConfig::default()))
+        .unwrap_or_else(|e| panic!("{bench}/Baseline: {e}"));
+    // Each class's measurement, and whether it took a full simulation.
+    let mut measured = vec![(first, true)];
+    for (mech, program) in &programs[1..] {
+        let run = if widths_only(program, untransformed) {
+            let run =
+                measure_on_path(program, &path).unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+            work.value_only_runs += 1;
+            work.value_only_records += run.value_records;
+            work.verify_lowers += u64::from(run.fell_back);
+            (run.measured, run.fell_back)
+        } else {
+            let run = measure(Vm::new(program, RunConfig::default()))
+                .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+            (run, true)
+        };
+        measured.push(run);
+    }
+    for ((mech, _), (run, simulated)) in programs.iter().zip(&measured) {
+        run.check_digest(expected.output_digest)
+            .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+        if *simulated {
+            work.full_simulations += 1;
+            work.simulator_records += run.insts();
+        }
+    }
+    work.fused_steps = work.simulator_records + work.value_only_records;
 
     let runs = pairs
         .iter()
-        .map(|pair| measured[&pair.digest].assemble(pair.bench, pair.mech, pair.vrs.as_ref()))
+        .zip(Mech::ALL)
+        .map(|((class, vrs), mech)| measured[*class].0.assemble(bench, mech, vrs.as_ref()))
         .collect();
-    (Study::new(runs), work)
+    (runs, work)
 }
 
 /// Dynamic Table 3 rows: per-class percentage of instructions and width

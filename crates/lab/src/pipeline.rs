@@ -1,19 +1,14 @@
-//! The measurement pipeline: one (program, mechanism) run in four steps.
+//! The measurement pipeline: one (program, mechanism) run in three steps.
 //!
 //! 1. **transform** — [`apply_mech`] rewrites the program under the
 //!    mechanism (VRP narrows widths; VRS profiles a training input and
 //!    specializes); [`apply_mechs`] transforms copies under several,
 //!    and its VRS mechanisms share one profile, whatever their costs.
 //!    The [`VrsRaw`] bookkeeping is self-contained: the specialized
-//!    blocks' instruction counts are resolved here, so the program can
-//!    be dropped before it is measured. [`Likeness`] compares a
-//!    transformed program with the untransformed one.
-//! 2. **identity** — [`og_program::digest128`] of the transformed
-//!    program's [`Program::canonical_text`]. [`crate::compute_study`]
-//!    keys each transformed program by it to measure every distinct
-//!    program once; `og-serve` keys its artifact cache by the same
-//!    function.
-//! 3. **measure** — [`measure_path`]: the fused emulate+simulate pass
+//!    blocks' instruction counts are resolved here, so pricing it needs
+//!    no program. [`widths_only`] tells whether a transformed program
+//!    differs from the untransformed one only in operand widths.
+//! 2. **measure** — [`measure_path`]: the fused emulate+simulate pass
 //!    (the VM streams each committed instruction straight into the
 //!    cycle-level simulator; no trace is materialized). It yields
 //!    everything of a [`RunSummary`] that depends only on the program:
@@ -28,15 +23,14 @@
 //!    as many records as the path, with the same mix of pcs, memory
 //!    addresses and branch outcomes, or the program is simulated in
 //!    full instead.
-//! 4. **assemble** — [`Measured::assemble`]: the per-mechanism label and
+//! 3. **assemble** — [`Measured::assemble`]: the per-mechanism label and
 //!    [`VrsSummary`] on top of one measurement.
 //!
 //! [`run_program`] chains transform → measure → assemble for one
-//! program (identity is only needed to share a measurement);
-//! [`run_lowered`] measures a program whose [`FlatProgram`] was verified
-//! and lowered earlier — the service's cache-hit path. Both return typed
-//! [`RunError`]s instead of panicking: a request must never abort the
-//! process.
+//! program; [`run_lowered`] measures a program whose [`FlatProgram`] was
+//! verified and lowered earlier — the service's cache-hit path. Both
+//! return typed [`RunError`]s instead of panicking: a request must never
+//! abort the process.
 
 use crate::{Mech, RunSummary, VrsSummary};
 use og_core::{UsefulPolicy, VrpConfig, VrpPass, VrsConfig, VrsPass, VrsProfile, VrsReport};
@@ -131,7 +125,7 @@ impl VrsRaw {
 /// fails with [`RunError::MissingTrain`] without one; every other
 /// mechanism ignores `train`. Returns the VRS bookkeeping for the
 /// summary.
-pub(crate) fn apply_mech(
+fn apply_mech(
     program: &mut Program,
     mech: Mech,
     train: Option<&Program>,
@@ -188,40 +182,20 @@ fn apply_with(
     }
 }
 
-/// How a transformed program compares with the untransformed one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Likeness {
-    /// The same program.
-    Same,
-    /// The same but for operand widths. It commits the untransformed
-    /// program's path unless a narrowed value steers a branch or an
-    /// address differently, so [`measure_on_path`] can reuse that path's
-    /// timing.
-    WidthsOnly,
-    /// Any other program.
-    Different,
-}
-
-impl Likeness {
-    /// How `program` compares with `untransformed`.
-    pub(crate) fn of(program: &Program, untransformed: &Program) -> Likeness {
-        let mut widened = program.clone();
-        let mut widths = untransformed.funcs.iter().flat_map(|f| &f.blocks).flat_map(|b| &b.insts);
-        for inst in widened.funcs.iter_mut().flat_map(|f| &mut f.blocks).flat_map(|b| &mut b.insts)
-        {
-            match widths.next() {
-                Some(original) => inst.width = original.width,
-                None => return Likeness::Different,
-            }
-        }
-        if widened != *untransformed {
-            Likeness::Different
-        } else if program == untransformed {
-            Likeness::Same
-        } else {
-            Likeness::WidthsOnly
+/// Whether `program` equals `untransformed` but for operand widths (or
+/// equals it outright). Such a program commits the untransformed
+/// program's path unless a narrowed value steers a branch or an address
+/// differently, so [`measure_on_path`] can reuse that path's timing.
+pub(crate) fn widths_only(program: &Program, untransformed: &Program) -> bool {
+    let mut widened = program.clone();
+    let mut widths = untransformed.funcs.iter().flat_map(|f| &f.blocks).flat_map(|b| &b.insts);
+    for inst in widened.funcs.iter_mut().flat_map(|f| &mut f.blocks).flat_map(|b| &mut b.insts) {
+        match widths.next() {
+            Some(original) => inst.width = original.width,
+            None => return false,
         }
     }
+    widened == *untransformed
 }
 
 /// The mechanism-independent part of a [`RunSummary`]: what one fused
@@ -240,7 +214,7 @@ pub(crate) struct Measured {
 /// The timing of one committed path, which every program differing from
 /// the path's own only in operand widths shares while it stays on the
 /// path.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PathTiming {
     /// The path's [`PathMix`].
     mix: u64,
@@ -320,7 +294,7 @@ pub(crate) struct OnPath {
     pub(crate) fell_back: bool,
 }
 
-/// Measure `program`, which [`Likeness`] found the same as `path`'s
+/// Measure `program`, which [`widths_only`] found the same as `path`'s
 /// program but for operand widths: the VM streams it into the value
 /// accountant alone, and its value counts join `path`'s timing. If the
 /// run left the path (its record count or path mix differs), a full
@@ -517,7 +491,7 @@ mod tests {
         let (_, path) = measure_path(Vm::new(&baseline, RunConfig::default())).unwrap();
         for (width, leaves_path) in [(Width::W, false), (Width::B, true)] {
             let program = branch_on_sum(width);
-            assert_eq!(Likeness::of(&program, &baseline), Likeness::WidthsOnly);
+            assert!(widths_only(&program, &baseline), "{width:?}");
             let run = measure_on_path(&program, &path).unwrap();
             let full = measure(Vm::new(&program, RunConfig::default())).unwrap();
             assert_eq!(run.fell_back, leaves_path, "{width:?}");
@@ -529,18 +503,18 @@ mod tests {
     /// Anything beyond widths makes a program different: an extra
     /// instruction, or another operand in the same shape.
     #[test]
-    fn likeness_tells_same_widths_only_and_different_apart() {
+    fn widths_only_tells_width_changes_from_other_changes() {
         let baseline = branch_on_sum(Width::D);
-        assert_eq!(Likeness::of(&branch_on_sum(Width::D), &baseline), Likeness::Same);
-        assert_eq!(Likeness::of(&branch_on_sum(Width::H), &baseline), Likeness::WidthsOnly);
+        assert!(widths_only(&branch_on_sum(Width::D), &baseline));
+        assert!(widths_only(&branch_on_sum(Width::H), &baseline));
         let mut longer = branch_on_sum(Width::H);
         longer.funcs[0].blocks[0].insts.insert(0, og_isa::Inst::nop());
-        assert_eq!(Likeness::of(&longer, &baseline), Likeness::Different);
-        assert_eq!(Likeness::of(&baseline, &longer), Likeness::Different);
+        assert!(!widths_only(&longer, &baseline));
+        assert!(!widths_only(&baseline, &longer));
         let mut other_operand = branch_on_sum(Width::H);
         let insts = &mut other_operand.funcs[0].blocks[0].insts;
         let add = insts.iter_mut().find(|inst| inst.op == og_isa::Op::Add).expect("an add");
         add.src2 = imm(101);
-        assert_eq!(Likeness::of(&other_operand, &baseline), Likeness::Different);
+        assert!(!widths_only(&other_operand, &baseline));
     }
 }

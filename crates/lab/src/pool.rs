@@ -6,8 +6,8 @@
 //! died with the one study it computed. This module lifts that queue
 //! into a standalone pool any caller can keep alive and feed closures:
 //! `og-serve` executes request jobs on it for the lifetime of the
-//! service, and every fan-out of independent jobs — the study's steps,
-//! the fault campaign's workloads, the guided fuzz campaign's shards and
+//! service, and every fan-out of independent jobs — the study's
+//! benchmarks, the fault campaign's workloads, the guided fuzz campaign's shards and
 //! its random baseline — goes through [`WorkerPool::map_all`].
 //!
 //! Shape:

@@ -5,12 +5,12 @@
 //! * every `RunSummary` equals, byte for byte, the one-program
 //!   [`run_program`] replay of its (bench, mech) pair — so measuring each
 //!   distinct program once and sharing the measurement changes nothing;
-//! * every `RunSummary` matches the committed study fingerprint
-//!   `perfbench/expected/study.json` (read-only here; the benchmark owns
-//!   it): fnv1a of the serialized summary, fnv1a of its energies under
-//!   the five gating schemes, and cycles and instructions in clear. A
-//!   failure lists every run that moved and prints the replacement
-//!   `study.json` text; the test never writes the file;
+//! * every `RunSummary` matches, in the same order, the committed study
+//!   fingerprint `perfbench/expected/study.json` (read-only here; the
+//!   benchmark owns it): fnv1a of the serialized summary, fnv1a of its
+//!   energies under the five gating schemes, and cycles and instructions
+//!   in clear. A failure lists every run that moved and prints the
+//!   replacement `study.json` text; the test never writes the file;
 //! * the rendered tables and figures equal the committed
 //!   `tests/figures.txt`, the exact text `exp_all` prints.
 //!
@@ -32,7 +32,6 @@ use og_lab::{
 use og_power::{EnergyModel, GatingScheme};
 use og_vm::{fnv1a, RunConfig};
 use og_workloads::{by_name, InputSet, NAMES};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// The study every test in this binary checks, and the work it did,
@@ -94,9 +93,10 @@ impl Golden {
     }
 }
 
-/// The committed fingerprint, keyed by `(bench, mech)` with the mech in
-/// its `Debug` form (`Vrs(110)`), as the benchmark writes it.
-fn committed_fingerprint() -> HashMap<(String, String), Golden> {
+/// The committed fingerprint, one `(bench, mech)` row at a time in the
+/// file's order, with the mech in its `Debug` form (`Vrs(110)`), as the
+/// benchmark writes it.
+fn committed_fingerprint() -> Vec<((String, String), Golden)> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../perfbench/expected/study.json");
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
     let json = og_json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
@@ -138,8 +138,16 @@ fn every_study_summary_matches_its_run_program_replay_and_the_committed_fingerpr
         NAMES.len() * Mech::ALL.len(),
         "the study must hold the full bench x mech matrix"
     );
+    // `Study::runs` promises benchmark-major, `Mech::ALL` order, and the
+    // benchmark compares the study with its fingerprint row by row.
     let golden = committed_fingerprint();
-    assert_eq!(golden.len(), study.runs().len(), "one committed fingerprint per run");
+    let order: Vec<(String, String)> =
+        study.runs().iter().map(|r| (r.bench.clone(), format!("{:?}", r.mech))).collect();
+    assert!(
+        order.iter().eq(golden.iter().map(|(key, _)| key)),
+        "the study's runs must come in the committed order of perfbench/expected/study.json \
+         (benchmark-major, Mech::ALL); they came as {order:?}"
+    );
 
     // Re-run the whole matrix one pair at a time through the
     // program-first entry point, sharing nothing between pairs.
@@ -156,7 +164,7 @@ fn every_study_summary_matches_its_run_program_replay_and_the_committed_fingerpr
     let model = EnergyModel::new();
     let mut moved = Vec::new();
     let mut rows = Vec::new();
-    for (replay, summary) in fresh.iter().zip(study.runs()) {
+    for ((replay, summary), (key, committed)) in fresh.iter().zip(study.runs()).zip(&golden) {
         // Byte-level, not just PartialEq: the serialized form is what
         // the cache file and the service's keyed store actually hold.
         assert_eq!(
@@ -166,12 +174,11 @@ fn every_study_summary_matches_its_run_program_replay_and_the_committed_fingerpr
             summary.bench,
             summary.mech
         );
-        let key = (summary.bench.clone(), format!("{:?}", summary.mech));
         let now = Golden::of(summary, &model);
-        if golden.get(&key) != Some(&now) {
+        if now != *committed {
             moved.push(format!("{}/{}", key.0, key.1));
         }
-        rows.push(now.row(&key));
+        rows.push(now.row(key));
     }
     assert!(
         moved.is_empty(),
@@ -196,7 +203,7 @@ fn rendered_figures_match_the_committed_text() {
 }
 
 /// Each bench's partition of [`Mech::ALL`] into identity classes
-/// (mechanisms whose transformed programs have one digest), classes
+/// (mechanisms whose transformed programs are equal), classes
 /// separated by `|`. The five VRS cost points never split a class: the
 /// cost knob changes no program.
 const IDENTITY_CLASSES: &[(&str, &str)] = &[

@@ -1,10 +1,10 @@
 //! Program identity: one canonical text per program and its 128-bit
 //! digest.
 //!
-//! The study keys each transformed program by this digest to measure
-//! every distinct program once, and the service keys its artifact cache
-//! by it. Both go through [`Program::canonical_text`] and [`digest128`],
-//! so "the same program" means the same thing to both.
+//! The study service keys its artifact cache and its persistent store by
+//! this digest and keeps the canonical text beside each entry, so a
+//! collision is detected instead of served. The study itself holds every
+//! program it compares and tells them apart by `==`.
 
 use crate::rng::SplitMix64;
 use crate::Program;

@@ -26,9 +26,9 @@
 //! facts (reachability, recursion freedom, bounded call depth) on the
 //! collect-all path.
 //!
-//! A program's identity is the [`digest128`] of its
-//! [`Program::canonical_text`]: the study measures each distinct
-//! transformed program once by it, and the study service caches by it.
+//! [`Program::canonical_text`] is a program's identity where two copies
+//! cannot simply be compared with `==`: the study service caches by its
+//! [`digest128`], and the fuzzer dedups and names its cases by a hash of it.
 //!
 //! ```
 //! use og_program::{ProgramBuilder, imm};

@@ -20,10 +20,12 @@
 //!   deduplicated by a 128-bit digest of their canonical JSON into a
 //!   bounded in-memory [`lru::Lru`] of lowered artifacts + memoized
 //!   [`RunSummary`]s, optionally backed by a persistent
-//!   [`og_json::store::KeyedStore`] so results survive restarts. A
-//!   digest collision (different canonical text, same digest) bypasses
-//!   the cache — a colliding program can never be served another
-//!   program's result.
+//!   [`og_json::store::KeyedStore`] so results survive restarts. Both
+//!   layers keep the canonical text next to the result and serve it only
+//!   to a request with the same text, so a digest collision (different
+//!   canonical text, same digest) is computed afresh and replaces the
+//!   other program's entry — a colliding program can never be served
+//!   another program's result.
 //! * **worker pool** (`og-lab`): the VM+simulator run of every request
 //!   executes as a job on a shared [`og_lab::WorkerPool`], whose one
 //!   FIFO queue serves a backlog in arrival order; the calling thread
@@ -393,9 +395,19 @@ struct Shared {
 struct InflightGuard(Arc<Shared>);
 
 impl InflightGuard {
-    fn acquire(shared: &Arc<Shared>) -> InflightGuard {
-        shared.inflight.fetch_add(1, Ordering::Relaxed);
-        InflightGuard(Arc::clone(shared))
+    /// Reserve a slot, or `None` when [`ServeConfig::max_inflight`] are
+    /// already taken. The check and the reservation are one atomic
+    /// read-modify-write, so concurrent callers cannot overshoot the
+    /// bound between them.
+    fn try_acquire(shared: &Arc<Shared>) -> Option<InflightGuard> {
+        let max = shared.max_inflight as u64;
+        shared
+            .inflight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (max == 0 || n < max).then_some(n + 1)
+            })
+            .ok()?;
+        Some(InflightGuard(Arc::clone(shared)))
     }
 }
 
@@ -508,7 +520,8 @@ impl Service {
                 return self.execute(digest, Served::ArtifactHit, entry, started);
             }
             // Same digest, different program: never serve across a
-            // collision. Fall through to the full path, uncached.
+            // collision. Fall through to the full path, whose entry
+            // replaces the resident one in the LRU.
             c.collisions.fetch_add(1, Ordering::Relaxed);
         }
 
@@ -530,7 +543,7 @@ impl Service {
 
         // Persistent-store probe: a result computed by an earlier
         // process run.
-        if let Some(summary) = self.shared.store_get(digest) {
+        if let Some(summary) = self.shared.store_get(digest, &entry.text) {
             let result = Ok(Arc::new(summary));
             entry.result.set(result.clone()).ok();
             self.cache_insert(digest, entry);
@@ -648,10 +661,13 @@ impl Shared {
     }
 
     /// Decode a persisted result for `digest`, ignoring entries from a
-    /// different pipeline version. `None` covers absent, degraded
+    /// different pipeline version or for a program whose canonical text
+    /// is not `text` (a digest collision, or an entry written before the
+    /// text was stored). `None` covers absent, foreign, degraded
     /// (breaker open / retries exhausted) and corrupt alike — the
-    /// caller computes fresh in every case.
-    fn store_get(&self, digest: u128) -> Option<RunSummary> {
+    /// caller computes fresh in every case, and its put overwrites the
+    /// entry.
+    fn store_get(&self, digest: u128, text: &str) -> Option<RunSummary> {
         let store = self.store.as_ref()?;
         let json = self.store_op(|| {
             if let Some(err) = self.inject_store_fault(digest) {
@@ -660,20 +676,22 @@ impl Shared {
             store.get(digest)
         })??;
         let version: u32 = json.field("version").ok()?;
-        if version != STUDY_VERSION {
+        if version != STUDY_VERSION || json.get("text").and_then(Json::as_str) != Some(text) {
             return None;
         }
         json.get("summary").and_then(|s| RunSummary::from_json(s).ok())
     }
 
-    /// Persist a computed result (write-behind, from the pool job that
-    /// produced it). Failure degrades silently at the response level —
-    /// the client already got its summary — and loudly at the metrics
-    /// level (`store_retries`, `breaker_open`).
-    fn store_put(&self, digest: u128, summary: &RunSummary) {
+    /// Persist a computed result of the program whose canonical text is
+    /// `text` (write-behind, from the pool job that produced it). Failure
+    /// degrades silently at the response level — the client already got
+    /// its summary — and loudly at the metrics level (`store_retries`,
+    /// `breaker_open`).
+    fn store_put(&self, digest: u128, text: &str, summary: &RunSummary) {
         let Some(store) = self.store.as_ref() else { return };
         let doc = Json::Obj(vec![
             ("version".into(), STUDY_VERSION.to_json()),
+            ("text".into(), Json::Str(text.to_string())),
             ("summary".into(), summary.to_json()),
         ]);
         self.store_op(|| {
@@ -690,7 +708,8 @@ impl Service {
     /// artifact) and rendezvous on the result, under the hardening
     /// ladder: admission control sheds when too many executions are in
     /// flight, the configured deadline bounds the rendezvous, and an
-    /// injected panic (chaos only) is absorbed by one clean retry.
+    /// injected panic (chaos only) is absorbed by one clean retry, which
+    /// reserves its own slot.
     fn execute(
         &self,
         digest: u128,
@@ -698,27 +717,34 @@ impl Service {
         entry: Arc<CacheEntry>,
         started: Instant,
     ) -> Response {
-        let c = &self.shared.counters;
-        let max = self.shared.max_inflight as u64;
-        if max > 0 && self.shared.inflight.load(Ordering::Relaxed) >= max {
-            c.shed.fetch_add(1, Ordering::Relaxed);
-            return Response { digest, served: Served::Rejected, outcome: Err(Reject::Overloaded) };
-        }
+        let Some(guard) = InflightGuard::try_acquire(&self.shared) else {
+            return self.shed(digest);
+        };
         let fault = self.inject_pool_fault();
-        match self.execute_once(digest, served, &entry, fault, started) {
+        match self.execute_once(digest, served, &entry, fault, guard, started) {
             Ok(response) => response,
             // The job died without an answer. If we injected the panic
             // ourselves, the pool's containment worked as designed —
             // retry once, clean. Anything else breaks the no-panic
             // invariant.
             Err(()) if fault == PoolFault::Panic => {
-                match self.execute_once(digest, served, &entry, PoolFault::None, started) {
+                let Some(guard) = InflightGuard::try_acquire(&self.shared) else {
+                    return self.shed(digest);
+                };
+                match self.execute_once(digest, served, &entry, PoolFault::None, guard, started) {
                     Ok(response) => response,
                     Err(()) => self.internal_loss(digest),
                 }
             }
             Err(()) => self.internal_loss(digest),
         }
+    }
+
+    /// Admission control refused the request: too many executions are in
+    /// flight.
+    fn shed(&self, digest: u128) -> Response {
+        self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+        Response { digest, served: Served::Rejected, outcome: Err(Reject::Overloaded) }
     }
 
     /// The fault profile's verdict for the next execution job. Counted
@@ -734,14 +760,16 @@ impl Service {
         fault
     }
 
-    /// One pool submission + rendezvous. `Err(())` means the job died
-    /// without sending (a panic the pool contained).
+    /// One pool submission + rendezvous, holding the in-flight slot
+    /// `guard` until the job ends. `Err(())` means the job died without
+    /// sending (a panic the pool contained).
     fn execute_once(
         &self,
         digest: u128,
         served: Served,
         entry: &Arc<CacheEntry>,
         fault: PoolFault,
+        guard: InflightGuard,
         started: Instant,
     ) -> Result<Response, ()> {
         let c = &self.shared.counters;
@@ -749,7 +777,6 @@ impl Service {
         let run_config = self.shared.run_config.clone();
         let job_entry = Arc::clone(entry);
         let shared = Arc::clone(&self.shared);
-        let guard = InflightGuard::acquire(&self.shared);
         self.pool.submit(move || {
             // The guard rides in the job: the in-flight gauge drops when
             // the job ends, even by injected panic (drops run during the
@@ -772,7 +799,7 @@ impl Service {
             // disk persistence (with its retries and backoff) stays off
             // the caller's latency path.
             if let Ok(summary) = &result {
-                shared.store_put(digest, summary);
+                shared.store_put(digest, &job_entry.text, summary);
             }
         });
         let result = match self.shared.deadline {
@@ -831,5 +858,38 @@ impl Service {
                 Response { digest, served: Served::Rejected, outcome: Err(Reject::Run(e)) }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    /// Threads that all try to reserve a slot at once, each holding what
+    /// it got until every one has tried, get exactly `max_inflight`.
+    #[test]
+    fn concurrent_reservations_stop_at_max_inflight() {
+        const THREADS: usize = 8;
+        const MAX: usize = 3;
+        let service =
+            Service::new(ServeConfig { workers: 1, max_inflight: MAX, ..ServeConfig::default() });
+        let (start, tried) = (Barrier::new(THREADS), Barrier::new(THREADS));
+        let reserved = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let slot = InflightGuard::try_acquire(&service.shared);
+                        tried.wait();
+                        slot.is_some()
+                    })
+                })
+                .collect();
+            let got = threads.into_iter().map(|t| t.join().expect("no reserving thread panics"));
+            got.filter(|&reserved| reserved).count()
+        });
+        assert_eq!(reserved, MAX);
+        assert_eq!(service.shared.inflight.load(Ordering::Relaxed), 0, "every slot was released");
     }
 }

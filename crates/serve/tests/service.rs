@@ -132,6 +132,37 @@ fn a_stale_store_version_is_recomputed_not_served() {
 }
 
 #[test]
+fn a_store_entry_under_a_colliding_digest_is_recomputed_not_served() {
+    let store = temp_store("collision", 32);
+    let (_, a) = valid_program(12);
+    let (_, b) = valid_program(13);
+    let service = Service::new(ServeConfig { store: Some(store.clone()), ..Default::default() });
+    let key_a = service.call(&a).digest;
+    let key_b = service.call(&b).digest;
+    // Dropping the service joins the pool and flushes the pending puts.
+    drop(service);
+
+    // Plant A's entry under B's digest, as a digest collision would.
+    let doc_a = store.get(key_a).unwrap().expect("A's result was persisted");
+    store.put(key_b, &doc_a).unwrap();
+
+    let fresh = Service::new(ServeConfig { store: Some(store.clone()), ..Default::default() });
+    let response = fresh.call(&b);
+    assert_eq!(response.served, Served::Computed, "another program's entry must not be served");
+    let summary = response.outcome.expect("B computes");
+    assert_eq!(summary.bench, format!("og-{:016x}", key_b as u64), "B's own result");
+    drop(fresh);
+
+    // The recompute overwrote the foreign entry: B's result now comes off
+    // disk.
+    let restarted = Service::new(ServeConfig { store: Some(store.clone()), ..Default::default() });
+    let restored = restarted.call(&b);
+    assert_eq!(restored.served, Served::StoreHit);
+    assert_eq!(restored.outcome.unwrap(), summary);
+    std::fs::remove_dir_all(store.dir()).ok();
+}
+
+#[test]
 fn the_artifact_lru_is_bounded_and_eviction_is_counted() {
     let service = Service::new(ServeConfig { artifact_capacity: 1, ..Default::default() });
     let (_, a) = valid_program(4);

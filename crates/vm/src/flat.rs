@@ -1,7 +1,7 @@
 //! Pre-decoded flat program form: the lowering pass behind the VM's hot
 //! loop.
 //!
-//! [`crate::Vm::step`]'s original shape re-resolved `func → block → inst`
+//! `Vm::step`'s original shape re-resolved `func → block → inst`
 //! through three levels of `Vec` indirection, hashed a
 //! `(FuncId, BlockId)` key into the block-count map on every block entry,
 //! and recomputed `layout.addr_of(at)` for every committed instruction.
@@ -11,8 +11,8 @@
 //! the execution loop indexes directly:
 //!
 //! * **flat indices** — branch, call and fall-through successors are
-//!   absolute indices into the flat vector ([`FlatOp::Br`],
-//!   [`FlatOp::Bc`], [`FlatOp::Jsr`]; straight-line ops implicitly run
+//!   absolute indices into the flat vector (`FlatOp::Br`,
+//!   `FlatOp::Bc`, `FlatOp::Jsr`; straight-line ops implicitly run
 //!   `ip + 1`), so dispatch is one array index instead of a
 //!   `funcs[f].blocks[b].insts[i]` pointer chase;
 //! * **precomputed addresses** — instructions are lowered in exactly the
@@ -21,7 +21,7 @@
 //!   map `TEXT_BASE + i * INST_BYTES` and the per-step `addr_of` lookup
 //!   disappears (the lowering `debug_assert`s this correspondence
 //!   against the real layout);
-//! * **pre-decoded dispatch** — [`FlatOp`] decides *at lower time* how an
+//! * **pre-decoded dispatch** — `FlatOp` decides *at lower time* how an
 //!   instruction executes (ALU via [`crate::eval::alu_eval`], load,
 //!   store, or each control-flow shape), so the hot loop never re-derives
 //!   executability;
