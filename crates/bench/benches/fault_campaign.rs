@@ -9,6 +9,12 @@
 //! (48 strikes per workload, `FaultCampaignConfig::default()`).
 //! Each workload's strikes run on clones of one walker VM paused along
 //! the golden path, so the fault-free prefix runs once per workload.
+//! A clone runs up to the next strike's step and stops there if its
+//! state has rejoined the walker's (it then ends as the golden run
+//! does); only the others run to their end. The `work` line gives the
+//! campaign's work: VM steps executed, steps accounted for (as a fresh
+//! VM per strike would run them), verify+lower calls and strikes
+//! rejoined.
 //!
 //! The report is pinned byte for byte: `BENCH_fault.json` must equal the
 //! committed `crates/lab/tests/fault_report.json`. og-lab's equivalence
@@ -48,6 +54,10 @@ fn main() {
         report.masked_rate_ungated(),
         report.ungated.total()
     );
+
+    let work: Vec<String> =
+        report.work.rows().iter().map(|(name, n)| format!("{name} {n}")).collect();
+    println!("fault_campaign: work {}", work.join(", "));
 
     match og_lab::report::write_bench_report("fault", &report.to_json()) {
         Ok(path) => println!("fault_campaign: wrote {}", path.display()),

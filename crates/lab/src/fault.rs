@@ -23,6 +23,16 @@
 //! strike runs on a clone of the paused walker. So a workload's program
 //! is verified and lowered twice, for the golden run and the walker,
 //! and its prefix runs once, not once per strike.
+//!
+//! A strike's clone first runs only up to the next strike's step, where
+//! the walker pauses anyway, and is compared with the walker there
+//! ([`og_vm::Vm::same_state`]). A clone whose whole state equals the
+//! golden state at the same step ends as the golden run does (the VM is
+//! deterministic), so the strike is recorded with the golden outcome and
+//! its run stops. Only a clone that differs runs on to its end. A flip
+//! into a register that is overwritten before it is read rejoins this
+//! way; a flip that is never read again but never overwritten either
+//! does not, and runs to its end.
 
 use crate::pool::WorkerPool;
 use og_isa::{Reg, Width};
@@ -30,7 +40,7 @@ use og_json::{Json, ToJson};
 use og_program::rng::SplitMix64;
 use og_program::{Program, GLOBAL_BASE};
 use og_vm::fault::{
-    classify, hang_budget, run_with_plan, Fault, FaultOutcome, FaultPlan, FaultRun, FaultSite,
+    classify, hang_budget, Fault, FaultOutcome, FaultPlan, FaultRun, FaultSite, FaultedEnd, PlanRun,
 };
 use og_vm::{Quantum, RunConfig, RunOutcome, Vm};
 use og_workloads::{by_name, InputSet, NAMES};
@@ -112,20 +122,36 @@ impl OutcomeCounts {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultWork {
     /// VM steps executed: the golden runs, the walkers and each strike's
-    /// run from its pause point.
+    /// run from its pause point, up to its rejoin check or to its end.
     pub steps_executed: u64,
     /// VM steps accounted for: the golden runs plus every strike's run
-    /// from step 0, as a fresh VM per strike would execute them.
+    /// from step 0, as a fresh VM per strike would execute them. A
+    /// rejoined strike counts the golden run's length.
     pub steps_accounted: u64,
     /// Programs verified and lowered into a VM.
     pub verify_lowers: u64,
+    /// Strikes whose clone was in the walker's state at the next
+    /// strike's step, and so were recorded with the golden outcome
+    /// without running to their end.
+    pub strikes_rejoined: u64,
 }
 
 impl FaultWork {
+    /// Every count with its field name, in declaration order.
+    pub fn rows(&self) -> [(&'static str, u64); 4] {
+        [
+            ("steps_executed", self.steps_executed),
+            ("steps_accounted", self.steps_accounted),
+            ("verify_lowers", self.verify_lowers),
+            ("strikes_rejoined", self.strikes_rejoined),
+        ]
+    }
+
     fn merge(&mut self, other: &FaultWork) {
         self.steps_executed += other.steps_executed;
         self.steps_accounted += other.steps_accounted;
         self.verify_lowers += other.verify_lowers;
+        self.strikes_rejoined += other.strikes_rejoined;
     }
 }
 
@@ -285,55 +311,84 @@ fn golden_run(bench: &str, program: &Program, work: &mut FaultWork) -> RunOutcom
     golden
 }
 
-/// [`run_with_plan`] on `vm`, counted in `work`: the steps it executes
-/// from where `vm` stands, and all its steps from step 0.
-fn strike_vm(vm: &mut Vm<'_>, plan: &FaultPlan, work: &mut FaultWork) -> FaultRun {
-    let started = vm.stats().steps;
-    let run = run_with_plan(vm, plan);
-    let ended = vm.stats().steps;
-    work.steps_executed += ended - started;
-    work.steps_accounted += ended;
-    run
-}
-
 /// Sweep one workload: golden run, then `strikes` single-strike runs.
 ///
-/// Strike `k` is [`strike`]`(seed, bench, k)`; the sweep takes them in
-/// step order. One walker VM, under the hang budget, follows the golden
-/// path and pauses at each strike's step. Each strike runs on a clone of
-/// the paused walker, so the fault-free prefix executes once per
-/// workload, not once per strike. Striking the clone gives the same run
-/// as striking a fresh VM, and the bins are sums, so the order does not
-/// change the result.
+/// Strike `k` is [`strike`]`(seed, bench, k)`; [`sweep`] runs them.
 fn sweep_workload(cfg: &FaultCampaignConfig, bench: &str) -> WorkloadFaults {
     let program = by_name(bench, cfg.input).program;
+    sweep(bench, &program, |golden_steps| {
+        (0..cfg.strikes_per_workload).map(|k| strike(cfg.seed, bench, k, golden_steps)).collect()
+    })
+}
+
+/// Sweep `program`: a golden run, then each single-strike plan of
+/// `plans(golden_steps)`, whose strikes must fall before the golden end.
+///
+/// The sweep takes the plans in step order. One walker VM, under the
+/// hang budget, follows the golden path and pauses at each strike's
+/// step. Each strike runs on a clone of the paused walker, so the
+/// fault-free prefix executes once per workload, not once per strike.
+/// The clone runs only up to the next strike's step, where the walker
+/// pauses anyway, and is compared with it there: a clone in the
+/// walker's state is recorded as finishing with the golden outcome
+/// (counted in [`FaultWork::strikes_rejoined`]), and any other runs on
+/// to its end. The last strike runs to its end. Striking the clone
+/// gives the same run as striking a fresh VM, a rejoined clone ends as
+/// the golden run does, and the bins are sums, so the order does not
+/// change the result.
+fn sweep(
+    name: &str,
+    program: &Program,
+    plans: impl FnOnce(u64) -> Vec<FaultPlan>,
+) -> WorkloadFaults {
     let mut work = FaultWork::default();
-    let golden = golden_run(bench, &program, &mut work);
+    let golden = golden_run(name, program, &mut work);
     let mut w = WorkloadFaults {
-        name: bench.to_string(),
+        name: name.to_string(),
         golden_steps: golden.steps,
         work,
         ..Default::default()
     };
-    let mut plans: Vec<FaultPlan> =
-        (0..cfg.strikes_per_workload).map(|k| strike(cfg.seed, bench, k, golden.steps)).collect();
+    let mut plans = plans(golden.steps);
     plans.sort_by_key(|plan| plan.faults()[0].at_step);
     let budget = RunConfig { max_steps: hang_budget(golden.steps), ..Default::default() };
-    let mut walker = workload_vm(bench, &program, budget, &mut w.work);
+    let mut walker = workload_vm(name, program, budget, &mut w.work);
     let mut resume = None;
-    for plan in &plans {
-        let fault = plan.faults()[0];
+    let mut walk_to = |walker: &mut Vm<'_>, at: u64| {
         let now = walker.stats().steps;
-        if fault.at_step > now {
+        if at > now {
             // Strikes are drawn below the golden length, so the walker
             // pauses before its run ends.
-            let Quantum::Paused { ip } = walker.run_quantum(resume, fault.at_step - now) else {
-                panic!("{bench}: the golden path ended before step {}", fault.at_step)
+            let Quantum::Paused { ip } = walker.run_quantum(resume, at - now) else {
+                panic!("{name}: the golden path ended before step {at}")
             };
             resume = Some(ip);
         }
-        let run = strike_vm(&mut walker.clone(), plan, &mut w.work);
-        w.record(fault.site, &run, &golden);
+    };
+    for (k, plan) in plans.iter().enumerate() {
+        walk_to(&mut walker, plan.faults()[0].at_step);
+        let mut clone = walker.clone();
+        let started = clone.stats().steps;
+        let mut run = PlanRun::new(plan);
+        // Run the strike up to the next strike's step and check it
+        // against the walker there; the last strike runs to its end.
+        let check_at = plans.get(k + 1).map_or(u64::MAX, |next| next.faults()[0].at_step);
+        let ended = run.run_until(&mut clone, check_at);
+        let rejoined = ended.is_none() && {
+            walk_to(&mut walker, check_at);
+            clone.same_state(&walker)
+        };
+        let end = match ended {
+            Some(end) => end,
+            None if rejoined => FaultedEnd::Finished(golden),
+            None => {
+                run.run_until(&mut clone, u64::MAX).expect("a run with no step to stop at ends")
+            }
+        };
+        w.work.steps_executed += clone.stats().steps - started;
+        w.work.steps_accounted += if rejoined { golden.steps } else { clone.stats().steps };
+        w.work.strikes_rejoined += u64::from(rejoined);
+        w.record(plan.faults()[0].site, &run.into_run(end), &golden);
     }
     w.work.steps_executed += walker.stats().steps;
     w
@@ -433,6 +488,9 @@ pub fn plan_from_json(json: &Json) -> Result<FaultPlan, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use og_program::generate::{generate_program, GenConfig};
+    use og_program::{imm, ProgramBuilder};
+    use og_vm::fault::run_with_plan;
 
     #[test]
     fn plan_json_roundtrips() {
@@ -465,31 +523,185 @@ mod tests {
         assert!(plan_from_json(&bad).unwrap_err().contains("out of range"));
     }
 
+    /// [`run_with_plan`] on `vm`, counted in `work`: the steps it executes
+    /// from where `vm` stands, and all its steps from step 0.
+    fn strike_vm(vm: &mut Vm<'_>, plan: &FaultPlan, work: &mut FaultWork) -> FaultRun {
+        let started = vm.stats().steps;
+        let run = run_with_plan(vm, plan);
+        let ended = vm.stats().steps;
+        work.steps_executed += ended - started;
+        work.steps_accounted += ended;
+        run
+    }
+
     /// The reference sweep: a fresh VM per strike, each re-executing the
     /// fault-free prefix from step 0.
     fn sweep_workload_from_scratch(cfg: &FaultCampaignConfig, bench: &str) -> WorkloadFaults {
         let program = by_name(bench, cfg.input).program;
+        sweep_from_scratch(bench, &program, |golden_steps| {
+            (0..cfg.strikes_per_workload)
+                .map(|k| strike(cfg.seed, bench, k, golden_steps))
+                .collect()
+        })
+    }
+
+    /// [`sweep_workload_from_scratch`] on any program and plans.
+    fn sweep_from_scratch(
+        name: &str,
+        program: &Program,
+        plans: impl FnOnce(u64) -> Vec<FaultPlan>,
+    ) -> WorkloadFaults {
         let mut work = FaultWork::default();
-        let golden = golden_run(bench, &program, &mut work);
+        let golden = golden_run(name, program, &mut work);
         let budget = hang_budget(golden.steps);
         let mut w = WorkloadFaults {
-            name: bench.to_string(),
+            name: name.to_string(),
             golden_steps: golden.steps,
             work,
             ..Default::default()
         };
-        for k in 0..cfg.strikes_per_workload {
-            let plan = strike(cfg.seed, bench, k, golden.steps);
+        for plan in plans(golden.steps) {
             let run_cfg = RunConfig { max_steps: budget, ..Default::default() };
-            let mut vm = workload_vm(bench, &program, run_cfg, &mut w.work);
+            let mut vm = workload_vm(name, program, run_cfg, &mut w.work);
             let run = strike_vm(&mut vm, &plan, &mut w.work);
             w.record(plan.faults()[0].site, &run, &golden);
         }
         w
     }
 
+    /// The sweep of `plans` on `program`, checked bin for bin against the
+    /// fresh-VM-per-strike oracle.
+    fn sweep_checked(
+        name: &str,
+        program: &Program,
+        plans: impl Fn(u64) -> Vec<FaultPlan>,
+    ) -> WorkloadFaults {
+        let fast = sweep(name, program, &plans);
+        let oracle = sweep_from_scratch(name, program, &plans);
+        assert_eq!(WorkloadFaults { work: oracle.work, ..fast.clone() }, oracle, "{name}");
+        assert_eq!(fast.work.steps_accounted, oracle.work.steps_executed, "{name}");
+        fast
+    }
+
+    fn reg_strike(at_step: u64, reg: Reg, bit: u8) -> FaultPlan {
+        FaultPlan::single(at_step, FaultSite::Reg { reg, bit })
+    }
+
+    /// The outcome counts `[masked, sdc, detected, hang]`.
+    fn outcomes(w: &WorkloadFaults) -> [u64; 4] {
+        [w.counts.masked, w.counts.sdc, w.counts.detected, w.counts.hang]
+    }
+
+    #[test]
+    fn a_register_overwritten_before_it_is_read_rejoins() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.ldi(Reg::T0, 5);
+        f.ldi(Reg::T1, 0);
+        f.ldi(Reg::T0, 7);
+        f.ldi(Reg::T2, 20);
+        f.block("loop");
+        f.add(Width::D, Reg::T1, Reg::T1, Reg::T0);
+        f.add(Width::D, Reg::T2, Reg::T2, imm(-1));
+        f.bne(Reg::T2, "loop");
+        f.block("done");
+        f.out(Width::D, Reg::T1);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        // T0's first value is struck after step 1 and overwritten at step
+        // 3; at step 4, the next strike's, the clone is golden again.
+        let plans = [reg_strike(1, Reg::T0, 2), reg_strike(4, Reg::T9, 0)];
+        let w = sweep_checked("overwrite", &p, |_| plans.to_vec());
+        assert_eq!(outcomes(&w), [2, 0, 0, 0]);
+        assert_eq!(w.work.strikes_rejoined, 1);
+        let golden = w.golden_steps;
+        assert_eq!(w.work.steps_accounted, 3 * golden, "the golden run and two whole strikes");
+        // The golden run, the walker to step 4, the first strike from
+        // step 1 to its check at 4, and the last strike to its end.
+        assert_eq!(w.work.steps_executed, golden + 4 + (4 - 1) + (golden - 4));
+    }
+
+    #[test]
+    fn a_register_printed_before_it_is_overwritten_does_not_rejoin() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.ldi(Reg::T0, 5);
+        f.out(Width::B, Reg::T0);
+        f.ldi(Reg::T0, 7);
+        f.ldi(Reg::T1, 1);
+        f.out(Width::B, Reg::T0);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        // At step 4 the registers and memory are golden again; only the
+        // printed byte differs.
+        let plans = [reg_strike(1, Reg::T0, 1), reg_strike(4, Reg::T9, 0)];
+        let w = sweep_checked("printed", &p, |_| plans.to_vec());
+        assert_eq!(outcomes(&w), [1, 1, 0, 0]);
+        assert_eq!(w.work.strikes_rejoined, 0);
+    }
+
+    #[test]
+    fn a_memory_byte_printed_after_the_check_does_not_rejoin() {
+        let mut pb = ProgramBuilder::new();
+        let addr = pb.data_bytes("g", vec![0x11]);
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.la(Reg::T1, "g");
+        f.ldi(Reg::T2, 3);
+        f.ldi(Reg::T3, 4);
+        f.ld(Width::B, Reg::T0, Reg::T1, 0);
+        f.out(Width::B, Reg::T0);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        // At step 3 only the struck byte differs; it is loaded at step 4.
+        let mem = FaultPlan::single(1, FaultSite::Mem { addr, bit: 0 });
+        let w = sweep_checked("memory", &p, |_| vec![mem.clone(), reg_strike(3, Reg::T9, 0)]);
+        assert_eq!(outcomes(&w), [1, 1, 0, 0]);
+        assert_eq!(w.work.strikes_rejoined, 0);
+    }
+
+    #[test]
+    fn a_pc_strike_checked_at_its_own_step_does_not_rejoin() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.ldi(Reg::T0, 1);
+        f.ldi(Reg::T0, 2);
+        f.add(Width::D, Reg::T0, Reg::T0, imm(3));
+        f.out(Width::B, Reg::T0);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        // The next strike falls at the pc strike's own step, so the check
+        // comes before the clone has run: only the flipped resume point
+        // it holds tells it from the walker.
+        let pc = FaultPlan::single(2, FaultSite::Pc { bit: 0 });
+        let w = sweep_checked("pc", &p, |_| vec![pc.clone(), reg_strike(2, Reg::ZERO, 0)]);
+        assert_eq!(w.control.total(), 1);
+        assert_eq!(w.control.masked, 0, "the strike skips the add");
+        assert_eq!(w.work.strikes_rejoined, 0);
+    }
+
+    #[test]
+    fn the_sweep_equals_a_fresh_vm_per_strike_on_generated_programs() {
+        let mut rejoined = 0;
+        for seed in 0..6 {
+            let program = generate_program(&GenConfig { seed, ..Default::default() });
+            let name = format!("generated-{seed}");
+            let plans = |steps| (0..24).map(|k| strike(seed, &name, k, steps)).collect();
+            rejoined += sweep_checked(&name, &program, plans).work.strikes_rejoined;
+        }
+        assert!(rejoined > 0, "some strike must rejoin the golden path");
+    }
+
     #[test]
     fn one_workload_sweep_is_deterministic_and_fills_the_taxonomy() {
+        let mut rejoined = 0;
         for seed in [FaultCampaignConfig::default().seed, 1, 0xDEAD_BEEF] {
             let cfg = FaultCampaignConfig { seed, ..Default::default() };
             for bench in ["compress", "gcc"] {
@@ -515,8 +727,10 @@ mod tests {
                 // total.
                 let reg_total = a.gated.total() + a.ungated.total();
                 assert_eq!(a.counts.total(), reg_total + a.memory.total() + a.control.total());
+                rejoined += a.work.strikes_rejoined;
             }
         }
+        assert!(rejoined > 0, "some strike must rejoin the golden path");
     }
 
     #[test]

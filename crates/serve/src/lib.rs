@@ -309,6 +309,11 @@ pub struct Metrics {
     pub result_hits: u64,
     pub artifact_hits: u64,
     pub store_hits: u64,
+    /// Digest collisions: a resident memory-cache entry, or a stored
+    /// doc of the current version, whose canonical text differs from
+    /// the request's. Both count here, and neither is served. A stored
+    /// doc of another version or without a text is stale, not a
+    /// collision, and is not counted.
     pub collisions: u64,
     pub evictions: u64,
     /// Things the design proves impossible that happened anyway: a
@@ -660,13 +665,13 @@ impl Shared {
         unreachable!("the retry loop always returns");
     }
 
-    /// Decode a persisted result for `digest`, ignoring entries from a
-    /// different pipeline version or for a program whose canonical text
-    /// is not `text` (a digest collision, or an entry written before the
-    /// text was stored). `None` covers absent, foreign, degraded
-    /// (breaker open / retries exhausted) and corrupt alike — the
-    /// caller computes fresh in every case, and its put overwrites the
-    /// entry.
+    /// Decode a persisted result for `digest`, ignoring stale entries
+    /// (from a different pipeline version, or written before the text
+    /// was stored) and entries for a program whose canonical text is not
+    /// `text` (a digest collision, counted in [`Metrics::collisions`]).
+    /// `None` covers absent, foreign, degraded (breaker open / retries
+    /// exhausted) and corrupt alike — the caller computes fresh in every
+    /// case, and its put overwrites the entry.
     fn store_get(&self, digest: u128, text: &str) -> Option<RunSummary> {
         let store = self.store.as_ref()?;
         let json = self.store_op(|| {
@@ -676,7 +681,11 @@ impl Shared {
             store.get(digest)
         })??;
         let version: u32 = json.field("version").ok()?;
-        if version != STUDY_VERSION || json.get("text").and_then(Json::as_str) != Some(text) {
+        if version != STUDY_VERSION {
+            return None;
+        }
+        if json.get("text").and_then(Json::as_str)? != text {
+            self.counters.collisions.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         json.get("summary").and_then(|s| RunSummary::from_json(s).ok())

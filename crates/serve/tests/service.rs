@@ -128,6 +128,28 @@ fn a_stale_store_version_is_recomputed_not_served() {
     let fresh = Service::new(ServeConfig { store: Some(store.clone()), ..Default::default() });
     let response = fresh.call(&text);
     assert_eq!(response.served, Served::Computed, "stale-version entry must not be served");
+    assert_eq!(fresh.metrics().collisions, 0, "a stale entry is not a collision");
+    std::fs::remove_dir_all(store.dir()).ok();
+}
+
+#[test]
+fn a_store_entry_without_its_text_is_stale_not_a_collision() {
+    let store = temp_store("no-text", 32);
+    let (_, text) = valid_program(14);
+    let service = Service::new(ServeConfig { store: Some(store.clone()), ..Default::default() });
+    assert_eq!(service.call(&text).served, Served::Computed);
+    drop(service);
+
+    // Drop the canonical text, as a binary that did not store it wrote.
+    let key = store.keys()[0];
+    let mut doc = store.get(key).unwrap().unwrap();
+    let og_json::Json::Obj(fields) = &mut doc else { panic!("store doc is an object") };
+    fields.retain(|(k, _)| k != "text");
+    store.put(key, &doc).unwrap();
+
+    let fresh = Service::new(ServeConfig { store: Some(store.clone()), ..Default::default() });
+    assert_eq!(fresh.call(&text).served, Served::Computed, "a text-less entry must not be served");
+    assert_eq!(fresh.metrics().collisions, 0, "a stale entry is not a collision");
     std::fs::remove_dir_all(store.dir()).ok();
 }
 
@@ -151,6 +173,7 @@ fn a_store_entry_under_a_colliding_digest_is_recomputed_not_served() {
     assert_eq!(response.served, Served::Computed, "another program's entry must not be served");
     let summary = response.outcome.expect("B computes");
     assert_eq!(summary.bench, format!("og-{:016x}", key_b as u64), "B's own result");
+    assert_eq!(fresh.metrics().collisions, 1, "the store-level collision is counted");
     drop(fresh);
 
     // The recompute overwrote the foreign entry: B's result now comes off

@@ -32,6 +32,14 @@
 //! That is how `og-lab`'s fault campaign works; the result equals a
 //! strike on a freshly constructed VM.
 //!
+//! A strike's run need not go to its end in one call either. A
+//! [`PlanRun`] stops it at a given step and continues it later, with a
+//! pc strike's flipped `ip` held as the VM's pause point. There
+//! [`Vm::same_state`] can compare the struck clone with the fault-free
+//! walker: the VMs are deterministic, so a clone whose whole state
+//! equals the walker's at the same step ends as the golden run does,
+//! and the campaign records it so without running the rest.
+//!
 //! ```
 //! use og_isa::{Reg, Width};
 //! use og_program::{imm, ProgramBuilder};
@@ -242,49 +250,83 @@ pub fn hang_budget(golden_steps: u64) -> u64 {
 /// no strike before step `n`. Give the VM a hang budget as its
 /// `max_steps` (see [`hang_budget`]). The fault-free golden run comes
 /// from an ordinary [`Vm::run`] on a separate VM.
+///
+/// This is [`PlanRun::run_until`] with no step to stop at.
 pub fn run_with_plan(vm: &mut Vm<'_>, plan: &FaultPlan) -> FaultRun {
-    let mut injected: Vec<Injection> = Vec::new();
-    let mut resume: Option<u32> = vm.paused_at();
-    let mut next = 0usize;
-    let faults = plan.faults();
-    loop {
-        let now = vm.stats().steps;
-        while next < faults.len() && faults[next].at_step <= now {
-            let fault = faults[next];
-            next += 1;
-            let pre = match fault.site {
-                FaultSite::Reg { reg, bit } => vm.flip_reg_bit(reg, bit),
-                FaultSite::Mem { addr, bit } => vm.flip_mem_bit(addr, bit) as i64,
-                FaultSite::Pc { bit } => {
-                    let cur = resume.unwrap_or(vm.flat_program().entry);
-                    let flipped = cur ^ (1u32 << (bit & 31));
-                    injected.push(Injection {
-                        at_step: fault.at_step,
-                        site: fault.site,
-                        pre: cur as i64,
-                    });
-                    if (flipped as usize) >= vm.flat_program().inst_count() {
-                        return FaultRun { end: FaultedEnd::WildJump { ip: flipped }, injected };
+    let mut run = PlanRun::new(plan);
+    let end = run.run_until(vm, u64::MAX).expect("a run with no step to stop at ends");
+    run.into_run(end)
+}
+
+/// A [`FaultPlan`] applied to one VM in stages: [`PlanRun::run_until`]
+/// runs it up to a given step and pauses, and a later call continues it
+/// from there, as if the run had not stopped. A pc strike's flipped
+/// `ip` becomes the VM's pause point, so [`Vm::same_state`] sees it
+/// even before the VM has run on from it.
+///
+/// og-lab's fault campaign runs each strike's clone up to the next
+/// strike's step, compares it with the fault-free walker there, and
+/// continues it only if the two differ.
+#[derive(Debug)]
+pub struct PlanRun<'f> {
+    faults: &'f [Fault],
+    /// The first strike not yet fired.
+    next: usize,
+    injected: Vec<Injection>,
+}
+
+impl<'f> PlanRun<'f> {
+    /// A run of `plan` that has fired no strike yet.
+    pub fn new(plan: &'f FaultPlan) -> PlanRun<'f> {
+        PlanRun { faults: plan.faults(), next: 0, injected: Vec::new() }
+    }
+
+    /// Run `vm` under the plan until it has committed `until` steps, and
+    /// return `None` with `vm` paused there; or return how the run
+    /// ended, if it ended first. Strikes due at or before the step `vm`
+    /// stands at fire before it runs on, those due at `until` included.
+    /// `vm` starts where it stands, as in [`run_with_plan`].
+    pub fn run_until(&mut self, vm: &mut Vm<'_>, until: u64) -> Option<FaultedEnd> {
+        loop {
+            let now = vm.stats().steps;
+            while let Some(&fault) = self.faults.get(self.next).filter(|f| f.at_step <= now) {
+                self.next += 1;
+                let pre = match fault.site {
+                    FaultSite::Reg { reg, bit } => vm.flip_reg_bit(reg, bit),
+                    FaultSite::Mem { addr, bit } => vm.flip_mem_bit(addr, bit) as i64,
+                    FaultSite::Pc { bit } => {
+                        let cur = vm.paused_at().unwrap_or(vm.flat_program().entry);
+                        let flipped = cur ^ (1u32 << (bit & 31));
+                        self.injected.push(Injection {
+                            at_step: fault.at_step,
+                            site: fault.site,
+                            pre: cur as i64,
+                        });
+                        if (flipped as usize) >= vm.flat_program().inst_count() {
+                            return Some(FaultedEnd::WildJump { ip: flipped });
+                        }
+                        vm.hold_pause_at(flipped);
+                        continue;
                     }
-                    resume = Some(flipped);
-                    continue;
-                }
-            };
-            injected.push(Injection { at_step: fault.at_step, site: fault.site, pre });
-        }
-        let quantum = match faults.get(next) {
-            Some(f) => f.at_step - now,
-            None => u64::MAX,
-        };
-        match vm.run_quantum(resume, quantum) {
-            Quantum::Paused { ip } => resume = Some(ip),
-            Quantum::Finished(Ok(outcome)) => {
-                return FaultRun { end: FaultedEnd::Finished(outcome), injected };
+                };
+                self.injected.push(Injection { at_step: fault.at_step, site: fault.site, pre });
             }
-            Quantum::Finished(Err(e)) => {
-                return FaultRun { end: FaultedEnd::Faulted(e), injected };
+            if now >= until {
+                return None;
+            }
+            let stop = self.faults.get(self.next).map_or(until, |f| f.at_step.min(until));
+            match vm.run_quantum(vm.paused_at(), stop - now) {
+                Quantum::Paused { .. } => {}
+                Quantum::Finished(Ok(outcome)) => return Some(FaultedEnd::Finished(outcome)),
+                Quantum::Finished(Err(e)) => return Some(FaultedEnd::Faulted(e)),
             }
         }
+    }
+
+    /// The [`FaultRun`] that ended with `end`, holding the strikes that
+    /// fired so far.
+    pub fn into_run(self, end: FaultedEnd) -> FaultRun {
+        FaultRun { end, injected: self.injected }
     }
 }
 
@@ -433,6 +475,46 @@ mod tests {
             [FaultOutcome::Masked, FaultOutcome::Sdc, FaultOutcome::Detected, FaultOutcome::Hang]
         {
             assert!(seen.contains(&class), "no strike was {}", class.name());
+        }
+    }
+
+    #[test]
+    fn a_plan_run_in_stages_equals_one_run_with_plan() {
+        let p = calling_program();
+        let g = golden(&p);
+        let cfg = RunConfig { max_steps: hang_budget(g.steps), ..Default::default() };
+        let sites = [
+            FaultSite::Reg { reg: Reg::T0, bit: 1 },
+            FaultSite::Reg { reg: Reg::ZERO, bit: 4 },
+            FaultSite::Mem { addr: GLOBAL_BASE + 1, bit: 2 },
+            FaultSite::Pc { bit: 0 },
+            FaultSite::Pc { bit: 30 },
+        ];
+        let mut walker = Vm::new(&p, cfg.clone());
+        for at in 0..g.steps {
+            walk_to(&mut walker, at);
+            for site in sites {
+                let plan = FaultPlan::single(at, site);
+                let whole = run_with_plan(&mut walker.clone(), &plan);
+                for until in at..at + 4 {
+                    let mut vm = walker.clone();
+                    let mut run = PlanRun::new(&plan);
+                    let end = match run.run_until(&mut vm, until) {
+                        Some(end) => end,
+                        None => {
+                            assert_eq!(vm.stats().steps, until, "{plan:?} paused at {until}");
+                            if until == at {
+                                // Nothing ran since the strike; only
+                                // the flip tells the clone apart.
+                                let masked_by_construction = site == sites[1];
+                                assert_eq!(vm.same_state(&walker), masked_by_construction);
+                            }
+                            run.run_until(&mut vm, u64::MAX).expect("runs to its end")
+                        }
+                    };
+                    assert_eq!(run.into_run(end), whole, "{plan:?} stopped at {until}");
+                }
+            }
         }
     }
 

@@ -77,6 +77,8 @@
 //! `Clone`, and [`fault::run_with_plan`] continues a paused VM from its
 //! pause point, so the campaign strikes clones of one VM paused along
 //! the fault-free path instead of re-running that path for each strike.
+//! [`fault::PlanRun`] stops a struck clone at a later step, where
+//! [`Vm::same_state`] tells whether it has rejoined that path.
 //!
 //! ## Streaming dataflow (VM → TraceSink → Simulator/Profiler)
 //!

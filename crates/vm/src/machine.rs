@@ -263,6 +263,35 @@ impl<'p> Vm<'p> {
         self.paused_at
     }
 
+    /// Make `ip` the point the paused run resumes at: a pc strike's
+    /// flipped `ip`, held in the VM so that [`Vm::same_state`] sees it.
+    pub(crate) fn hold_pause_at(&mut self, ip: u32) {
+        self.paused_at = Some(ip);
+    }
+
+    /// Whether `self` and `other` are in the same machine state, so that
+    /// resuming both runs the same instructions to the same end: the
+    /// same program, step count, resume `ip` (the pause point, or none
+    /// for a VM that will start from the entry), registers, call stack,
+    /// output so far and memory contents. A page that only one side has
+    /// materialized reads as zeros.
+    ///
+    /// The run configuration is not compared (two VMs in the same state
+    /// under different fuel bounds may end differently), nor are
+    /// statistics other than the step count, which never steer a run.
+    /// og-lab's fault campaign compares a struck clone with the walker
+    /// paused on the fault-free path: if they are equal, the strike ends
+    /// with the golden outcome.
+    pub fn same_state(&self, other: &Vm<'_>) -> bool {
+        (std::ptr::eq(self.program, other.program) || self.program == other.program)
+            && self.stats.steps == other.stats.steps
+            && self.paused_at == other.paused_at
+            && self.regs == other.regs
+            && self.flat_call_stack == other.flat_call_stack
+            && self.output == other.output
+            && self.mem.same_contents(&other.mem)
+    }
+
     /// Current value of a register (zero register reads as 0).
     pub fn reg(&self, r: Reg) -> i64 {
         if r.is_zero() {
@@ -1203,6 +1232,113 @@ mod tests {
         assert_eq!(got, expected);
         assert!(pauses >= expected.steps as u32 - 1);
         assert_eq!(vm.output(), solo.output());
+    }
+
+    /// `main` loads a table entry, prints it, and calls `sq`, which
+    /// squares it and adds `k`.
+    fn call_program(k: i64) -> Program {
+        let mut pb = ProgramBuilder::new();
+        pb.data_quads("tbl", &[5, 6, 7]);
+        let mut sq = pb.function("sq", 1);
+        sq.block("entry");
+        sq.mul(Width::W, Reg::V0, Reg::A0, Reg::A0);
+        sq.add(Width::W, Reg::V0, Reg::V0, imm(k));
+        sq.ret();
+        pb.finish(sq);
+        let mut main = pb.function("main", 0);
+        main.block("entry");
+        main.la(Reg::T1, "tbl");
+        main.ld(Width::D, Reg::A0, Reg::T1, 0);
+        main.out(Width::B, Reg::A0);
+        main.jsr("sq");
+        main.out(Width::B, Reg::V0);
+        main.halt();
+        pb.finish(main);
+        pb.build().unwrap()
+    }
+
+    /// Paused inside `sq`'s frame after `main`'s first `out`: every part
+    /// of the state `same_state` compares holds something.
+    fn paused_in_a_call(p: &Program) -> Vm<'_> {
+        let mut vm = Vm::new(p, RunConfig::default());
+        assert!(matches!(vm.run_quantum(None, 4), Quantum::Paused { .. }));
+        assert_eq!((vm.flat_call_stack.len(), vm.output(), vm.mem.page_count()), (1, &[5][..], 1));
+        vm
+    }
+
+    /// `same_state` must tell `vm` from a clone after `change`, both
+    /// ways round.
+    fn assert_told_apart(change: impl FnOnce(&mut Vm<'_>)) {
+        let p = call_program(1);
+        let vm = paused_in_a_call(&p);
+        let mut other = vm.clone();
+        assert!(vm.same_state(&other));
+        change(&mut other);
+        assert!(!vm.same_state(&other) && !other.same_state(&vm));
+    }
+
+    #[test]
+    fn same_state_holds_for_a_clone_and_for_a_replay() {
+        let p = call_program(1);
+        let vm = paused_in_a_call(&p);
+        assert!(vm.same_state(&vm.clone()));
+        assert!(vm.same_state(&paused_in_a_call(&p)));
+        assert!(!vm.same_state(&Vm::new(&p, RunConfig::default())), "a fresh VM is at step 0");
+    }
+
+    #[test]
+    fn same_state_compares_the_program() {
+        let (p, copy, other) = (call_program(1), call_program(1), call_program(2));
+        let vm = paused_in_a_call(&p);
+        assert!(vm.same_state(&paused_in_a_call(&copy)), "an equal program, held apart");
+        assert!(!vm.same_state(&paused_in_a_call(&other)));
+    }
+
+    #[test]
+    fn same_state_compares_the_step_count() {
+        assert_told_apart(|vm| vm.stats.steps += 1);
+    }
+
+    #[test]
+    fn same_state_compares_the_resume_ip() {
+        assert_told_apart(|vm| vm.hold_pause_at(vm.paused_at().unwrap() + 1));
+    }
+
+    #[test]
+    fn same_state_compares_the_registers() {
+        assert_told_apart(|vm| {
+            vm.flip_reg_bit(Reg::T9, 63);
+        });
+    }
+
+    #[test]
+    fn same_state_compares_the_call_stack_depth() {
+        assert_told_apart(|vm| {
+            let top = *vm.flat_call_stack.last().unwrap();
+            vm.flat_call_stack.push(top);
+        });
+    }
+
+    #[test]
+    fn same_state_compares_the_output() {
+        assert_told_apart(|vm| vm.output.push(0));
+    }
+
+    #[test]
+    fn same_state_compares_memory_bytes() {
+        assert_told_apart(|vm| {
+            vm.flip_mem_bit(og_program::GLOBAL_BASE + 9, 0);
+        });
+    }
+
+    #[test]
+    fn same_state_reads_a_page_only_one_side_holds_as_zeros() {
+        let p = call_program(1);
+        let vm = paused_in_a_call(&p);
+        let mut other = vm.clone();
+        other.mem.write_u8(0x7000_0000, 0);
+        assert_eq!(other.mem.page_count(), vm.mem.page_count() + 1);
+        assert!(vm.same_state(&other) && other.same_state(&vm));
     }
 
     #[test]

@@ -114,16 +114,31 @@ impl Memory {
         }
     }
 
-    /// Bulk-initialize a region (used to load the data segment).
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), b);
+    /// Bulk-initialize a region (used to load the data segment): one
+    /// page probe and one copy per page the region touches. Every page
+    /// it touches materializes, as with one [`Memory::write_u8`] per
+    /// byte.
+    pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
+            let n = bytes.len().min(PAGE_SIZE - off);
+            self.page_mut(addr)[off..off + n].copy_from_slice(&bytes[..n]);
+            addr = addr.wrapping_add(n as u64);
+            bytes = &bytes[n..];
         }
     }
 
     /// Number of materialized pages (for tests and diagnostics).
     pub fn page_count(&self) -> usize {
         self.pages.len()
+    }
+
+    /// Whether every address reads the same byte in `self` and `other`:
+    /// a page that only one side has materialized compares as zeros.
+    pub(crate) fn same_contents(&self, other: &Memory) -> bool {
+        static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        self.pages.iter().all(|(n, p)| other.pages.get(n).map_or(**p == ZERO_PAGE, |q| p == q))
+            && other.pages.iter().all(|(n, q)| self.pages.contains_key(n) || **q == ZERO_PAGE)
     }
 }
 
@@ -172,5 +187,51 @@ mod tests {
         let mut m = Memory::new();
         m.write_bytes(0x400, &[1, 2, 3, 4]);
         assert_eq!(m.read(0x400, Width::W, false), 0x0403_0201);
+    }
+
+    #[test]
+    fn bulk_writes_equal_per_byte_writes() {
+        let page = PAGE_SIZE as u64;
+        // Mid-page, spanning three pages (zeros included, which still
+        // materialize their page), empty, and at the top of the address
+        // space, where the region wraps to address 0.
+        let three_pages: Vec<u8> = (0..2 * PAGE_SIZE + 100).map(|i| (i % 7) as u8).collect();
+        let cases: [(u64, &[u8]); 5] = [
+            (0x10_0123, &[9, 8, 7, 6, 5]),
+            (5 * page - 50, &three_pages),
+            (3 * page, &[0; 16]),
+            (0x2345, &[]),
+            (u64::MAX - 2, &[1, 2, 3, 4, 5]),
+        ];
+        for (addr, bytes) in cases {
+            let mut bulk = Memory::new();
+            bulk.write_bytes(addr, bytes);
+            let mut per_byte = Memory::new();
+            for (i, &b) in bytes.iter().enumerate() {
+                per_byte.write_u8(addr.wrapping_add(i as u64), b);
+            }
+            assert_eq!(bulk.page_count(), per_byte.page_count(), "{addr:#x}");
+            for i in 0..bytes.len() as u64 + 2 * page {
+                let a = addr.wrapping_sub(page).wrapping_add(i);
+                assert_eq!(bulk.read_u8(a), per_byte.read_u8(a), "{addr:#x}: byte {a:#x}");
+            }
+            assert!(bulk.same_contents(&per_byte), "{addr:#x}");
+        }
+    }
+
+    #[test]
+    fn same_contents_reads_unmaterialized_pages_as_zeros() {
+        let mut a = Memory::new();
+        a.write(0x5000, Width::D, 7);
+        let mut b = a.clone();
+        b.write_u8(0x9000, 0);
+        assert_eq!(b.page_count(), a.page_count() + 1);
+        // Both ways round: the page is on one side only.
+        assert!(a.same_contents(&b) && b.same_contents(&a), "an all-zero page equals no page");
+        b.write_u8(0x9FFF, 1);
+        assert!(!a.same_contents(&b) && !b.same_contents(&a), "a nonzero byte on one side only");
+        let mut c = a.clone();
+        c.write_u8(0x5003, 1);
+        assert!(!a.same_contents(&c) && !c.same_contents(&a), "a byte on a page both hold");
     }
 }
