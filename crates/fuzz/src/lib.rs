@@ -176,19 +176,32 @@ pub fn sim_cross_check(p: &Program, max_steps: u64) -> Result<(), String> {
 /// `Masked` or `Sdc`, and — when the strike happened to land past the
 /// end of the run and never fired — the quantum-sliced driver must be
 /// architecturally invisible (same steps, same digest as the golden
-/// run).
+/// run). A strike on a register no instruction reads
+/// ([`Program::read_mask`]) must end exactly as the golden run does:
+/// og-lab's fault campaign records such strikes so without running them.
 ///
 /// # Errors
 ///
 /// Returns a description of the first soundness violation.
 pub fn fault_cross_check(p: &Program, max_steps: u64, seed: u64) -> Result<(), String> {
-    use og_vm::fault::{classify, hang_budget, run_with_plan, FaultOutcome, FaultPlan, FaultedEnd};
+    use og_vm::fault::{
+        classify, hang_budget, run_with_plan, FaultOutcome, FaultPlan, FaultSite, FaultedEnd,
+    };
     let golden = Vm::new(p, RunConfig { max_steps, ..Default::default() })
         .run()
         .map_err(|e| format!("golden run failed: {e}"))?;
     let plan = FaultPlan::seeded(seed, golden.steps.max(1), 1);
     let budget = RunConfig { max_steps: hang_budget(golden.steps), ..Default::default() };
     let run = run_with_plan(&mut Vm::new(p, budget), &plan);
+    if let FaultSite::Reg { reg, .. } = plan.faults()[0].site {
+        if p.read_mask() & 1 << reg.index() == 0 && run.end != FaultedEnd::Finished(golden) {
+            return Err(format!(
+                "a strike on {reg}, which no instruction reads, ended as {:?}, not as the \
+                 golden run {golden:?}",
+                run.end
+            ));
+        }
+    }
     let outcome = classify(&golden, &run.end);
     match &run.end {
         FaultedEnd::Finished(o) => {
@@ -254,6 +267,36 @@ mod tests {
         assert!(summary.narrowed > 0, "VRP narrowed nothing across 8 programs?");
         let json = og_json::render(&summary.to_json()).unwrap();
         assert!(json.contains("\"failed\":false"), "{json}");
+    }
+
+    #[test]
+    fn fault_cross_check_passes_strikes_on_read_and_unread_registers() {
+        use og_isa::{Reg, Width};
+        use og_program::{imm, ProgramBuilder};
+        use og_vm::fault::{FaultPlan, FaultSite};
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.ldi(Reg::T0, 5);
+        f.ldi(Reg::T1, 4);
+        f.block("loop");
+        f.add(Width::D, Reg::T0, Reg::T0, imm(3));
+        f.add(Width::D, Reg::T1, Reg::T1, imm(-1));
+        f.bne(Reg::T1, "loop");
+        f.block("done");
+        f.out(Width::B, Reg::T0);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        let steps = Vm::new(&p, RunConfig::default()).run().unwrap().steps;
+        let mut hit = [false; 2];
+        for seed in 0..64 {
+            if let FaultSite::Reg { reg, .. } = FaultPlan::seeded(seed, steps, 1).faults()[0].site {
+                hit[usize::from(p.read_mask() & 1 << reg.index() == 0)] = true;
+            }
+            fault_cross_check(&p, 1000, seed).unwrap();
+        }
+        assert_eq!(hit, [true; 2], "the seeds strike both read and unread registers");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use og_lab::{compute_study_with_work, figures};
 
 fn main() {
     let t0 = std::time::Instant::now();
-    let (study, work) = compute_study_with_work();
+    let (study, work, _) = compute_study_with_work();
     let counts: Vec<String> = work.rows().iter().map(|(name, n)| format!("{name} {n}")).collect();
     eprintln!("study ready in {:.1?}: {}", t0.elapsed(), counts.join(", "));
     print!("{}", figures::all(&study));

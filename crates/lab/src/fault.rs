@@ -24,23 +24,33 @@
 //! is verified and lowered twice, for the golden run and the walker,
 //! and its prefix runs once, not once per strike.
 //!
-//! A strike's clone first runs only up to the next strike's step, where
-//! the walker pauses anyway, and is compared with the walker there
-//! ([`og_vm::Vm::same_state`]). A clone whose whole state equals the
-//! golden state at the same step ends as the golden run does (the VM is
-//! deterministic), so the strike is recorded with the golden outcome and
-//! its run stops. Only a clone that differs runs on to its end. A flip
-//! into a register that is overwritten before it is read rejoins this
-//! way; a flip that is never read again but never overwritten either
-//! does not, and runs to its end.
+//! A strike on a register that no instruction of the program reads
+//! ([`og_program::Program::read_mask`]) is not run at all. The VM reads
+//! registers only through instruction operands, so the flip never
+//! reaches a branch, an address, memory or the output: the run ends as
+//! the golden run does. The strike is recorded with the golden outcome
+//! and the value it would displace, read from the walker paused at its
+//! step, so it lands in the same significance bin.
+//!
+//! Every other strike's clone first runs only up to the next strike's
+//! step, where the walker pauses anyway, and is compared with the walker
+//! there ([`og_vm::Vm::same_state`]). A clone whose whole state equals
+//! the golden state at the same step ends as the golden run does (the VM
+//! is deterministic), so the strike is recorded with the golden outcome
+//! and its run stops. Only a clone that differs runs on to its end. A
+//! flip into a register that is overwritten before it is read rejoins
+//! this way. A flip into a location that some instruction reads but
+//! that is never read again after the strike, mostly a memory byte,
+//! neither rejoins nor is skipped, and runs to its end.
 
 use crate::pool::WorkerPool;
 use og_isa::{Reg, Width};
 use og_json::{Json, ToJson};
 use og_program::rng::SplitMix64;
-use og_program::{Program, GLOBAL_BASE};
+use og_program::Program;
 use og_vm::fault::{
-    classify, hang_budget, Fault, FaultOutcome, FaultPlan, FaultRun, FaultSite, FaultedEnd, PlanRun,
+    classify, hang_budget, Fault, FaultOutcome, FaultPlan, FaultRun, FaultSite, FaultedEnd,
+    Injection, PlanRun,
 };
 use og_vm::{Quantum, RunConfig, RunOutcome, Vm};
 use og_workloads::{by_name, InputSet, NAMES};
@@ -122,11 +132,12 @@ impl OutcomeCounts {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultWork {
     /// VM steps executed: the golden runs, the walkers and each strike's
-    /// run from its pause point, up to its rejoin check or to its end.
+    /// run from its pause point, up to its rejoin check or to its end. An
+    /// unread strike executes none.
     pub steps_executed: u64,
     /// VM steps accounted for: the golden runs plus every strike's run
-    /// from step 0, as a fresh VM per strike would execute them. A
-    /// rejoined strike counts the golden run's length.
+    /// from step 0, as a fresh VM per strike would execute them. An
+    /// unread or rejoined strike counts the golden run's length.
     pub steps_accounted: u64,
     /// Programs verified and lowered into a VM.
     pub verify_lowers: u64,
@@ -134,16 +145,21 @@ pub struct FaultWork {
     /// strike's step, and so were recorded with the golden outcome
     /// without running to their end.
     pub strikes_rejoined: u64,
+    /// Register strikes on a register no instruction of the program
+    /// reads ([`Program::read_mask`]), recorded with the golden outcome
+    /// without being run at all.
+    pub strikes_unread: u64,
 }
 
 impl FaultWork {
     /// Every count with its field name, in declaration order.
-    pub fn rows(&self) -> [(&'static str, u64); 4] {
+    pub fn rows(&self) -> [(&'static str, u64); 5] {
         [
             ("steps_executed", self.steps_executed),
             ("steps_accounted", self.steps_accounted),
             ("verify_lowers", self.verify_lowers),
             ("strikes_rejoined", self.strikes_rejoined),
+            ("strikes_unread", self.strikes_unread),
         ]
     }
 
@@ -152,6 +168,7 @@ impl FaultWork {
         self.steps_accounted += other.steps_accounted;
         self.verify_lowers += other.verify_lowers;
         self.strikes_rejoined += other.strikes_rejoined;
+        self.strikes_unread += other.strikes_unread;
     }
 }
 
@@ -279,12 +296,7 @@ fn strike(seed: u64, bench: &str, k: usize, golden_steps: u64) -> FaultPlan {
         seed ^ og_vm::fnv1a(bench.as_bytes()) ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     );
     let at_step = rng.below(golden_steps.max(1));
-    let site = match rng.below(8) {
-        0 => FaultSite::Mem { addr: GLOBAL_BASE + rng.below(4096), bit: rng.below(8) as u8 },
-        1 => FaultSite::Pc { bit: rng.below(32) as u8 },
-        _ => FaultSite::Reg { reg: Reg::new(rng.below(31) as u8), bit: rng.below(64) as u8 },
-    };
-    FaultPlan::new(vec![Fault { at_step, site }])
+    FaultPlan::single(at_step, FaultSite::draw(&mut rng))
 }
 
 /// The verified VM for `bench`'s `program` under `cfg`, counted in
@@ -326,16 +338,19 @@ fn sweep_workload(cfg: &FaultCampaignConfig, bench: &str) -> WorkloadFaults {
 ///
 /// The sweep takes the plans in step order. One walker VM, under the
 /// hang budget, follows the golden path and pauses at each strike's
-/// step. Each strike runs on a clone of the paused walker, so the
-/// fault-free prefix executes once per workload, not once per strike.
-/// The clone runs only up to the next strike's step, where the walker
-/// pauses anyway, and is compared with it there: a clone in the
-/// walker's state is recorded as finishing with the golden outcome
-/// (counted in [`FaultWork::strikes_rejoined`]), and any other runs on
-/// to its end. The last strike runs to its end. Striking the clone
-/// gives the same run as striking a fresh VM, a rejoined clone ends as
-/// the golden run does, and the bins are sums, so the order does not
-/// change the result.
+/// step. A strike on a register outside the program's
+/// [`Program::read_mask`] is recorded there with the golden outcome and
+/// the walker's value of that register, and is not run (counted in
+/// [`FaultWork::strikes_unread`]). Every other strike runs on a clone of
+/// the paused walker, so the fault-free prefix executes once per
+/// workload, not once per strike. The clone runs only up to the next
+/// strike's step, where the walker pauses anyway, and is compared with
+/// it there: a clone in the walker's state is recorded as finishing
+/// with the golden outcome (counted in [`FaultWork::strikes_rejoined`]),
+/// and any other runs on to its end. The last strike runs to its end.
+/// Striking the clone gives the same run as striking a fresh VM, an
+/// unread or rejoined strike ends as the golden run does, and the bins
+/// are sums, so the order does not change the result.
 fn sweep(
     name: &str,
     program: &Program,
@@ -353,6 +368,7 @@ fn sweep(
     plans.sort_by_key(|plan| plan.faults()[0].at_step);
     let budget = RunConfig { max_steps: hang_budget(golden.steps), ..Default::default() };
     let mut walker = workload_vm(name, program, budget, &mut w.work);
+    let read = program.read_mask();
     let mut resume = None;
     let mut walk_to = |walker: &mut Vm<'_>, at: u64| {
         let now = walker.stats().steps;
@@ -366,7 +382,24 @@ fn sweep(
         }
     };
     for (k, plan) in plans.iter().enumerate() {
-        walk_to(&mut walker, plan.faults()[0].at_step);
+        let Fault { at_step, site } = plan.faults()[0];
+        walk_to(&mut walker, at_step);
+        if let FaultSite::Reg { reg, .. } = site {
+            if read & 1 << reg.index() == 0 {
+                // No instruction reads `reg`, so the run would end as the
+                // golden run does; the walker holds the value the flip
+                // would displace.
+                let pre = walker.reg(reg);
+                let run = FaultRun {
+                    end: FaultedEnd::Finished(golden),
+                    injected: vec![Injection { at_step, site, pre }],
+                };
+                w.work.steps_accounted += golden.steps;
+                w.work.strikes_unread += 1;
+                w.record(site, &run, &golden);
+                continue;
+            }
+        }
         let mut clone = walker.clone();
         let started = clone.stats().steps;
         let mut run = PlanRun::new(plan);
@@ -388,7 +421,7 @@ fn sweep(
         w.work.steps_executed += clone.stats().steps - started;
         w.work.steps_accounted += if rejoined { golden.steps } else { clone.stats().steps };
         w.work.strikes_rejoined += u64::from(rejoined);
-        w.record(plan.faults()[0].site, &run.into_run(end), &golden);
+        w.record(site, &run.into_run(end), &golden);
     }
     w.work.steps_executed += walker.stats().steps;
     w
@@ -489,7 +522,7 @@ pub fn plan_from_json(json: &Json) -> Result<FaultPlan, String> {
 mod tests {
     use super::*;
     use og_program::generate::{generate_program, GenConfig};
-    use og_program::{imm, ProgramBuilder};
+    use og_program::{imm, ProgramBuilder, GLOBAL_BASE};
     use og_vm::fault::run_with_plan;
 
     #[test]
@@ -616,11 +649,84 @@ mod tests {
         let w = sweep_checked("overwrite", &p, |_| plans.to_vec());
         assert_eq!(outcomes(&w), [2, 0, 0, 0]);
         assert_eq!(w.work.strikes_rejoined, 1);
+        assert_eq!(w.work.strikes_unread, 1, "nothing reads T9");
         let golden = w.golden_steps;
         assert_eq!(w.work.steps_accounted, 3 * golden, "the golden run and two whole strikes");
-        // The golden run, the walker to step 4, the first strike from
-        // step 1 to its check at 4, and the last strike to its end.
-        assert_eq!(w.work.steps_executed, golden + 4 + (4 - 1) + (golden - 4));
+        // The golden run, the walker to step 4, and the first strike from
+        // step 1 to its check at 4; the strike on T9 does not run.
+        assert_eq!(w.work.steps_executed, golden + 4 + (4 - 1));
+    }
+
+    #[test]
+    fn a_strike_on_a_register_nothing_reads_is_not_run() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.ldi(Reg::T3, 0x12_3456_7890);
+        f.ldi(Reg::T0, 9);
+        f.out(Width::B, Reg::T0);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        // T3 holds a 5-byte value when byte 2 of it is struck.
+        let w = sweep_checked("unread", &p, |_| vec![reg_strike(1, Reg::T3, 19)]);
+        assert_eq!(outcomes(&w), [1, 0, 0, 0]);
+        assert_eq!(w.ungated.masked, 1, "binned by the value the flip displaced");
+        assert_eq!(w.by_byte[2].masked, 1);
+        assert_eq!(w.work.strikes_unread, 1);
+        // The golden run and the walker to step 1; the strike runs none.
+        assert_eq!(w.work.steps_executed, w.golden_steps + 1);
+        assert_eq!(w.work.steps_accounted, 2 * w.golden_steps);
+    }
+
+    #[test]
+    fn a_register_read_only_as_a_second_operand_is_run() {
+        let mut pb = ProgramBuilder::new();
+        pb.data_bytes("g", vec![0x11; 16]);
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.ldi(Reg::T2, 7);
+        f.la(Reg::T4, "g");
+        f.la(Reg::T1, "g");
+        f.ldi(Reg::T0, 1);
+        f.add(Width::D, Reg::T0, Reg::T0, Reg::T2);
+        f.st(Width::B, Reg::T0, Reg::T4, 0);
+        f.ld(Width::B, Reg::T0, Reg::T1, 0);
+        f.out(Width::B, Reg::T0);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        // T2 is only the add's second source and T4 only the store's
+        // base: one flip changes the sum, the other moves the store off
+        // the byte that is loaded and printed.
+        let plans = [reg_strike(3, Reg::T2, 0), reg_strike(4, Reg::T4, 3)];
+        let w = sweep_checked("second", &p, |_| plans.to_vec());
+        assert_eq!(outcomes(&w), [0, 2, 0, 0]);
+        assert_eq!(w.work.strikes_unread, 0);
+    }
+
+    #[test]
+    fn a_register_read_only_off_the_path_is_run() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.ldi(Reg::T0, 1);
+        f.ldi(Reg::T5, 9);
+        f.bne(Reg::T0, "done");
+        f.block("never");
+        f.out(Width::B, Reg::T5);
+        f.block("done");
+        f.out(Width::B, Reg::T0);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        // The only read of T5 sits in a block the run never enters; the
+        // read set comes from the text, so the strike still runs.
+        let w = sweep_checked("off-path", &p, |_| vec![reg_strike(2, Reg::T5, 0)]);
+        assert_eq!(outcomes(&w), [1, 0, 0, 0]);
+        assert_eq!(w.work.strikes_unread, 0);
+        let golden = w.golden_steps;
+        assert_eq!(w.work.steps_executed, golden + 2 + (golden - 2));
     }
 
     #[test]
@@ -701,7 +807,7 @@ mod tests {
 
     #[test]
     fn one_workload_sweep_is_deterministic_and_fills_the_taxonomy() {
-        let mut rejoined = 0;
+        let (mut rejoined, mut unread) = (0, 0);
         for seed in [FaultCampaignConfig::default().seed, 1, 0xDEAD_BEEF] {
             let cfg = FaultCampaignConfig { seed, ..Default::default() };
             for bench in ["compress", "gcc"] {
@@ -728,9 +834,11 @@ mod tests {
                 let reg_total = a.gated.total() + a.ungated.total();
                 assert_eq!(a.counts.total(), reg_total + a.memory.total() + a.control.total());
                 rejoined += a.work.strikes_rejoined;
+                unread += a.work.strikes_unread;
             }
         }
         assert!(rejoined > 0, "some strike must rejoin the golden path");
+        assert!(unread > 0, "some strike must hit a register nothing reads");
     }
 
     #[test]

@@ -22,17 +22,17 @@
 //! 25 distinct programs (most mechanisms leave compress and m88ksim
 //! unchanged, and the five VRS cost points give one program on every
 //! benchmark), so the study runs each distinct program once on the VM
-//! and assembles all 72 summaries from those 25 measurements.
-//! [`identity_classes`] reports the partition. The 25 commit only 10
-//! distinct paths: VRP re-encodes widths but moves no instruction, and
-//! only gcc's and vortex's VRS programs add code. The simulator's timing
-//! half reads nothing a width changes, so the study simulates each path
-//! once, runs the 15 width-only programs through the value accountant
-//! alone, and joins their value counts with their path's timing. The
-//! join is checked per run and falls back to a full simulation when a
-//! program leaves its path. Each benchmark's VRS pairs share one
-//! profile, since profiling does not read the cost.
-//! [`compute_study_with_work`] reports this work ([`StudyWork`]).
+//! and assembles all 72 summaries from those 25 measurements. The 25
+//! commit only 10 distinct paths: VRP re-encodes widths but moves no
+//! instruction, and only gcc's and vortex's VRS programs add code. The
+//! simulator's timing half reads nothing a width changes, so the study
+//! simulates each path once, runs the 15 width-only programs through
+//! the value accountant alone, and joins their value counts with their
+//! path's timing. The join is checked per run and falls back to a full
+//! simulation when a program leaves its path. Each benchmark's VRS
+//! pairs share one profile, since profiling does not read the cost.
+//! [`compute_study_with_work`] reports this work ([`StudyWork`]) and
+//! the partition ([`IdentityClasses`]).
 //!
 //! Hardware and cooperative gating schemes need no extra runs: every
 //! access was recorded with both its opcode width and its dynamic
@@ -376,23 +376,6 @@ fn classify(bench: &str) -> Classes {
     Classes { programs, pairs }
 }
 
-/// The study's identity classes: for each benchmark in suite order,
-/// [`Mech::ALL`] partitioned by equality of the transformed programs.
-/// Classes and their members are in [`Mech::ALL`] order.
-/// [`compute_study`] measures one program per class.
-pub fn identity_classes() -> Vec<(&'static str, Vec<Vec<Mech>>)> {
-    let pool = WorkerPool::with_default_parallelism();
-    let classes = pool.map_all("identity classes", NAMES, |bench| {
-        let Classes { programs, pairs } = classify(bench);
-        let mut members = vec![Vec::new(); programs.len()];
-        for ((class, _), mech) in pairs.into_iter().zip(Mech::ALL) {
-            members[class].push(mech);
-        }
-        members
-    });
-    NAMES.into_iter().zip(classes).collect()
-}
-
 /// Run the full study.
 ///
 /// The 72 (benchmark, mechanism) pairs hold only 25 distinct programs,
@@ -425,17 +408,30 @@ pub fn compute_study() -> Study {
     compute_study_with_work().0
 }
 
-/// [`compute_study`], with the work it did.
-pub fn compute_study_with_work() -> (Study, StudyWork) {
+/// One benchmark's identity classes: [`Mech::ALL`] partitioned by
+/// equality of the transformed programs, classes and their members in
+/// [`Mech::ALL`] order. The study measures one program per class.
+pub type IdentityClasses = Vec<Vec<Mech>>;
+
+/// [`compute_study`], with the work it did and each benchmark's
+/// [`IdentityClasses`], in suite order ([`NAMES`]).
+pub fn compute_study_with_work() -> (Study, StudyWork, Vec<IdentityClasses>) {
     let pool = WorkerPool::with_default_parallelism();
-    let (runs, work): (Vec<_>, Vec<_>) =
-        pool.map_all("study", NAMES, study_bench).into_iter().unzip();
-    (Study::new(runs.into_iter().flatten().collect()), work.into_iter().sum())
+    let jobs = pool.map_all("study", NAMES, study_bench);
+    let work = jobs.iter().map(|(_, work, _)| *work).sum();
+    let mut runs = Vec::new();
+    let mut classes = Vec::new();
+    for (summaries, _, members) in jobs {
+        runs.extend(summaries);
+        classes.push(members);
+    }
+    (Study::new(runs), work, classes)
 }
 
 /// One benchmark's share of [`compute_study_with_work`]: its nine
-/// summaries in [`Mech::ALL`] order and the work behind them.
-fn study_bench(bench: &'static str) -> (Vec<RunSummary>, StudyWork) {
+/// summaries in [`Mech::ALL`] order, the work behind them and its
+/// identity classes.
+fn study_bench(bench: &'static str) -> (Vec<RunSummary>, StudyWork, IdentityClasses) {
     let Classes { programs, pairs } = classify(bench);
     let (_, untransformed) = &programs[0];
     let expected = Vm::new(untransformed, RunConfig::default())
@@ -479,12 +475,16 @@ fn study_bench(bench: &'static str) -> (Vec<RunSummary>, StudyWork) {
     }
     work.fused_steps = work.simulator_records + work.value_only_records;
 
+    let mut members = vec![Vec::new(); programs.len()];
     let runs = pairs
         .iter()
         .zip(Mech::ALL)
-        .map(|((class, vrs), mech)| measured[*class].0.assemble(bench, mech, vrs.as_ref()))
+        .map(|((class, vrs), mech)| {
+            members[*class].push(mech);
+            measured[*class].0.assemble(bench, mech, vrs.as_ref())
+        })
         .collect();
-    (runs, work)
+    (runs, work, members)
 }
 
 /// Dynamic Table 3 rows: per-class percentage of instructions and width

@@ -26,7 +26,7 @@
 use og_json::{Json, ToJson};
 use og_lab::fault::{run_fault_campaign, FaultCampaignConfig, FaultCampaignReport};
 use og_lab::{
-    compute_study_with_work, figures, identity_classes, run_program, Mech, RunSummary, Study,
+    compute_study_with_work, figures, run_program, IdentityClasses, Mech, RunSummary, Study,
     StudyWork, WorkerPool,
 };
 use og_power::{EnergyModel, GatingScheme};
@@ -34,10 +34,10 @@ use og_vm::{fnv1a, RunConfig};
 use og_workloads::{by_name, InputSet, NAMES};
 use std::sync::OnceLock;
 
-/// The study every test in this binary checks, and the work it did,
-/// computed once.
-fn cold_study_with_work() -> &'static (Study, StudyWork) {
-    static STUDY: OnceLock<(Study, StudyWork)> = OnceLock::new();
+/// The study every test in this binary checks, the work it did and each
+/// bench's identity classes, computed once.
+fn cold_study_with_work() -> &'static (Study, StudyWork, Vec<IdentityClasses>) {
+    static STUDY: OnceLock<(Study, StudyWork, Vec<IdentityClasses>)> = OnceLock::new();
     STUDY.get_or_init(compute_study_with_work)
 }
 
@@ -219,15 +219,16 @@ const IDENTITY_CLASSES: &[(&str, &str)] = &[
 
 #[test]
 fn identity_classes_match_the_committed_partition() {
-    let classes = identity_classes();
-    let fresh: Vec<(&str, String)> = classes
-        .iter()
+    let classes = &cold_study_with_work().2;
+    let fresh: Vec<(&str, String)> = NAMES
+        .into_iter()
+        .zip(classes)
         .map(|(bench, classes)| {
             let groups: Vec<String> = classes
                 .iter()
                 .map(|class| class.iter().map(|m| format!("{m:?}")).collect::<Vec<_>>().join(" "))
                 .collect();
-            (*bench, groups.join(" | "))
+            (bench, groups.join(" | "))
         })
         .collect();
     let unchanged = fresh
@@ -240,7 +241,7 @@ fn identity_classes_match_the_committed_partition() {
         unchanged,
         "identity classes moved; after a deliberate change, replace IDENTITY_CLASSES with:\n{table}"
     );
-    let total: usize = classes.iter().map(|(_, classes)| classes.len()).sum();
+    let total: usize = classes.iter().map(Vec::len).sum();
     assert_eq!(total, 25, "the study measures one program per identity class");
 }
 

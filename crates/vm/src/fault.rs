@@ -98,6 +98,21 @@ pub enum FaultSite {
     },
 }
 
+impl FaultSite {
+    /// A seeded strike site: 1 in 8 a bit of a byte in the first 4 KiB of
+    /// the global data region, 1 in 8 a pc bit, and the rest a bit of a
+    /// register other than the zero register (the paper's gated operand
+    /// slices live there). It draws the kind from `rng` first, then the
+    /// address or register, then the bit, so seeded plans repeat.
+    pub fn draw(rng: &mut SplitMix64) -> FaultSite {
+        match rng.below(8) {
+            0 => FaultSite::Mem { addr: GLOBAL_BASE + rng.below(4096), bit: rng.below(8) as u8 },
+            1 => FaultSite::Pc { bit: rng.below(32) as u8 },
+            _ => FaultSite::Reg { reg: Reg::new(rng.below(31) as u8), bit: rng.below(64) as u8 },
+        }
+    }
+}
+
 /// One planned strike: a site and the committed-step index it fires at
 /// (the flip is applied after `at_step` instructions have committed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,27 +150,14 @@ impl FaultPlan {
     }
 
     /// A seeded random plan of `n` strikes over the first `max_step`
-    /// committed steps: mostly register strikes (the paper's gated
-    /// operand slices live there), with a minority of memory strikes in
-    /// the global data region and pc strikes. Fully determined by
-    /// `(seed, max_step, n)`.
+    /// committed steps, each site from [`FaultSite::draw`]. Fully
+    /// determined by `(seed, max_step, n)`.
     pub fn seeded(seed: u64, max_step: u64, n: usize) -> FaultPlan {
         let mut rng = SplitMix64::new(seed ^ 0xFA_017);
         let faults = (0..n)
             .map(|_| {
                 let at_step = rng.below(max_step.max(1));
-                let site = match rng.below(8) {
-                    0 => FaultSite::Mem {
-                        addr: GLOBAL_BASE + rng.below(4096),
-                        bit: rng.below(8) as u8,
-                    },
-                    1 => FaultSite::Pc { bit: rng.below(32) as u8 },
-                    _ => FaultSite::Reg {
-                        reg: Reg::new(rng.below(31) as u8),
-                        bit: rng.below(64) as u8,
-                    },
-                };
-                Fault { at_step, site }
+                Fault { at_step, site: FaultSite::draw(&mut rng) }
             })
             .collect();
         FaultPlan::new(faults)
