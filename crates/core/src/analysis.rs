@@ -131,6 +131,7 @@ mod tests {
         let p = pb.build().unwrap();
         let art = ProgramArtifacts::compute(&p);
         assert_eq!(art.funcs.len(), 2);
-        assert!(art.summaries.writes(p.func_by_name("h").unwrap().id, Reg::V0));
+        let h = p.func_by_name("h").unwrap().id;
+        assert!(art.summaries.mask(h) & (1 << Reg::V0.index()) != 0);
     }
 }

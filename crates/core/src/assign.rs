@@ -22,40 +22,24 @@
 //!   with their 64-bit counterparts).
 //! * loads may narrow to the demanded byte count (little-endian low bytes
 //!   live at the same address); stores never change their memory
-//!   footprint, but the *value* width they move is recorded for the
-//!   energy model (§2.4's size-tagged cache).
+//!   footprint.
 
 use crate::analysis::ProgramArtifacts;
 use crate::useful::{UsefulPolicy, UsefulWidths};
 use crate::vrp::RangeSolution;
-use og_isa::{IsaExtension, Op, OpClass, Width};
+use og_isa::{IsaExtension, Op, Width};
 use og_program::{InstRef, Program};
-use std::collections::HashMap;
 
-/// The result of width assignment.
-#[derive(Debug, Clone, Default)]
-pub struct WidthAssignment {
-    /// Final assigned width per instruction (also applied to the program).
-    pub assigned: HashMap<InstRef, Width>,
-    /// Minimum required width before ISA rounding (the distribution
-    /// Table 3 reports).
-    pub required: HashMap<InstRef, Width>,
-    /// For stores: the width of the *value* being stored (narrower than
-    /// the memory footprint when the range analysis proves it).
-    pub store_data_width: HashMap<InstRef, Width>,
-    /// Instructions whose width strictly decreased.
-    pub narrowed: usize,
-}
-
-/// Compute and apply minimal widths. Returns the assignment record.
+/// Compute and apply minimal widths. Returns the number of instructions
+/// whose width strictly decreased.
 pub fn assign_widths(
     p: &mut Program,
     art: &ProgramArtifacts,
     sol: &RangeSolution,
     policy: UsefulPolicy,
     isa: IsaExtension,
-) -> WidthAssignment {
-    let mut out = WidthAssignment::default();
+) -> usize {
+    let mut narrowed = 0;
     let mut updates: Vec<(InstRef, Width)> = Vec::new();
     for f in &p.funcs {
         let fa = art.func(f.id);
@@ -69,12 +53,7 @@ pub fn assign_widths(
                 // Control flow manipulates addresses; the paper keeps it
                 // wide.
                 Op::Br | Op::Bc(_) | Op::Jsr | Op::Ret | Op::Halt | Op::Nop => continue,
-                Op::St => {
-                    let data_w = r.in1.width_needed().min(original);
-                    out.store_data_width.insert(at, data_w);
-                    continue;
-                }
-                Op::Out => continue,
+                Op::St | Op::Out => continue,
                 Op::Sext | Op::Zext => continue, // width *is* the semantics
                 Op::Ld { .. } => w_demand.min(original),
                 Op::Srl | Op::Sra | Op::Ext => r.out.width_needed().max(r.in1.width_needed()),
@@ -86,12 +65,10 @@ pub fn assign_widths(
                 // otherwise.
                 _ => r.out.width_needed().min(w_demand),
             };
-            out.required.insert(at, required);
             let rounded = isa.assign(inst.op, required);
             let assigned = if rounded <= original { rounded } else { original };
-            out.assigned.insert(at, assigned);
             if assigned < original {
-                out.narrowed += 1;
+                narrowed += 1;
             }
             if assigned != original {
                 updates.push((at, assigned));
@@ -101,41 +78,7 @@ pub fn assign_widths(
     for (at, w) in updates {
         p.inst_mut(at).width = w;
     }
-    out
-}
-
-/// Width histogram helper: counts per `[8, 16, 32, 64]` bucket.
-pub fn width_histogram<'a>(widths: impl Iterator<Item = &'a Width>) -> [usize; 4] {
-    let mut h = [0usize; 4];
-    for w in widths {
-        h[match w {
-            Width::B => 0,
-            Width::H => 1,
-            Width::W => 2,
-            Width::D => 3,
-        }] += 1;
-    }
-    h
-}
-
-/// Per-class requirement distribution (Table 3's rows) over a program's
-/// assignment record.
-pub fn class_width_table(
-    p: &Program,
-    required: &HashMap<InstRef, Width>,
-) -> HashMap<OpClass, [usize; 4]> {
-    let mut t: HashMap<OpClass, [usize; 4]> = HashMap::new();
-    for (at, w) in required {
-        let class = p.inst(*at).op.class();
-        let row = t.entry(class).or_insert([0; 4]);
-        row[match w {
-            Width::B => 0,
-            Width::H => 1,
-            Width::W => 2,
-            Width::D => 3,
-        }] += 1;
-    }
-    t
+    narrowed
 }
 
 #[cfg(test)]
@@ -149,7 +92,7 @@ mod tests {
         build: impl FnOnce(&mut og_program::FunctionBuilder),
         policy: UsefulPolicy,
         isa: IsaExtension,
-    ) -> (Program, WidthAssignment) {
+    ) -> (Program, usize) {
         let mut pb = ProgramBuilder::new();
         let mut f = pb.function("main", 0);
         f.block("entry");
@@ -157,9 +100,9 @@ mod tests {
         pb.finish(f);
         let mut p = pb.build().unwrap();
         let art = ProgramArtifacts::compute(&p);
-        let sol = solve(&p, &art, &DataflowLimits::default(), &HashMap::new());
-        let wa = assign_widths(&mut p, &art, &sol, policy, isa);
-        (p, wa)
+        let sol = solve(&p, &art, &DataflowLimits::default(), &std::collections::HashMap::new());
+        let narrowed = assign_widths(&mut p, &art, &sol, policy, isa);
+        (p, narrowed)
     }
 
     fn width_at(p: &Program, b: u32, i: u32) -> Width {
@@ -168,7 +111,7 @@ mod tests {
 
     #[test]
     fn constant_arithmetic_narrows() {
-        let (p, wa) = assign(
+        let (p, narrowed) = assign(
             |f| {
                 f.ldi(Reg::T0, 5);
                 f.add(Width::D, Reg::T1, Reg::T0, imm(10)); // 15 fits a byte
@@ -181,7 +124,7 @@ mod tests {
         );
         assert_eq!(width_at(&p, 0, 1), Width::B);
         assert_eq!(width_at(&p, 0, 2), Width::H);
-        assert!(wa.narrowed >= 2);
+        assert!(narrowed >= 2);
     }
 
     #[test]
@@ -235,8 +178,8 @@ mod tests {
     }
 
     #[test]
-    fn stores_keep_footprint_but_record_value_width() {
-        let (p, wa) = assign(
+    fn stores_keep_their_footprint() {
+        let (p, _) = assign(
             |f| {
                 f.ldi(Reg::T0, 3);
                 f.st(Width::D, Reg::T0, Reg::SP, -8);
@@ -246,8 +189,6 @@ mod tests {
             IsaExtension::PaperAlphaExt,
         );
         assert_eq!(width_at(&p, 0, 1), Width::D, "store footprint unchanged");
-        let st = InstRef::new(p.entry, BlockId(0), 1);
-        assert_eq!(wa.store_data_width[&st], Width::B, "value is one byte");
     }
 
     #[test]
@@ -281,22 +222,5 @@ mod tests {
             IsaExtension::Full,
         );
         assert_eq!(width_at(&p, 0, 2), Width::H, "300 needs 16 bits");
-    }
-
-    #[test]
-    fn table_helpers() {
-        let (p, wa) = assign(
-            |f| {
-                f.ldi(Reg::T0, 5);
-                f.add(Width::D, Reg::T1, Reg::T0, imm(1));
-                f.halt();
-            },
-            UsefulPolicy::Paper,
-            IsaExtension::Full,
-        );
-        let h = width_histogram(wa.assigned.values());
-        assert_eq!(h.iter().sum::<usize>(), wa.assigned.len());
-        let t = class_width_table(&p, &wa.required);
-        assert!(t.contains_key(&OpClass::Add));
     }
 }

@@ -78,11 +78,6 @@ impl AluEnergyTable {
         }
         m
     }
-
-    /// Override the energy of one (class, width) cell.
-    pub fn set(&mut self, class: OpClass, w: Width, nj: f64) {
-        self.nj[class.index()][widx(w)] = nj;
-    }
 }
 
 /// Energy costs of the §3.2 guard instructions.
@@ -166,12 +161,5 @@ mod tests {
         assert!(g.test_cost(0, 0) < g.test_cost(5, 5));
         assert!(g.test_cost(5, 5) < g.test_cost(0, 10));
         assert!((g.test_cost(0, 10) - (2.0 * g.comparison + g.add + g.branch)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn set_overrides_cell() {
-        let mut t = AluEnergyTable::default();
-        t.set(OpClass::Add, Width::D, 42.0);
-        assert_eq!(t.energy(OpClass::Add, Width::D), 42.0);
     }
 }

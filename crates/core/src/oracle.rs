@@ -32,7 +32,7 @@
 //! is an [`OracleError::Invariant`] failure: the `verify Ok ⇒ no
 //! structural error` contract itself broke.
 
-use crate::{UsefulPolicy, VrpConfig, VrpPass, VrsConfig, VrsPass};
+use crate::{CandidateFate, UsefulPolicy, VrpConfig, VrpPass, VrsConfig, VrsPass};
 use og_isa::IsaExtension;
 use og_program::Program;
 use og_vm::{FlatProgram, Quantum, RunConfig, RunOutcome, VecSink, Vm, VmError};
@@ -104,7 +104,7 @@ impl Transform {
             Transform::Vrs { cost_nj } => {
                 let train = program.clone();
                 let cfg = VrsConfig { specialization_cost_nj: cost_nj, ..Default::default() };
-                VrsPass::new(cfg).run(program, &train).applied.len()
+                VrsPass::new(cfg).run(program, &train).count_fate(CandidateFate::Specialized)
             }
         }
     }
@@ -149,17 +149,12 @@ impl Default for OracleConfig {
 pub struct OracleOutcome {
     /// Committed instructions of the baseline run.
     pub base_steps: u64,
-    /// Output bytes of the baseline run.
-    pub output_len: usize,
     /// Sum of narrowed-instruction counts across VRP transforms.
     pub narrowed: usize,
     /// Sum of applied specializations across VRS transforms.
     pub specializations: usize,
     /// Number of transforms checked.
     pub transforms: usize,
-    /// The verifier's static call-depth certificate for the base program
-    /// (`None` when recursion makes the depth unprovable).
-    pub static_call_depth: Option<usize>,
 }
 
 /// A differential failure: which check broke and how.
@@ -302,10 +297,9 @@ const NOSTATS_QUANTUM: u64 = 7;
 /// Run on the flat engine's no-stats loop through the quantum seam,
 /// resuming after every [`NOSTATS_QUANTUM`] steps.
 fn run_sliced(mut vm: Vm<'_>) -> Result<(Vec<u8>, RunOutcome), VmError> {
-    let mut resume = None;
     loop {
-        match vm.run_quantum(resume, NOSTATS_QUANTUM) {
-            Quantum::Paused { ip } => resume = Some(ip),
+        match vm.run_quantum(NOSTATS_QUANTUM) {
+            Quantum::Paused => {}
             Quantum::Finished(result) => return Ok((vm.output().to_vec(), result?)),
         }
     }
@@ -408,9 +402,7 @@ pub fn check_program(p: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, O
     // ---- the transform battery ---------------------------------------
     let mut outcome = OracleOutcome {
         base_steps: plain.steps,
-        output_len: base_out.len(),
         transforms: cfg.transforms.len(),
-        static_call_depth: ctx.static_call_depth,
         ..Default::default()
     };
     for t in &cfg.transforms {
@@ -559,12 +551,6 @@ mod tests {
         }
         let err = check_program(&p, &OracleConfig::default()).unwrap_err();
         assert_eq!(err.signature(), "base-verify");
-    }
-
-    #[test]
-    fn outcome_carries_the_call_depth_certificate() {
-        let report = check_program(&small_program(), &OracleConfig::default()).unwrap();
-        assert_eq!(report.static_call_depth, Some(0), "no calls in the kernel");
     }
 
     #[test]

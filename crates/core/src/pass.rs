@@ -1,7 +1,7 @@
 //! The public Value Range Propagation pass.
 
 use crate::analysis::ProgramArtifacts;
-use crate::assign::{assign_widths, WidthAssignment};
+use crate::assign::assign_widths;
 use crate::useful::UsefulPolicy;
 use crate::vrp::{solve, Assumptions, DataflowLimits, RangeSolution};
 use og_isa::IsaExtension;
@@ -24,12 +24,8 @@ pub struct VrpConfig {
 /// Summary of a VRP run.
 #[derive(Debug, Clone)]
 pub struct VrpReport {
-    /// The width assignment (also applied to the program).
-    pub assignment: WidthAssignment,
     /// Number of instructions whose width strictly decreased.
     pub narrowed_instructions: usize,
-    /// The range solution the assignment was derived from.
-    pub solution: RangeSolution,
 }
 
 /// Value Range Propagation: analyze a program and re-encode every
@@ -78,10 +74,9 @@ impl VrpPass {
     pub fn run(&self, p: &mut Program) -> VrpReport {
         let art = ProgramArtifacts::compute(p);
         let solution = solve(p, &art, &self.config.limits, &self.config.assumptions);
-        let assignment =
+        let narrowed_instructions =
             assign_widths(p, &art, &solution, self.config.useful_policy, self.config.isa);
-        let narrowed_instructions = assignment.narrowed;
-        VrpReport { assignment, narrowed_instructions, solution }
+        VrpReport { narrowed_instructions }
     }
 }
 

@@ -106,11 +106,6 @@ impl ValueRange {
         w.fits(self.min) && w.fits(self.max)
     }
 
-    /// Number of significant bytes needed for every value of the range.
-    pub fn sig_bytes(&self) -> u8 {
-        Width::sig_bytes(self.min).max(Width::sig_bytes(self.max))
-    }
-
     fn from_i128(w: Width, lo: i128, hi: i128) -> ValueRange {
         let (wmin, wmax) = w.signed_bounds();
         if lo >= wmin as i128 && hi <= wmax as i128 {
@@ -402,42 +397,6 @@ impl ValueRange {
         }
     }
 
-    /// Clamp to the representable range of `w` (every instruction result is
-    /// sign-extended from `w` bits).
-    #[must_use]
-    pub fn clamp_width(&self, w: Width) -> ValueRange {
-        self.intersect(ValueRange::of_width(w)).unwrap_or_else(|| ValueRange::of_width(w))
-    }
-
-    // ---- backward transfers (§2.2.1) -----------------------------------
-
-    /// Backward transfer of addition: given `out = in1 + in2` (no wrap),
-    /// tighten `in1` from `out` and `in2`:
-    /// `in1 ∈ [out.min − in2.max, out.max − in2.min]`.
-    ///
-    /// Returns `None` when the constraint is unsatisfiable (dead code) or
-    /// when wrap-around may have occurred (in which case no backward
-    /// information is sound).
-    pub fn add_backward(
-        out: ValueRange,
-        in1: ValueRange,
-        in2: ValueRange,
-        w: Width,
-    ) -> Option<ValueRange> {
-        // Wrap possible? Then nothing can be inferred.
-        let lo = in1.min as i128 + in2.min as i128;
-        let hi = in1.max as i128 + in2.max as i128;
-        let (wmin, wmax) = w.signed_bounds();
-        if lo < wmin as i128 || hi > wmax as i128 {
-            return Some(in1);
-        }
-        let derived_min =
-            (out.min as i128 - in2.max as i128).clamp(i64::MIN as i128, i64::MAX as i128) as i64;
-        let derived_max =
-            (out.max as i128 - in2.min as i128).clamp(i64::MIN as i128, i64::MAX as i128) as i64;
-        in1.intersect(ValueRange::new(derived_min.min(derived_max), derived_max.max(derived_min)))
-    }
-
     // ---- branch refinement ---------------------------------------------
 
     /// Refine operand ranges by the outcome of a comparison: returns the
@@ -629,22 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn backward_add_matches_paper() {
-        // out = in1 + in2 with out ∈ [5, 10], in1 ∈ [0, 100], in2 ∈ [1, 2]
-        // → in1 ∈ [5−2, 10−1] = [3, 9]
-        let got = ValueRange::add_backward(r(5, 10), r(0, 100), r(1, 2), Width::D).unwrap();
-        assert_eq!(got, r(3, 9));
-        // Paper Figure 1, step 8: a1out ∈ [1,100], increment 1 → a1in ∈ [0,99].
-        let a1in =
-            ValueRange::add_backward(r(1, 100), r(0, 100), ValueRange::constant(1), Width::D)
-                .unwrap();
-        assert_eq!(a1in, r(0, 99));
-        // Wrap possible → no tightening.
-        let wide = ValueRange::add_backward(r(0, 0), ValueRange::TOP, r(1, 1), Width::D).unwrap();
-        assert_eq!(wide, ValueRange::TOP);
-    }
-
-    #[test]
     fn refine_cmp_true_and_false_paths() {
         // if (a <= 100): true path caps at 100, false path floors at 101
         // (the §2.2.4 example).
@@ -703,11 +646,6 @@ mod tests {
         assert_eq!(r(-128, 127).width_needed(), Width::B);
         assert_eq!(r(-128, 128).width_needed(), Width::H);
         assert_eq!(r(-129, 127).width_needed(), Width::H);
-        // Significant bytes of negative constants count the sign byte only
-        // as far as it carries information.
-        assert_eq!(ValueRange::constant(-1).sig_bytes(), 1);
-        assert_eq!(ValueRange::constant(-129).sig_bytes(), 2);
-        assert_eq!(r(-1, 256).sig_bytes(), 2);
     }
 
     #[test]
@@ -750,16 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn clamp_width_models_result_sign_extension() {
-        // Instruction results are sign-extended from their width: clamping
-        // an unsigned-looking range into a byte keeps only what survives.
-        assert_eq!(r(0, 255).clamp_width(Width::B), r(0, 127));
-        assert_eq!(r(-500, -200).clamp_width(Width::B), ValueRange::of_width(Width::B));
-        assert_eq!(ValueRange::TOP.clamp_width(Width::W), ValueRange::of_width(Width::W));
-        assert_eq!(r(-128, 127).clamp_width(Width::B), r(-128, 127));
-    }
-
-    #[test]
     fn sext_zext_at_exact_boundaries() {
         // sext keeps a range that exactly fills the width…
         assert_eq!(r(-128, 127).sext(Width::B), r(-128, 127));
@@ -788,17 +716,5 @@ mod tests {
         // Shift amounts outside [0, 63] wrap in the 6-bit field: give up.
         assert_eq!(r(0, 8).srl(r(64, 64), Width::D), ValueRange::of_width(Width::D));
         assert_eq!(r(0, 8).sll(r(-1, 0), Width::D), ValueRange::of_width(Width::D));
-    }
-
-    #[test]
-    fn backward_add_refuses_wrapping_inputs_at_narrow_widths() {
-        // At byte width the forward sum [120,130] can wrap, so nothing may
-        // be inferred backward and in1 must come back untouched.
-        let in1 = r(100, 120);
-        let got = ValueRange::add_backward(r(0, 0), in1, r(10, 20), Width::B).unwrap();
-        assert_eq!(got, in1);
-        // The same constraint at halfword width cannot wrap and tightens.
-        let got = ValueRange::add_backward(r(115, 125), in1, r(10, 20), Width::H).unwrap();
-        assert_eq!(got, r(100, 115));
     }
 }

@@ -15,7 +15,7 @@
 //! adds) also crosses `add`/`sub`/`mul`/`sll`, whose low *k* output bytes
 //! provably depend only on the low *k* input bytes.
 
-use og_isa::{Op, Operand, Reg, Width};
+use og_isa::{Op, Operand, Reg};
 use og_program::{DefId, DefUse, Function, InstRef};
 
 /// How far backward "useful" demands propagate.
@@ -225,11 +225,6 @@ fn contribution(inst: &og_isa::Inst, reg: Reg, d_out: Option<u8>, policy: Useful
         // arithmetic we cannot see through) demands full values.
         _ => ALL,
     }
-}
-
-/// Re-export width helper: demanded bytes as the narrowest [`Width`].
-pub fn width_for_demand(bytes: u8) -> Width {
-    Width::for_bytes(bytes.clamp(1, 8))
 }
 
 #[cfg(test)]

@@ -73,8 +73,6 @@ pub struct RangeSolution {
     pub funcs: Vec<FuncRanges>,
     /// Function entry range files (joined over call sites).
     pub entries: Vec<RangeFile>,
-    /// Function exit range files.
-    pub exits: Vec<RangeFile>,
 }
 
 impl RangeSolution {
@@ -599,7 +597,7 @@ pub fn solve(
         }
         funcs.push(FuncRanges { block_in, inst });
     }
-    RangeSolution { funcs, entries, exits }
+    RangeSolution { funcs, entries }
 }
 
 #[cfg(test)]

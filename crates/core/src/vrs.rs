@@ -34,7 +34,7 @@
 
 use crate::analysis::{FuncArtifacts, ProgramArtifacts};
 use crate::energy::{AluEnergyTable, GuardCosts};
-use crate::pass::{VrpConfig, VrpPass, VrpReport};
+use crate::pass::{VrpConfig, VrpPass};
 use crate::vrp::{pure_out_range, RangeSolution};
 use crate::ValueRange;
 use og_isa::{CmpKind, Cond, Inst, Op, Operand, Reg, Width};
@@ -101,30 +101,14 @@ pub enum CandidateFate {
     Specialized,
 }
 
-/// One applied specialization.
-#[derive(Debug, Clone)]
-pub struct Specialization {
-    /// The candidate instruction (pre-transformation location).
-    pub at: InstRef,
-    /// The specialized range.
-    pub min: i64,
-    /// Upper bound of the specialized range.
-    pub max: i64,
-    /// Observed training frequency of the range.
-    pub freq: f64,
-    /// Estimated net benefit (nJ over the training run).
-    pub benefit: f64,
-}
-
 /// Report of a VRS run.
 #[derive(Debug)]
 pub struct VrsReport {
     /// Number of points profiled (Figure 4's bar totals).
     pub profiled_points: usize,
-    /// Triage of every profiled point.
+    /// Triage of every profiled point; the applied specializations are
+    /// the [`CandidateFate::Specialized`] ones.
     pub fates: Vec<(InstRef, CandidateFate)>,
-    /// The applied specializations.
-    pub applied: Vec<Specialization>,
     /// Static instructions living in specialized (cloned) blocks after
     /// the transformation (Figure 5's "specialized").
     pub static_specialized: usize,
@@ -136,8 +120,6 @@ pub struct VrsReport {
     pub guard_sites: Vec<(FuncId, BlockId, u32, u32)>,
     /// Blocks that belong to specialized clones.
     pub specialized_blocks: Vec<(FuncId, BlockId)>,
-    /// The final VRP report on the transformed program.
-    pub vrp: VrpReport,
 }
 
 impl VrsReport {
@@ -285,7 +267,7 @@ impl VrsProfile {
 
         // ---- transformation -------------------------------------------
         let mut fates = Vec::new();
-        let mut applied = Vec::new();
+        let mut applied = 0usize;
         let mut involved: HashSet<(FuncId, BlockId)> = HashSet::new();
         let mut guard_sites = Vec::new();
         let mut specialized_blocks = Vec::new();
@@ -300,7 +282,7 @@ impl VrsProfile {
                 fates.push((at, CandidateFate::Dependent));
                 continue;
             }
-            if applied.len() >= cfg.max_specializations {
+            if applied >= cfg.max_specializations {
                 fates.push((at, CandidateFate::NoBenefit));
                 continue;
             }
@@ -317,13 +299,7 @@ impl VrsProfile {
                 &mut assumptions,
             ) {
                 Ok(()) => {
-                    applied.push(Specialization {
-                        at,
-                        min: est.min,
-                        max: est.max,
-                        freq: est.freq,
-                        benefit,
-                    });
+                    applied += 1;
                     fates.push((at, CandidateFate::Specialized));
                 }
                 Err(()) => fates.push((at, CandidateFate::NoBenefit)),
@@ -338,7 +314,7 @@ impl VrsProfile {
         program.verify().expect("post-DCE program must verify");
 
         // ---- final width assignment ------------------------------------
-        let vrp = VrpPass::new(vrp_cfg).run(program);
+        VrpPass::new(vrp_cfg).run(program);
 
         // Figure 5 "specialized": instructions in clones whose final width
         // is narrower than their original counterpart's final width.
@@ -357,12 +333,10 @@ impl VrsProfile {
         VrsReport {
             profiled_points: self.profiled_points,
             fates,
-            applied,
             static_specialized,
             static_eliminated,
             guard_sites,
             specialized_blocks,
-            vrp,
         }
     }
 }
@@ -927,19 +901,17 @@ mod tests {
     /// decision, so the knob cannot have leaked into the profile.
     #[test]
     fn one_profile_specializes_every_cost_like_a_fresh_run() {
-        // Every field; the final VRP report's width maps are hash maps,
-        // and the program text pins the widths they assigned.
+        // Every field; the program text pins the widths the final VRP
+        // run assigned.
         let fields = |r: &VrsReport| {
             format!(
-                "{} {:?} {:?} {} {} {:?} {:?} {}",
+                "{} {:?} {} {} {:?} {:?}",
                 r.profiled_points,
                 r.fates,
-                r.applied,
                 r.static_specialized,
                 r.static_eliminated,
                 r.guard_sites,
                 r.specialized_blocks,
-                r.vrp.narrowed_instructions
             )
         };
         let train = vrs_target(&[3; 64]);

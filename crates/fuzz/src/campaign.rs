@@ -29,7 +29,7 @@
 //! Generated programs carry a step-bound certificate, so the oracle
 //! runs them with exactly that fuel and any `OutOfFuel` is a real bug.
 //! Mutants have **no** certificate: the screen run bounds them by
-//! [`CampaignConfig::mutant_fuel`], non-terminating mutants are
+//! `MUTANT_FUEL` steps, non-terminating mutants are
 //! discarded (counted, not failed), and the oracle judges survivors
 //! under `4 × screen_steps + 1024` — inside the oracle's step-window
 //! tolerance for every legitimate transform run, so a mutant can only
@@ -50,6 +50,19 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
+/// Run the fused-vs-materialized simulator cross-check on every Nth case.
+const SIM_CHECK_EVERY: u64 = 8;
+/// Replay every Nth passing case under one seeded soft error and check
+/// the fault classifier's soundness both ways
+/// ([`crate::fault_cross_check`]).
+const FAULT_CHECK_EVERY: u64 = 16;
+/// Shrink-step budget (oracle invocations) when a case fails.
+const SHRINK_BUDGET: usize = 800;
+/// Screening fuel for mutants, which carry no termination certificate;
+/// a mutant still running after this many steps is discarded, not
+/// reported.
+const MUTANT_FUEL: u64 = 200_000;
+
 /// Configuration of one fuzzing campaign. Build one through [`Campaign`];
 /// the fields stay public so tests and tools can inspect what a builder
 /// produced.
@@ -59,25 +72,12 @@ pub struct CampaignConfig {
     pub base_seed: u64,
     /// Number of cases (guided mode splits them across shards).
     pub cases: u64,
-    /// Run the fused-vs-materialized simulator cross-check on every Nth
-    /// case (0 disables it).
-    pub sim_check_every: u64,
-    /// Replay every Nth passing case under one seeded soft error and
-    /// check the fault classifier's soundness both ways
-    /// ([`crate::fault_cross_check`]; 0 disables it).
-    pub fault_check_every: u64,
-    /// Shrink-step budget (oracle invocations) when a case fails.
-    pub shrink_budget: usize,
     /// Run the coverage-guided corpus-evolving loop instead of the
     /// fixed-budget random loop.
     pub coverage: bool,
     /// Worker shards for the guided loop (0 = the pool's default
     /// parallelism).
     pub shards: usize,
-    /// Screening fuel for mutants, which carry no termination
-    /// certificate; a mutant still running after this many steps is
-    /// discarded, not reported.
-    pub mutant_fuel: u64,
     /// In the guided loop, roughly one case in `fresh_every` is a fresh
     /// generate instead of a mutation (mutation also falls back to
     /// fresh generation while the corpus is empty).
@@ -92,12 +92,8 @@ impl Default for CampaignConfig {
         CampaignConfig {
             base_seed: 0x06_F0_22,
             cases: 500,
-            sim_check_every: 8,
-            fault_check_every: 16,
-            shrink_budget: 800,
             coverage: false,
             shards: 0,
-            mutant_fuel: 200_000,
             // A 50/50 fresh/mutate split measures best: half the budget
             // re-tracks the generator's breadth (which is high — the
             // shape knobs vary per index), half exploits the corpus for
@@ -156,27 +152,9 @@ impl Campaign {
         self
     }
 
-    /// Simulator cross-check period (0 disables).
-    pub fn sim_check_every(mut self, n: u64) -> Campaign {
-        self.cfg.sim_check_every = n;
-        self
-    }
-
-    /// Shrink budget on failure.
-    pub fn shrink_budget(mut self, n: usize) -> Campaign {
-        self.cfg.shrink_budget = n;
-        self
-    }
-
     /// Worker shards for the guided loop (0 = default parallelism).
     pub fn shards(mut self, n: usize) -> Campaign {
         self.cfg.shards = n;
-        self
-    }
-
-    /// Screening fuel for mutants.
-    pub fn mutant_fuel(mut self, steps: u64) -> Campaign {
-        self.cfg.mutant_fuel = steps.max(1);
         self
     }
 
@@ -409,7 +387,7 @@ pub(crate) fn shrink_failure(
     let mut still_fails = |candidate: &Program| -> bool {
         candidate_signature(candidate, oracle_cfg).as_deref() == Some(signature.as_str())
     };
-    let reproducer = shrink::shrink(&program, &mut still_fails, cfg.shrink_budget);
+    let reproducer = shrink::shrink(&program, &mut still_fails, SHRINK_BUDGET);
     let after = reproducer.inst_count();
     let case = corpus::CorpusCase {
         name: format!("shrunk-seed-{seed}-{index}"),
@@ -440,8 +418,7 @@ fn run_random(cfg: &CampaignConfig) -> CampaignSummary {
         let oracle_cfg = case_oracle_config(bound);
         summary.cases += 1;
         summary.total_insts += program.inst_count() as u64;
-        if let Err(error) =
-            judge(cfg, &mut summary, &program, &oracle_cfg, index, gen_cfg.seed ^ index)
+        if let Err(error) = judge(&mut summary, &program, &oracle_cfg, index, gen_cfg.seed ^ index)
         {
             summary.failure =
                 Some(shrink_failure(cfg, &oracle_cfg, index, gen_cfg.seed, program, error));
@@ -452,12 +429,11 @@ fn run_random(cfg: &CampaignConfig) -> CampaignSummary {
 }
 
 /// Judge case `index` of a loop: the differential oracle, then the
-/// simulator cross-check on every `sim_check_every`th index and the
+/// simulator cross-check on every `SIM_CHECK_EVERY`th index and the
 /// fault-classifier replay (under `fault_seed`) on every
-/// `fault_check_every`th. Counts the cross-checks it starts and, when
+/// `FAULT_CHECK_EVERY`th. Counts the cross-checks it starts and, when
 /// every check passes, the oracle's work into `summary`.
 fn judge(
-    cfg: &CampaignConfig,
     summary: &mut CampaignSummary,
     program: &Program,
     oracle_cfg: &OracleConfig,
@@ -465,11 +441,11 @@ fn judge(
     fault_seed: u64,
 ) -> Result<(), CaseError> {
     let outcome = check_program(program, oracle_cfg).map_err(CaseError::Oracle)?;
-    if cfg.sim_check_every != 0 && index.is_multiple_of(cfg.sim_check_every) {
+    if index.is_multiple_of(SIM_CHECK_EVERY) {
         summary.sim_checks += 1;
         sim_cross_check(program, oracle_cfg.max_steps).map_err(CaseError::Sim)?;
     }
-    if cfg.fault_check_every != 0 && index.is_multiple_of(cfg.fault_check_every) {
+    if index.is_multiple_of(FAULT_CHECK_EVERY) {
         summary.fault_checks += 1;
         fault_cross_check(program, oracle_cfg.max_steps, fault_seed).map_err(CaseError::Fault)?;
     }
@@ -572,7 +548,7 @@ fn run_guided_shard(
         // --- screen: fuel-bounded run, coverage read ----------------
         // Certificate fuel for generated programs; the configured budget
         // for mutants, which carry no certificate.
-        let screen_fuel = fresh_bound.unwrap_or(cfg.mutant_fuel);
+        let screen_fuel = fresh_bound.unwrap_or(MUTANT_FUEL);
         let run_cfg = RunConfig { max_steps: screen_fuel, ..Default::default() };
         let screen = match Vm::new_verified(&program, run_cfg) {
             Ok(mut vm) => {
@@ -620,10 +596,10 @@ fn run_guided_shard(
         // Mutant fuel: 4× the screened step count plus slack keeps every
         // legitimate transform run (the oracle tolerates up to
         // `4 × base + 512` steps) inside the budget.
-        let oracle_fuel = fresh_bound
-            .unwrap_or_else(|| screen.as_ref().map_or(cfg.mutant_fuel, |s| s.0) * 4 + 1024);
+        let oracle_fuel =
+            fresh_bound.unwrap_or_else(|| screen.as_ref().map_or(MUTANT_FUEL, |s| s.0) * 4 + 1024);
         let oracle_cfg = case_oracle_config(oracle_fuel);
-        if let Err(error) = judge(cfg, &mut summary, &program, &oracle_cfg, index, sseed ^ index) {
+        if let Err(error) = judge(&mut summary, &program, &oracle_cfg, index, sseed ^ index) {
             summary.failure = Some(shrink_failure(cfg, &oracle_cfg, index, sseed, program, error));
             break;
         }
@@ -760,12 +736,11 @@ mod tests {
 
     #[test]
     fn builder_layers_and_env_overrides_compose() {
-        let c = Campaign::new(7).cases(123).coverage(true).shards(3).mutant_fuel(9).fail_dir("/x");
+        let c = Campaign::new(7).cases(123).coverage(true).shards(3).fail_dir("/x");
         assert_eq!(c.config().base_seed, 7);
         assert_eq!(c.config().cases, 123);
         assert!(c.config().coverage);
         assert_eq!(c.config().shards, 3);
-        assert_eq!(c.config().mutant_fuel, 9);
         assert_eq!(c.config().fail_dir.as_deref(), Some(std::path::Path::new("/x")));
     }
 
@@ -809,7 +784,7 @@ mod tests {
             Ok(_) => panic!("expected a base-run failure under 3 steps of fuel"),
         };
         assert_eq!(error.signature(), "oracle:base-run");
-        let cfg = Campaign::new(3).shrink_budget(300).fail_dir(&dir).config().clone();
+        let cfg = Campaign::new(3).fail_dir(&dir).config().clone();
         let f = shrink_failure(&cfg, &oracle_cfg, 0, gen_cfg.seed, program.clone(), error);
         assert_eq!(
             candidate_signature(&f.reproducer, &oracle_cfg).as_deref(),

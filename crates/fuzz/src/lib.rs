@@ -259,12 +259,12 @@ mod tests {
 
     #[test]
     fn a_tiny_campaign_is_green_and_counts_work() {
-        let summary = Campaign::new(0x06_F0_22).cases(8).sim_check_every(4).run();
+        let summary = Campaign::new(0x06_F0_22).cases(16).run();
         assert!(summary.failure.is_none(), "{:?}", summary.failure);
-        assert_eq!(summary.cases, 8);
+        assert_eq!(summary.cases, 16);
         assert_eq!(summary.sim_checks, 2);
         assert!(summary.total_base_steps > 0);
-        assert!(summary.narrowed > 0, "VRP narrowed nothing across 8 programs?");
+        assert!(summary.narrowed > 0, "VRP narrowed nothing across 16 programs?");
         let json = og_json::render(&summary.to_json()).unwrap();
         assert!(json.contains("\"failed\":false"), "{json}");
     }

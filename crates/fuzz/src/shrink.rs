@@ -155,15 +155,6 @@ pub fn shrink(
     best
 }
 
-/// Convenience for tests and tools: shrink against a pure predicate.
-pub fn shrink_with(
-    program: &Program,
-    mut predicate: impl FnMut(&Program) -> bool,
-    budget: usize,
-) -> Program {
-    shrink(program, &mut predicate, budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,7 +180,7 @@ mod tests {
         f.halt();
         pb.finish(f);
         let p = pb.build().unwrap();
-        let shrunk = shrink_with(&p, has_mul, 500);
+        let shrunk = shrink(&p, &mut has_mul, 500);
         assert!(has_mul(&shrunk));
         // Everything except the mul and the terminator is removable.
         assert_eq!(shrunk.inst_count(), 2, "{shrunk:?}");
@@ -202,8 +193,8 @@ mod tests {
             if !has_mul(&p) {
                 continue;
             }
-            let a = shrink_with(&p, has_mul, 1500);
-            let b = shrink_with(&p, has_mul, 1500);
+            let a = shrink(&p, &mut has_mul, 1500);
+            let b = shrink(&p, &mut has_mul, 1500);
             assert_eq!(a, b, "seed {seed}: shrinking must be deterministic");
             assert!(has_mul(&a));
             assert!(
@@ -219,9 +210,9 @@ mod tests {
     fn budget_is_respected() {
         let p = generate_program(&GenConfig { seed: 5, ..Default::default() });
         let mut calls = 0usize;
-        let shrunk = shrink_with(
+        let shrunk = shrink(
             &p,
-            |_| {
+            &mut |_| {
                 calls += 1;
                 true
             },
@@ -236,6 +227,6 @@ mod tests {
     #[should_panic(expected = "failing program")]
     fn rejects_a_passing_program() {
         let p = generate_program(&GenConfig { seed: 1, ..Default::default() });
-        let _ = shrink_with(&p, |_| false, 10);
+        let _ = shrink(&p, &mut |_| false, 10);
     }
 }

@@ -70,11 +70,11 @@ fn shrinking_keeps_the_oracle_class_and_never_grows() {
             Err(e) => e.signature(),
             Ok(_) => panic!("seed {}: expected failure under 3 steps of fuel", cfg.seed),
         };
-        let same_class = |c: &og_program::Program| -> bool {
+        let mut same_class = |c: &og_program::Program| -> bool {
             matches!(check_program(c, &oracle_cfg), Err(e) if e.signature() == original)
         };
-        let a = shrink::shrink_with(&p, same_class, 400);
-        let b = shrink::shrink_with(&p, same_class, 400);
+        let a = shrink::shrink(&p, &mut same_class, 400);
+        let b = shrink::shrink(&p, &mut same_class, 400);
         assert_eq!(a, b, "seed {}: shrink must be deterministic", cfg.seed);
         assert!(a.inst_count() <= p.inst_count(), "seed {}: shrink grew the case", cfg.seed);
         assert!(a.verify().is_ok(), "seed {}: reproducer must stay well-formed", cfg.seed);
@@ -92,7 +92,7 @@ fn shrinking_keeps_the_oracle_class_and_never_grows() {
 fn shrinker_is_deterministic_on_a_semantic_predicate() {
     // Shrink against "the program writes at least 4 output bytes" — a
     // predicate that, unlike instruction-presence, depends on execution.
-    let writes_output = |p: &og_program::Program| -> bool {
+    let mut writes_output = |p: &og_program::Program| -> bool {
         let mut vm = Vm::new(p, RunConfig { max_steps: 1_000_000, ..Default::default() });
         vm.run().map(|_| vm.output().len() >= 4).unwrap_or(false)
     };
@@ -102,8 +102,8 @@ fn shrinker_is_deterministic_on_a_semantic_predicate() {
         if !writes_output(&p) {
             continue;
         }
-        let a = shrink::shrink_with(&p, writes_output, 600);
-        let b = shrink::shrink_with(&p, writes_output, 600);
+        let a = shrink::shrink(&p, &mut writes_output, 600);
+        let b = shrink::shrink(&p, &mut writes_output, 600);
         assert_eq!(a, b, "seed {}: shrink must be deterministic", cfg.seed);
         assert!(writes_output(&a));
         assert!(a.inst_count() <= p.inst_count());

@@ -162,16 +162,6 @@ impl Uses {
         self.len += 1;
     }
 
-    /// Number of registers read.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// True when no registers are read.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Iterate over the read registers.
     pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
         self.regs.iter().take(self.len as usize).map(|r| r.unwrap())
@@ -423,21 +413,6 @@ impl Inst {
         u
     }
 
-    /// The memory reference of a load or store.
-    pub fn mem_ref(&self) -> Option<MemRef> {
-        match self.op {
-            Op::Ld { .. } => Some(MemRef {
-                base: self.src1.expect("load without base register"),
-                disp: self.disp,
-            }),
-            Op::St => Some(MemRef {
-                base: self.src2.reg().expect("store without base register"),
-                disp: self.disp,
-            }),
-            _ => None,
-        }
-    }
-
     /// Is this instruction free of side effects and therefore removable
     /// when its destination is dead?
     pub fn is_pure(&self) -> bool {
@@ -576,11 +551,8 @@ mod tests {
     #[test]
     fn mem_refs() {
         let ld = Inst::load(Width::B, false, Reg::T0, MemRef { base: Reg::SP, disp: 8 });
-        assert_eq!(ld.mem_ref(), Some(MemRef { base: Reg::SP, disp: 8 }));
         assert!(!ld.is_pure());
         let st = Inst::store(Width::W, Reg::T0, MemRef { base: Reg::A0, disp: -4 });
-        assert_eq!(st.mem_ref().unwrap().base, Reg::A0);
-        assert_eq!(st.mem_ref().unwrap().disp, -4);
         let uses: Vec<_> = st.uses().into_iter().collect();
         assert_eq!(uses, vec![Reg::T0, Reg::A0]);
     }
@@ -620,8 +592,7 @@ mod tests {
     fn uses_container() {
         let i = Inst::cmov(Cond::Ne, Width::D, Reg::T0, Reg::T1, Reg::T2);
         let u = i.uses();
-        assert_eq!(u.len(), 3);
-        assert!(!u.is_empty());
+        assert_eq!(u.iter().count(), 3);
         assert!(u.contains(Reg::T0));
         assert!(!u.contains(Reg::T5));
     }

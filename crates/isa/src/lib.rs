@@ -37,14 +37,11 @@
 //! let i = Inst::alu(Op::Add, Width::B, Reg::T0, Reg::T1, Operand::Imm(5));
 //! assert_eq!(i.width, Width::B);
 //! assert_eq!(i.def(), Some(Reg::T0));
-//! let bytes = i.encode();
-//! assert_eq!(Inst::decode(bytes.as_bytes()).unwrap(), i);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod encode;
 mod inst;
 mod json;
 mod op;
@@ -52,7 +49,6 @@ mod reg;
 mod width;
 mod widthset;
 
-pub use encode::{decode_stream, encode_stream, DecodeError, EncodedInst};
 pub use inst::{Inst, MemRef, Operand, Target, TargetShape, Uses};
 pub use op::{CmpKind, Cond, FuKind, Op, OpClass};
 pub use reg::Reg;

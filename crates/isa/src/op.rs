@@ -58,20 +58,6 @@ impl CmpKind {
     pub fn parse(s: &str) -> Option<CmpKind> {
         CmpKind::ALL.into_iter().find(|k| k.mnemonic() == s)
     }
-
-    fn code(self) -> u8 {
-        match self {
-            CmpKind::Eq => 0,
-            CmpKind::Lt => 1,
-            CmpKind::Le => 2,
-            CmpKind::Ult => 3,
-            CmpKind::Ule => 4,
-        }
-    }
-
-    fn from_code(c: u8) -> Option<CmpKind> {
-        CmpKind::ALL.get(c as usize).copied()
-    }
 }
 
 /// Conditions tested against zero, used by conditional branches
@@ -138,21 +124,6 @@ impl Cond {
     /// Parse a mnemonic fragment.
     pub fn parse(s: &str) -> Option<Cond> {
         Cond::ALL.into_iter().find(|k| k.mnemonic() == s)
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            Cond::Eq => 0,
-            Cond::Ne => 1,
-            Cond::Lt => 2,
-            Cond::Ge => 3,
-            Cond::Le => 4,
-            Cond::Gt => 5,
-        }
-    }
-
-    fn from_code(c: u8) -> Option<Cond> {
-        Cond::ALL.get(c as usize).copied()
     }
 }
 
@@ -301,34 +272,6 @@ impl Op {
         matches!(self, Op::St | Op::Out | Op::Br | Op::Bc(_) | Op::Jsr | Op::Ret | Op::Halt)
     }
 
-    /// Operations whose low *w* output bytes depend only on the low *w*
-    /// input bytes ("low-bits-closed"). For these, executing at a narrower
-    /// width preserves every byte the narrower width retains, which is what
-    /// makes useful-width narrowing sound for them.
-    pub const fn low_bits_closed(self) -> bool {
-        matches!(
-            self,
-            Op::Add
-                | Op::Sub
-                | Op::Mul
-                | Op::And
-                | Op::Or
-                | Op::Xor
-                | Op::Andc
-                | Op::Sll
-                | Op::Zapnot
-                | Op::Msk
-                | Op::Ldi
-        )
-    }
-
-    /// Is this an arithmetic operation in the paper's §2.2.5 sense (the
-    /// ones "useful" backward propagation must not cross, to avoid hiding
-    /// overflow)?
-    pub const fn is_arithmetic(self) -> bool {
-        matches!(self, Op::Add | Op::Sub | Op::Mul | Op::Sll | Op::Srl | Op::Sra)
-    }
-
     /// Base mnemonic without width/condition decorations.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -381,74 +324,6 @@ impl Op {
             Op::Nop => "nop",
             Op::Out => "out",
         }
-    }
-
-    /// Stable numeric identifier used by the binary encoding.
-    pub(crate) fn code(self) -> (u8, u8) {
-        // (major opcode, minor kind)
-        match self {
-            Op::Add => (0, 0),
-            Op::Sub => (1, 0),
-            Op::Mul => (2, 0),
-            Op::And => (3, 0),
-            Op::Or => (4, 0),
-            Op::Xor => (5, 0),
-            Op::Andc => (6, 0),
-            Op::Sll => (7, 0),
-            Op::Srl => (8, 0),
-            Op::Sra => (9, 0),
-            Op::Cmp(k) => (10, k.code()),
-            Op::Cmov(c) => (11, c.code()),
-            Op::Sext => (12, 0),
-            Op::Zext => (13, 0),
-            Op::Zapnot => (14, 0),
-            Op::Ext => (15, 0),
-            Op::Msk => (16, 0),
-            Op::Ldi => (17, 0),
-            Op::Ld { signed } => (18, signed as u8),
-            Op::St => (19, 0),
-            Op::Br => (20, 0),
-            Op::Bc(c) => (21, c.code()),
-            Op::Jsr => (22, 0),
-            Op::Ret => (23, 0),
-            Op::Halt => (24, 0),
-            Op::Nop => (25, 0),
-            Op::Out => (26, 0),
-        }
-    }
-
-    /// Inverse of [`Op::code`].
-    pub(crate) fn from_code(major: u8, minor: u8) -> Option<Op> {
-        Some(match major {
-            0 => Op::Add,
-            1 => Op::Sub,
-            2 => Op::Mul,
-            3 => Op::And,
-            4 => Op::Or,
-            5 => Op::Xor,
-            6 => Op::Andc,
-            7 => Op::Sll,
-            8 => Op::Srl,
-            9 => Op::Sra,
-            10 => Op::Cmp(CmpKind::from_code(minor)?),
-            11 => Op::Cmov(Cond::from_code(minor)?),
-            12 => Op::Sext,
-            13 => Op::Zext,
-            14 => Op::Zapnot,
-            15 => Op::Ext,
-            16 => Op::Msk,
-            17 => Op::Ldi,
-            18 => Op::Ld { signed: minor != 0 },
-            19 => Op::St,
-            20 => Op::Br,
-            21 => Op::Bc(Cond::from_code(minor)?),
-            22 => Op::Jsr,
-            23 => Op::Ret,
-            24 => Op::Halt,
-            25 => Op::Nop,
-            26 => Op::Out,
-            _ => return None,
-        })
     }
 
     /// Every operation (one representative per condition/kind variant).
@@ -646,16 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn op_code_roundtrip() {
-        for op in Op::all() {
-            let (maj, min) = op.code();
-            assert_eq!(Op::from_code(maj, min), Some(op), "{op:?}");
-        }
-        assert_eq!(Op::from_code(200, 0), None);
-        assert_eq!(Op::from_code(10, 9), None);
-    }
-
-    #[test]
     fn classes() {
         assert_eq!(Op::Add.class(), OpClass::Add);
         assert_eq!(Op::Ldi.class(), OpClass::Add);
@@ -673,11 +538,6 @@ mod tests {
         assert!(!Op::St.has_dst());
         assert!(Op::Bc(Cond::Ne).is_terminator());
         assert!(!Op::Jsr.is_terminator()); // calls return: not a block end
-        assert!(Op::Add.low_bits_closed());
-        assert!(!Op::Srl.low_bits_closed());
-        assert!(!Op::Sra.low_bits_closed());
-        assert!(Op::Add.is_arithmetic());
-        assert!(!Op::And.is_arithmetic());
         assert_eq!(Op::Mul.fu(), FuKind::IntMul);
         assert_eq!(Op::Ld { signed: false }.fu(), FuKind::Mem);
         assert_eq!(Op::Ret.fu(), FuKind::Branch);

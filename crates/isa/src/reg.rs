@@ -95,9 +95,6 @@ impl Reg {
     /// Hardwired zero register (r31).
     pub const ZERO: Reg = Reg(31);
 
-    /// Number of architectural integer registers.
-    pub const COUNT: usize = 32;
-
     /// All argument registers in convention order.
     pub const ARGS: [Reg; 6] = [Reg::A0, Reg::A1, Reg::A2, Reg::A3, Reg::A4, Reg::A5];
 
@@ -126,12 +123,6 @@ impl Reg {
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 31
-    }
-
-    /// Is this register preserved across calls by convention?
-    #[inline]
-    pub fn is_callee_saved(self) -> bool {
-        Reg::CALLEE_SAVED.contains(&self) || self.is_zero()
     }
 
     /// Iterate over all 32 registers.
@@ -204,16 +195,6 @@ mod tests {
         }
         assert_eq!(Reg::parse("r32"), None);
         assert_eq!(Reg::parse("x0"), None);
-    }
-
-    #[test]
-    fn callee_saved_set() {
-        assert!(Reg::S3.is_callee_saved());
-        assert!(Reg::SP.is_callee_saved());
-        assert!(Reg::ZERO.is_callee_saved());
-        assert!(!Reg::T0.is_callee_saved());
-        assert!(!Reg::A0.is_callee_saved());
-        assert!(!Reg::V0.is_callee_saved());
     }
 
     #[test]

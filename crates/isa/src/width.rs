@@ -181,17 +181,6 @@ impl Width {
             Width::D => 3,
         }
     }
-
-    /// Decode from a 2-bit field.
-    #[inline]
-    pub const fn from_code(c: u8) -> Width {
-        match c & 3 {
-            0 => Width::B,
-            1 => Width::H,
-            2 => Width::W,
-            _ => Width::D,
-        }
-    }
 }
 
 impl fmt::Display for Width {
@@ -295,13 +284,6 @@ mod tests {
     #[should_panic(expected = "byte count out of range")]
     fn for_bytes_rejects_zero() {
         let _ = Width::for_bytes(0);
-    }
-
-    #[test]
-    fn code_roundtrip() {
-        for w in Width::ALL {
-            assert_eq!(Width::from_code(w.to_code()), w);
-        }
     }
 
     #[test]

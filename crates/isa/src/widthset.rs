@@ -12,9 +12,9 @@
 //! 64-bit logic/compares, all memory widths), [`IsaExtension::PaperAlphaExt`]
 //! adds exactly the §4.3 opcodes, and [`IsaExtension::Full`] provides every
 //! width for every operation. Width assignment always rounds a required
-//! width up to the nearest available opcode, so a program legalized against
-//! any extension level still computes the same results — it just burns more
-//! energy on the wider data path.
+//! width up to the nearest available opcode, so a program whose widths are
+//! assigned against any extension level still computes the same results —
+//! it just burns more energy on the wider data path.
 
 use crate::{Op, Width};
 use std::fmt;

@@ -1,144 +1,8 @@
-//! Property tests for the OGA-64 instruction set: binary encode/decode
-//! round-trips over randomly constructed instructions, and the lattice
-//! laws of [`WidthSet`] / the opcode-width assignment of [`IsaExtension`].
+//! Property tests for the OGA-64 instruction set: the lattice laws of
+//! [`WidthSet`] and the opcode-width assignment of [`IsaExtension`].
 
-use og_isa::{
-    decode_stream, encode_stream, CmpKind, Cond, Inst, IsaExtension, MemRef, Op, Operand, Reg,
-    Width, WidthSet,
-};
+use og_isa::{CmpKind, Cond, IsaExtension, Op, Width, WidthSet};
 use proptest::prelude::*;
-
-/// Splitmix64 over a seed: lets one `u64` strategy drive an arbitrarily
-/// structured instruction generator.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn width(&mut self) -> Width {
-        Width::ALL[self.below(4) as usize]
-    }
-
-    fn reg(&mut self) -> Reg {
-        Reg::new(self.below(Reg::COUNT as u64) as u8)
-    }
-
-    fn cond(&mut self) -> Cond {
-        Cond::ALL[self.below(Cond::ALL.len() as u64) as usize]
-    }
-
-    fn imm(&mut self) -> i64 {
-        // Mix small immediates (common case, one encoding word) with full
-        // 64-bit ones (second word) and the signed boundary values.
-        match self.below(4) {
-            0 => self.next() as i64,
-            1 => (self.next() % 256) as i64 - 128,
-            2 => (self.next() % 0x1_0000_0000) as i64 - 0x8000_0000,
-            _ => *[i64::MIN, i64::MAX, -1, 0, i32::MIN as i64, i32::MAX as i64]
-                .get(self.below(6) as usize)
-                .unwrap(),
-        }
-    }
-
-    fn operand(&mut self) -> Operand {
-        if self.below(2) == 0 {
-            Operand::Reg(self.reg())
-        } else {
-            Operand::Imm(self.imm())
-        }
-    }
-
-    fn mem(&mut self) -> MemRef {
-        MemRef { base: self.reg(), disp: self.next() as i32 }
-    }
-
-    fn inst(&mut self) -> Inst {
-        const ALU_OPS: [Op; 10] = [
-            Op::Add,
-            Op::Sub,
-            Op::Mul,
-            Op::And,
-            Op::Or,
-            Op::Xor,
-            Op::Andc,
-            Op::Sll,
-            Op::Srl,
-            Op::Sra,
-        ];
-        match self.below(14) {
-            0 => {
-                let op = ALU_OPS[self.below(ALU_OPS.len() as u64) as usize];
-                let (w, d, s) = (self.width(), self.reg(), self.reg());
-                let src2 = self.operand();
-                Inst::alu(op, w, d, s, src2)
-            }
-            1 => {
-                let kind = CmpKind::ALL[self.below(CmpKind::ALL.len() as u64) as usize];
-                let (w, d, s) = (self.width(), self.reg(), self.reg());
-                let src2 = self.operand();
-                Inst::alu(Op::Cmp(kind), w, d, s, src2)
-            }
-            2 => {
-                let op = [Op::Zapnot, Op::Ext, Op::Msk][self.below(3) as usize];
-                let (w, d, s) = (self.width(), self.reg(), self.reg());
-                let src2 = self.operand();
-                Inst::alu(op, w, d, s, src2)
-            }
-            3 => {
-                let (c, w, d, t) = (self.cond(), self.width(), self.reg(), self.reg());
-                let value = self.operand();
-                Inst::cmov(c, w, d, t, value)
-            }
-            4 => {
-                let op = if self.below(2) == 0 { Op::Sext } else { Op::Zext };
-                let (w, d) = (self.width(), self.reg());
-                let value = self.operand();
-                Inst::extend(op, w, d, value)
-            }
-            5 => {
-                let d = self.reg();
-                let v = self.imm();
-                Inst::ldi(d, v)
-            }
-            6 => {
-                let (w, signed, d) = (self.width(), self.below(2) == 0, self.reg());
-                let mem = self.mem();
-                Inst::load(w, signed, d, mem)
-            }
-            7 => {
-                let (w, d) = (self.width(), self.reg());
-                let mem = self.mem();
-                Inst::store(w, d, mem)
-            }
-            8 => Inst::br(self.next() as u32),
-            9 => {
-                let (c, r) = (self.cond(), self.reg());
-                let (taken, fall) = (self.next() as u32, self.next() as u32);
-                Inst::bc(c, r, taken, fall)
-            }
-            10 => Inst::jsr(self.next() as u32),
-            11 => [Inst::ret(), Inst::halt(), Inst::nop()][self.below(3) as usize],
-            12 => {
-                let (w, r) = (self.width(), self.reg());
-                Inst::out(w, r)
-            }
-            _ => {
-                let (w, d, s) = (self.width(), self.reg(), self.reg());
-                Inst::mov(w, d, s)
-            }
-        }
-    }
-}
 
 /// Build a `WidthSet` from the low four bits of a mask.
 fn set_from_mask(mask: u8) -> WidthSet {
@@ -199,46 +63,6 @@ fn op_sample() -> Vec<Op> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// `decode(encode(i)) == i` for every constructible instruction, via
-    /// both the single-instruction and the stream paths.
-    #[test]
-    fn encode_decode_round_trip(seed in any::<u64>()) {
-        let mut g = Gen(seed);
-        let inst = g.inst();
-        let enc = inst.encode();
-        prop_assert!(enc.len() == 8 || enc.len() == 16, "bad length {}", enc.len());
-        let back = Inst::decode(enc.as_bytes());
-        prop_assert_eq!(back.as_ref(), Ok(&inst), "single decode, seed {}", seed);
-
-        let (inst2, used) = Inst::decode_with_len(enc.as_bytes()).expect("decodes");
-        prop_assert_eq!(inst2, inst);
-        prop_assert_eq!(used, enc.len());
-    }
-
-    /// Stream encoding concatenates losslessly, independent of neighbors.
-    #[test]
-    fn stream_round_trip(seed in any::<u64>(), n in 1usize..24) {
-        let mut g = Gen(seed);
-        let insts: Vec<Inst> = (0..n).map(|_| g.inst()).collect();
-        let bytes = encode_stream(&insts);
-        let back = decode_stream(&bytes).expect("stream decodes");
-        prop_assert_eq!(back, insts, "seed {}", seed);
-    }
-
-    /// Truncating any encoding must fail cleanly, never mis-decode.
-    #[test]
-    fn truncated_decode_errors(seed in any::<u64>()) {
-        let mut g = Gen(seed);
-        let inst = g.inst();
-        let enc = inst.encode();
-        let cut = (g.next() as usize) % enc.len();
-        prop_assert_eq!(
-            Inst::decode_with_len(&enc.as_bytes()[..cut]).err(),
-            Some(og_isa::DecodeError::Truncated),
-            "cut at {} of {}", cut, enc.len()
-        );
-    }
 
     /// Join/meet form a lattice on width sets: idempotent, commutative,
     /// associative, absorbing, with `EMPTY`/`FULL` as identities.

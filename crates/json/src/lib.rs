@@ -112,14 +112,6 @@ impl Json {
         }
     }
 
-    /// The numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// Decode a required object field into `T`.
     pub fn field<T: FromJson>(&self, key: &str) -> Result<T, Error> {
         let v = self

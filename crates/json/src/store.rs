@@ -162,11 +162,6 @@ impl KeyedStore {
         &self.dir
     }
 
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The file an entry for `key` lives at (whether or not it exists).
     pub fn path_of(&self, key: u128) -> PathBuf {
         self.dir.join(format!("{}-{key:032x}.json", self.prefix))
@@ -447,8 +442,8 @@ mod tests {
                         // some writer put for this key (torn files would
                         // fail the parse inside get).
                         if let Ok(Some(json)) = store.get(key) {
-                            let n = json.get("n").and_then(Json::as_num).unwrap();
-                            assert_eq!((n as u128) % 1000 % 10, key % 1000);
+                            let n: u64 = json.field("n").unwrap();
+                            assert_eq!(u128::from(n) % 1000 % 10, key % 1000);
                         }
                     }
                 });

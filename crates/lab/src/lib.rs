@@ -190,11 +190,6 @@ impl Study {
         &self.runs
     }
 
-    /// Mutable access to the runs.
-    pub fn runs_mut(&mut self) -> &mut Vec<RunSummary> {
-        &mut self.runs
-    }
-
     /// The first run of (benchmark, mechanism).
     ///
     /// # Panics
@@ -621,12 +616,6 @@ mod tests {
         let clone = study.clone();
         assert_eq!(clone.get("compress", Mech::Baseline).insts, 1);
         assert_eq!(clone, study);
-        // a later get() sees edits made through runs_mut
-        let mut study = study;
-        study.runs_mut().push(mk("go", Mech::Baseline, 9));
-        study.runs_mut().retain(|r| r.bench != "compress");
-        assert_eq!(study.get("go", Mech::Baseline).insts, 9);
-        assert_eq!(study.get("gcc", Mech::Baseline).insts, 3);
     }
 
     #[test]

@@ -517,4 +517,31 @@ mod tests {
         add.src2 = imm(101);
         assert!(!widths_only(&other_operand, &baseline));
     }
+
+    /// On generated programs, each VRP copy that differs from its
+    /// program only in widths stays on the program's path, so the join
+    /// never falls back, and measures byte for byte as a full simulation
+    /// of it does.
+    #[test]
+    fn width_only_copies_of_generated_programs_join_their_path() {
+        use og_program::generate::{generate_program, GenConfig};
+        let mechs = [Mech::ConvVrp, Mech::Vrp, Mech::VrpAggressive];
+        let mut narrowed = 0;
+        for seed in 0..24 {
+            let program = generate_program(&GenConfig { seed, ..Default::default() });
+            let (_, path) = measure_path(Vm::new(&program, RunConfig::default())).unwrap();
+            for (copy, mech) in apply_mechs(&program, &mechs, None).zip(mechs) {
+                let (copy, _) = copy.unwrap();
+                if !widths_only(&copy, &program) {
+                    continue;
+                }
+                let run = measure_on_path(&copy, &path).unwrap();
+                let full = measure(Vm::new(&copy, RunConfig::default())).unwrap();
+                assert!(!run.fell_back, "seed {seed}, {mech:?}: the copy left the path");
+                assert_eq!(bytes(&run.measured), bytes(&full), "seed {seed}, {mech:?}");
+                narrowed += usize::from(copy != program);
+            }
+        }
+        assert!(narrowed > 0, "no accepted copy differs from its program");
+    }
 }

@@ -109,13 +109,14 @@ proptest! {
 
 #[test]
 fn benches_derived_from_runs_in_suite_order() {
-    let mut study = Study::new(Vec::from(synthetic_summaries(5, 70, 0.25)));
     // Runs arrive in (go, compress) order plus an off-suite name; suite
     // order must win, unknown names sort last.
-    study.runs_mut().reverse();
-    let mut extra = study.runs()[0].clone();
+    let mut runs = Vec::from(synthetic_summaries(5, 70, 0.25));
+    runs.reverse();
+    let mut extra = runs[0].clone();
     extra.bench = "mystery".into();
-    study.runs_mut().push(extra);
+    runs.push(extra);
+    let study = Study::new(runs);
     assert_eq!(study.benches(), vec!["compress", "go", "mystery"]);
 
     let empty = Study::new(vec![]);

@@ -95,11 +95,6 @@ impl ValueProfiler {
     pub fn site(&self, site: InstRef) -> Option<&SiteProfile> {
         self.sites.get(&site)
     }
-
-    /// Iterate over all sites that executed.
-    pub fn sites(&self) -> impl Iterator<Item = (InstRef, &SiteProfile)> {
-        self.sites.iter().map(|(&k, v)| (k, v))
-    }
 }
 
 /// A [`TraceSink`] adapter over a [`ValueProfiler`], produced by

@@ -23,11 +23,6 @@ impl BitSet {
         BitSet { words: vec![0; capacity.div_ceil(64)], capacity }
     }
 
-    /// The capacity this set was created with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Insert `i`; returns true if it was newly inserted.
     ///
     /// # Panics

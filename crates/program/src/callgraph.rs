@@ -34,7 +34,6 @@ use og_isa::{Op, Reg, Target};
 #[derive(Debug, Clone)]
 pub struct CallGraph {
     callees: Vec<Vec<FuncId>>,
-    callers: Vec<Vec<FuncId>>,
 }
 
 impl CallGraph {
@@ -42,28 +41,19 @@ impl CallGraph {
     pub fn new(p: &Program) -> CallGraph {
         let n = p.funcs.len();
         let mut callees = vec![Vec::new(); n];
-        let mut callers = vec![Vec::new(); n];
         for f in &p.funcs {
             for c in f.callees() {
                 if !callees[f.id.index()].contains(&c) {
                     callees[f.id.index()].push(c);
                 }
-                if !callers[c.index()].contains(&f.id) {
-                    callers[c.index()].push(f.id);
-                }
             }
         }
-        CallGraph { callees, callers }
+        CallGraph { callees }
     }
 
     /// Functions called directly by `f`.
     pub fn callees(&self, f: FuncId) -> &[FuncId] {
         &self.callees[f.index()]
-    }
-
-    /// Functions that call `f` directly.
-    pub fn callers(&self, f: FuncId) -> &[FuncId] {
-        &self.callers[f.index()]
     }
 
     /// Functions in callee-before-caller order (cycles broken arbitrarily),
@@ -314,11 +304,6 @@ impl WriteSummaries {
         self.read_masks[f.index()]
     }
 
-    /// May `f` write register `r`?
-    pub fn writes(&self, f: FuncId, r: Reg) -> bool {
-        self.masks[f.index()] & (1 << r.index()) != 0
-    }
-
     /// Iterate over the registers `f` may write.
     pub fn written_regs(&self, f: FuncId) -> impl Iterator<Item = Reg> + '_ {
         let m = self.masks[f.index()];
@@ -367,7 +352,6 @@ mod tests {
         let main = p.func_by_name("main").unwrap().id;
         assert_eq!(cg.callees(main), &[a]);
         assert_eq!(cg.callees(a), &[b]);
-        assert_eq!(cg.callers(b), &[a]);
         let order = cg.post_order(main);
         let pos = |f: FuncId| order.iter().position(|&x| x == f).unwrap();
         assert!(pos(b) < pos(a));
@@ -378,14 +362,15 @@ mod tests {
     fn summaries_are_transitive() {
         let p = chain_program();
         let ws = WriteSummaries::compute(&p);
+        let writes = |f: FuncId, r: Reg| ws.mask(f) & 1 << r.index() != 0;
         let a = p.func_by_name("a").unwrap().id;
         let b = p.func_by_name("b").unwrap().id;
-        assert!(ws.writes(b, Reg::T5));
-        assert!(!ws.writes(b, Reg::T4));
-        assert!(ws.writes(a, Reg::T5)); // through b
-        assert!(ws.writes(a, Reg::T4));
-        assert!(ws.writes(a, Reg::V0));
-        assert!(!ws.writes(a, Reg::T0));
+        assert!(writes(b, Reg::T5));
+        assert!(!writes(b, Reg::T4));
+        assert!(writes(a, Reg::T5)); // through b
+        assert!(writes(a, Reg::T4));
+        assert!(writes(a, Reg::V0));
+        assert!(!writes(a, Reg::T0));
     }
 
     #[test]
@@ -426,8 +411,9 @@ mod tests {
         pb.finish(m);
         let p = pb.build().unwrap();
         let ws = WriteSummaries::compute(&p);
+        let writes = |f: FuncId, r: Reg| ws.mask(f) & 1 << r.index() != 0;
         let c = p.func_by_name("c").unwrap().id;
-        assert!(ws.writes(c, Reg::T4) && ws.writes(c, Reg::T5));
+        assert!(writes(c, Reg::T4) && writes(c, Reg::T5));
         assert!(ws.must_mask(c) & (1 << Reg::T4.index()) == 0, "cmov is conditional");
         assert!(ws.must_mask(c) & (1 << Reg::T5.index()) == 0, "one arm skips the write");
         assert!(ws.must_mask(c) & (1 << Reg::T6.index()) != 0, "join write is certain");
@@ -484,9 +470,10 @@ mod tests {
         pb.finish(m);
         let p = pb.build().unwrap();
         let ws = WriteSummaries::compute(&p);
+        let writes = |f: FuncId, r: Reg| ws.mask(f) & 1 << r.index() != 0;
         let r = p.func_by_name("r").unwrap().id;
-        assert!(ws.writes(r, Reg::A0));
-        assert!(ws.writes(r, Reg::V0));
+        assert!(writes(r, Reg::A0));
+        assert!(writes(r, Reg::V0));
         // The "done" arm writes only v0: a0 is not a must-write, and v0
         // is (both ret paths set it — "rec" via the recursive call).
         assert!(ws.must_mask(r) & (1 << Reg::A0.index()) == 0);

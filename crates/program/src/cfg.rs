@@ -132,15 +132,6 @@ impl Dominators {
         Dominators { idom, rpo_index: cfg.rpo_index.clone() }
     }
 
-    /// Immediate dominator of `b` (`None` for the entry and unreachable
-    /// blocks).
-    pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        match self.idom[b.index()] {
-            Some(d) if d != b => Some(d),
-            _ => None,
-        }
-    }
-
     /// Does `a` dominate `b`? (Reflexive: every block dominates itself.)
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         if self.rpo_index[b.index()] == usize::MAX {
@@ -184,10 +175,6 @@ pub struct Loop {
     pub header: BlockId,
     /// All blocks in the loop, header included, sorted by id.
     pub body: Vec<BlockId>,
-    /// Sources of the back edges (`latch → header`).
-    pub latches: Vec<BlockId>,
-    /// Nesting depth (outermost loops have depth 1).
-    pub depth: u32,
 }
 
 impl Loop {
@@ -244,23 +231,7 @@ impl LoopForest {
             }
             let body: Vec<BlockId> =
                 (0..n as u32).map(BlockId).filter(|b| in_body[b.index()]).collect();
-            loops.push(Loop { header, body, latches, depth: 0 });
-        }
-        // Nesting depth: loop A nests in B if B's body contains A's header
-        // and A != B.
-        let depths: Vec<u32> = (0..loops.len())
-            .map(|i| {
-                1 + loops
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, l)| {
-                        *j != i && l.contains(loops[i].header) && l.body.len() > loops[i].body.len()
-                    })
-                    .count() as u32
-            })
-            .collect();
-        for (l, d) in loops.iter_mut().zip(depths) {
-            l.depth = d;
+            loops.push(Loop { header, body });
         }
         // Innermost loop per block = containing loop with the smallest body.
         let mut innermost: Vec<Option<usize>> = vec![None; n];
@@ -283,11 +254,6 @@ impl LoopForest {
     /// The innermost loop containing `b`, if any.
     pub fn innermost(&self, b: BlockId) -> Option<&Loop> {
         self.innermost[b.index()].map(|i| &self.loops[i])
-    }
-
-    /// Loop nesting depth of `b` (0 = not in any loop).
-    pub fn depth_of(&self, b: BlockId) -> u32 {
-        self.innermost(b).map_or(0, |l| l.depth)
     }
 }
 
@@ -354,9 +320,6 @@ mod tests {
         // body dominates both arms and the latch.
         assert!(dom.dominates(BlockId(2), BlockId(3)));
         assert!(dom.dominates(BlockId(2), BlockId(5)));
-        assert_eq!(dom.idom(BlockId(0)), None);
-        assert_eq!(dom.idom(BlockId(1)), Some(BlockId(0)));
-        assert_eq!(dom.idom(BlockId(5)), Some(BlockId(2)));
     }
 
     #[test]
@@ -369,18 +332,15 @@ mod tests {
         assert_eq!(lf.loops().len(), 1);
         let l = &lf.loops()[0];
         assert_eq!(l.header, BlockId(1));
-        assert_eq!(l.latches, vec![BlockId(5)]);
-        assert_eq!(l.depth, 1);
         // Loop contains head, body, both arms and the latch — not entry/exit.
         assert_eq!(l.body, vec![BlockId(1), BlockId(2), BlockId(3), BlockId(4), BlockId(5)]);
         assert!(lf.innermost(BlockId(3)).is_some());
         assert!(lf.innermost(BlockId(0)).is_none());
-        assert_eq!(lf.depth_of(BlockId(5)), 1);
-        assert_eq!(lf.depth_of(BlockId(6)), 0);
+        assert!(lf.innermost(BlockId(6)).is_none());
     }
 
     #[test]
-    fn nested_loops_get_depths() {
+    fn nested_loops_resolve_the_innermost() {
         let mut pb = ProgramBuilder::new();
         let mut f = pb.function("main", 0);
         f.block("entry");
@@ -406,7 +366,6 @@ mod tests {
         assert_eq!(lf.loops().len(), 2);
         let inner = lf.innermost(BlockId(2)).unwrap();
         assert_eq!(inner.header, BlockId(2));
-        assert_eq!(inner.depth, 2);
-        assert_eq!(lf.depth_of(BlockId(3)), 1);
+        assert_eq!(lf.innermost(BlockId(3)).unwrap().header, BlockId(1));
     }
 }

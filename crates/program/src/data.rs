@@ -13,9 +13,6 @@ pub const GLOBAL_BASE: u64 = 0x12_0000_0000;
 /// Initial stack pointer (the stack grows down from here).
 pub const STACK_BASE: u64 = 0x14_0000_0000;
 
-/// Nominal stack size reserved below [`STACK_BASE`].
-pub const STACK_SIZE: u64 = 1 << 20;
-
 /// One named data item.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataItem {
@@ -81,11 +78,6 @@ impl DataSegment {
     pub fn items(&self) -> &[DataItem] {
         &self.items
     }
-
-    /// Total initialized size in bytes (including alignment padding).
-    pub fn size(&self) -> u64 {
-        self.next_addr - GLOBAL_BASE
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +93,6 @@ mod tests {
         assert_eq!(b, GLOBAL_BASE + 8); // 3 bytes rounded up to 8
         assert_eq!(d.address_of("b"), Some(b));
         assert_eq!(d.address_of("c"), None);
-        assert_eq!(d.size(), 24);
     }
 
     #[test]

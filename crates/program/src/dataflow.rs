@@ -39,7 +39,6 @@ pub enum DefSite {
 #[derive(Debug, Clone)]
 pub struct DefUse {
     sites: Vec<(DefSite, Reg)>,
-    entry_defs: [DefId; 32],
     defs_at: HashMap<InstRef, Vec<DefId>>,
     use_def: HashMap<(InstRef, Reg), Vec<DefId>>,
     def_use: Vec<Vec<(InstRef, Reg)>>,
@@ -196,7 +195,7 @@ impl DefUse {
                 }
             }
         }
-        DefUse { sites, entry_defs, defs_at, use_def, def_use, exit_defs }
+        DefUse { sites, defs_at, use_def, def_use, exit_defs }
     }
 
     /// Definitions whose values may be observed by the caller after a
@@ -208,11 +207,6 @@ impl DefUse {
     /// The site and register of a definition.
     pub fn site(&self, d: DefId) -> (DefSite, Reg) {
         self.sites[d.index()]
-    }
-
-    /// The definition representing register `r`'s value at function entry.
-    pub fn entry_def(&self, r: Reg) -> DefId {
-        self.entry_defs[r.index() as usize]
     }
 
     /// Definitions created by the instruction at `r` (empty for non-defining
@@ -340,11 +334,6 @@ impl Liveness {
     pub fn live_out(&self, b: BlockId) -> u32 {
         self.live_out[b.index()]
     }
-
-    /// Is `r` live at entry to `b`?
-    pub fn is_live_in(&self, b: BlockId, r: Reg) -> bool {
-        self.live_in[b.index()] & (1 << r.index()) != 0
-    }
 }
 
 #[cfg(test)]
@@ -409,7 +398,6 @@ mod tests {
         let defs = du.reaching(use_site, Reg::A0);
         assert_eq!(defs.len(), 1);
         assert_eq!(du.site(defs[0]).0, DefSite::Entry);
-        assert_eq!(du.entry_def(Reg::A0), defs[0]);
     }
 
     #[test]
@@ -524,8 +512,9 @@ mod tests {
         // Liveness: T4 is live across the block entry (the call does not
         // kill it) — it would have been dead under a may-write kill.
         let lv = Liveness::compute(&p, f, &cfg, &ws);
-        assert!(lv.is_live_in(BlockId(0), Reg::T3));
-        assert!(!lv.is_live_in(BlockId(0), Reg::T4), "defined before the call in-block");
+        let live = |b: BlockId, r: Reg| lv.live_in(b) & 1 << r.index() != 0;
+        assert!(live(BlockId(0), Reg::T3));
+        assert!(!live(BlockId(0), Reg::T4), "defined before the call in-block");
         let after_ldi =
             Liveness::transfer(&p, &ws, &f.block(BlockId(0)).insts[1], 1 << Reg::T4.index());
         assert!(after_ldi & (1 << Reg::T4.index()) != 0, "jsr must not kill a may-write");
@@ -568,12 +557,13 @@ mod tests {
         let cfg = Cfg::new(f);
         let ws = WriteSummaries::compute(&p);
         let lv = Liveness::compute(&p, f, &cfg, &ws);
+        let live = |b: BlockId, r: Reg| lv.live_in(b) & 1 << r.index() != 0;
         // T1 live into join (used there), T0 also (used by add).
-        assert!(lv.is_live_in(BlockId(3), Reg::T1));
-        assert!(lv.is_live_in(BlockId(3), Reg::T0));
+        assert!(live(BlockId(3), Reg::T1));
+        assert!(live(BlockId(3), Reg::T0));
         // T2 is not live into join (defined there).
-        assert!(!lv.is_live_in(BlockId(3), Reg::T2));
+        assert!(!live(BlockId(3), Reg::T2));
         // T1 not live into entry (defined on both arms before use).
-        assert!(!lv.is_live_in(BlockId(0), Reg::T1));
+        assert!(!live(BlockId(0), Reg::T1));
     }
 }

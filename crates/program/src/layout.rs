@@ -17,14 +17,10 @@ pub struct Layout {
     /// `block_addr[f][b]` = address of the first instruction of block `b`
     /// of function `f`.
     block_addr: Vec<Vec<u64>>,
-    /// `func_base[f]` = address of function `f`'s entry block.
-    func_base: Vec<u64>,
     /// `block_base[f]` = dense index of function `f`'s first block in
     /// func-major, block-major enumeration order (see
     /// [`Layout::block_index`]).
     block_base: Vec<usize>,
-    /// Total number of basic blocks.
-    num_blocks: usize,
     /// Total text size in bytes.
     text_size: u64,
 }
@@ -35,12 +31,10 @@ impl Layout {
     pub fn compute(program: &Program) -> Layout {
         let mut addr = TEXT_BASE;
         let mut block_addr = Vec::with_capacity(program.funcs.len());
-        let mut func_base = Vec::with_capacity(program.funcs.len());
         let mut block_base = Vec::with_capacity(program.funcs.len());
         let mut num_blocks = 0usize;
         for f in &program.funcs {
             let mut blocks = Vec::with_capacity(f.blocks.len());
-            func_base.push(addr); // the entry is always block 0
             block_base.push(num_blocks);
             num_blocks += f.blocks.len();
             for b in &f.blocks {
@@ -49,7 +43,7 @@ impl Layout {
             }
             block_addr.push(blocks);
         }
-        Layout { block_addr, func_base, block_base, num_blocks, text_size: addr - TEXT_BASE }
+        Layout { block_addr, block_base, text_size: addr - TEXT_BASE }
     }
 
     /// Address of the first instruction of a block.
@@ -72,16 +66,6 @@ impl Layout {
         self.block_addr(r.func, r.block) + r.idx as u64 * INST_BYTES
     }
 
-    /// Entry address of a function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is out of range.
-    #[inline]
-    pub fn func_base(&self, f: FuncId) -> u64 {
-        self.func_base[f.index()]
-    }
-
     /// Total text-segment size in bytes.
     pub fn text_size(&self) -> u64 {
         self.text_size
@@ -100,12 +84,6 @@ impl Layout {
     pub fn block_index(&self, f: FuncId, b: BlockId) -> usize {
         assert!(b.index() < self.block_addr[f.index()].len(), "block {b} out of range");
         self.block_base[f.index()] + b.index()
-    }
-
-    /// Total number of basic blocks (the exclusive upper bound of
-    /// [`Layout::block_index`]).
-    pub fn num_blocks(&self) -> usize {
-        self.num_blocks
     }
 }
 
@@ -150,7 +128,6 @@ mod tests {
         pb.finish(main);
         let p = pb.build().unwrap();
         let l = p.layout();
-        assert_eq!(l.num_blocks(), 3);
         let mut seen = Vec::new();
         for f in &p.funcs {
             for b in 0..f.blocks.len() as u32 {

@@ -72,11 +72,11 @@ pub use builder::BuildError;
 pub use builder::{imm, FunctionBuilder, ProgramBuilder};
 pub use callgraph::{CallGraph, WriteSummaries};
 pub use cfg::{Cfg, Dominators, Loop, LoopForest};
-pub use data::{DataItem, DataSegment, GLOBAL_BASE, STACK_BASE, STACK_SIZE};
+pub use data::{DataItem, DataSegment, GLOBAL_BASE, STACK_BASE};
 pub use dataflow::{DefId, DefSite, DefUse, Liveness};
 pub use function::{Block, Function};
 pub use identity::digest128;
 pub use ids::{BlockId, BlockRef, FuncId, InstRef};
 pub use layout::{Layout, INST_BYTES, TEXT_BASE};
-pub use program::{Program, StaticStats};
+pub use program::Program;
 pub use verify::{ProgramContext, VerifyError};

@@ -1,8 +1,6 @@
 //! The top-level [`Program`] container.
 
 use crate::{DataSegment, FuncId, InstRef, Layout};
-use og_isa::{IsaExtension, OpClass, Width};
-use std::collections::HashMap;
 
 /// A whole program: functions, an entry point, and a static data segment.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,40 +91,6 @@ impl Program {
         Layout::compute(self)
     }
 
-    /// Static instruction statistics (per-class and per-width counts).
-    pub fn static_stats(&self) -> StaticStats {
-        let mut s = StaticStats::default();
-        for (_, i) in self.insts() {
-            s.total += 1;
-            *s.by_class.entry(i.op.class()).or_insert(0) += 1;
-            if i.op.class() != OpClass::Ctrl {
-                s.by_width[width_index(i.width)] += 1;
-            }
-        }
-        s
-    }
-
-    /// Widen every instruction whose width has no opcode under `ext` to the
-    /// narrowest available one (§4.3: if a narrow opcode does not exist the
-    /// wider variant must be used).
-    ///
-    /// Returns the number of instructions that were widened.
-    pub fn legalize(&mut self, ext: IsaExtension) -> usize {
-        let mut widened = 0;
-        for f in &mut self.funcs {
-            for b in &mut f.blocks {
-                for i in &mut b.insts {
-                    let assigned = ext.assign(i.op, i.width);
-                    if assigned != i.width {
-                        i.width = assigned;
-                        widened += 1;
-                    }
-                }
-            }
-        }
-        widened
-    }
-
     /// Verify structural invariants; see [`crate::VerifyError`].
     ///
     /// Fail-fast shim over [`Program::verify_all`] for callers that only
@@ -154,32 +118,11 @@ impl Program {
     }
 }
 
-fn width_index(w: Width) -> usize {
-    match w {
-        Width::B => 0,
-        Width::H => 1,
-        Width::W => 2,
-        Width::D => 3,
-    }
-}
-
-/// Static instruction statistics.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StaticStats {
-    /// Total instruction count.
-    pub total: usize,
-    /// Counts per operation class.
-    pub by_class: HashMap<OpClass, usize>,
-    /// Counts per width (indices 0..4 = 8/16/32/64 bit), control-flow
-    /// instructions excluded.
-    pub by_width: [usize; 4],
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{imm, ProgramBuilder};
-    use og_isa::{Op, Reg};
+    use og_isa::{Reg, Width};
 
     fn two_func_program() -> Program {
         let mut pb = ProgramBuilder::new();
@@ -229,33 +172,5 @@ mod tests {
             .iter()
             .fold(0, |m, r| m | 1 << r.index());
         assert_eq!(p.read_mask(), mask, "sources, a store's base and a cmov's old value");
-    }
-
-    #[test]
-    fn static_stats_counts() {
-        let p = two_func_program();
-        let s = p.static_stats();
-        assert_eq!(s.total, 6);
-        assert_eq!(s.by_class[&OpClass::Add], 2); // ldi + add (ldi counts as Add)
-        assert!(s.by_class.contains_key(&OpClass::Ctrl));
-    }
-
-    #[test]
-    fn legalize_widens_unavailable_widths() {
-        let mut p = two_func_program();
-        // Force a byte AND, unavailable on the base Alpha ISA.
-        let r = p
-            .insts()
-            .find(|(_, i)| i.op == Op::Add && i.width == Width::W)
-            .map(|(r, _)| r)
-            .unwrap();
-        p.inst_mut(r).op = Op::And;
-        p.inst_mut(r).width = Width::B;
-        let widened = p.legalize(IsaExtension::Base);
-        assert_eq!(widened, 1);
-        assert_eq!(p.inst(r).width, Width::D);
-        // The paper extension keeps byte logic.
-        p.inst_mut(r).width = Width::B;
-        assert_eq!(p.legalize(IsaExtension::PaperAlphaExt), 0);
     }
 }

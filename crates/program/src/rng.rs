@@ -69,14 +69,6 @@ impl SplitMix64 {
     pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.below(xs.len() as u64) as usize]
     }
-
-    /// Fill a byte buffer.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -111,14 +103,6 @@ mod tests {
             saw_hi |= v == 2;
         }
         assert!(saw_lo && saw_hi);
-    }
-
-    #[test]
-    fn fill_bytes_covers_buffer() {
-        let mut r = SplitMix64::new(3);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

@@ -32,21 +32,6 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
         Lru { capacity, tick: 0, entries: HashMap::with_capacity(capacity) }
     }
 
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Look up `key`, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> Option<V> {
         self.tick += 1;
@@ -92,7 +77,7 @@ mod tests {
         assert_eq!(lru.insert(4, 40), Some(2));
         assert_eq!(lru.insert(5, 50), Some(3));
         assert_eq!(lru.insert(6, 60), Some(1));
-        assert_eq!(lru.len(), 3);
+        assert_eq!(lru.entries.len(), 3);
         assert_eq!(lru.get(&2), None);
         assert_eq!(lru.get(&4), Some(40));
     }
@@ -103,7 +88,7 @@ mod tests {
         lru.insert("a", 1);
         lru.insert("b", 2);
         assert_eq!(lru.insert("a", 3), None, "replacement must not overflow");
-        assert_eq!(lru.len(), 2);
+        assert_eq!(lru.entries.len(), 2);
         assert_eq!(lru.get(&"a"), Some(3));
         // "b" is now oldest.
         assert_eq!(lru.insert("c", 4), Some("b"));

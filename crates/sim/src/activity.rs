@@ -203,20 +203,6 @@ impl ActivityCounts {
     pub fn of(&self, s: Structure) -> &StructActivity {
         &self.structs[s.index()]
     }
-
-    /// Merge another activity record into this one.
-    pub fn merge(&mut self, other: &ActivityCounts) {
-        for i in 0..self.structs.len() {
-            let (a, b) = (&mut self.structs[i], &other.structs[i]);
-            a.accesses += b.accesses;
-            a.value_accesses += b.value_accesses;
-            a.bytes.none += b.bytes.none;
-            a.bytes.software += b.bytes.software;
-            a.bytes.hw_significance += b.bytes.hw_significance;
-            a.bytes.hw_size += b.bytes.hw_size;
-            a.bytes.cooperative += b.bytes.cooperative;
-        }
-    }
 }
 
 /// The value events of one committed instruction, each moving one value
@@ -503,17 +489,6 @@ mod tests {
         assert_eq!(a.of(Structure::Rename).accesses, 1);
         assert_eq!(a.of(Structure::Rename).value_accesses, 0);
         assert_eq!(a.of(Structure::Rename).bytes.software, 0);
-    }
-
-    #[test]
-    fn merge_adds() {
-        let mut a = ActivityCounts::new();
-        a.record_value(Structure::Fu, 8, 8);
-        let mut b = ActivityCounts::new();
-        b.record_value(Structure::Fu, 1, 1);
-        a.merge(&b);
-        assert_eq!(a.of(Structure::Fu).accesses, 2);
-        assert_eq!(a.of(Structure::Fu).bytes.software, 9);
     }
 
     #[test]

@@ -71,20 +71,6 @@ impl Cache {
             false
         }
     }
-
-    /// Line size in bytes.
-    pub fn line_bytes(&self) -> u32 {
-        1 << self.line_shift
-    }
-
-    /// Miss rate over all accesses so far (0 when never accessed).
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -212,13 +198,5 @@ mod tests {
         for i in 0..16u64 {
             assert!(c.access(i * 32), "line {i} resident");
         }
-    }
-
-    #[test]
-    fn miss_rate() {
-        let mut c = Cache::new(1024, 2, 32);
-        c.access(0);
-        c.access(0);
-        assert!((c.miss_rate() - 0.5).abs() < 1e-12);
     }
 }

@@ -317,8 +317,8 @@ impl<'f> PlanRun<'f> {
                 return None;
             }
             let stop = self.faults.get(self.next).map_or(until, |f| f.at_step.min(until));
-            match vm.run_quantum(vm.paused_at(), stop - now) {
-                Quantum::Paused { .. } => {}
+            match vm.run_quantum(stop - now) {
+                Quantum::Paused => {}
                 Quantum::Finished(Ok(outcome)) => return Some(FaultedEnd::Finished(outcome)),
                 Quantum::Finished(Err(e)) => return Some(FaultedEnd::Faulted(e)),
             }
@@ -407,8 +407,7 @@ mod tests {
     fn walk_to(walker: &mut Vm<'_>, at: u64) {
         let now = walker.stats().steps;
         if at > now {
-            let resume = walker.paused_at();
-            assert!(matches!(walker.run_quantum(resume, at - now), Quantum::Paused { .. }));
+            assert!(matches!(walker.run_quantum(at - now), Quantum::Paused));
         }
     }
 
@@ -427,8 +426,7 @@ mod tests {
             // The explicit resume seam agrees, and neither clone moved
             // the walker.
             let mut by_quantum = walker.clone();
-            let resume = walker.paused_at();
-            assert_eq!(by_quantum.run_quantum(resume, u64::MAX), Quantum::Finished(Ok(expected)));
+            assert_eq!(by_quantum.run_quantum(u64::MAX), Quantum::Finished(Ok(expected)));
             assert_eq!(walker.stats().steps, at);
         }
     }
@@ -527,19 +525,19 @@ mod tests {
         let cfg = RunConfig { max_steps: hang_budget(g.steps), ..Default::default() };
         let paused = || {
             let mut vm = Vm::new(&p, cfg.clone());
-            let Quantum::Paused { ip } = vm.run_quantum(None, 5) else { panic!("must pause") };
-            assert_ne!(ip, vm.flat_program().entry);
-            (vm, ip)
+            assert_eq!(vm.run_quantum(5), Quantum::Paused);
+            assert_ne!(vm.paused_at(), Some(vm.flat_program().entry));
+            vm
         };
         // A pause finished by its own quantum, or forgotten by a run
         // that restarts from the entry; and a VM that never paused.
-        let (mut resumed, ip) = paused();
-        assert!(matches!(resumed.run_quantum(Some(ip), u64::MAX), Quantum::Finished(Ok(_))));
-        let (mut nostats, _) = paused();
+        let mut resumed = paused();
+        assert!(matches!(resumed.run_quantum(u64::MAX), Quantum::Finished(Ok(_))));
+        let mut nostats = paused();
         nostats.run_nostats().unwrap();
-        let (mut full, _) = paused();
+        let mut full = paused();
         full.run().unwrap();
-        let (mut reference, _) = paused();
+        let mut reference = paused();
         reference.run_reference().unwrap();
         let mut unpaused = Vm::new(&p, cfg.clone());
         unpaused.run_nostats().unwrap();

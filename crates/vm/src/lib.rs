@@ -63,10 +63,11 @@
 //! ## Soft-error injection: the quantum seam
 //!
 //! [`Vm::run_quantum`] can stop a run after any exact number of
-//! committed steps and hand back a resume `ip`; between two quanta the
-//! VM's architectural state is at rest, so a seeded bit flip applied
-//! there ([`Vm::flip_reg_bit`], [`Vm::flip_mem_bit`], or a flip of the
-//! resume `ip` itself) lands exactly as a particle strike between two
+//! committed steps; the VM keeps the `ip` it paused at, and the next
+//! quantum resumes there. Between two quanta the VM's architectural
+//! state is at rest, so a seeded bit flip applied there
+//! ([`Vm::flip_reg_bit`], [`Vm::flip_mem_bit`], or a flip of the pause
+//! point itself) lands exactly as a particle strike between two
 //! committed instructions would — without any instrumentation in the
 //! hot loop. Module [`fault`] builds the full subsystem on this seam:
 //! seeded [`fault::FaultPlan`]s, the quantum-slicing driver

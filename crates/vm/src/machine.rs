@@ -70,12 +70,9 @@ pub struct RunOutcome {
 /// Result of one [`Vm::run_quantum`] slice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Quantum {
-    /// The quantum was exhausted mid-run; pass `ip` back as `resume_at`
-    /// to continue.
-    Paused {
-        /// Flat instruction index to resume at.
-        ip: u32,
-    },
+    /// The quantum was exhausted mid-run; the VM holds the point it
+    /// paused at, and the next [`Vm::run_quantum`] continues from there.
+    Paused,
     /// The run completed (successfully or with an error) within the
     /// quantum; the VM is ready for a fresh run.
     Finished(Result<RunOutcome, VmError>),
@@ -381,19 +378,21 @@ impl<'p> Vm<'p> {
     /// **compiled out** (`STATS = false` monomorphization): for callers
     /// that only need the outputs — the outcome, the output stream and
     /// the fuel-relevant step count. [`Vm::stats`] reflects only `steps`
-    /// after this; histograms, block counts and event counters are not
-    /// gathered, and no sink can observe the run. This is the service
-    /// fast path and the throughput side of the oracle's cross-checks.
+    /// after this; histograms and block counts are not gathered, and no
+    /// sink can observe the run. This is the service fast path and the
+    /// throughput side of the oracle's cross-checks.
     ///
     /// # Errors
     ///
     /// See [`VmError`].
     pub fn run_nostats(&mut self) -> Result<RunOutcome, VmError> {
-        // An unbounded quantum stops only at `max_steps`, which is fuel
-        // exhaustion, so the run always finishes.
-        match self.run_quantum(None, u64::MAX) {
+        // Forget any pause so the run starts from the entry. An unbounded
+        // quantum stops only at `max_steps`, which is fuel exhaustion, so
+        // the run always finishes.
+        self.paused_at = None;
+        match self.run_quantum(u64::MAX) {
             Quantum::Finished(result) => result,
-            Quantum::Paused { .. } => unreachable!("an unbounded quantum never pauses"),
+            Quantum::Paused => unreachable!("an unbounded quantum never pauses"),
         }
     }
 
@@ -401,20 +400,18 @@ impl<'p> Vm<'p> {
     /// then pause — the fault-injection seam [`crate::fault`] slices runs
     /// at. Statistics are not gathered, as in [`Vm::run_nostats`].
     ///
-    /// Pass `resume_at: None` to start a fresh run from the entry (fresh
-    /// call stack, exactly like [`Vm::run`]); pass the `ip` of a previous
-    /// [`Quantum::Paused`] to continue that run where it stopped. The
-    /// split points are invisible to the program: a run finished across
-    /// many quanta produces the identical outcome, output and step count
-    /// as one uninterrupted [`Vm::run_nostats`]. After
-    /// `Quantum::Finished`, resume only with `None` (a fresh run).
-    ///
-    /// The VM remembers the `ip` it paused at, so
-    /// [`crate::fault::run_with_plan`] continues a paused VM (or a clone
-    /// of one) from there; a finished run clears it.
-    pub fn run_quantum(&mut self, resume_at: Option<u32>, quantum: u64) -> Quantum {
+    /// A VM that a previous quantum left paused continues that run where
+    /// it stopped; any other VM starts a fresh run from the entry (fresh
+    /// call stack, exactly like [`Vm::run`]). The split points are
+    /// invisible to the program: a run finished across many quanta
+    /// produces the identical outcome, output and step count as one
+    /// uninterrupted [`Vm::run_nostats`]. A finished run, or any run that
+    /// starts from the entry, clears the pause point; a clone of a paused
+    /// VM keeps it. Only [`crate::fault::PlanRun`]'s bounds-checked pc
+    /// strike moves it elsewhere.
+    pub fn run_quantum(&mut self, quantum: u64) -> Quantum {
         let flat = std::mem::take(&mut self.flat);
-        let (start, fresh) = match resume_at {
+        let (start, fresh) = match self.paused_at.take() {
             Some(ip) => (ip as usize, false),
             None => (flat.entry as usize, true),
         };
@@ -425,7 +422,6 @@ impl<'p> Vm<'p> {
         let stop = max_steps.min(self.stats.steps.saturating_add(quantum));
         let exit = self.flat_loop::<NullSink, false>(&flat, &mut None, start, fresh, stop);
         self.flat = flat;
-        self.paused_at = None;
         match exit {
             FlatExit::Done(reason) => Quantum::Finished(Ok(RunOutcome {
                 steps: self.stats.steps,
@@ -437,7 +433,7 @@ impl<'p> Vm<'p> {
                     Quantum::Finished(Err(VmError::OutOfFuel { steps: self.stats.steps }))
                 } else {
                     self.paused_at = Some(ip as u32);
-                    Quantum::Paused { ip: ip as u32 }
+                    Quantum::Paused
                 }
             }
             FlatExit::Err(e) => Quantum::Finished(Err(e)),
@@ -552,9 +548,9 @@ impl<'p> Vm<'p> {
     /// sink calls inlined at their concrete type. All hot state —
     /// registers (padded with the write-only
     /// [`crate::flat::DISCARD_SLOT`] so zero-register writes need no
-    /// branch), step counter, event counters, histograms, dense block
-    /// counts, the call stack — lives in locals for the duration of the
-    /// loop and is written back on every exit path. Mirrors
+    /// branch), step counter, histograms, dense block counts, the call
+    /// stack — lives in locals for the duration of the loop and is
+    /// written back on every exit path. Mirrors
     /// [`Vm::step`]'s observable behaviour exactly: the execution order
     /// of statistics updates, error early-outs and the trace delay
     /// buffer is the same.
@@ -569,7 +565,7 @@ impl<'p> Vm<'p> {
     /// [`Vm::run_quantum`]).
     ///
     /// The loop is resumable: it starts at `start_ip` (the entry for a
-    /// fresh run, a [`Quantum::Paused`] ip otherwise; `fresh` decides
+    /// fresh run, the VM's pause point otherwise; `fresh` decides
     /// whether the call stack survives) and exits with
     /// [`FlatExit::Stopped`] when `steps` reaches `stop_at` — callers
     /// pass `max_steps` to make that fuel exhaustion, or an earlier
@@ -607,12 +603,10 @@ impl<'p> Vm<'p> {
         }
         // Scratch histograms with dump slots (`class_width` row
         // `CW_ROWS-1` for control ops, `sig_hist` slot 0 for absent
-        // operands) so their per-step updates are branchless; event
-        // counters accumulate in a scratch too. All merged into
-        // `self.stats` on exit, dump slots discarded.
+        // operands) so their per-step updates are branchless. Both are
+        // merged into `self.stats` on exit, dump slots discarded.
         let mut class_width = [[0u64; 4]; crate::flat::CW_ROWS];
         let mut sig_hist = [0u64; 9];
-        let mut scratch = DynStats::default();
 
         let result = loop {
             if steps >= stop_at {
@@ -672,25 +666,16 @@ impl<'p> Vm<'p> {
                     let v = self.mem.read(mem_addr, w, signed);
                     regs[inst.dst_w as usize] = v;
                     dst_value = Some(v);
-                    if STATS {
-                        scratch.loads += 1;
-                    }
                     FlatNext::At(ip + 1)
                 }
                 FlatOp::St => {
                     mem_addr = (b + inst.disp as i64) as u64;
                     self.mem.write(mem_addr, w, a);
-                    if STATS {
-                        scratch.stores += 1;
-                    }
                     FlatNext::At(ip + 1)
                 }
                 FlatOp::Out => {
                     let bytes = (a as u64).to_le_bytes();
                     self.output.extend_from_slice(&bytes[..w.bytes() as usize]);
-                    if STATS {
-                        scratch.out_bytes += w.bytes() as u64;
-                    }
                     FlatNext::At(ip + 1)
                 }
                 FlatOp::Cmov(cond) => {
@@ -705,14 +690,8 @@ impl<'p> Vm<'p> {
                     FlatNext::At(t as usize)
                 }
                 FlatOp::Bc { cond, t, fall } => {
-                    if STATS {
-                        scratch.cond_branches += 1;
-                    }
                     taken = cond.eval(a);
                     if taken {
-                        if STATS {
-                            scratch.taken_branches += 1;
-                        }
                         FlatNext::At(t as usize)
                     } else {
                         FlatNext::At(fall as usize)
@@ -721,9 +700,6 @@ impl<'p> Vm<'p> {
                 FlatOp::Jsr { callee } => {
                     if call_stack.len() >= max_call_depth {
                         break FlatExit::Err(VmError::CallDepthExceeded { max: max_call_depth });
-                    }
-                    if STATS {
-                        scratch.calls += 1;
                     }
                     taken = true;
                     call_stack.push((ip + 1) as u32);
@@ -797,7 +773,6 @@ impl<'p> Vm<'p> {
             for (h, sh) in self.stats.sig_hist.iter_mut().zip(&sig_hist).skip(1) {
                 *h += sh;
             }
-            self.stats.add_events(&scratch);
         }
         self.flat_block_counts = counts;
         self.flat_call_stack = call_stack;
@@ -841,20 +816,17 @@ impl<'p> Vm<'p> {
                 let v = self.mem.read(mem_addr, w, signed);
                 self.set_reg(inst.dst.expect("load dst"), v);
                 dst_value = Some(v);
-                self.stats.loads += 1;
                 Next::At(next_seq)
             }
             Op::St => {
                 // `b` already holds the base operand (`src2`).
                 mem_addr = (b + inst.disp as i64) as u64;
                 self.mem.write(mem_addr, w, a);
-                self.stats.stores += 1;
                 Next::At(next_seq)
             }
             Op::Out => {
                 let bytes = (a as u64).to_le_bytes();
                 self.output.extend_from_slice(&bytes[..w.bytes() as usize]);
-                self.stats.out_bytes += w.bytes() as u64;
                 Next::At(next_seq)
             }
             Op::Br => match inst.target {
@@ -866,11 +838,7 @@ impl<'p> Vm<'p> {
             },
             Op::Bc(cond) => match inst.target {
                 Target::CondBlocks { taken: t, fall } => {
-                    self.stats.cond_branches += 1;
                     taken = cond.eval(a);
-                    if taken {
-                        self.stats.taken_branches += 1;
-                    }
                     let dest = if taken { t } else { fall };
                     Next::At(InstRef::new(at.func, BlockId(dest), 0))
                 }
@@ -881,7 +849,6 @@ impl<'p> Vm<'p> {
                     if self.call_stack.len() >= self.config.max_call_depth {
                         return Err(VmError::CallDepthExceeded { max: self.config.max_call_depth });
                     }
-                    self.stats.calls += 1;
                     taken = true;
                     self.call_stack.push(next_seq);
                     let callee = FuncId(callee);
@@ -1012,9 +979,7 @@ mod tests {
         let (out, outcome, stats) = run_program(&p);
         assert_eq!(out, vec![18]);
         assert_eq!(outcome.reason, HaltReason::Halt);
-        assert_eq!(stats.loads, 3);
-        assert_eq!(stats.cond_branches, 3);
-        assert_eq!(stats.taken_branches, 2);
+        assert_eq!(stats.class_width[og_isa::OpClass::Load.index()], [0, 0, 0, 3]);
         // loop block ran 3 times
         let f = p.func(p.entry);
         let loop_id = f.block_ids().find(|&b| f.block(b).label == "loop").unwrap();
@@ -1037,9 +1002,8 @@ mod tests {
         main.halt();
         pb.finish(main);
         let p = pb.build().unwrap();
-        let (out, _, stats) = run_program(&p);
+        let (out, ..) = run_program(&p);
         assert_eq!(out, vec![81]);
-        assert_eq!(stats.calls, 1);
     }
 
     #[test]
@@ -1152,7 +1116,7 @@ mod tests {
         vm.run_streamed(&mut sink).unwrap();
         let t = sink.into_records();
         assert_eq!(t.len(), 4); // ldi, beq, out, halt
-        assert!(t[1].is_cond_branch());
+        assert!(matches!(t[1].op, Op::Bc(_)));
         assert!(t[1].taken);
         // the branch's next_pc equals the target block's out pc
         assert_eq!(t[1].next_pc, t[2].pc);
@@ -1218,14 +1182,10 @@ mod tests {
         let expected = solo.run_nostats().unwrap();
 
         let mut vm = Vm::new(&p, RunConfig::default());
-        let mut resume = None;
         let mut pauses = 0u32;
         let got = loop {
-            match vm.run_quantum(resume, 1) {
-                Quantum::Paused { ip } => {
-                    resume = Some(ip);
-                    pauses += 1;
-                }
+            match vm.run_quantum(1) {
+                Quantum::Paused => pauses += 1,
                 Quantum::Finished(r) => break r.unwrap(),
             }
         };
@@ -1261,7 +1221,7 @@ mod tests {
     /// of the state `same_state` compares holds something.
     fn paused_in_a_call(p: &Program) -> Vm<'_> {
         let mut vm = Vm::new(p, RunConfig::default());
-        assert!(matches!(vm.run_quantum(None, 4), Quantum::Paused { .. }));
+        assert!(matches!(vm.run_quantum(4), Quantum::Paused));
         assert_eq!((vm.flat_call_stack.len(), vm.output(), vm.mem.page_count()), (1, &[5][..], 1));
         vm
     }

@@ -4,7 +4,9 @@ use og_isa::{OpClass, Width};
 use og_program::{BlockId, FuncId, InstRef};
 use std::collections::HashMap;
 
-/// Statistics gathered during a [`crate::Vm`] run.
+/// Statistics gathered during a [`crate::Vm`] run: what the study, VRS
+/// and the fuzz campaign read. Event counts such as loads, stores and
+/// branches are the timing model's, in og-sim's `CycleStats`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DynStats {
     /// Committed (architectural) instruction count.
@@ -20,18 +22,6 @@ pub struct DynStats {
     /// (`sig_hist[n]` counts values needing exactly `n` bytes, n = 1..=8);
     /// index 0 is unused. Figure 12's distribution.
     pub sig_hist: [u64; 9],
-    /// Dynamic loads.
-    pub loads: u64,
-    /// Dynamic stores.
-    pub stores: u64,
-    /// Dynamic conditional branches.
-    pub cond_branches: u64,
-    /// Taken conditional branches.
-    pub taken_branches: u64,
-    /// Calls executed.
-    pub calls: u64,
-    /// Bytes emitted to the output stream.
-    pub out_bytes: u64,
 }
 
 impl DynStats {
@@ -88,21 +78,6 @@ impl DynStats {
     /// record's `src_sigs`.
     pub(crate) fn record_sig_bytes(&mut self, sig: u8) {
         self.sig_hist[sig as usize] += 1;
-    }
-
-    /// Accumulate the scalar event counters of `other` — the flat
-    /// engine's loop-local scratch — into this one. Only the plain
-    /// counters: `steps`, `block_counts`, `class_width` and `sig_hist`
-    /// are deliberately excluded, because the engine maintains each of
-    /// those through a dedicated representation (running total, dense
-    /// vector, dump-slot scratch arrays) and reconciles them itself.
-    pub(crate) fn add_events(&mut self, other: &DynStats) {
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.cond_branches += other.cond_branches;
-        self.taken_branches += other.taken_branches;
-        self.calls += other.calls;
-        self.out_bytes += other.out_bytes;
     }
 
     /// The Figure 12 distribution: fraction of dynamic values needing

@@ -51,11 +51,6 @@ impl TraceRecord {
         matches!(self.op, Op::Br | Op::Bc(_) | Op::Jsr | Op::Ret)
     }
 
-    /// Is this a conditional branch?
-    pub fn is_cond_branch(&self) -> bool {
-        matches!(self.op, Op::Bc(_))
-    }
-
     /// The largest dynamic significance among sources and result, in bytes
     /// (at least 1); this is the operand width a hardware
     /// significance-compression scheme would process.
@@ -176,11 +171,9 @@ mod tests {
     fn control_classification() {
         assert!(rec(Op::Br).is_control());
         assert!(rec(Op::Bc(Cond::Eq)).is_control());
-        assert!(rec(Op::Bc(Cond::Eq)).is_cond_branch());
         assert!(rec(Op::Jsr).is_control());
         assert!(rec(Op::Ret).is_control());
         assert!(!rec(Op::Add).is_control());
-        assert!(!rec(Op::Br).is_cond_branch());
     }
 
     #[test]

@@ -24,17 +24,3 @@ fn every_workload_roundtrips_through_asm() {
         assert_eq!(d1, d2, "{}: output diverged after asm round-trip", wl.name);
     }
 }
-
-#[test]
-fn binary_encoding_roundtrips_every_workload() {
-    for wl in all(InputSet::Train) {
-        for f in &wl.program.funcs {
-            for b in &f.blocks {
-                let bytes = og_isa::encode_stream(&b.insts);
-                let decoded =
-                    og_isa::decode_stream(&bytes).unwrap_or_else(|e| panic!("{}: {e}", wl.name));
-                assert_eq!(decoded, b.insts, "{}/{}/{}", wl.name, f.name, b.label);
-            }
-        }
-    }
-}

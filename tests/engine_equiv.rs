@@ -2,8 +2,8 @@
 //! behind `Vm::run*`) must be bit-identical to the **reference**
 //! graph-walking interpreter (`Vm::run_reference*`) on every observable:
 //! `RunOutcome` (steps, halt reason, output digest), the raw output
-//! stream, the full `DynStats` (block counts, class×width histogram,
-//! significance histogram, event counters), and the streamed
+//! stream, the full `DynStats` (step count, block counts, class×width
+//! histogram and significance histogram), and the streamed
 //! `TraceRecord` sequence (whose `dst_value` carries every defined
 //! value).
 //!
@@ -173,10 +173,9 @@ fn quantum_slicing_matches_nostats_on_workloads_and_corpus() {
         // mid-block, mid-call and across calls many times.
         for quantum in [7, 257] {
             let mut vm = Vm::new(p, config.clone());
-            let mut resume = None;
             let result = loop {
-                match vm.run_quantum(resume, quantum) {
-                    Quantum::Paused { ip } => resume = Some(ip),
+                match vm.run_quantum(quantum) {
+                    Quantum::Paused => {}
                     Quantum::Finished(result) => break result,
                 }
             };
