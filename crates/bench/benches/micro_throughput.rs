@@ -4,11 +4,13 @@
 //! timing model simulates), complementing `exp_all`'s figures, which
 //! measure the *reproduced system*. The **engine** series are committed
 //! steps per second: the pre-decoded flat engine (the default behind
-//! `Vm::run*`) plain, streamed into a `NullSink`, and in no-stats mode
-//! (`Vm::run_nostats`), each against the reference graph-walking
-//! interpreter (`Vm::run_reference*`). The reference engine is frozen
-//! code, so the flat/reference ratios measured in one run do not depend
-//! on the machine's absolute speed; `bench_gate` gates on them.
+//! `Vm::run*`) plain, streamed into a sink that passes each record to
+//! `black_box` (so the streamed series times building whole records),
+//! and in no-stats mode (`Vm::run_nostats`), each against the reference
+//! graph-walking interpreter (`Vm::run_reference*`, streamed into the
+//! same sink). The reference engine is frozen code, so the
+//! flat/reference ratios measured in one run do not depend on the
+//! machine's absolute speed; `bench_gate` gates on them.
 //!
 //! The same run times the **simulator**: `Simulator::feed` (plus
 //! `finish`) over the compress Ref trace captured once with a `VecSink`,
@@ -29,10 +31,21 @@
 
 use og_json::{Json, ToJson};
 use og_sim::{MachineConfig, Simulator, ValueAccountant};
-use og_vm::{RunConfig, RunOutcome, VecSink, Vm, VmError};
+use og_vm::{RunConfig, RunOutcome, TraceRecord, TraceSink, VecSink, Vm, VmError};
 use og_workloads::{compress, InputSet};
 use std::hint::black_box;
 use std::time::Instant;
+
+/// Passes each record to `black_box`. A sink that reads nothing would let
+/// the compiler drop every record field the VM's own statistics do not
+/// read, and the streamed series would stop timing record construction.
+struct BlackBoxSink;
+
+impl TraceSink for BlackBoxSink {
+    fn record(&mut self, rec: &TraceRecord) {
+        black_box(rec);
+    }
+}
 
 /// Measure the flat engine's committed-steps/sec and the simulator's
 /// records/sec against the reference engine's, in the same run, and
@@ -99,8 +112,8 @@ fn main() {
     let series: [Run; 5] = [
         |vm| vm.run(),
         |vm| vm.run_reference(),
-        |vm| vm.run_streamed(&mut og_vm::NullSink),
-        |vm| vm.run_reference_streamed(&mut og_vm::NullSink),
+        |vm| vm.run_streamed(&mut BlackBoxSink),
+        |vm| vm.run_reference_streamed(&mut BlackBoxSink),
         |vm| vm.run_nostats(),
     ];
     // Fastest of `samples` timed runs per series, each on a fresh `Vm`
@@ -137,7 +150,7 @@ fn main() {
     );
     println!(
         "vm/flat_vs_reference_streamed    {flat_streamed:>12.0} steps/s flat, \
-         {reference_streamed:>12.0} steps/s reference (x{:.2}, NullSink, {steps} steps)",
+         {reference_streamed:>12.0} steps/s reference (x{:.2}, black_box sink, {steps} steps)",
         flat_streamed / reference_streamed,
     );
     println!(

@@ -9,14 +9,15 @@
 //! The oracle runs the untransformed program on three **baseline legs**,
 //! all on the one verified lowering: the *fused* run (`Vm::run_streamed`
 //! into a sink: the flat engine with statistics), the *plain* run
-//! (`Vm::run_reference`: the reference graph-walking interpreter) and
-//! the *no-stats* run (`Vm::run_quantum`: the flat engine's
-//! statistics-free loop, paused and resumed every 7 steps). Fused and
-//! no-stats must each match the plain run's output bytes, step count and
-//! output digest, and the fused trace must keep the trace-chain
-//! invariants (`next_pc` of record *i* equals `pc` of record *i+1*, one
-//! record per committed instruction). Every fuzz case, shrink candidate
-//! and corpus replay therefore tests both flat loops, and the
+//! (`Vm::run_reference_streamed`: the reference graph-walking
+//! interpreter) and the *no-stats* run (`Vm::run_quantum`: the flat
+//! engine's statistics-free loop, paused and resumed every 7 steps).
+//! Fused and no-stats must each match the plain run's output bytes, step
+//! count and output digest; fused must also match the plain run's
+//! `DynStats` and record sequence. The fused trace must keep the
+//! trace-chain invariants (`next_pc` of record *i* equals `pc` of record
+//! *i+1*, one record per committed instruction). Every fuzz case, shrink
+//! candidate and corpus replay therefore tests both flat loops, and the
 //! pause/resume seam between quanta, against the reference engine.
 //!
 //! The oracle also fuzzes the **verifier invariant** in both directions.
@@ -180,9 +181,10 @@ pub enum OracleError {
     /// or no-stats (quantum-sliced flat engine) against plain (reference
     /// engine).
     PathsDiverged {
-        /// What differed: `output`, `steps` or `digest` for fused vs
-        /// plain; `nostats-output`, `nostats-steps`, `nostats-digest`, or
-        /// `nostats-run` when only the no-stats run failed.
+        /// What differed: `output`, `steps`, `digest`, `stats` or `trace`
+        /// for fused vs plain; `nostats-output`, `nostats-steps`,
+        /// `nostats-digest`, or `nostats-run` when only the no-stats run
+        /// failed.
         what: &'static str,
     },
     /// A trace-chain invariant broke (record count, `next_pc` chaining,
@@ -283,8 +285,7 @@ impl fmt::Display for OracleError {
 
 impl std::error::Error for OracleError {}
 
-/// Run on the reference (graph-walking) engine: the baseline half of
-/// the flat-vs-reference engine differential every check performs.
+/// Run a transformed program on the reference (graph-walking) engine.
 fn run_plain(mut vm: Vm<'_>) -> Result<(Vec<u8>, RunOutcome), VmError> {
     let outcome = vm.run_reference()?;
     Ok((vm.output().to_vec(), outcome))
@@ -340,12 +341,13 @@ pub fn check_program(p: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, O
     let mut sink = VecSink::new();
     let mut vm = Vm::with_lowered(p, run_cfg.clone(), flat.clone());
     let fused = vm.run_streamed(&mut sink).map_err(&invariant)?;
-    let fused_out = vm.output().to_vec();
     let trace = sink.into_records();
 
-    let (base_out, plain) =
-        run_plain(Vm::with_lowered(p, run_cfg.clone(), flat.clone())).map_err(&invariant)?;
-    if base_out != fused_out {
+    let mut base_sink = VecSink::new();
+    let mut base_vm = Vm::with_lowered(p, run_cfg.clone(), flat.clone());
+    let plain = base_vm.run_reference_streamed(&mut base_sink).map_err(&invariant)?;
+    let base_out = base_vm.output().to_vec();
+    if base_out != vm.output() {
         return Err(OracleError::PathsDiverged { what: "output" });
     }
     if plain.steps != fused.steps {
@@ -353,6 +355,12 @@ pub fn check_program(p: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, O
     }
     if plain.output_digest != fused.output_digest {
         return Err(OracleError::PathsDiverged { what: "digest" });
+    }
+    if base_vm.stats() != vm.stats() {
+        return Err(OracleError::PathsDiverged { what: "stats" });
+    }
+    if base_sink.records() != trace {
+        return Err(OracleError::PathsDiverged { what: "trace" });
     }
 
     // ---- baseline: no-stats (quantum-sliced, flat engine) vs plain ----

@@ -17,10 +17,6 @@ pub struct Layout {
     /// `block_addr[f][b]` = address of the first instruction of block `b`
     /// of function `f`.
     block_addr: Vec<Vec<u64>>,
-    /// `block_base[f]` = dense index of function `f`'s first block in
-    /// func-major, block-major enumeration order (see
-    /// [`Layout::block_index`]).
-    block_base: Vec<usize>,
     /// Total text size in bytes.
     text_size: u64,
 }
@@ -31,19 +27,15 @@ impl Layout {
     pub fn compute(program: &Program) -> Layout {
         let mut addr = TEXT_BASE;
         let mut block_addr = Vec::with_capacity(program.funcs.len());
-        let mut block_base = Vec::with_capacity(program.funcs.len());
-        let mut num_blocks = 0usize;
         for f in &program.funcs {
             let mut blocks = Vec::with_capacity(f.blocks.len());
-            block_base.push(num_blocks);
-            num_blocks += f.blocks.len();
             for b in &f.blocks {
                 blocks.push(addr);
                 addr += b.insts.len() as u64 * INST_BYTES;
             }
             block_addr.push(blocks);
         }
-        Layout { block_addr, block_base, text_size: addr - TEXT_BASE }
+        Layout { block_addr, text_size: addr - TEXT_BASE }
     }
 
     /// Address of the first instruction of a block.
@@ -69,21 +61,6 @@ impl Layout {
     /// Total text-segment size in bytes.
     pub fn text_size(&self) -> u64 {
         self.text_size
-    }
-
-    /// Dense index of a block in func-major, block-major enumeration
-    /// order — the same order [`Layout::compute`] assigns addresses in.
-    /// Lets consumers (the VM's pre-decoded execution engine) keep
-    /// per-block data in a plain `Vec` indexed by this instead of a
-    /// `(FuncId, BlockId)`-keyed map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ids are out of range.
-    #[inline]
-    pub fn block_index(&self, f: FuncId, b: BlockId) -> usize {
-        assert!(b.index() < self.block_addr[f.index()].len(), "block {b} out of range");
-        self.block_base[f.index()] + b.index()
     }
 }
 
@@ -111,29 +88,5 @@ mod tests {
         assert_eq!(l.addr_of(InstRef::new(p.entry, BlockId(0), 2)), TEXT_BASE + 16);
         assert_eq!(l.block_addr(p.entry, BlockId(1)), TEXT_BASE + 24);
         assert_eq!(l.text_size(), 32);
-    }
-
-    #[test]
-    fn block_indices_are_dense_across_functions() {
-        let mut pb = ProgramBuilder::new();
-        let mut callee = pb.function("f", 0);
-        callee.block("entry");
-        callee.ret();
-        callee.block("other");
-        callee.ret();
-        pb.finish(callee);
-        let mut main = pb.function("main", 0);
-        main.block("entry");
-        main.halt();
-        pb.finish(main);
-        let p = pb.build().unwrap();
-        let l = p.layout();
-        let mut seen = Vec::new();
-        for f in &p.funcs {
-            for b in 0..f.blocks.len() as u32 {
-                seen.push(l.block_index(f.id, BlockId(b)));
-            }
-        }
-        assert_eq!(seen, vec![0, 1, 2], "func-major, block-major, no gaps");
     }
 }

@@ -25,13 +25,11 @@
 //!   instruction executes (ALU via [`crate::eval::alu_eval`], load,
 //!   store, or each control-flow shape), so the hot loop never re-derives
 //!   executability;
-//! * **dense block indices** — the first instruction of each block
-//!   carries a dense `block_idx`, turning the per-block-entry `HashMap`
-//!   update into a `Vec<u64>` increment (folded back into the public
-//!   [`crate::DynStats::block_counts`] map when a run finishes);
-//! * **precomputed bookkeeping** — the `(class, width)` histogram slot
-//!   and the trace-visible destination register ([`og_isa::Inst::def`])
-//!   are computed once per static instruction.
+//! * **precomputed trace registers** — the trace-visible sources and
+//!   destination ([`og_isa::Inst::def`]) are computed once per static
+//!   instruction. Statistics need no slot of their own: the engine
+//!   counts executions per flat index and folds them into
+//!   [`crate::DynStats`] when a run finishes.
 //!
 //! The lowering is O(program) — a few hundred nanoseconds for the
 //! workload suite's programs — and is paid once in [`crate::Vm::new`];
@@ -52,21 +50,8 @@
 //! loop no per-step check. Defensive execution of unverified input is
 //! the reference engine's job alone.
 
-use og_isa::{CmpKind, Cond, Op, OpClass, Operand, Reg, Target, Width};
-use og_program::{BlockId, FuncId, InstRef, Layout, Program, INST_BYTES, TEXT_BASE};
-
-/// Number of rows in the engine's scratch class×width histogram: the 13
-/// real operation classes plus one dump row that control-flow
-/// instructions (which the public histogram excludes) increment, making
-/// the per-step update branchless. The dump row is discarded when the
-/// scratch is merged into [`crate::DynStats`].
-pub(crate) const CW_ROWS: usize = 14;
-
-/// `cw` value for control-flow instructions: the dump row.
-pub(crate) const CW_CTRL: u8 = (CW_ROWS as u8 - 1) << 2;
-
-/// `block_idx` value marking "not the first instruction of a block".
-pub(crate) const NOT_BLOCK_ENTRY: u32 = u32::MAX;
+use og_isa::{CmpKind, Cond, Op, Operand, Reg, Target, Width};
+use og_program::{BlockId, InstRef, Layout, Program, INST_BYTES, TEXT_BASE};
 
 /// The register-file slot discarded writes land in: the flat engine runs
 /// on a 33-slot array where slot 32 is a write-only scratch cell, so a
@@ -195,18 +180,8 @@ pub(crate) struct FlatInst {
     pub imm: i64,
     /// Memory displacement.
     pub disp: i32,
-    /// Dense block index if this is the first instruction of its block,
-    /// [`NOT_BLOCK_ENTRY`] otherwise.
-    pub block_idx: u32,
-    /// Packed `(class.index() << 2) | width_index` histogram slot;
-    /// [`CW_CTRL`] (the dump row) for control-flow instructions.
-    pub cw: u8,
-    /// Does a first source register exist (does its significance count)?
-    pub sig1: bool,
-    /// Is the second operand a register (does its significance count)?
-    pub sig2: bool,
     /// The trace-visible source registers (`[src1, src2.reg()]`),
-    /// precomputed.
+    /// precomputed; a present one's significance counts.
     pub trace_srcs: [Option<Reg>; 2],
     /// The trace-visible destination ([`og_isa::Inst::def`]: `dst` with
     /// zero-register writes filtered out), precomputed.
@@ -225,19 +200,6 @@ pub struct FlatProgram {
     pub(crate) insts: Vec<FlatInst>,
     /// Flat index of the entry function's first instruction.
     pub(crate) entry: u32,
-    /// Dense block index → `(FuncId, BlockId)`, for folding the dense
-    /// execution counts back into [`crate::DynStats::block_counts`].
-    pub(crate) blocks: Vec<(FuncId, BlockId)>,
-}
-
-/// Width → histogram column, matching `DynStats::record_class_width`.
-fn width_index(w: Width) -> u8 {
-    match w {
-        Width::B => 0,
-        Width::H => 1,
-        Width::W => 2,
-        Width::D => 3,
-    }
 }
 
 impl FlatProgram {
@@ -286,17 +248,14 @@ impl FlatProgram {
     /// resolves and every block ends in a terminator, so no slot needs a
     /// defensive fallback.
     pub(crate) fn from_verified(program: &Program, layout: &Layout) -> FlatProgram {
-        // Pass 1: flat start index of every block, plus the dense block
-        // table in the same func-major, block-major order the layout
-        // uses.
+        // Pass 1: flat start index of every block, in the same
+        // func-major, block-major order the layout uses.
         let mut block_start: Vec<Vec<u32>> = Vec::with_capacity(program.funcs.len());
-        let mut blocks = Vec::new();
         let mut next = 0u32;
         for f in &program.funcs {
             let mut starts = Vec::with_capacity(f.blocks.len());
-            for (bi, b) in f.blocks.iter().enumerate() {
+            for b in &f.blocks {
                 starts.push(next);
-                blocks.push((f.id, BlockId(bi as u32)));
                 next += b.insts.len() as u32;
             }
             block_start.push(starts);
@@ -347,12 +306,6 @@ impl FlatProgram {
                         (Op::Ret, _) => FlatOp::Ret,
                         (Op::Halt, _) => FlatOp::Halt,
                     };
-                    let class = inst.op.class();
-                    let cw = if class == OpClass::Ctrl {
-                        CW_CTRL
-                    } else {
-                        ((class.index() as u8) << 2) | width_index(inst.width)
-                    };
                     debug_assert_eq!(
                         layout.addr_of(InstRef::new(f.id, BlockId(bi as u32), ii as u32)),
                         TEXT_BASE + insts.len() as u64 * INST_BYTES,
@@ -379,14 +332,6 @@ impl FlatProgram {
                         src2_r,
                         imm,
                         disp: inst.disp,
-                        block_idx: if ii == 0 {
-                            layout.block_index(f.id, BlockId(bi as u32)) as u32
-                        } else {
-                            NOT_BLOCK_ENTRY
-                        },
-                        cw,
-                        sig1: inst.src1.is_some(),
-                        sig2: matches!(inst.src2, Operand::Reg(_)),
                         trace_srcs: [inst.src1, inst.src2.reg()],
                         trace_dst: inst.def(),
                     });
@@ -394,21 +339,13 @@ impl FlatProgram {
             }
         }
 
-        FlatProgram { insts, entry: entry_of(program.entry.index()), blocks }
+        FlatProgram { insts, entry: entry_of(program.entry.index()) }
     }
 
     /// Number of lowered instructions (equal to the program's static
     /// instruction count).
     pub fn inst_count(&self) -> usize {
         self.insts.len()
-    }
-
-    /// Number of basic blocks: the length of the dense block-count vector
-    /// the engine maintains. Dense indices `0..num_blocks()` name the
-    /// program's blocks in the lowering order (functions in id order,
-    /// blocks in id order).
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
     }
 
     /// The pc address of flat slot `i` — the affine map the hot loop
@@ -422,7 +359,7 @@ impl FlatProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use og_program::ProgramBuilder;
+    use og_program::{FuncId, ProgramBuilder};
 
     fn lowered(p: &Program) -> FlatProgram {
         FlatProgram::lower(p, &p.layout())
@@ -446,7 +383,6 @@ mod tests {
         let p = pb.build().unwrap();
         let flat = lowered(&p);
         assert_eq!(flat.inst_count(), p.inst_count());
-        assert_eq!(flat.num_blocks(), 2);
         // main is the second function: its entry sits after sq's 2 insts.
         assert_eq!(flat.entry, 2);
         // the jsr resolved to sq's entry (flat slot 0)
@@ -470,10 +406,6 @@ mod tests {
         let flat = lowered(&p);
         // entry: ldi, beq; fall: halt; target: out, halt
         assert_eq!(flat.insts[1].kind, FlatOp::Bc { cond: og_isa::Cond::Eq, t: 3, fall: 2 });
-        assert_eq!(flat.insts[0].block_idx, 0);
-        assert_eq!(flat.insts[1].block_idx, NOT_BLOCK_ENTRY);
-        assert_eq!(flat.insts[2].block_idx, 1);
-        assert_eq!(flat.insts[3].block_idx, 2);
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //! pre-decoded form ([`FlatProgram`], module [`flat`]): one flat `Vec` of
 //! instructions with branch/call targets resolved to absolute indices,
 //! per-slot pc addresses reduced to an affine map (no per-step layout
-//! lookup), operand shapes (register/immediate/absent) decided ahead of
-//! time, dense block indices replacing the hashed block-count map, and
-//! the class×width histogram slot precomputed per instruction. The cost
-//! is O(program) at construction; the win is O(1) *per committed step*
-//! with no hashing and no `func → block → inst` pointer chasing. The
+//! lookup), and operand shapes (register/immediate/absent) decided ahead
+//! of time. The cost is O(program) at construction; the win is O(1)
+//! *per committed step* with no hashing and no `func → block → inst`
+//! pointer chasing. The
 //! streamed run is generic over its sink, so concrete consumers (the
 //! timing simulator, the value profiler's sink adapter, [`VecSink`])
 //! inline straight into the hot loop instead of paying a virtual call
@@ -54,11 +53,15 @@
 //!    every committed fuzz-corpus case on both engines and asserts
 //!    identical outcomes, statistics and trace streams.
 //! 2. **Flat** — one hot loop, monomorphized on the sink type and on
-//!    `STATS`. [`Vm::run`] and [`Vm::run_streamed`] gather full
-//!    [`DynStats`] (and feed a sink); [`Vm::run_nostats`] and
-//!    [`Vm::run_quantum`] keep only the architectural result (outputs,
-//!    digest, step count) — the service fast path, the oracle's
-//!    cross-check side and the fault campaign.
+//!    `TRACE`. [`Vm::run_streamed`] builds each committed instruction's
+//!    record once, final at commit, and gives it to the run's statistics,
+//!    then to the caller's sink; the statistics count executions per
+//!    instruction and fold into [`DynStats`] when the run ends.
+//!    [`Vm::run`] is [`Vm::run_streamed`] into a [`NullSink`].
+//!    [`Vm::run_nostats`] and [`Vm::run_quantum`] build no records and
+//!    keep only the architectural result (outputs, digest, step count) —
+//!    the service fast path, the oracle's cross-check side and the fault
+//!    campaign.
 //!
 //! ## Soft-error injection: the quantum seam
 //!
@@ -83,13 +86,14 @@
 //!
 //! ## Streaming dataflow (VM → TraceSink → Simulator/Profiler)
 //!
-//! The VM never materializes the trace. It holds exactly **one** record
-//! back (a delay buffer, so the successor's address can be patched into
-//! `next_pc`) and hands every finalized record to the sink, giving the
-//! fused emulate+simulate pipeline **O(1) trace memory** regardless of
-//! run length. Materializing is opt-in via [`VecSink`] — which costs
-//! O(steps) memory (~64 B/record; a 100M-step run would need ~6.4 GB) —
-//! and is reserved for tests and offline analysis.
+//! The VM never materializes the trace. The flat engine hands each
+//! record to the sink as the instruction commits, final: by then its
+//! successor, and so `next_pc`, is known. (The reference engine instead
+//! holds one record back until the next commit patches its `next_pc`.)
+//! The fused emulate+simulate pipeline thus has **O(1) trace memory**
+//! regardless of run length. Materializing is opt-in via [`VecSink`] —
+//! which costs O(steps) memory (~64 B/record; a 100M-step run would need
+//! ~6.4 GB) — and is reserved for tests and offline analysis.
 //!
 //! ```
 //! use og_program::{ProgramBuilder, imm};

@@ -7,8 +7,8 @@
 //!   interprets the pre-decoded [`FlatProgram`] lowered once from a
 //!   verified program in [`Vm::new`] (see [`crate::flat`] for what is
 //!   precomputed). One hot loop serves every entry point, monomorphized
-//!   on the trace sink (so a concrete sink inlines) and on whether
-//!   statistics are gathered;
+//!   on the trace sink (so a concrete sink inlines) and on whether it
+//!   builds trace records, from which a run's statistics are derived;
 //! * the **reference engine** — [`Vm::run_reference`] and
 //!   [`Vm::run_reference_streamed`] — walks the `func → block → inst`
 //!   graph exactly as the original interpreter did, with its defensive
@@ -25,7 +25,8 @@
 //! whichever engine it uses.
 
 use crate::eval::{alu_eval, cmov_eval};
-use crate::flat::{FlatInst, FlatOp, FlatProgram, NOT_BLOCK_ENTRY};
+use crate::flat::{FlatInst, FlatOp, FlatProgram};
+use crate::stats::StatsSink;
 use crate::{fnv1a, DynStats, Memory, NullSink, TraceRecord, TraceSink};
 use og_isa::{Op, Operand, Reg, Target, Width};
 use og_program::{BlockId, FuncId, InstRef, Layout, Program, STACK_BASE};
@@ -86,8 +87,8 @@ enum FlatExit {
     /// `stop_at` was reached before the next instruction at `ip` — fuel
     /// exhaustion for whole runs, a quantum pause for resumable ones.
     Stopped(usize),
-    /// The program failed.
-    Err(VmError),
+    /// The `jsr` at this `ip` found the call stack full.
+    CallDepthExceeded(usize),
 }
 
 /// Emulation errors.
@@ -146,16 +147,8 @@ pub struct Vm<'p> {
     call_stack: Vec<InstRef>,
     /// Flat-engine call stack (absolute flat return indices).
     flat_call_stack: Vec<u32>,
-    /// Flat-engine per-block execution counts, indexed by the dense
-    /// [`og_program::Layout::block_index`]; folded into
-    /// [`DynStats::block_counts`] (and cleared) when a flat run returns.
-    flat_block_counts: Vec<u64>,
     output: Vec<u8>,
     stats: DynStats,
-    /// One-record delay buffer: the youngest committed record is held
-    /// back until the next commit patches its `next_pc`, so sinks only
-    /// ever observe finalized records.
-    pending: Option<TraceRecord>,
     /// Where the last [`Vm::run_quantum`] paused; `None` once a run
     /// finishes or restarts from the entry.
     paused_at: Option<u32>,
@@ -231,7 +224,6 @@ impl<'p> Vm<'p> {
         let mut regs = [0i64; 32];
         regs[Reg::SP.index() as usize] = STACK_BASE as i64;
         regs[Reg::GP.index() as usize] = og_program::GLOBAL_BASE as i64;
-        let flat_block_counts = vec![0u64; flat.num_blocks()];
         Vm {
             program,
             layout,
@@ -241,10 +233,8 @@ impl<'p> Vm<'p> {
             mem,
             call_stack: Vec::new(),
             flat_call_stack: Vec::new(),
-            flat_block_counts,
             output: Vec::new(),
             stats: DynStats::default(),
-            pending: None,
             paused_at: None,
         }
     }
@@ -353,12 +343,14 @@ impl<'p> Vm<'p> {
     ///
     /// See [`VmError`].
     pub fn run(&mut self) -> Result<RunOutcome, VmError> {
-        self.run_flat::<NullSink>(None)
+        self.run_streamed(&mut NullSink)
     }
 
     /// Run to completion, streaming each committed instruction's
     /// [`TraceRecord`] into `sink`. This is the fused, O(1)-trace-memory
-    /// path: nothing is materialized inside the VM.
+    /// path: nothing is materialized inside the VM. Each record goes to
+    /// the run's statistics first, which fold into [`DynStats`] when the
+    /// run ends, on error paths too, as the reference engine's are.
     ///
     /// Generic so a concrete sink (the simulator, a profiler adapter, a
     /// [`crate::VecSink`]) inlines into the flat engine's hot loop;
@@ -371,11 +363,41 @@ impl<'p> Vm<'p> {
         &mut self,
         sink: &mut S,
     ) -> Result<RunOutcome, VmError> {
-        self.run_flat(Some(sink))
+        self.paused_at = None;
+        // Detach the flat form so the loop can borrow it while mutating
+        // the rest of the machine state.
+        let flat = std::mem::take(&mut self.flat);
+        let mut stats = StatsSink::new(flat.inst_count());
+        let stop = self.config.max_steps;
+        let exit = self.flat_loop::<_, true>(
+            &flat,
+            &mut Tee(&mut stats, sink),
+            flat.entry as usize,
+            true,
+            stop,
+        );
+        self.flat = flat;
+        // A `jsr` that finds the call stack full commits no record, but it
+        // counts as executed, in the step count and in its block's entries.
+        if let FlatExit::CallDepthExceeded(ip) = exit {
+            stats.counts[ip] += 1;
+        }
+        stats.fold_into(self.program, &mut self.stats);
+        let reason = match exit {
+            FlatExit::Done(reason) => reason,
+            // `stop_at` was `max_steps`, so a stop is fuel exhaustion.
+            FlatExit::Stopped(_) => {
+                return Err(VmError::OutOfFuel { steps: self.stats.steps });
+            }
+            FlatExit::CallDepthExceeded(_) => {
+                return Err(VmError::CallDepthExceeded { max: self.config.max_call_depth });
+            }
+        };
+        Ok(RunOutcome { steps: self.stats.steps, reason, output_digest: fnv1a(&self.output) })
     }
 
-    /// Run to completion on the flat engine with statistics gathering
-    /// **compiled out** (`STATS = false` monomorphization): for callers
+    /// Run to completion on the flat engine without trace records, and so
+    /// without statistics (`TRACE = false` monomorphization): for callers
     /// that only need the outputs — the outcome, the output stream and
     /// the fuel-relevant step count. [`Vm::stats`] reflects only `steps`
     /// after this; histograms and block counts are not gathered, and no
@@ -415,12 +437,9 @@ impl<'p> Vm<'p> {
             Some(ip) => (ip as usize, false),
             None => (flat.entry as usize, true),
         };
-        if fresh {
-            self.pending = None;
-        }
         let max_steps = self.config.max_steps;
         let stop = max_steps.min(self.stats.steps.saturating_add(quantum));
-        let exit = self.flat_loop::<NullSink, false>(&flat, &mut None, start, fresh, stop);
+        let exit = self.flat_loop::<_, false>(&flat, &mut NullSink, start, fresh, stop);
         self.flat = flat;
         match exit {
             FlatExit::Done(reason) => Quantum::Finished(Ok(RunOutcome {
@@ -436,7 +455,9 @@ impl<'p> Vm<'p> {
                     Quantum::Paused
                 }
             }
-            FlatExit::Err(e) => Quantum::Finished(Err(e)),
+            FlatExit::CallDepthExceeded(_) => Quantum::Finished(Err(VmError::CallDepthExceeded {
+                max: self.config.max_call_depth,
+            })),
         }
     }
 
@@ -469,7 +490,6 @@ impl<'p> Vm<'p> {
         &mut self,
         mut sink: Option<&mut (dyn TraceSink + 's)>,
     ) -> Result<RunOutcome, VmError> {
-        self.pending = None;
         self.paused_at = None;
         // Every run starts from the entry with a fresh control context:
         // a previous run that ended inside a call (halt in a callee, a
@@ -479,11 +499,19 @@ impl<'p> Vm<'p> {
         self.call_stack.clear();
         let entry = self.program.entry;
         let mut pc = InstRef::new(entry, self.program.func(entry).entry, 0);
+        // One-record delay buffer: the youngest committed record is held
+        // back until the next commit patches its `next_pc`, so the sink
+        // only ever observes finalized records. `black_box` keeps it in
+        // memory: split into registers, its fields ride through every
+        // iteration, which slowed plain reference runs by about 8% on a
+        // 2-vCPU VM.
+        let mut pending = None;
+        std::hint::black_box(&mut pending);
         let result = loop {
             if self.stats.steps >= self.config.max_steps {
                 break Err(VmError::OutOfFuel { steps: self.stats.steps });
             }
-            match self.step(pc, sink.as_deref_mut()) {
+            match self.step(pc, sink.as_deref_mut(), &mut pending) {
                 Ok(Next::At(next)) => pc = next,
                 Ok(Next::Done(r)) => break Ok(r),
                 Err(e) => break Err(e),
@@ -492,52 +520,10 @@ impl<'p> Vm<'p> {
         // Flush the delay buffer; the final record keeps `next_pc` at
         // `u64::MAX` (also on error paths, where the last committed
         // instruction is final by definition).
-        if let (Some(sink), Some(last)) = (sink, self.pending.take()) {
+        if let (Some(sink), Some(last)) = (sink, pending) {
             sink.record(&last);
         }
         let reason = result?;
-        Ok(RunOutcome { steps: self.stats.steps, reason, output_digest: fnv1a(&self.output) })
-    }
-
-    /// The statistics-gathering flat driver: run the pre-decoded program
-    /// from the entry, flush the trace delay buffer, and fold the dense
-    /// block counts back into [`DynStats::block_counts`] (on error paths
-    /// too, exactly as the reference engine's statistics are visible
-    /// after a failed run).
-    fn run_flat<S: TraceSink + ?Sized>(
-        &mut self,
-        mut sink: Option<&mut S>,
-    ) -> Result<RunOutcome, VmError> {
-        self.pending = None;
-        self.paused_at = None;
-        // Detach the flat form so the loop can borrow it while mutating
-        // the rest of the machine state.
-        let flat = std::mem::take(&mut self.flat);
-        let stop = self.config.max_steps;
-        let exit = self.flat_loop::<S, true>(&flat, &mut sink, flat.entry as usize, true, stop);
-        // Flush the delay buffer; the final record keeps `next_pc` at
-        // `u64::MAX` (also on error paths, where the last committed
-        // instruction is final by definition).
-        if let Some(ref mut s) = sink {
-            if let Some(last) = self.pending.take() {
-                s.record(&last);
-            }
-        }
-        for (i, count) in self.flat_block_counts.iter_mut().enumerate() {
-            if *count > 0 {
-                *self.stats.block_counts.entry(flat.blocks[i]).or_insert(0) += *count;
-                *count = 0;
-            }
-        }
-        self.flat = flat;
-        let reason = match exit {
-            FlatExit::Done(reason) => reason,
-            // `stop_at` was `max_steps`, so a stop is fuel exhaustion.
-            FlatExit::Stopped(_) => {
-                return Err(VmError::OutOfFuel { steps: self.stats.steps });
-            }
-            FlatExit::Err(e) => return Err(e),
-        };
         Ok(RunOutcome { steps: self.stats.steps, reason, output_digest: fnv1a(&self.output) })
     }
 
@@ -548,21 +534,20 @@ impl<'p> Vm<'p> {
     /// sink calls inlined at their concrete type. All hot state —
     /// registers (padded with the write-only
     /// [`crate::flat::DISCARD_SLOT`] so zero-register writes need no
-    /// branch), step counter, histograms, dense block counts, the call
-    /// stack — lives in locals for the duration of the loop and is
-    /// written back on every exit path. Mirrors
-    /// [`Vm::step`]'s observable behaviour exactly: the execution order
-    /// of statistics updates, error early-outs and the trace delay
-    /// buffer is the same.
+    /// branch), step counter, the call stack — lives in locals for the
+    /// duration of the loop and is written back on every exit path.
+    /// Mirrors [`Vm::step`]'s observable behaviour exactly: the same
+    /// records, step counts and error early-outs.
     ///
     /// The flat program came from a verified lowering, so every slot is
     /// executable and the loop carries no defensive check.
     ///
-    /// `STATS` gates every piece of statistics and trace bookkeeping:
-    /// the `false` instance keeps only the step counter (fuel) and the
-    /// architectural effects — registers, memory, output, control flow —
-    /// for callers that need nothing else ([`Vm::run_nostats`],
-    /// [`Vm::run_quantum`]).
+    /// `TRACE` decides whether the loop builds each committed
+    /// instruction's record and hands it to `sink`, final, once the
+    /// instruction has executed and its successor is known. The `false`
+    /// instance keeps only the step counter (fuel) and the architectural
+    /// effects — registers, memory, output, control flow — for callers
+    /// that need nothing else ([`Vm::run_nostats`], [`Vm::run_quantum`]).
     ///
     /// The loop is resumable: it starts at `start_ip` (the entry for a
     /// fresh run, the VM's pause point otherwise; `fresh` decides
@@ -571,10 +556,10 @@ impl<'p> Vm<'p> {
     /// pass `max_steps` to make that fuel exhaustion, or an earlier
     /// quantum boundary to pause.
     #[allow(clippy::too_many_lines)]
-    fn flat_loop<S: TraceSink + ?Sized, const STATS: bool>(
+    fn flat_loop<S: TraceSink + ?Sized, const TRACE: bool>(
         &mut self,
         flat: &FlatProgram,
-        sink: &mut Option<&mut S>,
+        sink: &mut S,
         start_ip: usize,
         fresh: bool,
         stop_at: u64,
@@ -593,7 +578,6 @@ impl<'p> Vm<'p> {
         regs[..32].copy_from_slice(&self.regs);
         let mut steps = self.stats.steps;
         let max_call_depth = self.config.max_call_depth;
-        let mut counts = std::mem::take(&mut self.flat_block_counts);
         // Fresh control context per run (see `run_core`): reuse the
         // allocation but drop any frames a previous run left behind. A
         // quantum resume, by contrast, must keep its frames.
@@ -601,21 +585,12 @@ impl<'p> Vm<'p> {
         if fresh {
             call_stack.clear();
         }
-        // Scratch histograms with dump slots (`class_width` row
-        // `CW_ROWS-1` for control ops, `sig_hist` slot 0 for absent
-        // operands) so their per-step updates are branchless. Both are
-        // merged into `self.stats` on exit, dump slots discarded.
-        let mut class_width = [[0u64; 4]; crate::flat::CW_ROWS];
-        let mut sig_hist = [0u64; 9];
 
         let result = loop {
             if steps >= stop_at {
                 break FlatExit::Stopped(ip);
             }
             let inst = &insts[ip];
-            if STATS && inst.block_idx != NOT_BLOCK_ENTRY {
-                counts[inst.block_idx as usize] += 1;
-            }
             steps += 1;
 
             // Branchless operand reads (shapes were decided at lower
@@ -699,7 +674,7 @@ impl<'p> Vm<'p> {
                 }
                 FlatOp::Jsr { callee } => {
                     if call_stack.len() >= max_call_depth {
-                        break FlatExit::Err(VmError::CallDepthExceeded { max: max_call_depth });
+                        break FlatExit::CallDepthExceeded(ip);
                     }
                     taken = true;
                     call_stack.push((ip + 1) as u32);
@@ -715,42 +690,42 @@ impl<'p> Vm<'p> {
                 FlatOp::Halt => FlatNext::Done(HaltReason::Halt),
             };
 
-            // ---- statistics / trace (same values as the reference
-            // engine; absent operands land in the discarded dump slots;
-            // compiled out entirely when `STATS` is off) ---------------
-            if STATS {
-                class_width[(inst.cw >> 2) as usize][(inst.cw & 3) as usize] += 1;
-                let m1 = inst.sig1 as u64;
-                let m2 = inst.sig2 as u64;
-                let sig_a = Width::sig_bytes(a) * inst.sig1 as u8;
-                let sig_b = Width::sig_bytes(b) * inst.sig2 as u8;
-                sig_hist[sig_a as usize] += m1;
-                sig_hist[sig_b as usize] += m2;
-                let md = dst_value.is_some() as u64;
-                let dst_sig = Width::sig_bytes(dst_value.unwrap_or(0)) * md as u8;
-                sig_hist[dst_sig as usize] += md;
-                if let Some(ref mut s) = *sink {
-                    let pc_addr = FlatProgram::pc_of(ip);
-                    // Patch and release the delayed predecessor: its
-                    // `next_pc` is this instruction's address.
-                    if let Some(mut prev) = self.pending.take() {
-                        prev.next_pc = pc_addr;
-                        s.record(&prev);
+            // ---- trace (same values as the reference engine; compiled
+            // out entirely when `TRACE` is off) -------------------------
+            if TRACE {
+                // `u64::MAX` when the run stops before the successor
+                // commits: after a halt or a return from the entry, at the
+                // fuel bound, or at a successor `jsr` that will find the
+                // call stack full.
+                let next_pc = match next {
+                    FlatNext::At(n) if steps < stop_at => {
+                        let full = call_stack.len() >= max_call_depth;
+                        if full
+                            && insts.get(n).is_some_and(|s| matches!(s.kind, FlatOp::Jsr { .. }))
+                        {
+                            u64::MAX
+                        } else {
+                            FlatProgram::pc_of(n)
+                        }
                     }
-                    self.pending = Some(TraceRecord {
-                        pc: pc_addr,
-                        next_pc: u64::MAX,
-                        op: inst.op,
-                        width: inst.width,
-                        dst: inst.trace_dst,
-                        srcs: inst.trace_srcs,
-                        mem_addr,
-                        taken,
-                        dst_sig,
-                        src_sigs: [sig_a, sig_b],
-                        dst_value,
-                    });
-                }
+                    _ => u64::MAX,
+                };
+                sink.record(&TraceRecord {
+                    pc: FlatProgram::pc_of(ip),
+                    next_pc,
+                    op: inst.op,
+                    width: inst.width,
+                    dst: inst.trace_dst,
+                    srcs: inst.trace_srcs,
+                    mem_addr,
+                    taken,
+                    dst_sig: dst_value.map_or(0, Width::sig_bytes),
+                    src_sigs: [
+                        Width::sig_bytes(a) * inst.trace_srcs[0].is_some() as u8,
+                        Width::sig_bytes(b) * inst.trace_srcs[1].is_some() as u8,
+                    ],
+                    dst_value,
+                });
             }
 
             match next {
@@ -762,19 +737,6 @@ impl<'p> Vm<'p> {
         // ---- write hot state back (on success and error alike) ------
         self.regs.copy_from_slice(&regs[..32]);
         self.stats.steps = steps;
-        if STATS {
-            for (row, srow) in self.stats.class_width.iter_mut().zip(&class_width) {
-                for (c, sc) in row.iter_mut().zip(srow) {
-                    *c += sc;
-                }
-            }
-            // Slot 0 is the dump slot for absent operands; the public
-            // histogram keeps it untouched (and unused).
-            for (h, sh) in self.stats.sig_hist.iter_mut().zip(&sig_hist).skip(1) {
-                *h += sh;
-            }
-        }
-        self.flat_block_counts = counts;
         self.flat_call_stack = call_stack;
         result
     }
@@ -792,6 +754,7 @@ impl<'p> Vm<'p> {
         &mut self,
         at: InstRef,
         sink: Option<&mut (dyn TraceSink + 's)>,
+        pending: &mut Option<TraceRecord>,
     ) -> Result<Next, VmError> {
         let func = self.program.func(at.func);
         let block = func.block(at.block);
@@ -911,11 +874,11 @@ impl<'p> Vm<'p> {
             let pc_addr = self.layout.addr_of(at);
             // Patch and release the delayed predecessor: its `next_pc`
             // is this instruction's address.
-            if let Some(mut prev) = self.pending.take() {
+            if let Some(mut prev) = pending.take() {
                 prev.next_pc = pc_addr;
                 sink.record(&prev);
             }
-            self.pending = Some(TraceRecord {
+            *pending = Some(TraceRecord {
                 pc: pc_addr,
                 next_pc: u64::MAX,
                 op: inst.op,
@@ -936,6 +899,17 @@ impl<'p> Vm<'p> {
 enum Next {
     At(InstRef),
     Done(HaltReason),
+}
+
+/// Gives each record to the run's statistics, then to the caller's sink.
+struct Tee<'a, S: ?Sized>(&'a mut StatsSink, &'a mut S);
+
+impl<S: TraceSink + ?Sized> TraceSink for Tee<'_, S> {
+    #[inline]
+    fn record(&mut self, rec: &TraceRecord) {
+        self.0.record(rec);
+        self.1.record(rec);
+    }
 }
 
 #[cfg(test)]

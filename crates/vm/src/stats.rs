@@ -1,12 +1,15 @@
 //! Dynamic execution statistics.
 
+use crate::{TraceRecord, TraceSink};
 use og_isa::{OpClass, Width};
-use og_program::{BlockId, FuncId, InstRef};
+use og_program::{BlockId, FuncId, InstRef, Program, INST_BYTES, TEXT_BASE};
 use std::collections::HashMap;
 
 /// Statistics gathered during a [`crate::Vm`] run: what the study, VRS
-/// and the fuzz campaign read. Event counts such as loads, stores and
-/// branches are the timing model's, in og-sim's `CycleStats`.
+/// and the fuzz campaign read. The flat engine derives them from the
+/// committed records it streams; the reference engine counts them inline.
+/// Event counts such as loads, stores and branches are the timing
+/// model's, in og-sim's `CycleStats`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DynStats {
     /// Committed (architectural) instruction count.
@@ -92,6 +95,63 @@ impl DynStats {
             out[n - 1] = self.sig_hist[n] as f64 / total as f64;
         }
         out
+    }
+}
+
+/// The flat engine's statistics: a sink over the committed records that
+/// counts executions per flat instruction index and keeps the
+/// significance histogram, then folds both into [`DynStats`] using what
+/// is static per instruction.
+pub(crate) struct StatsSink {
+    /// Executions per flat index, `(pc - TEXT_BASE) / INST_BYTES`.
+    pub(crate) counts: Vec<u64>,
+    sig_hist: [u64; 9],
+}
+
+impl StatsSink {
+    /// A sink for a program of `insts` instructions.
+    pub(crate) fn new(insts: usize) -> StatsSink {
+        StatsSink { counts: vec![0; insts], sig_hist: [0; 9] }
+    }
+
+    /// Add the counts to `stats`, walking `program` in layout order: a
+    /// block's count is its first instruction's, and each non-control
+    /// instruction's count lands under its op class and width.
+    pub(crate) fn fold_into(self, program: &Program, stats: &mut DynStats) {
+        let mut counts = self.counts.into_iter();
+        for f in &program.funcs {
+            for (b, block) in f.blocks.iter().enumerate() {
+                for (i, inst) in block.insts.iter().enumerate() {
+                    let n = counts.next().expect("one count per instruction");
+                    if n == 0 {
+                        continue;
+                    }
+                    if i == 0 {
+                        *stats.block_counts.entry((f.id, BlockId(b as u32))).or_insert(0) += n;
+                    }
+                    let class = inst.op.class();
+                    if class != OpClass::Ctrl {
+                        stats.class_width[class.index()][inst.width.to_code() as usize] += n;
+                    }
+                }
+            }
+        }
+        for (h, n) in stats.sig_hist.iter_mut().zip(self.sig_hist) {
+            *h += n;
+        }
+    }
+}
+
+impl TraceSink for StatsSink {
+    /// An absent operand's significance is 0 and adds 0, so slot 0 stays
+    /// empty without a branch. A write to the zero register has no `dst`
+    /// but a `dst_value`, and its result counts.
+    #[inline]
+    fn record(&mut self, rec: &TraceRecord) {
+        self.counts[((rec.pc - TEXT_BASE) / INST_BYTES) as usize] += 1;
+        self.sig_hist[rec.src_sigs[0] as usize] += rec.srcs[0].is_some() as u64;
+        self.sig_hist[rec.src_sigs[1] as usize] += rec.srcs[1].is_some() as u64;
+        self.sig_hist[rec.dst_sig as usize] += rec.dst_value.is_some() as u64;
     }
 }
 

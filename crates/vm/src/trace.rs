@@ -20,7 +20,10 @@ pub struct TraceRecord {
     /// Address of this instruction.
     pub pc: u64,
     /// Address of the next committed instruction (branch target when
-    /// taken; fall-through otherwise). `u64::MAX` for the last record.
+    /// taken; fall-through otherwise). `u64::MAX` when the run stops
+    /// before that instruction commits: after a halt or a return from the
+    /// entry, at the fuel bound, or when it is a `jsr` that finds the call
+    /// stack full.
     pub next_pc: u64,
     /// The operation.
     pub op: Op,
@@ -68,9 +71,8 @@ impl TraceRecord {
 /// `og-profile` adapts its value profiler to it, and [`VecSink`]
 /// materializes the stream for tests and offline analysis.
 ///
-/// The emulator delays each record by one instruction so `next_pc` is
-/// already patched by the time the record reaches the sink: every record
-/// a sink observes is final.
+/// Every record a sink observes is final: the emulator hands it over
+/// once its successor, and so its `next_pc`, is known.
 pub trait TraceSink {
     /// Called once per committed instruction.
     fn record(&mut self, rec: &TraceRecord);

@@ -8,12 +8,13 @@
 //! value).
 //!
 //! Coverage: all 8 workloads × {Train, Ref} plus every committed fuzz
-//! corpus case, and the error paths (fuel exhaustion, call-depth
-//! overflow). Train inputs and corpus cases compare fully materialized
-//! traces record by record (first divergence reported); Ref inputs are
-//! ~10× longer, so their traces are compared through an order-sensitive
-//! streaming digest — O(1) memory, still sensitive to any field of any
-//! record.
+//! corpus case, the error paths (fuel exhaustion, call-depth overflow,
+//! also at a block's first instruction) and writes to the zero register,
+//! which no workload or corpus case makes. Train inputs and corpus cases
+//! compare fully materialized traces record by record (first divergence
+//! reported); Ref inputs are ~10× longer, so their traces are compared
+//! through an order-sensitive streaming digest — O(1) memory, still
+//! sensitive to any field of any record.
 //!
 //! On top of that, the suite pins the **no-stats** mode's architectural
 //! results against the statistics-gathering run, and the **quantum
@@ -21,7 +22,8 @@
 //! against one uninterrupted no-stats run.
 
 use og_fuzz::corpus;
-use og_program::Program;
+use og_isa::{Cond, Reg, Width};
+use og_program::{Program, ProgramBuilder};
 use og_vm::{DynStats, FnSink, Quantum, RunConfig, RunOutcome, TraceRecord, VecSink, Vm, VmError};
 use og_workloads::{by_name, InputSet, NAMES};
 
@@ -221,6 +223,53 @@ fn engines_agree_on_call_depth_overflow() {
     let wl = by_name("li", InputSet::Train);
     let config = RunConfig { max_call_depth: 16, ..Default::default() };
     assert_equivalent(&wl.program, &config, "li/max_call_depth=16");
+}
+
+#[test]
+fn engines_agree_on_call_depth_overflow_at_a_block_entry() {
+    // `r`'s entry block starts with the `jsr` that overflows, so the
+    // failing call is also a block entry, which both engines count.
+    let mut pb = ProgramBuilder::new();
+    pb.declare("r", 0);
+    let mut r = pb.function("r", 0);
+    r.block("entry");
+    r.jsr("r");
+    r.ret();
+    pb.finish(r);
+    let mut main = pb.function("main", 0);
+    main.block("entry");
+    main.jsr("r");
+    main.halt();
+    pb.finish(main);
+    let p = pb.build().expect("builds");
+    let config = RunConfig { max_call_depth: 8, ..Default::default() };
+    let flat = observe(&p, &config, false);
+    assert_eq!(flat.result, Err(VmError::CallDepthExceeded { max: 8 }));
+    assert_equivalent(&p, &config, "recursion/max_call_depth=8");
+}
+
+#[test]
+fn engines_agree_on_zero_register_writes() {
+    // An ALU op, a load and a conditional move that write the zero
+    // register: each defines a value (`dst_value`) but no destination
+    // (`dst`), and its result's significance counts.
+    let mut pb = ProgramBuilder::new();
+    pb.data_quads("tbl", &[0x1234_5678_9abc]);
+    let mut f = pb.function("main", 0);
+    f.block("entry");
+    f.la(Reg::T1, "tbl");
+    f.ldi(Reg::T0, 0x12_3456);
+    f.add(Width::D, Reg::ZERO, Reg::T0, Reg::T0);
+    f.ld(Width::D, Reg::ZERO, Reg::T1, 0);
+    f.cmov(Cond::Ne, Width::D, Reg::ZERO, Reg::T0, Reg::T1);
+    f.out(Width::B, Reg::T0);
+    f.halt();
+    pb.finish(f);
+    let p = pb.build().expect("builds");
+    let flat = observe(&p, &RunConfig::default(), false);
+    let zero_writes = flat.trace.iter().filter(|r| r.dst.is_none() && r.dst_value.is_some());
+    assert_eq!(zero_writes.count(), 3);
+    assert_equivalent(&p, &RunConfig::default(), "zero-register writes");
 }
 
 #[test]
