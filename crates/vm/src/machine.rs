@@ -149,6 +149,10 @@ pub struct Vm<'p> {
     flat_call_stack: Vec<u32>,
     output: Vec<u8>,
     stats: DynStats,
+    /// Reference-engine one-record delay buffer: the youngest committed
+    /// record is held back until the next commit patches its `next_pc`,
+    /// so sinks only ever observe finalized records.
+    pending: Option<TraceRecord>,
     /// Where the last [`Vm::run_quantum`] paused; `None` once a run
     /// finishes or restarts from the entry.
     paused_at: Option<u32>,
@@ -235,6 +239,7 @@ impl<'p> Vm<'p> {
             flat_call_stack: Vec::new(),
             output: Vec::new(),
             stats: DynStats::default(),
+            pending: None,
             paused_at: None,
         }
     }
@@ -490,6 +495,7 @@ impl<'p> Vm<'p> {
         &mut self,
         mut sink: Option<&mut (dyn TraceSink + 's)>,
     ) -> Result<RunOutcome, VmError> {
+        self.pending = None;
         self.paused_at = None;
         // Every run starts from the entry with a fresh control context:
         // a previous run that ended inside a call (halt in a callee, a
@@ -499,19 +505,11 @@ impl<'p> Vm<'p> {
         self.call_stack.clear();
         let entry = self.program.entry;
         let mut pc = InstRef::new(entry, self.program.func(entry).entry, 0);
-        // One-record delay buffer: the youngest committed record is held
-        // back until the next commit patches its `next_pc`, so the sink
-        // only ever observes finalized records. `black_box` keeps it in
-        // memory: split into registers, its fields ride through every
-        // iteration, which slowed plain reference runs by about 8% on a
-        // 2-vCPU VM.
-        let mut pending = None;
-        std::hint::black_box(&mut pending);
         let result = loop {
             if self.stats.steps >= self.config.max_steps {
                 break Err(VmError::OutOfFuel { steps: self.stats.steps });
             }
-            match self.step(pc, sink.as_deref_mut(), &mut pending) {
+            match self.step(pc, sink.as_deref_mut()) {
                 Ok(Next::At(next)) => pc = next,
                 Ok(Next::Done(r)) => break Ok(r),
                 Err(e) => break Err(e),
@@ -520,7 +518,7 @@ impl<'p> Vm<'p> {
         // Flush the delay buffer; the final record keeps `next_pc` at
         // `u64::MAX` (also on error paths, where the last committed
         // instruction is final by definition).
-        if let (Some(sink), Some(last)) = (sink, pending) {
+        if let (Some(sink), Some(last)) = (sink, self.pending.take()) {
             sink.record(&last);
         }
         let reason = result?;
@@ -754,7 +752,6 @@ impl<'p> Vm<'p> {
         &mut self,
         at: InstRef,
         sink: Option<&mut (dyn TraceSink + 's)>,
-        pending: &mut Option<TraceRecord>,
     ) -> Result<Next, VmError> {
         let func = self.program.func(at.func);
         let block = func.block(at.block);
@@ -874,11 +871,11 @@ impl<'p> Vm<'p> {
             let pc_addr = self.layout.addr_of(at);
             // Patch and release the delayed predecessor: its `next_pc`
             // is this instruction's address.
-            if let Some(mut prev) = pending.take() {
+            if let Some(mut prev) = self.pending.take() {
                 prev.next_pc = pc_addr;
                 sink.record(&prev);
             }
-            *pending = Some(TraceRecord {
+            self.pending = Some(TraceRecord {
                 pc: pc_addr,
                 next_pc: u64::MAX,
                 op: inst.op,

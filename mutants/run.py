@@ -11,15 +11,13 @@ profile). Every build shares one cargo target directory,
 `target/mutants`, so a mutant rebuilds only the crates its file reaches.
 
     python3 mutants/run.py
-    python3 mutants/run.py --only same-state-ignores-memory
 
-Run from the repository root. Exits non-zero when a mutant's text is not
-found exactly once in its file, when a named test does not pass
-unmutated, when a mutated tree does not build, or when a mutant survives
-any test named for it.
+Run from the repository root. Exits non-zero, before building anything,
+when a mutant's text is not found exactly once in its file; otherwise
+when a named test does not pass unmutated, when a mutated tree does not
+build, or when a mutant survives any test named for it.
 """
 
-import argparse
 import io
 import json
 import os
@@ -61,20 +59,12 @@ def check_list(spec):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--only", action="append", default=[], metavar="NAME",
-                    help="run only this mutant (repeatable)")
-    args = ap.parse_args()
-
     with open("mutants/mutants.json") as f:
         spec = json.load(f)
     problems = check_list(spec)
     if problems:
         sys.exit("mutants.json: " + "; ".join(problems))
-    mutants = [m for m in spec["mutants"] if not args.only or m["name"] in args.only]
-    unknown = set(args.only) - {m["name"] for m in mutants}
-    if unknown:
-        sys.exit(f"no such mutant: {', '.join(sorted(unknown))}")
+    mutants = spec["mutants"]
     target_dir = os.path.abspath("target/mutants")
 
     with tempfile.TemporaryDirectory(prefix="og-mutants-") as tree:
@@ -82,15 +72,15 @@ def main():
                                  capture_output=True, check=True).stdout
         tarfile.open(fileobj=io.BytesIO(archive)).extractall(tree, filter="data")
 
-        failures, runnable = [], []
+        not_once = []
         for m in mutants:
             with open(os.path.join(tree, m["file"])) as f:
                 found = f.read().count(m["find"])
-            if found == 1:
-                runnable.append(m)
-            else:
-                failures.append(f"{m['name']}: text found {found} times in {m['file']}")
-        tests = sorted({tuple(t) for m in runnable for t in m["tests"]})
+            if found != 1:
+                not_once.append(f"{m['name']}: text found {found} times in {m['file']}")
+        if not_once:
+            sys.exit("\n".join(not_once))
+        tests = sorted({tuple(t) for m in mutants for t in m["tests"]})
         print(f"unmutated HEAD: {len(tests)} tests", flush=True)
         unmutated = []
         for test in tests:
@@ -99,9 +89,10 @@ def main():
                 unmutated.append(f"unmutated: {label(test)} is missing or fails")
                 print(done.stdout[-2000:] + done.stderr[-2000:], file=sys.stderr)
         if unmutated:
-            sys.exit("\n".join(failures + unmutated))
+            sys.exit("\n".join(unmutated))
 
-        for m in runnable:
+        failures = []
+        for m in mutants:
             path = os.path.join(tree, m["file"])
             with open(path) as f:
                 original = f.read()
