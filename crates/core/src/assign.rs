@@ -84,7 +84,7 @@ pub fn assign_widths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vrp::{solve, DataflowLimits};
+    use crate::vrp::solve;
     use og_isa::{CmpKind, Reg};
     use og_program::{imm, BlockId, ProgramBuilder};
 
@@ -100,7 +100,7 @@ mod tests {
         pb.finish(f);
         let mut p = pb.build().unwrap();
         let art = ProgramArtifacts::compute(&p);
-        let sol = solve(&p, &art, &DataflowLimits::default(), &std::collections::HashMap::new());
+        let sol = solve(&p, &art, &std::collections::HashMap::new());
         let narrowed = assign_widths(&mut p, &art, &sol, policy, isa);
         (p, narrowed)
     }

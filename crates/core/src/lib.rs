@@ -31,17 +31,9 @@ mod useful;
 mod vrp;
 mod vrs;
 
-pub use analysis::{
-    rf_get, rf_set, rf_union, top_range_file, FuncArtifacts, ProgramArtifacts, RangeFile,
-};
-pub use assign::assign_widths;
-pub use energy::{AluEnergyTable, GuardCosts};
-pub use loops::{recognize_affine, AffineIterator};
+pub use energy::AluEnergyTable;
 pub use pass::{VrpConfig, VrpPass, VrpReport};
 pub use range::ValueRange;
-pub use useful::{UsefulPolicy, UsefulWidths};
-pub use vrp::{
-    initial_range_file, pure_out_range, refine_edge, solve, transfer_inst, Assumptions,
-    DataflowLimits, FuncRanges, InstRanges, RangeSolution,
-};
+pub use useful::UsefulPolicy;
+pub use vrp::Assumptions;
 pub use vrs::{CandidateFate, VrsConfig, VrsPass, VrsProfile, VrsReport};

@@ -79,9 +79,9 @@ impl Transform {
         }
     }
 
-    /// The default transform battery: every useful policy crossed with
-    /// every ISA extension level, plus VRS at a cheap and an expensive
-    /// specialization cost.
+    /// The transform battery [`check_program`] runs: every useful policy
+    /// crossed with every ISA extension level, plus VRS at a cheap and an
+    /// expensive specialization cost.
     pub fn battery() -> Vec<Transform> {
         let mut out = Vec::new();
         for policy in [UsefulPolicy::Off, UsefulPolicy::Paper, UsefulPolicy::Aggressive] {
@@ -118,32 +118,16 @@ impl Transform {
     }
 }
 
-/// Oracle configuration.
-#[derive(Debug, Clone)]
-pub struct OracleConfig {
-    /// Transforms to check; defaults to [`Transform::battery`].
-    pub transforms: Vec<Transform>,
-    /// Fuel for every run. The baseline must halt within this budget —
-    /// exceeding it is reported as a failure, not tolerated.
-    pub max_steps: u64,
-    /// For step-changing transforms: allowed ratio of transformed to
-    /// baseline steps, as `(num, den)` — transformed must stay within
-    /// `[base*den/num, base*num/den] + slack`.
-    pub step_ratio: (u64, u64),
-    /// Absolute slack added to the step-ratio window.
-    pub step_slack: u64,
-}
+/// The step budget for a caller with no bound of its own: a corpus case
+/// that records none.
+pub const DEFAULT_MAX_STEPS: u64 = 4_000_000;
 
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            transforms: Transform::battery(),
-            max_steps: 4_000_000,
-            step_ratio: (4, 1),
-            step_slack: 512,
-        }
-    }
-}
+/// For step-changing transforms: the allowed ratio of transformed to
+/// baseline steps, each way — transformed must stay within
+/// `[base / STEP_RATIO, base · STEP_RATIO]`, give or take [`STEP_SLACK`].
+const STEP_RATIO: u64 = 4;
+/// Absolute slack added to the step-ratio window.
+const STEP_SLACK: u64 = 512;
 
 /// What the oracle observed on a passing program.
 #[derive(Debug, Clone, Default)]
@@ -306,13 +290,16 @@ fn run_sliced(mut vm: Vm<'_>) -> Result<(Vec<u8>, RunOutcome), VmError> {
     }
 }
 
-/// Check one program against the whole transform battery.
+/// Check one program against the whole transform battery
+/// ([`Transform::battery`]). Every baseline run gets `max_steps` of fuel:
+/// the baseline must halt within this budget — exceeding it is reported
+/// as a failure, not tolerated.
 ///
 /// # Errors
 ///
 /// Returns the first [`OracleError`] encountered; the caller (the fuzz
 /// campaign) shrinks the program against this same function.
-pub fn check_program(p: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, OracleError> {
+pub fn check_program(p: &Program, max_steps: u64) -> Result<OracleOutcome, OracleError> {
     // ---- the verifier gate -------------------------------------------
     // Fuzzes the invariant in both directions: candidates must verify
     // clean (collect-all, so a reproducer shows every defect), and from
@@ -323,7 +310,7 @@ pub fn check_program(p: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, O
             errors: errors.iter().map(ToString::to_string).collect::<Vec<_>>().join("; "),
         }
     })?;
-    let run_cfg = RunConfig { max_steps: cfg.max_steps, ..Default::default() };
+    let run_cfg = RunConfig { max_steps, ..Default::default() };
     let depth_certified = ctx.static_call_depth.is_some_and(|d| d <= run_cfg.max_call_depth);
     let invariant = |e: VmError| -> OracleError {
         match e {
@@ -408,12 +395,13 @@ pub fn check_program(p: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, O
     }
 
     // ---- the transform battery ---------------------------------------
+    let transforms = Transform::battery();
     let mut outcome = OracleOutcome {
         base_steps: plain.steps,
-        transforms: cfg.transforms.len(),
+        transforms: transforms.len(),
         ..Default::default()
     };
-    for t in &cfg.transforms {
+    for t in &transforms {
         let label = t.label();
         let mut transformed = p.clone();
         let changed = t.apply(&mut transformed);
@@ -438,7 +426,7 @@ pub fn check_program(p: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, O
         let t_certified = t_ctx.static_call_depth.is_some_and(|d| d <= run_cfg.max_call_depth);
         // VRS grows the dynamic path by at most the guard overhead; give
         // the budget the same headroom the sanity window allows.
-        let fuel = cfg.max_steps * cfg.step_ratio.0 / cfg.step_ratio.1 + cfg.step_slack;
+        let fuel = max_steps * STEP_RATIO + STEP_SLACK;
         let t_cfg = RunConfig { max_steps: fuel, ..Default::default() };
         let t_vm = Vm::with_lowered(&transformed, t_cfg, t_flat);
         let (out, got) = run_plain(t_vm).map_err(|error| match error {
@@ -464,10 +452,9 @@ pub fn check_program(p: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, O
             });
         }
         let steps_ok = if t.may_change_steps() {
-            let (num, den) = cfg.step_ratio;
-            let hi = plain.steps * num / den + cfg.step_slack;
-            let lo = plain.steps * den / num;
-            got.steps <= hi && got.steps + cfg.step_slack >= lo
+            let hi = plain.steps * STEP_RATIO + STEP_SLACK;
+            let lo = plain.steps / STEP_RATIO;
+            got.steps <= hi && got.steps + STEP_SLACK >= lo
         } else {
             got.steps == plain.steps
         };
@@ -513,7 +500,7 @@ mod tests {
 
     #[test]
     fn battery_passes_on_a_handwritten_kernel() {
-        let report = check_program(&small_program(), &OracleConfig::default()).unwrap();
+        let report = check_program(&small_program(), DEFAULT_MAX_STEPS).unwrap();
         assert!(report.narrowed > 0, "VRP should narrow something");
         assert_eq!(report.transforms, Transform::battery().len());
     }
@@ -522,8 +509,7 @@ mod tests {
     fn battery_passes_on_generated_programs() {
         for seed in 0..5 {
             let p = generate::generate_program(&generate::GenConfig { seed, ..Default::default() });
-            check_program(&p, &OracleConfig::default())
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            check_program(&p, DEFAULT_MAX_STEPS).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
     }
 
@@ -557,15 +543,14 @@ mod tests {
             p.func_mut(og_program::FuncId(0)).blocks[0].insts[0].target =
                 og_isa::Target::Block(200);
         }
-        let err = check_program(&p, &OracleConfig::default()).unwrap_err();
+        let err = check_program(&p, DEFAULT_MAX_STEPS).unwrap_err();
         assert_eq!(err.signature(), "base-verify");
     }
 
     #[test]
     fn fuel_exhaustion_is_a_base_run_failure() {
         let p = small_program();
-        let tight = OracleConfig { max_steps: 3, ..Default::default() };
-        assert!(matches!(check_program(&p, &tight), Err(OracleError::BaseRun(_))));
+        assert!(matches!(check_program(&p, 3), Err(OracleError::BaseRun(_))));
     }
 
     #[test]

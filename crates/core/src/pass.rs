@@ -3,7 +3,7 @@
 use crate::analysis::ProgramArtifacts;
 use crate::assign::assign_widths;
 use crate::useful::UsefulPolicy;
-use crate::vrp::{solve, Assumptions, DataflowLimits, RangeSolution};
+use crate::vrp::{solve, Assumptions, RangeSolution};
 use og_isa::IsaExtension;
 use og_program::Program;
 
@@ -15,8 +15,6 @@ pub struct VrpConfig {
     pub useful_policy: UsefulPolicy,
     /// Which width-annotated opcodes exist (§4.3).
     pub isa: IsaExtension,
-    /// Dataflow iteration limits.
-    pub limits: DataflowLimits,
     /// Range assumptions injected at block entries (used by VRS).
     pub assumptions: Assumptions,
 }
@@ -67,13 +65,13 @@ impl VrpPass {
     /// Analyze without mutating: returns the range solution only.
     pub fn analyze(&self, p: &Program) -> RangeSolution {
         let art = ProgramArtifacts::compute(p);
-        solve(p, &art, &self.config.limits, &self.config.assumptions)
+        solve(p, &art, &self.config.assumptions)
     }
 
     /// Run the full pass: analyze and re-encode widths in place.
     pub fn run(&self, p: &mut Program) -> VrpReport {
         let art = ProgramArtifacts::compute(p);
-        let solution = solve(p, &art, &self.config.limits, &self.config.assumptions);
+        let solution = solve(p, &art, &self.config.assumptions);
         let narrowed_instructions =
             assign_widths(p, &art, &solution, self.config.useful_policy, self.config.isa);
         VrpReport { narrowed_instructions }

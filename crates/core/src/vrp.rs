@@ -28,22 +28,12 @@ use std::collections::HashMap;
 /// specialized range into a cloned region).
 pub type Assumptions = HashMap<(FuncId, BlockId), Vec<(Reg, ValueRange)>>;
 
-/// Tuning for the dataflow engine.
-#[derive(Debug, Clone)]
-pub struct DataflowLimits {
-    /// Block visits before widening kicks in.
-    pub widen_after: u32,
-    /// Downward (narrowing) sweeps after the widened fixpoint.
-    pub narrow_passes: u32,
-    /// Interprocedural refinement rounds.
-    pub interproc_rounds: u32,
-}
-
-impl Default for DataflowLimits {
-    fn default() -> Self {
-        DataflowLimits { widen_after: 3, narrow_passes: 2, interproc_rounds: 3 }
-    }
-}
+/// Block visits before widening kicks in.
+const WIDEN_AFTER: u32 = 3;
+/// Downward (narrowing) sweeps after the widened fixpoint.
+const NARROW_PASSES: u32 = 2;
+/// Interprocedural refinement rounds.
+const INTERPROC_ROUNDS: u32 = 3;
 
 /// Operand ranges observed at one instruction in the final solution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -367,12 +357,11 @@ fn widen(old: &RangeFile, new: &RangeFile) -> RangeFile {
 
 /// Analyze one function given its entry state; returns (per-block entry
 /// files, exit file, per-call-site caller states).
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+#[allow(clippy::type_complexity)]
 fn analyze_function(
     p: &Program,
     f: &Function,
     art: &crate::analysis::FuncArtifacts,
-    limits: &DataflowLimits,
     entry_rf: &RangeFile,
     summaries: &og_program::WriteSummaries,
     exits: &[RangeFile],
@@ -454,7 +443,7 @@ fn analyze_function(
         let Some(mut newin) = merge_in(b, &block_out) else { continue };
         visits[b.index()] += 1;
         if let Some(old) = &block_in[b.index()] {
-            if visits[b.index()] > limits.widen_after {
+            if visits[b.index()] > WIDEN_AFTER {
                 newin = widen(old, &newin);
             }
             let merged = rf_union(old, &newin);
@@ -477,7 +466,7 @@ fn analyze_function(
     }
 
     // ---- narrowing sweeps -------------------------------------------
-    for _ in 0..limits.narrow_passes {
+    for _ in 0..NARROW_PASSES {
         for &b in art.cfg.rpo() {
             if let Some(newin) = merge_in(b, &block_out) {
                 block_in[b.index()] = Some(newin);
@@ -519,19 +508,14 @@ fn analyze_function(
 /// Every interprocedural round is individually sound: callee entry states
 /// start conservative (TOP) and are refined from the previous round's
 /// call-site states, which were themselves computed from sound inputs.
-pub fn solve(
-    p: &Program,
-    art: &ProgramArtifacts,
-    limits: &DataflowLimits,
-    assumptions: &Assumptions,
-) -> RangeSolution {
+pub fn solve(p: &Program, art: &ProgramArtifacts, assumptions: &Assumptions) -> RangeSolution {
     let n = p.funcs.len();
     let mut entries: Vec<RangeFile> = vec![top_range_file(); n];
     entries[p.entry.index()] = initial_range_file();
     let mut exits: Vec<RangeFile> = vec![top_range_file(); n];
     let order = og_program::CallGraph::new(p).post_order(p.entry);
 
-    for _round in 0..limits.interproc_rounds {
+    for _round in 0..INTERPROC_ROUNDS {
         let mut new_entries: Vec<Option<RangeFile>> = vec![None; n];
         new_entries[p.entry.index()] = Some(initial_range_file());
         let mut changed = false;
@@ -541,7 +525,6 @@ pub fn solve(
                 p,
                 f,
                 art.func(fid),
-                limits,
                 &entries[fid.index()],
                 &art.summaries,
                 &exits,
@@ -579,7 +562,6 @@ pub fn solve(
             p,
             f,
             art.func(fid),
-            limits,
             &entries[fid.index()],
             &art.summaries,
             &exits,
@@ -616,7 +598,7 @@ mod tests {
         pb.finish(f);
         let p = pb.build().unwrap();
         let art = ProgramArtifacts::compute(&p);
-        let sol = solve(&p, &art, &DataflowLimits::default(), &HashMap::new());
+        let sol = solve(&p, &art, &HashMap::new());
         (p, sol)
     }
 
@@ -705,7 +687,7 @@ mod tests {
         pb.finish(main);
         let p = pb.build().unwrap();
         let art = ProgramArtifacts::compute(&p);
-        let sol = solve(&p, &art, &DataflowLimits::default(), &HashMap::new());
+        let sol = solve(&p, &art, &HashMap::new());
         let main_id = p.func_by_name("main").unwrap().id;
         let add_out = sol.out_range(InstRef::new(main_id, BlockId(0), 2));
         assert_eq!(add_out, ValueRange::new(1, 0x80), "v0 ∈ [0,127] + 1");
@@ -729,7 +711,7 @@ mod tests {
         pb.finish(main);
         let p = pb.build().unwrap();
         let art = ProgramArtifacts::compute(&p);
-        let sol = solve(&p, &art, &DataflowLimits::default(), &HashMap::new());
+        let sol = solve(&p, &art, &HashMap::new());
         let callee_id = p.func_by_name("use_arg").unwrap().id;
         // entry a0 = join of 42 and 50
         assert_eq!(
@@ -757,7 +739,7 @@ mod tests {
         pb.finish(main);
         let p = pb.build().unwrap();
         let art = ProgramArtifacts::compute(&p);
-        let sol = solve(&p, &art, &DataflowLimits::default(), &HashMap::new());
+        let sol = solve(&p, &art, &HashMap::new());
         let main_id = p.func_by_name("main").unwrap().id;
         let t6 = sol.out_range(InstRef::new(main_id, BlockId(0), 2));
         assert_eq!(t6, ValueRange::constant(9), "t5 survives the call");

@@ -35,7 +35,7 @@
 use crate::analysis::{FuncArtifacts, ProgramArtifacts};
 use crate::energy::{AluEnergyTable, GuardCosts};
 use crate::pass::{VrpConfig, VrpPass};
-use crate::vrp::{pure_out_range, RangeSolution};
+use crate::vrp::{pure_out_range, Assumptions, RangeSolution};
 use crate::ValueRange;
 use og_isa::{CmpKind, Cond, Inst, Op, Operand, Reg, Width};
 use og_profile::{ProfileConfig, RangeEstimate, ValueProfiler};
@@ -46,48 +46,29 @@ use std::collections::{HashMap, HashSet};
 /// Configuration of a [`VrsPass`].
 #[derive(Debug, Clone)]
 pub struct VrsConfig {
-    /// The VRP configuration used for analysis and final width assignment.
-    pub vrp: VrpConfig,
     /// Value-profiler table parameters.
     pub profile: ProfileConfig,
     /// The fixed cost (nJ) charged per specialization — the knob the
     /// paper sweeps as "VRS 110nJ … VRS 30nJ" in Figures 8–11.
     pub specialization_cost_nj: f64,
-    /// Instruction energy table (Table 1).
-    pub energy: AluEnergyTable,
-    /// Guard instruction costs (§3.2).
-    pub guard: GuardCosts,
-    /// Maximum candidates to profile.
-    pub max_candidates: usize,
-    /// Maximum blocks cloned per specialization.
-    pub max_region_blocks: usize,
-    /// Maximum number of specializations applied.
-    pub max_specializations: usize,
-    /// Candidate ranges evaluated per profiled site.
-    pub candidate_ranges: usize,
-    /// Depth limit of the recursive `Savings` evaluation.
-    pub savings_depth: u32,
-    /// Fuel for the training run.
-    pub train_fuel: u64,
 }
 
 impl Default for VrsConfig {
     fn default() -> Self {
-        VrsConfig {
-            vrp: VrpConfig::default(),
-            profile: ProfileConfig::default(),
-            specialization_cost_nj: 50.0,
-            energy: AluEnergyTable::default(),
-            guard: GuardCosts::default(),
-            max_candidates: 512,
-            max_region_blocks: 8,
-            max_specializations: 64,
-            candidate_ranges: 4,
-            savings_depth: 6,
-            train_fuel: 100_000_000,
-        }
+        VrsConfig { profile: ProfileConfig::default(), specialization_cost_nj: 50.0 }
     }
 }
+
+/// Maximum candidates to profile.
+const MAX_CANDIDATES: usize = 512;
+/// Maximum blocks cloned per specialization.
+const MAX_REGION_BLOCKS: usize = 8;
+/// Maximum number of specializations applied.
+const MAX_SPECIALIZATIONS: usize = 64;
+/// Candidate ranges evaluated per profiled site.
+const CANDIDATE_RANGES: usize = 4;
+/// Depth limit of the recursive `Savings` evaluation.
+const SAVINGS_DEPTH: u32 = 6;
 
 /// What happened to one profiled point (the Figure 4 triage).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,6 +114,8 @@ impl VrsReport {
 #[derive(Debug, Clone, Default)]
 pub struct VrsPass {
     config: VrsConfig,
+    /// Instruction energy table (Table 1).
+    energy: AluEnergyTable,
 }
 
 /// The part of a VRS run that does not read the specialization cost:
@@ -142,7 +125,6 @@ pub struct VrsPass {
 /// [`specialize`](Self::specialize) finishes the run for one cost.
 #[derive(Debug, Clone)]
 pub struct VrsProfile {
-    config: VrsConfig,
     profiled_points: usize,
     /// In candidate order, each range in the profiler's order.
     points: Vec<(InstRef, Vec<(RangeEstimate, f64)>)>,
@@ -151,7 +133,7 @@ pub struct VrsProfile {
 impl VrsPass {
     /// Create a pass with the given configuration.
     pub fn new(config: VrsConfig) -> VrsPass {
-        VrsPass { config }
+        VrsPass { config, energy: AluEnergyTable::default() }
     }
 
     /// Run VRS on `program`, profiling on `train` (the same code built
@@ -181,21 +163,18 @@ impl VrsPass {
         for (a, b) in program.funcs.iter().zip(&train.funcs) {
             assert_eq!(a.blocks.len(), b.blocks.len(), "train/ref blocks differ in {}", a.name);
         }
-        let cfg = &self.config;
-
         // ---- analysis on the pristine program ------------------------
         let art = ProgramArtifacts::compute(program);
-        let sol = VrpPass::new(cfg.vrp.clone()).analyze(program);
+        let sol = VrpPass::new(VrpConfig::default()).analyze(program);
 
         // ---- step 0: basic-block profile on the training input --------
-        let mut train_vm =
-            Vm::new(train, RunConfig { max_steps: cfg.train_fuel, ..Default::default() });
+        let mut train_vm = Vm::new(train, RunConfig::default());
         train_vm.run().expect("training run failed");
         let stats = train_vm.stats().clone();
 
         // ---- step 1: candidate identification -------------------------
         let mut candidates = self.identify_candidates(program, &art, &sol, &stats);
-        candidates.truncate(cfg.max_candidates);
+        candidates.truncate(MAX_CANDIDATES);
         let profiled_points = candidates.len();
 
         // ---- step 2: value profiling ----------------------------------
@@ -204,18 +183,19 @@ impl VrsPass {
         // monomorphizes over the concrete `ProfileSink`, so both
         // training runs execute on the pre-decoded flat engine with the
         // sink inlined.
-        let mut profiler = ValueProfiler::new(cfg.profile.clone(), candidates.iter().map(|c| c.at));
-        let mut train_vm =
-            Vm::new(train, RunConfig { max_steps: cfg.train_fuel, ..Default::default() });
+        let mut profiler =
+            ValueProfiler::new(self.config.profile.clone(), candidates.iter().map(|c| c.at));
+        let mut train_vm = Vm::new(train, RunConfig::default());
         train_vm.run_streamed(&mut profiler.sink(&train.layout())).expect("profiling run failed");
 
         // ---- gross benefit of each candidate range ---------------------
+        let guard = GuardCosts::default();
         let points = candidates
             .iter()
             .filter_map(|c| {
                 let site = profiler.site(c.at)?;
                 let ranges = site
-                    .candidate_ranges(cfg.candidate_ranges)
+                    .candidate_ranges(CANDIDATE_RANGES)
                     .into_iter()
                     .filter_map(|est| {
                         let range = ValueRange::new(est.min, est.max);
@@ -225,14 +205,14 @@ impl VrsPass {
                         }
                         let savings = self.savings(program, &art, &sol, &stats, c.at, range);
                         let cost =
-                            stats.inst_count(c.at) as f64 * cfg.guard.test_cost(est.min, est.max);
+                            stats.inst_count(c.at) as f64 * guard.test_cost(est.min, est.max);
                         Some((est, savings * est.freq - cost))
                     })
                     .collect();
                 Some((c.at, ranges))
             })
             .collect();
-        VrsProfile { config: cfg.clone(), profiled_points, points }
+        VrsProfile { profiled_points, points }
     }
 }
 
@@ -243,8 +223,6 @@ impl VrsProfile {
     /// result equals [`VrsPass::run`] with
     /// [`VrsConfig::specialization_cost_nj`] set to `cost_nj`.
     pub fn specialize(&self, program: &mut Program, cost_nj: f64) -> VrsReport {
-        let cfg = &self.config;
-
         // ---- step 3: selection ----------------------------------------
         let mut scored: Vec<(InstRef, RangeEstimate, f64)> = self
             .points
@@ -272,7 +250,7 @@ impl VrsProfile {
         let mut guard_sites = Vec::new();
         let mut specialized_blocks = Vec::new();
         let mut clone_map: Vec<(InstRef, InstRef)> = Vec::new(); // (clone, original)
-        let mut assumptions = cfg.vrp.assumptions.clone();
+        let mut assumptions = Assumptions::new();
         for (at, est, benefit) in scored {
             if benefit <= 0.0 || !benefit.is_finite() {
                 fates.push((at, CandidateFate::NoBenefit));
@@ -282,7 +260,7 @@ impl VrsProfile {
                 fates.push((at, CandidateFate::Dependent));
                 continue;
             }
-            if applied >= cfg.max_specializations {
+            if applied >= MAX_SPECIALIZATIONS {
                 fates.push((at, CandidateFate::NoBenefit));
                 continue;
             }
@@ -291,7 +269,6 @@ impl VrsProfile {
                 program,
                 at,
                 range,
-                cfg.max_region_blocks,
                 &mut involved,
                 &mut guard_sites,
                 &mut specialized_blocks,
@@ -308,7 +285,7 @@ impl VrsProfile {
         program.verify().expect("specialized program must verify");
 
         // ---- constant propagation + DCE in specialized clones ----------
-        let vrp_cfg = VrpConfig { assumptions: assumptions.clone(), ..cfg.vrp.clone() };
+        let vrp_cfg = VrpConfig { assumptions, ..Default::default() };
         let clone_blocks: HashSet<(FuncId, BlockId)> = specialized_blocks.iter().copied().collect();
         let static_eliminated = fold_and_eliminate(program, &vrp_cfg, &clone_blocks);
         program.verify().expect("post-DCE program must verify");
@@ -351,7 +328,8 @@ impl VrsPass {
         sol: &RangeSolution,
         stats: &DynStats,
     ) -> Vec<Candidate> {
-        let cfg = &self.config;
+        let guard = GuardCosts::default();
+        let min_cost = guard.comparison.min(guard.branch);
         let mut out = Vec::new();
         for f in &p.funcs {
             for (at, inst) in f.insts() {
@@ -371,7 +349,6 @@ impl VrsPass {
                 // (the minimum possible cost)" (§3.3) — the full per-
                 // execution cost model is applied after profiling.
                 let best = self.savings(p, art, sol, stats, at, ValueRange::ZERO);
-                let min_cost = cfg.guard.comparison.min(cfg.guard.branch);
                 if best > min_cost {
                     out.push(Candidate { at, upper_bound: best - min_cost });
                 }
@@ -405,7 +382,7 @@ impl VrsPass {
         let mut affected: Vec<InstRef> = Vec::new();
         let mut seen: HashSet<InstRef> = HashSet::new();
         let mut frontier = vec![at];
-        for _ in 0..self.config.savings_depth {
+        for _ in 0..SAVINGS_DEPTH {
             let mut next = Vec::new();
             for &site in &frontier {
                 for &d in fa.du.defs_at(site) {
@@ -425,7 +402,7 @@ impl VrsPass {
         // Iteratively recompute narrowed output ranges.
         let mut narrowed: HashMap<InstRef, ValueRange> = HashMap::new();
         narrowed.insert(at, new_out);
-        for _ in 0..self.config.savings_depth {
+        for _ in 0..SAVINGS_DEPTH {
             let mut changed = false;
             for &use_at in &affected {
                 let dinst = f.inst(use_at);
@@ -466,7 +443,7 @@ impl VrsPass {
                 let (old_w, new_w) = (r.out.width_needed(), nr.width_needed());
                 if new_w < old_w {
                     total += stats.inst_count(use_at) as f64
-                        * self.config.energy.saving(dinst.op.class(), old_w, new_w);
+                        * self.energy.saving(dinst.op.class(), old_w, new_w);
                 }
             } else if matches!(dinst.op, Op::St | Op::Out) {
                 // Narrow store/output data moves fewer bytes through the
@@ -476,7 +453,7 @@ impl VrsPass {
                     let (old_w, new_w) = (r.in1.width_needed(), nd.width_needed());
                     if new_w < old_w {
                         total += stats.inst_count(use_at) as f64
-                            * self.config.energy.saving(dinst.op.class(), old_w, new_w);
+                            * self.energy.saving(dinst.op.class(), old_w, new_w);
                     }
                 }
             }
@@ -553,12 +530,11 @@ fn apply_specialization(
     p: &mut Program,
     at: InstRef,
     range: ValueRange,
-    max_region_blocks: usize,
     involved: &mut HashSet<(FuncId, BlockId)>,
     guard_sites: &mut Vec<(FuncId, BlockId, u32, u32)>,
     specialized_blocks: &mut Vec<(FuncId, BlockId)>,
     clone_map: &mut Vec<(InstRef, InstRef)>,
-    assumptions: &mut crate::Assumptions,
+    assumptions: &mut Assumptions,
 ) -> Result<(), ()> {
     let fid = at.func;
     let summaries = og_program::WriteSummaries::compute(p);
@@ -580,7 +556,7 @@ fn apply_specialization(
     }
 
     // ---- region selection (pristine CFG) ------------------------------
-    let region = select_region(f, &art, at.block, max_region_blocks);
+    let region = select_region(f, &art, at.block);
 
     // ---- split the candidate block -------------------------------------
     let f = p.func_mut(fid);
@@ -670,12 +646,7 @@ fn apply_specialization(
 
 /// Blocks eligible for cloning: dominated by the candidate block, in the
 /// same innermost loop, reachable from it, capped in count.
-fn select_region(
-    _f: &og_program::Function,
-    art: &FuncArtifacts,
-    b: BlockId,
-    cap: usize,
-) -> Vec<BlockId> {
+fn select_region(_f: &og_program::Function, art: &FuncArtifacts, b: BlockId) -> Vec<BlockId> {
     let loop_of = |x: BlockId| art.loops.innermost(x).map(|l| l.header);
     let home = loop_of(b);
     let mut region = Vec::new();
@@ -690,7 +661,7 @@ fn select_region(
                 continue;
             }
             seen.insert(s);
-            if region.len() < cap {
+            if region.len() < MAX_REGION_BLOCKS {
                 region.push(s);
                 queue.push(s);
             }
@@ -896,7 +867,7 @@ mod tests {
         assert!(counts[0] >= counts[1], "cheaper specialization ⇒ more points");
     }
 
-    /// One profile specialized at five costs gives, at each, the program
+    /// One profile specialized at seven costs gives, at each, the program
     /// and report of a fresh run at that cost, and the cost moves the
     /// decision, so the knob cannot have leaked into the profile.
     #[test]
@@ -918,7 +889,7 @@ mod tests {
         let pristine = vrs_target(&[3; 64]);
         let profile = VrsPass::new(VrsConfig::default()).profile(&pristine, &train);
         let mut programs = Vec::new();
-        for cost in [0.0, 10.0, 100.0, 500.0, 2000.0] {
+        for cost in [0.0, 10.0, 100.0, 200.0, 300.0, 500.0, 2000.0] {
             let mut reused = pristine.clone();
             let report = profile.specialize(&mut reused, cost);
             let mut fresh = pristine.clone();

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p og-fuzz --example corpus_tool -- replay <file.og.json>
 //!     Load a case (e.g. a CI failure artifact) and run the full
-//!     differential oracle + simulator cross-check on it.
+//!     differential oracle on it.
 //!
 //! cargo run -p og-fuzz --example corpus_tool -- show <file.og.json>
 //!     Print the case's provenance and disassembly.
@@ -30,7 +30,7 @@
 
 use og_core::oracle::check_program;
 use og_fuzz::corpus::{corpus_dir, load_case, save_case, CorpusCase};
-use og_fuzz::{sim_cross_check, CampaignConfig};
+use og_fuzz::CampaignConfig;
 use og_program::generate::generate_with_bound;
 use og_program::program_to_asm;
 use og_vm::fault::{classify, hang_budget, run_with_plan, FaultedEnd};
@@ -67,24 +67,16 @@ fn replay(path: &Path) -> ExitCode {
     println!("{} functions, {} instructions", case.program.funcs.len(), case.program.inst_count());
     // The case's own recorded step budget: bound-sensitive failures
     // (fuel exhaustion, step windows) only reproduce under it.
-    let cfg = case.oracle_config();
-    let oracle = check_program(&case.program, &cfg);
-    let sim = sim_cross_check(&case.program, cfg.max_steps);
-    match (&oracle, &sim) {
-        (Ok(o), Ok(())) => {
+    match check_program(&case.program, case.step_budget()) {
+        Ok(o) => {
             println!(
                 "PASS: {} transforms, {} baseline steps, {} narrowed, {} specializations",
                 o.transforms, o.base_steps, o.narrowed, o.specializations
             );
             ExitCode::SUCCESS
         }
-        _ => {
-            if let Err(e) = oracle {
-                eprintln!("FAIL (oracle): {e}");
-            }
-            if let Err(e) = sim {
-                eprintln!("FAIL (simulator): {e}");
-            }
+        Err(e) => {
+            eprintln!("FAIL (oracle): {e}");
             ExitCode::FAILURE
         }
     }
@@ -113,7 +105,7 @@ fn faults(case_path: &Path, plan_path: &Path) -> ExitCode {
         }
     };
     println!("case `{}` (seed {:?}): {}", case.name, case.seed, case.note);
-    let max_steps = case.oracle_config().max_steps;
+    let max_steps = case.step_budget();
     let golden = match Vm::new(&case.program, RunConfig { max_steps, ..RunConfig::default() }).run()
     {
         Ok(o) => o,

@@ -36,10 +36,8 @@
 //! fail the oracle for reasons that are really the system's fault.
 
 use crate::sched::{self, Corpus, CorpusEntry, FeatureMap};
-use crate::{
-    case_gen_config, case_oracle_config, corpus, fault_cross_check, mutate, shrink, sim_cross_check,
-};
-use og_core::oracle::{check_program, OracleConfig};
+use crate::{case_gen_config, corpus, fault_cross_check, mutate, shrink};
+use og_core::oracle::check_program;
 use og_json::{Json, ToJson};
 use og_lab::WorkerPool;
 use og_program::generate::generate_with_bound;
@@ -50,8 +48,6 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-/// Run the fused-vs-materialized simulator cross-check on every Nth case.
-const SIM_CHECK_EVERY: u64 = 8;
 /// Replay every Nth passing case under one seeded soft error and check
 /// the fault classifier's soundness both ways
 /// ([`crate::fault_cross_check`]).
@@ -62,6 +58,14 @@ const SHRINK_BUDGET: usize = 800;
 /// a mutant still running after this many steps is discarded, not
 /// reported.
 const MUTANT_FUEL: u64 = 200_000;
+/// In the guided loop, roughly one case in `FRESH_EVERY` is a fresh
+/// generate instead of a mutation (mutation also falls back to fresh
+/// generation while the corpus is empty). A 50/50 fresh/mutate split
+/// measures best: half the budget re-tracks the generator's breadth
+/// (which is high — the shape knobs vary per index), half exploits the
+/// corpus for the features generation cannot reach. Mutate-heavier
+/// ratios lose more generator breadth than mutation wins back.
+const FRESH_EVERY: u64 = 2;
 
 /// Configuration of one fuzzing campaign. Build one through [`Campaign`];
 /// the fields stay public so tests and tools can inspect what a builder
@@ -78,10 +82,6 @@ pub struct CampaignConfig {
     /// Worker shards for the guided loop (0 = the pool's default
     /// parallelism).
     pub shards: usize,
-    /// In the guided loop, roughly one case in `fresh_every` is a fresh
-    /// generate instead of a mutation (mutation also falls back to
-    /// fresh generation while the corpus is empty).
-    pub fresh_every: u64,
     /// Where failure reproducers are written; `None` uses
     /// [`corpus::failure_dir`] (which honours `OG_FUZZ_FAIL_DIR`).
     pub fail_dir: Option<PathBuf>,
@@ -94,13 +94,6 @@ impl Default for CampaignConfig {
             cases: 500,
             coverage: false,
             shards: 0,
-            // A 50/50 fresh/mutate split measures best: half the budget
-            // re-tracks the generator's breadth (which is high — the
-            // shape knobs vary per index), half exploits the corpus for
-            // the features generation cannot reach. Mutate-heavier
-            // ratios lose more generator breadth than mutation wins
-            // back (measured by `guided_vs_random_diag`).
-            fresh_every: 2,
             fail_dir: None,
         }
     }
@@ -226,8 +219,6 @@ pub struct CampaignSummary {
     pub narrowed: u64,
     /// Specializations applied across all VRS transform runs.
     pub specializations: u64,
-    /// Simulator cross-checks performed.
-    pub sim_checks: u64,
     /// Fault-classifier soundness replays performed
     /// ([`crate::fault_cross_check`]).
     pub fault_checks: u64,
@@ -277,7 +268,6 @@ impl CampaignSummary {
             ("total_static_insts".to_string(), self.total_insts.to_json()),
             ("vrp_narrowed".to_string(), self.narrowed.to_json()),
             ("vrs_specializations".to_string(), self.specializations.to_json()),
-            ("sim_cross_checks".to_string(), self.sim_checks.to_json()),
             ("fault_cross_checks".to_string(), self.fault_checks.to_json()),
             ("guided".to_string(), Json::Bool(self.guided)),
             ("failed".to_string(), Json::Bool(self.failure.is_some())),
@@ -311,12 +301,10 @@ impl CampaignSummary {
     }
 }
 
-/// How a case failed: the differential oracle, the simulator
-/// fused-vs-materialized cross-check, or the fault-classifier soundness
-/// replay.
+/// How a case failed: the differential oracle or the fault-classifier
+/// soundness replay.
 pub(crate) enum CaseError {
     Oracle(og_core::oracle::OracleError),
-    Sim(String),
     Fault(String),
 }
 
@@ -329,7 +317,6 @@ impl CaseError {
     pub(crate) fn signature(&self) -> String {
         match self {
             CaseError::Oracle(e) => format!("oracle:{}", e.signature()),
-            CaseError::Sim(_) => "sim".to_string(),
             CaseError::Fault(_) => "fault".to_string(),
         }
     }
@@ -337,30 +324,24 @@ impl CaseError {
     fn message(&self) -> String {
         match self {
             CaseError::Oracle(e) => e.to_string(),
-            CaseError::Sim(m) | CaseError::Fault(m) => m.clone(),
+            CaseError::Fault(m) => m.clone(),
         }
     }
 }
 
-/// The failure signature a candidate program exhibits, if any. The
-/// simulator cross-check only runs when the oracle passes — mirroring
-/// the campaign's own order, so original and candidate signatures are
-/// comparable.
-pub(crate) fn candidate_signature(p: &Program, oracle_cfg: &OracleConfig) -> Option<String> {
-    match check_program(p, oracle_cfg) {
+/// The failure signature a candidate program exhibits under `max_steps`
+/// of fuel, if any. The fault replay only runs when the oracle passes —
+/// mirroring the campaign's own order, so original and candidate
+/// signatures are comparable.
+pub(crate) fn candidate_signature(p: &Program, max_steps: u64) -> Option<String> {
+    match check_program(p, max_steps) {
         Err(e) => Some(CaseError::Oracle(e).signature()),
-        Ok(_) => sim_cross_check(p, oracle_cfg.max_steps)
+        // A classifier-soundness bug is a property of the machinery, not
+        // of one specific strike, so a fixed shrink-time seed keeps the
+        // signature comparable across candidates.
+        Ok(_) => fault_cross_check(p, max_steps, SHRINK_FAULT_SEED)
             .err()
-            .map(|m| CaseError::Sim(m).signature())
-            .or_else(|| {
-                // A classifier-soundness bug is a property of the
-                // machinery, not of one specific strike, so a fixed
-                // shrink-time seed keeps the signature comparable
-                // across candidates.
-                crate::fault_cross_check(p, oracle_cfg.max_steps, SHRINK_FAULT_SEED)
-                    .err()
-                    .map(|m| CaseError::Fault(m).signature())
-            }),
+            .map(|m| CaseError::Fault(m).signature()),
     }
 }
 
@@ -368,11 +349,11 @@ pub(crate) fn candidate_signature(p: &Program, oracle_cfg: &OracleConfig) -> Opt
 /// under while shrinking a `fault`-signature failure.
 pub(crate) const SHRINK_FAULT_SEED: u64 = 0xFA_CC;
 
-/// Shrink a failing case and persist the reproducer into the campaign's
-/// failure directory.
+/// Shrink a failing case, checked under `max_steps` of fuel, and persist
+/// the reproducer into the campaign's failure directory.
 pub(crate) fn shrink_failure(
     cfg: &CampaignConfig,
-    oracle_cfg: &OracleConfig,
+    max_steps: u64,
     index: u64,
     seed: u64,
     program: Program,
@@ -385,7 +366,7 @@ pub(crate) fn shrink_failure(
     // as the original: failing *differently* (e.g. an introduced infinite
     // loop hitting the fuel bound) would shrink toward the wrong bug.
     let mut still_fails = |candidate: &Program| -> bool {
-        candidate_signature(candidate, oracle_cfg).as_deref() == Some(signature.as_str())
+        candidate_signature(candidate, max_steps).as_deref() == Some(signature.as_str())
     };
     let reproducer = shrink::shrink(&program, &mut still_fails, SHRINK_BUDGET);
     let after = reproducer.inst_count();
@@ -394,7 +375,7 @@ pub(crate) fn shrink_failure(
         seed: Some(seed),
         note: format!("campaign failure at index {index}: {error}"),
         // Bound-sensitive failures only reproduce under the same fuel.
-        max_steps: Some(oracle_cfg.max_steps),
+        max_steps: Some(max_steps),
         program: reproducer.clone(),
     };
     let dir = cfg.fail_dir.clone().unwrap_or_else(corpus::failure_dir);
@@ -415,39 +396,32 @@ fn run_random(cfg: &CampaignConfig) -> CampaignSummary {
     for index in 0..cfg.cases {
         let gen_cfg = case_gen_config(cfg.base_seed, index);
         let (program, bound) = generate_with_bound(&gen_cfg);
-        let oracle_cfg = case_oracle_config(bound);
         summary.cases += 1;
         summary.total_insts += program.inst_count() as u64;
-        if let Err(error) = judge(&mut summary, &program, &oracle_cfg, index, gen_cfg.seed ^ index)
-        {
-            summary.failure =
-                Some(shrink_failure(cfg, &oracle_cfg, index, gen_cfg.seed, program, error));
+        if let Err(error) = judge(&mut summary, &program, bound, index, gen_cfg.seed ^ index) {
+            summary.failure = Some(shrink_failure(cfg, bound, index, gen_cfg.seed, program, error));
             break;
         }
     }
     summary
 }
 
-/// Judge case `index` of a loop: the differential oracle, then the
-/// simulator cross-check on every `SIM_CHECK_EVERY`th index and the
-/// fault-classifier replay (under `fault_seed`) on every
-/// `FAULT_CHECK_EVERY`th. Counts the cross-checks it starts and, when
-/// every check passes, the oracle's work into `summary`.
+/// Judge case `index` of a loop under `max_steps` of fuel: the
+/// differential oracle, then the fault-classifier replay (under
+/// `fault_seed`) on every `FAULT_CHECK_EVERY`th index. Counts the
+/// replays it starts and, when every check passes, the oracle's work
+/// into `summary`.
 fn judge(
     summary: &mut CampaignSummary,
     program: &Program,
-    oracle_cfg: &OracleConfig,
+    max_steps: u64,
     index: u64,
     fault_seed: u64,
 ) -> Result<(), CaseError> {
-    let outcome = check_program(program, oracle_cfg).map_err(CaseError::Oracle)?;
-    if index.is_multiple_of(SIM_CHECK_EVERY) {
-        summary.sim_checks += 1;
-        sim_cross_check(program, oracle_cfg.max_steps).map_err(CaseError::Sim)?;
-    }
+    let outcome = check_program(program, max_steps).map_err(CaseError::Oracle)?;
     if index.is_multiple_of(FAULT_CHECK_EVERY) {
         summary.fault_checks += 1;
-        fault_cross_check(program, oracle_cfg.max_steps, fault_seed).map_err(CaseError::Fault)?;
+        fault_cross_check(program, max_steps, fault_seed).map_err(CaseError::Fault)?;
     }
     summary.total_base_steps += outcome.base_steps;
     summary.narrowed += outcome.narrowed as u64;
@@ -529,7 +503,7 @@ fn run_guided_shard(
         // --- pick: mutate the corpus, or generate fresh -------------
         let mut fresh_bound = None;
         let mut program = None;
-        if !corpus.entries().is_empty() && !rng.chance(1, cfg.fresh_every.max(1)) {
+        if !corpus.entries().is_empty() && !rng.chance(1, FRESH_EVERY) {
             let parent = corpus.pick(&mut rng).expect("corpus non-empty").program.clone();
             let donor = corpus.pick(&mut rng).expect("corpus non-empty").program.clone();
             if let Some(m) = mutate::mutate(&parent, Some(&donor), &mut rng, 8) {
@@ -598,9 +572,8 @@ fn run_guided_shard(
         // `4 × base + 512` steps) inside the budget.
         let oracle_fuel =
             fresh_bound.unwrap_or_else(|| screen.as_ref().map_or(MUTANT_FUEL, |s| s.0) * 4 + 1024);
-        let oracle_cfg = case_oracle_config(oracle_fuel);
-        if let Err(error) = judge(&mut summary, &program, &oracle_cfg, index, sseed ^ index) {
-            summary.failure = Some(shrink_failure(cfg, &oracle_cfg, index, sseed, program, error));
+        if let Err(error) = judge(&mut summary, &program, oracle_fuel, index, sseed ^ index) {
+            summary.failure = Some(shrink_failure(cfg, oracle_fuel, index, sseed, program, error));
             break;
         }
 
@@ -610,7 +583,7 @@ fn run_guided_shard(
             let kept = corpus.admit(CorpusEntry {
                 program: Arc::new(program),
                 seed: sseed,
-                max_steps: oracle_cfg.max_steps,
+                max_steps: oracle_fuel,
                 feats,
                 new_feats: Vec::new(),
                 from_mutation: is_mutant,
@@ -668,7 +641,6 @@ fn run_guided(cfg: &CampaignConfig) -> CampaignSummary {
         summary.total_insts += r.summary.total_insts;
         summary.narrowed += r.summary.narrowed;
         summary.specializations += r.summary.specializations;
-        summary.sim_checks += r.summary.sim_checks;
         summary.fault_checks += r.summary.fault_checks;
         summary.mutants_tried += r.summary.mutants_tried;
         summary.mutants_kept += r.summary.mutants_kept;
@@ -778,16 +750,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("og-fuzz-sig-test-{}", std::process::id()));
         let gen_cfg = case_gen_config(3, 0);
         let (program, _) = generate_with_bound(&gen_cfg);
-        let oracle_cfg = case_oracle_config(3);
-        let error = match check_program(&program, &oracle_cfg) {
+        let error = match check_program(&program, 3) {
             Err(e) => CaseError::Oracle(e),
             Ok(_) => panic!("expected a base-run failure under 3 steps of fuel"),
         };
         assert_eq!(error.signature(), "oracle:base-run");
         let cfg = Campaign::new(3).fail_dir(&dir).config().clone();
-        let f = shrink_failure(&cfg, &oracle_cfg, 0, gen_cfg.seed, program.clone(), error);
+        let f = shrink_failure(&cfg, 3, 0, gen_cfg.seed, program.clone(), error);
         assert_eq!(
-            candidate_signature(&f.reproducer, &oracle_cfg).as_deref(),
+            candidate_signature(&f.reproducer, 3).as_deref(),
             Some("oracle:base-run"),
             "the reproducer must fail exactly like the original"
         );
@@ -796,47 +767,6 @@ mod tests {
         assert!(saved.starts_with(&dir), "{saved:?} not under the configured fail dir");
         assert!(saved.exists());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Parameter-sweep diagnostic, not a regression test: prints the
-    /// guided-vs-random coverage balance across fresh/mutate ratios.
-    /// `cargo test --release -p og-fuzz guided_vs_random_diag -- --ignored --nocapture`
-    #[test]
-    #[ignore]
-    fn guided_vs_random_diag() {
-        let cases = crate::env_u64("OG_FUZZ_CASES").unwrap_or(2000);
-        let dedup = Mutex::new(HashSet::new());
-        let base = CampaignConfig { base_seed: 0x06_F0_22, coverage: true, ..Default::default() };
-        let random = random_baseline_shard(&base, 0, cases);
-        for fresh_every in [2u64, 3, 4, 6] {
-            let cfg = CampaignConfig { fresh_every, ..base.clone() };
-            dedup.lock().unwrap().clear();
-            let r = run_guided_shard(&cfg, 0, cases, &dedup);
-            let mut only_guided = 0usize;
-            let mut only_random = 0usize;
-            for f in 0..sched::BLOCK_FEATURES {
-                let g = r.seen.would_grow(&[f]);
-                let rnd = random.would_grow(&[f]);
-                // would_grow == "not yet set", so invert.
-                match (!g, !rnd) {
-                    (true, false) => only_guided += 1,
-                    (false, true) => only_random += 1,
-                    _ => {}
-                }
-            }
-            println!(
-                "fresh_every={fresh_every}: guided {}/{} blocks/edges vs random {}/{} \
-                 (guided-only blocks {only_guided}, random-only {only_random}; \
-                 {} mutants tried, {} kept, {} discarded)",
-                r.seen.blocks_covered(),
-                r.seen.edges_covered(),
-                random.blocks_covered(),
-                random.edges_covered(),
-                r.summary.mutants_tried,
-                r.summary.mutants_kept,
-                r.summary.discarded,
-            );
-        }
     }
 
     #[test]

@@ -37,14 +37,10 @@ pub struct CorpusCase {
 }
 
 impl CorpusCase {
-    /// The oracle configuration this case must be replayed with: the
-    /// recorded step budget when present, the default otherwise.
-    pub fn oracle_config(&self) -> og_core::oracle::OracleConfig {
-        let mut cfg = og_core::oracle::OracleConfig::default();
-        if let Some(max_steps) = self.max_steps {
-            cfg.max_steps = max_steps;
-        }
-        cfg
+    /// The step budget this case must be replayed with: the recorded one
+    /// when present, [`og_core::oracle::DEFAULT_MAX_STEPS`] otherwise.
+    pub fn step_budget(&self) -> u64 {
+        self.max_steps.unwrap_or(og_core::oracle::DEFAULT_MAX_STEPS)
     }
 }
 

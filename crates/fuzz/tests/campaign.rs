@@ -1,7 +1,7 @@
 //! The standing differential campaign: ≥500 seeded random programs, each
 //! checked untransformed (fused vs materialized VM paths, trace-chain
 //! invariants) and across the VRP/VRS transform battery, with periodic
-//! fused-vs-materialized simulator cross-checks.
+//! fault-classifier soundness replays.
 //!
 //! Knobs (one explicit env layer over the [`Campaign`] builder):
 //! `OG_FUZZ_CASES` (default 500), `OG_FUZZ_SEED`, `OG_FUZZ_COVERAGE=1`
@@ -54,12 +54,12 @@ fn seeded_differential_campaign_is_green() {
     } else {
         println!(
             "og-fuzz campaign: {} cases, {} baseline steps, {} narrowed, {} specializations, \
-             {} sim cross-checks (report: {report})",
+             {} fault cross-checks (report: {report})",
             summary.cases,
             summary.total_base_steps,
             summary.narrowed,
             summary.specializations,
-            summary.sim_checks,
+            summary.fault_checks,
         );
     }
 

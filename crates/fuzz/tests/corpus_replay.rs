@@ -7,7 +7,6 @@
 
 use og_core::oracle::check_program;
 use og_fuzz::corpus::{corpus_dir, load_dir, CorpusCase};
-use og_fuzz::sim_cross_check;
 use og_json::{FromJson, Json, ToJson};
 use og_sim::{MachineConfig, Simulator};
 use og_vm::{fnv1a, RunConfig, Vm};
@@ -61,9 +60,7 @@ fn every_corpus_case_passes_the_differential_oracle() {
         // Replay under the case's recorded step budget (the campaign's
         // certificate-derived fuel), so bound-sensitive regressions
         // cannot hide behind the roomier default.
-        let cfg = case.oracle_config();
-        check_program(&case.program, &cfg).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        sim_cross_check(&case.program, cfg.max_steps)
+        check_program(&case.program, case.step_budget())
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
 }
@@ -75,7 +72,7 @@ fn corpus_sim_results_match_the_committed_fingerprints() {
         .unwrap()
         .into_iter()
         .map(|(path, case)| {
-            let run = RunConfig { max_steps: case.oracle_config().max_steps, ..Default::default() };
+            let run = RunConfig { max_steps: case.step_budget(), ..Default::default() };
             let mut sim = Simulator::new(MachineConfig::default());
             Vm::new(&case.program, run)
                 .run_streamed(&mut sim)

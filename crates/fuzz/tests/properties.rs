@@ -57,28 +57,28 @@ fn extreme_configs_terminate_too() {
 
 #[test]
 fn shrinking_keeps_the_oracle_class_and_never_grows() {
-    use og_core::oracle::{check_program, OracleConfig};
+    use og_core::oracle::check_program;
     // Starve the oracle of fuel so every case fails deterministically in
     // the `base-run` class; shrink against "still fails with exactly the
     // original signature" — the same predicate the campaign uses.
-    let oracle_cfg = OracleConfig { max_steps: 3, ..Default::default() };
+    let max_steps = 3;
     let mut shrunk_any = false;
     for index in [0u64, 4, 11, 23] {
         let cfg = case_gen_config(0x5_11_12, index);
         let p = generate_program(&cfg);
-        let original = match check_program(&p, &oracle_cfg) {
+        let original = match check_program(&p, max_steps) {
             Err(e) => e.signature(),
             Ok(_) => panic!("seed {}: expected failure under 3 steps of fuel", cfg.seed),
         };
         let mut same_class = |c: &og_program::Program| -> bool {
-            matches!(check_program(c, &oracle_cfg), Err(e) if e.signature() == original)
+            matches!(check_program(c, max_steps), Err(e) if e.signature() == original)
         };
         let a = shrink::shrink(&p, &mut same_class, 400);
         let b = shrink::shrink(&p, &mut same_class, 400);
         assert_eq!(a, b, "seed {}: shrink must be deterministic", cfg.seed);
         assert!(a.inst_count() <= p.inst_count(), "seed {}: shrink grew the case", cfg.seed);
         assert!(a.verify().is_ok(), "seed {}: reproducer must stay well-formed", cfg.seed);
-        let shrunk_sig = match check_program(&a, &oracle_cfg) {
+        let shrunk_sig = match check_program(&a, max_steps) {
             Err(e) => e.signature(),
             Ok(_) => panic!("seed {}: reproducer no longer fails", cfg.seed),
         };

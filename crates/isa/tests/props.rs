@@ -1,8 +1,8 @@
 //! Property tests for the OGA-64 instruction set: the lattice laws of
-//! [`WidthSet`] and the opcode-width assignment of [`IsaExtension`].
+//! [`WidthSet`] and the opcode-width assignment of [`IsaExtension`],
+//! each over its whole input domain.
 
 use og_isa::{CmpKind, Cond, IsaExtension, Op, Width, WidthSet};
-use proptest::prelude::*;
 
 /// Build a `WidthSet` from the low four bits of a mask.
 fn set_from_mask(mask: u8) -> WidthSet {
@@ -61,73 +61,82 @@ fn op_sample() -> Vec<Op> {
     ops
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Join/meet form a lattice on width sets: idempotent, commutative,
-    /// associative, absorbing, with `EMPTY`/`FULL` as identities.
-    #[test]
-    fn widthset_lattice_laws(ma in 0u8..16, mb in 0u8..16, mc in 0u8..16) {
+/// Join/meet form a lattice on width sets: idempotent, commutative,
+/// associative, absorbing, with `EMPTY`/`FULL` as identities. Checked on
+/// every triple of the 16 sets.
+#[test]
+fn widthset_lattice_laws() {
+    for (ma, mb, mc) in
+        (0..16).flat_map(|a| (0..16).flat_map(move |b| (0..16).map(move |c| (a, b, c))))
+    {
         let (a, b, c) = (set_from_mask(ma), set_from_mask(mb), set_from_mask(mc));
+        let case = format!("{ma:04b} {mb:04b} {mc:04b}");
 
-        prop_assert_eq!(join(a, a), a, "join idempotent");
-        prop_assert_eq!(meet(a, a), a, "meet idempotent");
-        prop_assert_eq!(join(a, b), join(b, a), "join commutative");
-        prop_assert_eq!(meet(a, b), meet(b, a), "meet commutative");
-        prop_assert_eq!(join(join(a, b), c), join(a, join(b, c)), "join associative");
-        prop_assert_eq!(meet(meet(a, b), c), meet(a, meet(b, c)), "meet associative");
-        prop_assert_eq!(join(a, meet(a, b)), a, "absorption 1");
-        prop_assert_eq!(meet(a, join(a, b)), a, "absorption 2");
-        prop_assert_eq!(join(a, WidthSet::EMPTY), a, "EMPTY is join identity");
-        prop_assert_eq!(meet(a, WidthSet::FULL), a, "FULL is meet identity");
-        prop_assert_eq!(a.len(), a.iter().count(), "len agrees with iter");
+        assert_eq!(join(a, a), a, "{case}: join idempotent");
+        assert_eq!(meet(a, a), a, "{case}: meet idempotent");
+        assert_eq!(join(a, b), join(b, a), "{case}: join commutative");
+        assert_eq!(meet(a, b), meet(b, a), "{case}: meet commutative");
+        assert_eq!(join(join(a, b), c), join(a, join(b, c)), "{case}: join associative");
+        assert_eq!(meet(meet(a, b), c), meet(a, meet(b, c)), "{case}: meet associative");
+        assert_eq!(join(a, meet(a, b)), a, "{case}: absorption 1");
+        assert_eq!(meet(a, join(a, b)), a, "{case}: absorption 2");
+        assert_eq!(join(a, WidthSet::EMPTY), a, "{case}: EMPTY is join identity");
+        assert_eq!(meet(a, WidthSet::FULL), a, "{case}: FULL is meet identity");
+        assert_eq!(a.len(), a.iter().count(), "{case}: len agrees with iter");
     }
+}
 
-    /// `narrowest_at_least` picks the minimal member ≥ the requirement,
-    /// monotonically in the requirement and antitonically in the set.
-    #[test]
-    fn narrowest_at_least_is_monotone(mask in 0u8..16, wi in 0usize..4, wj in 0usize..4) {
-        let s = set_from_mask(mask);
-        let (lo, hi) = (wi.min(wj), wi.max(wj));
-        let (rlo, rhi) = (Width::ALL[lo], Width::ALL[hi]);
+/// `narrowest_at_least` picks the minimal member ≥ the requirement,
+/// monotonically in the requirement and antitonically in the set.
+/// Checked on every set and every pair of widths.
+#[test]
+fn narrowest_at_least_is_monotone() {
+    for mask in 0..16 {
+        for (wi, wj) in (0..4).flat_map(|i| (0..4).map(move |j| (i, j))) {
+            let s = set_from_mask(mask);
+            let (lo, hi) = (wi.min(wj), wi.max(wj));
+            let (rlo, rhi) = (Width::ALL[lo], Width::ALL[hi]);
 
-        if let Some(w) = s.narrowest_at_least(rlo) {
-            prop_assert!(s.contains(w));
-            prop_assert!(w >= rlo);
-            // Minimality: no narrower member also satisfies the bound.
-            for cand in s.iter() {
-                prop_assert!(!(cand >= rlo && cand < w), "{cand:?} beats {w:?}");
+            if let Some(w) = s.narrowest_at_least(rlo) {
+                assert!(s.contains(w));
+                assert!(w >= rlo);
+                // Minimality: no narrower member also satisfies the bound.
+                for cand in s.iter() {
+                    assert!(!(cand >= rlo && cand < w), "{cand:?} beats {w:?}");
+                }
+            }
+            // Monotone in the requirement (when both sides are defined).
+            if let (Some(a), Some(b)) = (s.narrowest_at_least(rlo), s.narrowest_at_least(rhi)) {
+                assert!(a <= b, "{s:?} {rlo:?} {rhi:?}: requirement monotonicity");
+            }
+            // Growing the set can only narrow (or keep) the answer.
+            let grown = s.with(Width::ALL[wj]);
+            match (s.narrowest_at_least(rlo), grown.narrowest_at_least(rlo)) {
+                (Some(a), Some(b)) => assert!(b <= a, "{s:?} {rlo:?}: set-growth antitonicity"),
+                (Some(_), None) => panic!("{s:?} {rlo:?}: growth lost the answer"),
+                _ => {}
             }
         }
-        // Monotone in the requirement (when both sides are defined).
-        if let (Some(a), Some(b)) = (s.narrowest_at_least(rlo), s.narrowest_at_least(rhi)) {
-            prop_assert!(a <= b, "requirement monotonicity");
-        }
-        // Growing the set can only narrow (or keep) the answer.
-        let grown = s.with(Width::ALL[wj]);
-        match (s.narrowest_at_least(rlo), grown.narrowest_at_least(rlo)) {
-            (Some(a), Some(b)) => prop_assert!(b <= a, "set-growth antitonicity"),
-            (Some(_), None) => prop_assert!(false, "growth lost the answer"),
-            _ => {}
-        }
     }
+}
 
-    /// `IsaExtension::assign` always yields an available opcode width that
-    /// covers the requirement, and richer extensions never assign wider.
-    #[test]
-    fn isa_extension_assign_is_sound(wi in 0usize..4, op_idx in 0usize..41) {
-        let ops = op_sample();
-        let op = ops[op_idx % ops.len()];
-        let required = Width::ALL[wi];
-        for ext in IsaExtension::ALL {
-            let w = ext.assign(op, required);
-            prop_assert!(w >= required, "{ext:?} {op:?}: {w:?} < {required:?}");
-            prop_assert!(ext.widths_for(op).contains(w), "{ext:?} {op:?}: {w:?} unavailable");
+/// `IsaExtension::assign` always yields an available opcode width that
+/// covers the requirement, and richer extensions never assign wider.
+/// Checked on every sampled op at every required width.
+#[test]
+fn isa_extension_assign_is_sound() {
+    for op in op_sample() {
+        for required in Width::ALL {
+            for ext in IsaExtension::ALL {
+                let w = ext.assign(op, required);
+                assert!(w >= required, "{ext:?} {op:?}: {w:?} < {required:?}");
+                assert!(ext.widths_for(op).contains(w), "{ext:?} {op:?}: {w:?} unavailable");
+            }
+            // Base ⊆ PaperAlphaExt ⊆ Full, so assignment is antitone in richness.
+            let base = IsaExtension::Base.assign(op, required);
+            let paper = IsaExtension::PaperAlphaExt.assign(op, required);
+            let full = IsaExtension::Full.assign(op, required);
+            assert!(full <= paper && paper <= base, "{op:?}: {full:?} {paper:?} {base:?}");
         }
-        // Base ⊆ PaperAlphaExt ⊆ Full, so assignment is antitone in richness.
-        let base = IsaExtension::Base.assign(op, required);
-        let paper = IsaExtension::PaperAlphaExt.assign(op, required);
-        let full = IsaExtension::Full.assign(op, required);
-        prop_assert!(full <= paper && paper <= base, "{op:?}: {full:?} {paper:?} {base:?}");
     }
 }

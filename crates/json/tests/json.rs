@@ -1,10 +1,9 @@
 //! Parser/writer/convert tests for the og-json layer: grammar
 //! acceptance, strict rejection (a store must fail loudly on a corrupt
-//! file), and property-based round-trips over the exact value domains
+//! file), and seeded random round-trips over the exact value domains
 //! the run summaries use.
 
 use og_json::{from_str, parse, render, to_string, Json, ToJson, MAX_SAFE_INT};
-use proptest::prelude::*;
 
 fn roundtrip(value: &Json) -> Json {
     let text = render(value).expect("renderable");
@@ -179,67 +178,102 @@ fn shape_mismatches_are_descriptive() {
     assert_eq!(from_str::<Option<u64>>("7").unwrap(), Some(7));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+/// Cases per round-trip property.
+const CASES: usize = 512;
 
-    #[test]
-    fn floats_roundtrip_exactly(bits in any::<u64>()) {
-        let f = f64::from_bits(bits);
+/// One step of the LCG (Knuth's MMIX constants) the properties draw from.
+fn lcg(x: &mut u64) -> u64 {
+    *x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *x
+}
+
+/// A full 64-bit draw: the high halves of two LCG steps.
+fn draw(x: &mut u64) -> u64 {
+    ((lcg(x) >> 32) << 32) | (lcg(x) >> 32)
+}
+
+#[test]
+fn floats_roundtrip_exactly() {
+    let mut x = 1;
+    for _ in 0..CASES {
+        let f = f64::from_bits(draw(&mut x));
         // JSON has no non-finite numbers; the writer rejects them (covered
         // above), so sample only the finite domain.
         let f = if f.is_finite() { f } else { 0.0 };
         let back: f64 = from_str(&to_string(&f).unwrap()).unwrap();
-        prop_assert_eq!(back.to_bits(), f.to_bits(), "{} did not roundtrip", f);
+        assert_eq!(back.to_bits(), f.to_bits(), "{f} did not roundtrip");
     }
+}
 
-    #[test]
-    fn u64s_roundtrip_exactly(v in any::<u64>()) {
+#[test]
+fn u64s_roundtrip_exactly() {
+    let mut x = 2;
+    for _ in 0..CASES {
+        let v = draw(&mut x);
         let back: u64 = from_str(&to_string(&v).unwrap()).unwrap();
-        prop_assert_eq!(back, v);
+        assert_eq!(back, v);
     }
+}
 
-    #[test]
-    fn i64s_roundtrip_exactly(v in any::<i64>()) {
+#[test]
+fn i64s_roundtrip_exactly() {
+    let mut x = 3;
+    for _ in 0..CASES {
+        let v = draw(&mut x) as i64;
         let back: i64 = from_str(&og_json::to_string(&v).unwrap()).unwrap();
-        prop_assert_eq!(back, v);
+        assert_eq!(back, v);
     }
+}
 
-    #[test]
-    fn fractional_and_negative_floats_roundtrip(num in any::<i64>(), shift in 0u32..60) {
+#[test]
+fn fractional_and_negative_floats_roundtrip() {
+    let mut x = 4;
+    for _ in 0..CASES {
+        let (num, shift) = (draw(&mut x) as i64, draw(&mut x) % 60);
         let f = num as f64 / (1u64 << shift) as f64;
         let back: f64 = from_str(&to_string(&f).unwrap()).unwrap();
-        prop_assert_eq!(back.to_bits(), f.to_bits());
+        assert_eq!(back.to_bits(), f.to_bits(), "{num} / 2^{shift}");
     }
+}
 
-    #[test]
-    fn arbitrary_strings_roundtrip(seed in any::<u64>(), len in 0usize..40) {
-        // Derive a string mixing plain text, JSON-special characters,
-        // controls and non-ASCII from the seeded generator.
-        const ALPHABET: [char; 16] =
-            ['a', 'Z', '9', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', ' ',
-             'é', '中', '😀', '\u{ffff}'];
-        let mut x = seed;
+#[test]
+fn arbitrary_strings_roundtrip() {
+    // Strings mixing plain text, JSON-special characters, controls and
+    // non-ASCII.
+    const ALPHABET: [char; 16] = [
+        'a', 'Z', '9', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', ' ', 'é', '中', '😀',
+        '\u{ffff}',
+    ];
+    let mut x = 5;
+    for _ in 0..CASES {
+        let len = draw(&mut x) % 40;
         let mut s = String::new();
         for _ in 0..len {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            s.push(ALPHABET[(x >> 33) as usize % ALPHABET.len()]);
+            s.push(ALPHABET[(lcg(&mut x) >> 33) as usize % ALPHABET.len()]);
         }
         let value = Json::Str(s);
         let text = render(&value).expect("strings always render");
-        prop_assert_eq!(parse(&text).unwrap(), value);
+        assert_eq!(parse(&text).unwrap(), value);
     }
+}
 
-    #[test]
-    fn composite_values_roundtrip(a in any::<u64>(), b in any::<i64>(), c in 0u32..1000) {
+#[test]
+fn composite_values_roundtrip() {
+    let mut x = 6;
+    for _ in 0..CASES {
+        let (a, b, c) = (draw(&mut x), draw(&mut x) as i64, draw(&mut x) % 1000);
         let value = Json::Obj(vec![
             ("digest".into(), a.to_json()),
-            ("nested".into(), Json::Arr(vec![
-                b.to_json(),
-                Json::Null,
-                Json::Bool(c % 2 == 0),
-                Json::Obj(vec![("cost".into(), c.to_json())]),
-            ])),
+            (
+                "nested".into(),
+                Json::Arr(vec![
+                    b.to_json(),
+                    Json::Null,
+                    Json::Bool(c % 2 == 0),
+                    Json::Obj(vec![("cost".into(), c.to_json())]),
+                ]),
+            ),
         ]);
-        prop_assert_eq!(roundtrip(&value), value);
+        assert_eq!(roundtrip(&value), value);
     }
 }

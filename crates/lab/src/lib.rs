@@ -295,18 +295,16 @@ pub struct StudyWork {
     pub value_only_records: u64,
     /// VM steps streamed into a simulator or an accountant.
     pub fused_steps: u64,
-    /// VM steps of the no-stats baseline runs.
-    pub nostats_steps: u64,
     /// VRS profiling runs: an analysis and two training runs each.
     pub vrs_profiles: u64,
-    /// Programs verified and lowered into a VM for a no-stats or
-    /// streamed run (VRS's training runs count under `vrs_profiles`).
+    /// Programs verified and lowered into a VM for a streamed run (VRS's
+    /// training runs count under `vrs_profiles`).
     pub verify_lowers: u64,
 }
 
 impl StudyWork {
     /// Every count with its field name, in declaration order.
-    pub fn rows(&self) -> [(&'static str, u64); 9] {
+    pub fn rows(&self) -> [(&'static str, u64); 8] {
         [
             ("programs", self.programs),
             ("full_simulations", self.full_simulations),
@@ -314,7 +312,6 @@ impl StudyWork {
             ("value_only_runs", self.value_only_runs),
             ("value_only_records", self.value_only_records),
             ("fused_steps", self.fused_steps),
-            ("nostats_steps", self.nostats_steps),
             ("vrs_profiles", self.vrs_profiles),
             ("verify_lowers", self.verify_lowers),
         ]
@@ -330,7 +327,6 @@ impl std::iter::Sum for StudyWork {
             value_only_runs: a.value_only_runs + b.value_only_runs,
             value_only_records: a.value_only_records + b.value_only_records,
             fused_steps: a.fused_steps + b.fused_steps,
-            nostats_steps: a.nostats_steps + b.nostats_steps,
             vrs_profiles: a.vrs_profiles + b.vrs_profiles,
             verify_lowers: a.verify_lowers + b.verify_lowers,
         })
@@ -385,15 +381,13 @@ fn classify(bench: &str) -> Classes {
 ///
 /// 1. transforms the benchmark under every mechanism, with one VRS
 ///    profile for the five costs, and groups the programs by `==`;
-/// 2. runs the untransformed program on the no-stats engine for the
-///    output digest every measurement must match, which also
-///    cross-checks the no-stats engine against the full one;
-/// 3. simulates the untransformed program in full and keeps its path's
-///    timing;
-/// 4. runs each other program that differs from it only in widths into
+/// 2. simulates the untransformed program in full and keeps its path's
+///    timing and its output digest, which every other measurement must
+///    match;
+/// 3. runs each other program that differs from it only in widths into
 ///    the value accountant alone, joined with that timing (or simulated
 ///    in full if it left the path), and simulates the rest in full;
-/// 5. assembles the nine summaries, each from its class's measurement
+/// 4. assembles the nine summaries, each from its class's measurement
 ///    plus its own label and VRS bookkeeping.
 ///
 /// The runs come back in benchmark-major, [`Mech::ALL`] order: the same
@@ -429,20 +423,17 @@ pub fn compute_study_with_work() -> (Study, StudyWork, Vec<IdentityClasses>) {
 fn study_bench(bench: &'static str) -> (Vec<RunSummary>, StudyWork, IdentityClasses) {
     let Classes { programs, pairs } = classify(bench);
     let (_, untransformed) = &programs[0];
-    let expected = Vm::new(untransformed, RunConfig::default())
-        .run_nostats()
-        .unwrap_or_else(|e| panic!("{bench}: no-stats run failed: {e}"));
     let mut work = StudyWork {
         programs: programs.len() as u64,
-        nostats_steps: expected.steps,
         // `classify` profiles the benchmark once for every VRS cost.
         vrs_profiles: 1,
-        verify_lowers: 1 + programs.len() as u64,
+        verify_lowers: programs.len() as u64,
         ..StudyWork::default()
     };
 
     let (first, path) = measure_path(Vm::new(untransformed, RunConfig::default()))
         .unwrap_or_else(|e| panic!("{bench}/Baseline: {e}"));
+    let expected = first.digest();
     // Each class's measurement, and whether it took a full simulation.
     let mut measured = vec![(first, true)];
     for (mech, program) in &programs[1..] {
@@ -461,8 +452,7 @@ fn study_bench(bench: &'static str) -> (Vec<RunSummary>, StudyWork, IdentityClas
         measured.push(run);
     }
     for ((mech, _), (run, simulated)) in programs.iter().zip(&measured) {
-        run.check_digest(expected.output_digest)
-            .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+        run.check_digest(expected).unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
         if *simulated {
             work.full_simulations += 1;
             work.simulator_records += run.insts();

@@ -336,6 +336,11 @@ impl Measured {
         self.insts
     }
 
+    /// The digest of the run's output.
+    pub(crate) fn digest(&self) -> u64 {
+        self.digest
+    }
+
     /// Observational equivalence: the output must match the baseline's.
     ///
     /// # Errors

@@ -5,8 +5,8 @@
 //! the bench list a `Study` derives from its runs.
 
 use og_lab::{Mech, RunSummary, Study, VrsSummary};
+use og_program::rng::SplitMix64;
 use og_sim::{ActivityCounts, CycleStats, Structure};
-use proptest::prelude::*;
 
 /// A baseline and a VRS summary in which every field carries a value
 /// that stresses its encoding.
@@ -93,16 +93,16 @@ fn summary_rejects_tampered_text() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn arbitrary_summaries_roundtrip(digest in any::<u64>(), cost in 0u32..=200, num in any::<i64>()) {
-        let frac = num as f64 / (1u64 << 40) as f64;
+#[test]
+fn arbitrary_summaries_roundtrip() {
+    let mut draw = SplitMix64::new(0x5E_44);
+    for _ in 0..48 {
+        let (digest, cost) = (draw.next_u64(), draw.below(201) as u32);
+        let frac = draw.next_u64() as i64 as f64 / (1u64 << 40) as f64;
         for summary in synthetic_summaries(digest, cost, frac) {
             let text = og_json::to_string(&summary).expect("summary serializes");
             let back: RunSummary = og_json::from_str(&text).expect("summary deserializes");
-            prop_assert_eq!(back, summary);
+            assert_eq!(back, summary);
         }
     }
 }

@@ -13,6 +13,11 @@ use og_json::ToJson;
 /// The standard 64-bit FNV-1a offset basis.
 const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 
+/// 64-bit FNV-1a digest, used to fingerprint program output.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_seeded(bytes, FNV_OFFSET_BASIS)
+}
+
 /// 64-bit FNV-1a with a caller-chosen basis ([`FNV_OFFSET_BASIS`] gives
 /// the standard hash; a derived basis gives an independent second hash).
 fn fnv1a_seeded(bytes: &[u8], basis: u64) -> u64 {
@@ -30,7 +35,7 @@ fn fnv1a_seeded(bytes: &[u8], basis: u64) -> u64 {
 /// reach for any realistic corpus; a cache serving untrusted programs
 /// must still compare canonical texts to handle deliberate ones.
 pub fn digest128(text: &str) -> u128 {
-    let lo = fnv1a_seeded(text.as_bytes(), FNV_OFFSET_BASIS);
+    let lo = fnv1a(text.as_bytes());
     let hi = fnv1a_seeded(text.as_bytes(), SplitMix64::new(lo ^ text.len() as u64).next_u64());
     ((hi as u128) << 64) | lo as u128
 }

@@ -75,7 +75,7 @@ pub use cfg::{Cfg, Dominators, Loop, LoopForest};
 pub use data::{DataItem, DataSegment, GLOBAL_BASE, STACK_BASE};
 pub use dataflow::{DefId, DefSite, DefUse, Liveness};
 pub use function::{Block, Function};
-pub use identity::digest128;
+pub use identity::{digest128, fnv1a};
 pub use ids::{BlockId, BlockRef, FuncId, InstRef};
 pub use layout::{Layout, INST_BYTES, TEXT_BASE};
 pub use program::Program;

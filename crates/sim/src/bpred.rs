@@ -124,7 +124,6 @@ impl BranchPredictor {
 mod tests {
     use super::*;
     use og_program::rng::SplitMix64;
-    use proptest::prelude::*;
 
     /// The BTB and return-address stack as they were before the flat
     /// layout: one `Vec` per BTB set, MRU first, updated with `remove`
@@ -170,19 +169,17 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        /// Random interleavings of BTB updates (a few pcs per set, so
-        /// sets overflow their 4 ways; pcs up to `u64::MAX`) and calls and
-        /// returns (runs deeper than the stack, and returns to the wrong
-        /// address): every answer agrees with the reference.
-        #[test]
-        fn flat_btb_and_deque_ras_match_the_reference(
-            seed in any::<u64>(),
-            ras_depth in 1usize..=8,
-            pcs in 1u64..24,
-        ) {
+    /// Random interleavings of BTB updates (a few pcs per set, so
+    /// sets overflow their 4 ways; pcs up to `u64::MAX`) and calls and
+    /// returns (runs deeper than the stack, and returns to the wrong
+    /// address): every answer agrees with the reference.
+    #[test]
+    fn flat_btb_and_deque_ras_match_the_reference() {
+        let mut draw = SplitMix64::new(0xB7B);
+        for case in 0..96 {
+            let seed = draw.next_u64();
+            let ras_depth = 1 + draw.below(8) as usize;
+            let pcs = 1 + draw.below(23);
             let mut bp = BranchPredictor::new(ras_depth);
             let mut reference = ReferenceTargets::new(ras_depth);
             let mut rng = SplitMix64::new(seed);
@@ -193,10 +190,10 @@ mod tests {
                     0 | 1 => {
                         let pc = base + 0x1000 * rng.below(pcs) + 8 * rng.below(2);
                         let target = rng.below(3);
-                        prop_assert_eq!(
+                        assert_eq!(
                             bp.btb_lookup_update(pc, target),
                             reference.btb_lookup_update(pc, target),
-                            "step {}: btb {:#x} -> {}", i, pc, target
+                            "case {case}, step {i}: btb {pc:#x} -> {target}"
                         );
                     }
                     2 => {
@@ -206,10 +203,10 @@ mod tests {
                     }
                     _ => {
                         let actual = rng.below(6);
-                        prop_assert_eq!(
+                        assert_eq!(
                             bp.ras_pop_matches(actual),
                             reference.ras_pop_matches(actual),
-                            "step {}: return to {}", i, actual
+                            "case {case}, step {i}: return to {actual}"
                         );
                     }
                 }

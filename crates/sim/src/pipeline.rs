@@ -623,7 +623,6 @@ mod tests {
     use og_program::rng::SplitMix64;
     use og_program::{imm, ProgramBuilder};
     use og_vm::{RunConfig, VecSink, Vm};
-    use proptest::prelude::*;
 
     /// The ring as it was before slots were packed: a `(cycle, count)`
     /// pair per slot, indexed by `%`. Kept as the oracle for [`Ring`] and
@@ -665,13 +664,13 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Out-of-order requests, including cycles a ring length apart:
-        /// the packed ring reserves exactly what the reference reserves.
-        #[test]
-        fn packed_ring_matches_the_reference(seed in any::<u64>(), cap in 1u8..=255) {
+    /// Out-of-order requests, including cycles a ring length apart:
+    /// the packed ring reserves exactly what the reference reserves.
+    #[test]
+    fn packed_ring_matches_the_reference() {
+        let mut draw = SplitMix64::new(0x4196);
+        for case in 0..64 {
+            let (seed, cap) = (draw.next_u64(), 1 + draw.below(255) as u8);
             let cap = if seed & 1 == 0 { cap % 8 + 1 } else { cap };
             let (mut ring, mut reference) = (Ring::new(), ReferenceRing::new());
             let mut rng = SplitMix64::new(seed);
@@ -679,23 +678,35 @@ mod tests {
             for i in 0..3_000 {
                 let cycle = request_near(&mut rng, base);
                 let got = ring.reserve(cycle, cap);
-                prop_assert_eq!(got, reference.reserve(cycle, cap), "request {} at {}", i, cycle);
+                assert_eq!(
+                    got,
+                    reference.reserve(cycle, cap),
+                    "case {case}: request {i} at {cycle}"
+                );
                 base = got;
             }
         }
+    }
 
-        /// Requests that never precede the latest reservation, as fetch's
-        /// and retire's: the (cycle, count) pair reserves exactly what the
-        /// reference ring reserves.
-        #[test]
-        fn in_order_slots_match_the_reference_ring(seed in any::<u64>(), cap in 1u8..=8) {
+    /// Requests that never precede the latest reservation, as fetch's
+    /// and retire's: the (cycle, count) pair reserves exactly what the
+    /// reference ring reserves.
+    #[test]
+    fn in_order_slots_match_the_reference_ring() {
+        let mut draw = SplitMix64::new(0x5107);
+        for case in 0..64 {
+            let (seed, cap) = (draw.next_u64(), 1 + draw.below(8) as u8);
             let (mut slots, mut reference) = (InOrderSlots::default(), ReferenceRing::new());
             let mut rng = SplitMix64::new(seed);
             let mut latest = 0;
             for i in 0..3_000 {
                 let cycle = request_near(&mut rng, latest).max(latest);
                 let got = slots.reserve(cycle, cap);
-                prop_assert_eq!(got, reference.reserve(cycle, cap), "request {} at {}", i, cycle);
+                assert_eq!(
+                    got,
+                    reference.reserve(cycle, cap),
+                    "case {case}: request {i} at {cycle}"
+                );
                 latest = got;
             }
         }

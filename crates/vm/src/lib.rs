@@ -130,15 +130,6 @@ mod trace;
 pub use flat::FlatProgram;
 pub use machine::{HaltReason, Quantum, RunConfig, RunOutcome, Vm, VmError};
 pub use memory::Memory;
+pub use og_program::fnv1a;
 pub use stats::DynStats;
 pub use trace::{FnSink, NullSink, TraceRecord, TraceSink, VecSink};
-
-/// 64-bit FNV-1a digest, used to fingerprint program output.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}

@@ -17,8 +17,8 @@
 //! sensitive to any field of any record.
 //!
 //! On top of that, the suite pins the **no-stats** mode's architectural
-//! results against the statistics-gathering run, and the **quantum
-//! seam** (`Vm::run_quantum`, which the fault campaign slices runs at)
+//! results against the statistics-gathering run (on both inputs of every
+//! workload and the corpus), and the **quantum seam** (`Vm::run_quantum`, which the fault campaign slices runs at)
 //! against one uninterrupted no-stats run.
 
 use og_fuzz::corpus;
@@ -194,12 +194,16 @@ fn quantum_slicing_matches_nostats_on_workloads_and_corpus() {
 
 #[test]
 fn nostats_mode_preserves_architectural_results_on_workloads_and_corpus() {
-    for (label, p, config) in &sweep_programs() {
+    // The Ref inputs too: the study runs them only with statistics.
+    let refs = NAMES.iter().map(|&name| {
+        (format!("{name}/Ref"), by_name(name, InputSet::Ref).program, RunConfig::default())
+    });
+    for (label, p, config) in sweep_programs().into_iter().chain(refs) {
         let (full_result, full_output) = {
-            let mut vm = Vm::new(p, config.clone());
+            let mut vm = Vm::new(&p, config.clone());
             (vm.run(), vm.output().to_vec())
         };
-        let mut vm = Vm::new(p, config.clone());
+        let mut vm = Vm::new(&p, config);
         let nostats_result = vm.run_nostats();
         assert_eq!(nostats_result, full_result, "{label}: nostats RunOutcome diverged");
         assert_eq!(vm.output(), &full_output[..], "{label}: nostats output diverged");
