@@ -13,6 +13,10 @@
 //!   (Table 1), with constant propagation and dead-code elimination in
 //!   single-value specializations.
 //!
+//! [`transform_all`] makes a copy of a program under each of several
+//! [`Transform`]s from one analysis and one VRS profile; the study, the
+//! one-program pipeline and the fuzz oracle all transform through it.
+//!
 //! Both passes preserve observational equivalence: the transformed
 //! program's output stream is byte-identical to the original's. That
 //! property is enforced by differential tests across this workspace.
@@ -27,6 +31,7 @@ mod loops;
 pub mod oracle;
 mod pass;
 mod range;
+mod transform;
 mod useful;
 mod vrp;
 mod vrs;
@@ -34,6 +39,7 @@ mod vrs;
 pub use energy::AluEnergyTable;
 pub use pass::{VrpConfig, VrpPass, VrpReport};
 pub use range::ValueRange;
+pub use transform::{transform_all, Applied, Transform};
 pub use useful::UsefulPolicy;
 pub use vrp::Assumptions;
-pub use vrs::{CandidateFate, VrsConfig, VrsPass, VrsProfile, VrsReport};
+pub use vrs::{CandidateFate, VrsConfig, VrsPass, VrsReport};

@@ -20,6 +20,12 @@
 //! candidate and corpus replay therefore tests both flat loops, and the
 //! pause/resume seam between quanta, against the reference engine.
 //!
+//! The transform battery ([`Transform::battery`]) then goes through
+//! [`transform_all`], with the program as its own training input, so the
+//! eleven copies share one analysis of the program and one VRS profile.
+//! Every copy must verify, run on the reference engine and emit the
+//! baseline's output bytes.
+//!
 //! The oracle also fuzzes the **verifier invariant** in both directions.
 //! Every checked program goes through the collect-all verifier first: a
 //! program that fails to verify is an [`OracleError::BaseVerify`]
@@ -33,94 +39,10 @@
 //! is an [`OracleError::Invariant`] failure: the `verify Ok ⇒ no
 //! structural error` contract itself broke.
 
-use crate::{CandidateFate, UsefulPolicy, VrpConfig, VrpPass, VrsConfig, VrsPass};
-use og_isa::IsaExtension;
+use crate::{transform_all, Applied, CandidateFate, Transform};
 use og_program::Program;
-use og_vm::{FlatProgram, Quantum, RunConfig, RunOutcome, VecSink, Vm, VmError};
+use og_vm::{DynStats, FlatProgram, Quantum, RunConfig, RunOutcome, VecSink, Vm, VmError};
 use std::fmt;
-
-/// One semantics-preserving transformation the oracle can apply.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Transform {
-    /// Value Range Propagation with a useful-width policy and ISA level.
-    Vrp {
-        /// The §2.2.5 useful-width policy.
-        policy: UsefulPolicy,
-        /// Which width-annotated opcodes exist (§4.3).
-        isa: IsaExtension,
-    },
-    /// Value Range Specialization, trained on the program itself (a
-    /// synthetic self-profile: for generated programs train and ref
-    /// inputs coincide).
-    Vrs {
-        /// Specialization cost knob in nJ (the paper's 30–110 sweep).
-        cost_nj: f64,
-    },
-}
-
-impl Transform {
-    /// A compact label for failure reports (`vrp:paper:full`, `vrs:50`).
-    pub fn label(&self) -> String {
-        match self {
-            Transform::Vrp { policy, isa } => {
-                let p = match policy {
-                    UsefulPolicy::Off => "off",
-                    UsefulPolicy::Paper => "paper",
-                    UsefulPolicy::Aggressive => "aggressive",
-                };
-                let i = match isa {
-                    IsaExtension::Base => "base",
-                    IsaExtension::PaperAlphaExt => "ext",
-                    IsaExtension::Full => "full",
-                };
-                format!("vrp:{p}:{i}")
-            }
-            Transform::Vrs { cost_nj } => format!("vrs:{cost_nj}"),
-        }
-    }
-
-    /// The transform battery [`check_program`] runs: every useful policy
-    /// crossed with every ISA extension level, plus VRS at a cheap and an
-    /// expensive specialization cost.
-    pub fn battery() -> Vec<Transform> {
-        let mut out = Vec::new();
-        for policy in [UsefulPolicy::Off, UsefulPolicy::Paper, UsefulPolicy::Aggressive] {
-            for isa in IsaExtension::ALL {
-                out.push(Transform::Vrp { policy, isa });
-            }
-        }
-        out.push(Transform::Vrs { cost_nj: 50.0 });
-        out.push(Transform::Vrs { cost_nj: 10.0 });
-        out
-    }
-
-    /// Apply this transform to `program` in place, returning how many
-    /// instructions were narrowed (VRP) or specializations applied (VRS).
-    pub fn apply(&self, program: &mut Program) -> usize {
-        match *self {
-            Transform::Vrp { policy, isa } => {
-                let cfg = VrpConfig { useful_policy: policy, isa, ..Default::default() };
-                VrpPass::new(cfg).run(program).narrowed_instructions
-            }
-            Transform::Vrs { cost_nj } => {
-                let train = program.clone();
-                let cfg = VrsConfig { specialization_cost_nj: cost_nj, ..Default::default() };
-                VrsPass::new(cfg).run(program, &train).count_fate(CandidateFate::Specialized)
-            }
-        }
-    }
-
-    /// May this transform change the committed-instruction count? VRP
-    /// only re-encodes widths (§4.4); VRS inserts guards and eliminates
-    /// specialized instructions.
-    pub fn may_change_steps(&self) -> bool {
-        matches!(self, Transform::Vrs { .. })
-    }
-}
-
-/// The step budget for a caller with no bound of its own: a corpus case
-/// that records none.
-pub const DEFAULT_MAX_STEPS: u64 = 4_000_000;
 
 /// For step-changing transforms: the allowed ratio of transformed to
 /// baseline steps, each way — transformed must stay within
@@ -134,6 +56,9 @@ const STEP_SLACK: u64 = 512;
 pub struct OracleOutcome {
     /// Committed instructions of the baseline run.
     pub base_steps: u64,
+    /// The statistics of the fused baseline leg (the flat engine), equal
+    /// to the reference engine's.
+    pub stats: DynStats,
     /// Sum of narrowed-instruction counts across VRP transforms.
     pub narrowed: usize,
     /// Sum of applied specializations across VRS transforms.
@@ -349,6 +274,7 @@ pub fn check_program(p: &Program, max_steps: u64) -> Result<OracleOutcome, Oracl
     if base_sink.records() != trace {
         return Err(OracleError::PathsDiverged { what: "trace" });
     }
+    let (stats, _) = vm.into_parts();
 
     // ---- baseline: no-stats (quantum-sliced, flat engine) vs plain ----
     // The plain run finished, so a no-stats failure is a divergence,
@@ -395,19 +321,21 @@ pub fn check_program(p: &Program, max_steps: u64) -> Result<OracleOutcome, Oracl
     }
 
     // ---- the transform battery ---------------------------------------
+    // The program is its own training input: for generated programs
+    // train and ref inputs coincide.
     let transforms = Transform::battery();
     let mut outcome = OracleOutcome {
         base_steps: plain.steps,
+        stats,
         transforms: transforms.len(),
         ..Default::default()
     };
-    for t in &transforms {
+    let copies = transform_all(p, p, transforms.clone());
+    for (t, (transformed, applied)) in transforms.iter().zip(copies) {
         let label = t.label();
-        let mut transformed = p.clone();
-        let changed = t.apply(&mut transformed);
-        match *t {
-            Transform::Vrp { .. } => outcome.narrowed += changed,
-            Transform::Vrs { .. } => outcome.specializations += changed,
+        match applied {
+            Applied::Vrp(r) => outcome.narrowed += r.narrowed_instructions,
+            Applied::Vrs(r) => outcome.specializations += r.count_fate(CandidateFate::Specialized),
         }
         let (t_flat, t_ctx) =
             match FlatProgram::lower_verified_all(&transformed, &transformed.layout()) {
@@ -475,6 +403,8 @@ mod tests {
     use og_isa::{Reg, Width};
     use og_program::{generate, imm, ProgramBuilder};
 
+    const MAX_STEPS: u64 = 4_000_000;
+
     fn small_program() -> Program {
         let mut pb = ProgramBuilder::new();
         pb.data_quads("tbl", &[100, -3, 77]);
@@ -500,7 +430,7 @@ mod tests {
 
     #[test]
     fn battery_passes_on_a_handwritten_kernel() {
-        let report = check_program(&small_program(), DEFAULT_MAX_STEPS).unwrap();
+        let report = check_program(&small_program(), MAX_STEPS).unwrap();
         assert!(report.narrowed > 0, "VRP should narrow something");
         assert_eq!(report.transforms, Transform::battery().len());
     }
@@ -509,7 +439,7 @@ mod tests {
     fn battery_passes_on_generated_programs() {
         for seed in 0..5 {
             let p = generate::generate_program(&generate::GenConfig { seed, ..Default::default() });
-            check_program(&p, DEFAULT_MAX_STEPS).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            check_program(&p, MAX_STEPS).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
     }
 
@@ -543,7 +473,7 @@ mod tests {
             p.func_mut(og_program::FuncId(0)).blocks[0].insts[0].target =
                 og_isa::Target::Block(200);
         }
-        let err = check_program(&p, DEFAULT_MAX_STEPS).unwrap_err();
+        let err = check_program(&p, MAX_STEPS).unwrap_err();
         assert_eq!(err.signature(), "base-verify");
     }
 
@@ -551,14 +481,5 @@ mod tests {
     fn fuel_exhaustion_is_a_base_run_failure() {
         let p = small_program();
         assert!(matches!(check_program(&p, 3), Err(OracleError::BaseRun(_))));
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(
-            Transform::Vrp { policy: UsefulPolicy::Paper, isa: IsaExtension::Full }.label(),
-            "vrp:paper:full"
-        );
-        assert_eq!(Transform::Vrs { cost_nj: 50.0 }.label(), "vrs:50");
     }
 }

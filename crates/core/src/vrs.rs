@@ -22,20 +22,20 @@
 //!    (the "eliminated" instructions of Figure 5).
 //!
 //! Only the last step reads the specialization cost, so the pass splits
-//! there. [`VrsPass::profile`] runs the analysis, both training runs and
-//! candidate identification, and prices every candidate range's gross
-//! benefit `Savings · Freq − Cost` into a [`VrsProfile`].
-//! [`VrsProfile::specialize`] then selects and transforms for one cost,
-//! as often as there are costs to try: a sweep of the knob profiles the
-//! program once. [`VrsPass::run`] is the two in a row. Selection reruns
-//! per cost over the stored gross benefits, rather than subtracting the
-//! cost from a best range picked once, so ties break exactly as a fresh
-//! run breaks them.
+//! there. [`VrsPass::profile`] takes the program's analysis, runs both
+//! training runs and candidate identification, and prices every
+//! candidate range's gross benefit `Savings · Freq − Cost` into a
+//! [`VrsProfile`]. [`VrsProfile::specialize`] then selects and transforms
+//! for one cost, as often as there are costs to try: a sweep of the knob
+//! profiles the program once ([`crate::transform_all`]). [`VrsPass::run`]
+//! is the two in a row. Selection reruns per cost over the stored gross
+//! benefits, rather than subtracting the cost from a best range picked
+//! once, so ties break exactly as a fresh run breaks them.
 
 use crate::analysis::{FuncArtifacts, ProgramArtifacts};
 use crate::energy::{AluEnergyTable, GuardCosts};
 use crate::pass::{VrpConfig, VrpPass};
-use crate::vrp::{pure_out_range, Assumptions, RangeSolution};
+use crate::vrp::{pure_out_range, solve, Assumptions, RangeSolution};
 use crate::ValueRange;
 use og_isa::{CmpKind, Cond, Inst, Op, Operand, Reg, Width};
 use og_profile::{ProfileConfig, RangeEstimate, ValueProfiler};
@@ -124,7 +124,7 @@ pub struct VrsPass {
 /// `Savings · Freq − Cost`. Made by [`VrsPass::profile`];
 /// [`specialize`](Self::specialize) finishes the run for one cost.
 #[derive(Debug, Clone)]
-pub struct VrsProfile {
+pub(crate) struct VrsProfile {
     profiled_points: usize,
     /// In candidate order, each range in the profiler's order.
     points: Vec<(InstRef, Vec<(RangeEstimate, f64)>)>,
@@ -137,19 +137,23 @@ impl VrsPass {
     }
 
     /// Run VRS on `program`, profiling on `train` (the same code built
-    /// with the training input's data segment): [`profile`](Self::profile),
-    /// then [`VrsProfile::specialize`] at the configured cost.
+    /// with the training input's data segment): analyze `program` once,
+    /// profile it, then specialize at the configured cost.
     ///
     /// # Panics
     ///
     /// Panics if `train` has a different code shape than `program` or if
     /// the training run fails.
     pub fn run(&self, program: &mut Program, train: &Program) -> VrsReport {
-        self.profile(program, train).specialize(program, self.config.specialization_cost_nj)
+        let art = ProgramArtifacts::compute(program);
+        let sol = solve(program, &art, &Assumptions::new());
+        self.profile(program, train, &art, &sol)
+            .specialize(program, self.config.specialization_cost_nj)
     }
 
-    /// The cost-independent steps of a run on `program`: the analysis,
-    /// both training runs on `train`, candidate identification and each
+    /// The cost-independent steps of a run on `program`, whose artifacts
+    /// and range solution (with no assumptions) are `art` and `sol`: both
+    /// training runs on `train`, candidate identification and each
     /// candidate range's gross benefit. Ignores
     /// [`VrsConfig::specialization_cost_nj`], so one profile serves every
     /// cost.
@@ -158,22 +162,24 @@ impl VrsPass {
     ///
     /// Panics if `train` has a different code shape than `program` or if
     /// the training run fails.
-    pub fn profile(&self, program: &Program, train: &Program) -> VrsProfile {
+    pub(crate) fn profile(
+        &self,
+        program: &Program,
+        train: &Program,
+        art: &ProgramArtifacts,
+        sol: &RangeSolution,
+    ) -> VrsProfile {
         assert_eq!(program.funcs.len(), train.funcs.len(), "train/ref program shapes must match");
         for (a, b) in program.funcs.iter().zip(&train.funcs) {
             assert_eq!(a.blocks.len(), b.blocks.len(), "train/ref blocks differ in {}", a.name);
         }
-        // ---- analysis on the pristine program ------------------------
-        let art = ProgramArtifacts::compute(program);
-        let sol = VrpPass::new(VrpConfig::default()).analyze(program);
-
         // ---- step 0: basic-block profile on the training input --------
         let mut train_vm = Vm::new(train, RunConfig::default());
         train_vm.run().expect("training run failed");
         let stats = train_vm.stats().clone();
 
         // ---- step 1: candidate identification -------------------------
-        let mut candidates = self.identify_candidates(program, &art, &sol, &stats);
+        let mut candidates = self.identify_candidates(program, art, sol, &stats);
         candidates.truncate(MAX_CANDIDATES);
         let profiled_points = candidates.len();
 
@@ -203,7 +209,7 @@ impl VrsPass {
                         if range.width_needed() >= sol.out_range(c.at).width_needed() {
                             return None;
                         }
-                        let savings = self.savings(program, &art, &sol, &stats, c.at, range);
+                        let savings = self.savings(program, art, sol, &stats, c.at, range);
                         let cost =
                             stats.inst_count(c.at) as f64 * guard.test_cost(est.min, est.max);
                         Some((est, savings * est.freq - cost))
@@ -222,7 +228,7 @@ impl VrsProfile {
     /// narrow. `program` must be the program profiled, unmodified. The
     /// result equals [`VrsPass::run`] with
     /// [`VrsConfig::specialization_cost_nj`] set to `cost_nj`.
-    pub fn specialize(&self, program: &mut Program, cost_nj: f64) -> VrsReport {
+    pub(crate) fn specialize(&self, program: &mut Program, cost_nj: f64) -> VrsReport {
         // ---- step 3: selection ----------------------------------------
         let mut scored: Vec<(InstRef, RangeEstimate, f64)> = self
             .points
@@ -867,40 +873,46 @@ mod tests {
         assert!(counts[0] >= counts[1], "cheaper specialization ⇒ more points");
     }
 
-    /// One profile specialized at seven costs gives, at each, the program
-    /// and report of a fresh run at that cost, and the cost moves the
-    /// decision, so the knob cannot have leaked into the profile.
+    /// Every copy [`crate::transform_all`] makes (the oracle's battery,
+    /// the study's five VRS costs and six more) is the program and report
+    /// of a fresh `VrpPass::run` or `VrsPass::run` on its own copy, on the
+    /// VRS target and on generated programs. The VRS copies share one
+    /// profile, and on the VRS target the cost moves the decision, so the
+    /// knob cannot have leaked into the profile.
     #[test]
     fn one_profile_specializes_every_cost_like_a_fresh_run() {
-        // Every field; the program text pins the widths the final VRP
-        // run assigned.
-        let fields = |r: &VrsReport| {
-            format!(
-                "{} {:?} {} {} {:?} {:?}",
-                r.profiled_points,
-                r.fates,
-                r.static_specialized,
-                r.static_eliminated,
-                r.guard_sites,
-                r.specialized_blocks,
-            )
-        };
-        let train = vrs_target(&[3; 64]);
-        let pristine = vrs_target(&[3; 64]);
-        let profile = VrsPass::new(VrsConfig::default()).profile(&pristine, &train);
-        let mut programs = Vec::new();
-        for cost in [0.0, 10.0, 100.0, 200.0, 300.0, 500.0, 2000.0] {
-            let mut reused = pristine.clone();
-            let report = profile.specialize(&mut reused, cost);
-            let mut fresh = pristine.clone();
-            let cfg = VrsConfig { specialization_cost_nj: cost, ..Default::default() };
-            let fresh_report = VrsPass::new(cfg).run(&mut fresh, &train);
-            assert_eq!(reused.canonical_text(), fresh.canonical_text(), "{cost} nJ: program");
-            assert_eq!(fields(&report), fields(&fresh_report), "{cost} nJ: report");
-            programs.push(reused.canonical_text());
+        use crate::{transform_all, Applied, Transform};
+        use og_program::generate::{generate_program, GenConfig};
+        let mut transforms = Transform::battery();
+        let costs = [110.0, 90.0, 70.0, 50.0, 30.0, 0.0, 100.0, 200.0, 300.0, 500.0, 2000.0];
+        transforms.extend(costs.map(|cost_nj| Transform::Vrs { cost_nj }));
+        let generated =
+            (0..3).map(|seed| generate_program(&GenConfig { seed, ..Default::default() }));
+        let programs = [vrs_target(&[3; 64])].into_iter().chain(generated);
+        for (case, pristine) in programs.enumerate() {
+            let mut vrs_programs = HashSet::new();
+            let copies = transform_all(&pristine, &pristine, transforms.clone());
+            for (transform, (copy, applied)) in transforms.iter().zip(copies) {
+                let mut fresh = pristine.clone();
+                let fresh_applied = match *transform {
+                    Transform::Vrp { policy, isa } => {
+                        let cfg = VrpConfig { useful_policy: policy, isa, ..Default::default() };
+                        Applied::Vrp(VrpPass::new(cfg).run(&mut fresh))
+                    }
+                    Transform::Vrs { cost_nj } => {
+                        let cfg =
+                            VrsConfig { specialization_cost_nj: cost_nj, ..Default::default() };
+                        let report = VrsPass::new(cfg).run(&mut fresh, &pristine);
+                        vrs_programs.insert(fresh.canonical_text());
+                        Applied::Vrs(report)
+                    }
+                };
+                let what = format!("program {case}, {}", transform.label());
+                assert_eq!(copy.canonical_text(), fresh.canonical_text(), "{what}: program");
+                assert_eq!(format!("{applied:?}"), format!("{fresh_applied:?}"), "{what}: report");
+            }
+            assert!(case > 0 || vrs_programs.len() >= 2, "the cost must change the program");
         }
-        programs.dedup();
-        assert!(programs.len() >= 2, "the cost must change the program");
     }
 
     #[test]

@@ -46,11 +46,11 @@ fn gen_case(seed: u64, name: &str, note: &str) -> CorpusCase {
     let (program, bound) = generate_with_bound(&cfg);
     CorpusCase {
         name: name.to_string(),
-        seed: Some(seed),
+        seed,
         note: note.to_string(),
         // The campaign's certificate-derived budget: replay checks the
         // case under the same fuel the campaign would.
-        max_steps: Some(bound),
+        max_steps: bound,
         program,
     }
 }
@@ -63,11 +63,11 @@ fn replay(path: &Path) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("case `{}` (seed {:?}): {}", case.name, case.seed, case.note);
+    println!("case `{}` (seed {}): {}", case.name, case.seed, case.note);
     println!("{} functions, {} instructions", case.program.funcs.len(), case.program.inst_count());
     // The case's own recorded step budget: bound-sensitive failures
     // (fuel exhaustion, step windows) only reproduce under it.
-    match check_program(&case.program, case.step_budget()) {
+    match check_program(&case.program, case.max_steps) {
         Ok(o) => {
             println!(
                 "PASS: {} transforms, {} baseline steps, {} narrowed, {} specializations",
@@ -104,10 +104,9 @@ fn faults(case_path: &Path, plan_path: &Path) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("case `{}` (seed {:?}): {}", case.name, case.seed, case.note);
-    let max_steps = case.step_budget();
-    let golden = match Vm::new(&case.program, RunConfig { max_steps, ..RunConfig::default() }).run()
-    {
+    println!("case `{}` (seed {}): {}", case.name, case.seed, case.note);
+    let run_cfg = RunConfig { max_steps: case.max_steps, ..RunConfig::default() };
+    let golden = match Vm::new(&case.program, run_cfg).run() {
         Ok(o) => o,
         Err(e) => {
             eprintln!("golden run failed (the case must pass clean before faulting): {e}");
@@ -180,7 +179,7 @@ fn main() -> ExitCode {
         ["replay", path] => replay(Path::new(path)),
         ["show", path] => match load_case(Path::new(path)) {
             Ok(case) => {
-                println!("; case `{}` (seed {:?})", case.name, case.seed);
+                println!("; case `{}` (seed {})", case.name, case.seed);
                 println!("; {}", case.note);
                 print!("{}", program_to_asm(&case.program));
                 ExitCode::SUCCESS

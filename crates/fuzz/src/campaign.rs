@@ -9,15 +9,16 @@
 //! * **guided** — the corpus-evolving loop. Case execution is sharded
 //!   across an [`og_lab::WorkerPool`], one deterministic rng stream per
 //!   shard. Each shard interleaves fresh generation with structural
-//!   mutation of its corpus ([`crate::mutate`]), screens every input
-//!   with a fuel-bounded flat-engine run, projects the blocks the run
-//!   covered ([`og_vm::DynStats::block_counts`]) into the global feature
-//!   space ([`crate::sched`]), skips duplicate oracle work via a shared
-//!   set of program digests, judges survivors with the same
-//!   differential oracle, and admits oracle-green inputs that
-//!   lit new features into its corpus — which subsequent mutation draws
-//!   from, closing the evolution loop. At end of run the shard corpora
-//!   merge and the combined corpus is minimized by greedy set cover.
+//!   mutation of its corpus ([`crate::mutate`]), skips duplicate oracle
+//!   work via a shared set of program digests, judges every other input
+//!   with the same differential oracle, projects the blocks the oracle's
+//!   baseline run covered ([`og_vm::DynStats::block_counts`]) into the
+//!   global feature space ([`crate::sched`]), and admits oracle-green
+//!   inputs that lit new features into its corpus — which subsequent
+//!   mutation draws from, closing the evolution loop. Each input runs
+//!   once: the oracle's run is also the coverage run. At end of run the
+//!   shard corpora merge and the combined corpus is minimized by greedy
+//!   set cover.
 //!
 //! Guided mode also runs a **random baseline at equal budget** (same
 //! shard seeds, same case count, generation only) so every
@@ -28,16 +29,15 @@
 //!
 //! Generated programs carry a step-bound certificate, so the oracle
 //! runs them with exactly that fuel and any `OutOfFuel` is a real bug.
-//! Mutants have **no** certificate: the screen run bounds them by
-//! `MUTANT_FUEL` steps, non-terminating mutants are
-//! discarded (counted, not failed), and the oracle judges survivors
-//! under `4 × screen_steps + 1024` — inside the oracle's step-window
-//! tolerance for every legitimate transform run, so a mutant can only
-//! fail the oracle for reasons that are really the system's fault.
+//! Mutants have **no** certificate: the oracle judges them under
+//! `MUTANT_FUEL` steps, and a mutant whose baseline run does not finish
+//! there (`OracleError::BaseRun`) is discarded (counted, not failed).
+//! Any other oracle error is a failure. A mutant's corpus entry and
+//! reproducer record `MUTANT_FUEL` as their step budget.
 
 use crate::sched::{self, Corpus, CorpusEntry, FeatureMap};
 use crate::{case_gen_config, corpus, fault_cross_check, mutate, shrink};
-use og_core::oracle::check_program;
+use og_core::oracle::{check_program, OracleError, OracleOutcome};
 use og_json::{Json, ToJson};
 use og_lab::WorkerPool;
 use og_program::generate::generate_with_bound;
@@ -54,9 +54,9 @@ use std::sync::{Arc, Mutex};
 const FAULT_CHECK_EVERY: u64 = 16;
 /// Shrink-step budget (oracle invocations) when a case fails.
 const SHRINK_BUDGET: usize = 800;
-/// Screening fuel for mutants, which carry no termination certificate;
-/// a mutant still running after this many steps is discarded, not
-/// reported.
+/// The oracle's fuel for mutants, which carry no termination
+/// certificate; a mutant whose baseline is still running after this many
+/// steps is discarded, not reported.
 const MUTANT_FUEL: u64 = 200_000;
 /// In the guided loop, roughly one case in `FRESH_EVERY` is a fresh
 /// generate instead of a mutation (mutation also falls back to fresh
@@ -224,11 +224,12 @@ pub struct CampaignSummary {
     pub fault_checks: u64,
     /// Was this the coverage-guided loop?
     pub guided: bool,
-    /// Distinct instruction-shape features covered across every screened
-    /// execution of the guided loop (not just admitted corpus entries).
+    /// Distinct instruction-shape features covered across every input
+    /// the guided loop's oracle passed (not just admitted corpus
+    /// entries).
     pub blocks_covered: u64,
     /// Distinct adjacency (edge-pair) features covered across every
-    /// screened execution of the guided loop.
+    /// input the guided loop's oracle passed.
     pub edges_covered: u64,
     /// Block features the equal-budget random baseline covered (guided
     /// mode).
@@ -244,13 +245,15 @@ pub struct CampaignSummary {
     pub mutants_tried: u64,
     /// Mutants that were oracle-green *and* lit new coverage.
     pub mutants_kept: u64,
-    /// Mutants discarded by the fuel screen (no termination
-    /// certificate — expected weather, not failures).
+    /// Mutants whose baseline run did not finish within `MUTANT_FUEL`
+    /// steps (no termination certificate — expected weather, not
+    /// failures).
     pub discarded: u64,
     /// Cases skipped as exact duplicates (a program with the same digest
     /// already judged).
     pub dup_skipped: u64,
-    /// Screening/coverage VM executions performed by the guided loop.
+    /// Inputs the guided loop judged: one oracle call each, discarded
+    /// mutants included.
     pub execs: u64,
     /// Guided-loop executions per wall-clock second.
     pub execs_per_sec: f64,
@@ -304,7 +307,7 @@ impl CampaignSummary {
 /// How a case failed: the differential oracle or the fault-classifier
 /// soundness replay.
 pub(crate) enum CaseError {
-    Oracle(og_core::oracle::OracleError),
+    Oracle(OracleError),
     Fault(String),
 }
 
@@ -372,10 +375,10 @@ pub(crate) fn shrink_failure(
     let after = reproducer.inst_count();
     let case = corpus::CorpusCase {
         name: format!("shrunk-seed-{seed}-{index}"),
-        seed: Some(seed),
+        seed,
         note: format!("campaign failure at index {index}: {error}"),
         // Bound-sensitive failures only reproduce under the same fuel.
-        max_steps: Some(max_steps),
+        max_steps,
         program: reproducer.clone(),
     };
     let dir = cfg.fail_dir.clone().unwrap_or_else(corpus::failure_dir);
@@ -410,14 +413,14 @@ fn run_random(cfg: &CampaignConfig) -> CampaignSummary {
 /// differential oracle, then the fault-classifier replay (under
 /// `fault_seed`) on every `FAULT_CHECK_EVERY`th index. Counts the
 /// replays it starts and, when every check passes, the oracle's work
-/// into `summary`.
+/// into `summary`, and returns the oracle's outcome.
 fn judge(
     summary: &mut CampaignSummary,
     program: &Program,
     max_steps: u64,
     index: u64,
     fault_seed: u64,
-) -> Result<(), CaseError> {
+) -> Result<OracleOutcome, CaseError> {
     let outcome = check_program(program, max_steps).map_err(CaseError::Oracle)?;
     if index.is_multiple_of(FAULT_CHECK_EVERY) {
         summary.fault_checks += 1;
@@ -426,7 +429,7 @@ fn judge(
     summary.total_base_steps += outcome.base_steps;
     summary.narrowed += outcome.narrowed as u64;
     summary.specializations += outcome.specializations as u64;
-    Ok(())
+    Ok(outcome)
 }
 
 /// The rng-stream seed of shard `s`: the golden-ratio multiple keeps
@@ -467,7 +470,7 @@ fn run_shards<R: Send + 'static>(
 struct ShardReport {
     summary: CampaignSummary,
     corpus: Corpus,
-    /// Every feature any screened execution of this shard lit — the
+    /// Every feature any oracle-green input of this shard lit — the
     /// shard's total observed coverage. The corpus map only counts
     /// *admitted* entries (it drives interestingness and minimization);
     /// the campaign-level guided-vs-random comparison must instead count
@@ -519,71 +522,43 @@ fn run_guided_shard(
         let is_mutant = fresh_bound.is_none();
         summary.total_insts += program.inst_count() as u64;
 
-        // --- screen: fuel-bounded run, coverage read ----------------
-        // Certificate fuel for generated programs; the configured budget
-        // for mutants, which carry no certificate.
-        let screen_fuel = fresh_bound.unwrap_or(MUTANT_FUEL);
-        let run_cfg = RunConfig { max_steps: screen_fuel, ..Default::default() };
-        let screen = match Vm::new_verified(&program, run_cfg) {
-            Ok(mut vm) => {
-                summary.execs += 1;
-                match vm.run() {
-                    Ok(outcome) => {
-                        Some((outcome.steps, sched::case_features(&program, vm.stats())))
-                    }
-                    Err(_) if is_mutant => {
-                        // No certificate, no verdict: a mutant that blows
-                        // the screen budget is discarded, not reported.
-                        summary.discarded += 1;
-                        continue;
-                    }
-                    // A *generated* program failing its certified bound
-                    // is a real bug; fall through and let the oracle
-                    // classify it.
-                    Err(_) => None,
-                }
-            }
-            // Mutants are verified at creation and generated programs
-            // must verify by construction — a failure here is the
-            // `base-verify` bug class; let the oracle report it.
-            Err(_) => None,
-        };
-
         // --- dedup: skip oracle work already done on this exact
-        // program anywhere in the campaign. The screen finished inside
-        // its fuel and the VM is deterministic, so one program always
-        // covers the same blocks: the digest alone is the key ---------
-        let (feats, interesting) = match &screen {
-            Some((_, feats)) => {
-                seen.observe(feats);
-                if !dedup.lock().expect("dedup lock").insert(program_digest(&program)) {
-                    summary.dup_skipped += 1;
-                    continue;
-                }
-                let interesting = corpus.map().would_grow(feats);
-                (feats.clone(), interesting)
-            }
-            None => (Vec::new(), false),
-        };
-
-        // --- judge: the differential oracle stays the judge ----------
-        // Mutant fuel: 4× the screened step count plus slack keeps every
-        // legitimate transform run (the oracle tolerates up to
-        // `4 × base + 512` steps) inside the budget.
-        let oracle_fuel =
-            fresh_bound.unwrap_or_else(|| screen.as_ref().map_or(MUTANT_FUEL, |s| s.0) * 4 + 1024);
-        if let Err(error) = judge(&mut summary, &program, oracle_fuel, index, sseed ^ index) {
-            summary.failure = Some(shrink_failure(cfg, oracle_fuel, index, sseed, program, error));
-            break;
+        // program anywhere in the campaign --------------------------
+        if !dedup.lock().expect("dedup lock").insert(program_digest(&program)) {
+            summary.dup_skipped += 1;
+            continue;
         }
+
+        // --- judge: the differential oracle stays the judge, and its
+        // baseline run gives the coverage. Certificate fuel for
+        // generated programs; `MUTANT_FUEL` for mutants, which carry
+        // no certificate ---------------------------------------------
+        let max_steps = fresh_bound.unwrap_or(MUTANT_FUEL);
+        summary.execs += 1;
+        let outcome = match judge(&mut summary, &program, max_steps, index, sseed ^ index) {
+            Ok(outcome) => outcome,
+            // No certificate, no verdict: a mutant that blows its fuel
+            // is discarded, not reported.
+            Err(CaseError::Oracle(OracleError::BaseRun(_))) if is_mutant => {
+                summary.discarded += 1;
+                continue;
+            }
+            Err(error) => {
+                summary.failure =
+                    Some(shrink_failure(cfg, max_steps, index, sseed, program, error));
+                break;
+            }
+        };
+        let feats = sched::case_features(&program, &outcome.stats);
+        seen.observe(&feats);
 
         // --- evolve: oracle-green inputs that lit new features join
         // the corpus and become mutation bases ------------------------
-        if interesting {
+        if corpus.map().would_grow(&feats) {
             let kept = corpus.admit(CorpusEntry {
                 program: Arc::new(program),
                 seed: sseed,
-                max_steps: oracle_fuel,
+                max_steps,
                 feats,
                 new_feats: Vec::new(),
                 from_mutation: is_mutant,
@@ -688,14 +663,14 @@ pub fn minimized_corpus_cases(cfg: &CampaignConfig) -> Vec<corpus::CorpusCase> {
             let e = &corpus_all.entries()[i];
             corpus::CorpusCase {
                 name: format!("guided-{:016x}", program_digest(&e.program)),
-                seed: Some(e.seed),
+                seed: e.seed,
                 note: format!(
                     "guided campaign find (seed {:#x}): {} novel coverage features{}",
                     e.seed,
                     e.new_feats.len(),
                     if e.from_mutation { ", via mutation" } else { "" }
                 ),
-                max_steps: Some(e.max_steps),
+                max_steps: e.max_steps,
                 program: (*e.program).clone(),
             }
         })

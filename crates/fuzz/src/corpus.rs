@@ -22,26 +22,18 @@ pub const FORMAT: u64 = 1;
 pub struct CorpusCase {
     /// Case name (the file stem by convention).
     pub name: String,
-    /// Generator seed the case came from, if any.
-    pub seed: Option<u64>,
+    /// The rng-stream seed the case came from.
+    pub seed: u64,
     /// Human note: why this case exists / what it once broke.
     pub note: String,
-    /// The step budget the case was checked under (the campaign's
-    /// certificate-derived fuel). Bound-sensitive failures — fuel
-    /// exhaustion, step-window violations — only reproduce under the
-    /// *same* budget, so it travels with the case; absent means "use the
-    /// oracle default".
-    pub max_steps: Option<u64>,
+    /// The step budget the case was checked under, and must be replayed
+    /// with: a generated program's certificate, or a mutant's fuel.
+    /// Bound-sensitive failures — fuel exhaustion, step-window
+    /// violations — only reproduce under the *same* budget, so it travels
+    /// with the case.
+    pub max_steps: u64,
     /// The program itself.
     pub program: Program,
-}
-
-impl CorpusCase {
-    /// The step budget this case must be replayed with: the recorded one
-    /// when present, [`og_core::oracle::DEFAULT_MAX_STEPS`] otherwise.
-    pub fn step_budget(&self) -> u64 {
-        self.max_steps.unwrap_or(og_core::oracle::DEFAULT_MAX_STEPS)
-    }
 }
 
 impl ToJson for CorpusCase {
@@ -67,11 +59,7 @@ impl FromJson for CorpusCase {
             name: json.field("name")?,
             seed: json.field("seed")?,
             note: json.field("note")?,
-            // Optional for older files that predate the field.
-            max_steps: match json.get("max_steps") {
-                Some(v) => Option::<u64>::from_json(v).map_err(|e| e.in_field("max_steps"))?,
-                None => None,
-            },
+            max_steps: json.field("max_steps")?,
             program: json.field("program")?,
         })
     }
@@ -159,9 +147,9 @@ mod tests {
     fn sample() -> CorpusCase {
         CorpusCase {
             name: "sample".into(),
-            seed: Some(9),
+            seed: 9,
             note: "round-trip test".into(),
-            max_steps: Some(50_000),
+            max_steps: 50_000,
             program: generate_program(&GenConfig { seed: 9, ..Default::default() }),
         }
     }

@@ -26,17 +26,18 @@
 //!    pause/resume seam — which must agree on every case (signature
 //!    `paths:*`), plus trace-chain invariants; and after every transform
 //!    in the battery (VRP across useful policies × ISA extensions, VRS
-//!    with synthetic self-profiles), demanding byte-identical output
-//!    streams and sane step counts. All baseline legs share the one
-//!    lowering the verifier gate produced, so every case also fuzzes the
-//!    verifier's invariant in both directions: generated programs must
-//!    verify clean, and verified programs must never report a structural
-//!    `VmError::Malformed` — or blow a static call-depth certificate —
-//!    in any engine (signature `invariant`). Periodically a passing case
-//!    is also replayed under one seeded soft error
-//!    ([`fault_cross_check`]) and the fault classifier must be sound
-//!    both ways — never `Masked` with a changed output digest, never
-//!    `Sdc` with an unchanged one (signature `fault`);
+//!    at two costs from one synthetic self-profile; all eleven copies
+//!    come from one [`og_core::transform_all`] call), demanding
+//!    byte-identical output streams and sane step counts. All baseline
+//!    legs share the one lowering the verifier gate produced, so every
+//!    case also fuzzes the verifier's invariant in both directions:
+//!    generated programs must verify clean, and verified programs must
+//!    never report a structural `VmError::Malformed` — or blow a static
+//!    call-depth certificate — in any engine (signature `invariant`).
+//!    Periodically a passing case is also replayed under one seeded soft
+//!    error ([`fault_cross_check`]) and the fault classifier must be
+//!    sound both ways — never `Masked` with a changed output digest,
+//!    never `Sdc` with an unchanged one (signature `fault`);
 //! 3. **shrink** — on failure, [`shrink::shrink`] greedily minimizes the
 //!    program against the same oracle;
 //! 4. **persist** — the shrunk reproducer is written to the campaign's
@@ -51,10 +52,11 @@
 //! `Campaign::new(seed).coverage(true)` swaps the fixed random budget
 //! for a **corpus-evolving loop** sharded across an
 //! [`og_lab::WorkerPool`] (module [`campaign`] documents the mechanics):
-//! the blocks each run covered (read straight from its
-//! [`og_vm::DynStats::block_counts`]) are projected into a
-//! global feature space ([`sched`]) of instruction shapes — including
-//! the operand-significance class of every immediate, the quantity the
+//! each input runs once, through the oracle, and the blocks its baseline
+//! run covered (the block counts of its
+//! [`og_core::oracle::OracleOutcome::stats`]) are projected into a global
+//! feature space ([`sched`]) of instruction shapes — including the
+//! operand-significance class of every immediate, the quantity the
 //! paper's gating decisions turn on — and covered-block adjacencies;
 //! inputs that light new features are kept as mutation bases for the
 //! structural mutators in [`mutate`] (immediate perturbation at

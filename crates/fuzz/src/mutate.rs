@@ -277,10 +277,7 @@ mod tests {
         // The point of the campaign: 3-, 5-, 6- and 7-byte significance
         // classes must actually be reachable through mutation.
         let mut rng = SplitMix64::new(5);
-        let sig = |v: i64| {
-            let m = (v ^ (v >> 63)) as u64;
-            (65 - m.leading_zeros()).div_ceil(8)
-        };
+        let sig = |v: i64| u32::from(og_isa::Width::sig_bytes(v));
         for class in 1..=8u32 {
             for _ in 0..32 {
                 let v = immediate_of_class(class, &mut rng);

@@ -99,15 +99,6 @@ impl FeatureMap {
     }
 }
 
-/// Two's-complement significance of a value in bytes (1..=8): how many
-/// low bytes are needed to represent it exactly. The mutation module
-/// targets the classes (3, 5, 6, 7) the generator's interesting-value
-/// pool never produces.
-fn sig_class(v: i64) -> u8 {
-    let m = (v ^ (v >> 63)) as u64; // fold negatives onto their magnitude
-    ((65 - m.leading_zeros()).div_ceil(8)) as u8
-}
-
 /// The abstract shape hash of one instruction (before reduction into the
 /// feature space).
 fn inst_shape(inst: &og_isa::Inst) -> u64 {
@@ -126,7 +117,7 @@ fn inst_shape(inst: &og_isa::Inst) -> u64 {
     key[4] = match inst.src2 {
         og_isa::Operand::None => 0,
         og_isa::Operand::Reg(_) => 1,
-        og_isa::Operand::Imm(v) => 2 + sig_class(v),
+        og_isa::Operand::Imm(v) => 2 + og_isa::Width::sig_bytes(v),
     };
     key[5] = (inst.disp != 0) as u8;
     key[6] = inst.dst.is_some() as u8;
@@ -165,7 +156,7 @@ pub struct CorpusEntry {
     /// The rng-stream seed of the shard that found it (provenance).
     pub seed: u64,
     /// The fuel it replays under (certificate bound for generated seeds,
-    /// screen-derived budget for mutants).
+    /// `MUTANT_FUEL` for mutants).
     pub max_steps: u64,
     /// Its full projected feature set.
     pub feats: Vec<u32>,
@@ -345,25 +336,6 @@ mod tests {
         assert!(a.iter().all(|&f| f < TOTAL_FEATURES));
         assert!(a.iter().any(|&f| f < BLOCK_FEATURES), "no instruction features?");
         assert!(a.iter().any(|&f| f >= BLOCK_FEATURES), "no adjacency features?");
-    }
-
-    #[test]
-    fn sig_class_matches_twos_complement_significance() {
-        for (v, want) in [
-            (0i64, 1u8),
-            (127, 1),
-            (-128, 1),
-            (128, 2),
-            (-129, 2),
-            (0xFFFF, 3), // needs a third byte for the sign
-            (0x7FFF, 2),
-            (0x80_0000 - 1, 3),
-            (0x80_0000, 4),
-            (i64::MAX, 8),
-            (i64::MIN, 8),
-        ] {
-            assert_eq!(sig_class(v), want, "sig_class({v})");
-        }
     }
 
     #[test]

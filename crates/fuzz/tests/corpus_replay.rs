@@ -60,7 +60,7 @@ fn every_corpus_case_passes_the_differential_oracle() {
         // Replay under the case's recorded step budget (the campaign's
         // certificate-derived fuel), so bound-sensitive regressions
         // cannot hide behind the roomier default.
-        check_program(&case.program, case.step_budget())
+        check_program(&case.program, case.max_steps)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
 }
@@ -72,7 +72,7 @@ fn corpus_sim_results_match_the_committed_fingerprints() {
         .unwrap()
         .into_iter()
         .map(|(path, case)| {
-            let run = RunConfig { max_steps: case.step_budget(), ..Default::default() };
+            let run = RunConfig { max_steps: case.max_steps, ..Default::default() };
             let mut sim = Simulator::new(MachineConfig::default());
             Vm::new(&case.program, run)
                 .run_streamed(&mut sim)

@@ -262,9 +262,15 @@ mod tests {
         assert_eq!(Width::sig_bytes(0), 1);
         assert_eq!(Width::sig_bytes(-1), 1);
         assert_eq!(Width::sig_bytes(127), 1);
+        assert_eq!(Width::sig_bytes(-128), 1);
         assert_eq!(Width::sig_bytes(128), 2);
         assert_eq!(Width::sig_bytes(-129), 2);
+        assert_eq!(Width::sig_bytes(0x7FFF), 2);
+        assert_eq!(Width::sig_bytes(0xFFFF), 3); // a third byte for the sign
+        assert_eq!(Width::sig_bytes(0x7F_FFFF), 3);
+        assert_eq!(Width::sig_bytes(0x80_0000), 4);
         assert_eq!(Width::sig_bytes(1 << 32), 5);
+        assert_eq!(Width::sig_bytes(i64::MAX), 8);
         assert_eq!(Width::sig_bytes(i64::MIN), 8);
         // 33..40-bit addresses need exactly 5 bytes — the Figure 12 peak.
         assert_eq!(Width::sig_bytes(0x12_0000_0000), 5);

@@ -8,7 +8,8 @@
 //! pair goes through three steps (module `pipeline`):
 //!
 //! 1. **transform**: build the workload (reference input; training
-//!    input for VRS) and apply the program transformation;
+//!    input for VRS) and apply the program transformation through
+//!    `og_core::transform_all`;
 //! 2. **measure**: emulate **and** simulate in one fused pass — the VM
 //!    streams each committed instruction straight into the cycle-level
 //!    simulator (`og_vm::TraceSink`), so no trace is ever materialized —
@@ -29,8 +30,9 @@
 //! simulates each path once, runs the 15 width-only programs through
 //! the value accountant alone, and joins their value counts with their
 //! path's timing. The join is checked per run and falls back to a full
-//! simulation when a program leaves its path. Each benchmark's VRS
-//! pairs share one profile, since profiling does not read the cost.
+//! simulation when a program leaves its path. Each benchmark's copies
+//! share one analysis of its program, and its VRS pairs share one
+//! profile, since profiling does not read the cost.
 //! [`compute_study_with_work`] reports this work ([`StudyWork`]) and
 //! the partition ([`IdentityClasses`]).
 //!
@@ -353,9 +355,9 @@ fn classify(bench: &str) -> Classes {
     let mut programs: Vec<(Mech, Program)> = Vec::new();
     // One transformed program at a time: a repeat is dropped at once.
     let pairs = apply_mechs(&untransformed, &Mech::ALL, Some(&train))
+        .unwrap_or_else(|e| panic!("{bench}: {e}"))
         .zip(Mech::ALL)
-        .map(|(transformed, mech)| {
-            let (program, vrs) = transformed.unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+        .map(|((program, vrs), mech)| {
             let class =
                 programs.iter().position(|(_, seen)| *seen == program).unwrap_or_else(|| {
                     programs.push((mech, program));

@@ -1,13 +1,14 @@
 //! The measurement pipeline: one (program, mechanism) run in three steps.
 //!
-//! 1. **transform** — [`apply_mech`] rewrites the program under the
-//!    mechanism (VRP narrows widths; VRS profiles a training input and
-//!    specializes); [`apply_mechs`] transforms copies under several,
-//!    and its VRS mechanisms share one profile, whatever their costs.
-//!    The [`VrsRaw`] bookkeeping is self-contained: the specialized
-//!    blocks' instruction counts are resolved here, so pricing it needs
-//!    no program. [`widths_only`] tells whether a transformed program
-//!    differs from the untransformed one only in operand widths.
+//! 1. **transform** — [`apply_mechs`] maps each mechanism to its
+//!    [`Transform`] and makes the copies through [`transform_all`]: VRP
+//!    narrows widths and VRS profiles a training input and specializes,
+//!    all from one analysis of the program and one VRS profile, whatever
+//!    the costs. The [`VrsRaw`] bookkeeping is self-contained: the
+//!    specialized blocks' instruction counts are resolved here, so
+//!    pricing it needs no program. [`widths_only`] tells whether a
+//!    transformed program differs from the untransformed one only in
+//!    operand widths.
 //! 2. **measure** — [`measure_path`]: the fused emulate+simulate pass
 //!    (the VM streams each committed instruction straight into the
 //!    cycle-level simulator; no trace is materialized). It yields
@@ -33,7 +34,8 @@
 //! abort the process.
 
 use crate::{Mech, RunSummary, VrsSummary};
-use og_core::{UsefulPolicy, VrpConfig, VrpPass, VrsConfig, VrsPass, VrsProfile, VrsReport};
+use og_core::{transform_all, Applied, Transform, UsefulPolicy, VrsReport};
+use og_isa::IsaExtension;
 use og_program::{BlockId, FuncId, Program};
 use og_sim::{MachineConfig, SimResult, Simulator, ValueAccountant};
 use og_vm::{DynStats, FlatProgram, RunConfig, RunOutcome, TraceRecord, TraceSink, Vm, VmError};
@@ -120,66 +122,48 @@ impl VrsRaw {
     }
 }
 
-/// Transform: apply `mech`'s program transformation to `program` in
-/// place. [`Mech::Vrs`] profiles `train` to choose specializations and
-/// fails with [`RunError::MissingTrain`] without one; every other
-/// mechanism ignores `train`. Returns the VRS bookkeeping for the
-/// summary.
-fn apply_mech(
-    program: &mut Program,
-    mech: Mech,
-    train: Option<&Program>,
-) -> Result<Option<VrsRaw>, RunError> {
-    apply_with(program, mech, train, &mut None)
+/// The transform that gives `mech`'s program, `None` for the
+/// untransformed one. The study's VRP mechanisms target the default ISA
+/// extension level.
+fn transform_of(mech: Mech) -> Option<Transform> {
+    let vrp = |policy| Some(Transform::Vrp { policy, isa: IsaExtension::default() });
+    match mech {
+        Mech::Baseline => None,
+        Mech::ConvVrp => vrp(UsefulPolicy::Off),
+        Mech::Vrp => vrp(UsefulPolicy::Paper),
+        Mech::VrpAggressive => vrp(UsefulPolicy::Aggressive),
+        Mech::Vrs(cost) => Some(Transform::Vrs { cost_nj: f64::from(cost) }),
+    }
 }
 
-/// Transform: a copy of `program` under each of `mechs`, in order, as
-/// [`apply_mech`] transforms it, each made when the iterator reaches it.
-/// The VRS mechanisms share one profile of `program` on `train`, since
-/// profiling does not read the cost.
+/// Transform: a copy of `program` under each of `mechs`, in order, with
+/// its VRS bookkeeping, each made when the iterator reaches it. The
+/// copies come from [`transform_all`], so they share one analysis of
+/// `program` and, for [`Mech::Vrs`], one profile on `train`.
+///
+/// # Errors
+///
+/// [`RunError::MissingTrain`], before any copy is made, when `mechs`
+/// holds a [`Mech::Vrs`] and `train` is `None`.
 pub(crate) fn apply_mechs<'a>(
     program: &'a Program,
     mechs: &'a [Mech],
     train: Option<&'a Program>,
-) -> impl Iterator<Item = Result<(Program, Option<VrsRaw>), RunError>> + 'a {
-    let mut profile = None;
-    mechs.iter().map(move |&mech| {
-        let mut copy = program.clone();
-        let vrs = apply_with(&mut copy, mech, train, &mut profile)?;
-        Ok((copy, vrs))
-    })
-}
-
-/// [`apply_mech`], with VRS specializing from `profile`, which it takes
-/// of the still untransformed `program` when empty.
-fn apply_with(
-    program: &mut Program,
-    mech: Mech,
-    train: Option<&Program>,
-    profile: &mut Option<VrsProfile>,
-) -> Result<Option<VrsRaw>, RunError> {
-    match mech {
-        Mech::Baseline => Ok(None),
-        Mech::ConvVrp | Mech::Vrp | Mech::VrpAggressive => {
-            let policy = match mech {
-                Mech::ConvVrp => UsefulPolicy::Off,
-                Mech::Vrp => UsefulPolicy::Paper,
-                _ => UsefulPolicy::Aggressive,
-            };
-            let cfg = VrpConfig { useful_policy: policy, ..Default::default() };
-            VrpPass::new(cfg).run(program);
-            Ok(None)
-        }
-        Mech::Vrs(cost) => {
-            let train = train.ok_or(RunError::MissingTrain)?;
-            let profile = match profile {
-                Some(profile) => profile,
-                None => profile.insert(VrsPass::new(VrsConfig::default()).profile(program, train)),
-            };
-            let report = profile.specialize(program, cost as f64);
-            Ok(Some(VrsRaw::new(program, &report)))
-        }
+) -> Result<impl Iterator<Item = (Program, Option<VrsRaw>)> + 'a, RunError> {
+    if train.is_none() && mechs.iter().any(|m| matches!(m, Mech::Vrs(_))) {
+        return Err(RunError::MissingTrain);
     }
+    // Only VRS reads the training program.
+    let transforms = mechs.iter().filter_map(|&m| transform_of(m));
+    let mut copies = transform_all(program, train.unwrap_or(program), transforms);
+    Ok(mechs.iter().map(move |&mech| match transform_of(mech).and_then(|_| copies.next()) {
+        None => (program.clone(), None),
+        Some((copy, Applied::Vrp(_))) => (copy, None),
+        Some((copy, Applied::Vrs(report))) => {
+            let vrs = VrsRaw::new(&copy, &report);
+            (copy, Some(vrs))
+        }
+    }))
 }
 
 /// Whether `program` equals `untransformed` but for operand widths (or
@@ -414,8 +398,7 @@ pub fn run_program(
     config: RunConfig,
     expected_digest: Option<u64>,
 ) -> Result<RunSummary, RunError> {
-    let mut program = program.clone();
-    let vrs = apply_mech(&mut program, mech, train)?;
+    let (program, vrs) = apply_mechs(program, &[mech], train)?.next().expect("one mechanism");
     let measured = measure(Vm::new(&program, config))?;
     if let Some(expected) = expected_digest {
         measured.check_digest(expected)?;
@@ -535,8 +518,7 @@ mod tests {
         for seed in 0..24 {
             let program = generate_program(&GenConfig { seed, ..Default::default() });
             let (_, path) = measure_path(Vm::new(&program, RunConfig::default())).unwrap();
-            for (copy, mech) in apply_mechs(&program, &mechs, None).zip(mechs) {
-                let (copy, _) = copy.unwrap();
+            for ((copy, _), mech) in apply_mechs(&program, &mechs, None).unwrap().zip(mechs) {
                 if !widths_only(&copy, &program) {
                     continue;
                 }

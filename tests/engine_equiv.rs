@@ -136,10 +136,7 @@ fn engines_agree_on_every_committed_corpus_case() {
     let cases = corpus::load_dir(&corpus::corpus_dir()).expect("committed corpus loads");
     assert!(!cases.is_empty(), "committed corpus must not be empty");
     for (path, case) in cases {
-        let mut config = RunConfig::default();
-        if let Some(max_steps) = case.max_steps {
-            config.max_steps = max_steps;
-        }
+        let config = RunConfig { max_steps: case.max_steps, ..RunConfig::default() };
         assert_equivalent(&case.program, &config, &path.display().to_string());
     }
 }
@@ -157,10 +154,7 @@ fn sweep_programs() -> Vec<(String, Program, RunConfig)> {
     let cases = corpus::load_dir(&corpus::corpus_dir()).expect("committed corpus loads");
     assert!(!cases.is_empty(), "committed corpus must not be empty");
     for (path, case) in cases {
-        let mut config = RunConfig::default();
-        if let Some(max_steps) = case.max_steps {
-            config.max_steps = max_steps;
-        }
+        let config = RunConfig { max_steps: case.max_steps, ..RunConfig::default() };
         programs.push((path.display().to_string(), case.program, config));
     }
     programs
