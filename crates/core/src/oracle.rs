@@ -54,10 +54,8 @@ const STEP_SLACK: u64 = 512;
 /// What the oracle observed on a passing program.
 #[derive(Debug, Clone, Default)]
 pub struct OracleOutcome {
-    /// Committed instructions of the baseline run.
-    pub base_steps: u64,
-    /// The statistics of the fused baseline leg (the flat engine), equal
-    /// to the reference engine's.
+    /// The fused baseline leg's statistics (the flat engine), equal to the
+    /// reference engine's; `stats.steps` is the baseline's step count.
     pub stats: DynStats,
     /// Sum of narrowed-instruction counts across VRP transforms.
     pub narrowed: usize,
@@ -84,14 +82,16 @@ pub enum OracleError {
         /// What happened.
         what: String,
     },
-    /// The baseline program did not run to completion.
+    /// The baseline program did not run to completion on the fused leg
+    /// (the flat engine), which runs first.
     BaseRun(VmError),
     /// Two baseline legs disagreed: fused (sink-streaming, flat engine)
     /// or no-stats (quantum-sliced flat engine) against plain (reference
     /// engine).
     PathsDiverged {
         /// What differed: `output`, `steps`, `digest`, `stats` or `trace`
-        /// for fused vs plain; `nostats-output`, `nostats-steps`,
+        /// for fused vs plain, or `run` when the plain run failed after
+        /// the fused run finished; `nostats-output`, `nostats-steps`,
         /// `nostats-digest`, or `nostats-run` when only the no-stats run
         /// failed.
         what: &'static str,
@@ -215,6 +215,23 @@ fn run_sliced(mut vm: Vm<'_>) -> Result<(Vec<u8>, RunOutcome), VmError> {
     }
 }
 
+/// The verdict on a baseline leg that failed with `e`: a structural
+/// error, or a call-stack overflow the verifier `certified` against,
+/// breaks the invariant; any other is the fused leg's own failure, or on
+/// a `later` leg (run after the fused one finished) the divergence named.
+fn leg_error(e: VmError, certified: bool, later: Option<&'static str>) -> OracleError {
+    match (e, later) {
+        (e @ VmError::Malformed { .. }, _) => OracleError::Invariant {
+            what: format!("verified program reported a structural error: {e}"),
+        },
+        (e @ VmError::CallDepthExceeded { .. }, _) if certified => {
+            OracleError::Invariant { what: format!("static call-depth certificate broken: {e}") }
+        }
+        (e, None) => OracleError::BaseRun(e),
+        (_, Some(what)) => OracleError::PathsDiverged { what },
+    }
+}
+
 /// Check one program against the whole transform battery
 /// ([`Transform::battery`]). Every baseline run gets `max_steps` of fuel:
 /// the baseline must halt within this budget — exceeding it is reported
@@ -236,28 +253,19 @@ pub fn check_program(p: &Program, max_steps: u64) -> Result<OracleOutcome, Oracl
         }
     })?;
     let run_cfg = RunConfig { max_steps, ..Default::default() };
-    let depth_certified = ctx.static_call_depth.is_some_and(|d| d <= run_cfg.max_call_depth);
-    let invariant = |e: VmError| -> OracleError {
-        match e {
-            VmError::Malformed { .. } => OracleError::Invariant {
-                what: format!("verified program reported a structural error: {e}"),
-            },
-            VmError::CallDepthExceeded { .. } if depth_certified => OracleError::Invariant {
-                what: format!("static call-depth certificate broken: {e}"),
-            },
-            other => OracleError::BaseRun(other),
-        }
-    };
+    let certified = ctx.static_call_depth.is_some_and(|d| d <= run_cfg.max_call_depth);
 
     // ---- baseline: fused (streamed, flat engine) vs plain -------------
     let mut sink = VecSink::new();
     let mut vm = Vm::with_lowered(p, run_cfg.clone(), flat.clone());
-    let fused = vm.run_streamed(&mut sink).map_err(&invariant)?;
+    let fused = vm.run_streamed(&mut sink).map_err(|e| leg_error(e, certified, None))?;
     let trace = sink.into_records();
 
     let mut base_sink = VecSink::new();
     let mut base_vm = Vm::with_lowered(p, run_cfg.clone(), flat.clone());
-    let plain = base_vm.run_reference_streamed(&mut base_sink).map_err(&invariant)?;
+    let plain = base_vm
+        .run_reference_streamed(&mut base_sink)
+        .map_err(|e| leg_error(e, certified, Some("run")))?;
     let base_out = base_vm.output().to_vec();
     if base_out != vm.output() {
         return Err(OracleError::PathsDiverged { what: "output" });
@@ -277,13 +285,8 @@ pub fn check_program(p: &Program, max_steps: u64) -> Result<OracleOutcome, Oracl
     let (stats, _) = vm.into_parts();
 
     // ---- baseline: no-stats (quantum-sliced, flat engine) vs plain ----
-    // The plain run finished, so a no-stats failure is a divergence,
-    // unless it is one the verifier invariant rules out.
-    let (sliced_out, sliced) =
-        run_sliced(Vm::with_lowered(p, run_cfg.clone(), flat)).map_err(|e| match invariant(e) {
-            OracleError::BaseRun(_) => OracleError::PathsDiverged { what: "nostats-run" },
-            broken => broken,
-        })?;
+    let (sliced_out, sliced) = run_sliced(Vm::with_lowered(p, run_cfg.clone(), flat))
+        .map_err(|e| leg_error(e, certified, Some("nostats-run")))?;
     if sliced_out != base_out {
         return Err(OracleError::PathsDiverged { what: "nostats-output" });
     }
@@ -324,12 +327,7 @@ pub fn check_program(p: &Program, max_steps: u64) -> Result<OracleOutcome, Oracl
     // The program is its own training input: for generated programs
     // train and ref inputs coincide.
     let transforms = Transform::battery();
-    let mut outcome = OracleOutcome {
-        base_steps: plain.steps,
-        stats,
-        transforms: transforms.len(),
-        ..Default::default()
-    };
+    let mut outcome = OracleOutcome { stats, transforms: transforms.len(), ..Default::default() };
     let copies = transform_all(p, p, transforms.clone());
     for (t, (transformed, applied)) in transforms.iter().zip(copies) {
         let label = t.label();
@@ -481,5 +479,12 @@ mod tests {
     fn fuel_exhaustion_is_a_base_run_failure() {
         let p = small_program();
         assert!(matches!(check_program(&p, 3), Err(OracleError::BaseRun(_))));
+    }
+
+    #[test]
+    fn a_run_failure_after_the_fused_leg_finished_is_a_divergence() {
+        let fuel = VmError::OutOfFuel { steps: 3 };
+        assert_eq!(leg_error(fuel.clone(), true, None), OracleError::BaseRun(fuel.clone()));
+        assert_eq!(leg_error(fuel, true, Some("run")), OracleError::PathsDiverged { what: "run" });
     }
 }

@@ -71,7 +71,7 @@ fn replay(path: &Path) -> ExitCode {
         Ok(o) => {
             println!(
                 "PASS: {} transforms, {} baseline steps, {} narrowed, {} specializations",
-                o.transforms, o.base_steps, o.narrowed, o.specializations
+                o.transforms, o.stats.steps, o.narrowed, o.specializations
             );
             ExitCode::SUCCESS
         }

@@ -30,9 +30,10 @@
 //! Generated programs carry a step-bound certificate, so the oracle
 //! runs them with exactly that fuel and any `OutOfFuel` is a real bug.
 //! Mutants have **no** certificate: the oracle judges them under
-//! `MUTANT_FUEL` steps, and a mutant whose baseline run does not finish
-//! there (`OracleError::BaseRun`) is discarded (counted, not failed).
-//! Any other oracle error is a failure. A mutant's corpus entry and
+//! `MUTANT_FUEL` steps. A mutant whose baseline does not finish there on
+//! the flat engine, the oracle's first leg (`OracleError::BaseRun`), is
+//! discarded (counted, not failed); any other oracle error, a later
+//! leg's failure included, is a failure. A mutant's corpus entry and
 //! reproducer record `MUTANT_FUEL` as their step budget.
 
 use crate::sched::{self, Corpus, CorpusEntry, FeatureMap};
@@ -245,17 +246,15 @@ pub struct CampaignSummary {
     pub mutants_tried: u64,
     /// Mutants that were oracle-green *and* lit new coverage.
     pub mutants_kept: u64,
-    /// Mutants whose baseline run did not finish within `MUTANT_FUEL`
-    /// steps (no termination certificate — expected weather, not
-    /// failures).
+    /// Mutants whose flat-engine baseline run did not finish within
+    /// `MUTANT_FUEL` steps (no termination certificate — expected
+    /// weather, not failures).
     pub discarded: u64,
     /// Cases skipped as exact duplicates (a program with the same digest
-    /// already judged).
+    /// already judged); every other case is one oracle call, so the
+    /// report's `execs` is `cases - dup_skipped`.
     pub dup_skipped: u64,
-    /// Inputs the guided loop judged: one oracle call each, discarded
-    /// mutants included.
-    pub execs: u64,
-    /// Guided-loop executions per wall-clock second.
+    /// Guided-loop oracle calls per wall-clock second.
     pub execs_per_sec: f64,
     /// The failure, if the campaign found one (each stream stops at its
     /// first).
@@ -288,7 +287,7 @@ impl CampaignSummary {
                 ("mutants_kept".to_string(), self.mutants_kept.to_json()),
                 ("discarded".to_string(), self.discarded.to_json()),
                 ("dup_skipped".to_string(), self.dup_skipped.to_json()),
-                ("execs".to_string(), self.execs.to_json()),
+                ("execs".to_string(), (self.cases - self.dup_skipped).to_json()),
                 (
                     "execs_per_sec".to_string(),
                     Json::Num((self.execs_per_sec * 10.0).round() / 10.0),
@@ -426,7 +425,7 @@ fn judge(
         summary.fault_checks += 1;
         fault_cross_check(program, max_steps, fault_seed).map_err(CaseError::Fault)?;
     }
-    summary.total_base_steps += outcome.base_steps;
+    summary.total_base_steps += outcome.stats.steps;
     summary.narrowed += outcome.narrowed as u64;
     summary.specializations += outcome.specializations as u64;
     Ok(outcome)
@@ -534,11 +533,10 @@ fn run_guided_shard(
         // generated programs; `MUTANT_FUEL` for mutants, which carry
         // no certificate ---------------------------------------------
         let max_steps = fresh_bound.unwrap_or(MUTANT_FUEL);
-        summary.execs += 1;
         let outcome = match judge(&mut summary, &program, max_steps, index, sseed ^ index) {
             Ok(outcome) => outcome,
-            // No certificate, no verdict: a mutant that blows its fuel
-            // is discarded, not reported.
+            // No certificate, no verdict: a mutant whose flat-engine
+            // baseline blows its fuel is discarded, not reported.
             Err(CaseError::Oracle(OracleError::BaseRun(_))) if is_mutant => {
                 summary.discarded += 1;
                 continue;
@@ -621,14 +619,14 @@ fn run_guided(cfg: &CampaignConfig) -> CampaignSummary {
         summary.mutants_kept += r.summary.mutants_kept;
         summary.discarded += r.summary.discarded;
         summary.dup_skipped += r.summary.dup_skipped;
-        summary.execs += r.summary.execs;
         if summary.failure.is_none() {
             summary.failure = r.summary.failure;
         }
         corpus.absorb(r.corpus);
         seen.merge(&r.seen);
     }
-    summary.execs_per_sec = summary.execs as f64 / elapsed.as_secs_f64().max(1e-9);
+    let execs = summary.cases - summary.dup_skipped;
+    summary.execs_per_sec = execs as f64 / elapsed.as_secs_f64().max(1e-9);
     // Coverage counts come from the `seen` maps — everything the guided
     // loop executed — for a like-for-like comparison with the random
     // baseline below. The corpus map (admitted entries only) would
@@ -709,7 +707,7 @@ mod tests {
         assert!(summary.blocks_covered > 0);
         assert!(summary.corpus_size > 0);
         assert!(summary.corpus_minimized <= summary.corpus_size);
-        assert!(summary.execs > 0);
+        assert!(summary.execs_per_sec > 0.0);
         let json = og_json::render(&summary.to_json()).unwrap();
         assert!(json.contains("\"blocks_covered_guided\""), "{json}");
         assert!(json.contains("\"blocks_covered_random\""), "{json}");

@@ -26,11 +26,11 @@
 //! returned — mutation can never leave the space of well-formed
 //! programs, so downstream consumers may lower and run them directly.
 //! What verification can **not** promise is termination: a mutant
-//! carries no step-bound certificate, so the campaign screens each one
-//! with a fuel-bounded run and discards the ones that time out (a
-//! timeout on a *mutant* is expected weather, not a bug — unlike on a
-//! generated program, whose certificate makes `OutOfFuel` an oracle
-//! failure).
+//! carries no step-bound certificate, so the oracle judges each one
+//! under the campaign's fixed mutant fuel, and the campaign discards a
+//! mutant whose baseline does not finish within that fuel (a timeout on
+//! a *mutant* is expected weather, not a bug — unlike on a generated
+//! program, whose certificate makes `OutOfFuel` an oracle failure).
 //!
 //! All randomness comes from the caller's [`SplitMix64`], so a mutation
 //! sequence is fully determined by the stream seed.
