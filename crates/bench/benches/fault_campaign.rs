@@ -9,14 +9,16 @@
 //! (48 strikes per workload, `FaultCampaignConfig::default()`).
 //! Each workload's strikes run on clones of one walker VM paused along
 //! the golden path, so the fault-free prefix runs once per workload.
-//! A strike on a register that no instruction of the program reads is
-//! recorded with the golden outcome and not run at all. Any other
+//! The golden run is watched: it records the last step that reads each
+//! register and each byte of the memory strike window. A strike on a
+//! location the golden run never reads after the strike's step is dead:
+//! it is recorded with the golden outcome and not run at all. Any other
 //! strike's clone runs up to the next strike's step and stops there if
 //! its state has rejoined the walker's (it then ends as the golden run
 //! does); only the others run to their end. The `work` line gives the
 //! campaign's work: VM steps executed, steps accounted for (as a fresh
 //! VM per strike would run them), verify+lower calls, strikes rejoined
-//! and strikes on unread registers.
+//! and dead strikes.
 //!
 //! The report is pinned byte for byte: `BENCH_fault.json` must equal the
 //! committed `crates/lab/tests/fault_report.json`. og-lab's equivalence

@@ -133,31 +133,30 @@ pub fn case_gen_config(base_seed: u64, index: u64) -> GenConfig {
 /// `Masked` or `Sdc`, and — when the strike happened to land past the
 /// end of the run and never fired — the quantum-sliced driver must be
 /// architecturally invisible (same steps, same digest as the golden
-/// run). A strike on a register no instruction reads
-/// ([`Program::read_mask`]) must end exactly as the golden run does:
-/// og-lab's fault campaign records such strikes so without running them.
+/// run). A strike the watched golden run calls dead
+/// ([`og_vm::fault::Fault::is_dead`]: a register or strike-window byte
+/// it never reads after the strike) must end exactly as the golden run
+/// does: og-lab's fault campaign records such strikes so without running
+/// them.
 ///
 /// # Errors
 ///
 /// Returns a description of the first soundness violation.
 pub fn fault_cross_check(p: &Program, max_steps: u64, seed: u64) -> Result<(), String> {
-    use og_vm::fault::{
-        classify, hang_budget, run_with_plan, FaultOutcome, FaultPlan, FaultSite, FaultedEnd,
-    };
-    let golden = Vm::new(p, RunConfig { max_steps, ..Default::default() })
-        .run()
+    use og_vm::fault::{classify, hang_budget, run_with_plan, FaultOutcome, FaultPlan, FaultedEnd};
+    let (golden, reads) = Vm::new(p, RunConfig { max_steps, ..Default::default() })
+        .run_watched()
         .map_err(|e| format!("golden run failed: {e}"))?;
     let plan = FaultPlan::seeded(seed, golden.steps.max(1), 1);
     let budget = RunConfig { max_steps: hang_budget(golden.steps), ..Default::default() };
     let run = run_with_plan(&mut Vm::new(p, budget), &plan);
-    if let FaultSite::Reg { reg, .. } = plan.faults()[0].site {
-        if p.read_mask() & 1 << reg.index() == 0 && run.end != FaultedEnd::Finished(golden) {
-            return Err(format!(
-                "a strike on {reg}, which no instruction reads, ended as {:?}, not as the \
-                 golden run {golden:?}",
-                run.end
-            ));
-        }
+    let fault = plan.faults()[0];
+    if fault.is_dead(&reads) && run.end != FaultedEnd::Finished(golden) {
+        return Err(format!(
+            "a dead strike {fault:?}, whose location the golden run never reads again, ended \
+             as {:?}, not as the golden run {golden:?}",
+            run.end
+        ));
     }
     let outcome = classify(&golden, &run.end);
     match &run.end {
@@ -227,10 +226,10 @@ mod tests {
     }
 
     #[test]
-    fn fault_cross_check_passes_strikes_on_read_and_unread_registers() {
+    fn fault_cross_check_passes_dead_and_live_strikes() {
         use og_isa::{Reg, Width};
         use og_program::{imm, ProgramBuilder};
-        use og_vm::fault::{FaultPlan, FaultSite};
+        use og_vm::fault::FaultPlan;
         let mut pb = ProgramBuilder::new();
         let mut f = pb.function("main", 0);
         f.block("entry");
@@ -245,15 +244,14 @@ mod tests {
         f.halt();
         pb.finish(f);
         let p = pb.build().unwrap();
-        let steps = Vm::new(&p, RunConfig::default()).run().unwrap().steps;
+        let (golden, reads) = Vm::new(&p, RunConfig::default()).run_watched().unwrap();
         let mut hit = [false; 2];
         for seed in 0..64 {
-            if let FaultSite::Reg { reg, .. } = FaultPlan::seeded(seed, steps, 1).faults()[0].site {
-                hit[usize::from(p.read_mask() & 1 << reg.index() == 0)] = true;
-            }
+            let fault = FaultPlan::seeded(seed, golden.steps, 1).faults()[0];
+            hit[usize::from(fault.is_dead(&reads))] = true;
             fault_cross_check(&p, 1000, seed).unwrap();
         }
-        assert_eq!(hit, [true; 2], "the seeds strike both read and unread registers");
+        assert_eq!(hit, [true; 2], "the seeds make both live and dead strikes");
     }
 
     #[test]

@@ -24,13 +24,18 @@
 //! is verified and lowered twice, for the golden run and the walker,
 //! and its prefix runs once, not once per strike.
 //!
-//! A strike on a register that no instruction of the program reads
-//! ([`og_program::Program::read_mask`]) is not run at all. The VM reads
-//! registers only through instruction operands, so the flip never
-//! reaches a branch, an address, memory or the output: the run ends as
-//! the golden run does. The strike is recorded with the golden outcome
-//! and the value it would displace, read from the walker paused at its
-//! step, so it lands in the same significance bin.
+//! The golden run is watched ([`og_vm::Vm::run_watched`]): it also
+//! records the last step that reads each register and each byte of the
+//! memory strike window. A strike whose location the golden run never
+//! reads after the strike's step ([`og_vm::fault::Fault::is_dead`]) is
+//! not run at all. The VM reads registers only through operands and
+//! memory only through loads, so the flip never reaches a branch, an
+//! address, a register or the output: the run ends as the golden run
+//! does. The strike is recorded with the golden outcome and the value it
+//! would displace, read from the walker paused at its step, so it lands
+//! in the same significance bin. This covers a register no instruction
+//! reads, a register or byte whose last read came before the strike, and
+//! a register read only in code the run never reaches again.
 //!
 //! Every other strike's clone first runs only up to the next strike's
 //! step, where the walker pauses anyway, and is compared with the walker
@@ -39,9 +44,7 @@
 //! is deterministic), so the strike is recorded with the golden outcome
 //! and its run stops. Only a clone that differs runs on to its end. A
 //! flip into a register that is overwritten before it is read rejoins
-//! this way. A flip into a location that some instruction reads but
-//! that is never read again after the strike, mostly a memory byte,
-//! neither rejoins nor is skipped, and runs to its end.
+//! this way.
 
 use crate::pool::WorkerPool;
 use og_isa::{Reg, Width};
@@ -50,7 +53,7 @@ use og_program::rng::SplitMix64;
 use og_program::Program;
 use og_vm::fault::{
     classify, hang_budget, Fault, FaultOutcome, FaultPlan, FaultRun, FaultSite, FaultedEnd,
-    Injection, PlanRun,
+    Injection, LastReads, PlanRun,
 };
 use og_vm::{Quantum, RunConfig, RunOutcome, Vm};
 use og_workloads::{by_name, InputSet, NAMES};
@@ -132,12 +135,12 @@ impl OutcomeCounts {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultWork {
     /// VM steps executed: the golden runs, the walkers and each strike's
-    /// run from its pause point, up to its rejoin check or to its end. An
-    /// unread strike executes none.
+    /// run from its pause point, up to its rejoin check or to its end. A
+    /// dead strike executes none.
     pub steps_executed: u64,
     /// VM steps accounted for: the golden runs plus every strike's run
-    /// from step 0, as a fresh VM per strike would execute them. An
-    /// unread or rejoined strike counts the golden run's length.
+    /// from step 0, as a fresh VM per strike would execute them. A dead
+    /// or rejoined strike counts the golden run's length.
     pub steps_accounted: u64,
     /// Programs verified and lowered into a VM.
     pub verify_lowers: u64,
@@ -145,10 +148,10 @@ pub struct FaultWork {
     /// strike's step, and so were recorded with the golden outcome
     /// without running to their end.
     pub strikes_rejoined: u64,
-    /// Register strikes on a register no instruction of the program
-    /// reads ([`Program::read_mask`]), recorded with the golden outcome
-    /// without being run at all.
-    pub strikes_unread: u64,
+    /// Strikes on a register or memory byte that the golden run never
+    /// reads after the strike ([`Fault::is_dead`]), recorded with the
+    /// golden outcome without being run at all.
+    pub strikes_dead: u64,
 }
 
 impl FaultWork {
@@ -159,7 +162,7 @@ impl FaultWork {
             ("steps_accounted", self.steps_accounted),
             ("verify_lowers", self.verify_lowers),
             ("strikes_rejoined", self.strikes_rejoined),
-            ("strikes_unread", self.strikes_unread),
+            ("strikes_dead", self.strikes_dead),
         ]
     }
 
@@ -168,7 +171,7 @@ impl FaultWork {
         self.steps_accounted += other.steps_accounted;
         self.verify_lowers += other.verify_lowers;
         self.strikes_rejoined += other.strikes_rejoined;
-        self.strikes_unread += other.strikes_unread;
+        self.strikes_dead += other.strikes_dead;
     }
 }
 
@@ -313,14 +316,14 @@ fn workload_vm<'p>(
 }
 
 /// The fault-free run every strike of `bench` is classified against,
-/// counted in `work`.
-fn golden_run(bench: &str, program: &Program, work: &mut FaultWork) -> RunOutcome {
-    let golden = workload_vm(bench, program, RunConfig::default(), work)
-        .run_nostats()
+/// watched for the last read of each strike location, counted in `work`.
+fn golden_run(bench: &str, program: &Program, work: &mut FaultWork) -> (RunOutcome, LastReads) {
+    let (golden, reads) = workload_vm(bench, program, RunConfig::default(), work)
+        .run_watched()
         .unwrap_or_else(|e| panic!("{bench}: golden run failed: {e}"));
     work.steps_executed += golden.steps;
     work.steps_accounted += golden.steps;
-    golden
+    (golden, reads)
 }
 
 /// Sweep one workload: golden run, then `strikes` single-strike runs.
@@ -333,31 +336,32 @@ fn sweep_workload(cfg: &FaultCampaignConfig, bench: &str) -> WorkloadFaults {
     })
 }
 
-/// Sweep `program`: a golden run, then each single-strike plan of
-/// `plans(golden_steps)`, whose strikes must fall before the golden end.
+/// Sweep `program`: a watched golden run, then each single-strike plan
+/// of `plans(golden_steps)`, whose strikes must fall before the golden
+/// end.
 ///
 /// The sweep takes the plans in step order. One walker VM, under the
 /// hang budget, follows the golden path and pauses at each strike's
-/// step. A strike on a register outside the program's
-/// [`Program::read_mask`] is recorded there with the golden outcome and
-/// the walker's value of that register, and is not run (counted in
-/// [`FaultWork::strikes_unread`]). Every other strike runs on a clone of
+/// step. A strike whose location the golden run never reads after its
+/// step ([`Fault::is_dead`]) is recorded there with the golden outcome
+/// and the walker's value of that location, and is not run (counted in
+/// [`FaultWork::strikes_dead`]). Every other strike runs on a clone of
 /// the paused walker, so the fault-free prefix executes once per
 /// workload, not once per strike. The clone runs only up to the next
 /// strike's step, where the walker pauses anyway, and is compared with
 /// it there: a clone in the walker's state is recorded as finishing
 /// with the golden outcome (counted in [`FaultWork::strikes_rejoined`]),
 /// and any other runs on to its end. The last strike runs to its end.
-/// Striking the clone gives the same run as striking a fresh VM, an
-/// unread or rejoined strike ends as the golden run does, and the bins
-/// are sums, so the order does not change the result.
+/// Striking the clone gives the same run as striking a fresh VM, a dead
+/// or rejoined strike ends as the golden run does, and the bins are
+/// sums, so the order does not change the result.
 fn sweep(
     name: &str,
     program: &Program,
     plans: impl FnOnce(u64) -> Vec<FaultPlan>,
 ) -> WorkloadFaults {
     let mut work = FaultWork::default();
-    let golden = golden_run(name, program, &mut work);
+    let (golden, reads) = golden_run(name, program, &mut work);
     let mut w = WorkloadFaults {
         name: name.to_string(),
         golden_steps: golden.steps,
@@ -368,7 +372,6 @@ fn sweep(
     plans.sort_by_key(|plan| plan.faults()[0].at_step);
     let budget = RunConfig { max_steps: hang_budget(golden.steps), ..Default::default() };
     let mut walker = workload_vm(name, program, budget, &mut w.work);
-    let read = program.read_mask();
     let walk_to = |walker: &mut Vm<'_>, at: u64| {
         let now = walker.stats().steps;
         // Strikes are drawn below the golden length, so the walker
@@ -378,23 +381,22 @@ fn sweep(
         }
     };
     for (k, plan) in plans.iter().enumerate() {
-        let Fault { at_step, site } = plan.faults()[0];
+        let fault = plan.faults()[0];
+        let Fault { at_step, site } = fault;
         walk_to(&mut walker, at_step);
-        if let FaultSite::Reg { reg, .. } = site {
-            if read & 1 << reg.index() == 0 {
-                // No instruction reads `reg`, so the run would end as the
-                // golden run does; the walker holds the value the flip
-                // would displace.
-                let pre = walker.reg(reg);
-                let run = FaultRun {
-                    end: FaultedEnd::Finished(golden),
-                    injected: vec![Injection { at_step, site, pre }],
-                };
-                w.work.steps_accounted += golden.steps;
-                w.work.strikes_unread += 1;
-                w.record(site, &run, &golden);
-                continue;
-            }
+        if fault.is_dead(&reads) {
+            // The golden run never reads the struck location again, so
+            // the run would end as the golden run does; the walker holds
+            // the value the flip would displace.
+            let pre = site.value_in(&walker);
+            let run = FaultRun {
+                end: FaultedEnd::Finished(golden),
+                injected: vec![Injection { at_step, site, pre }],
+            };
+            w.work.steps_accounted += golden.steps;
+            w.work.strikes_dead += 1;
+            w.record(site, &run, &golden);
+            continue;
         }
         let mut clone = walker.clone();
         let started = clone.stats().steps;
@@ -519,7 +521,7 @@ mod tests {
     use super::*;
     use og_program::generate::{generate_program, GenConfig};
     use og_program::{imm, ProgramBuilder, GLOBAL_BASE};
-    use og_vm::fault::run_with_plan;
+    use og_vm::fault::{run_with_plan, STRIKE_WINDOW};
 
     #[test]
     fn plan_json_roundtrips() {
@@ -574,14 +576,19 @@ mod tests {
         })
     }
 
-    /// [`sweep_workload_from_scratch`] on any program and plans.
+    /// [`sweep_workload_from_scratch`] on any program and plans. Its
+    /// golden run is a plain one: the oracle reads no table of reads.
     fn sweep_from_scratch(
         name: &str,
         program: &Program,
         plans: impl FnOnce(u64) -> Vec<FaultPlan>,
     ) -> WorkloadFaults {
         let mut work = FaultWork::default();
-        let golden = golden_run(name, program, &mut work);
+        let golden = workload_vm(name, program, RunConfig::default(), &mut work)
+            .run_nostats()
+            .unwrap_or_else(|e| panic!("{name}: golden run failed: {e}"));
+        work.steps_executed += golden.steps;
+        work.steps_accounted += golden.steps;
         let budget = hang_budget(golden.steps);
         let mut w = WorkloadFaults {
             name: name.to_string(),
@@ -645,7 +652,7 @@ mod tests {
         let w = sweep_checked("overwrite", &p, |_| plans.to_vec());
         assert_eq!(outcomes(&w), [2, 0, 0, 0]);
         assert_eq!(w.work.strikes_rejoined, 1);
-        assert_eq!(w.work.strikes_unread, 1, "nothing reads T9");
+        assert_eq!(w.work.strikes_dead, 1, "nothing reads T9");
         let golden = w.golden_steps;
         assert_eq!(w.work.steps_accounted, 3 * golden, "the golden run and two whole strikes");
         // The golden run, the walker to step 4, and the first strike from
@@ -669,7 +676,7 @@ mod tests {
         assert_eq!(outcomes(&w), [1, 0, 0, 0]);
         assert_eq!(w.ungated.masked, 1, "binned by the value the flip displaced");
         assert_eq!(w.by_byte[2].masked, 1);
-        assert_eq!(w.work.strikes_unread, 1);
+        assert_eq!(w.work.strikes_dead, 1);
         // The golden run and the walker to step 1; the strike runs none.
         assert_eq!(w.work.steps_executed, w.golden_steps + 1);
         assert_eq!(w.work.steps_accounted, 2 * w.golden_steps);
@@ -698,11 +705,11 @@ mod tests {
         let plans = [reg_strike(3, Reg::T2, 0), reg_strike(4, Reg::T4, 3)];
         let w = sweep_checked("second", &p, |_| plans.to_vec());
         assert_eq!(outcomes(&w), [0, 2, 0, 0]);
-        assert_eq!(w.work.strikes_unread, 0);
+        assert_eq!(w.work.strikes_dead, 0);
     }
 
     #[test]
-    fn a_register_read_only_off_the_path_is_run() {
+    fn a_register_read_only_off_the_path_is_not_run() {
         let mut pb = ProgramBuilder::new();
         let mut f = pb.function("main", 0);
         f.block("entry");
@@ -717,12 +724,98 @@ mod tests {
         pb.finish(f);
         let p = pb.build().unwrap();
         // The only read of T5 sits in a block the run never enters; the
-        // read set comes from the text, so the strike still runs.
+        // table follows the path, so the strike is dead and does not run.
         let w = sweep_checked("off-path", &p, |_| vec![reg_strike(2, Reg::T5, 0)]);
         assert_eq!(outcomes(&w), [1, 0, 0, 0]);
-        assert_eq!(w.work.strikes_unread, 0);
-        let golden = w.golden_steps;
-        assert_eq!(w.work.steps_executed, golden + 2 + (golden - 2));
+        assert_eq!(w.work.strikes_dead, 1);
+        // The golden run and the walker to step 2; the strike runs none.
+        assert_eq!(w.work.steps_executed, w.golden_steps + 2);
+    }
+
+    #[test]
+    fn a_register_read_at_the_step_after_the_strike_is_run() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.ldi(Reg::T0, 5);
+        f.ldi(Reg::T1, 2);
+        f.out(Width::B, Reg::T0);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        // The `out` at step 3 is the first instruction after a strike at
+        // step 2, and reads T0.
+        let w = sweep_checked("next-step", &p, |_| vec![reg_strike(2, Reg::T0, 0)]);
+        assert_eq!(outcomes(&w), [0, 1, 0, 0]);
+        assert_eq!(w.work.strikes_dead, 0);
+    }
+
+    #[test]
+    fn a_cmov_whose_old_destination_is_struck_is_run() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.ldi(Reg::T0, 5);
+        f.ldi(Reg::T1, 0);
+        f.ldi(Reg::T2, 9);
+        f.cmov(og_isa::Cond::Ne, Width::D, Reg::T0, Reg::T1, Reg::T2);
+        f.out(Width::B, Reg::T2);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        // The cmov at step 4 is the only instruction after the strike
+        // that names T0. Its condition fails, so it keeps T0's old value,
+        // which it latches as an operand: the strike is live and runs.
+        let w = sweep_checked("cmov", &p, |_| vec![reg_strike(3, Reg::T0, 0)]);
+        assert_eq!(outcomes(&w), [1, 0, 0, 0]);
+        assert_eq!(w.work.strikes_dead, 0);
+    }
+
+    #[test]
+    fn a_window_byte_loaded_only_before_the_strike_is_not_run() {
+        let mut pb = ProgramBuilder::new();
+        let addr = pb.data_bytes("g", vec![0x11]);
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.la(Reg::T1, "g");
+        f.ld(Width::B, Reg::T0, Reg::T1, 0);
+        f.out(Width::B, Reg::T0);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        // The byte is loaded at step 2: a strike at step 1 reaches the
+        // output, one at step 2 comes after the byte's last read.
+        let mem = |at_step| FaultPlan::single(at_step, FaultSite::Mem { addr, bit: 0 });
+        let w = sweep_checked("loaded-before", &p, |_| vec![mem(1), mem(2)]);
+        assert_eq!(outcomes(&w), [1, 1, 0, 0]);
+        assert_eq!([w.memory.masked, w.memory.sdc], [1, 1], "both binned as memory strikes");
+        assert_eq!(w.work.strikes_dead, 1);
+        // The golden run, the walker to step 2, and the first strike from
+        // step 1 to its end; the dead one runs none.
+        assert_eq!(w.work.steps_executed, w.golden_steps + 2 + (w.golden_steps - 1));
+    }
+
+    #[test]
+    fn a_wide_load_across_the_windows_last_byte_reads_it() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.ldi(Reg::T1, 1);
+        f.ld(Width::D, Reg::T0, Reg::GP, (STRIKE_WINDOW - 4) as i32);
+        f.out(Width::D, Reg::T0);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        // The load at step 2 reads the window's last 4 bytes and the 4
+        // after it. The window's last byte, struck before the load, is
+        // printed; struck after it, it is dead. The byte past the window
+        // is not watched, so a strike there after the load still runs.
+        let last = GLOBAL_BASE + STRIKE_WINDOW - 1;
+        let mem = |at_step, addr| FaultPlan::single(at_step, FaultSite::Mem { addr, bit: 0 });
+        let plans = [mem(1, last), mem(2, last), mem(2, last + 1)];
+        let w = sweep_checked("straddle", &p, |_| plans.to_vec());
+        assert_eq!(outcomes(&w), [2, 1, 0, 0]);
+        assert_eq!(w.work.strikes_dead, 1);
     }
 
     #[test]
@@ -803,7 +896,7 @@ mod tests {
 
     #[test]
     fn one_workload_sweep_is_deterministic_and_fills_the_taxonomy() {
-        let (mut rejoined, mut unread) = (0, 0);
+        let (mut rejoined, mut dead_reg, mut dead_mem) = (0, 0, 0);
         for seed in [FaultCampaignConfig::default().seed, 1, 0xDEAD_BEEF] {
             let cfg = FaultCampaignConfig { seed, ..Default::default() };
             for bench in ["compress", "gcc"] {
@@ -830,11 +923,27 @@ mod tests {
                 let reg_total = a.gated.total() + a.ungated.total();
                 assert_eq!(a.counts.total(), reg_total + a.memory.total() + a.control.total());
                 rejoined += a.work.strikes_rejoined;
-                unread += a.work.strikes_unread;
+                // The sweep skipped exactly the strikes the golden run's
+                // table calls dead.
+                let program = by_name(bench, cfg.input).program;
+                let (_, reads) = Vm::new(&program, RunConfig::default()).run_watched().unwrap();
+                let dead: Vec<Fault> = (0..cfg.strikes_per_workload)
+                    .map(|k| strike(seed, bench, k, a.golden_steps).faults()[0])
+                    .filter(|fault| fault.is_dead(&reads))
+                    .collect();
+                assert_eq!(a.work.strikes_dead, dead.len() as u64, "{bench} seed {seed:#x}");
+                for fault in dead {
+                    match fault.site {
+                        FaultSite::Reg { .. } => dead_reg += 1,
+                        FaultSite::Mem { .. } => dead_mem += 1,
+                        FaultSite::Pc { .. } => panic!("a pc strike is never dead"),
+                    }
+                }
             }
         }
         assert!(rejoined > 0, "some strike must rejoin the golden path");
-        assert!(unread > 0, "some strike must hit a register nothing reads");
+        assert!(dead_reg > 0, "some register strike must be skipped");
+        assert!(dead_mem > 0, "some memory strike must be skipped");
     }
 
     #[test]

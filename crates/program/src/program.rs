@@ -75,17 +75,6 @@ impl Program {
         self.funcs.iter().map(|f| f.inst_count()).sum()
     }
 
-    /// The registers some instruction reads, as a mask with bit
-    /// `r.index()` set for each register `r` in an [`og_isa::Inst::uses`]
-    /// (a conditional move's old destination included). It reads the
-    /// program text, not a path through it: a read in a block that never
-    /// runs counts. The VM reads registers only through instruction
-    /// operands, so a flip into a register outside the mask never reaches
-    /// a branch, an address, memory or the output.
-    pub fn read_mask(&self) -> u32 {
-        self.insts().flat_map(|(_, i)| i.uses()).fold(0, |m, r| m | 1 << r.index())
-    }
-
     /// Compute the address layout (nominal 8 bytes per instruction).
     pub fn layout(&self) -> Layout {
         Layout::compute(self)
@@ -149,28 +138,5 @@ mod tests {
         assert!(p.func_by_name("nope").is_none());
         assert_eq!(p.func(p.entry).name, "main");
         assert_eq!(p.inst_count(), 6);
-    }
-
-    #[test]
-    fn read_mask_holds_every_operand_read() {
-        let p = two_func_program();
-        let read = |r: Reg| p.read_mask() & 1 << r.index() != 0;
-        assert!(read(Reg::A0) && read(Reg::V0));
-        // Written but never read.
-        assert!(!read(Reg::T0) && !read(Reg::SP));
-
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main", 0);
-        f.block("entry");
-        f.add(Width::D, Reg::T0, Reg::T1, Reg::T2);
-        f.st(Width::B, Reg::T3, Reg::T4, 0);
-        f.cmov(og_isa::Cond::Ne, Width::D, Reg::T5, Reg::T6, Reg::T7);
-        f.halt();
-        pb.finish(f);
-        let p = pb.build().unwrap();
-        let mask = [Reg::T1, Reg::T2, Reg::T3, Reg::T4, Reg::T5, Reg::T6, Reg::T7]
-            .iter()
-            .fold(0, |m, r| m | 1 << r.index());
-        assert_eq!(p.read_mask(), mask, "sources, a store's base and a cmov's old value");
     }
 }

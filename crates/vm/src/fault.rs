@@ -4,7 +4,8 @@
 //! lands in a *gated* (insignificant, upper) operand slice never reaches
 //! an architectural consumer, so it should be masked — while a flip in a
 //! live low slice corrupts the output (SDC) or derails control flow.
-//! This module measures that, without touching the flat engine at all:
+//! This module measures that, running every strike on the unmodified
+//! flat engine:
 //!
 //! 1. a [`FaultPlan`] names seeded bit flips — into registers, memory
 //!    bytes, or the program counter — each pinned to a committed-step
@@ -40,10 +41,21 @@
 //! equals the walker's at the same step ends as the golden run does,
 //! and the campaign records it so without running the rest.
 //!
+//! Some strikes need not run at all. [`Vm::run_watched`] is a golden run
+//! whose no-stats loop also records, in [`LastReads`], the last step at
+//! which the run reads each register and each byte of the memory strike
+//! window ([`STRIKE_WINDOW`]). [`Fault::is_dead`] says whether the golden
+//! run reads a strike's location after the strike's step. If it does
+//! not, the struck run executes the golden run's instructions on the
+//! golden run's values, since the VM reads registers only through
+//! operands and memory only through loads, and ends exactly as the
+//! golden run does. The watcher lives in that one instance of the loop;
+//! in every other it compiles to nothing.
+//!
 //! ```
 //! use og_isa::{Reg, Width};
 //! use og_program::{imm, ProgramBuilder};
-//! use og_vm::fault::{classify, run_with_plan, FaultOutcome, FaultPlan, FaultSite};
+//! use og_vm::fault::{classify, run_with_plan, Fault, FaultOutcome, FaultPlan, FaultSite};
 //! use og_vm::{RunConfig, Vm};
 //!
 //! let mut pb = ProgramBuilder::new();
@@ -56,15 +68,19 @@
 //! pb.finish(f);
 //! let p = pb.build().unwrap();
 //!
-//! let golden = Vm::new(&p, RunConfig::default()).run().unwrap();
-//! // Strike a register the program never reads: architecturally masked.
-//! let plan = FaultPlan::single(1, FaultSite::Reg { reg: Reg::T9, bit: 3 });
+//! let (golden, reads) = Vm::new(&p, RunConfig::default()).run_watched().unwrap();
+//! // Strike a register the program never reads: dead, and masked.
+//! let strike = Fault { at_step: 1, site: FaultSite::Reg { reg: Reg::T9, bit: 3 } };
+//! assert!(strike.is_dead(&reads));
 //! let mut vm = Vm::new(&p, RunConfig::default());
-//! let run = run_with_plan(&mut vm, &plan);
+//! let run = run_with_plan(&mut vm, &FaultPlan::new(vec![strike]));
 //! assert_eq!(classify(&golden, &run.end), FaultOutcome::Masked);
+//! // T0 is read by the `out` at step 3, after a strike at step 2.
+//! let live = Fault { at_step: 2, site: FaultSite::Reg { reg: Reg::T0, bit: 0 } };
+//! assert!(!live.is_dead(&reads));
 //! ```
 
-use crate::machine::{Quantum, RunOutcome, Vm, VmError};
+use crate::machine::{Quantum, ReadWatch, RunOutcome, Vm, VmError};
 use og_isa::Reg;
 use og_program::rng::SplitMix64;
 use og_program::GLOBAL_BASE;
@@ -98,17 +114,36 @@ pub enum FaultSite {
     },
 }
 
+/// The memory strike window: the first `STRIKE_WINDOW` bytes of the
+/// global data region, from [`GLOBAL_BASE`]. [`FaultSite::draw`] lands
+/// its memory strikes there, and [`LastReads`] watches those bytes.
+pub const STRIKE_WINDOW: u64 = 4096;
+
 impl FaultSite {
-    /// A seeded strike site: 1 in 8 a bit of a byte in the first 4 KiB of
-    /// the global data region, 1 in 8 a pc bit, and the rest a bit of a
+    /// A seeded strike site: 1 in 8 a bit of a byte in the
+    /// [`STRIKE_WINDOW`], 1 in 8 a pc bit, and the rest a bit of a
     /// register other than the zero register (the paper's gated operand
     /// slices live there). It draws the kind from `rng` first, then the
     /// address or register, then the bit, so seeded plans repeat.
     pub fn draw(rng: &mut SplitMix64) -> FaultSite {
         match rng.below(8) {
-            0 => FaultSite::Mem { addr: GLOBAL_BASE + rng.below(4096), bit: rng.below(8) as u8 },
+            0 => FaultSite::Mem {
+                addr: GLOBAL_BASE + rng.below(STRIKE_WINDOW),
+                bit: rng.below(8) as u8,
+            },
             1 => FaultSite::Pc { bit: rng.below(32) as u8 },
             _ => FaultSite::Reg { reg: Reg::new(rng.below(31) as u8), bit: rng.below(64) as u8 },
+        }
+    }
+
+    /// What a strike on this site would displace in `vm` where it stands:
+    /// the register's value, the memory byte, or the `ip` the run resumes
+    /// at. A strike fired there records it as its [`Injection::pre`].
+    pub fn value_in(self, vm: &Vm<'_>) -> i64 {
+        match self {
+            FaultSite::Reg { reg, .. } => vm.reg(reg),
+            FaultSite::Mem { addr, .. } => i64::from(vm.mem_byte(addr)),
+            FaultSite::Pc { .. } => i64::from(vm.paused_at().unwrap_or(vm.flat_program().entry)),
         }
     }
 }
@@ -121,6 +156,82 @@ pub struct Fault {
     pub at_step: u64,
     /// Where it lands.
     pub site: FaultSite,
+}
+
+impl Fault {
+    /// Whether the golden run that `reads` watched never reads this
+    /// strike's location after the strike: a register, or a byte of the
+    /// [`STRIKE_WINDOW`], whose last read comes at or before step
+    /// `at_step`. Such a strike ends exactly as the golden run does. A pc
+    /// strike is never dead (the next instruction reads the pc), nor is a
+    /// memory strike outside the window, which `reads` does not watch.
+    pub fn is_dead(&self, reads: &LastReads) -> bool {
+        let last = match self.site {
+            FaultSite::Reg { reg, .. } => Some(reads.reg(reg)),
+            FaultSite::Mem { addr, .. } => reads.mem(addr),
+            FaultSite::Pc { .. } => None,
+        };
+        last.is_some_and(|last| last <= self.at_step)
+    }
+}
+
+/// The last step at which a run reads each register and each byte of
+/// the [`STRIKE_WINDOW`], as [`Vm::run_watched`] records it. Steps count
+/// from 1: the run's `n`th instruction reads at step `n`, so a read after
+/// a strike at `at_step` comes at a later step. 0 means never read.
+///
+/// A register read is a source operand or a conditional move's old
+/// destination; a byte read is a byte some load touches. The zero
+/// register has no latch, so it is never read. The table is 32 KiB.
+#[derive(Debug, Clone)]
+pub struct LastReads {
+    /// By register slot; the zero register's slot also takes the reads
+    /// of absent operands, and [`LastReads::reg`] ignores it.
+    regs: [u64; 32],
+    /// By offset from [`GLOBAL_BASE`], [`STRIKE_WINDOW`] entries.
+    window: Vec<u64>,
+}
+
+impl LastReads {
+    /// A table in which nothing has been read.
+    pub(crate) fn new() -> LastReads {
+        LastReads { regs: [0; 32], window: vec![0; STRIKE_WINDOW as usize] }
+    }
+
+    /// The last step that reads `reg`; 0 if none does, and always 0 for
+    /// the zero register.
+    pub fn reg(&self, reg: Reg) -> u64 {
+        if reg.is_zero() {
+            0
+        } else {
+            self.regs[reg.index() as usize]
+        }
+    }
+
+    /// The last step that reads the byte at `addr` (0 if none does), or
+    /// `None` for a byte outside the [`STRIKE_WINDOW`].
+    pub fn mem(&self, addr: u64) -> Option<u64> {
+        let off = addr.wrapping_sub(GLOBAL_BASE);
+        (off < STRIKE_WINDOW).then(|| self.window[off as usize])
+    }
+}
+
+impl ReadWatch for LastReads {
+    #[inline]
+    fn read_reg(&mut self, slot: u8, step: u64) {
+        self.regs[slot as usize] = step;
+    }
+
+    #[inline]
+    fn read_bytes(&mut self, addr: u64, bytes: u32, step: u64) {
+        let off = addr.wrapping_sub(GLOBAL_BASE);
+        for i in 0..u64::from(bytes) {
+            let byte = off.wrapping_add(i);
+            if byte < STRIKE_WINDOW {
+                self.window[byte as usize] = step;
+            }
+        }
+    }
 }
 
 /// A deterministic injection schedule: strikes sorted by step index.
@@ -251,7 +362,8 @@ pub fn hang_budget(golden_steps: u64) -> u64 {
 /// [`FaultRun`] as the same plan on a fresh VM, as long as the plan has
 /// no strike before step `n`. Give the VM a hang budget as its
 /// `max_steps` (see [`hang_budget`]). The fault-free golden run comes
-/// from an ordinary [`Vm::run`] on a separate VM.
+/// from a separate VM: [`Vm::run_nostats`], or [`Vm::run_watched`] when
+/// the caller also asks which strikes are dead ([`Fault::is_dead`]).
 ///
 /// This is [`PlanRun::run_until`] with no step to stop at.
 pub fn run_with_plan(vm: &mut Vm<'_>, plan: &FaultPlan) -> FaultRun {

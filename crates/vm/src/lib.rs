@@ -61,7 +61,9 @@
 //!    [`Vm::run_nostats`] and [`Vm::run_quantum`] build no records and
 //!    keep only the architectural result (outputs, digest, step count) —
 //!    the service fast path, the oracle's cross-check side and the fault
-//!    campaign.
+//!    campaign. [`Vm::run_watched`] is the no-stats loop with a read
+//!    watcher: the fault campaign's golden run, which also records the
+//!    last step that reads each register and each memory-strike byte.
 //!
 //! ## Soft-error injection: the quantum seam
 //!
@@ -82,7 +84,10 @@
 //! pause point, so the campaign strikes clones of one VM paused along
 //! the fault-free path instead of re-running that path for each strike.
 //! [`fault::PlanRun`] stops a struck clone at a later step, where
-//! [`Vm::same_state`] tells whether it has rejoined that path.
+//! [`Vm::same_state`] tells whether it has rejoined that path, and
+//! [`fault::Fault::is_dead`] reads [`Vm::run_watched`]'s table to name
+//! the strikes whose location the golden run never reads again, which
+//! the campaign records without running.
 //!
 //! ## Streaming dataflow (VM → TraceSink → Simulator/Profiler)
 //!

@@ -3,12 +3,14 @@
 //! Two engines execute the same architectural semantics:
 //!
 //! * the **flat engine** — the default behind [`Vm::run`],
-//!   [`Vm::run_streamed`], [`Vm::run_nostats`] and [`Vm::run_quantum`] —
-//!   interprets the pre-decoded [`FlatProgram`] lowered once from a
-//!   verified program in [`Vm::new`] (see [`crate::flat`] for what is
-//!   precomputed). One hot loop serves every entry point, monomorphized
-//!   on the trace sink (so a concrete sink inlines) and on whether it
-//!   builds trace records, from which a run's statistics are derived;
+//!   [`Vm::run_streamed`], [`Vm::run_nostats`], [`Vm::run_quantum`] and
+//!   [`Vm::run_watched`] — interprets the pre-decoded [`FlatProgram`]
+//!   lowered once from a verified program in [`Vm::new`] (see
+//!   [`crate::flat`] for what is precomputed). One hot loop serves every
+//!   entry point, monomorphized on the trace sink (so a concrete sink
+//!   inlines), on whether it builds trace records, from which a run's
+//!   statistics are derived, and on a read watcher that only the watched
+//!   run's instance carries;
 //! * the **reference engine** — [`Vm::run_reference`] and
 //!   [`Vm::run_reference_streamed`] — walks the `func → block → inst`
 //!   graph exactly as the original interpreter did, with its defensive
@@ -25,6 +27,7 @@
 //! whichever engine it uses.
 
 use crate::eval::{alu_eval, cmov_eval};
+use crate::fault::LastReads;
 use crate::flat::{FlatInst, FlatOp, FlatProgram};
 use crate::stats::StatsSink;
 use crate::{fnv1a, DynStats, Memory, NullSink, TraceRecord, TraceSink};
@@ -89,6 +92,26 @@ enum FlatExit {
     Stopped(usize),
     /// The `jsr` at this `ip` found the call stack full.
     CallDepthExceeded(usize),
+}
+
+/// What `flat_loop` tells a watcher about the reads of each committed
+/// instruction, at its step (its 1-based position in the run). Only
+/// [`Vm::run_watched`] passes a real watcher, a [`LastReads`]; every
+/// other run passes `()`, whose hooks compile to nothing.
+pub(crate) trait ReadWatch {
+    /// The instruction read register slot `slot`: a source (an absent
+    /// one reads the zero register's slot) or a conditional move's old
+    /// destination.
+    fn read_reg(&mut self, slot: u8, step: u64);
+    /// The instruction loaded `bytes` bytes from `addr`.
+    fn read_bytes(&mut self, addr: u64, bytes: u32, step: u64);
+}
+
+impl ReadWatch for () {
+    #[inline(always)]
+    fn read_reg(&mut self, _: u8, _: u64) {}
+    #[inline(always)]
+    fn read_bytes(&mut self, _: u64, _: u32, _: u64) {}
 }
 
 /// Emulation errors.
@@ -327,6 +350,11 @@ impl<'p> Vm<'p> {
         pre
     }
 
+    /// Current value of a memory byte (an untouched byte reads as 0).
+    pub(crate) fn mem_byte(&self, addr: u64) -> u8 {
+        self.mem.read_u8(addr)
+    }
+
     /// The output stream produced so far.
     pub fn output(&self) -> &[u8] {
         &self.output
@@ -374,9 +402,10 @@ impl<'p> Vm<'p> {
         let flat = std::mem::take(&mut self.flat);
         let mut stats = StatsSink::new(flat.inst_count());
         let stop = self.config.max_steps;
-        let exit = self.flat_loop::<_, true>(
+        let exit = self.flat_loop::<_, _, true>(
             &flat,
             &mut Tee(&mut stats, sink),
+            &mut (),
             flat.entry as usize,
             true,
             stop,
@@ -413,11 +442,34 @@ impl<'p> Vm<'p> {
     ///
     /// See [`VmError`].
     pub fn run_nostats(&mut self) -> Result<RunOutcome, VmError> {
+        self.run_whole(&mut ())
+    }
+
+    /// [`Vm::run_nostats`], also recording in a [`LastReads`] the last
+    /// step at which the run reads each register and each byte of the
+    /// fault strike window ([`crate::fault::STRIKE_WINDOW`]). This is the
+    /// fault campaign's golden run: [`crate::fault::Fault::is_dead`] reads
+    /// the table to find the strikes whose location the run never reads
+    /// again. The watcher costs the run a few table writes per step; no
+    /// other run carries it.
+    ///
+    /// # Errors
+    ///
+    /// See [`VmError`].
+    pub fn run_watched(&mut self) -> Result<(RunOutcome, LastReads), VmError> {
+        let mut reads = LastReads::new();
+        let outcome = self.run_whole(&mut reads)?;
+        Ok((outcome, reads))
+    }
+
+    /// A no-stats run from the entry to its end, reporting its reads to
+    /// `watch`.
+    fn run_whole<W: ReadWatch>(&mut self, watch: &mut W) -> Result<RunOutcome, VmError> {
         // Forget any pause so the run starts from the entry. An unbounded
         // quantum stops only at `max_steps`, which is fuel exhaustion, so
         // the run always finishes.
         self.paused_at = None;
-        match self.run_quantum(u64::MAX) {
+        match self.slice(u64::MAX, watch) {
             Quantum::Finished(result) => result,
             Quantum::Paused => unreachable!("an unbounded quantum never pauses"),
         }
@@ -437,6 +489,11 @@ impl<'p> Vm<'p> {
     /// VM keeps it. Only [`crate::fault::PlanRun`]'s bounds-checked pc
     /// strike moves it elsewhere.
     pub fn run_quantum(&mut self, quantum: u64) -> Quantum {
+        self.slice(quantum, &mut ())
+    }
+
+    /// [`Vm::run_quantum`], reporting the slice's reads to `watch`.
+    fn slice<W: ReadWatch>(&mut self, quantum: u64, watch: &mut W) -> Quantum {
         let flat = std::mem::take(&mut self.flat);
         let (start, fresh) = match self.paused_at.take() {
             Some(ip) => (ip as usize, false),
@@ -444,7 +501,7 @@ impl<'p> Vm<'p> {
         };
         let max_steps = self.config.max_steps;
         let stop = max_steps.min(self.stats.steps.saturating_add(quantum));
-        let exit = self.flat_loop::<_, false>(&flat, &mut NullSink, start, fresh, stop);
+        let exit = self.flat_loop::<_, _, false>(&flat, &mut NullSink, watch, start, fresh, stop);
         self.flat = flat;
         match exit {
             FlatExit::Done(reason) => Quantum::Finished(Ok(RunOutcome {
@@ -546,6 +603,8 @@ impl<'p> Vm<'p> {
     /// instance keeps only the step counter (fuel) and the architectural
     /// effects — registers, memory, output, control flow — for callers
     /// that need nothing else ([`Vm::run_nostats`], [`Vm::run_quantum`]).
+    /// `watch` hears each instruction's register and memory reads; only
+    /// [`Vm::run_watched`] passes one that does anything.
     ///
     /// The loop is resumable: it starts at `start_ip` (the entry for a
     /// fresh run, the VM's pause point otherwise; `fresh` decides
@@ -554,10 +613,11 @@ impl<'p> Vm<'p> {
     /// pass `max_steps` to make that fuel exhaustion, or an earlier
     /// quantum boundary to pause.
     #[allow(clippy::too_many_lines)]
-    fn flat_loop<S: TraceSink + ?Sized, const TRACE: bool>(
+    fn flat_loop<S: TraceSink + ?Sized, W: ReadWatch, const TRACE: bool>(
         &mut self,
         flat: &FlatProgram,
         sink: &mut S,
+        watch: &mut W,
         start_ip: usize,
         fresh: bool,
         stop_at: u64,
@@ -598,6 +658,8 @@ impl<'p> Vm<'p> {
             // non-zero term.
             let a = regs[inst.src1_r as usize];
             let b = regs[inst.src2_r as usize].wrapping_add(inst.imm);
+            watch.read_reg(inst.src1_r, steps);
+            watch.read_reg(inst.src2_r, steps);
             let w = inst.width;
 
             let mut dst_value: Option<i64> = None;
@@ -637,6 +699,7 @@ impl<'p> Vm<'p> {
                 FlatOp::Ld { signed } => {
                     mem_addr = (a + inst.disp as i64) as u64;
                     let v = self.mem.read(mem_addr, w, signed);
+                    watch.read_bytes(mem_addr, w.bytes(), steps);
                     regs[inst.dst_w as usize] = v;
                     dst_value = Some(v);
                     FlatNext::At(ip + 1)
@@ -653,6 +716,7 @@ impl<'p> Vm<'p> {
                 }
                 FlatOp::Cmov(cond) => {
                     let v = cmov_eval(cond, w, a, b, regs[inst.dst_r as usize]);
+                    watch.read_reg(inst.dst_r, steps);
                     regs[inst.dst_w as usize] = v;
                     dst_value = Some(v);
                     FlatNext::At(ip + 1)

@@ -18,12 +18,17 @@
 //!
 //! On top of that, the suite pins the **no-stats** mode's architectural
 //! results against the statistics-gathering run (on both inputs of every
-//! workload and the corpus), and the **quantum seam** (`Vm::run_quantum`, which the fault campaign slices runs at)
-//! against one uninterrupted no-stats run.
+//! workload and the corpus), the **quantum seam** (`Vm::run_quantum`, which the fault campaign slices runs at)
+//! against one uninterrupted no-stats run, and the **watched** run's
+//! table of last reads (`Vm::run_watched`, the fault campaign's golden
+//! run) against one built from the reference engine's records, on every
+//! Ref workload and on generated programs.
 
 use og_fuzz::corpus;
-use og_isa::{Cond, Reg, Width};
-use og_program::{Program, ProgramBuilder};
+use og_isa::{Cond, Op, Reg, Width};
+use og_program::generate::{generate_program, GenConfig};
+use og_program::{Program, ProgramBuilder, GLOBAL_BASE};
+use og_vm::fault::{LastReads, STRIKE_WINDOW};
 use og_vm::{DynStats, FnSink, Quantum, RunConfig, RunOutcome, TraceRecord, VecSink, Vm, VmError};
 use og_workloads::{by_name, InputSet, NAMES};
 
@@ -203,6 +208,85 @@ fn nostats_mode_preserves_architectural_results_on_workloads_and_corpus() {
         assert_eq!(vm.output(), &full_output[..], "{label}: nostats output diverged");
         assert!(vm.stats().block_counts.is_empty(), "{label}: nostats must skip bookkeeping");
     }
+}
+
+/// The reads table of `p`'s run, built from the reference engine's
+/// records: the last step (1-based) of each record's sources, of a
+/// conditional move's destination (its old value) and of each
+/// strike-window byte a load reads. The zero register has no latch and
+/// is never read.
+fn reference_reads(p: &Program) -> (RunOutcome, [u64; 32], Vec<u64>) {
+    let mut regs = [0u64; 32];
+    let mut window = vec![0u64; STRIKE_WINDOW as usize];
+    let mut sink = FnSink::new(|i: u64, rec: &TraceRecord| {
+        let step = i + 1;
+        let old_dst = if matches!(rec.op, Op::Cmov(_)) { rec.dst } else { None };
+        for r in rec.srcs.into_iter().chain([old_dst]).flatten().filter(|r| !r.is_zero()) {
+            regs[r.index() as usize] = step;
+        }
+        if matches!(rec.op, Op::Ld { .. }) {
+            for byte in 0..u64::from(rec.width.bytes()) {
+                let off = rec.mem_addr.wrapping_add(byte).wrapping_sub(GLOBAL_BASE);
+                if off < STRIKE_WINDOW {
+                    window[off as usize] = step;
+                }
+            }
+        }
+    });
+    let outcome = Vm::new(p, RunConfig::default()).run_reference_streamed(&mut sink).unwrap();
+    (outcome, regs, window)
+}
+
+/// `p`'s watched flat run, checked against the no-stats run and against
+/// the table built from the reference engine's records.
+fn assert_watched_reads_agree(p: &Program, label: &str) -> LastReads {
+    let (outcome, reads) = Vm::new(p, RunConfig::default()).run_watched().unwrap();
+    assert_eq!(Ok(outcome), Vm::new(p, RunConfig::default()).run_nostats(), "{label}: outcome");
+    let (ref_outcome, regs, window) = reference_reads(p);
+    assert_eq!(outcome, ref_outcome, "{label}: reference outcome");
+    for (i, &last) in regs.iter().enumerate() {
+        let reg = Reg::new(i as u8);
+        assert_eq!(reads.reg(reg), last, "{label}: last read of {reg}");
+    }
+    for (off, &last) in window.iter().enumerate() {
+        assert_eq!(reads.mem(GLOBAL_BASE + off as u64), Some(last), "{label}: byte {off}");
+    }
+    assert_eq!(reads.mem(GLOBAL_BASE + STRIKE_WINDOW), None, "{label}: past the window");
+    reads
+}
+
+#[test]
+fn watched_reads_match_the_reference_records_on_workloads_and_generated_programs() {
+    for name in NAMES {
+        assert_watched_reads_agree(&by_name(name, InputSet::Ref).program, &format!("{name}/Ref"));
+    }
+    for seed in 0..24 {
+        let p = generate_program(&GenConfig { seed, ..Default::default() });
+        assert_watched_reads_agree(&p, &format!("generated-{seed}"));
+    }
+    // Every kind of read, each at its own step: both sources, a store's
+    // data and base, a cmov's old value, and the bytes of a load that
+    // straddles the window's end.
+    let mut pb = ProgramBuilder::new();
+    let mut f = pb.function("main", 0);
+    f.block("entry");
+    f.add(Width::D, Reg::T0, Reg::T1, Reg::T2);
+    f.st(Width::B, Reg::T3, Reg::T4, 0);
+    f.cmov(Cond::Ne, Width::D, Reg::T5, Reg::T6, Reg::T7);
+    f.ld(Width::D, Reg::T8, Reg::GP, (STRIKE_WINDOW - 3) as i32);
+    f.halt();
+    pb.finish(f);
+    let p = pb.build().unwrap();
+    let reads = assert_watched_reads_agree(&p, "every read");
+    let last = |r: Reg| reads.reg(r);
+    assert_eq!([Reg::T1, Reg::T2].map(last), [1; 2], "both sources");
+    assert_eq!([Reg::T3, Reg::T4].map(last), [2; 2], "a store's data and base");
+    assert_eq!([Reg::T5, Reg::T6, Reg::T7].map(last), [3; 3], "a cmov's old value and sources");
+    assert_eq!(last(Reg::GP), 4, "a load's base");
+    assert_eq!([Reg::T0, Reg::T8, Reg::SP, Reg::ZERO].map(last), [0; 4], "written or never read");
+    let byte = |off: u64| reads.mem(GLOBAL_BASE + off);
+    assert_eq!([byte(STRIKE_WINDOW - 4), byte(STRIKE_WINDOW - 3)], [Some(0), Some(4)]);
+    assert_eq!(byte(STRIKE_WINDOW - 1), Some(4), "the window's last byte");
 }
 
 #[test]
