@@ -80,6 +80,7 @@
 //! assert!(!live.is_dead(&reads));
 //! ```
 
+use crate::flat::{FlatOp, FlatProgram};
 use crate::machine::{Quantum, ReadWatch, RunOutcome, Vm, VmError};
 use og_isa::Reg;
 use og_program::rng::SplitMix64;
@@ -182,7 +183,8 @@ impl Fault {
 ///
 /// A register read is a source operand or a conditional move's old
 /// destination; a byte read is a byte some load touches. The zero
-/// register has no latch, so it is never read. The table is 32 KiB.
+/// register has no latch, so it is never read. The window's part of the
+/// table is 32 KiB.
 #[derive(Debug, Clone)]
 pub struct LastReads {
     /// By register slot; the zero register's slot also takes the reads
@@ -190,12 +192,39 @@ pub struct LastReads {
     regs: [u64; 32],
     /// By offset from [`GLOBAL_BASE`], [`STRIKE_WINDOW`] entries.
     window: Vec<u64>,
+    /// During the run, the last step of each flat instruction; emptied
+    /// when [`LastReads::fold_registers`] hands the steps on.
+    commits: Vec<u64>,
 }
 
 impl LastReads {
-    /// A table in which nothing has been read.
-    pub(crate) fn new() -> LastReads {
-        LastReads { regs: [0; 32], window: vec![0; STRIKE_WINDOW as usize] }
+    /// A table in which nothing has been read, for a program of `insts`
+    /// flat instructions.
+    pub(crate) fn new(insts: usize) -> LastReads {
+        LastReads {
+            regs: [0; 32],
+            window: vec![0; STRIKE_WINDOW as usize],
+            commits: vec![0; insts],
+        }
+    }
+
+    /// Give each register the last step of the instructions that read it:
+    /// their sources, and a conditional move's old destination. An absent
+    /// source reads the zero register's slot, which [`LastReads::reg`]
+    /// ignores.
+    pub(crate) fn fold_registers(&mut self, flat: &FlatProgram) {
+        for (inst, &step) in flat.insts.iter().zip(&self.commits) {
+            let mut mark = |slot: u8| {
+                let last = &mut self.regs[usize::from(slot)];
+                *last = (*last).max(step);
+            };
+            mark(inst.src1_r);
+            mark(inst.src2_r);
+            if matches!(inst.kind, FlatOp::Cmov(_)) {
+                mark(inst.dst_r);
+            }
+        }
+        self.commits = Vec::new();
     }
 
     /// The last step that reads `reg`; 0 if none does, and always 0 for
@@ -218,13 +247,18 @@ impl LastReads {
 
 impl ReadWatch for LastReads {
     #[inline]
-    fn read_reg(&mut self, slot: u8, step: u64) {
-        self.regs[slot as usize] = step;
+    fn commit(&mut self, ip: usize, step: u64) {
+        self.commits[ip] = step;
     }
 
     #[inline]
     fn read_bytes(&mut self, addr: u64, bytes: u32, step: u64) {
         let off = addr.wrapping_sub(GLOBAL_BASE);
+        // A load (at most 8 bytes) that starts 8 or more bytes before the
+        // window, or at or after its end, reads none of it.
+        if off.wrapping_add(8) >= STRIKE_WINDOW + 8 {
+            return;
+        }
         for i in 0..u64::from(bytes) {
             let byte = off.wrapping_add(i);
             if byte < STRIKE_WINDOW {
@@ -574,6 +608,8 @@ mod tests {
                 let paused = run_with_plan(&mut walker.clone(), &plan);
                 assert_eq!(paused, fresh, "{plan:?}");
                 assert_eq!(paused.injected.len(), plan.faults().len(), "{plan:?}");
+                let first = plan.faults()[0].site;
+                assert_eq!(paused.injected[0].pre, first.value_in(&walker), "{plan:?}");
                 if matches!(plan.faults()[0].site, FaultSite::Pc { .. })
                     && !matches!(paused.end, FaultedEnd::WildJump { .. })
                 {

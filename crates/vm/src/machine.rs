@@ -94,22 +94,21 @@ enum FlatExit {
     CallDepthExceeded(usize),
 }
 
-/// What `flat_loop` tells a watcher about the reads of each committed
-/// instruction, at its step (its 1-based position in the run). Only
-/// [`Vm::run_watched`] passes a real watcher, a [`LastReads`]; every
-/// other run passes `()`, whose hooks compile to nothing.
+/// What `flat_loop` tells a watcher about each committed instruction,
+/// at its step (its 1-based position in the run): which flat
+/// instruction it is, and the bytes it loads. Only [`Vm::run_watched`]
+/// passes a real watcher, a [`LastReads`]; every other run passes `()`,
+/// whose hooks compile to nothing.
 pub(crate) trait ReadWatch {
-    /// The instruction read register slot `slot`: a source (an absent
-    /// one reads the zero register's slot) or a conditional move's old
-    /// destination.
-    fn read_reg(&mut self, slot: u8, step: u64);
+    /// The instruction at flat index `ip` committed.
+    fn commit(&mut self, ip: usize, step: u64);
     /// The instruction loaded `bytes` bytes from `addr`.
     fn read_bytes(&mut self, addr: u64, bytes: u32, step: u64);
 }
 
 impl ReadWatch for () {
     #[inline(always)]
-    fn read_reg(&mut self, _: u8, _: u64) {}
+    fn commit(&mut self, _: usize, _: u64) {}
     #[inline(always)]
     fn read_bytes(&mut self, _: u64, _: u32, _: u64) {}
 }
@@ -450,15 +449,18 @@ impl<'p> Vm<'p> {
     /// fault strike window ([`crate::fault::STRIKE_WINDOW`]). This is the
     /// fault campaign's golden run: [`crate::fault::Fault::is_dead`] reads
     /// the table to find the strikes whose location the run never reads
-    /// again. The watcher costs the run a few table writes per step; no
-    /// other run carries it.
+    /// again. The loop notes the last step of each instruction and of
+    /// each byte a load reads in the window; when the run ends, each
+    /// instruction's last step passes to the registers it reads. No other
+    /// run carries the watcher.
     ///
     /// # Errors
     ///
     /// See [`VmError`].
     pub fn run_watched(&mut self) -> Result<(RunOutcome, LastReads), VmError> {
-        let mut reads = LastReads::new();
+        let mut reads = LastReads::new(self.flat.inst_count());
         let outcome = self.run_whole(&mut reads)?;
+        reads.fold_registers(&self.flat);
         Ok((outcome, reads))
     }
 
@@ -603,7 +605,7 @@ impl<'p> Vm<'p> {
     /// instance keeps only the step counter (fuel) and the architectural
     /// effects — registers, memory, output, control flow — for callers
     /// that need nothing else ([`Vm::run_nostats`], [`Vm::run_quantum`]).
-    /// `watch` hears each instruction's register and memory reads; only
+    /// `watch` hears each committed instruction and each load; only
     /// [`Vm::run_watched`] passes one that does anything.
     ///
     /// The loop is resumable: it starts at `start_ip` (the entry for a
@@ -658,8 +660,7 @@ impl<'p> Vm<'p> {
             // non-zero term.
             let a = regs[inst.src1_r as usize];
             let b = regs[inst.src2_r as usize].wrapping_add(inst.imm);
-            watch.read_reg(inst.src1_r, steps);
-            watch.read_reg(inst.src2_r, steps);
+            watch.commit(ip, steps);
             let w = inst.width;
 
             let mut dst_value: Option<i64> = None;
@@ -716,7 +717,6 @@ impl<'p> Vm<'p> {
                 }
                 FlatOp::Cmov(cond) => {
                     let v = cmov_eval(cond, w, a, b, regs[inst.dst_r as usize]);
-                    watch.read_reg(inst.dst_r, steps);
                     regs[inst.dst_w as usize] = v;
                     dst_value = Some(v);
                     FlatNext::At(ip + 1)
