@@ -30,12 +30,12 @@
 //! reads after the strike's step ([`og_vm::fault::Fault::is_dead`]) is
 //! not run at all. The VM reads registers only through operands and
 //! memory only through loads, so the flip never reaches a branch, an
-//! address, a register or the output: the run ends as the golden run
-//! does. The strike is recorded with the golden outcome and the value it
-//! would displace, read from the walker paused at its step, so it lands
-//! in the same significance bin. This covers a register no instruction
-//! reads, a register or byte whose last read came before the strike, and
-//! a register read only in code the run never reaches again.
+//! address, another location or the output: the run ends as the golden
+//! run does. The strike is recorded with the golden outcome and the
+//! value it would displace, read from the walker paused at its step, so
+//! it lands in the same significance bin. This covers a register no
+//! instruction reads, a register or byte whose last read came before the
+//! strike, and a register read only in code the run never reaches again.
 //!
 //! Every other strike's clone first runs only up to the next strike's
 //! step, where the walker pauses anyway, and is compared with the walker

@@ -254,11 +254,6 @@ impl ReadWatch for LastReads {
     #[inline]
     fn read_bytes(&mut self, addr: u64, bytes: u32, step: u64) {
         let off = addr.wrapping_sub(GLOBAL_BASE);
-        // A load (at most 8 bytes) that starts 8 or more bytes before the
-        // window, or at or after its end, reads none of it.
-        if off.wrapping_add(8) >= STRIKE_WINDOW + 8 {
-            return;
-        }
         for i in 0..u64::from(bytes) {
             let byte = off.wrapping_add(i);
             if byte < STRIKE_WINDOW {
