@@ -107,7 +107,8 @@ fn main() {
     // Plain emulation (no sink) is the golden-digest / oracle path; the
     // streamed runs feed a sink that forces every record to be produced
     // but does no downstream work (the fused pipeline path); no-stats is
-    // the service fast path.
+    // the loop under `run_quantum` and `run_watched`, which the fault
+    // campaign and the oracle's sliced leg run.
     type Run = fn(&mut Vm<'_>) -> Result<RunOutcome, VmError>;
     let series: [Run; 5] = [
         |vm| vm.run(),

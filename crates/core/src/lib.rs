@@ -30,6 +30,7 @@ mod energy;
 mod loops;
 pub mod oracle;
 mod pass;
+mod profile;
 mod range;
 mod transform;
 mod useful;

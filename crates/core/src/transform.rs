@@ -95,7 +95,7 @@ impl Transform {
 /// # Panics
 ///
 /// A VRS copy panics if `train` has a different code shape than
-/// `program` or if a training run fails.
+/// `program` or if the training run fails.
 pub fn transform_all<'a>(
     program: &'a Program,
     train: &'a Program,

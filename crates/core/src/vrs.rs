@@ -7,9 +7,10 @@
 //!    output could save energy are pre-filtered with a best-case benefit
 //!    analysis that assumes the cheapest possible test (one comparison),
 //!    drastically reducing how many points must be profiled.
-//! 2. **Value profiling** (§3.3) — the surviving candidates are profiled
-//!    on the training input with the Calder-style fixed-size LFU tables
-//!    of `og-profile`.
+//! 2. **Value profiling** (§3.3) — each surviving candidate's values on
+//!    the training input, in a Calder-style fixed-size LFU table. One
+//!    training run fills a table for every instruction and gives step 1
+//!    its block profile; the candidates read their own tables.
 //! 3. **Selection and transformation** (§3.1, §3.2, §3.4) — a candidate
 //!    is specialized for range `[min, max]` when
 //!    `Savings(I,r,min,max) · Freq(min,max) − Cost(I,r)` exceeds the
@@ -22,23 +23,23 @@
 //!    (the "eliminated" instructions of Figure 5).
 //!
 //! Only the last step reads the specialization cost, so the pass splits
-//! there. [`VrsPass::profile`] takes the program's analysis, runs both
-//! training runs and candidate identification, and prices every
-//! candidate range's gross benefit `Savings · Freq − Cost` into a
-//! [`VrsProfile`]. [`VrsProfile::specialize`] then selects and transforms
-//! for one cost, as often as there are costs to try: a sweep of the knob
-//! profiles the program once ([`crate::transform_all`]). [`VrsPass::run`]
-//! is the two in a row. Selection reruns per cost over the stored gross
+//! there. [`VrsPass::profile`] takes the program's analysis, runs the
+//! training input once, identifies candidates and prices every candidate
+//! range's gross benefit `Savings · Freq − Cost` into a [`VrsProfile`].
+//! [`VrsProfile::specialize`] then selects and transforms for one cost,
+//! as often as there are costs to try: a sweep of the knob profiles the
+//! program once ([`crate::transform_all`]). [`VrsPass::run`] is the two
+//! in a row. Selection reruns per cost over the stored gross
 //! benefits, rather than subtracting the cost from a best range picked
 //! once, so ties break exactly as a fresh run breaks them.
 
 use crate::analysis::{FuncArtifacts, ProgramArtifacts};
 use crate::energy::{AluEnergyTable, GuardCosts};
 use crate::pass::{VrpConfig, VrpPass};
+use crate::profile::{RangeEstimate, ValueTables};
 use crate::vrp::{pure_out_range, solve, Assumptions, RangeSolution};
 use crate::ValueRange;
 use og_isa::{CmpKind, Cond, Inst, Op, Operand, Reg, Width};
-use og_profile::{ProfileConfig, RangeEstimate, ValueProfiler};
 use og_program::{BlockId, FuncId, InstRef, Liveness, Program};
 use og_vm::{DynStats, RunConfig, Vm};
 use std::collections::{HashMap, HashSet};
@@ -46,8 +47,6 @@ use std::collections::{HashMap, HashSet};
 /// Configuration of a [`VrsPass`].
 #[derive(Debug, Clone)]
 pub struct VrsConfig {
-    /// Value-profiler table parameters.
-    pub profile: ProfileConfig,
     /// The fixed cost (nJ) charged per specialization — the knob the
     /// paper sweeps as "VRS 110nJ … VRS 30nJ" in Figures 8–11.
     pub specialization_cost_nj: f64,
@@ -55,7 +54,7 @@ pub struct VrsConfig {
 
 impl Default for VrsConfig {
     fn default() -> Self {
-        VrsConfig { profile: ProfileConfig::default(), specialization_cost_nj: 50.0 }
+        VrsConfig { specialization_cost_nj: 50.0 }
     }
 }
 
@@ -119,14 +118,14 @@ pub struct VrsPass {
 }
 
 /// The part of a VRS run that does not read the specialization cost:
-/// the profiled points and, for each one the profiler kept, every
+/// the profiled points and, for each one the training run executed, every
 /// candidate range narrower than VRP's own bound with its gross benefit
 /// `Savings · Freq − Cost`. Made by [`VrsPass::profile`];
 /// [`specialize`](Self::specialize) finishes the run for one cost.
 #[derive(Debug, Clone)]
 pub(crate) struct VrsProfile {
     profiled_points: usize,
-    /// In candidate order, each range in the profiler's order.
+    /// In candidate order, each range in its table's order.
     points: Vec<(InstRef, Vec<(RangeEstimate, f64)>)>,
 }
 
@@ -152,8 +151,8 @@ impl VrsPass {
     }
 
     /// The cost-independent steps of a run on `program`, whose artifacts
-    /// and range solution (with no assumptions) are `art` and `sol`: both
-    /// training runs on `train`, candidate identification and each
+    /// and range solution (with no assumptions) are `art` and `sol`: one
+    /// training run on `train`, candidate identification and each
     /// candidate range's gross benefit. Ignores
     /// [`VrsConfig::specialization_cost_nj`], so one profile serves every
     /// cost.
@@ -173,34 +172,26 @@ impl VrsPass {
         for (a, b) in program.funcs.iter().zip(&train.funcs) {
             assert_eq!(a.blocks.len(), b.blocks.len(), "train/ref blocks differ in {}", a.name);
         }
-        // ---- step 0: basic-block profile on the training input --------
-        let mut train_vm = Vm::new(train, RunConfig::default());
-        train_vm.run().expect("training run failed");
-        let stats = train_vm.stats().clone();
+        // ---- steps 0 and 2: one run on the training input --------------
+        // Its statistics are the basic-block profile, and its records
+        // fill a value table for every instruction that defines a value;
+        // candidate identification then picks which tables to read.
+        let (stats, tables) = training_run(train);
 
         // ---- step 1: candidate identification -------------------------
         let mut candidates = self.identify_candidates(program, art, sol, &stats);
         candidates.truncate(MAX_CANDIDATES);
         let profiled_points = candidates.len();
 
-        // ---- step 2: value profiling ----------------------------------
-        // The profiler rides the VM's streaming trace-sink interface
-        // (the same one the timing simulator consumes); `run_streamed`
-        // monomorphizes over the concrete `ProfileSink`, so both
-        // training runs execute on the pre-decoded flat engine with the
-        // sink inlined.
-        let mut profiler =
-            ValueProfiler::new(self.config.profile.clone(), candidates.iter().map(|c| c.at));
-        let mut train_vm = Vm::new(train, RunConfig::default());
-        train_vm.run_streamed(&mut profiler.sink(&train.layout())).expect("profiling run failed");
-
         // ---- gross benefit of each candidate range ---------------------
+        // A candidate whose block ran but which did not (it follows a
+        // call that never returned) has no table and no point.
         let guard = GuardCosts::default();
         let points = candidates
             .iter()
             .filter_map(|c| {
-                let site = profiler.site(c.at)?;
-                let ranges = site
+                let ranges = tables
+                    .site(c.at)?
                     .candidate_ranges(CANDIDATE_RANGES)
                     .into_iter()
                     .filter_map(|est| {
@@ -516,6 +507,19 @@ impl VrsPass {
 struct Candidate {
     at: InstRef,
     upper_bound: f64,
+}
+
+/// One flat-engine run of `train`: its statistics and the value table of
+/// every instruction that defined a value.
+///
+/// # Panics
+///
+/// Panics if the run fails.
+fn training_run(train: &Program) -> (DynStats, ValueTables) {
+    let mut tables = ValueTables::new(train);
+    let mut vm = Vm::new(train, RunConfig::default());
+    vm.run_streamed(&mut tables).expect("training run failed");
+    (vm.into_parts().0, tables)
 }
 
 fn exists_width(p: &Program, at: InstRef) -> Option<Width> {
@@ -847,7 +851,7 @@ mod tests {
         let train = vrs_target(&[5; 48]);
         let mut refp = vrs_target(&[5; 48]);
         let baseline = run_output(&refp);
-        let cfg = VrsConfig { specialization_cost_nj: 10.0, ..Default::default() };
+        let cfg = VrsConfig { specialization_cost_nj: 10.0 };
         let report = VrsPass::new(cfg).run(&mut refp, &train);
         assert_eq!(run_output(&refp), baseline);
         if report.count_fate(CandidateFate::Specialized) >= 1 {
@@ -865,7 +869,7 @@ mod tests {
             .into_iter()
             .map(|cost| {
                 let mut refp = vrs_target(&[3; 64]);
-                let cfg = VrsConfig { specialization_cost_nj: cost, ..Default::default() };
+                let cfg = VrsConfig { specialization_cost_nj: cost };
                 let report = VrsPass::new(cfg).run(&mut refp, &train);
                 report.count_fate(CandidateFate::Specialized)
             })
@@ -900,8 +904,7 @@ mod tests {
                         Applied::Vrp(VrpPass::new(cfg).run(&mut fresh))
                     }
                     Transform::Vrs { cost_nj } => {
-                        let cfg =
-                            VrsConfig { specialization_cost_nj: cost_nj, ..Default::default() };
+                        let cfg = VrsConfig { specialization_cost_nj: cost_nj };
                         let report = VrsPass::new(cfg).run(&mut fresh, &pristine);
                         vrs_programs.insert(fresh.canonical_text());
                         Applied::Vrs(report)
@@ -913,6 +916,67 @@ mod tests {
             }
             assert!(case > 0 || vrs_programs.len() >= 2, "the cost must change the program");
         }
+    }
+
+    /// The table each candidate reads from the one training run equals a
+    /// table filled from the reference engine's records, keyed by their
+    /// pc, on the VRS target and on generated programs.
+    #[test]
+    fn every_candidates_table_matches_the_reference_records() {
+        use crate::profile::ValueTable;
+        use og_program::generate::{generate_program, GenConfig};
+        use og_vm::FnSink;
+        let generated =
+            (0..4).map(|seed| generate_program(&GenConfig { seed, ..Default::default() }));
+        for (case, p) in [vrs_target(&[3; 64])].into_iter().chain(generated).enumerate() {
+            let (stats, tables) = training_run(&p);
+            let art = ProgramArtifacts::compute(&p);
+            let sol = solve(&p, &art, &Assumptions::new());
+            let candidates = VrsPass::default().identify_candidates(&p, &art, &sol, &stats);
+            assert!(!candidates.is_empty(), "program {case} has no candidate");
+            let mut by_pc: HashMap<u64, ValueTable> = HashMap::new();
+            let mut sink = FnSink::new(|_, rec: &og_vm::TraceRecord| {
+                if let Some(value) = rec.dst_value {
+                    by_pc.entry(rec.pc).or_insert_with(ValueTable::new).record(value);
+                }
+            });
+            Vm::new(&p, RunConfig::default()).run_reference_streamed(&mut sink).unwrap();
+            let layout = p.layout();
+            for c in candidates {
+                let expected = by_pc.get(&layout.addr_of(c.at));
+                assert_eq!(tables.site(c.at), expected, "program {case}, {:?}", c.at);
+            }
+        }
+    }
+
+    /// A candidate whose block runs but which does not, because it follows
+    /// a call into a callee that halts, counts as profiled but gets no
+    /// fate: its table recorded nothing. The `mul.d` the load feeds saves
+    /// 18 nJ at one execution, above the 8 nJ minimum guard cost, and the
+    /// `out.d` the multiply feeds makes it a candidate too.
+    #[test]
+    fn a_candidate_that_never_runs_is_profiled_without_a_fate() {
+        let mut pb = ProgramBuilder::new();
+        pb.data_quads("data", &[3]);
+        let mut f = pb.function("stop", 0);
+        f.block("entry");
+        f.halt();
+        pb.finish(f);
+        let mut f = pb.function("main", 0);
+        f.block("entry");
+        f.la(Reg::S0, "data");
+        f.jsr("stop");
+        f.ld(Width::D, Reg::T3, Reg::S0, 0); // never runs
+        f.mul(Width::D, Reg::T4, Reg::T3, Reg::T3);
+        f.out(Width::D, Reg::T4);
+        f.halt();
+        pb.finish(f);
+        let p = pb.build().unwrap();
+        let mut copy = p.clone();
+        let report = VrsPass::default().run(&mut copy, &p);
+        assert_eq!(report.profiled_points, 2, "the load and the multiply");
+        assert!(report.fates.is_empty(), "fates: {:?}", report.fates);
+        assert_eq!(copy, p);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!     cases. Point it at crates/fuzz/corpus/ to land the finds.
 //!
 //! cargo run -p og-fuzz --example corpus_tool -- faults <file.og.json> <plan.json>
-//!     Replay the case under a saved fault plan (the JSON format
-//!     `og_lab::fault::plan_to_json` writes; see crates/fuzz/plans/):
+//!     Replay the case under a hand-written fault plan (the JSON format
+//!     `og_lab::fault::plan_from_json` reads; see crates/fuzz/plans/):
 //!     run the golden baseline, inject every strike at its step, and
 //!     print the fired strikes and the outcome's taxonomy class.
 //! ```

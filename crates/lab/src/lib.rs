@@ -297,10 +297,10 @@ pub struct StudyWork {
     pub value_only_records: u64,
     /// VM steps streamed into a simulator or an accountant.
     pub fused_steps: u64,
-    /// VRS profiling runs: an analysis and two training runs each.
+    /// VRS profiling runs: an analysis and one training run each.
     pub vrs_profiles: u64,
     /// Programs verified and lowered into a VM for a streamed run (VRS's
-    /// training runs count under `vrs_profiles`).
+    /// training run counts under `vrs_profiles`).
     pub verify_lowers: u64,
 }
 

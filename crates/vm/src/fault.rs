@@ -264,8 +264,8 @@ impl ReadWatch for LastReads {
 }
 
 /// A deterministic injection schedule: strikes sorted by step index.
-/// A plan is data — build one by hand, with [`FaultPlan::seeded`], or
-/// decode one saved by `og-lab`'s fault campaign.
+/// A plan is data — build one by hand or with [`FaultPlan::seeded`], or
+/// decode a hand-written JSON plan with `og-lab`'s `plan_from_json`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: Vec<Fault>,

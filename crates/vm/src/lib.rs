@@ -12,7 +12,7 @@
 //! * a **streamed committed-path trace**: [`Vm::run_streamed`] pushes one
 //!   [`TraceRecord`] per committed instruction into a caller-supplied
 //!   [`TraceSink`] — this is how the cycle-level timing model in `og-sim`
-//!   and the value profiler in `og-profile` are driven.
+//!   and the value profiling of `og-core`'s VRS are driven.
 //!
 //! ## Lower-then-run: the pre-decoded flat engine
 //!
@@ -25,7 +25,7 @@
 //! *per committed step* with no hashing and no `func → block → inst`
 //! pointer chasing. The
 //! streamed run is generic over its sink, so concrete consumers (the
-//! timing simulator, the value profiler's sink adapter, [`VecSink`])
+//! timing simulator, VRS's value tables, [`VecSink`])
 //! inline straight into the hot loop instead of paying a virtual call
 //! per committed instruction.
 //!
@@ -59,11 +59,12 @@
 //!    instruction and fold into [`DynStats`] when the run ends.
 //!    [`Vm::run`] is [`Vm::run_streamed`] into a [`NullSink`].
 //!    [`Vm::run_nostats`] and [`Vm::run_quantum`] build no records and
-//!    keep only the architectural result (outputs, digest, step count) —
-//!    the service fast path, the oracle's cross-check side and the fault
-//!    campaign. [`Vm::run_watched`] is the no-stats loop with a read
-//!    watcher: the fault campaign's golden run, which also records the
-//!    last step that reads each register and each memory-strike byte.
+//!    keep only the architectural result (outputs, digest, step count);
+//!    [`Vm::run_quantum`] runs the fault campaign's walker and strikes and
+//!    the oracle's 7-step sliced leg. [`Vm::run_watched`] is the no-stats
+//!    loop with a read watcher: the fault campaign's golden run, which
+//!    also records the last step that reads each register and each
+//!    memory-strike byte.
 //!
 //! ## Soft-error injection: the quantum seam
 //!

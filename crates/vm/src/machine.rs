@@ -384,7 +384,7 @@ impl<'p> Vm<'p> {
     /// the run's statistics first, which fold into [`DynStats`] when the
     /// run ends, on error paths too, as the reference engine's are.
     ///
-    /// Generic so a concrete sink (the simulator, a profiler adapter, a
+    /// Generic so a concrete sink (the simulator, VRS's value tables, a
     /// [`crate::VecSink`]) inlines into the flat engine's hot loop;
     /// `&mut dyn TraceSink` still works (`S = dyn TraceSink`).
     ///
@@ -434,8 +434,9 @@ impl<'p> Vm<'p> {
     /// that only need the outputs — the outcome, the output stream and
     /// the fuel-relevant step count. [`Vm::stats`] reflects only `steps`
     /// after this; histograms and block counts are not gathered, and no
-    /// sink can observe the run. This is the service fast path and the
-    /// throughput side of the oracle's cross-checks.
+    /// sink can observe the run. The same loop runs [`Vm::run_quantum`]
+    /// (the fault campaign's walker and strikes, and the oracle's sliced
+    /// leg) and [`Vm::run_watched`] (the fault campaign's golden run).
     ///
     /// # Errors
     ///

@@ -31,8 +31,10 @@ pub struct TraceRecord {
     pub width: Width,
     /// Destination register, if any.
     pub dst: Option<Reg>,
-    /// Source registers (up to 2 renamed operands; a conditional move's
-    /// old destination is carried in `src2`).
+    /// Source registers: the instruction's `src1` and, when its second
+    /// operand is a register, that register. A conditional move also
+    /// reads its old destination, which is in neither slot: it is the
+    /// record's `dst`.
     pub srcs: [Option<Reg>; 2],
     /// Memory address for loads/stores, 0 otherwise.
     pub mem_addr: u64,
@@ -68,7 +70,7 @@ impl TraceRecord {
 /// This is the streaming interface between the emulator and everything
 /// downstream of it: `og-sim`'s `Simulator` implements it to fuse
 /// emulation and timing simulation into one pass with O(1) trace memory,
-/// `og-profile` adapts its value profiler to it, and [`VecSink`]
+/// `og-core`'s VRS fills its value tables from it, and [`VecSink`]
 /// materializes the stream for tests and offline analysis.
 ///
 /// Every record a sink observes is final: the emulator hands it over

@@ -16,9 +16,9 @@
 //! * [`program`] — program representation: CFG, loops, def-use webs,
 //!   assembler and builder (the role Alto plays in the paper);
 //! * [`vm`] — the functional emulator with dynamic width statistics;
-//! * [`profile`] — Calder-style value profiling for specialization;
 //! * [`core`] — the paper's contribution: Value Range Propagation (VRP)
-//!   and Value Range Specialization (VRS);
+//!   and Value Range Specialization (VRS), with VRS's Calder-style value
+//!   profiling;
 //! * [`sim`] — the 4-wide out-of-order cycle simulator (Table 2 machine);
 //! * [`power`] — the Wattch-style width-aware energy model with software,
 //!   hardware and cooperative gating schemes;
@@ -51,7 +51,6 @@ pub use og_fuzz as fuzz;
 pub use og_isa as isa;
 pub use og_lab as lab;
 pub use og_power as power;
-pub use og_profile as profile;
 pub use og_program as program;
 pub use og_serve as serve;
 pub use og_sim as sim;

@@ -134,8 +134,7 @@ fn fused_simulation_matches_materialized_across_the_suite() {
         assert_fused_matches_materialized(name, "vrp", &vrp);
 
         let mut vrs = base.clone();
-        VrsPass::new(VrsConfig { specialization_cost_nj: 70.0, ..Default::default() })
-            .run(&mut vrs, &base);
+        VrsPass::new(VrsConfig { specialization_cost_nj: 70.0 }).run(&mut vrs, &base);
         assert_fused_matches_materialized(name, "vrs70", &vrs);
     }
 }
@@ -175,7 +174,7 @@ fn vrs_equivalence_on_random_programs() {
         let (base_out, _) = run_output(&p);
         let mut t = p.clone();
         // specialize eagerly
-        let cfg = VrsConfig { specialization_cost_nj: 1.0, ..Default::default() };
+        let cfg = VrsConfig { specialization_cost_nj: 1.0 };
         VrsPass::new(cfg).run(&mut t, &p);
         t.verify().expect("specialized random program verifies");
         let (out, _) = run_output(&t);
