@@ -448,11 +448,11 @@ pub fn run_fault_campaign(cfg: &FaultCampaignConfig) -> FaultCampaignReport {
     report
 }
 
-/// Decode a saved [`FaultPlan`], the format `corpus_tool faults` replays:
-/// a `faults` array of `{"at": <step>, "site": "reg"|"mem"|"pc", ...}`
-/// objects, where a `reg` strike carries `reg` (< 32) and `bit` (< 64), a
-/// `mem` strike a byte `addr` and `bit` (< 8), and a `pc` strike `bit`
-/// (< 32). Plans are written by hand; see `crates/fuzz/plans/`.
+/// Decode a [`FaultPlan`] from the JSON format `corpus_tool faults`
+/// replays: a `faults` array of `{"at": <step>, "site": "reg"|"mem"|"pc",
+/// ...}` objects, where a `reg` strike carries `reg` (< 32) and `bit`
+/// (< 64), a `mem` strike a byte `addr` and `bit` (< 8), and a `pc` strike
+/// `bit` (< 32). Plans are written by hand; see `crates/fuzz/plans/`.
 pub fn plan_from_json(json: &Json) -> Result<FaultPlan, String> {
     let faults = json
         .get("faults")
