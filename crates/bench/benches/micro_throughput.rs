@@ -18,9 +18,11 @@
 //! Its ratio to the reference engine streaming the same program
 //! (`sim_speedup`) calibrates the simulator against the same frozen code
 //! and is gated too. The simulator's value half, `ValueAccountant::feed`
-//! alone over the same trace, is timed alongside: the stage a study's
-//! width-only programs run instead of the whole simulator. Its
-//! records/s and ratio (`accountant_speedup`) are reported, not gated.
+//! alone over the same trace, is timed alongside: the per-record
+//! accounting `Simulator::feed` does besides the timing model. The study
+//! runs neither per record; it prices each run's value accesses from the
+//! VM's per-instruction counts. Its records/s and ratio
+//! (`accountant_speedup`) are reported, not gated.
 //!
 //! Run with `cargo bench -p og-bench --bench micro_throughput`, then
 //! `cargo run --release -p og-bench --example bench_gate`. The numbers go

@@ -455,7 +455,6 @@ impl VrsPass {
                 }
             }
         }
-        let _ = p;
         total
     }
 
@@ -566,7 +565,7 @@ fn apply_specialization(
     }
 
     // ---- region selection (pristine CFG) ------------------------------
-    let region = select_region(f, &art, at.block);
+    let region = select_region(&art, at.block);
 
     // ---- split the candidate block -------------------------------------
     let f = p.func_mut(fid);
@@ -592,7 +591,7 @@ fn apply_specialization(
         mapping.insert(src.0, new_id.0);
     }
     // Remap intra-region edges inside the clones.
-    for (&src, &dst) in mapping.clone().iter() {
+    for &dst in mapping.values() {
         let dst_id = BlockId(dst);
         let insts_len = f.block(dst_id).insts.len();
         for ii in 0..insts_len {
@@ -600,7 +599,6 @@ fn apply_specialization(
             for (old, new) in &mapping {
                 inst.retarget_block(*old, *new);
             }
-            let _ = src;
         }
     }
 
@@ -656,7 +654,7 @@ fn apply_specialization(
 
 /// Blocks eligible for cloning: dominated by the candidate block, in the
 /// same innermost loop, reachable from it, capped in count.
-fn select_region(_f: &og_program::Function, art: &FuncArtifacts, b: BlockId) -> Vec<BlockId> {
+fn select_region(art: &FuncArtifacts, b: BlockId) -> Vec<BlockId> {
     let loop_of = |x: BlockId| art.loops.innermost(x).map(|l| l.header);
     let home = loop_of(b);
     let mut region = Vec::new();

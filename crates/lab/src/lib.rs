@@ -11,9 +11,12 @@
 //!    input for VRS) and apply the program transformation through
 //!    `og_core::transform_all`;
 //! 2. **measure**: emulate **and** simulate in one fused pass — the VM
-//!    streams each committed instruction straight into the cycle-level
-//!    simulator (`og_vm::TraceSink`), so no trace is ever materialized —
-//!    and check observational equivalence against the baseline output;
+//!    streams each committed instruction straight into the simulator's
+//!    timing model (`og_vm::TraceSink`), so no trace is ever
+//!    materialized, and the value accesses are priced once the run ends,
+//!    from the VM's per-instruction significance counts
+//!    (`og_vm::DynStats::inst_sigs`) — and check observational
+//!    equivalence against the baseline output;
 //! 3. **assemble**: label the measurement and add the mechanism's VRS
 //!    bookkeeping, giving a serializable [`RunSummary`].
 //!
@@ -26,11 +29,14 @@
 //! and assembles all 72 summaries from those 25 measurements. The 25
 //! commit only 10 distinct paths: VRP re-encodes widths but moves no
 //! instruction, and only gcc's and vortex's VRS programs add code. The
-//! simulator's timing half reads nothing a width changes, so the study
-//! simulates each path once, runs the 15 width-only programs through
-//! the value accountant alone, and joins their value counts with their
-//! path's timing. The join is checked per run and falls back to a full
-//! simulation when a program leaves its path. Each benchmark's copies
+//! timing model reads nothing a width changes, so the study simulates
+//! each path once, runs the 15 width-only programs on the VM with its
+//! statistics alone (no simulator sees their records), and joins their
+//! value accesses, priced from their own per-instruction counts and
+//! instructions, with their path's timing. The join is checked per run
+//! and falls back to a full simulation when a program leaves its path.
+//! Each run's records thus feed the VM's statistics and, on a full
+//! simulation, the timing model, and nothing else. Each benchmark's copies
 //! share one analysis of its program, and its VRS pairs share one
 //! profile, since profiling does not read the cost.
 //! [`compute_study_with_work`] reports this work ([`StudyWork`]) and
@@ -287,15 +293,20 @@ impl Study {
 pub struct StudyWork {
     /// Distinct programs run on the VM, one per identity class.
     pub programs: u64,
-    /// Programs run through the full cycle simulator.
+    /// Programs simulated in full: their records feed the timing model,
+    /// and their per-instruction counts are priced into its result.
     pub full_simulations: u64,
-    /// Records the full cycle simulator consumed.
+    /// Records the timing model consumed in the full simulations.
     pub simulator_records: u64,
-    /// Programs run through the value accountant only.
+    /// Programs run on another program's path: no simulator sees their
+    /// records, and their per-instruction counts are priced into that
+    /// path's timing (a run that leaves the path is simulated in full
+    /// too).
     pub value_only_runs: u64,
-    /// Records the value-only runs consumed.
+    /// Records the value-only runs committed.
     pub value_only_records: u64,
-    /// VM steps streamed into a simulator or an accountant.
+    /// VM steps streamed with statistics: the full simulations' and the
+    /// value-only runs' records.
     pub fused_steps: u64,
     /// VRS profiling runs: an analysis and one training run each.
     pub vrs_profiles: u64,
@@ -376,7 +387,9 @@ fn classify(bench: &str) -> Classes {
 /// its benchmark's untransformed one only in operand widths commits the
 /// same instructions at the same addresses unless a narrowed value
 /// steers a branch or an address. So the study runs each distinct
-/// program once on the VM, and the full simulator once per path.
+/// program once on the VM, and the timing model once per path. Every
+/// run prices its value accesses from its own per-instruction
+/// significance counts, which the VM's statistics keep.
 ///
 /// One [`WorkerPool`] job per benchmark holds all nine of its
 /// transformed programs, so it tells them apart by `==`. Each job:
@@ -386,9 +399,10 @@ fn classify(bench: &str) -> Classes {
 /// 2. simulates the untransformed program in full and keeps its path's
 ///    timing and its output digest, which every other measurement must
 ///    match;
-/// 3. runs each other program that differs from it only in widths into
-///    the value accountant alone, joined with that timing (or simulated
-///    in full if it left the path), and simulates the rest in full;
+/// 3. runs each other program that differs from it only in widths on
+///    the VM with its statistics alone and prices its counts into that
+///    timing (or simulates it in full if it left the path), and
+///    simulates the rest in full;
 /// 4. assembles the nine summaries, each from its class's measurement
 ///    plus its own label and VRS bookkeeping.
 ///
@@ -433,13 +447,13 @@ fn study_bench(bench: &'static str) -> (Vec<RunSummary>, StudyWork, IdentityClas
         ..StudyWork::default()
     };
 
-    let (first, path) = measure_path(Vm::new(untransformed, RunConfig::default()))
-        .unwrap_or_else(|e| panic!("{bench}/Baseline: {e}"));
+    let (first, path) =
+        measure_path(untransformed).unwrap_or_else(|e| panic!("{bench}/Baseline: {e}"));
     let expected = first.digest();
     // Each class's measurement, and whether it took a full simulation.
     let mut measured = vec![(first, true)];
     for (mech, program) in &programs[1..] {
-        let run = if widths_only(program, untransformed) {
+        let run = if widths_only(program, path.program) {
             let run =
                 measure_on_path(program, &path).unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
             work.value_only_runs += 1;
@@ -447,7 +461,7 @@ fn study_bench(bench: &'static str) -> (Vec<RunSummary>, StudyWork, IdentityClas
             work.verify_lowers += u64::from(run.fell_back);
             (run.measured, run.fell_back)
         } else {
-            let run = measure(Vm::new(program, RunConfig::default()))
+            let run = measure(program, Vm::new(program, RunConfig::default()))
                 .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
             (run, true)
         };

@@ -9,21 +9,23 @@
 //!    pricing it needs no program. [`widths_only`] tells whether a
 //!    transformed program differs from the untransformed one only in
 //!    operand widths.
-//! 2. **measure** — [`measure_path`]: the fused emulate+simulate pass
-//!    (the VM streams each committed instruction straight into the
-//!    cycle-level simulator; no trace is materialized). It yields
-//!    everything of a [`RunSummary`] that depends only on the program:
-//!    the output digest, instructions, width and significance fractions,
-//!    the class × width counts, the [`SimResult`] and the block counts
-//!    VRS's runtime fractions need. It also keeps the run's
-//!    [`PathTiming`]: the simulator's timing half, which only the
+//! 2. **measure** — [`measure`]: the fused emulate+simulate pass (the
+//!    VM streams each committed instruction straight into the timing
+//!    model; no trace is materialized), with the value accesses priced
+//!    once the run ends, from the per-instruction significance counts
+//!    of its [`DynStats`] (`inst_sigs`). It yields everything of a
+//!    [`RunSummary`] that depends only on the program: the output
+//!    digest, instructions, width and significance fractions, the class
+//!    × width counts, the [`SimResult`] and the block counts VRS's
+//!    runtime fractions need. [`measure_path`] also keeps the run's
+//!    [`PathTiming`]: the timing model's result, which only the
 //!    committed path determines. [`measure_on_path`] measures a program
 //!    that differs from the path's own only in operand widths: the VM
-//!    streams it into the value accountant alone, and its value counts
-//!    join the path's timing. The join is checked: the run must commit
-//!    as many records as the path, with the same mix of pcs, memory
-//!    addresses and branch outcomes, or the program is simulated in
-//!    full instead.
+//!    streams it into a [`PathMix`] alone, and its counts, priced
+//!    against its own instructions, join the path's timing. The join is
+//!    checked: the run must commit as many records as the path, with the
+//!    same mix of pcs, memory addresses and branch outcomes, or the
+//!    program is simulated in full instead.
 //! 3. **assemble** — [`Measured::assemble`]: the per-mechanism label and
 //!    [`VrsSummary`] on top of one measurement.
 //!
@@ -37,8 +39,10 @@ use crate::{Mech, RunSummary, VrsSummary};
 use og_core::{transform_all, Applied, Transform, UsefulPolicy, VrsReport};
 use og_isa::IsaExtension;
 use og_program::{BlockId, FuncId, Program};
-use og_sim::{MachineConfig, SimResult, Simulator, ValueAccountant};
-use og_vm::{DynStats, FlatProgram, RunConfig, RunOutcome, TraceRecord, TraceSink, Vm, VmError};
+use og_sim::{MachineConfig, SimResult, TimingModel, ValueAccountant};
+use og_vm::{
+    DynStats, FlatProgram, NullSink, RunConfig, RunOutcome, TraceRecord, TraceSink, Vm, VmError,
+};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -199,7 +203,9 @@ pub(crate) struct Measured {
 /// the path's own only in operand widths shares while it stays on the
 /// path.
 #[derive(Debug)]
-pub(crate) struct PathTiming {
+pub(crate) struct PathTiming<'p> {
+    /// The program that committed the path.
+    pub(crate) program: &'p Program,
     /// The path's [`PathMix`].
     mix: u64,
     /// The timing model's result: cycle stats (their `insts` counts the
@@ -232,38 +238,47 @@ impl<S: TraceSink> TraceSink for PathMix<S> {
 }
 
 /// Run `vm` to completion, streaming every committed instruction into
-/// `sink` through a [`PathMix`]. Returns the outcome, the VM's
-/// statistics, the sink and the mix.
-fn stream<S: TraceSink>(
-    mut vm: Vm<'_>,
-    sink: S,
-) -> Result<(RunOutcome, DynStats, S, u64), VmError> {
-    let mut mixed = PathMix { sink, mix: 0 };
-    let outcome = vm.run_streamed(&mut mixed)?;
+/// `sink`. Returns the outcome, the VM's statistics and the sink.
+fn stream<S: TraceSink>(mut vm: Vm<'_>, mut sink: S) -> Result<(RunOutcome, DynStats, S), VmError> {
+    let outcome = vm.run_streamed(&mut sink)?;
     let (stats, _) = vm.into_parts();
-    Ok((outcome, stats, mixed.sink, mixed.mix))
+    Ok((outcome, stats, sink))
 }
 
-/// Measure: run `vm` to completion, streaming every committed
-/// instruction into a fresh cycle-level simulator.
+/// `timing` with the value accesses of a run of `program` priced in,
+/// from the per-instruction counts of the run's `stats`.
+fn price(program: &Program, stats: &DynStats, timing: SimResult) -> SimResult {
+    let mut values = ValueAccountant::new();
+    values.add_run(program, stats);
+    values.finish(timing)
+}
+
+/// Measure: run `vm`, a VM of `program`, to completion, streaming every
+/// committed instruction into a fresh timing model, and price the run's
+/// value accesses.
 ///
 /// # Errors
 ///
 /// The VM's error when the program runs out of fuel or call depth.
-pub(crate) fn measure(vm: Vm<'_>) -> Result<Measured, VmError> {
-    Ok(measure_path(vm)?.0)
+pub(crate) fn measure(program: &Program, vm: Vm<'_>) -> Result<Measured, VmError> {
+    let (outcome, stats, timing) = stream(vm, TimingModel::new(MachineConfig::default()))?;
+    let sim = price(program, &stats, timing.finish());
+    Ok(Measured::new(&outcome, stats, sim))
 }
 
-/// [`measure`], also returning the timing of the path the run committed.
+/// [`measure`] `program`, also returning the timing of the path the run
+/// committed.
 ///
 /// # Errors
 ///
 /// The VM's error when the program runs out of fuel or call depth.
-pub(crate) fn measure_path(vm: Vm<'_>) -> Result<(Measured, PathTiming), VmError> {
-    let (outcome, stats, sim, mix) = stream(vm, Simulator::new(MachineConfig::default()))?;
-    let (timing, values) = sim.into_parts();
-    let path = PathTiming { mix, timing: timing.finish() };
-    Ok((Measured::new(&outcome, stats, values.finish(path.timing.clone())), path))
+pub(crate) fn measure_path(program: &Program) -> Result<(Measured, PathTiming<'_>), VmError> {
+    let vm = Vm::new(program, RunConfig::default());
+    let timing = TimingModel::new(MachineConfig::default());
+    let (outcome, stats, mixed) = stream(vm, PathMix { sink: timing, mix: 0 })?;
+    let path = PathTiming { program, mix: mixed.mix, timing: mixed.sink.finish() };
+    let sim = price(program, &stats, path.timing.clone());
+    Ok((Measured::new(&outcome, stats, sim), path))
 }
 
 /// A program measured on another program's path by [`measure_on_path`].
@@ -279,24 +294,26 @@ pub(crate) struct OnPath {
 }
 
 /// Measure `program`, which [`widths_only`] found the same as `path`'s
-/// program but for operand widths: the VM streams it into the value
-/// accountant alone, and its value counts join `path`'s timing. If the
-/// run left the path (its record count or path mix differs), a full
+/// program but for operand widths: the VM streams it into a
+/// [`PathMix`] alone, and its value accesses, priced from its own
+/// per-instruction counts and instructions, join `path`'s timing. If
+/// the run left the path (its record count or path mix differs), a full
 /// [`measure`] replaces the join. Either way the result equals
-/// `measure(Vm::new(program, RunConfig::default()))`.
+/// `measure(program, Vm::new(program, RunConfig::default()))`.
 ///
 /// # Errors
 ///
 /// The VM's error when the program runs out of fuel or call depth.
 pub(crate) fn measure_on_path(program: &Program, path: &PathTiming) -> Result<OnPath, VmError> {
     let vm = Vm::new(program, RunConfig::default());
-    let (outcome, stats, values, mix) = stream(vm, ValueAccountant::new())?;
+    let (outcome, stats, mixed) = stream(vm, PathMix { sink: NullSink, mix: 0 })?;
     let value_records = outcome.steps;
-    if value_records == path.timing.stats.insts && mix == path.mix {
-        let measured = Measured::new(&outcome, stats, values.finish(path.timing.clone()));
+    if value_records == path.timing.stats.insts && mixed.mix == path.mix {
+        let joined = price(program, &stats, path.timing.clone());
+        let measured = Measured::new(&outcome, stats, joined);
         return Ok(OnPath { measured, value_records, fell_back: false });
     }
-    let measured = measure(Vm::new(program, RunConfig::default()))?;
+    let measured = measure(program, Vm::new(program, RunConfig::default()))?;
     Ok(OnPath { measured, value_records, fell_back: true })
 }
 
@@ -399,7 +416,7 @@ pub fn run_program(
     expected_digest: Option<u64>,
 ) -> Result<RunSummary, RunError> {
     let (program, vrs) = apply_mechs(program, &[mech], train)?.next().expect("one mechanism");
-    let measured = measure(Vm::new(&program, config))?;
+    let measured = measure(&program, Vm::new(&program, config))?;
     if let Some(expected) = expected_digest {
         measured.check_digest(expected)?;
     }
@@ -427,7 +444,7 @@ pub fn run_lowered(
     flat: FlatProgram,
     config: RunConfig,
 ) -> Result<RunSummary, RunError> {
-    let measured = measure(Vm::with_lowered(program, config, flat))?;
+    let measured = measure(program, Vm::with_lowered(program, config, flat))?;
     Ok(measured.assemble(name, Mech::Baseline, None))
 }
 
@@ -436,6 +453,7 @@ mod tests {
     use super::*;
     use og_isa::{CmpKind, Reg, Width};
     use og_program::{imm, ProgramBuilder};
+    use og_sim::Simulator;
 
     /// `t0 = 200 + 100` at `width`, then a branch on `t0 < 256` to one of
     /// two blocks of equal length, one of which loads. A byte-wide add
@@ -463,6 +481,68 @@ mod tests {
         pb.build().expect("the test program builds")
     }
 
+    /// Streams one run of `program` into the simulator and into a bare
+    /// timing model, then checks the run's per-instruction counts: priced
+    /// into the timing model's result they give the simulator's result,
+    /// and they sum exactly to the run's steps, block counts and
+    /// significance histogram.
+    fn assert_counts_price_like_the_simulator(program: &Program, label: &str) {
+        struct Both(Simulator, TimingModel);
+        impl TraceSink for Both {
+            fn record(&mut self, rec: &TraceRecord) {
+                self.0.feed(rec);
+                self.1.record(rec);
+            }
+        }
+        let config = MachineConfig::default();
+        let mut both = Both(Simulator::new(config.clone()), TimingModel::new(config));
+        let mut vm = Vm::new(program, RunConfig::default());
+        vm.run_streamed(&mut both).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let (stats, _) = vm.into_parts();
+        let priced = price(program, &stats, both.1.finish());
+        assert_eq!(priced, both.0.finish(), "{label}: priced from the counts");
+
+        let executions: Vec<u64> = stats.inst_sigs.iter().map(|c| c.executions()).collect();
+        assert_eq!(executions.iter().sum::<u64>(), stats.steps, "{label}: steps");
+        let mut first = 0;
+        for f in &program.funcs {
+            for (b, block) in f.blocks.iter().enumerate() {
+                let entries = stats.block_counts.get(&(f.id, BlockId(b as u32))).copied();
+                assert_eq!(entries.unwrap_or(0), executions[first], "{label}: {}/{b}", f.name);
+                first += block.insts.len();
+            }
+        }
+        let mut sig_hist = [0; 9];
+        for c in &stats.inst_sigs {
+            for (sig, n) in sig_hist.iter_mut().enumerate().skip(1) {
+                *n += c.result[sig] + c.srcs[0][sig] + c.srcs[1][sig];
+            }
+        }
+        assert_eq!(sig_hist, stats.sig_hist, "{label}: significance histogram");
+    }
+
+    /// Every distinct program the study runs, and the generated
+    /// programs below with their VRP copies: each run prices its value
+    /// accesses from its per-instruction counts exactly as the streamed
+    /// simulator does, and the counts add up to the run's statistics.
+    #[test]
+    fn per_instruction_counts_price_like_the_streamed_simulator() {
+        for bench in og_workloads::NAMES {
+            for (mech, program) in crate::classify(bench).programs {
+                assert_counts_price_like_the_simulator(&program, &format!("{bench}/{mech:?}"));
+            }
+        }
+        use og_program::generate::{generate_program, GenConfig};
+        let mechs = [Mech::ConvVrp, Mech::Vrp, Mech::VrpAggressive];
+        for seed in 0..24 {
+            let program = generate_program(&GenConfig { seed, ..Default::default() });
+            assert_counts_price_like_the_simulator(&program, &format!("seed {seed}"));
+            for ((copy, _), mech) in apply_mechs(&program, &mechs, None).unwrap().zip(mechs) {
+                assert_counts_price_like_the_simulator(&copy, &format!("seed {seed}, {mech:?}"));
+            }
+        }
+    }
+
     /// The summary bytes of `measured`.
     fn bytes(measured: &Measured) -> String {
         og_json::to_string(&measured.assemble("branch_on_sum", Mech::Vrp, None))
@@ -476,12 +556,12 @@ mod tests {
     #[test]
     fn the_join_holds_on_the_path_and_falls_back_off_it() {
         let baseline = branch_on_sum(Width::D);
-        let (_, path) = measure_path(Vm::new(&baseline, RunConfig::default())).unwrap();
+        let (_, path) = measure_path(&baseline).unwrap();
         for (width, leaves_path) in [(Width::W, false), (Width::B, true)] {
             let program = branch_on_sum(width);
             assert!(widths_only(&program, &baseline), "{width:?}");
             let run = measure_on_path(&program, &path).unwrap();
-            let full = measure(Vm::new(&program, RunConfig::default())).unwrap();
+            let full = measure(&program, Vm::new(&program, RunConfig::default())).unwrap();
             assert_eq!(run.fell_back, leaves_path, "{width:?}");
             assert_eq!(run.value_records, full.insts, "{width:?}: only the mix tells paths apart");
             assert_eq!(bytes(&run.measured), bytes(&full), "{width:?}");
@@ -517,13 +597,13 @@ mod tests {
         let mut narrowed = 0;
         for seed in 0..24 {
             let program = generate_program(&GenConfig { seed, ..Default::default() });
-            let (_, path) = measure_path(Vm::new(&program, RunConfig::default())).unwrap();
+            let (_, path) = measure_path(&program).unwrap();
             for ((copy, _), mech) in apply_mechs(&program, &mechs, None).unwrap().zip(mechs) {
                 if !widths_only(&copy, &program) {
                     continue;
                 }
                 let run = measure_on_path(&copy, &path).unwrap();
-                let full = measure(Vm::new(&copy, RunConfig::default())).unwrap();
+                let full = measure(&copy, Vm::new(&copy, RunConfig::default())).unwrap();
                 assert!(!run.fell_back, "seed {seed}, {mech:?}: the copy left the path");
                 assert_eq!(bytes(&run.measured), bytes(&full), "seed {seed}, {mech:?}");
                 narrowed += usize::from(copy != program);

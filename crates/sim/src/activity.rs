@@ -6,19 +6,25 @@
 //! power model can price any scheme from one simulation run.
 //!
 //! The simulator does not price each access as it happens. Its
-//! [`ValueAccountant`] counts value events (issue, operand read, memory
-//! data, functional-unit operation, result), 5 events × 8 software
-//! widths × 8 significances (after the clamps [`ActivityCounts::record_value`]
-//! applies), and folds them into the [`ActivityCounts`] once, at
-//! `finish`, one access per structure the event moves its value through.
-//! Every scheme's byte count is linear in those counts, so the fold,
-//! which prices each cell once weighted by its count, gives exactly the
-//! sums that recording every access one by one gives.
+//! [`ValueAccountant`] counts significances by record shape (whether the
+//! instruction loads, stores, uses another unit or none, its software
+//! width, and which of its sources and result are present: everything
+//! that decides which value events it raises), either one record at a
+//! time or a whole run's per-instruction counts at once. At `finish` it
+//! turns those counts into value events (issue, operand read, memory
+//! data, functional-unit operation, result) by software width and
+//! significance (after the clamps [`ActivityCounts::record_value`]
+//! applies) and folds them into the [`ActivityCounts`], one access per
+//! structure the event moves its value through. Every scheme's byte
+//! count is linear in those counts, so the fold, which prices each cell
+//! once weighted by its count, gives exactly the sums that recording
+//! every access one by one gives.
 
 use crate::pipeline::SimResult;
-use og_isa::{FuKind, Op};
+use og_isa::{FuKind, Op, Width};
 use og_json::{FromJson, Json, ToJson};
-use og_vm::{TraceRecord, TraceSink};
+use og_program::Program;
+use og_vm::{DynStats, SigCounts, TraceRecord, TraceSink};
 
 /// The data-path structures the paper reports energy for (Figures 3, 9
 /// and 14).
@@ -226,6 +232,36 @@ const EVENT_STRUCTURES: [&[Structure]; 5] = [
     &[Structure::ResultBus, Structure::RenameBufs, Structure::RegFile],
 ];
 
+/// Record shapes: `kind << 5 | width code << 3 | src1 << 2 | src2 << 1 |
+/// dst`, the last three set when that register is present.
+const SHAPES: usize = 128;
+
+/// A shape's kind: a load.
+const LOAD: usize = 0;
+/// A store.
+const STORE: usize = 1;
+/// An op that uses no functional unit (`nop`, `halt`).
+const NO_UNIT: usize = 2;
+/// Any other op.
+const UNIT: usize = 3;
+
+/// The shape of a committed instruction: everything besides its
+/// significances that decides which value events it raises.
+#[inline]
+fn shape(op: Op, width: Width, srcs: [bool; 2], dst: bool) -> usize {
+    let kind = match op {
+        Op::Ld { .. } => LOAD,
+        Op::St => STORE,
+        _ if op.fu() == FuKind::None => NO_UNIT,
+        _ => UNIT,
+    };
+    kind << 5
+        | (width.to_code() as usize) << 3
+        | (srcs[0] as usize) << 2
+        | (srcs[1] as usize) << 1
+        | dst as usize
+}
+
 /// The value half of the simulator: which structures each committed
 /// instruction moves a data value through, at what software width and
 /// dynamic significance. It reads a record's op, width, significances
@@ -233,51 +269,69 @@ const EVENT_STRUCTURES: [&[Structure]; 5] = [
 /// besides, so programs that differ only in operand widths can share
 /// one [`crate::TimingModel`] run and each count its own values.
 ///
-/// Each instruction's value events (issue, every source read, the
-/// memory data of a load or store, the functional-unit operation and
-/// the result) are counted by software bytes and significance bytes,
-/// each clamped to 1..=8 as [`ActivityCounts::record_value`] clamps
-/// them; [`finish`](Self::finish) prices every count once per structure
-/// the event accesses.
-#[derive(Debug, Clone, Default)]
+/// It keeps [`SigCounts`] per record shape (see the module docs).
+/// [`feed`](Self::feed) counts one record, and
+/// [`add_run`](Self::add_run) a whole run's per-instruction counts, which
+/// gives the same tally without a record. [`finish`](Self::finish)
+/// applies the value-event rules once per shape: each instruction's issue
+/// at its largest significance, every present source's read, the memory
+/// data of a load (its result) or a store (its first source), the
+/// functional-unit operation and the present result, each counted by
+/// software bytes and significance bytes clamped to 1..=8 as
+/// [`ActivityCounts::record_value`] clamps them, and prices every count
+/// once per structure the event accesses.
+#[derive(Debug, Clone)]
 pub struct ValueAccountant {
-    counts: [[[u64; 8]; 8]; 5],
+    /// Significance counts per record shape.
+    shapes: Vec<SigCounts>,
+}
+
+impl Default for ValueAccountant {
+    fn default() -> ValueAccountant {
+        ValueAccountant::new()
+    }
 }
 
 impl ValueAccountant {
     /// An accountant that has counted nothing.
     pub fn new() -> ValueAccountant {
-        ValueAccountant::default()
+        ValueAccountant { shapes: vec![SigCounts::default(); SHAPES] }
     }
 
-    /// Count one committed instruction's value events.
+    /// Count one committed instruction's significances under its shape.
+    /// A significance above 8 bytes counts as 8, the clamp
+    /// [`ActivityCounts::record_value`] applies.
     #[inline]
     pub fn feed(&mut self, rec: &TraceRecord) {
-        let op = rec.op;
-        let sw = rec.width.bytes() as u8;
-        // `rec.max_sig()`, spelled out so it inlines across the crate
-        // boundary on this hot path.
-        let sig = rec.dst_sig.max(rec.src_sigs[0]).max(rec.src_sigs[1]);
-        self.count(ISSUE, sw, sig);
-        for (src, &src_sig) in rec.srcs.iter().zip(&rec.src_sigs) {
-            if src.is_some() {
-                self.count(READ, sw, src_sig);
-            }
-        }
-        match op {
-            Op::Ld { .. } | Op::St => {
-                // A load moves its result; a store moves its data
-                // operand, and writes the cache at commit.
-                let data_sig = if op == Op::St { rec.src_sigs[0] } else { rec.dst_sig };
-                self.count(MEMORY, sw, data_sig);
-                // Address generation occupies an ALU lane's adder.
-                self.count(EXECUTE, 8, 8);
-            }
-            _ if op.fu() != FuKind::None => self.count(EXECUTE, sw, sig),
-            _ => {}
-        }
-        if rec.dst.is_some() {
-            self.count(RESULT, sw, rec.dst_sig);
+        let srcs = [rec.srcs[0].is_some(), rec.srcs[1].is_some()];
+        let c = &mut self.shapes[shape(rec.op, rec.width, srcs, rec.dst.is_some())];
+        let result = rec.dst_sig.min(8) as usize;
+        let [src1, src2] = rec.src_sigs.map(|sig| sig.min(8) as usize);
+        c.result[result] += 1;
+        c.srcs[0][src1] += 1;
+        c.srcs[1][src2] += 1;
+        c.largest[result.max(src1).max(src2)] += 1;
+    }
+
+    /// Count a whole run of `program`: its statistics' per-instruction
+    /// [`DynStats::inst_sigs`] (in layout order) each go to the shape of
+    /// their instruction. The same tally as feeding every record of the
+    /// run.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `stats` holds one count per instruction of
+    /// `program`, as a statistics run of `program` leaves it.
+    pub fn add_run(&mut self, program: &Program, stats: &DynStats) {
+        assert_eq!(
+            stats.inst_sigs.len(),
+            program.inst_count(),
+            "the statistics must count each instruction of the program"
+        );
+        let insts = program.funcs.iter().flat_map(|f| &f.blocks).flat_map(|b| &b.insts);
+        for (inst, counts) in insts.zip(&stats.inst_sigs) {
+            let srcs = [inst.src1.is_some(), inst.src2.reg().is_some()];
+            self.shapes[shape(inst.op, inst.width, srcs, inst.def().is_some())].add(counts);
         }
     }
 
@@ -285,7 +339,7 @@ impl ValueAccountant {
     /// accountant was fed, with the counted value accesses priced into
     /// its activity.
     pub fn finish(&self, mut timing: SimResult) -> SimResult {
-        for (counts, structures) in self.counts.iter().zip(EVENT_STRUCTURES) {
+        for (counts, structures) in self.events().iter().zip(EVENT_STRUCTURES) {
             for &s in structures {
                 for (sw, row) in (1..=8).zip(counts) {
                     for (sig, &n) in (1..=8).zip(row) {
@@ -297,14 +351,48 @@ impl ValueAccountant {
         timing
     }
 
-    /// Count one value event of kind `event`, as
-    /// `record_value(s, sw_bytes, sig_bytes)` would record it on each of
-    /// its structures `s`.
-    #[inline]
-    fn count(&mut self, event: usize, sw_bytes: u8, sig_bytes: u8) {
-        let sw = sw_bytes.clamp(1, 8) as usize - 1;
-        let sig = sig_bytes.clamp(1, 8) as usize - 1;
-        self.counts[event][sw][sig] += 1;
+    /// The value events of everything counted, by event, software bytes
+    /// and significance bytes (each 1..=8, stored at index `bytes - 1`):
+    /// the one place the value-event rules apply.
+    fn events(&self) -> [[[u64; 8]; 8]; 5] {
+        let mut events = [[[0u64; 8]; 8]; 5];
+        for (shape, c) in self.shapes.iter().enumerate() {
+            let executions = c.executions();
+            if executions == 0 {
+                continue;
+            }
+            let kind = shape >> 5;
+            let sw = Width::ALL[shape >> 3 & 3].bytes() as usize - 1;
+            let [src1, src2, dst] = [4, 2, 1].map(|bit| shape & bit != 0);
+            // One event per count of a significance row.
+            let count = |event: &mut [[u64; 8]; 8], sigs: &[u64; 9]| {
+                for (sig, &n) in sigs.iter().enumerate() {
+                    event[sw][sig.max(1) - 1] += n;
+                }
+            };
+            count(&mut events[ISSUE], &c.largest);
+            if src1 {
+                count(&mut events[READ], &c.srcs[0]);
+            }
+            if src2 {
+                count(&mut events[READ], &c.srcs[1]);
+            }
+            match kind {
+                LOAD | STORE => {
+                    // A load moves its result; a store moves its data
+                    // operand, and writes the cache at commit.
+                    count(&mut events[MEMORY], if kind == STORE { &c.srcs[0] } else { &c.result });
+                    // Address generation occupies an ALU lane's adder.
+                    events[EXECUTE][7][7] += executions;
+                }
+                UNIT => count(&mut events[EXECUTE], &c.largest),
+                _ => {}
+            }
+            if dst {
+                count(&mut events[RESULT], &c.result);
+            }
+        }
+        events
     }
 }
 
@@ -436,9 +524,15 @@ mod tests {
 
     /// Random records of every op shape, significances out of range
     /// included: the accountant's folded counts equal recording every
-    /// access one by one, on top of the bookkeeping already recorded.
+    /// access one by one, on top of the bookkeeping already recorded,
+    /// whether it is fed the records one at a time or their counts
+    /// grouped by pc, as a statistics run counts them, each pc being one
+    /// instruction of a program (64 of random shapes, over two functions
+    /// of four blocks, so the grouped counts follow layout order).
     #[test]
     fn folded_value_events_equal_per_access_records() {
+        use og_isa::{Inst, Operand, Reg, Target};
+        use og_program::{Block, BlockId, DataSegment, FuncId, Function, INST_BYTES, TEXT_BASE};
         let ops = [
             Op::Ld { signed: false },
             Op::Ld { signed: true },
@@ -455,17 +549,32 @@ mod tests {
         ];
         let mut rng = og_program::rng::SplitMix64::new(11);
         let mut pick = |n: u64| rng.below(n);
-        let mut direct = ActivityCounts::new();
-        let mut values = ValueAccountant::new();
-        for _ in 0..20_000 {
-            let reg = |present: u64| (present != 0).then(|| og_isa::Reg::new(3));
-            let rec = TraceRecord {
-                pc: 0,
-                next_pc: 8,
+        let reg = |present: u64, r: u8| (present != 0).then(|| Reg::new(r));
+        let insts: Vec<Inst> = (0..64)
+            .map(|_| Inst {
                 op: ops[pick(ops.len() as u64) as usize],
                 width: og_isa::Width::ALL[pick(4) as usize],
-                dst: reg(pick(2)),
-                srcs: [reg(pick(2)), reg(pick(2))],
+                dst: reg(pick(2), 3),
+                src1: reg(pick(2), 4),
+                src2: reg(pick(2), 5).map_or(Operand::None, Operand::Reg),
+                disp: 0,
+                target: Target::None,
+            })
+            .collect();
+        let mut direct = ActivityCounts::new();
+        let mut values = ValueAccountant::new();
+        let mut stats =
+            DynStats { inst_sigs: vec![SigCounts::default(); 64], ..DynStats::default() };
+        for _ in 0..20_000 {
+            let at = pick(64) as usize;
+            let inst = insts[at];
+            let rec = TraceRecord {
+                pc: TEXT_BASE + at as u64 * INST_BYTES,
+                next_pc: 8,
+                op: inst.op,
+                width: inst.width,
+                dst: inst.def(),
+                srcs: [inst.src1, inst.src2.reg()],
                 mem_addr: 0,
                 taken: false,
                 dst_sig: pick(11) as u8,
@@ -474,12 +583,39 @@ mod tests {
             };
             record_each_access(&mut direct, &rec);
             values.feed(&rec);
+            // Grouped by pc; a statistics run never sees a significance
+            // above 8 bytes, which prices as 8.
+            let c = &mut stats.inst_sigs[((rec.pc - TEXT_BASE) / INST_BYTES) as usize];
+            let [result, src1, src2] =
+                [rec.dst_sig, rec.src_sigs[0], rec.src_sigs[1]].map(|sig| sig.min(8) as usize);
+            c.result[result] += 1;
+            c.srcs[0][src1] += 1;
+            c.srcs[1][src2] += 1;
+            c.largest[result.max(src1).max(src2)] += 1;
         }
+        let block =
+            |b: usize, insts: &[Inst]| Block { label: format!("b{b}"), insts: insts.to_vec() };
+        let function = |f: usize| Function {
+            id: FuncId(f as u32),
+            name: format!("f{f}"),
+            blocks: (0..4).map(|b| block(b, &insts[f * 32 + b * 8..][..8])).collect(),
+            entry: BlockId(0),
+            n_args: 0,
+            returns_value: false,
+        };
+        let program = Program {
+            funcs: vec![function(0), function(1)],
+            entry: FuncId(0),
+            data: DataSegment::new(),
+        };
+        let mut by_pc = ValueAccountant::new();
+        by_pc.add_run(&program, &stats);
         // Plain accesses already in the record survive the fold.
         direct.record_plain(Structure::Rob);
         let mut timing = SimResult { stats: Default::default(), activity: ActivityCounts::new() };
         timing.activity.record_plain(Structure::Rob);
-        assert_eq!(values.finish(timing).activity, direct);
+        assert_eq!(values.finish(timing.clone()).activity, direct, "fed one record at a time");
+        assert_eq!(by_pc.finish(timing).activity, direct, "counted per instruction");
     }
 
     #[test]

@@ -21,28 +21,33 @@
 //!   cooperative). The `og-power` energy model turns these into the
 //!   paper's per-structure energy numbers.
 //!
-//! The simulator is two halves fed the same records:
+//! The simulator is two halves, each usable alone:
 //!
 //! * the [`TimingModel`] reads each record's pc, next pc, op, registers,
 //!   memory address and branch outcome. It yields the [`CycleStats`] and
 //!   the bookkeeping accesses (rename, ROB, predictor, tag matches, cache
-//!   lookups), which carry no gateable value.
+//!   lookups), which carry no gateable value. It is an
+//!   `og_vm::TraceSink` of its own.
 //! * the [`ValueAccountant`] reads op, width, significances and which
-//!   registers are present. It counts every value access by software
-//!   width and significance and prices the counts into the activity at
-//!   `finish`.
+//!   registers are present. It counts significances by record shape,
+//!   either a record at a time ([`ValueAccountant::feed`], which
+//!   [`Simulator::feed`] calls) or a whole run at once from the VM's
+//!   per-instruction counts ([`ValueAccountant::add_run`], which needs
+//!   no record), and at `finish` turns them into value accesses by
+//!   software width and significance and prices those into the
+//!   activity.
 //!
 //! Operand widths reach only the accountant, so programs that differ
-//! only in widths and commit the same path share one timing-model run
-//! ([`Simulator::into_parts`] hands out the halves unfinished); each
-//! needs only its own accountant run.
+//! only in widths and commit the same path share one timing-model run,
+//! and each prices its own values from its own run's counts.
 //!
 //! All per-instruction history is bounded by the machine's own window
 //! sizes (ROB, issue queue, LSQ, physical registers), so the state
 //! machine's footprint is independent of trace *length*: about a
 //! megabyte of fixed structures (six 16,384-slot bandwidth rings of one
 //! `u64` per slot, the predictor tables and cache tags, and the
-//! accountant's 5 × 8 × 8 tally of value events) plus a store-forwarding
+//! accountant's 36 KiB of significance counts, 4 rows of 9 for each of
+//! 128 record shapes) plus a store-forwarding
 //! map that grows with the program's *data footprint* (one entry per
 //! distinct 8-byte word stored — the same cost the slice-consuming
 //! model always paid).

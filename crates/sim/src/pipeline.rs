@@ -11,8 +11,8 @@
 //! redirects, memory latency) at a fraction of the implementation
 //! complexity, and is deterministic.
 //!
-//! The model is an **incremental state machine**: [`TimingModel::feed`]
-//! consumes one committed instruction at a time and
+//! The model is an **incremental state machine**: it consumes one
+//! committed instruction at a time (it is an `og_vm::TraceSink`) and
 //! [`TimingModel::finish`] closes the books. All per-instruction history
 //! it keeps (commit/issue/memory-commit timestamps) is bounded by the
 //! machine's own window sizes (ROB, issue queue, LSQ, physical register
@@ -227,7 +227,8 @@ fn per_cycle(field: &str, value: u32) -> u8 {
 /// significances, so every program that commits the same path gets the
 /// same result. That result holds the [`CycleStats`] and the path's
 /// bookkeeping accesses; a [`ValueAccountant`] adds the value accesses.
-/// [`Simulator::into_parts`] hands one out.
+/// It implements [`og_vm::TraceSink`], so `Vm::run_streamed` can feed it
+/// directly.
 #[derive(Debug)]
 pub struct TimingModel {
     config: MachineConfig,
@@ -285,8 +286,11 @@ impl TimingModel {
     ///
     /// # Panics
     ///
-    /// On the configs [`Simulator::new`] rejects.
-    pub(crate) fn new(config: MachineConfig) -> TimingModel {
+    /// Panics, naming the field, if a width, port or integer unit count
+    /// of `config` is outside 1..=255, if `phys_regs` does not exceed the
+    /// 32 architectural registers, if the ROB, issue queue or LSQ has no
+    /// entry, or if a cache geometry is rejected by [`Cache::new`].
+    pub fn new(config: MachineConfig) -> TimingModel {
         assert!(
             config.phys_regs > 32,
             "MachineConfig::phys_regs must exceed the 32 architectural registers, got {}",
@@ -556,10 +560,7 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics, naming the field, if a width, port or integer unit count
-    /// of `config` is outside 1..=255, if `phys_regs` does not exceed the
-    /// 32 architectural registers, if the ROB, issue queue or LSQ has no
-    /// entry, or if a cache geometry is rejected by [`Cache::new`].
+    /// On the configs [`TimingModel::new`] rejects.
     pub fn new(config: MachineConfig) -> Simulator {
         Simulator { timing: TimingModel::new(config), values: ValueAccountant::new() }
     }
@@ -577,12 +578,6 @@ impl Simulator {
     /// finished machine cannot be fed more work).
     pub fn finish(self) -> SimResult {
         self.values.finish(self.timing.finish())
-    }
-
-    /// The two halves, unfinished, for a caller that reuses the timing of
-    /// one path for several programs that commit it.
-    pub fn into_parts(self) -> (TimingModel, ValueAccountant) {
-        (self.timing, self.values)
     }
 
     /// Simulate a materialized committed-path trace on a **fresh**
@@ -607,6 +602,12 @@ impl Simulator {
             sim.feed(rec);
         }
         sim.finish()
+    }
+}
+
+impl TraceSink for TimingModel {
+    fn record(&mut self, rec: &TraceRecord) {
+        self.feed(rec);
     }
 }
 

@@ -28,8 +28,8 @@
 //! * **precomputed trace registers** — the trace-visible sources and
 //!   destination ([`og_isa::Inst::def`]) are computed once per static
 //!   instruction. Statistics need no slot of their own: the engine
-//!   counts executions per flat index and folds them into
-//!   [`crate::DynStats`] when a run finishes.
+//!   counts each flat index's significances and folds them into the
+//!   rest of [`crate::DynStats`] when a run finishes.
 //!
 //! The lowering is O(program) — a few hundred nanoseconds for the
 //! workload suite's programs — and is paid once in [`crate::Vm::new`];

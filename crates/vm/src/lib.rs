@@ -7,8 +7,10 @@
 //!   oracle for every program transformation in this repository;
 //! * **dynamic statistics** ([`DynStats`]): per-block execution counts
 //!   (the basic-block profiles VRS builds on), operation-class × width
-//!   histograms (Table 3, Figures 2 and 7), and the dynamic
-//!   significant-byte distribution of operand values (Figure 12);
+//!   histograms (Table 3, Figures 2 and 7), the dynamic
+//!   significant-byte distribution of operand values (Figure 12), and
+//!   each instruction's significance counts ([`SigCounts`]), from which
+//!   `og-sim` prices a run's value accesses without its records;
 //! * a **streamed committed-path trace**: [`Vm::run_streamed`] pushes one
 //!   [`TraceRecord`] per committed instruction into a caller-supplied
 //!   [`TraceSink`] — this is how the cycle-level timing model in `og-sim`
@@ -55,8 +57,9 @@
 //! 2. **Flat** — one hot loop, monomorphized on the sink type and on
 //!    `TRACE`. [`Vm::run_streamed`] builds each committed instruction's
 //!    record once, final at commit, and gives it to the run's statistics,
-//!    then to the caller's sink; the statistics count executions per
-//!    instruction and fold into [`DynStats`] when the run ends.
+//!    then to the caller's sink; the statistics count each instruction's
+//!    significances and fold the rest of [`DynStats`] from those counts
+//!    when the run ends.
 //!    [`Vm::run`] is [`Vm::run_streamed`] into a [`NullSink`].
 //!    [`Vm::run_nostats`] and [`Vm::run_quantum`] build no records and
 //!    keep only the architectural result (outputs, digest, step count);
@@ -137,5 +140,5 @@ pub use flat::FlatProgram;
 pub use machine::{HaltReason, Quantum, RunConfig, RunOutcome, Vm, VmError};
 pub use memory::Memory;
 pub use og_program::fnv1a;
-pub use stats::DynStats;
+pub use stats::{DynStats, SigCounts};
 pub use trace::{FnSink, NullSink, TraceRecord, TraceSink, VecSink};

@@ -29,10 +29,10 @@
 use crate::eval::{alu_eval, cmov_eval};
 use crate::fault::LastReads;
 use crate::flat::{FlatInst, FlatOp, FlatProgram};
-use crate::stats::StatsSink;
+use crate::stats::{SigCounts, StatsSink};
 use crate::{fnv1a, DynStats, Memory, NullSink, TraceRecord, TraceSink};
 use og_isa::{Op, Operand, Reg, Target, Width};
-use og_program::{BlockId, FuncId, InstRef, Layout, Program, STACK_BASE};
+use og_program::{BlockId, FuncId, InstRef, Layout, Program, INST_BYTES, STACK_BASE, TEXT_BASE};
 use std::fmt;
 
 /// Emulator configuration.
@@ -381,8 +381,11 @@ impl<'p> Vm<'p> {
     /// Run to completion, streaming each committed instruction's
     /// [`TraceRecord`] into `sink`. This is the fused, O(1)-trace-memory
     /// path: nothing is materialized inside the VM. Each record goes to
-    /// the run's statistics first, which fold into [`DynStats`] when the
-    /// run ends, on error paths too, as the reference engine's are.
+    /// the run's statistics first, which count its instruction's
+    /// significances ([`DynStats::inst_sigs`]) and, when the run ends,
+    /// fold the block counts, the class × width counts and the
+    /// significance histogram from those counts, on error paths too, as
+    /// the reference engine's are.
     ///
     /// Generic so a concrete sink (the simulator, VRS's value tables, a
     /// [`crate::VecSink`]) inlines into the flat engine's hot loop;
@@ -413,7 +416,7 @@ impl<'p> Vm<'p> {
         // A `jsr` that finds the call stack full commits no record, but it
         // counts as executed, in the step count and in its block's entries.
         if let FlatExit::CallDepthExceeded(ip) = exit {
-            stats.counts[ip] += 1;
+            stats.count_call_overflow(ip);
         }
         stats.fold_into(self.program, &mut self.stats);
         let reason = match exit {
@@ -563,6 +566,9 @@ impl<'p> Vm<'p> {
         // that would also let the two engines' private call stacks
         // disagree across interleaved runs.
         self.call_stack.clear();
+        if self.stats.inst_sigs.is_empty() {
+            self.stats.inst_sigs = vec![SigCounts::default(); self.program.inst_count()];
+        }
         let entry = self.program.entry;
         let mut pc = InstRef::new(entry, self.program.func(entry).entry, 0);
         let result = loop {
@@ -825,6 +831,8 @@ impl<'p> Vm<'p> {
         }
         let inst = block.insts[at.idx as usize];
         self.stats.steps += 1;
+        let pc_addr = self.layout.addr_of(at);
+        let index = ((pc_addr - TEXT_BASE) / INST_BYTES) as usize;
 
         let a = inst.src1.map(|r| self.reg(r)).unwrap_or(0);
         let b = self.operand_value(inst.src2);
@@ -872,6 +880,8 @@ impl<'p> Vm<'p> {
             Op::Jsr => match inst.target {
                 Target::Func(callee) => {
                     if self.call_stack.len() >= self.config.max_call_depth {
+                        // It executed, with no value read or written.
+                        self.stats.inst_sigs[index].count(0, [0, 0]);
                         return Err(VmError::CallDepthExceeded { max: self.config.max_call_depth });
                     }
                     taken = true;
@@ -927,13 +937,14 @@ impl<'p> Vm<'p> {
             self.stats.record_sig_bytes(sig);
             src_sigs[1] = sig;
         }
-        if let Some(v) = dst_value {
-            self.stats.record_sig(v);
+        let dst_sig = dst_value.map_or(0, Width::sig_bytes);
+        if dst_value.is_some() {
+            self.stats.record_sig_bytes(dst_sig);
         }
+        self.stats.inst_sigs[index].count(dst_sig, src_sigs);
 
         // ---- trace -----------------------------------------------------
         if let Some(sink) = sink {
-            let pc_addr = self.layout.addr_of(at);
             // Patch and release the delayed predecessor: its `next_pc`
             // is this instruction's address.
             if let Some(mut prev) = self.pending.take() {
@@ -949,7 +960,7 @@ impl<'p> Vm<'p> {
                 srcs: [inst.src1, inst.src2.reg()],
                 mem_addr,
                 taken,
-                dst_sig: dst_value.map_or(0, Width::sig_bytes),
+                dst_sig,
                 src_sigs,
                 dst_value,
             });
@@ -1193,6 +1204,7 @@ mod tests {
         // Only the step count is maintained; the rest is skipped.
         assert_eq!(vm.stats().steps, expected.steps);
         assert!(vm.stats().block_counts.is_empty(), "no-stats mode keeps no block counts");
+        assert!(vm.stats().inst_sigs.is_empty(), "no-stats mode counts no instruction");
     }
 
     #[test]

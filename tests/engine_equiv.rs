@@ -3,7 +3,9 @@
 //! graph-walking interpreter (`Vm::run_reference*`) on every observable:
 //! `RunOutcome` (steps, halt reason, output digest), the raw output
 //! stream, the full `DynStats` (step count, block counts, class×width
-//! histogram and significance histogram), and the streamed
+//! histogram, significance histogram and each instruction's
+//! significance counts, which the flat engine folds the rest from and
+//! the reference engine counts inline), and the streamed
 //! `TraceRecord` sequence (whose `dst_value` carries every defined
 //! value).
 //!
@@ -207,6 +209,7 @@ fn nostats_mode_preserves_architectural_results_on_workloads_and_corpus() {
         assert_eq!(nostats_result, full_result, "{label}: nostats RunOutcome diverged");
         assert_eq!(vm.output(), &full_output[..], "{label}: nostats output diverged");
         assert!(vm.stats().block_counts.is_empty(), "{label}: nostats must skip bookkeeping");
+        assert!(vm.stats().inst_sigs.is_empty(), "{label}: nostats must count no instruction");
     }
 }
 
