@@ -304,13 +304,8 @@ impl ValueAccountant {
     #[inline]
     pub fn feed(&mut self, rec: &TraceRecord) {
         let srcs = [rec.srcs[0].is_some(), rec.srcs[1].is_some()];
-        let c = &mut self.shapes[shape(rec.op, rec.width, srcs, rec.dst.is_some())];
-        let result = rec.dst_sig.min(8) as usize;
-        let [src1, src2] = rec.src_sigs.map(|sig| sig.min(8) as usize);
-        c.result[result] += 1;
-        c.srcs[0][src1] += 1;
-        c.srcs[1][src2] += 1;
-        c.largest[result.max(src1).max(src2)] += 1;
+        self.shapes[shape(rec.op, rec.width, srcs, rec.dst.is_some())]
+            .count(rec.dst_sig.min(8), rec.src_sigs.map(|sig| sig.min(8)));
     }
 
     /// Count a whole run of `program`: its statistics' per-instruction
@@ -585,13 +580,8 @@ mod tests {
             values.feed(&rec);
             // Grouped by pc; a statistics run never sees a significance
             // above 8 bytes, which prices as 8.
-            let c = &mut stats.inst_sigs[((rec.pc - TEXT_BASE) / INST_BYTES) as usize];
-            let [result, src1, src2] =
-                [rec.dst_sig, rec.src_sigs[0], rec.src_sigs[1]].map(|sig| sig.min(8) as usize);
-            c.result[result] += 1;
-            c.srcs[0][src1] += 1;
-            c.srcs[1][src2] += 1;
-            c.largest[result.max(src1).max(src2)] += 1;
+            stats.inst_sigs[((rec.pc - TEXT_BASE) / INST_BYTES) as usize]
+                .count(rec.dst_sig.min(8), rec.src_sigs.map(|sig| sig.min(8)));
         }
         let block =
             |b: usize, insts: &[Inst]| Block { label: format!("b{b}"), insts: insts.to_vec() };

@@ -75,9 +75,9 @@ impl SigCounts {
     }
 
     /// Count one execution whose result and sources had `result` and
-    /// `srcs` significant bytes (0 for absent): the reference engine's
-    /// count.
-    pub(crate) fn count(&mut self, result: u8, srcs: [u8; 2]) {
+    /// `srcs` significant bytes (0 for absent, at most 8).
+    #[inline]
+    pub fn count(&mut self, result: u8, srcs: [u8; 2]) {
         self.result[result as usize] += 1;
         self.srcs[0][srcs[0] as usize] += 1;
         self.srcs[1][srcs[1] as usize] += 1;
