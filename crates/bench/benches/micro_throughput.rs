@@ -8,16 +8,19 @@
 //! `black_box` (so the streamed series times building whole records),
 //! and in no-stats mode (`Vm::run_nostats`), each against the reference
 //! graph-walking interpreter (`Vm::run_reference*`, streamed into the
-//! same sink). The reference engine is frozen code, so the
-//! flat/reference ratios measured in one run do not depend on the
-//! machine's absolute speed; `bench_gate` gates on them.
+//! same sink). The reference engine changes far less often than the
+//! flat engine, so the flat/reference ratios measured in one run do not
+//! depend on the machine's absolute speed; `bench_gate` gates on them.
+//! It is not frozen: it counts each instruction's significances
+//! (`DynStats::inst_sigs`) inline, and a change to it moves every ratio,
+//! so the committed baseline is regenerated with such a change.
 //!
 //! The same run times the **simulator**: `Simulator::feed` (plus
 //! `finish`) over the compress Ref trace captured once with a `VecSink`,
 //! in records per second, sampled round-robin with the engine series.
 //! Its ratio to the reference engine streaming the same program
-//! (`sim_speedup`) calibrates the simulator against the same frozen code
-//! and is gated too. The simulator's value half, `ValueAccountant::feed`
+//! (`sim_speedup`) calibrates the simulator against the same engine and
+//! is gated too. The simulator's value half, `ValueAccountant::feed`
 //! alone over the same trace, is timed alongside: the per-record
 //! accounting `Simulator::feed` does besides the timing model. The study
 //! runs neither per record; it prices each run's value accesses from the

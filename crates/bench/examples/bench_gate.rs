@@ -15,10 +15,13 @@
 //! `nostats/reference`), and the simulator's records/s over the
 //! reference engine's streamed steps/s on the same program
 //! (`sim/reference_streamed`), every series the fastest of 41 samples.
-//! The reference engine is frozen code, so it calibrates the machine: a
-//! ratio moves far less across boxes and background load than absolute
-//! steps/s, which swing by tens of percent. A ratio more than 20% below
-//! the committed `bench/baseline/BENCH_vm.json` exits nonzero.
+//! The reference engine changes far less often than the flat engine, so
+//! it calibrates the machine: a ratio moves far less across boxes and
+//! background load than absolute steps/s, which swing by tens of
+//! percent. A ratio more than 20% below the committed
+//! `bench/baseline/BENCH_vm.json` exits nonzero. The reference engine is
+//! not frozen (it counts each instruction's significances inline), so a
+//! change to it comes with a regenerated baseline.
 //!
 //! Arguments (both optional, in order): baseline path, fresh path.
 //! Defaults: the committed snapshot, and `BENCH_vm.json` in the bench

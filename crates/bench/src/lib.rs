@@ -4,7 +4,7 @@
 //! `benches/`:
 //!
 //! * `micro_throughput` measures the VM engines, the simulator and its
-//!   value accountant against the frozen reference engine and writes
+//!   value accountant against the reference engine and writes
 //!   `BENCH_vm.json`, whose engine and simulator ratios the `bench_gate`
 //!   example gates;
 //! * `fault_campaign` classifies seeded soft errors, writes

@@ -24,7 +24,12 @@
 //! [`transform_all`], with the program as its own training input, so the
 //! eleven copies share one analysis of the program and one VRS profile.
 //! Every copy must verify, run on the reference engine and emit the
-//! baseline's output bytes.
+//! baseline's output bytes. A copy that `og_vm::eval::keeps_every_value`
+//! accepts against the fused leg's statistics (a VRP copy whose every
+//! narrowed instruction keeps its value) must also repeat the baseline's
+//! step count, digest and per-instruction counts: og-lab prices such a
+//! copy from its program's run without running it, and a copy that runs
+//! differently is an [`OracleError::Invariant`] failure.
 //!
 //! The oracle also fuzzes the **verifier invariant** in both directions.
 //! Every checked program goes through the collect-all verifier first: a
@@ -41,6 +46,7 @@
 
 use crate::{transform_all, Applied, CandidateFate, Transform};
 use og_program::Program;
+use og_vm::eval::keeps_every_value;
 use og_vm::{DynStats, FlatProgram, Quantum, RunConfig, RunOutcome, VecSink, Vm, VmError};
 use std::fmt;
 
@@ -77,7 +83,9 @@ pub enum OracleError {
     },
     /// The `verify Ok ⇒ no structural error` invariant broke: a program
     /// the verifier accepted reported `VmError::Malformed` (either
-    /// engine), or violated a certified static call-depth bound.
+    /// engine), or violated a certified static call-depth bound. Also a
+    /// copy that keeps every value of the baseline's run
+    /// (`og_vm::eval::keeps_every_value`) but ran differently.
     Invariant {
         /// What happened.
         what: String,
@@ -195,9 +203,10 @@ impl fmt::Display for OracleError {
 impl std::error::Error for OracleError {}
 
 /// Run a transformed program on the reference (graph-walking) engine.
-fn run_plain(mut vm: Vm<'_>) -> Result<(Vec<u8>, RunOutcome), VmError> {
+fn run_plain(mut vm: Vm<'_>) -> Result<(Vec<u8>, RunOutcome, DynStats), VmError> {
     let outcome = vm.run_reference()?;
-    Ok((vm.output().to_vec(), outcome))
+    let (stats, out) = vm.into_parts();
+    Ok((out, outcome, stats))
 }
 
 /// Steps per slice of the no-stats leg: small, so an ordinary case
@@ -355,7 +364,7 @@ pub fn check_program(p: &Program, max_steps: u64) -> Result<OracleOutcome, Oracl
         let fuel = max_steps * STEP_RATIO + STEP_SLACK;
         let t_cfg = RunConfig { max_steps: fuel, ..Default::default() };
         let t_vm = Vm::with_lowered(&transformed, t_cfg, t_flat);
-        let (out, got) = run_plain(t_vm).map_err(|error| match error {
+        let (out, got, t_stats) = run_plain(t_vm).map_err(|error| match error {
             VmError::Malformed { .. } => OracleError::Invariant {
                 what: format!("[{label}] verified transformed program reported: {error}"),
             },
@@ -389,6 +398,18 @@ pub fn check_program(p: &Program, max_steps: u64) -> Result<OracleOutcome, Oracl
                 transform: label,
                 base: plain.steps,
                 got: got.steps,
+            });
+        }
+        // The premise of pricing a width-only copy from its program's run:
+        // a copy whose every narrowed instruction keeps its value against
+        // the baseline's counts repeats the baseline's run.
+        if keeps_every_value(p, &outcome.stats, &transformed)
+            && (t_stats.inst_sigs != outcome.stats.inst_sigs
+                || got.steps != plain.steps
+                || got.output_digest != plain.output_digest)
+        {
+            return Err(OracleError::Invariant {
+                what: format!("[{label}] a copy that keeps every value ran differently"),
             });
         }
     }
@@ -454,8 +475,8 @@ mod tests {
         // flip the ldi 0 to ldi 1: output changes
         let r = q.insts().find(|(_, i)| i.op == og_isa::Op::Ldi).map(|(r, _)| r).unwrap();
         q.inst_mut(r).src2 = og_isa::Operand::Imm(1);
-        let (a, _) = run_plain(Vm::new(&p, RunConfig::default())).unwrap();
-        let (b, _) = run_plain(Vm::new(&q, RunConfig::default())).unwrap();
+        let (a, _, _) = run_plain(Vm::new(&p, RunConfig::default())).unwrap();
+        let (b, _, _) = run_plain(Vm::new(&q, RunConfig::default())).unwrap();
         assert_ne!(a, b, "sabotage must be observable in the output stream");
     }
 

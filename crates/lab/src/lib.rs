@@ -25,20 +25,28 @@
 //! results, so it tells programs apart by `==`. The 72 pairs hold only
 //! 25 distinct programs (most mechanisms leave compress and m88ksim
 //! unchanged, and the five VRS cost points give one program on every
-//! benchmark), so the study runs each distinct program once on the VM
-//! and assembles all 72 summaries from those 25 measurements. The 25
+//! benchmark), so the study measures each distinct program once and
+//! assembles all 72 summaries from those 25 measurements. The 25
 //! commit only 10 distinct paths: VRP re-encodes widths but moves no
 //! instruction, and only gcc's and vortex's VRS programs add code. The
 //! timing model reads nothing a width changes, so the study simulates
-//! each path once, runs the 15 width-only programs on the VM with its
-//! statistics alone (no simulator sees their records), and joins their
-//! value accesses, priced from their own per-instruction counts and
-//! instructions, with their path's timing. The join is checked per run
-//! and falls back to a full simulation when a program leaves its path.
-//! Each run's records thus feed the VM's statistics and, on a full
-//! simulation, the timing model, and nothing else. Each benchmark's copies
-//! share one analysis of its program, and its VRS pairs share one
-//! profile, since profiling does not read the cost.
+//! each path once. Of the 15 width-only programs, 8 compute every value
+//! their benchmark's untransformed program computed: each instruction
+//! they narrow passes `og_vm::eval::keeps_value` against the
+//! untransformed run's per-instruction counts (the widest values the
+//! rule checks fit the new width). The study measures those 8 with no VM,
+//! from the untransformed run: its steps, digest and counts, with the
+//! class × width counts refolded over their own widths and their value
+//! accesses priced against their own instructions into the path's
+//! timing. It runs the other 7 on the VM with its statistics alone (no
+//! simulator sees their records) and joins their value accesses, priced
+//! from their own per-instruction counts and instructions, with their
+//! path's timing. That join is checked per run and falls back to a full
+//! simulation when a program leaves its path. Each run's records thus
+//! feed the VM's statistics and, on a full simulation, the timing
+//! model, and nothing else. Each benchmark's copies share one analysis
+//! of its program, and its VRS pairs share one profile, since profiling
+//! does not read the cost.
 //! [`compute_study_with_work`] reports this work ([`StudyWork`]) and
 //! the partition ([`IdentityClasses`]).
 //!
@@ -61,7 +69,7 @@ pub mod pool;
 pub mod report;
 mod serialize;
 
-use pipeline::{apply_mechs, measure, measure_on_path, measure_path, widths_only, VrsRaw};
+use pipeline::{apply_mechs, measure, measure_from_path, measure_on_path, measure_path, VrsRaw};
 pub use pipeline::{run_lowered, run_program, RunError};
 pub use pool::WorkerPool;
 
@@ -69,6 +77,7 @@ use og_isa::OpClass;
 use og_power::{ed2_improvement, EnergyModel, EnergyReport, GatingScheme};
 use og_program::Program;
 use og_sim::{ActivityCounts, CycleStats, Structure};
+use og_vm::eval::keeps_every_value;
 use og_vm::{RunConfig, Vm};
 use og_workloads::{by_name, InputSet, NAMES};
 use std::borrow::Cow;
@@ -291,39 +300,49 @@ impl Study {
 /// counts the runs already report, so it repeats exactly on any machine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StudyWork {
-    /// Distinct programs run on the VM, one per identity class.
+    /// Distinct programs measured, one per identity class.
     pub programs: u64,
     /// Programs simulated in full: their records feed the timing model,
     /// and their per-instruction counts are priced into its result.
     pub full_simulations: u64,
     /// Records the timing model consumed in the full simulations.
     pub simulator_records: u64,
-    /// Programs run on another program's path: no simulator sees their
-    /// records, and their per-instruction counts are priced into that
-    /// path's timing (a run that leaves the path is simulated in full
-    /// too).
+    /// Programs run on the VM on another program's path: no simulator
+    /// sees their records, and their per-instruction counts are priced
+    /// into that path's timing (a run that leaves the path is simulated
+    /// in full too). A width-only program whose every narrowed
+    /// instruction keeps its value counts under `reused_runs` instead.
     pub value_only_runs: u64,
     /// Records the value-only runs committed.
     pub value_only_records: u64,
+    /// Programs measured from their path's run with no VM: each differs
+    /// from the program that committed the path only in widths, and
+    /// every instruction it narrows computes the value it computed
+    /// there (`og_vm::eval::keeps_every_value`), so a run of it would
+    /// repeat that run's counts, which are priced against its own
+    /// instructions into the path's timing.
+    pub reused_runs: u64,
     /// VM steps streamed with statistics: the full simulations' and the
     /// value-only runs' records.
     pub fused_steps: u64,
     /// VRS profiling runs: an analysis and one training run each.
     pub vrs_profiles: u64,
     /// Programs verified and lowered into a VM for a streamed run (VRS's
-    /// training run counts under `vrs_profiles`).
+    /// training run counts under `vrs_profiles`; a reused run lowers
+    /// nothing).
     pub verify_lowers: u64,
 }
 
 impl StudyWork {
     /// Every count with its field name, in declaration order.
-    pub fn rows(&self) -> [(&'static str, u64); 8] {
+    pub fn rows(&self) -> [(&'static str, u64); 9] {
         [
             ("programs", self.programs),
             ("full_simulations", self.full_simulations),
             ("simulator_records", self.simulator_records),
             ("value_only_runs", self.value_only_runs),
             ("value_only_records", self.value_only_records),
+            ("reused_runs", self.reused_runs),
             ("fused_steps", self.fused_steps),
             ("vrs_profiles", self.vrs_profiles),
             ("verify_lowers", self.verify_lowers),
@@ -339,6 +358,7 @@ impl std::iter::Sum for StudyWork {
             simulator_records: a.simulator_records + b.simulator_records,
             value_only_runs: a.value_only_runs + b.value_only_runs,
             value_only_records: a.value_only_records + b.value_only_records,
+            reused_runs: a.reused_runs + b.reused_runs,
             fused_steps: a.fused_steps + b.fused_steps,
             vrs_profiles: a.vrs_profiles + b.vrs_profiles,
             verify_lowers: a.verify_lowers + b.verify_lowers,
@@ -387,8 +407,8 @@ fn classify(bench: &str) -> Classes {
 /// its benchmark's untransformed one only in operand widths commits the
 /// same instructions at the same addresses unless a narrowed value
 /// steers a branch or an address. So the study runs each distinct
-/// program once on the VM, and the timing model once per path. Every
-/// run prices its value accesses from its own per-instruction
+/// program at most once on the VM, and the timing model once per path.
+/// Every measurement prices its value accesses from per-instruction
 /// significance counts, which the VM's statistics keep.
 ///
 /// One [`WorkerPool`] job per benchmark holds all nine of its
@@ -399,10 +419,14 @@ fn classify(bench: &str) -> Classes {
 /// 2. simulates the untransformed program in full and keeps its path's
 ///    timing and its output digest, which every other measurement must
 ///    match;
-/// 3. runs each other program that differs from it only in widths on
-///    the VM with its statistics alone and prices its counts into that
-///    timing (or simulates it in full if it left the path), and
-///    simulates the rest in full;
+/// 3. measures each other program that differs from it only in widths
+///    against that timing: with no VM, from the untransformed run's
+///    counts, when every instruction it narrows keeps the value it had
+///    in that run (`og_vm::eval::keeps_every_value`; 8 of the suite's
+///    15), and otherwise on the VM with its statistics alone (or
+///    simulated in full if it left the path); either way its counts are
+///    priced against its own instructions. It simulates the rest in
+///    full;
 /// 4. assembles the nine summaries, each from its class's measurement
 ///    plus its own label and VRS bookkeeping.
 ///
@@ -443,7 +467,7 @@ fn study_bench(bench: &'static str) -> (Vec<RunSummary>, StudyWork, IdentityClas
         programs: programs.len() as u64,
         // `classify` profiles the benchmark once for every VRS cost.
         vrs_profiles: 1,
-        verify_lowers: programs.len() as u64,
+        verify_lowers: 1,
         ..StudyWork::default()
     };
 
@@ -453,16 +477,20 @@ fn study_bench(bench: &'static str) -> (Vec<RunSummary>, StudyWork, IdentityClas
     // Each class's measurement, and whether it took a full simulation.
     let mut measured = vec![(first, true)];
     for (mech, program) in &programs[1..] {
-        let run = if widths_only(program, path.program) {
+        let run = if keeps_every_value(path.program, &path.stats, program) {
+            work.reused_runs += 1;
+            (measure_from_path(program, &path), false)
+        } else if path.program.same_but_widths(program) {
             let run =
                 measure_on_path(program, &path).unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
             work.value_only_runs += 1;
             work.value_only_records += run.value_records;
-            work.verify_lowers += u64::from(run.fell_back);
+            work.verify_lowers += 1 + u64::from(run.fell_back);
             (run.measured, run.fell_back)
         } else {
             let run = measure(program, Vm::new(program, RunConfig::default()))
                 .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+            work.verify_lowers += 1;
             (run, true)
         };
         measured.push(run);

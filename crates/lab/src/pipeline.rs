@@ -6,9 +6,9 @@
 //!    all from one analysis of the program and one VRS profile, whatever
 //!    the costs. The [`VrsRaw`] bookkeeping is self-contained: the
 //!    specialized blocks' instruction counts are resolved here, so
-//!    pricing it needs no program. [`widths_only`] tells whether a
-//!    transformed program differs from the untransformed one only in
-//!    operand widths.
+//!    pricing it needs no program. [`Program::same_but_widths`] tells
+//!    whether a transformed program differs from the untransformed one
+//!    only in operand widths.
 //! 2. **measure** — [`measure`]: the fused emulate+simulate pass (the
 //!    VM streams each committed instruction straight into the timing
 //!    model; no trace is materialized), with the value accesses priced
@@ -19,13 +19,19 @@
 //!    × width counts, the [`SimResult`] and the block counts VRS's
 //!    runtime fractions need. [`measure_path`] also keeps the run's
 //!    [`PathTiming`]: the timing model's result, which only the
-//!    committed path determines. [`measure_on_path`] measures a program
-//!    that differs from the path's own only in operand widths: the VM
-//!    streams it into a [`PathMix`] alone, and its counts, priced
-//!    against its own instructions, join the path's timing. The join is
-//!    checked: the run must commit as many records as the path, with the
-//!    same mix of pcs, memory addresses and branch outcomes, or the
-//!    program is simulated in full instead.
+//!    committed path determines, and the run's outcome and statistics.
+//!    [`measure_from_path`] measures, with no VM, a program that differs
+//!    from the path's own only in widths and computes every value the
+//!    path's run computed (`og_vm::eval::keeps_every_value`): its
+//!    statistics are the path's refolded over its own widths, and its
+//!    counts, priced against its own instructions, join the path's
+//!    timing. [`measure_on_path`] measures any other program that differs
+//!    from the path's own only in widths: the VM streams it into a
+//!    [`PathMix`] alone, and its counts, priced against its own
+//!    instructions, join the path's timing. That join is checked: the run
+//!    must commit as many records as the path, with the same mix of pcs,
+//!    memory addresses and branch outcomes, or the program is simulated
+//!    in full instead.
 //! 3. **assemble** — [`Measured::assemble`]: the per-mechanism label and
 //!    [`VrsSummary`] on top of one measurement.
 //!
@@ -170,22 +176,6 @@ pub(crate) fn apply_mechs<'a>(
     }))
 }
 
-/// Whether `program` equals `untransformed` but for operand widths (or
-/// equals it outright). Such a program commits the untransformed
-/// program's path unless a narrowed value steers a branch or an address
-/// differently, so [`measure_on_path`] can reuse that path's timing.
-pub(crate) fn widths_only(program: &Program, untransformed: &Program) -> bool {
-    let mut widened = program.clone();
-    let mut widths = untransformed.funcs.iter().flat_map(|f| &f.blocks).flat_map(|b| &b.insts);
-    for inst in widened.funcs.iter_mut().flat_map(|f| &mut f.blocks).flat_map(|b| &mut b.insts) {
-        match widths.next() {
-            Some(original) => inst.width = original.width,
-            None => return false,
-        }
-    }
-    widened == *untransformed
-}
-
 /// The mechanism-independent part of a [`RunSummary`]: what one fused
 /// emulate+simulate pass of a program yields.
 #[derive(Debug)]
@@ -201,11 +191,16 @@ pub(crate) struct Measured {
 
 /// The timing of one committed path, which every program differing from
 /// the path's own only in operand widths shares while it stays on the
-/// path.
+/// path, and the run that committed it.
 #[derive(Debug)]
 pub(crate) struct PathTiming<'p> {
     /// The program that committed the path.
     pub(crate) program: &'p Program,
+    /// The run's outcome.
+    outcome: RunOutcome,
+    /// The run's statistics, which a program that computes every value
+    /// the run computed shares but for its widths.
+    pub(crate) stats: DynStats,
     /// The path's [`PathMix`].
     mix: u64,
     /// The timing model's result: cycle stats (their `insts` counts the
@@ -276,9 +271,22 @@ pub(crate) fn measure_path(program: &Program) -> Result<(Measured, PathTiming<'_
     let vm = Vm::new(program, RunConfig::default());
     let timing = TimingModel::new(MachineConfig::default());
     let (outcome, stats, mixed) = stream(vm, PathMix { sink: timing, mix: 0 })?;
-    let path = PathTiming { program, mix: mixed.mix, timing: mixed.sink.finish() };
+    let path = PathTiming { program, outcome, stats, mix: mixed.mix, timing: mixed.sink.finish() };
+    Ok((measure_from_path(program, &path), path))
+}
+
+/// Measure `program`, which `og_vm::eval::keeps_every_value` found to
+/// compute every value `path`'s run computed (the path's own program
+/// among them), with no VM: a run of it would repeat that run's steps,
+/// digest and per-instruction counts, so its statistics are the path's
+/// refolded over its own widths ([`DynStats::refold`]), and its value
+/// accesses, priced from those counts against its own instructions,
+/// join `path`'s timing. The result equals
+/// `measure(program, Vm::new(program, RunConfig::default()))`.
+pub(crate) fn measure_from_path(program: &Program, path: &PathTiming) -> Measured {
+    let stats = path.stats.refold(program);
     let sim = price(program, &stats, path.timing.clone());
-    Ok((Measured::new(&outcome, stats, sim), path))
+    Measured::new(&path.outcome, stats, sim)
 }
 
 /// A program measured on another program's path by [`measure_on_path`].
@@ -293,8 +301,8 @@ pub(crate) struct OnPath {
     pub(crate) fell_back: bool,
 }
 
-/// Measure `program`, which [`widths_only`] found the same as `path`'s
-/// program but for operand widths: the VM streams it into a
+/// Measure `program`, which [`Program::same_but_widths`] found the same
+/// as `path`'s program but for operand widths: the VM streams it into a
 /// [`PathMix`] alone, and its value accesses, priced from its own
 /// per-instruction counts and instructions, join `path`'s timing. If
 /// the run left the path (its record count or path mix differs), a full
@@ -559,7 +567,7 @@ mod tests {
         let (_, path) = measure_path(&baseline).unwrap();
         for (width, leaves_path) in [(Width::W, false), (Width::B, true)] {
             let program = branch_on_sum(width);
-            assert!(widths_only(&program, &baseline), "{width:?}");
+            assert!(baseline.same_but_widths(&program), "{width:?}");
             let run = measure_on_path(&program, &path).unwrap();
             let full = measure(&program, Vm::new(&program, RunConfig::default())).unwrap();
             assert_eq!(run.fell_back, leaves_path, "{width:?}");
@@ -571,19 +579,19 @@ mod tests {
     /// Anything beyond widths makes a program different: an extra
     /// instruction, or another operand in the same shape.
     #[test]
-    fn widths_only_tells_width_changes_from_other_changes() {
+    fn same_but_widths_tells_width_changes_from_other_changes() {
         let baseline = branch_on_sum(Width::D);
-        assert!(widths_only(&branch_on_sum(Width::D), &baseline));
-        assert!(widths_only(&branch_on_sum(Width::H), &baseline));
+        assert!(baseline.same_but_widths(&branch_on_sum(Width::D)));
+        assert!(baseline.same_but_widths(&branch_on_sum(Width::H)));
         let mut longer = branch_on_sum(Width::H);
         longer.funcs[0].blocks[0].insts.insert(0, og_isa::Inst::nop());
-        assert!(!widths_only(&longer, &baseline));
-        assert!(!widths_only(&baseline, &longer));
+        assert!(!baseline.same_but_widths(&longer));
+        assert!(!longer.same_but_widths(&baseline));
         let mut other_operand = branch_on_sum(Width::H);
         let insts = &mut other_operand.funcs[0].blocks[0].insts;
         let add = insts.iter_mut().find(|inst| inst.op == og_isa::Op::Add).expect("an add");
         add.src2 = imm(101);
-        assert!(!widths_only(&other_operand, &baseline));
+        assert!(!baseline.same_but_widths(&other_operand));
     }
 
     /// On generated programs, each VRP copy that differs from its
@@ -599,7 +607,7 @@ mod tests {
             let program = generate_program(&GenConfig { seed, ..Default::default() });
             let (_, path) = measure_path(&program).unwrap();
             for ((copy, _), mech) in apply_mechs(&program, &mechs, None).unwrap().zip(mechs) {
-                if !widths_only(&copy, &program) {
+                if !program.same_but_widths(&copy) {
                     continue;
                 }
                 let run = measure_on_path(&copy, &path).unwrap();
@@ -610,5 +618,47 @@ mod tests {
             }
         }
         assert!(narrowed > 0, "no accepted copy differs from its program");
+    }
+
+    /// Every copy the width rule accepts against its path's run, among
+    /// the 25 distinct study programs (each benchmark's untransformed
+    /// program is its own path) and the VRP copies of the generated
+    /// programs above, measures from that run byte for byte as its own
+    /// full simulation does. A generated copy that narrows is accepted;
+    /// a byte-wide add of 300 is not, and a word-wide one is.
+    #[test]
+    fn copies_that_keep_every_value_measure_from_their_paths_run() {
+        use og_program::generate::{generate_program, GenConfig};
+        use og_vm::eval::keeps_every_value;
+        let check = |path: &PathTiming, copy: &Program, label: &str| {
+            if !keeps_every_value(path.program, &path.stats, copy) {
+                return false;
+            }
+            let full = measure(copy, Vm::new(copy, RunConfig::default())).unwrap();
+            assert_eq!(bytes(&measure_from_path(copy, path)), bytes(&full), "{label}");
+            true
+        };
+        for bench in og_workloads::NAMES {
+            let programs = crate::classify(bench).programs;
+            let (_, path) = measure_path(&programs[0].1).unwrap();
+            for (mech, program) in &programs {
+                check(&path, program, &format!("{bench}/{mech:?}"));
+            }
+        }
+        let mechs = [Mech::ConvVrp, Mech::Vrp, Mech::VrpAggressive];
+        let mut narrowed = 0;
+        for seed in 0..24 {
+            let program = generate_program(&GenConfig { seed, ..Default::default() });
+            let (_, path) = measure_path(&program).unwrap();
+            for ((copy, _), mech) in apply_mechs(&program, &mechs, None).unwrap().zip(mechs) {
+                let accepted = check(&path, &copy, &format!("seed {seed}, {mech:?}"));
+                narrowed += usize::from(accepted && copy != program);
+            }
+        }
+        assert!(narrowed > 0, "no generated copy that narrows is accepted");
+        let baseline = branch_on_sum(Width::D);
+        let (_, path) = measure_path(&baseline).unwrap();
+        assert!(!check(&path, &branch_on_sum(Width::B), "byte-wide add"));
+        assert!(check(&path, &branch_on_sum(Width::W), "word-wide add"));
     }
 }

@@ -75,6 +75,22 @@ impl Program {
         self.funcs.iter().map(|f| f.inst_count()).sum()
     }
 
+    /// Whether `other` equals this program but for operand widths (or
+    /// equals it outright): the same instructions in the same places,
+    /// with the same operands, and the same data.
+    pub fn same_but_widths(&self, other: &Program) -> bool {
+        let mut widened = other.clone();
+        let mut widths = self.insts().map(|(_, inst)| inst.width);
+        let insts = widened.funcs.iter_mut().flat_map(|f| &mut f.blocks).flat_map(|b| &mut b.insts);
+        for inst in insts {
+            match widths.next() {
+                Some(width) => inst.width = width,
+                None => return false,
+            }
+        }
+        widened == *self
+    }
+
     /// Compute the address layout (nominal 8 bytes per instruction).
     pub fn layout(&self) -> Layout {
         Layout::compute(self)

@@ -24,6 +24,7 @@ impl SplitMix64 {
     }
 
     /// Next 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -37,6 +38,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0)");
         // Multiply-shift rejection-free mapping; bias is negligible for the
@@ -57,6 +59,7 @@ impl SplitMix64 {
     }
 
     /// A boolean that is true with probability `num/denom`.
+    #[inline]
     pub fn chance(&mut self, num: u64, denom: u64) -> bool {
         self.below(denom) < num
     }

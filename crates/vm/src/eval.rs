@@ -1,4 +1,5 @@
-//! Pure evaluation of ALU operations at a given width.
+//! Pure evaluation of ALU operations at a given width, and the rule for
+//! when another width computes the same value.
 //!
 //! Shared by the emulator and by the constant-folding step of value range
 //! specialization, so that "what the hardware computes" has exactly one
@@ -8,8 +9,16 @@
 //! computes on the *w*-bit two's-complement views of its operands and
 //! sign-extends its *w*-bit result into the 64-bit register. Narrow values
 //! therefore always live in registers in sign-extended form.
+//!
+//! The paper's premise is that a narrower opcode computes the same value
+//! whenever what it reads and writes fits its width. [`keeps_value`]
+//! decides that for one instruction from the significance counts of a
+//! run at its old width, and [`keeps_every_value`] for a whole program
+//! that differs from the one that ran only in widths.
 
-use og_isa::{CmpKind, Op, Width};
+use crate::{DynStats, SigCounts};
+use og_isa::{CmpKind, Inst, Op, Operand, Width};
+use og_program::Program;
 
 /// Shift amounts use a 6-bit field (the paper's §2.2.5 notes the useful
 /// range of a shift amount is 0..63).
@@ -78,6 +87,74 @@ pub fn cmov_eval(cond: og_isa::Cond, w: Width, test: i64, val: i64, old_dst: i64
     }
 }
 
+/// Whether `inst`, executed at `width` instead of its own width, computes
+/// the value it computed at its own width in every execution that
+/// `counts`, the instruction's counts from a run at its own width,
+/// describes. The rule reads the widest result and sources the counts
+/// saw (an immediate second source at its own significance) and mirrors
+/// the soundness of VRP's width assignment:
+///
+/// * `add`, `sub`, `mul`, `and`, `or`, `xor`, `andc` and `sll` keep the
+///   low bytes of their result at any width, so the result must fit
+///   `width`; so must a signed load's, which reads the low bytes;
+/// * `sra` also shifts high bytes down, so its first source must fit too;
+/// * a comparison and a conditional move read both sources at their
+///   width, so both must fit;
+/// * an unsigned load and `ext` zero-extend: the result must fit, and the
+///   old width must be below 8 bytes, where the result is never negative;
+/// * `ldi`, `zapnot`, `nop` and control flow do not read their width.
+///
+/// Never accepted: `srl` (a negative input's width pattern decides its
+/// result, and the counts keep no sign), `msk`, `sext` and `zext`, whose
+/// width is their semantics, stores and `out`, whose width is their
+/// footprint, and any widening. An unchanged width always keeps its
+/// value.
+pub fn keeps_value(inst: &Inst, width: Width, counts: &SigCounts) -> bool {
+    if width >= inst.width {
+        return width == inst.width;
+    }
+    let bytes = width.bytes() as usize;
+    let fits = |row: &[u64; 9]| row.iter().rposition(|&n| n > 0).unwrap_or(0) <= bytes;
+    let result = fits(&counts.result);
+    let src1 = fits(&counts.srcs[0]);
+    let src2 = match inst.src2 {
+        Operand::Imm(v) => usize::from(Width::sig_bytes(v)) <= bytes,
+        _ => fits(&counts.srcs[1]),
+    };
+    match inst.op {
+        Op::Add | Op::Sub | Op::Mul | Op::And | Op::Or | Op::Xor | Op::Andc | Op::Sll => result,
+        Op::Ld { signed: true } => result,
+        Op::Sra => result && src1,
+        Op::Cmp(_) | Op::Cmov(_) => src1 && src2,
+        Op::Ld { signed: false } | Op::Ext => result && inst.width < Width::D,
+        Op::Ldi | Op::Zapnot | Op::Nop => true,
+        Op::Br | Op::Bc(_) | Op::Jsr | Op::Ret | Op::Halt => true,
+        // `srl.b` of -1 shifts 0xFF where `srl.d` shifts 2^64 - 1.
+        Op::Srl => false,
+        Op::Msk | Op::Sext | Op::Zext | Op::St | Op::Out => false,
+    }
+}
+
+/// Whether `copy` computes every value `program` computed in the run
+/// whose statistics are `stats`: `copy` equals `program` but for operand
+/// widths ([`Program::same_but_widths`]), and every instruction the run
+/// executed at another width in `copy` [`keeps_value`] against its
+/// counts. By induction over the run's steps, a run of `copy` then
+/// repeats that run's path, values and output, and so its step count,
+/// digest and per-instruction counts.
+///
+/// `stats` must come from a statistics run, with one [`SigCounts`] per
+/// instruction; otherwise (a no-stats run) nothing is accepted.
+pub fn keeps_every_value(program: &Program, stats: &DynStats, copy: &Program) -> bool {
+    stats.inst_sigs.len() == program.inst_count()
+        && program.same_but_widths(copy)
+        && program.insts().zip(copy.insts()).zip(&stats.inst_sigs).all(
+            |(((_, old), (_, new)), counts)| {
+                counts.executions() == 0 || keeps_value(old, new.width, counts)
+            },
+        )
+}
+
 /// Byte-keep masks for every 8-bit `ZAPNOT` pattern: entry `m` expands
 /// bit *i* of `m` into byte *i* (bit set → `0xFF`, clear → `0x00`).
 /// Precomputed at compile time so the evaluation is one table load and
@@ -109,7 +186,138 @@ pub fn zapnot_eval(a: i64, mask: u8) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use og_isa::Cond;
+    use crate::Memory;
+    use og_isa::{Cond, Reg, Target};
+    use og_program::rng::SplitMix64;
+
+    /// A random value of at most a random number (1..=8) of significant
+    /// bytes.
+    fn draw(rng: &mut SplitMix64) -> i64 {
+        let shift = 8 * rng.below(8) as u32;
+        (rng.next_u64() as i64) << shift >> shift
+    }
+
+    /// What `op` computes at `w`: an ALU op from `a` and `b`, a
+    /// conditional move testing `a` and moving `b` over `old_dst`, a load
+    /// from a word of `mem` that holds `b`.
+    fn evaluate(op: Op, w: Width, a: i64, b: i64, old_dst: i64, mem: &mut Memory) -> i64 {
+        match op {
+            Op::Cmov(cond) => cmov_eval(cond, w, a, b, old_dst),
+            Op::Ld { signed } => {
+                mem.write(0x1000, Width::D, b);
+                mem.read(0x1000, w, signed)
+            }
+            op => alu_eval(op, w, a, b).expect("an ALU op"),
+        }
+    }
+
+    /// The rule against the evaluators. For every op and every pair of
+    /// widths, batches of one to three executions at the old width, with
+    /// operands of random significance (the second one a register or an
+    /// immediate), give an instruction's counts; whenever the rule
+    /// accepts the new width against them, every execution of the batch
+    /// computes the same value at the new width. No widening is accepted,
+    /// and every op the rule does not reject outright is accepted
+    /// somewhere, so the property is not vacuous.
+    #[test]
+    fn keeps_value_holds_wherever_it_accepts() {
+        let mut ops = vec![
+            Op::Add,
+            Op::Sub,
+            Op::Mul,
+            Op::And,
+            Op::Or,
+            Op::Xor,
+            Op::Andc,
+            Op::Sll,
+            Op::Srl,
+            Op::Sra,
+            Op::Sext,
+            Op::Zext,
+            Op::Zapnot,
+            Op::Ext,
+            Op::Msk,
+            Op::Ldi,
+            Op::Ld { signed: true },
+            Op::Ld { signed: false },
+        ];
+        ops.extend(CmpKind::ALL.map(Op::Cmp));
+        ops.extend(Cond::ALL.map(Op::Cmov));
+        let never = [Op::Srl, Op::Sext, Op::Zext, Op::Msk];
+        let mut rng = SplitMix64::new(0x005E_ED0F_CAFE);
+        let mut mem = Memory::new();
+        for op in ops {
+            let mut accepted = 0;
+            for old in Width::ALL {
+                for new in Width::ALL {
+                    for _ in 0..1000 {
+                        let imm = match op {
+                            Op::Ldi => Some(draw(&mut rng)),
+                            Op::Ld { .. } => None,
+                            _ => rng.chance(1, 3).then(|| draw(&mut rng)),
+                        };
+                        let inst = Inst {
+                            op,
+                            width: old,
+                            dst: Some(Reg::T0),
+                            src1: Some(Reg::T1),
+                            src2: imm.map_or(Operand::Reg(Reg::T2), Operand::Imm),
+                            disp: 0,
+                            target: Target::None,
+                        };
+                        let mut counts = SigCounts::default();
+                        let runs: Vec<_> = (0..1 + rng.below(3))
+                            .map(|_| {
+                                let (a, old_dst) = (draw(&mut rng), draw(&mut rng));
+                                let b = imm.unwrap_or_else(|| draw(&mut rng));
+                                let value = evaluate(op, old, a, b, old_dst, &mut mem);
+                                let src2 = match (op, imm) {
+                                    (Op::Ld { .. }, _) | (_, Some(_)) => 0,
+                                    _ => Width::sig_bytes(b),
+                                };
+                                counts.count(Width::sig_bytes(value), [Width::sig_bytes(a), src2]);
+                                (a, b, old_dst, value)
+                            })
+                            .collect();
+                        if !keeps_value(&inst, new, &counts) {
+                            continue;
+                        }
+                        assert!(new <= old, "{op:?}: widening {old:?} to {new:?} accepted");
+                        accepted += usize::from(new < old);
+                        for (a, b, old_dst, value) in runs {
+                            assert_eq!(
+                                evaluate(op, new, a, b, old_dst, &mut mem),
+                                value,
+                                "{op:?} {old:?} -> {new:?}, a = {a:#x}, b = {b:#x}, imm {imm:?}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                accepted == 0,
+                never.contains(&op),
+                "{op:?}: {accepted} narrowings accepted"
+            );
+        }
+    }
+
+    /// Stores and `out` never narrow (their width is their footprint);
+    /// control flow and `nop` read no width, so they always may.
+    #[test]
+    fn stores_and_outputs_never_narrow_and_control_always_may() {
+        let mut counts = SigCounts::default();
+        counts.count(1, [1, 1]);
+        let store = |w| Inst::store(w, Reg::T0, og_isa::MemRef { base: Reg::SP, disp: 0 });
+        for (old, new) in [(Width::D, Width::B), (Width::W, Width::H), (Width::H, Width::B)] {
+            assert!(!keeps_value(&store(old), new, &counts), "st {old:?} -> {new:?}");
+            assert!(!keeps_value(&Inst::out(old, Reg::T0), new, &counts), "out {old:?}");
+            for inst in [Inst::nop(), Inst::br(0), Inst::jsr(0), Inst::ret(), Inst::halt()] {
+                let inst = Inst { width: old, ..inst };
+                assert!(keeps_value(&inst, new, &counts), "{:?} {old:?} -> {new:?}", inst.op);
+            }
+        }
+    }
 
     #[test]
     fn add_wraps_at_width() {

@@ -93,6 +93,22 @@ impl DynStats {
         self.block_counts.get(&(r.func, r.block)).copied().unwrap_or(0)
     }
 
+    /// These statistics with the block counts, the class × width counts
+    /// and the histogram folded afresh from `inst_sigs` over `program`'s
+    /// instructions, as the flat engine folds a run's. For a program that
+    /// keeps every value of the one that ran
+    /// ([`crate::eval::keeps_every_value`]), this is what a run of it
+    /// would count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program` has more instructions than `inst_sigs`.
+    pub fn refold(&self, program: &Program) -> DynStats {
+        let mut stats = DynStats { steps: self.steps, ..DynStats::default() };
+        StatsSink { insts: self.inst_sigs.clone() }.fold_into(program, &mut stats);
+        stats
+    }
+
     /// Total dynamic count of non-control instructions.
     pub fn data_insts(&self) -> u64 {
         self.class_width.iter().flatten().sum()

@@ -128,9 +128,7 @@ pub(crate) fn run_structured_bytes(rng: &mut SplitMix64, len: usize) -> Vec<u8> 
     while out.len() < len {
         let b = (rng.below(64) + 32) as u8; // printable-ish range
         let run = 1 + rng.below(8) as usize;
-        for _ in 0..run.min(len - out.len()) {
-            out.push(b);
-        }
+        out.resize(len.min(out.len() + run), b);
     }
     out
 }
