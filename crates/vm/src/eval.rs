@@ -29,6 +29,7 @@ pub const SHIFT_MASK: i64 = 63;
 /// Returns `None` for operations that are not pure ALU computations
 /// (memory, control, `cmov` — which needs the old destination value; use
 /// [`cmov_eval`] for it).
+#[inline]
 pub fn alu_eval(op: Op, w: Width, a: i64, b: i64) -> Option<i64> {
     let r = match op {
         Op::Add => w.sext(w.sext(a).wrapping_add(w.sext(b))),
@@ -68,6 +69,7 @@ pub fn alu_eval(op: Op, w: Width, a: i64, b: i64) -> Option<i64> {
 
 /// Evaluate a comparison at width `w`: signed kinds compare the
 /// sign-extended views, unsigned kinds the zero-extended views.
+#[inline]
 pub fn cmp_eval(k: CmpKind, w: Width, a: i64, b: i64) -> bool {
     if k.is_unsigned() {
         k.eval(w.zext(a) as i64, w.zext(b) as i64)
@@ -79,6 +81,7 @@ pub fn cmp_eval(k: CmpKind, w: Width, a: i64, b: i64) -> bool {
 /// Evaluate a conditional move: returns the new destination value given the
 /// old one. The condition tests the sign-extended `w`-bit view of `test`;
 /// a transferred value is truncated and sign-extended at `w`.
+#[inline]
 pub fn cmov_eval(cond: og_isa::Cond, w: Width, test: i64, val: i64, old_dst: i64) -> i64 {
     if cond.eval(w.sext(test)) {
         w.sext(val)

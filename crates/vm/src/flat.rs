@@ -33,11 +33,25 @@
 //!
 //! The lowering is O(program) — a few hundred nanoseconds for the
 //! workload suite's programs — and is paid once in [`crate::Vm::new`];
-//! every committed instruction afterwards is O(1) with no hashing and no
-//! nested indirection. The original graph-walking interpreter survives
-//! unchanged as `Vm::run_reference*`, kept as the semantic baseline the
-//! engine-equivalence suite and the fuzz oracle differentially test
-//! against.
+//! every committed instruction afterwards is O(1) with no nested
+//! indirection, and with no hashing unless a load or store misses
+//! [`crate::Memory`]'s page cache. The original graph-walking interpreter
+//! survives unchanged as `Vm::run_reference*`, kept as the semantic
+//! baseline the engine-equivalence suite and the fuzz oracle
+//! differentially test against.
+//!
+//! **Everything a step calls inlines.** The loop that runs this form is
+//! generic over its trace sink, so its streamed instances are compiled
+//! in each crate that names a sink (og-core, og-lab, og-bench's
+//! throughput bench, the benchmark), where a plain `pub fn` of og-vm
+//! does not inline; and the optimizer left the large `alu_eval` out of
+//! line even in og-vm's own no-stats instance. So every function the
+//! loop calls per step is `#[inline]`: [`crate::eval::alu_eval`] (whose
+//! match on a constant op then folds to that op's expression),
+//! [`crate::eval::cmp_eval`], [`crate::eval::cmov_eval`], and
+//! [`crate::Memory`]'s reads and writes with their page lookup. Only
+//! cold paths stay out of line: a page-cache miss, a page's first
+//! write, and an access in the last 7 bytes of a page.
 //!
 //! **The VM trusts the verifier.** Every lowering verifies first and
 //! lowers only a program that passed: [`FlatProgram::lower`] panics with
@@ -65,9 +79,10 @@ pub(crate) const DISCARD_SLOT: u8 = 32;
 /// Straight-line variants fall through to `ip + 1`; control-flow variants
 /// carry their successors as absolute flat indices resolved at lower
 /// time. Every ALU operation gets its **own** variant so the engine
-/// dispatches once: each arm calls [`alu_eval`] with a *constant* op,
-/// which inlines to that op's bare evaluation expression — one shared
-/// definition of the arithmetic, zero second-level dispatch.
+/// dispatches once: each arm calls the `#[inline]` [`alu_eval`] with a
+/// *constant* op, whose match then folds away in every instance of the
+/// loop (see the module docs) — one shared definition of the
+/// arithmetic, zero second-level dispatch.
 ///
 /// [`alu_eval`]: crate::eval::alu_eval
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -24,9 +24,9 @@
 //! per-slot pc addresses reduced to an affine map (no per-step layout
 //! lookup), and operand shapes (register/immediate/absent) decided ahead
 //! of time. The cost is O(program) at construction; the win is O(1)
-//! *per committed step* with no hashing and no `func → block → inst`
-//! pointer chasing. The
-//! streamed run is generic over its sink, so concrete consumers (the
+//! *per committed step* with no `func → block → inst` pointer chasing,
+//! and no hashing unless a load or store misses [`Memory`]'s page cache.
+//! The streamed run is generic over its sink, so concrete consumers (the
 //! timing simulator, VRS's value tables, [`VecSink`])
 //! inline straight into the hot loop instead of paying a virtual call
 //! per committed instruction.

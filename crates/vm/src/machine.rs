@@ -592,10 +592,15 @@ impl<'p> Vm<'p> {
     }
 
     /// The monomorphized hot loop. One iteration per committed
-    /// instruction: no hashing, no nested indirection, one dispatch
-    /// (every ALU op is its own [`FlatOp`] variant calling [`alu_eval`]
-    /// with a constant op, which inlines to the bare expression), and
-    /// sink calls inlined at their concrete type. All hot state —
+    /// instruction: no nested indirection, one dispatch (every ALU op is
+    /// its own [`FlatOp`] variant calling [`alu_eval`] with a constant
+    /// op), and sink calls inlined at their concrete type. Its instances
+    /// are compiled in og-vm and in each crate that names a sink, so
+    /// every function it calls per step is `#[inline]` — [`alu_eval`],
+    /// [`cmp_eval`](crate::eval::cmp_eval), [`cmov_eval`] and
+    /// [`Memory`]'s reads and writes — and only cold paths stay out of
+    /// line, such as a miss in the memory's page cache, the only place a
+    /// step hashes (see [`crate::flat`]). All hot state —
     /// registers (padded with the write-only
     /// [`crate::flat::DISCARD_SLOT`] so zero-register writes need no
     /// branch), step counter, the call stack — lives in locals for the
